@@ -26,20 +26,28 @@ import (
 // aclFragment is the single-fragment policy edit every PolicyChange
 // benchmark applies: a stateless drop of one source port. It mentions no
 // state variable, so the delta compiler's dirty set is empty.
-func aclFragment() syntax.Policy {
-	return syntax.Cond(syntax.FieldEq(pkt.SrcPort, values.Int(7777)), syntax.Nothing(), syntax.Id())
+func aclFragment() syntax.Policy { return aclOn(7777) }
+
+func aclOn(srcport int64) syntax.Policy {
+	return syntax.Cond(syntax.FieldEq(pkt.SrcPort, values.Int(srcport)), syntax.Nothing(), syntax.Id())
 }
 
 // dnsTunnelPolicyEdited is dnsTunnelPolicy with the ACL fragment inserted
 // before assign-egress — the edited policy of the PolicyChange scenario.
 func dnsTunnelPolicyEdited(ports int) syntax.Policy {
+	return dnsTunnelPolicyWith(ports, aclFragment())
+}
+
+// dnsTunnelPolicyWith is dnsTunnelPolicy with one stage inserted before
+// assign-egress.
+func dnsTunnelPolicyWith(ports int, stage syntax.Policy) syntax.Policy {
 	if ports > 200 {
 		ports = 200
 	}
 	return syntax.Then(
 		apps.Assumption(ports),
 		syntax.Then(apps.DNSTunnelDetect(),
-			syntax.Then(aclFragment(), apps.AssignEgress(ports))),
+			syntax.Then(stage, apps.AssignEgress(ports))),
 	)
 }
 

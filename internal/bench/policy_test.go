@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"snap/internal/core"
 	"snap/internal/place"
+	"snap/internal/syntax"
 	"snap/internal/topo"
 	"snap/internal/traffic"
 )
@@ -16,7 +18,11 @@ import (
 // edited policy. Cold start includes P4 model construction, which the delta
 // path reuses outright, so the margin is structural rather than noise-bound;
 // each side still takes the best of a few trials to shrug off scheduler
-// jitter. Skipped under -short (the CI fast lane); CI runs it explicitly.
+// jitter. Timing only edit #1 on a fresh lineage once let a delta path that
+// was twice as slow as cold from edit #2 onward pass, so on Stanford the
+// gate also times edit #8 of one lineage against a cold start of the same
+// policy, and bounds what eight edits retain.
+// Skipped under -short (the CI fast lane); CI runs it explicitly.
 // gateTrials is higher than the reporting benchmark's trial count because
 // this test gates CI: best-of-5 makes a one-off scheduler stall on either
 // side vanishingly unlikely to flip the comparison.
@@ -76,4 +82,105 @@ func TestPolicyChangeBeatsColdStart(t *testing.T) {
 			t.Logf("%s: PolicyChange %v vs ColdStart %v (%.1fx)", spec.Name, deltaBest, coldBest, float64(coldBest)/float64(deltaBest))
 		}
 	}
+	t.Run("Stanford/edit8", lateEditBeatsColdStart)
+}
+
+// stanfordHalf is the benchmark's ctl-enterprise network: Stanford at half
+// its ports under the Table 6 policy.
+func stanfordHalf(t *testing.T) (*topo.Topology, traffic.Matrix) {
+	t.Helper()
+	tp, err := topo.Named("Stanford", CI.Capacity, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tp, traffic.Gravity(tp, CI.Traffic, 1)
+}
+
+// liveHeap is the heap still reachable after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// lateEditBeatsColdStart times the eighth edit of one lineage, each edit a
+// distinct ACL so none replays the fragment memo, against a cold start of
+// the same policy (same process, best of gateTrials), and requires the live
+// heap after edit #8 to stay within twice the live heap after edit #1.
+func lateEditBeatsColdStart(t *testing.T) {
+	tp, tm := stanfordHalf(t)
+	ports := len(tp.Ports)
+	opts := place.Options{Method: place.Heuristic}
+	edit := func(i int) syntax.Policy { return dnsTunnelPolicyWith(ports, aclOn(int64(7000+i))) }
+
+	var deltaBest, coldBest time.Duration
+	var heap1, heap8 uint64
+	for trial := 0; trial < gateTrials; trial++ {
+		c, err := core.ColdStart(dnsTunnelPolicy(ports), tp, tm, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 8; i++ {
+			if c, err = c.PolicyChange(edit(i)); err != nil {
+				t.Fatal(err)
+			}
+			if c.Delta.Scenario != "delta" {
+				t.Fatalf("edit %d took the %q path", i, c.Delta.Scenario)
+			}
+			if trial == 0 && (i == 1 || i == 8) {
+				h := liveHeap()
+				if i == 1 {
+					heap1 = h
+				} else {
+					heap8 = h
+				}
+			}
+		}
+		coldRun, err := core.ColdStart(edit(8), tp, tm, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := c.Times.Total(); trial == 0 || d < deltaBest {
+			deltaBest = d
+		}
+		if d := coldRun.Times.Total(); trial == 0 || d < coldBest {
+			coldBest = d
+		}
+		runtime.KeepAlive(c)
+	}
+	if deltaBest >= coldBest {
+		t.Errorf("edit #8 (%v) not faster than a cold start of the same policy (%v)", deltaBest, coldBest)
+	}
+	if heap8 > 2*heap1 {
+		t.Errorf("live heap after edit #8 is %d MB, more than twice the %d MB after edit #1", heap8>>20, heap1>>20)
+	}
+	t.Logf("edit #8 %v vs cold %v (%.1fx); live heap %d MB after edit #1, %d MB after edit #8",
+		deltaBest, coldBest, float64(coldBest)/float64(deltaBest), heap1>>20, heap8>>20)
+}
+
+// TestPolicyEditContextCount gates the work an edit does, by a count that
+// repeats exactly: one stateless ACL edit of the Table 6 policy on Stanford
+// at half its ports may mint at most 2 000 composition contexts. Keyed by
+// context path instead of by what the operands read, the same edit minted
+// 32 852.
+func TestPolicyEditContextCount(t *testing.T) {
+	tp, tm := stanfordHalf(t)
+	ports := len(tp.Ports)
+	c, err := core.ColdStart(dnsTunnelPolicy(ports), tp, tm, place.Options{Method: place.Heuristic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := c.PolicyChange(dnsTunnelPolicyEdited(ports))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := next.Delta
+	if rep.Contexts == 0 || rep.Contexts > 2000 {
+		t.Errorf("edit minted %d contexts, want 1..2000", rep.Contexts)
+	}
+	if rep.ApplyHits+rep.ApplyMisses == 0 {
+		t.Error("edit reported no apply-cache lookups")
+	}
+	t.Logf("contexts=%d apply hits=%d misses=%d", rep.Contexts, rep.ApplyHits, rep.ApplyMisses)
 }

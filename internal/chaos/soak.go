@@ -363,8 +363,9 @@ func deltaSummary(d *core.DeltaReport) string {
 	if d.Scenario != "delta" {
 		return fmt.Sprintf(" delta=%s", d.Scenario)
 	}
-	return fmt.Sprintf(" delta=delta dirty-vars=%d nodes=%d/%d pinned=%d moved=%d progs=%d/%d dirty-switches=%d",
+	return fmt.Sprintf(" delta=delta dirty-vars=%d nodes=%d/%d contexts=%d apply=%d/%d pinned=%d moved=%d progs=%d/%d dirty-switches=%d",
 		len(d.DirtyVars), d.ReusedNodes, d.ReusedNodes+d.FreshNodes,
+		d.Contexts, d.ApplyHits, d.ApplyHits+d.ApplyMisses,
 		d.PinnedGroups, d.MovedGroups,
 		d.ReusedPrograms, d.ReusedPrograms+d.CompiledPrograms, len(d.DirtySwitches))
 }

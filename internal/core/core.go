@@ -166,13 +166,16 @@ func (c *Compilation) PolicyChange(p syntax.Policy) (*Compilation, error) {
 
 	start = time.Now()
 	tr := ds.translator(n.Order)
-	mark := tr.Store().Watermark()
+	mark, before := tr.Store().Watermark(), tr.Store().ApplyStats()
 	d, err := tr.TranslateMemo(p)
 	if err != nil {
 		return nil, err
 	}
 	n.Diagram = d
 	rep.ReusedNodes, rep.FreshNodes = xfdd.ReuseOf(d, mark)
+	after := tr.Store().ApplyStats()
+	rep.Contexts = after.Contexts - before.Contexts
+	rep.ApplyHits, rep.ApplyMisses = after.Hits-before.Hits, after.Misses-before.Misses
 	n.Times.P2XFDD = time.Since(start)
 
 	start = time.Now()

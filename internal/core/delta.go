@@ -18,7 +18,10 @@
 //     reflect the new policy exactly.
 //   - translator reuse requires an identical test order: translators are
 //     keyed by the order signature, and an edit that changes the state
-//     variable set gets a fresh translator (no reuse, still correct).
+//     variable set gets a fresh translator (no reuse, still correct). The
+//     lineage keeps the translator in use and the one before it, so an edit
+//     and its revert both stay warm while the stores of older variable sets
+//     are released.
 //   - program reuse requires pointer identity of the diagram root, which
 //     hash-consing provides within one translator store.
 package core
@@ -58,12 +61,21 @@ type DeltaReport struct {
 	// DirtySwitches lists the switches whose data-plane configuration
 	// changed; the controller only needs to disturb these.
 	DirtySwitches []topo.NodeID
+	// Contexts, ApplyHits and ApplyMisses are the translator store's exact
+	// work counters diffed across the edit's P2: composition contexts
+	// minted, and lookups of the ⊕/⊙/seqAS apply caches that found their
+	// subproblem solved or had to solve it. Unlike the phase times they
+	// repeat exactly, so a test can gate on them.
+	Contexts, ApplyHits, ApplyMisses uint64
 }
 
 // deltaState is the persistent cache bundle shared along a Compilation
 // lineage (ColdStart and every recompilation derived from it).
 type deltaState struct {
+	// translators holds at most two entries: the translator of sig, the
+	// test-order signature last compiled, and of the signature before it.
 	translators map[string]*xfdd.Translator
+	sig         string
 	builder     *psmap.Builder
 	gen         *rules.Generator
 }
@@ -76,17 +88,25 @@ func newDeltaState() *deltaState {
 	}
 }
 
-// translator returns the lineage's translator for a test order, creating
-// one per distinct order signature. Reusing a translator across orders
-// would be unsound (the memo bakes in the test order), so the signature
-// is the full ordered variable list.
+// translator returns the lineage's translator for a test order. Reusing a
+// translator across orders would be unsound (the memo bakes in the test
+// order), so the signature is the full ordered variable list. A signature
+// other than the last one's displaces every translator but the last one's;
+// a displaced signature that comes back gets a fresh translator.
 func (ds *deltaState) translator(order *deps.Order) *xfdd.Translator {
 	sig := strings.Join(order.Vars, "\x00")
 	tr := ds.translators[sig]
+	if tr != nil && sig == ds.sig {
+		return tr
+	}
 	if tr == nil {
 		tr = xfdd.NewTranslator(order)
-		ds.translators[sig] = tr
 	}
+	kept := map[string]*xfdd.Translator{sig: tr}
+	if prev := ds.translators[ds.sig]; prev != nil {
+		kept[ds.sig] = prev
+	}
+	ds.translators, ds.sig = kept, sig
 	return tr
 }
 

@@ -650,6 +650,7 @@ func (c *Controller) ApplyPolicy(p syntax.Policy) (rep *PolicyReport, err error)
 		rep.DirtySwitches = next.Delta.DirtySwitches
 	}
 	c.observe("policy", next.Scenario, plan.String(), began, next.Times, swap)
+	observeDelta(c.eng.Telemetry(), next.Delta)
 	return rep, nil
 }
 

@@ -424,4 +424,20 @@ func TestApplyPolicyDeltaRotation(t *testing.T) {
 	if !eng.GlobalState().Equal(before) {
 		t.Fatal("rotation lost state")
 	}
+
+	// The edits' exact xFDD work counters are on the engine's registry:
+	// B was composed (contexts, misses); the return to A is a fragment-memo
+	// hit that composes nothing.
+	if prB.Delta.Contexts == 0 || prB.Delta.ApplyMisses == 0 || prA.Delta.Contexts != 0 {
+		t.Fatalf("work counters: A->B contexts=%d misses=%d, B->A contexts=%d",
+			prB.Delta.Contexts, prB.Delta.ApplyMisses, prA.Delta.Contexts)
+	}
+	reg := eng.Telemetry()
+	if got := reg.Counter("snap_xfdd_contexts_total", "").Value(); got != int64(prB.Delta.Contexts) {
+		t.Fatalf("snap_xfdd_contexts_total = %d, want %d", got, prB.Delta.Contexts)
+	}
+	lookups := reg.CounterVec("snap_xfdd_apply_lookups_total", "", "result")
+	if hit, miss := lookups.With("hit").Value(), lookups.With("miss").Value(); hit != int64(prB.Delta.ApplyHits+prA.Delta.ApplyHits) || miss != int64(prB.Delta.ApplyMisses+prA.Delta.ApplyMisses) {
+		t.Fatalf("snap_xfdd_apply_lookups_total hit=%d miss=%d, want the two reports' sums", hit, miss)
+	}
 }

@@ -33,6 +33,23 @@ func ObserveCompile(reg *telemetry.Registry, scenario string, times core.PhaseTi
 		1e-9, "scenario").With(scenario).Observe(int64(times.Total()))
 }
 
+// observeDelta files a policy edit's exact xFDD work counters beside the
+// phase histograms: composition contexts minted and apply-cache lookups by
+// result. A climbing miss rate or contexts-per-edit says P2 has stopped
+// sharing subproblems before the p2_xfdd histogram moves.
+func observeDelta(reg *telemetry.Registry, d *core.DeltaReport) {
+	if reg == nil || d == nil {
+		return
+	}
+	reg.Counter("snap_xfdd_contexts_total",
+		"Composition contexts minted by policy-edit translations.").Add(int64(d.Contexts))
+	lookups := reg.CounterVec("snap_xfdd_apply_lookups_total",
+		"Apply-cache lookups (union, seq, seqAS) by policy-edit translations, by result.",
+		"result")
+	lookups.With("hit").Add(int64(d.ApplyHits))
+	lookups.With("miss").Add(int64(d.ApplyMisses))
+}
+
 // compilePhases flattens the executed (non-zero) phases of a PhaseTimes
 // into named span phases, P1 through P6 in order.
 func compilePhases(t core.PhaseTimes) []telemetry.Phase {

@@ -212,8 +212,9 @@ func (tr *Translator) refine(d *Diagram, ctx *Context) *Diagram {
 
 // unionCtx implements ⊕ (parallel composition of xFDDs, Figure 8): merge
 // same tests, interleave by the total order, and union leaf action sets.
-// Results are memoized per (operands, context): ⊕ is commutative, so the
-// operand pair is normalized before the cache lookup.
+// Results are memoized per (operands, context projected onto the operands'
+// support): ⊕ is commutative, so the operand pair is normalized before the
+// cache lookup.
 func (tr *Translator) unionCtx(d1, d2 *Diagram, ctx *Context) (*Diagram, error) {
 	d1 = tr.refine(d1, ctx)
 	d2 = tr.refine(d2, ctx)
@@ -222,6 +223,7 @@ func (tr *Translator) unionCtx(d1, d2 *Diagram, ctx *Context) (*Diagram, error) 
 		// same children. Pointer equality is structural equality here.
 		return d1, nil
 	}
+	ctx = ctx.project(d1.support().union(d2.support()))
 	var key pairKey
 	cacheable := d1.id != 0 && d2.id != 0 && ctx.id != 0
 	if cacheable {
@@ -231,8 +233,10 @@ func (tr *Translator) unionCtx(d1, d2 *Diagram, ctx *Context) (*Diagram, error) 
 		}
 		key = pairKey{a: a, b: b, ctx: ctx.id}
 		if r, ok := tr.st.unionCache[key]; ok {
+			tr.st.applyHits++
 			return r, nil
 		}
+		tr.st.applyMisses++
 	}
 	r, err := tr.unionSteps(d1, d2, ctx)
 	if err != nil {
@@ -400,16 +404,19 @@ func (tr *Translator) before(tid int32, t Test, d *Diagram) bool {
 //	{as1..asn} ⊙ d = (as1 ⊙ d) ⊕ ... ⊕ (asn ⊙ d)
 //	(t ? d1 : d2) ⊙ d = (d1 ⊙ d)|t ⊕ (d2 ⊙ d)|~t
 //
-// Results are memoized per (operands, context).
+// Results are memoized per (operands, projected context).
 func (tr *Translator) seqCompose(d1, d2 *Diagram, ctx *Context) (*Diagram, error) {
 	d1 = tr.refine(d1, ctx)
+	ctx = ctx.project(d1.support().union(d2.support()))
 	var key pairKey
 	cacheable := d1.id != 0 && d2.id != 0 && ctx.id != 0
 	if cacheable {
 		key = pairKey{a: d1.id, b: d2.id, ctx: ctx.id}
 		if r, ok := tr.st.seqCache[key]; ok {
+			tr.st.applyHits++
 			return r, nil
 		}
+		tr.st.applyMisses++
 	}
 	r, err := tr.seqComposeSteps(d1, d2, ctx)
 	if err != nil {
@@ -429,7 +436,19 @@ func (tr *Translator) seqComposeSteps(d1, d2 *Diagram, ctx *Context) (*Diagram, 
 			if d1.seqIDs != nil {
 				sid = d1.seqIDs[i]
 			}
-			di, err := tr.seqAS(as, sid, d2, ctx)
+			var di *Diagram
+			var err error
+			if pre := tr.siblingWrites(d1, i, d2); len(pre) > 0 {
+				// Compose as if the copy had made its siblings' writes
+				// itself, then take them out of the leaves again.
+				joined := append(pre, as...)
+				di, err = tr.seqAS(joined, tr.st.seqID(joined), d2, ctx)
+				if err == nil {
+					di = tr.dropPrefix(di, len(pre), map[*Diagram]*Diagram{})
+				}
+			} else {
+				di, err = tr.seqAS(as, sid, d2, ctx)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -459,19 +478,86 @@ func (tr *Translator) seqComposeSteps(d1, d2 *Diagram, ctx *Context) (*Diagram, 
 	return tr.unionCtx(tr.restrictT(dT, d1.Test, tid, true), tr.restrictT(dF, d1.Test, tid, false), ctx)
 }
 
+// siblingWrites returns the state writes that the other sequences of leaf l
+// make to variables d mentions, with their expressions in terms of the
+// leaf's input packet. The copies of a multicast run against one store and
+// what follows sees the merged result (eval of p;q threads the store p
+// leaves behind into every copy, Appendix A), so the state tests copy i
+// meets in d resolve against its siblings' writes as well as its own; a
+// copy that drops never meets them. Race freedom leaves at most one writer
+// per variable, so the order among siblings does not matter; a variable the
+// copy writes too is a race CheckRaces reports, and is left alone here.
+func (tr *Translator) siblingWrites(l *Diagram, i int, d *Diagram) ActionSeq {
+	own := l.Seqs[i]
+	if len(l.Seqs) < 2 || own.Drops() {
+		return nil
+	}
+	read := d.support()
+	var pre ActionSeq
+	for j, sib := range l.Seqs {
+		if j == i {
+			continue
+		}
+		fmap := map[pkt.Field]values.Value{}
+		for _, a := range sib {
+			switch {
+			case a.Kind == ActModify:
+				fmap[a.Field] = a.Val
+			case a.isStateAct() && read.vars&tr.st.varSupport(a.Var).vars != 0 && !own.WritesVar(a.Var):
+				a.Idx = SubstIdx(a.Idx, fmap)
+				if a.Kind == ActSet {
+					a.SVal = SubstExpr(a.SVal, fmap)
+				}
+				pre = append(pre, a)
+			}
+		}
+	}
+	return pre
+}
+
+// dropPrefix removes the first k actions from every sequence of d that has
+// them (restriction can leave a bare drop behind).
+func (tr *Translator) dropPrefix(d *Diagram, k int, done map[*Diagram]*Diagram) *Diagram {
+	if r, ok := done[d]; ok {
+		return r
+	}
+	var r *Diagram
+	if d.IsLeaf() {
+		seqs := make([]ActionSeq, len(d.Seqs))
+		for i, s := range d.Seqs {
+			if !isPureDrop(s) {
+				s = s[k:]
+			}
+			seqs[i] = s
+		}
+		r = tr.st.Leaf(seqs)
+	} else {
+		r = tr.st.Branch(d.Test, tr.dropPrefix(d.True, k, done), tr.dropPrefix(d.False, k, done))
+	}
+	done[d] = r
+	return r
+}
+
 // seqAS composes an action sequence with an xFDD (Algorithm 1 of
 // Appendix E): tests of d are rewritten in terms of the packet *before* as
 // runs, using the context to resolve what the sequence's assignments and
 // state writes imply. sid is the interned id of as (0 when unknown), used
 // for the apply-cache key and the memoized assignment context.
 func (tr *Translator) seqAS(as ActionSeq, sid uint32, d *Diagram, ctx *Context) (*Diagram, error) {
+	asSup := fullSupport
+	if sid != 0 {
+		asSup = tr.st.seqList[sid-1].sup
+	}
+	ctx = ctx.project(asSup.union(d.support()))
 	var key seqASKey
 	cacheable := sid != 0 && d.id != 0 && ctx.id != 0
 	if cacheable {
 		key = seqASKey{seq: sid, node: d.id, ctx: ctx.id}
 		if r, ok := tr.st.seqASCache[key]; ok {
+			tr.st.applyHits++
 			return r, nil
 		}
+		tr.st.applyMisses++
 	}
 	r, err := tr.seqASSteps(as, sid, d, ctx)
 	if err != nil {
@@ -500,6 +586,9 @@ func (tr *Translator) seqASSteps(as ActionSeq, sid uint32, d *Diagram, ctx *Cont
 		return tr.st.Leaf(out), nil
 	}
 
+	if t, ok := d.Test.(STest); ok {
+		return tr.seqASState(as, sid, t, d, ctx)
+	}
 	ctxNew := tr.ctxWithSeq(ctx, sid, as)
 
 	switch t := d.Test.(type) {
@@ -512,7 +601,7 @@ func (tr *Translator) seqASSteps(as ActionSeq, sid uint32, d *Diagram, ctx *Cont
 		}
 		// Undecided implies the sequence does not assign t.Field, so the
 		// test reads the original packet: emit it unchanged.
-		return tr.emitBranch(as, sid, t, d, ctx)
+		return tr.emitBranch(as, sid, t, d.True, d.False, ctx)
 
 	case FFTest:
 		if out, known := ctxNew.Infer(t); known {
@@ -525,10 +614,7 @@ func (tr *Translator) seqASSteps(as ActionSeq, sid uint32, d *Diagram, ctx *Cont
 		if err != nil {
 			return nil, err
 		}
-		return tr.emitBranch(as, sid, nt, d, ctx)
-
-	case STest:
-		return tr.seqASState(as, sid, t, d, ctx, ctxNew)
+		return tr.emitBranch(as, sid, nt, d.True, d.False, ctx)
 	}
 	return nil, fmt.Errorf("seq: unknown test %T", d.Test)
 }
@@ -549,14 +635,14 @@ func (tr *Translator) ctxWithSeq(ctx *Context, sid uint32, as ActionSeq) *Contex
 	return ctx.WithAssignments(fieldMap(as))
 }
 
-// emitBranch recurses into both subtrees of d with the context extended by
-// test t, and rebuilds an order-correct branch.
-func (tr *Translator) emitBranch(as ActionSeq, sid uint32, t Test, d *Diagram, ctx *Context) (*Diagram, error) {
-	dT, err := tr.seqAS(as, sid, d.True, ctx.With(t, true))
+// emitBranch composes as with onT under test t and with onF under its
+// negation, and rebuilds an order-correct branch.
+func (tr *Translator) emitBranch(as ActionSeq, sid uint32, t Test, onT, onF *Diagram, ctx *Context) (*Diagram, error) {
+	dT, err := tr.seqAS(as, sid, onT, ctx.With(t, true))
 	if err != nil {
 		return nil, err
 	}
-	dF, err := tr.seqAS(as, sid, d.False, ctx.With(t, false))
+	dF, err := tr.seqAS(as, sid, onF, ctx.With(t, false))
 	if err != nil {
 		return nil, err
 	}
@@ -584,8 +670,12 @@ func rewriteFF(t FFTest, ctx *Context) (Test, error) {
 // seqASState composes an action sequence with a state test s[e1] = e2
 // (Algorithm 1 lines 35–59, extended to handle the increment/decrement
 // operators the paper's programs rely on, e.g. "susp-client[dstip]++; if
-// susp-client[dstip] = threshold ...").
-func (tr *Translator) seqASState(as ActionSeq, sid uint32, t STest, d *Diagram, ctx, ctxNew *Context) (*Diagram, error) {
+// susp-client[dstip] = threshold ..."). Substitution puts the test and every
+// write in terms of the packet before as runs (each with the assignments
+// that precede it), so they are compared under ctx, not under the context
+// after the sequence's assignments: a field assigned after a write still
+// has its old value in that write's index.
+func (tr *Translator) seqASState(as ActionSeq, sid uint32, t STest, d *Diagram, ctx *Context) (*Diagram, error) {
 	writes := filterWrites(as, t.Var)
 	fmap := tr.seqFieldMap(sid, as)
 	testIdx := SubstIdx(t.Idx, fmap)
@@ -596,13 +686,13 @@ func (tr *Translator) seqASState(as ActionSeq, sid uint32, t STest, d *Diagram, 
 	var delta int64
 	for i := len(writes) - 1; i >= 0; i-- {
 		w := writes[i]
-		eq, decider := ctxNew.EExprEqual(testIdx, w.Idx)
+		eq, decider := ctx.EExprEqual(testIdx, w.Idx)
 		switch eq {
 		case EqNo:
 			continue // writes a different entry
 		case EqBoth:
 			// Branch on the deciding test and retry: (decider ? d : d).
-			return tr.seqAS(as, sid, &Diagram{Test: decider, True: d, False: d}, ctx)
+			return tr.emitBranch(as, sid, decider, d, d, ctx)
 		}
 		// The write targets the tested entry.
 		switch w.Kind {
@@ -611,7 +701,7 @@ func (tr *Translator) seqASState(as ActionSeq, sid uint32, t STest, d *Diagram, 
 		case ActDecr:
 			delta--
 		case ActSet:
-			return tr.resolveAgainstWrite(as, sid, w.SVal, delta, testVal, d, ctx, ctxNew)
+			return tr.resolveAgainstWrite(as, sid, w.SVal, delta, testVal, d, ctx)
 		}
 	}
 
@@ -619,7 +709,7 @@ func (tr *Translator) seqASState(as ActionSeq, sid uint32, t STest, d *Diagram, 
 	// shifted by any net increment.
 	preVal := testVal
 	if delta != 0 {
-		c, ok := constInt(ctxNew.ResolveExpr(testVal))
+		c, ok := constInt(ctx.ResolveExpr(testVal))
 		if !ok {
 			return nil, &UnsupportedError{Reason: fmt.Sprintf(
 				"test %s follows %+d increment(s) of %s but compares against non-constant %s (symbolic arithmetic is outside the xFDD algebra)",
@@ -634,7 +724,7 @@ func (tr *Translator) seqASState(as ActionSeq, sid uint32, t STest, d *Diagram, 
 		}
 		return tr.seqAS(as, sid, d.False, ctx)
 	}
-	return tr.emitBranch(as, sid, pre, d, ctx)
+	return tr.emitBranch(as, sid, pre, d.True, d.False, ctx)
 }
 
 // seqFieldMap returns the sequence's final field assignments, using the
@@ -648,8 +738,8 @@ func (tr *Translator) seqFieldMap(sid uint32, as ActionSeq) map[pkt.Field]values
 
 // resolveAgainstWrite decides a state test whose entry the sequence last
 // wrote with value expression wval (plus delta subsequent increments).
-func (tr *Translator) resolveAgainstWrite(as ActionSeq, sid uint32, wval syntax.Expr, delta int64, testVal syntax.Expr, d *Diagram, ctx, ctxNew *Context) (*Diagram, error) {
-	effective := ctxNew.ResolveExpr(wval)
+func (tr *Translator) resolveAgainstWrite(as ActionSeq, sid uint32, wval syntax.Expr, delta int64, testVal syntax.Expr, d *Diagram, ctx *Context) (*Diagram, error) {
+	effective := ctx.ResolveExpr(wval)
 	if delta != 0 {
 		c, ok := constInt(effective)
 		if !ok {
@@ -658,14 +748,14 @@ func (tr *Translator) resolveAgainstWrite(as ActionSeq, sid uint32, wval syntax.
 		}
 		effective = syntax.Const{Val: values.Int(c + delta)}
 	}
-	eq, decider := ctxNew.EExprEqual([]syntax.Expr{testVal}, []syntax.Expr{effective})
+	eq, decider := ctx.EExprEqual([]syntax.Expr{testVal}, []syntax.Expr{effective})
 	switch eq {
 	case EqYes:
 		return tr.seqAS(as, sid, d.True, ctx)
 	case EqNo:
 		return tr.seqAS(as, sid, d.False, ctx)
 	default:
-		return tr.seqAS(as, sid, &Diagram{Test: decider, True: d, False: d}, ctx)
+		return tr.emitBranch(as, sid, decider, d, d, ctx)
 	}
 }
 

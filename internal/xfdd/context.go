@@ -1,6 +1,8 @@
 package xfdd
 
 import (
+	"math/bits"
+
 	"snap/internal/pkt"
 	"snap/internal/syntax"
 	"snap/internal/values"
@@ -12,21 +14,22 @@ import (
 // This is the "context" argument threaded through ⊕ and the sequential
 // composition algorithm in Figure 8 and Appendix E.
 //
-// Contexts are persistent: With* methods return extended copies.
+// Contexts are persistent: With returns an extension that shares every
+// table with c except the one its fact touches, which it copies first. No
+// table is ever written after its context is published.
 type Context struct {
 	// vals holds exact known field values (from passed exact-value tests or
-	// field assignments of a preceding action sequence).
-	vals map[pkt.Field]values.Value
+	// field assignments of a preceding action sequence), at the class root;
+	// bit f of known says vals[f] is set.
+	known uint32
+	vals  *[pkt.NumFields]values.Value
 	// pos/neg hold passed and failed field-value tests (including prefix
 	// tests, which constrain without pinning an exact value).
-	pos map[pkt.Field][]values.Value
-	neg map[pkt.Field][]values.Value
-	// parent implements a union-find over fields known equal; neq records
-	// field pairs known unequal.
-	parent map[pkt.Field]pkt.Field
-	neq    map[[2]pkt.Field]bool
-	// st maps resolved canonical state tests to their recorded outcome.
-	st map[string]bool
+	pos, neg *[pkt.NumFields][]values.Value
+	// eq holds what field-field facts established; nil until the first one.
+	eq *eqFacts
+	// st lists the recorded state-test outcomes, newest first.
+	st *stFact
 
 	// store/id tie the context into a translator's hash-consing store:
 	// contexts with a store carry a unique id used in the apply-cache keys,
@@ -37,6 +40,31 @@ type Context struct {
 	store    *Store
 	id       uint64
 	withMemo map[withKey]*Context
+
+	// How a store-bound context was built, which is what project replays:
+	// the context it extends and the interned test and outcome it adds.
+	// sup is the union of the chain's fact supports; opaque marks a chain
+	// holding a field-field fact or an assignment (see support).
+	up      *Context
+	testID  int32
+	outcome bool
+	sup     support
+	opaque  bool
+}
+
+// eqFacts is a union-find over fields known equal (parent, FieldNone at a
+// class root) plus the root pairs known unequal.
+type eqFacts struct {
+	parent [pkt.NumFields]pkt.Field
+	neq    [][2]pkt.Field
+}
+
+// stFact records the outcome of one state test, under the canonical key it
+// resolved to when it was recorded.
+type stFact struct {
+	key     string
+	outcome bool
+	older   *stFact
 }
 
 type withKey struct {
@@ -47,54 +75,50 @@ type withKey struct {
 // NewContext returns an empty context.
 func NewContext() *Context {
 	return &Context{
-		vals:   map[pkt.Field]values.Value{},
-		pos:    map[pkt.Field][]values.Value{},
-		neg:    map[pkt.Field][]values.Value{},
-		parent: map[pkt.Field]pkt.Field{},
-		neq:    map[[2]pkt.Field]bool{},
-		st:     map[string]bool{},
+		vals: new([pkt.NumFields]values.Value),
+		pos:  new([pkt.NumFields][]values.Value),
+		neg:  new([pkt.NumFields][]values.Value),
 	}
 }
 
-// newStoreContext builds the store's root context (id 1-based).
-func newStoreContext(st *Store) *Context {
-	c := NewContext()
-	c.store = st
-	c.id = st.nextCtxID()
-	return c
-}
-
-func (c *Context) clone() *Context {
-	n := NewContext()
+// extension returns a copy of c that shares all its tables, ready to have
+// the touched ones replaced.
+func (c *Context) extension() *Context {
+	n := *c
+	n.withMemo = nil
+	n.up = c
 	if c.store != nil {
-		n.store = c.store
 		n.id = c.store.nextCtxID()
 	}
-	for k, v := range c.vals {
-		n.vals[k] = v
-	}
-	for k, v := range c.pos {
-		n.pos[k] = append([]values.Value(nil), v...)
-	}
-	for k, v := range c.neg {
-		n.neg[k] = append([]values.Value(nil), v...)
-	}
-	for k, v := range c.parent {
-		n.parent[k] = v
-	}
-	for k, v := range c.neq {
-		n.neq[k] = v
-	}
-	for k, v := range c.st {
-		n.st[k] = v
-	}
-	return n
+	return &n
+}
+
+func (c *Context) setVal(f pkt.Field, v values.Value) {
+	vals := *c.vals
+	vals[f] = v
+	c.vals = &vals
+	c.known |= 1 << f
+}
+
+func (c *Context) clearVal(f pkt.Field) {
+	c.known &^= 1 << f
+}
+
+// appended returns a copy of table with v appended to f's list.
+func appended(table *[pkt.NumFields][]values.Value, f pkt.Field, v values.Value) *[pkt.NumFields][]values.Value {
+	t := *table
+	l := t[f]
+	t[f] = append(l[:len(l):len(l)], v)
+	return &t
 }
 
 func (c *Context) root(f pkt.Field) pkt.Field {
+	if c.eq == nil || !f.Valid() {
+		return f
+	}
 	for {
-		p, ok := c.parent[f]
-		if !ok || p == f {
+		p := c.eq.parent[f]
+		if p == pkt.FieldNone {
 			return f
 		}
 		f = p
@@ -104,11 +128,8 @@ func (c *Context) root(f pkt.Field) pkt.Field {
 // KnownValue returns the exact value of f if the context pins one,
 // consulting field-equality classes.
 func (c *Context) KnownValue(f pkt.Field) (values.Value, bool) {
-	r := c.root(f)
-	for g, v := range c.vals {
-		if c.root(g) == r {
-			return v, true
-		}
+	if r := c.root(f); r.Valid() && c.known&(1<<r) != 0 {
+		return c.vals[r], true
 	}
 	return values.None, false
 }
@@ -119,51 +140,69 @@ func (c *Context) KnownValue(f pkt.Field) (values.Value, bool) {
 // context returns the same object, keeping context identity canonical for
 // the composition caches.
 func (c *Context) With(t Test, outcome bool) *Context {
-	var mk withKey
-	if c.store != nil {
-		mk = withKey{test: c.store.TestID(t), outcome: outcome}
-		if n, ok := c.withMemo[mk]; ok {
-			return n
-		}
+	if c.store == nil {
+		return c.extend(t, outcome)
 	}
-	n := c.extend(t, outcome)
-	if c.store != nil {
-		if c.withMemo == nil {
-			c.withMemo = map[withKey]*Context{}
-		}
-		c.withMemo[mk] = n
+	return c.withID(c.store.TestID(t), outcome)
+}
+
+// withID is With for the store's interned test id.
+func (c *Context) withID(id int32, outcome bool) *Context {
+	mk := withKey{test: id, outcome: outcome}
+	if n, ok := c.withMemo[mk]; ok {
+		return n
 	}
+	rec := &c.store.tests[id-1]
+	n := c.extend(rec.t, outcome)
+	n.testID, n.outcome = id, outcome
+	n.sup = c.sup.union(rec.sup)
+	if c.withMemo == nil {
+		c.withMemo = map[withKey]*Context{}
+	}
+	c.withMemo[mk] = n
 	return n
 }
 
 func (c *Context) extend(t Test, outcome bool) *Context {
-	n := c.clone()
+	n := c.extension()
 	switch x := t.(type) {
 	case FVTest:
+		if !x.Field.Valid() {
+			break
+		}
 		if outcome {
 			if x.Val.Kind != values.KindPrefix {
-				n.vals[n.root(x.Field)] = x.Val
+				n.setVal(n.root(x.Field), x.Val)
 			}
-			n.pos[x.Field] = append(n.pos[x.Field], x.Val)
+			n.pos = appended(n.pos, x.Field, x.Val)
 		} else {
-			n.neg[x.Field] = append(n.neg[x.Field], x.Val)
+			n.neg = appended(n.neg, x.Field, x.Val)
 		}
 	case FFTest:
+		n.opaque = true
+		if !x.F1.Valid() || !x.F2.Valid() {
+			break
+		}
+		eq := new(eqFacts)
+		if n.eq != nil {
+			*eq = *n.eq
+		}
+		n.eq = eq
 		r1, r2 := n.root(x.F1), n.root(x.F2)
 		if outcome {
 			if r1 != r2 {
 				// Union; propagate a known value across the merged class.
-				n.parent[r2] = r1
-				if v, ok := n.vals[r2]; ok {
-					n.vals[r1] = v
-					delete(n.vals, r2)
+				eq.parent[r2] = r1
+				if n.known&(1<<r2) != 0 {
+					n.setVal(r1, n.vals[r2])
+					n.clearVal(r2)
 				}
 			}
 		} else {
-			n.neq[fieldPair(r1, r2)] = true
+			eq.neq = append(eq.neq[:len(eq.neq):len(eq.neq)], fieldPair(r1, r2))
 		}
 	case STest:
-		n.st[n.resolveSTKey(x)] = outcome
+		n.st = &stFact{key: c.resolveSTKey(x), outcome: outcome, older: c.st}
 	}
 	return n
 }
@@ -176,50 +215,60 @@ func (c *Context) WithAssignments(fmap map[pkt.Field]values.Value) *Context {
 	if len(fmap) == 0 {
 		return c
 	}
-	n := c.clone()
-	for f, v := range fmap {
+	n := c.extension()
+	n.opaque = true
+	if n.eq != nil {
+		eq := *n.eq
+		n.eq = &eq
+	}
+	pos, neg := *n.pos, *n.neg
+	for f := pkt.FieldNone + 1; f < pkt.NumFields; f++ {
+		v, ok := fmap[f]
+		if !ok {
+			continue
+		}
 		// Detach f: make it its own singleton class.
 		n.detach(f)
-		n.vals[f] = v
-		n.pos[f] = nil
-		n.neg[f] = nil
+		n.setVal(f, v)
+		pos[f], neg[f] = nil, nil
 	}
+	n.pos, n.neg = &pos, &neg
 	return n
 }
 
 // detach removes f from its union-find class, re-rooting the remainder.
+// c.eq, when present, is c's own copy.
 func (c *Context) detach(f pkt.Field) {
-	r := c.root(f)
-	// Collect members of the class other than f.
-	var members []pkt.Field
-	for g := range c.parent {
-		if g != f && c.root(g) == r {
-			members = append(members, g)
-		}
+	if c.eq == nil {
+		return
 	}
+	parent := &c.eq.parent
+	r := c.root(f)
 	if r != f {
 		// f was not the root: just unlink it.
-		delete(c.parent, f)
+		parent[f] = pkt.FieldNone
 		return
 	}
-	// f was the root: pick a new root among members and repoint.
-	delete(c.parent, f)
-	if len(members) == 0 {
-		return
-	}
-	newRoot := members[0]
-	for _, g := range members {
-		if g < newRoot {
-			newRoot = g
+	// f was the root: the smallest other member becomes the root.
+	var members uint32
+	for g := pkt.FieldNone + 1; g < pkt.NumFields; g++ {
+		if g != f && parent[g] != pkt.FieldNone && c.root(g) == f {
+			members |= 1 << g
 		}
 	}
-	for _, g := range members {
-		c.parent[g] = newRoot
+	if members == 0 {
+		return
 	}
-	delete(c.parent, newRoot)
-	if v, ok := c.vals[f]; ok {
-		c.vals[newRoot] = v
-		delete(c.vals, f)
+	newRoot := pkt.Field(bits.TrailingZeros32(members))
+	for g := newRoot; g < pkt.NumFields; g++ {
+		if members&(1<<g) != 0 {
+			parent[g] = newRoot
+		}
+	}
+	parent[newRoot] = pkt.FieldNone
+	if c.known&(1<<f) != 0 {
+		c.setVal(newRoot, c.vals[f])
+		c.clearVal(f)
 	}
 }
 
@@ -230,6 +279,19 @@ func fieldPair(a, b pkt.Field) [2]pkt.Field {
 	return [2]pkt.Field{a, b}
 }
 
+func (c *Context) knownUnequal(r1, r2 pkt.Field) bool {
+	if c.eq == nil {
+		return false
+	}
+	p := fieldPair(r1, r2)
+	for _, q := range c.eq.neq {
+		if q == p {
+			return true
+		}
+	}
+	return false
+}
+
 // Infer reports whether the context decides test t, and if so its outcome.
 // This is the inferred() helper of Appendix E generalized to all test kinds.
 func (c *Context) Infer(t Test) (outcome, known bool) {
@@ -237,6 +299,9 @@ func (c *Context) Infer(t Test) (outcome, known bool) {
 	case FVTest:
 		if v, ok := c.KnownValue(x.Field); ok {
 			return x.Val.Matches(v), true
+		}
+		if !x.Field.Valid() {
+			return false, false
 		}
 		for _, w := range c.pos[x.Field] {
 			if x.Val.Subsumes(w) {
@@ -263,14 +328,17 @@ func (c *Context) Infer(t Test) (outcome, known bool) {
 		if ok1 && ok2 {
 			return values.Eq(v1, v2), true
 		}
-		if c.neq[fieldPair(r1, r2)] {
+		if c.knownUnequal(r1, r2) {
 			return false, true
 		}
 		return false, false
 
 	case STest:
-		if res, ok := c.st[c.resolveSTKey(x)]; ok {
-			return res, true
+		key := c.resolveSTKey(x)
+		for f := c.st; f != nil; f = f.older {
+			if f.key == key {
+				return f.outcome, true
+			}
 		}
 		return false, false
 	}

@@ -47,13 +47,19 @@ type Store struct {
 
 	idLeaf, dropLeaf *Diagram
 
-	// Apply caches: composition subproblems solved once per
-	// (operands, context) triple. See compose.go for the call sites.
+	// Apply caches: composition subproblems solved once per (operands,
+	// context projected onto the operands' support) triple, for the life of
+	// the store, so an edit finds the subproblems of earlier translations
+	// already solved. See compose.go for the call sites and support.go for
+	// the projection. applyHits/applyMisses count the lookups of the three
+	// context-keyed caches.
 	unionCache    map[pairKey]*Diagram
 	seqCache      map[pairKey]*Diagram
 	seqASCache    map[seqASKey]*Diagram
 	negCache      map[uint64]*Diagram
 	restrictCache map[restrictKey]*Diagram
+	applyHits     uint64
+	applyMisses   uint64
 
 	// Context identity: the shared empty root plus a counter handing out
 	// ids to extensions (see context.go). assignCache memoizes
@@ -61,6 +67,9 @@ type Store struct {
 	rootCtx     *Context
 	ctxCount    uint64
 	assignCache map[ctxSeqKey]*Context
+
+	// varBits numbers state variables for support masks (see support.go).
+	varBits map[string]uint
 
 	// scratch is the reusable buffer for encoded id-list keys.
 	scratch []byte
@@ -70,6 +79,7 @@ type testRec struct {
 	t   Test
 	cat int
 	key string // ordering key within the category (same order as Test.key)
+	sup support
 }
 
 type sTestKey struct {
@@ -89,6 +99,7 @@ type seqRec struct {
 	seq   ActionSeq
 	drops bool
 	fmap  map[pkt.Field]values.Value // final field assignments (Algorithm 2)
+	sup   support
 }
 
 type branchKey struct {
@@ -134,6 +145,7 @@ func NewStore() *Store {
 		negCache:      map[uint64]*Diagram{},
 		restrictCache: map[restrictKey]*Diagram{},
 		assignCache:   map[ctxSeqKey]*Context{},
+		varBits:       map[string]uint{},
 	}
 }
 
@@ -240,7 +252,7 @@ func (st *Store) TestID(t Test) int32 {
 }
 
 func (st *Store) addTest(t Test, cat int) int32 {
-	st.tests = append(st.tests, testRec{t: t, cat: cat, key: t.key()})
+	st.tests = append(st.tests, testRec{t: t, cat: cat, key: t.key(), sup: st.testSupport(t)})
 	return int32(len(st.tests))
 }
 
@@ -319,7 +331,7 @@ func (st *Store) seqID(s ActionSeq) uint32 {
 	if id, ok := st.seqs[k]; ok {
 		return id
 	}
-	st.seqList = append(st.seqList, seqRec{seq: s, drops: s.Drops(), fmap: fieldMap(s)})
+	st.seqList = append(st.seqList, seqRec{seq: s, drops: s.Drops(), fmap: fieldMap(s), sup: st.seqSupport(s)})
 	id := uint32(len(st.seqList))
 	st.seqs[k] = id
 	return id
@@ -372,11 +384,13 @@ func (st *Store) Leaf(seqs []ActionSeq) *Diagram {
 		return d
 	}
 	canon := make([]ActionSeq, len(ids))
+	var sup support
 	for i, id := range ids {
 		canon[i] = st.seqByID(id)
+		sup = sup.union(st.seqList[id-1].sup)
 	}
 	st.nodes++
-	d := &Diagram{Seqs: canon, id: st.nodes, seqIDs: append([]uint32(nil), ids...)}
+	d := &Diagram{Seqs: canon, id: st.nodes, seqIDs: append([]uint32(nil), ids...), sup: sup}
 	st.leaves[k] = d
 	return d
 }
@@ -398,7 +412,8 @@ func (st *Store) Branch(t Test, tr, fa *Diagram) *Diagram {
 		return d
 	}
 	st.nodes++
-	d := &Diagram{Test: st.testByID(tid), True: tr, False: fa, id: st.nodes, testID: tid}
+	d := &Diagram{Test: st.testByID(tid), True: tr, False: fa, id: st.nodes, testID: tid,
+		sup: st.tests[tid-1].sup.union(tr.sup).union(fa.sup)}
 	st.branches[k] = d
 	return d
 }
@@ -427,13 +442,30 @@ func (st *Store) DropLeaf() *Diagram {
 // NodeCount reports how many unique nodes the store has interned.
 func (st *Store) NodeCount() int { return int(st.nodes) }
 
+// ApplyStats are the store's exact work counters. They only grow; diff two
+// readings to cost one translation.
+type ApplyStats struct {
+	// Contexts counts the contexts minted (the root and every distinct
+	// extension).
+	Contexts uint64
+	// Hits and Misses count lookups in the ⊕, ⊙ and seqAS apply caches.
+	Hits, Misses uint64
+}
+
+// ApplyStats reads the store's work counters.
+func (st *Store) ApplyStats() ApplyStats {
+	return ApplyStats{Contexts: st.ctxCount, Hits: st.applyHits, Misses: st.applyMisses}
+}
+
 // newContext hands out the store's shared empty context; extensions get
 // their ids from nextCtxID via Context.With (see context.go). Sharing the
-// root makes context chains canonical per (path of extensions), which is
-// what lets the apply caches hit across composition sites.
+// root makes context chains canonical per (sequence of facts), which is
+// what lets Context.project return pointer-equal projections.
 func (st *Store) newContext() *Context {
 	if st.rootCtx == nil {
-		st.rootCtx = newStoreContext(st)
+		st.rootCtx = NewContext()
+		st.rootCtx.store = st
+		st.rootCtx.id = st.nextCtxID()
 	}
 	return st.rootCtx
 }

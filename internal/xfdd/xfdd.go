@@ -157,6 +157,9 @@ type Diagram struct {
 	// seqIDs holds the interned ids of Seqs on interned leaves, parallel
 	// to Seqs.
 	seqIDs []uint32
+	// sup is the read-set of an interned node: every field and state
+	// variable its tests and leaf actions mention (see support).
+	sup support
 }
 
 // NodeID returns the hash-consing identity of the node: nodes from the same
