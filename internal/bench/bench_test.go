@@ -77,31 +77,46 @@ func TestTable6CIScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 6 sweep")
 	}
-	rows, err := Table6(CI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 7 {
-		t.Fatalf("want 7 topologies, got %d", len(rows))
-	}
-	for _, r := range rows {
-		// At CI scale solve times are a few ms and the TE figure includes
-		// the model refresh for the shifted matrix, so only a coarse bound
-		// is meaningful here; the ST ≫ TE shape is checked at full scale by
-		// cmd/snapbench (see EXPERIMENTS.md).
-		if r.P5TE > r.P5ST*10+100*time.Millisecond {
-			t.Errorf("%s: TE (%v) out of proportion to ST (%v)", r.Name, r.P5TE, r.P5ST)
+	// Scenario totals are 5–15 ms wall-clock samples here, and one sample a
+	// side loses to the scheduler about one run in four when packages test
+	// side by side: compare the best of gateTrials sweeps per side.
+	var names []string
+	coldBest, topoTMBest := map[string]time.Duration{}, map[string]time.Duration{}
+	for trial := 0; trial < gateTrials; trial++ {
+		rows, err := Table6(CI)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Cold <= 0 || r.Policy <= 0 || r.TopoTM <= 0 {
-			t.Errorf("%s: zero scenario time", r.Name)
+		if len(rows) != 7 {
+			t.Fatalf("want 7 topologies, got %d", len(rows))
 		}
-		// Scenario containment: a topology/TM change reuses the model's
-		// topology precomputation (place.Model.Refresh) and re-runs only
-		// TE solving and rule generation, so it must beat a cold start
-		// outright — the paper's "few milliseconds of incremental
-		// updates" (§6.2).
-		if r.TopoTM >= r.Cold {
-			t.Errorf("%s: topo/TM (%v) not faster than cold start (%v)", r.Name, r.TopoTM, r.Cold)
+		for _, r := range rows {
+			// At CI scale solve times are a few ms and the TE figure
+			// includes the model refresh for the shifted matrix, so only a
+			// coarse bound is meaningful here; the ST ≫ TE shape is checked
+			// at full scale by cmd/snapbench (see EXPERIMENTS.md).
+			if r.P5TE > r.P5ST*10+100*time.Millisecond {
+				t.Errorf("%s: TE (%v) out of proportion to ST (%v)", r.Name, r.P5TE, r.P5ST)
+			}
+			if r.Cold <= 0 || r.Policy <= 0 || r.TopoTM <= 0 {
+				t.Errorf("%s: zero scenario time", r.Name)
+			}
+			if trial == 0 {
+				names = append(names, r.Name)
+				coldBest[r.Name], topoTMBest[r.Name] = r.Cold, r.TopoTM
+			}
+			coldBest[r.Name] = min(coldBest[r.Name], r.Cold)
+			topoTMBest[r.Name] = min(topoTMBest[r.Name], r.TopoTM)
+		}
+	}
+	// Scenario containment: a topology/TM change reuses the model's
+	// topology precomputation (place.Model.Refresh) and re-runs only TE
+	// solving and rule generation, so it must beat a cold start outright —
+	// the paper's "few milliseconds of incremental updates" (§6.2).
+	for _, name := range names {
+		if topoTMBest[name] >= coldBest[name] {
+			t.Errorf("%s: topo/TM (%v) not faster than cold start (%v), best of %d each",
+				name, topoTMBest[name], coldBest[name], gateTrials)
 		}
 	}
 }

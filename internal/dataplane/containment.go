@@ -1,9 +1,10 @@
 // Failure containment: the engine-side half of the self-healing control
 // plane. Three mechanisms live here —
 //
-//   - panic containment: every switch-VM execution (both disciplines) and
-//     the mirror drainer run inside a recover() envelope. A panicking
-//     program does not crash the process and does not poison the engine:
+//   - panic containment: every switch-VM execution (the one visit of
+//     walk.go, so Network and both engine disciplines) and the mirror
+//     drainer run inside a recover() envelope. A panicking program does
+//     not crash the process and does not poison the plane:
 //     the panic becomes a *panicError carrying the captured stack, the
 //     victim switch is quarantined (its copies drop-and-count, like a
 //     failed switch), and the event lands in the span log and the
@@ -37,34 +38,33 @@ import (
 // back off, or drop — match with errors.Is.
 var ErrOverload = errors.New("dataplane: overloaded, injection shed")
 
-// panicError is a panic converted to an error at a containment site, with
-// the stack captured where it unwound.
+// panicError is a VM panic converted to an error by runContained, with the
+// stack captured where it unwound.
 type panicError struct {
-	site  string
 	sw    topo.NodeID
 	value any
 	stack []byte
 }
 
 func (p *panicError) Error() string {
-	return fmt.Sprintf("dataplane: contained panic at %s (switch %d): %v", p.site, p.sw, p.value)
+	return fmt.Sprintf("dataplane: contained panic at %s (switch %d): %v", faultpoint.EngineRun, p.sw, p.value)
 }
 
 // runContained executes one switch visit under the panic envelope (and
 // the engine.run faultpoint, which is how tests and the chaos harness
 // inject worker panics). A recovered panic returns as *panicError; the
-// caller quarantines the switch instead of poisoning the engine.
-func runContained(sw *netasm.Switch, at topo.NodeID, site string, buf []netasm.Result, sp netasm.SimPacket) (results []netasm.Result, err error) {
+// caller quarantines the switch instead of poisoning the plane.
+func runContained(sw *netasm.Switch, at topo.NodeID, buf []netasm.Result, sp *netasm.SimPacket) (results []netasm.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			results = buf[:0]
-			err = &panicError{site: site, sw: at, value: v, stack: debug.Stack()}
+			err = &panicError{sw: at, value: v, stack: debug.Stack()}
 		}
 	}()
 	if err := faultpoint.Hit(faultpoint.EngineRun); err != nil {
 		return buf[:0], err
 	}
-	return sw.RunAppend(buf, sp)
+	return sw.RunAppend(buf, *sp)
 }
 
 // containVMError routes a switch-visit error: a contained panic (or an
@@ -72,13 +72,13 @@ func runContained(sw *netasm.Switch, at topo.NodeID, site string, buf []netasm.R
 // the switch and reports true — the caller drops the copy and carries on.
 // Any other error is an organic VM fault and reports false — the caller
 // keeps the historical poison-the-engine semantics.
-func (e *Engine) containVMError(at topo.NodeID, err error) bool {
+func (f *fabric) containVMError(at topo.NodeID, err error) bool {
 	var pe *panicError
 	switch {
 	case errors.As(err, &pe):
-		e.quarantine(at, pe.site, fmt.Sprint(pe.value), pe.stack)
+		f.quarantine(at, fmt.Sprint(pe.value), pe.stack)
 	case errors.Is(err, faultpoint.ErrInjected):
-		e.quarantine(at, "engine.run", err.Error(), nil)
+		f.quarantine(at, err.Error(), nil)
 	default:
 		return false
 	}
@@ -91,24 +91,21 @@ func (e *Engine) containVMError(at topo.NodeID, err error) bool {
 // records the stack. The flag clears only at the next committed
 // reconfiguration — the swap discards the poisoned VM and re-seats its
 // state on a fresh one; until then the switch serves nothing.
-func (e *Engine) quarantine(at topo.NodeID, site, detail string, stack []byte) {
-	e.stats.containedPanics.Add(1)
-	if !e.quar[at].Swap(true) {
+func (f *fabric) quarantine(at topo.NodeID, detail string, stack []byte) {
+	f.stats.containedPanics.Add(1)
+	if !f.quar[at].Swap(true) {
 		d := fmt.Sprintf("switch %d: %s", at, detail)
 		if len(stack) > 0 {
 			d += "\n" + string(stack)
 		}
-		e.tel.Spans.Record(telemetry.Span{
+		f.spans.Record(telemetry.Span{
 			Kind:     "panic",
-			Scenario: site,
+			Scenario: faultpoint.EngineRun,
 			Detail:   d,
 			Start:    time.Now(),
 		})
 	}
 }
-
-// quarantined reports whether a switch is under panic quarantine.
-func (e *Engine) quarantined(at topo.NodeID) bool { return e.quar[at].Load() }
 
 // clearQuarantine re-admits every quarantined switch; called at the
 // commit point of apply, where the poisoned VMs have just been replaced.
@@ -130,12 +127,14 @@ func (e *Engine) QuarantinedSwitches() []topo.NodeID {
 	return out
 }
 
-// dropQuarantined accounts one copy discarded at a quarantined switch.
-func (e *Engine) dropQuarantined(at topo.NodeID, tr *telemetry.PacketTrace, in, out int) {
-	e.stats.dropped.Add(1)
-	e.stats.quarantineDrops.Add(1)
-	e.observeDrop(at, in, out)
-	traceHop(tr, at, "drop", "", -1)
+// dropQuarantined accounts one copy discarded at a quarantined switch: a
+// contained panic poisoned its VM, so its copies drop-and-count (the
+// down-switch discipline) until a reconfiguration replaces it. Under
+// replication the program is poisoned on some replica, so every replica
+// stops serving it.
+func (f *fabric) dropQuarantined(at topo.NodeID, inj *injection, in, out int) {
+	f.stats.quarantineDrops.Add(1)
+	f.drop(at, inj, in, out, "")
 }
 
 // rollback accounts a failed reconfiguration at its single exit: the old

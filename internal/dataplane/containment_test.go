@@ -1,5 +1,6 @@
 // Failure-containment tests: transactional reconfiguration rollback,
-// panic quarantine under both concurrency disciplines, overload shedding
+// panic quarantine on the sequential plane and under both concurrency
+// disciplines, overload shedding
 // at the admission window, and the mirror-drainer stall point. Every test
 // arms process-global fault points, so none of them may run in parallel;
 // t.Cleanup(faultpoint.Reset) restores the disarmed state even on failure.
@@ -15,6 +16,7 @@ import (
 	"snap/internal/apps"
 	"snap/internal/dataplane"
 	"snap/internal/faultpoint"
+	"snap/internal/state"
 	"snap/internal/topo"
 )
 
@@ -97,11 +99,15 @@ func TestApplyConfigRollbackThenRetry(t *testing.T) {
 	}
 }
 
-// panicQuarantineCheck drives one engine through the worker-panic
-// containment cycle: an injected VM panic must quarantine (not kill) the
-// engine, conservation must hold with the quarantine drops counted, no
-// state entry may be lost, and the next committed reconfiguration heals.
-func panicQuarantineCheck(t *testing.T, eng *dataplane.Engine) {
+// panicContainedCheck is the containment half of the worker-panic cycle,
+// shared by every configuration of the walk: an injected VM panic must
+// quarantine (not kill) the plane, conservation must hold with the
+// quarantine drops counted, and no state entry may be lost. It returns the
+// batch it injected twice.
+func panicContainedCheck(t *testing.T, pl interface {
+	Stats() dataplane.Stats
+	GlobalState() *state.Store
+}, inject func([]dataplane.Ingress) error) []dataplane.Ingress {
 	t.Helper()
 	rng := rand.New(rand.NewSource(13))
 	batch := make([]dataplane.Ingress, 0, 200)
@@ -109,22 +115,18 @@ func panicQuarantineCheck(t *testing.T, eng *dataplane.Engine) {
 		port, pk := campusPacket(rng)
 		batch = append(batch, dataplane.Ingress{Port: port, Packet: pk})
 	}
-	if _, err := eng.InjectBatch(batch); err != nil {
+	if err := inject(batch); err != nil {
 		t.Fatalf("warm batch: %v", err)
 	}
-	before := eng.GlobalState()
+	before := pl.GlobalState()
 
 	faultpoint.Enable(faultpoint.EngineRun, faultpoint.Plan{Kind: faultpoint.KindPanic, Times: 1})
-	if _, err := eng.InjectBatch(batch); err != nil {
-		t.Fatalf("batch with injected panic poisoned the engine: %v", err)
+	if err := inject(batch); err != nil {
+		t.Fatalf("batch with injected panic poisoned the plane: %v", err)
 	}
-	st := eng.Stats()
+	st := pl.Stats()
 	if st.ContainedPanics != 1 {
 		t.Fatalf("ContainedPanics = %d, want 1", st.ContainedPanics)
-	}
-	q := eng.QuarantinedSwitches()
-	if len(q) != 1 {
-		t.Fatalf("quarantined switches = %v, want exactly one", q)
 	}
 	if st.QuarantineDrops == 0 {
 		t.Fatal("no quarantine drops counted at the quarantined switch")
@@ -135,11 +137,26 @@ func panicQuarantineCheck(t *testing.T, eng *dataplane.Engine) {
 	// Zero lost state: the panic fires before the VM writes, and
 	// quarantine drops are pre-execution, so everything written before
 	// the fault is still there.
-	after := eng.GlobalState()
+	after := pl.GlobalState()
 	for _, v := range before.Vars() {
 		if b, a := len(before.Entries(v)), len(after.Entries(v)); a < b {
 			t.Fatalf("state entries lost under quarantine: %s had %d, now %d", v, b, a)
 		}
+	}
+	return batch
+}
+
+// panicQuarantineCheck drives one engine through the whole cycle:
+// containment as above, exactly one switch quarantined, and the next
+// committed reconfiguration heals.
+func panicQuarantineCheck(t *testing.T, eng *dataplane.Engine) {
+	t.Helper()
+	batch := panicContainedCheck(t, eng, func(b []dataplane.Ingress) error {
+		_, err := eng.InjectBatch(b)
+		return err
+	})
+	if q := eng.QuarantinedSwitches(); len(q) != 1 {
+		t.Fatalf("quarantined switches = %v, want exactly one", q)
 	}
 
 	// A committed reconfiguration (same config) lifts the quarantine.
@@ -153,13 +170,30 @@ func panicQuarantineCheck(t *testing.T, eng *dataplane.Engine) {
 	if _, err := eng.InjectBatch(batch); err != nil {
 		t.Fatalf("post-heal batch: %v", err)
 	}
-	st = eng.Stats()
+	st := eng.Stats()
 	if st.QuarantineDrops != preDrops {
 		t.Fatal("healed engine still dropping at the formerly quarantined switch")
 	}
 	if lost := st.Injected - st.Delivered - st.Dropped; lost != 0 {
 		t.Fatalf("conservation broken after heal: %d copies unaccounted", lost)
 	}
+}
+
+// TestWorkerPanicQuarantineNetwork: panic containment on the sequential
+// plane. A Network has no reconfiguration, so there is no heal half: the
+// quarantine lasts as long as the Network does.
+func TestWorkerPanicQuarantineNetwork(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	netw := topo.Campus(1000)
+	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
+	panicContainedCheck(t, plane, func(b []dataplane.Ingress) error {
+		for _, ing := range b {
+			if _, err := plane.Inject(ing.Port, ing.Packet); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // TestWorkerPanicQuarantineLocks: panic containment under the striped-lock

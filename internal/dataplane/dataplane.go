@@ -6,9 +6,11 @@
 // same ports with the same headers, and leave behind the same global state,
 // as the eval function says they should.
 //
-// Two runtimes share the compiled configuration: the sequential Network
-// (this file) and the concurrent batched Engine (engine.go). See
-// docs/ARCHITECTURE.md for the invariants both maintain.
+// Two runtimes share the compiled configuration and the one packet walk
+// (walk.go): the sequential Network (this file), which is that walk called
+// from Inject against its own switches, and the concurrent batched Engine
+// (engine.go, scr.go). See docs/ARCHITECTURE.md for the invariants both
+// maintain.
 package dataplane
 
 import (
@@ -29,29 +31,32 @@ type Delivery struct {
 }
 
 // Network is the simulated data plane, processing one packet at a time to
-// quiescence. It shares switch VMs, routing and stats accounting with the
-// concurrent Engine; use Network when per-packet lockstep with the
-// reference semantics matters (tests, the snapsim cross-check) and Engine
-// to serve batched traffic.
+// quiescence: the walk of walk.go run by the caller of Inject against the
+// network's own switch VMs, with no locks, no tokens and no goroutine, so a
+// Network needs no Close and must not be used from two goroutines at once.
+// It shares routing, stats accounting and the error discipline with the
+// concurrent Engine: a VM panic is contained (the switch is quarantined
+// and its copies drop and count, for the life of the Network), and a
+// routing error (hop limit, missing owner, unreachable switch, organic VM
+// fault) is returned by Inject and sticks. Use Network when per-packet
+// lockstep with the reference semantics matters (tests, the snapsim
+// cross-check) and Engine to serve batched traffic.
 type Network struct {
-	cfg      *rules.Config
-	switches map[topo.NodeID]*netasm.Switch
-	// MaxHops guards against forwarding loops.
-	MaxHops int
-	stats   counters
-	scratch []netasm.Result
+	fab fabric
+	pl  *plane
+	w   walker
+	inj injection
 }
 
 // New instantiates switch VMs for a configuration, linking each program
 // once against the configuration's shared variable space.
 func New(cfg *rules.Config) *Network {
-	n := &Network{
-		cfg:      cfg,
-		switches: map[topo.NodeID]*netasm.Switch{},
-		MaxHops:  16 * (cfg.Topo.Switches + 2),
-	}
-	for id, lp := range linkPrograms(cfg) {
-		n.switches[id] = netasm.NewLinkedSwitch(int(id), lp)
+	n := &Network{pl: newPlane(cfg)}
+	n.fab.init(cfg, 0, nil)
+	n.pl.switches = make(map[topo.NodeID]*netasm.Switch, len(cfg.Switches))
+	linked, _, _ := linkPrograms(cfg, map[linkKey]*netasm.Linked{})
+	for id, lp := range linked {
+		n.pl.switches[id] = netasm.NewLinkedSwitch(int(id), lp)
 	}
 	return n
 }
@@ -67,135 +72,50 @@ type linkKey struct {
 // linkPrograms links every switch's program against the configuration's
 // shared variable space, linking each distinct (program, ownership)
 // combination once — a fleet of stateless switches links exactly one
-// image.
-func linkPrograms(cfg *rules.Config) map[topo.NodeID]*netasm.Linked {
+// image. Images already in cache are recalled instead of linked (the
+// engine passes its cross-epoch cache, everyone else a fresh map); reused
+// and fresh count this call's distinct images by where they came from.
+func linkPrograms(cfg *rules.Config, cache map[linkKey]*netasm.Linked) (out map[topo.NodeID]*netasm.Linked, reused, fresh int) {
 	vs := cfg.VarSpace()
-	cache := map[linkKey]*netasm.Linked{}
-	out := make(map[topo.NodeID]*netasm.Linked, len(cfg.Switches))
+	seen := map[linkKey]*netasm.Linked{}
+	out = make(map[topo.NodeID]*netasm.Linked, len(cfg.Switches))
 	for id, sc := range cfg.Switches {
 		k := linkKey{prog: sc.Prog, owns: rules.OwnsKey(sc.Owns)}
-		lp, ok := cache[k]
+		lp, ok := seen[k]
 		if !ok {
-			lp = netasm.Link(sc.Prog, vs, sc.Owns)
-			cache[k] = lp
+			if lp, ok = cache[k]; !ok {
+				lp = netasm.Link(sc.Prog, vs, sc.Owns)
+				cache[k] = lp
+				fresh++
+			}
+			seen[k] = lp
 		}
 		out[id] = lp
 	}
-	return out
-}
-
-type inflight struct {
-	at   topo.NodeID
-	sp   netasm.SimPacket
-	hops int
+	return out, len(seen) - fresh, fresh
 }
 
 // Inject sends one packet into the network at an OBS ingress port and runs
 // the plane to quiescence, returning the deliveries (multicast may produce
 // several).
 func (n *Network) Inject(port int, p pkt.Packet) ([]Delivery, error) {
-	pt, ok := n.cfg.Topo.PortByID(port)
+	pt, ok := n.pl.cfg.Topo.PortByID(port)
 	if !ok {
 		return nil, fmt.Errorf("dataplane: unknown ingress port %d", port)
 	}
-	n.stats.injected.Add(1)
-	first := netasm.SimPacket{
-		Pkt: p,
-		Hdr: netasm.Header{
-			OBSIn:  port,
-			OBSOut: -1,
-			Node:   n.cfg.RootID,
-			Seq:    -1,
-			Phase:  netasm.PhaseEval,
-		},
+	if !n.fab.failed.Load() {
+		n.fab.stats.injected.Add(1)
+		n.inj = injection{collect: true}
+		n.fab.walk(n.pl, n.pl.switches, &n.w, &n.inj, pt.Switch, &Ingress{Port: port, Packet: p})
 	}
-	queue := []inflight{{at: pt.Switch, sp: first}}
-	var out []Delivery
-	seen := map[deliveryKey]bool{} // eval's output is a set: dedupe multicast copies
-
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.hops > n.MaxHops {
-			return nil, fmt.Errorf("dataplane: hop limit exceeded at switch %d (forwarding loop?)", cur.at)
-		}
-		sw := n.switches[cur.at]
-		results, err := sw.RunAppend(n.scratch[:0], cur.sp)
-		n.scratch = results
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range results {
-			switch r.Outcome {
-			case netasm.Dropped:
-				n.stats.dropped.Add(1)
-
-			case netasm.Delivered:
-				n.stats.delivered.Add(1)
-				out = appendDelivery(out, seen, Delivery{Port: r.Packet.Hdr.OBSOut, Packet: r.Packet.Pkt})
-
-			case netasm.NeedState:
-				n.stats.suspends.Add(1)
-				target, ok := stateTarget(n.cfg, r)
-				if !ok {
-					return nil, fmt.Errorf("dataplane: no owner for state of packet at switch %d", cur.at)
-				}
-				if target == cur.at {
-					return nil, fmt.Errorf("dataplane: suspended for local state at switch %d", cur.at)
-				}
-				next, err := nextHop(n.cfg, cur.at, r.Packet, target)
-				if err != nil {
-					return nil, err
-				}
-				n.stats.hops.Add(1)
-				queue = append(queue, inflight{at: next, sp: r.Packet, hops: cur.hops + 1})
-
-			case netasm.ToEgress:
-				eg, ok := n.cfg.Topo.PortByID(r.Packet.Hdr.OBSOut)
-				if !ok {
-					// Outport set to a value that is not an OBS port: the
-					// packet leaves the system nowhere; count as dropped.
-					n.stats.dropped.Add(1)
-					continue
-				}
-				if eg.Switch == cur.at {
-					n.stats.delivered.Add(1)
-					out = appendDelivery(out, seen, Delivery{Port: eg.ID, Packet: r.Packet.Pkt})
-					continue
-				}
-				next, err := nextHop(n.cfg, cur.at, r.Packet, eg.Switch)
-				if err != nil {
-					return nil, err
-				}
-				n.stats.hops.Add(1)
-				queue = append(queue, inflight{at: next, sp: r.Packet, hops: cur.hops + 1})
-			}
-		}
+	if n.fab.failed.Load() {
+		return nil, n.fab.err
 	}
-	return out, nil
+	return n.inj.out, nil
 }
 
 // Stats returns a snapshot of the simulator counters.
-func (n *Network) Stats() Stats { return n.stats.snapshot() }
-
-// deliveryKey identifies a delivery for multicast dedupe: a comparable
-// struct, so building one is a single Packet.Key call with no formatting.
-type deliveryKey struct {
-	port int
-	pkt  string
-}
-
-// appendDelivery adds a delivery unless an identical packet already exited
-// the same port for this injection: the eval semantics returns packet
-// *sets*, so multicast copies that end up indistinguishable collapse.
-func appendDelivery(out []Delivery, seen map[deliveryKey]bool, d Delivery) []Delivery {
-	key := deliveryKey{port: d.Port, pkt: d.Packet.Key()}
-	if seen[key] {
-		return out
-	}
-	seen[key] = true
-	return append(out, d)
-}
+func (n *Network) Stats() Stats { return n.fab.stats.snapshot() }
 
 // sortDeliveries orders deliveries canonically (port, then packet key),
 // computing each packet's key once instead of once per comparison.
@@ -228,57 +148,20 @@ func (s *deliverySorter) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
-// stateTarget resolves the switch a suspended packet must reach next: the
-// owner of the suspending test's variable, or of the first pending write.
-func stateTarget(cfg *rules.Config, r netasm.Result) (topo.NodeID, bool) {
-	v := r.StateVar
-	if v == "" && r.Packet.Hdr.PendingLen() > 0 {
-		v = r.Packet.Hdr.PendingAt(0).Var
-	}
-	node, ok := cfg.Placement[v]
-	return node, ok
-}
-
-// nextHop picks the outgoing link from `at` toward `target`. A packet
-// still owing state visits (evaluation suspends or pending writes) follows
-// the shortest-path next hop toward the owning switch — the Appendix D
-// fallback, guaranteed to make progress. Once only the egress remains, the
-// optimizer's (u,v) match-action entry is preferred.
-func nextHop(cfg *rules.Config, at topo.NodeID, sp netasm.SimPacket, target topo.NodeID) (topo.NodeID, error) {
-	n, _, err := nextHopLink(cfg, at, sp, target)
-	return n, err
-}
-
-// nextHopLink is nextHop exposing the traversed link index, so the engine
-// can honor injected link failures (a send over a dead link drops).
-func nextHopLink(cfg *rules.Config, at topo.NodeID, sp netasm.SimPacket, target topo.NodeID) (topo.NodeID, int, error) {
-	sc := cfg.Switches[at]
-	if sp.Hdr.OBSOut >= 0 && sp.Hdr.Phase == netasm.PhaseDeliver && sp.Hdr.PendingLen() == 0 {
-		if li, ok := sc.RouteNext[[2]int{sp.Hdr.OBSIn, sp.Hdr.OBSOut}]; ok {
-			return cfg.Topo.Links[li].To, li, nil
-		}
-	}
-	li := sc.SPNext[target]
-	if li < 0 {
-		return 0, -1, fmt.Errorf("dataplane: switch %d cannot reach switch %d", at, target)
-	}
-	return cfg.Topo.Links[li].To, li, nil
-}
-
 // GlobalState unions the per-switch state tables. Placement puts each
 // variable on exactly one switch, so the union is well defined; it is the
 // distributed counterpart of the one-big-switch store.
-func (n *Network) GlobalState() *state.Store { return unionState(n.switches) }
+func (n *Network) GlobalState() *state.Store { return unionState(n.pl.switches) }
 
 // Config exposes the compiled configuration the plane was built from,
 // e.g. to build an Engine over the same deployment.
-func (n *Network) Config() *rules.Config { return n.cfg }
+func (n *Network) Config() *rules.Config { return n.pl.cfg }
 
 // SwitchTable snapshots one switch's tables (tests and diagnostics) in
 // canonical Store form. The runtime representation is the switch's dense
 // tables; the returned store is a copy.
 func (n *Network) SwitchTable(id topo.NodeID) *state.Store {
-	return switchTable(n.switches, id)
+	return switchTable(n.pl.switches, id)
 }
 
 // unionState and switchTable are the state views both runtimes share,

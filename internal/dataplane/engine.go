@@ -1,10 +1,15 @@
 // The concurrent, batched execution engine. Network (dataplane.go) runs
 // one packet at a time to quiescence; Engine runs whole batches or streams
-// of packets through the same per-switch NetASM VMs concurrently:
+// of packets through the same walk (walk.go), one goroutine per injection
+// from ingress to its last copy, under one of two disciplines chosen per
+// plane at link time. This file is the lock discipline and everything the
+// two share; scr.go is state-compute replication.
 //
-//   - a pool of goroutines per switch drains that switch's bounded inbox
-//     channel; packets move between switches by sends on those channels,
-//     mirroring the topology links the routing helpers resolve;
+//   - a pool of goroutines per switch drains that switch's inbox of
+//     injections entering there and walks each to completion, visiting
+//     downstream switches' VMs itself rather than handing the copy over
+//     (a per-hop channel wakeup would dwarf the VM execution). With
+//     Options.Workers == 1 the injecting goroutine is the worker;
 //   - a global worker semaphore (Options.Workers) caps how many VM
 //     executions run at once, giving benchmarks a single parallelism knob
 //     (1 worker ≈ the sequential plane, modulo scheduling);
@@ -66,26 +71,20 @@ type Options struct {
 	// 0 defaults to GOMAXPROCS.
 	Workers int
 	// SwitchWorkers is the goroutine pool size per switch: how many
-	// packets a switch can pull off its inbox at once. Note that a
+	// injections entering at a switch are walked at once. Note that a
 	// switch's VM also executes on other pools' goroutines (a worker
-	// follows its packet's continuation inline), so Run is potentially
-	// concurrent at any pool size — safety always comes from the striped
-	// state locks, never from SwitchWorkers=1. 0 → 1.
+	// walks its injection through every switch it reaches), so Run is
+	// potentially concurrent at any pool size — safety always comes from
+	// the striped state locks, never from SwitchWorkers=1. 0 → 1.
 	SwitchWorkers int
-	// Window bounds how many injected packets are in flight at once. It
-	// is the admission control that keeps the bounded link channels from
-	// filling: in-flight copies never exceed Window × the widest
-	// multicast fork, which is exactly the inbox capacity. 0 → 256.
+	// Window bounds how many injected packets are in flight at once. An
+	// injection sits in one inbox once, so inboxes of this capacity never
+	// block the injector. 0 → 256.
 	Window int
 	// MaxHops guards against forwarding loops. 0 → 16 × (switches + 2).
 	MaxHops int
 	// Stripes is the striped-lock pool size. 0 → state.DefaultStripes.
 	Stripes int
-	// InboxCapacity overrides the per-switch inbox channel capacity
-	// (0 → Window × the program's widest fork, the bound that makes
-	// inter-switch sends non-blocking). Smaller values force the tracked
-	// fallback-send path and exist for tests; leave 0 in production.
-	InboxCapacity int
 	// ManualReplication disables the background mirror-drain goroutine:
 	// state writes queue until FlushReplication (or a reconfiguration)
 	// pumps them. It makes replica lag deterministic and exists for tests
@@ -121,7 +120,7 @@ type Options struct {
 	ShedWatermark int
 }
 
-func (o Options) withDefaults(cfg *rules.Config) Options {
+func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -131,85 +130,25 @@ func (o Options) withDefaults(cfg *rules.Config) Options {
 	if o.Window <= 0 {
 		o.Window = 256
 	}
-	if o.MaxHops <= 0 {
-		o.MaxHops = 16 * (cfg.Topo.Switches + 2)
-	}
 	if o.ReplicationRing <= 0 {
 		o.ReplicationRing = 1024
 	}
 	return o
 }
 
-// item is one live packet copy queued at a switch.
+// item is an admitted injection on its way to the goroutine that will walk
+// it: a switch pool's (by the ingress switch's inbox) or an SCR worker's.
 type item struct {
-	sp   netasm.SimPacket
-	hops int
-	inj  *injection
-}
-
-// injection tracks one injected packet across all its in-flight copies.
-// Stream-mode injections (no delivery collection) are pooled: the steady
-// replay loop re-uses retired injection records instead of allocating one
-// per packet.
-type injection struct {
-	refs   atomic.Int32
-	eng    *Engine
-	wg     *sync.WaitGroup
-	pooled bool
-	// tr is the sampled packet trace, nil for the (default) unsampled
-	// case; finish commits it and clears the field before pooling.
-	tr *telemetry.PacketTrace
-
-	// Delivery collection (nil seen = stream mode, deliveries only counted).
-	mu   sync.Mutex
-	seen map[deliveryKey]bool
-	out  []Delivery
-}
-
-var injPool = sync.Pool{New: func() any { return new(injection) }}
-
-func (in *injection) deliver(d Delivery) {
-	if in.seen == nil {
-		return
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.out = appendDelivery(in.out, in.seen, d)
-}
-
-// release retires n copies; the last one out completes the injection.
-func (in *injection) release(n int) {
-	if n == 0 {
-		return
-	}
-	if in.refs.Add(int32(-n)) == 0 {
-		in.finish()
-	}
-}
-
-// finish completes the injection: release the admission window and gate,
-// notify the waiter, and return pooled records. Batch-mode injections are
-// not pooled — the caller still reads their collected deliveries.
-func (in *injection) finish() {
-	if in.tr != nil {
-		in.tr.Finish()
-		in.tr = nil
-	}
-	e, wg := in.eng, in.wg
-	if in.pooled {
-		in.eng, in.wg, in.pooled = nil, nil, false
-		injPool.Put(in)
-	}
-	<-e.window
-	e.gate.leave()
-	wg.Done()
+	at  topo.NodeID
+	ing Ingress
+	inj *injection
 }
 
 // gate is the engine's admission barrier, the mechanism behind quiescent
 // snapshots and epoch-based reconfiguration. Every injection holds an
 // enter/leave pair for its whole lifetime (admission through last-copy
 // retirement); pause blocks new admissions and waits for the in-flight
-// count to drain to zero, so between pause and resume the switch
+// count to drain to zero, so between pause and resume the walking
 // goroutines are parked on empty inboxes and the state tables are frozen.
 type gate struct {
 	mu       sync.Mutex
@@ -266,10 +205,11 @@ func (g *gate) resume() {
 }
 
 // plane is the swappable half of the engine: the compiled configuration,
-// the per-switch VMs holding the state tables, and their lock sets. step
-// and inject load it once per visit through an atomic pointer; ApplyConfig
-// publishes a replacement only while the gate holds the engine quiescent,
-// so no packet ever sees a torn configuration.
+// the per-switch VMs holding the state tables, and their lock sets. An
+// injection loads it once through an atomic pointer; ApplyConfig publishes
+// a replacement only while the gate holds the engine quiescent, so no
+// packet ever sees a torn configuration. Network holds a bare one: no
+// locks, no tokens.
 type plane struct {
 	cfg      *rules.Config
 	switches map[topo.NodeID]*netasm.Switch
@@ -281,8 +221,9 @@ type plane struct {
 	// the control plane and for results that predate the space (-1 ids).
 	owners []topo.NodeID
 	placed []bool
-	// maxFork is the widest multicast fork over all linked programs.
-	maxFork int
+	// slots are the engine's execution tokens (Options.Workers), nil
+	// unless this plane runs the lock discipline.
+	slots chan struct{}
 
 	// lockHist holds the per-variable lock-wait histogram handles
 	// (ModeLocks only), indexed like lockSusp/lockWait; resolved at plane
@@ -321,13 +262,30 @@ func (pl *plane) seedVar(global *state.Store, v string, owner topo.NodeID) {
 	pl.switches[owner].SeedVar(global, v)
 }
 
-// stateTarget resolves the switch a suspended packet must reach, by dense
-// id when the result carries one and by name otherwise.
-func (pl *plane) stateTarget(r netasm.Result) (topo.NodeID, bool) {
+// newPlane starts a plane for a configuration with the parts every
+// discipline shares: the configuration and the dense owner lookup.
+func newPlane(cfg *rules.Config) *plane {
+	vs := cfg.VarSpace()
+	p := &plane{cfg: cfg, owners: make([]topo.NodeID, vs.Len()), placed: make([]bool, vs.Len())}
+	for i := range p.owners {
+		p.owners[i], p.placed[i] = cfg.Placement[vs.Name(i)]
+	}
+	return p
+}
+
+// stateTarget resolves the switch a suspended packet must reach next: the
+// owner of the suspending test's variable, or of the first pending write;
+// by dense id when the result carries one and by name otherwise.
+func (pl *plane) stateTarget(r *netasm.Result) (topo.NodeID, bool) {
 	if id := r.StateVarID; id >= 0 && int(id) < len(pl.owners) && pl.placed[id] {
 		return pl.owners[id], true
 	}
-	return stateTarget(pl.cfg, r)
+	v := r.StateVar
+	if v == "" && r.Packet.Hdr.PendingLen() > 0 {
+		v = r.Packet.Hdr.PendingAt(0).Var
+	}
+	node, ok := pl.cfg.Placement[v]
+	return node, ok
 }
 
 // StateRewrite transforms the global state store during ApplyConfig, after
@@ -338,26 +296,17 @@ type StateRewrite func(*state.Store) (*state.Store, error)
 
 // Engine is the concurrent data plane.
 type Engine struct {
+	fabric
 	opts    Options
 	plane   atomic.Pointer[plane]
 	stripes *state.Stripes
 	epoch   atomic.Int64
-	load    map[topo.NodeID]*switchCounters
 	inbox   map[topo.NodeID]chan item
 	slots   chan struct{} // global worker tokens
 	window  chan struct{} // admission control
-	stats   counters
-
-	// Failure injection (failure.go): down switches drop everything queued
-	// at them, dead links drop copies sent across them. The switch count is
-	// fixed for the engine's lifetime, so down is indexed by NodeID.
-	// quar (containment.go) is the panic-quarantine flag per switch: a
-	// contained VM panic marks its switch here, and copies reaching it
-	// drop-and-count until a committed reconfiguration replaces the VM.
-	down      []atomic.Bool
-	quar      []atomic.Bool
-	linkMu    sync.Mutex // serializes FailLink writers
-	deadLinks atomic.Pointer[map[[2]topo.NodeID]bool]
+	// inline is the injecting goroutine's walker when it is the only
+	// worker (Options.Workers == 1); its users hold mu.
+	inline walker
 
 	// Asynchronous state replication (replication.go); nil when the
 	// configuration carries no replicas. repMu guards the pointer: apply
@@ -368,12 +317,6 @@ type Engine struct {
 	repMu   sync.Mutex
 	rep     *replicator
 	repLost atomic.Int64
-
-	// Observed per-(ingress, egress)-pair delivery counts, the engine's
-	// empirical traffic matrix (ObservedMatrix), sharded per delivery
-	// switch so the hot-path write contends only with deliveries at the
-	// same switch (mirroring the per-switch load counters).
-	obs map[topo.NodeID]*obsShard
 
 	// Lock-contention history carried across plane epochs: apply() folds
 	// the outgoing plane's per-variable counters in here so
@@ -408,15 +351,9 @@ type Engine struct {
 	linkSeconds *telemetry.Histogram
 
 	gate   *gate
-	quit   chan struct{}  // closed by Close; releases straggler sends
-	sendWg sync.WaitGroup // fallback-send goroutines
 	wg     sync.WaitGroup // switch goroutines
 	mu     sync.Mutex     // serializes InjectBatch/InjectStream/Close
 	closed atomic.Bool
-
-	failOnce sync.Once
-	failed   atomic.Bool
-	err      error
 }
 
 // NewEngine builds the concurrent plane for a compiled configuration and
@@ -433,19 +370,14 @@ type Engine struct {
 // ingress port, by contrast, is a caller input error: the offending
 // injection is rejected and reported, and the engine stays healthy.
 func NewEngine(cfg *rules.Config, opts Options) *Engine {
-	opts = opts.withDefaults(cfg)
+	opts = opts.withDefaults()
 	e := &Engine{
 		opts:    opts,
 		stripes: state.NewStripes(opts.Stripes),
-		load:    make(map[topo.NodeID]*switchCounters, len(cfg.Switches)),
 		inbox:   make(map[topo.NodeID]chan item, len(cfg.Switches)),
 		slots:   make(chan struct{}, opts.Workers),
 		window:  make(chan struct{}, opts.Window),
-		obs:     make(map[topo.NodeID]*obsShard, len(cfg.Switches)),
-		down:    make([]atomic.Bool, cfg.Topo.Switches),
-		quar:    make([]atomic.Bool, cfg.Topo.Switches),
 		gate:    newGate(),
-		quit:    make(chan struct{}),
 
 		contHist: map[string]VarContention{},
 	}
@@ -453,6 +385,7 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 	// buildPlane runs (it resolves per-variable lock-wait histograms and
 	// times the link step).
 	e.tel = telemetry.NewRegistry()
+	e.fabric.init(cfg, opts.MaxHops, e.tel.Spans)
 	e.lockWaitVec = e.tel.HistogramVec("snap_lock_wait_seconds",
 		"Wait of blocked stripe-lock acquisitions, attributed to every variable of the contended lock set.",
 		1e-9, "var")
@@ -470,28 +403,18 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 		pl.scr.start()
 	}
 	e.rep.start()
-	// In-flight copies never exceed Window × maxFork (multicast forks
-	// once, at the xFDD leaf dispatch), so inboxes of this capacity make
-	// inter-switch sends non-blocking and the channel graph deadlock-free.
-	inboxCap := opts.Window * pl.maxFork
-	if opts.InboxCapacity > 0 {
-		inboxCap = opts.InboxCapacity
-	}
 	for id := range cfg.Switches {
-		e.load[id] = &switchCounters{}
-		e.obs[id] = &obsShard{counts: map[[2]int]int64{}, drops: map[[2]int]int64{}}
-		e.inbox[id] = make(chan item, inboxCap)
-	}
-	for id := range e.inbox {
-		ch := e.inbox[id]
-		node := id
-		for w := 0; w < opts.SwitchWorkers; w++ {
+		// At most Window injections are in flight and each sits in one
+		// inbox once, so a send never blocks the injector.
+		ch := make(chan item, opts.Window)
+		e.inbox[id] = ch
+		for i := 0; i < opts.SwitchWorkers; i++ {
 			e.wg.Add(1)
 			go func() {
 				defer e.wg.Done()
-				var sc stepScratch
+				var w walker
 				for it := range ch {
-					e.stepGuarded(node, it, &sc)
+					e.run(&w, &it)
 				}
 			}()
 		}
@@ -500,45 +423,20 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 	return e
 }
 
-// buildPlane instantiates switch VMs for a configuration, linking each
-// program once against the configuration's variable space and selecting
-// the concurrency discipline: when Options.StateReplication is set and the
-// plane classifies replication-safe, per-worker state replicas connected
-// by update rings (scr.go); otherwise one VM set guarded by lock sets
-// drawn from the engine's stripe pool, so successive plane epochs keep a
-// consistent variable→stripe mapping. Replication workers are NOT started
-// here — the caller starts them once the plane is committed.
-// linkProgramsCached is linkPrograms through the engine's cross-epoch
-// cache: distinct images already linked in a previous epoch (same program
+// linkCached is linkPrograms through the engine's cross-epoch cache:
+// distinct images already linked in a previous epoch (same program
 // pointer, ownership set and variable-name space) are reused, so a hot
 // swap pays link cost only for the switches the recompilation dirtied.
-func (e *Engine) linkProgramsCached(cfg *rules.Config) map[topo.NodeID]*netasm.Linked {
+func (e *Engine) linkCached(cfg *rules.Config) map[topo.NodeID]*netasm.Linked {
 	t0 := time.Now()
 	defer func() { e.linkSeconds.Observe(int64(time.Since(t0))) }()
-	vs := cfg.VarSpace()
-	if sig := vs.Signature(); e.linkCache == nil || sig != e.linkSig {
+	if sig := cfg.VarSpace().Signature(); e.linkCache == nil || sig != e.linkSig {
 		e.linkCache = map[linkKey]*netasm.Linked{}
 		e.linkSig = sig
 	}
-	out := make(map[topo.NodeID]*netasm.Linked, len(cfg.Switches))
-	counted := map[linkKey]bool{}
-	for id, sc := range cfg.Switches {
-		k := linkKey{prog: sc.Prog, owns: rules.OwnsKey(sc.Owns)}
-		lp, hit := e.linkCache[k]
-		if !hit {
-			lp = netasm.Link(sc.Prog, vs, sc.Owns)
-			e.linkCache[k] = lp
-		}
-		if !counted[k] {
-			counted[k] = true
-			if hit {
-				e.linkReused.Add(1)
-			} else {
-				e.linkFresh.Add(1)
-			}
-		}
-		out[id] = lp
-	}
+	out, reused, fresh := linkPrograms(cfg, e.linkCache)
+	e.linkReused.Add(int64(reused))
+	e.linkFresh.Add(int64(fresh))
 	return out
 }
 
@@ -551,24 +449,19 @@ func (e *Engine) LinkStats() (reused, linked int64) {
 	return e.linkReused.Load(), e.linkFresh.Load()
 }
 
+// buildPlane instantiates switch VMs for a configuration, linking each
+// program once against the configuration's variable space and selecting
+// the concurrency discipline: when Options.StateReplication is set and the
+// plane classifies replication-safe, per-worker state replicas connected
+// by update rings (scr.go); otherwise one VM set guarded by lock sets
+// drawn from the engine's stripe pool, so successive plane epochs keep a
+// consistent variable→stripe mapping. Replication workers are NOT started
+// here — the caller starts them once the plane is committed.
 func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
-	p := &plane{cfg: cfg, maxFork: 1}
-	linked := e.linkProgramsCached(cfg)
+	p := newPlane(cfg)
+	linked := e.linkCached(cfg)
 	p.diags = collectDiags(linked)
-	for _, lp := range linked {
-		if f := lp.MaxFork(); f > p.maxFork {
-			p.maxFork = f
-		}
-	}
 	vs := cfg.VarSpace()
-	p.owners = make([]topo.NodeID, vs.Len())
-	p.placed = make([]bool, vs.Len())
-	for i := range p.owners {
-		if node, ok := cfg.Placement[vs.Name(i)]; ok {
-			p.owners[i] = node
-			p.placed[i] = true
-		}
-	}
 	if e.opts.StateReplication {
 		if reasons := replicationBlockers(cfg, linked, e.opts.Workers); len(reasons) == 0 {
 			p.mode = ModeReplication
@@ -576,13 +469,13 @@ func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
 			// Worker 0's replica doubles as the canonical switch set the
 			// control plane reads (always through reconcile, under the gate).
 			p.switches = p.scr.workers[0].switches
-			p.locks = make(map[topo.NodeID]state.LockSet, len(cfg.Switches))
 			return p
 		} else {
 			p.repFallback = reasons
 			p.diags = append(p.diags, "state replication requested but refused: "+strings.Join(reasons, " | "))
 		}
 	}
+	p.slots = e.slots
 	p.switches = make(map[topo.NodeID]*netasm.Switch, len(cfg.Switches))
 	p.locks = make(map[topo.NodeID]state.LockSet, len(cfg.Switches))
 	p.lockSusp = make([]atomic.Int64, vs.Len())
@@ -617,11 +510,6 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed.Store(true)
-	// Release any fallback-send stragglers before closing their target
-	// channels, so Close never triggers a send on a closed channel even
-	// after an abort left copies parked on full inboxes.
-	close(e.quit)
-	e.sendWg.Wait()
 	for _, ch := range e.inbox {
 		close(ch)
 	}
@@ -632,269 +520,26 @@ func (e *Engine) Close() {
 	e.replicator().stop()
 }
 
-// fail records the first error and aborts outstanding work: remaining
-// copies drain without processing.
-func (e *Engine) fail(err error) {
-	e.failOnce.Do(func() {
-		e.err = err
-		e.failed.Store(true)
-	})
-}
-
-// send enqueues a copy at a switch. The capacity chosen in NewEngine makes
-// the fast path non-blocking; the fallback goroutine is belt-and-braces so
-// a program violating the fork-once bound (or a post-ApplyConfig program
-// with a wider fork than the inboxes were sized for) degrades to extra
-// goroutines instead of deadlocking the switch pool. Stragglers are
-// tracked: Close waits for them and unblocks them through the quit
-// channel, releasing their copy so no injection leaks.
-func (e *Engine) send(to topo.NodeID, it item) {
-	select {
-	case e.inbox[to] <- it:
-	default:
-		e.sendWg.Add(1)
-		go func() {
-			defer e.sendWg.Done()
-			select {
-			case e.inbox[to] <- it:
-			case <-e.quit:
-				it.inj.release(1)
-			}
-		}()
-	}
-}
-
-// hop is a continuation: a packet copy bound for another switch.
-type hop struct {
-	to topo.NodeID
-	it item
-}
-
-// stepScratch is per-goroutine reusable working memory for step: the VM
-// result buffer and the continuation list. Reusing it across visits keeps
-// the steady-state packet loop allocation-free.
-type stepScratch struct {
-	results []netasm.Result
-	cont    []hop
-}
-
-// step executes one packet copy at one switch and routes the results.
-//
-// Scheduling follows the run-to-completion model of fast packet
-// processors: when a copy has exactly one continuation, the same goroutine
-// follows it to the next switch VM instead of handing it off — the per-hop
-// channel wakeup (~µs) would otherwise dwarf the VM execution itself.
-// Channels still carry ingress admission and multicast extras, and the
-// per-switch striped locks make the inlined visit indistinguishable from
-// one performed by the target switch's own pool.
-//
-// Lock discipline per visit: stripe locks first, then a worker token, so
-// a copy waiting for a contended variable does not occupy one of the
-// Options.Workers execution slots. Tokens are only held across Run, which
-// never blocks; stripe holders always progress, so neither wait can
-// deadlock.
-//
-// The plane pointer is reloaded per visit; it can only change between
-// visits of different epochs, because ApplyConfig swaps it strictly while
-// the gate holds the engine quiescent.
-func (e *Engine) step(at topo.NodeID, it item, sc *stepScratch) {
-	for {
-		if e.failed.Load() {
-			it.inj.release(1)
-			return
-		}
-		if e.down[at].Load() {
-			// The switch died with this copy queued at it (or in flight
-			// toward it): the copy is lost. Observe the drop so the
-			// empirical matrix still reflects the offered load.
-			e.stats.dropped.Add(1)
-			e.observeDrop(at, it.sp.Hdr.OBSIn, it.sp.Hdr.OBSOut)
-			traceHop(it.inj.tr, at, "drop", "", -1)
-			it.inj.release(1)
-			return
-		}
-		if e.quarantined(at) {
-			// A contained panic poisoned this switch's VM; its copies
-			// drop-and-count (the down-switch discipline) until a
-			// reconfiguration replaces it.
-			e.dropQuarantined(at, it.inj.tr, it.sp.Hdr.OBSIn, it.sp.Hdr.OBSOut)
-			it.inj.release(1)
-			return
-		}
-		if it.hops > e.opts.MaxHops {
-			e.fail(fmt.Errorf("dataplane: hop limit exceeded at switch %d (forwarding loop?)", at))
-			it.inj.release(1)
-			return
-		}
-
-		pl := e.plane.Load()
-		sw := pl.switches[at]
-		ls := pl.locks[at]
-		if !ls.Empty() {
-			// Count contended acquisitions per variable: the uncontended
-			// path is a TryLock (one CAS per stripe, same as Lock); only a
-			// blocked visit pays for the clock reads and counter updates.
-			if !ls.TryLock() {
-				t0 := time.Now()
-				ls.Lock()
-				wait := int64(time.Since(t0))
-				e.stats.lockSuspends.Add(1)
-				e.stats.lockWaitNs.Add(wait)
-				for _, vid := range pl.lockVars[at] {
-					pl.lockSusp[vid].Add(1)
-					pl.lockWait[vid].Add(wait)
-					pl.lockHist[vid].Observe(wait)
-				}
-			}
-		}
-		e.slots <- struct{}{}
-		results, err := runContained(sw, at, "engine.step", sc.results[:0], it.sp)
-		sc.results = results
-		<-e.slots
-		if !ls.Empty() {
-			ls.Unlock()
-		}
-		e.load[at].processed.Add(1)
-
-		if err != nil {
-			if e.containVMError(at, err) {
-				e.dropQuarantined(at, it.inj.tr, it.sp.Hdr.OBSIn, it.sp.Hdr.OBSOut)
-				it.inj.release(1)
-				return
-			}
-			e.fail(err)
-			it.inj.release(1)
-			return
-		}
-		if len(results) == 0 {
-			it.inj.release(1)
-			return
-		}
-		// This copy becomes len(results) copies; retire the terminal ones.
-		it.inj.refs.Add(int32(len(results) - 1))
-		terminal := 0
-		cont := sc.cont[:0]
-		for _, r := range results {
-			switch r.Outcome {
-			case netasm.Dropped:
-				e.stats.dropped.Add(1)
-				e.observeDrop(at, r.Packet.Hdr.OBSIn, -1)
-				traceHop(it.inj.tr, at, "drop", "", -1)
-				terminal++
-
-			case netasm.Delivered:
-				e.stats.delivered.Add(1)
-				e.observe(at, r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut)
-				it.inj.deliver(Delivery{Port: r.Packet.Hdr.OBSOut, Packet: r.Packet.Pkt})
-				traceHop(it.inj.tr, at, "deliver", "", r.Packet.Hdr.OBSOut)
-				terminal++
-
-			case netasm.NeedState:
-				e.stats.suspends.Add(1)
-				e.load[at].suspends.Add(1)
-				target, ok := pl.stateTarget(r)
-				if !ok {
-					e.fail(fmt.Errorf("dataplane: no owner for state of packet at switch %d", at))
-					terminal++
-					continue
-				}
-				if target == at {
-					e.fail(fmt.Errorf("dataplane: suspended for local state at switch %d", at))
-					terminal++
-					continue
-				}
-				next, li, err := nextHopLink(pl.cfg, at, r.Packet, target)
-				if err != nil {
-					e.fail(err)
-					terminal++
-					continue
-				}
-				if e.linkDead(pl.cfg.Topo.Links[li]) {
-					e.stats.dropped.Add(1)
-					e.observeDrop(at, r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut)
-					traceHop(it.inj.tr, at, "drop", r.StateVar, -1)
-					terminal++
-					continue
-				}
-				e.stats.hops.Add(1)
-				e.load[at].forwarded.Add(1)
-				traceHop(it.inj.tr, at, "suspend", r.StateVar, -1)
-				cont = append(cont, hop{to: next, it: item{sp: r.Packet, hops: it.hops + 1, inj: it.inj}})
-
-			case netasm.ToEgress:
-				eg, ok := pl.cfg.Topo.PortByID(r.Packet.Hdr.OBSOut)
-				if !ok {
-					e.stats.dropped.Add(1)
-					e.observeDrop(at, r.Packet.Hdr.OBSIn, -1)
-					traceHop(it.inj.tr, at, "drop", "", -1)
-					terminal++
-					continue
-				}
-				if eg.Switch == at {
-					e.stats.delivered.Add(1)
-					e.observe(at, r.Packet.Hdr.OBSIn, eg.ID)
-					it.inj.deliver(Delivery{Port: eg.ID, Packet: r.Packet.Pkt})
-					traceHop(it.inj.tr, at, "deliver", "", eg.ID)
-					terminal++
-					continue
-				}
-				next, li, err := nextHopLink(pl.cfg, at, r.Packet, eg.Switch)
-				if err != nil {
-					e.fail(err)
-					terminal++
-					continue
-				}
-				if e.linkDead(pl.cfg.Topo.Links[li]) {
-					e.stats.dropped.Add(1)
-					e.observeDrop(at, r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut)
-					traceHop(it.inj.tr, at, "drop", "", r.Packet.Hdr.OBSOut)
-					terminal++
-					continue
-				}
-				e.stats.hops.Add(1)
-				e.load[at].forwarded.Add(1)
-				traceHop(it.inj.tr, at, "forward", "", r.Packet.Hdr.OBSOut)
-				cont = append(cont, hop{to: next, it: item{sp: r.Packet, hops: it.hops + 1, inj: it.inj}})
-			}
-		}
-		it.inj.release(terminal)
-		sc.cont = cont
-		if len(cont) == 0 {
-			return
-		}
-		// Multicast extras go through the link channels; the first
-		// continuation is followed in place.
-		for _, h := range cont[1:] {
-			e.send(h.to, h.it)
-		}
-		at, it = cont[0].to, cont[0].it
-	}
-}
-
-// stepGuarded is step under a last-resort recover: VM panics are already
-// contained inside the visit (runContained), so anything recovered here is
-// a bug in the engine's own routing/bookkeeping — the process survives,
-// the engine poisons with the captured stack, and the copy is released so
-// the injection cannot leak.
-func (e *Engine) stepGuarded(at topo.NodeID, it item, sc *stepScratch) {
-	defer func() {
-		if v := recover(); v != nil {
-			e.fail(fmt.Errorf("dataplane: panic in switch worker at switch %d: %v\n%s", at, v, debug.Stack()))
-			it.inj.release(1)
-		}
-	}()
-	e.step(at, it, sc)
+// run walks one admitted injection to completion on the plane's shared
+// switches and finishes it: the body of the switch-pool goroutines and of
+// the inline single-worker path.
+func (e *Engine) run(w *walker, it *item) {
+	defer it.inj.finish()
+	defer e.guard()
+	pl := e.plane.Load()
+	e.walk(pl, pl.switches, w, it.inj, it.at, &it.ing)
 }
 
 // inject admits one packet (blocking on the gate, then the window) and
-// runs it: enqueued at its ingress switch's inbox, or — when the caller
-// passes a scratch — executed inline on the calling goroutine
-// (run-to-completion from the ingress, the single-worker fast path; see
-// InjectReplay). collect controls whether deliveries are recorded. An
-// unknown port rejects only this injection — the caller gets the error and
-// the engine stays usable; packets admitted before the bad one have
-// already run, which stream callers must expect.
-func (e *Engine) inject(ing Ingress, collect bool, wg *sync.WaitGroup, sc *stepScratch) (*injection, error) {
+// hands it to the goroutine that will walk it: an SCR worker, the caller
+// itself when it is the only worker (with a single execution slot a
+// channel handoff buys no parallelism and costs a wakeup per packet), or
+// the ingress switch's pool, which keeps the injector free to admit the
+// next one. collect controls whether deliveries are recorded. An unknown
+// port rejects only this injection — the caller gets the error and the
+// engine stays usable; packets admitted before the bad one have already
+// run, which stream callers must expect.
+func (e *Engine) inject(ing Ingress, collect bool, wg *sync.WaitGroup) (*injection, error) {
 	e.gate.enter()
 	pl := e.plane.Load()
 	pt, ok := pl.cfg.Topo.PortByID(ing.Port)
@@ -914,7 +559,7 @@ func (e *Engine) inject(ing Ingress, collect bool, wg *sync.WaitGroup, sc *stepS
 	seq := e.stats.injected.Add(1)
 	var inj *injection
 	if collect {
-		inj = &injection{seen: map[deliveryKey]bool{}}
+		inj = &injection{collect: true}
 	} else {
 		inj = injPool.Get().(*injection)
 		inj.pooled = true
@@ -923,42 +568,17 @@ func (e *Engine) inject(ing Ingress, collect bool, wg *sync.WaitGroup, sc *stepS
 	if e.sampler.Hit() {
 		inj.tr = e.traces.Start(ing.Port, seq)
 	}
-	inj.refs.Store(1)
-	sp := netasm.SimPacket{
-		Pkt: ing.Packet,
-		Hdr: netasm.Header{
-			OBSIn:  ing.Port,
-			OBSOut: -1,
-			Node:   pl.cfg.RootID,
-			Seq:    -1,
-			Phase:  netasm.PhaseEval,
-		},
-	}
 	wg.Add(1)
+	it := item{at: pt.Switch, ing: ing, inj: inj}
 	switch {
 	case pl.scr != nil:
-		// Replication discipline: the whole injection runs on one worker's
-		// private replica set (scr.go); the per-switch inboxes stay idle.
-		pl.scr.dispatch(hop{to: pt.Switch, it: item{sp: sp, inj: inj}})
-	case sc != nil:
-		e.step(pt.Switch, item{sp: sp, inj: inj}, sc)
+		pl.scr.dispatch(&it)
+	case e.opts.Workers == 1:
+		e.run(&e.inline, &it)
 	default:
-		e.send(pt.Switch, item{sp: sp, inj: inj})
+		e.inbox[pt.Switch] <- it
 	}
 	return inj, nil
-}
-
-// injectScratch decides whether injections run inline on the injecting
-// goroutine: with a single execution slot the channel handoff to a switch
-// worker buys no parallelism and costs a wakeup per packet, so the caller
-// becomes the worker (multicast extras still flow through the inboxes).
-// With more workers, handing the packet off keeps the injector free to
-// admit the next one.
-func (e *Engine) injectScratch() *stepScratch {
-	if e.opts.Workers == 1 {
-		return &stepScratch{}
-	}
-	return nil
 }
 
 // InjectBatch pushes a batch of packets through the plane concurrently and
@@ -988,12 +608,11 @@ func (e *Engine) InjectBatch(batch []Ingress) ([][]Delivery, error) {
 	out := make([][]Delivery, len(batch))
 	injs := make([]*injection, 0, len(batch))
 	var batchWg sync.WaitGroup
-	sc := e.injectScratch()
 	for _, ing := range batch {
 		if e.failed.Load() {
 			break
 		}
-		inj, err := e.inject(ing, true, &batchWg, sc)
+		inj, err := e.inject(ing, true, &batchWg)
 		if err != nil {
 			batchWg.Wait()
 			return nil, err
@@ -1037,13 +656,12 @@ func (e *Engine) stream(next func() (Ingress, bool)) error {
 		return e.err
 	}
 	var wg sync.WaitGroup
-	sc := e.injectScratch()
 	for {
 		ing, ok := next()
 		if !ok || e.failed.Load() {
 			break
 		}
-		if _, err := e.inject(ing, false, &wg, sc); err != nil {
+		if _, err := e.inject(ing, false, &wg); err != nil {
 			if errors.Is(err, ErrOverload) {
 				// Graceful degradation: the shed packet is counted and
 				// the stream goes on — long replays ride out transient
@@ -1095,10 +713,8 @@ func (e *Engine) InjectReplay(trace []Ingress) error {
 // The new configuration must target the same physical network (same
 // switch count, same OBS port→switch attachment); routing, placement and
 // programs are free to change. A state variable with entries but no owner
-// under the new placement is an error — fold or drop it in rewrite. The
-// inbox channels keep their original capacity; if the new programs fork
-// wider than the engine was sized for, sends degrade to tracked fallback
-// goroutines instead of misbehaving. ApplyConfig must not race with Close.
+// under the new placement is an error — fold or drop it in rewrite.
+// ApplyConfig must not race with Close.
 func (e *Engine) ApplyConfig(cfg *rules.Config, rewrite StateRewrite) error {
 	// A failed switch must stay failed in the new configuration: applying
 	// a topology that treats it as up would silently re-seat state (and
@@ -1401,24 +1017,21 @@ type obsShard struct {
 }
 
 // observe records one delivery (at switch `at`) in the empirical matrix.
-func (e *Engine) observe(at topo.NodeID, in, out int) {
-	s := e.obs[at]
+func (f *fabric) observe(at topo.NodeID, in, out int) {
+	s := f.obs[at]
 	s.mu.Lock()
 	s.counts[[2]int{in, out}]++
 	s.mu.Unlock()
 }
 
 // observeDrop records one dropped copy against its ingress port, keyed by
-// the intended egress when the packet already knew it (out < 0 otherwise).
+// the intended egress when the packet already knew it (-1 otherwise).
 // Folding drops into the observed matrix keeps the drift signal on the
 // *offered* load: before this, drops were invisible to drift detection —
 // a flow that the plane started dropping (policy, dead outport, failure
 // injection) simply vanished from the matrix, as if its demand had gone.
-func (e *Engine) observeDrop(at topo.NodeID, in, out int) {
-	if out < 0 {
-		out = -1
-	}
-	s := e.obs[at]
+func (f *fabric) observeDrop(at topo.NodeID, in, out int) {
+	s := f.obs[at]
 	s.mu.Lock()
 	s.drops[[2]int{in, out}]++
 	s.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -75,14 +76,25 @@ func TestEngineSequentialEquivalence(t *testing.T) {
 		want[i] = ds
 	}
 
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, c := range []struct {
+		workers int
+		scr     bool
+	}{{1, false}, {4, false}, {runtime.GOMAXPROCS(0), false}, {4, true}} {
+		name := fmt.Sprintf("workers=%d", c.workers)
+		if c.scr {
+			name = "replication"
+		}
+		t.Run(name, func(t *testing.T) {
 			eng := dataplane.NewEngine(seqPlane.Config(), dataplane.Options{
-				Workers:       workers,
-				SwitchWorkers: 2,
-				Window:        64,
+				Workers:          c.workers,
+				SwitchWorkers:    2,
+				Window:           64,
+				StateReplication: c.scr,
 			})
 			defer eng.Close()
+			if c.scr && eng.ExecMode() != dataplane.ModeReplication {
+				t.Fatalf("replication refused: %v", eng.ReplicationFallback())
+			}
 			got, err := eng.InjectBatch(batch)
 			if err != nil {
 				t.Fatalf("InjectBatch: %v", err)
@@ -107,7 +119,7 @@ func TestEngineSequentialEquivalence(t *testing.T) {
 				t.Fatalf("stats.Injected = %d, want %d", st.Injected, len(batch))
 			}
 			seq := seqPlane.Stats()
-			if st.Delivered != seq.Delivered || st.Dropped != seq.Dropped || st.Suspends != seq.Suspends {
+			if st.Delivered != seq.Delivered || st.Dropped != seq.Dropped || st.Suspends != seq.Suspends || st.Hops != seq.Hops {
 				t.Fatalf("stats diverge: engine %+v vs sequential %+v", st, seq)
 			}
 		})
@@ -310,15 +322,14 @@ func TestEngineBadPortDoesNotPoison(t *testing.T) {
 	}
 }
 
-// TestEngineFallbackSendClose: with the inbox capacity forced below the
-// fork bound, multicast sends overflow onto the fallback-goroutine path.
-// Those stragglers must be tracked so the engine drains, Close never
-// panics on a closed channel, and nothing leaks — run under -race.
-func TestEngineFallbackSendClose(t *testing.T) {
+// TestEngineMulticastRunToCompletion: on a policy that forks every packet
+// (one copy to port 5, one to port 6) every configuration of the walk runs
+// an injection and both its copies to completion on one goroutine. Each
+// must deliver both copies, agree with Network per injection, return from
+// Close, and leave no goroutine behind — run under -race.
+func TestEngineMulticastRunToCompletion(t *testing.T) {
+	base := settleGoroutines()
 	netw := topo.Campus(1000)
-	// Every packet forks: one copy to port 5, one to port 6 — a
-	// fork-heavy plane whose inter-switch sends constantly collide with
-	// the 1-slot inboxes.
 	p := syntax.Then(
 		apps.Assumption(6),
 		syntax.Par(
@@ -327,29 +338,57 @@ func TestEngineFallbackSendClose(t *testing.T) {
 		),
 	)
 	plane, _ := deploy(t, p, netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers:       4,
-		SwitchWorkers: 2,
-		Window:        64,
-		InboxCapacity: 1,
-	})
 
 	rng := rand.New(rand.NewSource(9))
-	trace := make([]dataplane.Ingress, 0, 400)
+	batch := make([]dataplane.Ingress, 0, 400)
+	want := make([][]string, 0, 400)
 	for i := 0; i < 400; i++ {
 		port, pk := campusPacket(rng)
-		trace = append(trace, dataplane.Ingress{Port: port, Packet: pk})
+		batch = append(batch, dataplane.Ingress{Port: port, Packet: pk})
+		ds, err := plane.Inject(port, pk)
+		if err != nil {
+			t.Fatalf("sequential inject %d: %v", i, err)
+		}
+		if len(ds) != 2 {
+			t.Fatalf("sequential inject %d: %d deliveries, want 2", i, len(ds))
+		}
+		want = append(want, sortedKeys(ds))
 	}
-	if err := eng.InjectReplay(trace); err != nil {
-		t.Fatalf("InjectReplay: %v", err)
+	if st := plane.Stats(); st.Delivered != 2*int64(len(batch)) {
+		t.Fatalf("sequential: delivered %d copies, want %d", st.Delivered, 2*len(batch))
 	}
-	st := eng.Stats()
-	if st.Delivered != 2*int64(len(trace)) {
-		t.Fatalf("delivered %d copies, want %d", st.Delivered, 2*len(trace))
+
+	for _, c := range []struct {
+		name string
+		opts dataplane.Options
+	}{
+		{"workers=1", dataplane.Options{Workers: 1, SwitchWorkers: 2, Window: 64}},
+		{"locks", dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 64}},
+		{"replication", dataplane.Options{Workers: 4, Window: 64, StateReplication: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := dataplane.NewEngine(plane.Config(), c.opts)
+			// Close must return with every copy retired; a regression
+			// here hangs.
+			defer eng.Close()
+			if c.opts.StateReplication && eng.ExecMode() != dataplane.ModeReplication {
+				t.Fatalf("replication refused: %v", eng.ReplicationFallback())
+			}
+			got, err := eng.InjectBatch(batch)
+			if err != nil {
+				t.Fatalf("InjectBatch: %v", err)
+			}
+			for i := range batch {
+				if g := sortedKeys(got[i]); !slices.Equal(g, want[i]) {
+					t.Fatalf("injection %d: deliveries %v, want %v", i, g, want[i])
+				}
+			}
+			if st := eng.Stats(); st.Delivered != 2*int64(len(batch)) {
+				t.Fatalf("delivered %d copies, want %d", st.Delivered, 2*len(batch))
+			}
+		})
 	}
-	// Close waits out straggler senders before closing their channels; a
-	// regression here panics (send on closed channel) or hangs.
-	eng.Close()
+	checkGoroutinesBack(t, base)
 }
 
 // TestEngineSnapshotsMidStream: GlobalState/SwitchTable/Load taken while

@@ -67,8 +67,8 @@ func (e *Engine) FailLink(a, b topo.NodeID) error {
 }
 
 // linkDead reports whether a link has been failed.
-func (e *Engine) linkDead(l topo.Link) bool {
-	m := e.deadLinks.Load()
+func (f *fabric) linkDead(l topo.Link) bool {
+	m := f.deadLinks.Load()
 	return m != nil && (*m)[[2]topo.NodeID{l.From, l.To}]
 }
 

@@ -8,8 +8,9 @@
 // one switch, so an unshardable count[inport] makes the whole engine
 // effectively single-threaded. This file replicates the state *computation*
 // instead of sharing the state: each worker owns a private replica of
-// every switch VM (and therefore of every state table), runs injected
-// packets end-to-end against it with no locks at all, and appends its
+// every switch VM (and therefore of every state table), walks injected
+// packets end-to-end against it (the walk of walk.go, between a drain and
+// a publish) with no locks and no tokens, and appends its
 // state writes to a compact update log (state.Update) that per-worker-pair
 // SPSC ring buffers carry to the other workers. Each worker drains its
 // inbound rings before running the next packet, re-executing commutative
@@ -19,7 +20,7 @@
 // shared sequencer.
 //
 // Equivalence with the sequential plane: a worker publishes its packet's
-// log before the injection is released, and drains before the next packet
+// log before the injection is finished, and drains before the next packet
 // runs, so with one packet in flight at a time the replicated plane is
 // lockstep-identical to Network.Inject for any replication-safe program
 // (the equivalence suite asserts exactly this). Under concurrency, packets
@@ -40,7 +41,6 @@ package dataplane
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -161,7 +161,8 @@ func collectDiags(linked map[topo.NodeID]*netasm.Linked) []string {
 // LinkDiagnostics links a configuration's programs and returns the plane's
 // link-time diagnostics without building an engine (snapsim -v, tooling).
 func LinkDiagnostics(cfg *rules.Config) []string {
-	return collectDiags(linkPrograms(cfg))
+	linked, _, _ := linkPrograms(cfg, map[linkKey]*netasm.Linked{})
+	return collectDiags(linked)
 }
 
 // updateRing is a bounded single-producer single-consumer queue of state
@@ -202,13 +203,6 @@ func (r *updateRing) pop() (state.Update, bool) {
 	return u, true
 }
 
-// scrHop is one queued visit of the per-worker packet walk.
-type scrHop struct {
-	at   topo.NodeID
-	sp   netasm.SimPacket
-	hops int
-}
-
 // scrWorker is one replication-mode worker: a full private copy of the
 // plane's switch VMs (and so of all state tables), a Lamport clock, the
 // per-packet update log, and the rings connecting it to its peers.
@@ -221,7 +215,7 @@ type scrWorker struct {
 	rep      *state.Replica
 	clock    uint64
 	log      []state.Update
-	in       chan hop
+	in       chan item
 	rings    []*updateRing // inbound, indexed by producer worker (nil self)
 	outs     []*updateRing // outbound, indexed by consumer worker (nil self)
 	peers    []*scrWorker  // all workers, for kicking a backpressured consumer
@@ -239,8 +233,7 @@ type scrWorker struct {
 	// the telemetry scrape can read it against live traffic.
 	published atomic.Int64
 
-	queue   []scrHop
-	results []netasm.Result
+	w walker
 }
 
 // scrState is the replication-mode half of a plane: the worker set and the
@@ -298,7 +291,7 @@ func (e *Engine) buildSCR(cfg *rules.Config, linked map[topo.NodeID]*netasm.Link
 			eng:      e,
 			switches: make(map[topo.NodeID]*netasm.Switch, len(cfg.Switches)),
 			rep:      state.NewReplica(vs.Len()),
-			in:       make(chan hop, e.opts.Window),
+			in:       make(chan item, e.opts.Window),
 			kick:     make(chan struct{}, 1),
 			sync:     make(chan chan struct{}),
 		}
@@ -344,11 +337,11 @@ func (s *scrState) start() {
 			defer s.wg.Done()
 			for {
 				select {
-				case h, ok := <-wk.in:
+				case it, ok := <-wk.in:
 					if !ok {
 						return
 					}
-					wk.process(h)
+					wk.process(&it)
 				case <-wk.kick:
 					wk.drain()
 				case ack := <-wk.sync:
@@ -371,15 +364,15 @@ func (s *scrState) stop() {
 }
 
 // dispatch hands an injection to the next worker round-robin, or runs it
-// inline with a single worker (the same rationale as injectScratch: one
+// inline with a single worker (the same rationale as Engine.inject: one
 // worker gains nothing from a channel hop).
-func (s *scrState) dispatch(h hop) {
+func (s *scrState) dispatch(it *item) {
 	if len(s.workers) == 1 {
-		s.workers[0].process(h)
+		s.workers[0].process(it)
 		return
 	}
 	w := s.next.Add(1) - 1
-	s.workers[w%uint64(len(s.workers))].in <- h
+	s.workers[w%uint64(len(s.workers))].in <- *it
 }
 
 // onStateOp is the VM write observer: record the operation in the
@@ -453,147 +446,16 @@ func (wk *scrWorker) publish() {
 }
 
 // process runs one injection to completion on this worker: converge the
-// replica, walk the packet, publish the log, release the injection. The
-// publish-before-release order is what makes single-packet replay
-// lockstep-identical to the sequential plane.
-//
-// The deferred guard is the SCR worker's last-resort containment: VM
-// panics are already converted inside the walk (runContained), so a panic
-// unwinding to here is a bug in the walk/merge machinery itself — poison
-// the engine with the stack and release the injection so no caller hangs.
-func (wk *scrWorker) process(h hop) {
-	defer wk.guard(h.it.inj)
+// replica, walk the packet against it, publish the log, finish the
+// injection. The publish-before-finish order is what makes single-packet
+// replay lockstep-identical to the sequential plane. The guard covers the
+// merge machinery as well as the walk.
+func (wk *scrWorker) process(it *item) {
+	defer it.inj.finish()
+	defer wk.eng.guard()
 	wk.drain()
-	wk.walk(h.to, h.it)
+	wk.eng.walk(wk.eng.plane.Load(), wk.switches, &wk.w, it.inj, it.at, &it.ing)
 	wk.publish()
-	h.it.inj.release(1)
-}
-
-func (wk *scrWorker) guard(inj *injection) {
-	if v := recover(); v != nil {
-		wk.eng.fail(fmt.Errorf("dataplane: panic on SCR worker %d: %v\n%s", wk.id, v, debug.Stack()))
-		inj.release(1)
-	}
-}
-
-// walk runs one injected packet and all its copies to quiescence against
-// this worker's private switch replicas — the engine-accounted version of
-// Network.Inject's BFS. No locks, no worker tokens, no channel hops:
-// multicast extras join the same worker-local queue, preserving the
-// run-to-completion model per injection.
-func (wk *scrWorker) walk(at topo.NodeID, it item) {
-	e := wk.eng
-	pl := e.plane.Load()
-	q := append(wk.queue[:0], scrHop{at: at, sp: it.sp, hops: it.hops})
-	defer func() { wk.queue = q[:0] }()
-	for qi := 0; qi < len(q); qi++ {
-		if e.failed.Load() {
-			return
-		}
-		cur := q[qi]
-		if e.down[cur.at].Load() {
-			e.stats.dropped.Add(1)
-			e.observeDrop(cur.at, cur.sp.Hdr.OBSIn, cur.sp.Hdr.OBSOut)
-			traceHop(it.inj.tr, cur.at, "drop", "", -1)
-			continue
-		}
-		if e.quarantined(cur.at) {
-			// Panic quarantine (containment.go): the switch's program is
-			// poisoned on some replica, so every replica stops serving it
-			// until a reconfiguration replaces the VMs.
-			e.dropQuarantined(cur.at, it.inj.tr, cur.sp.Hdr.OBSIn, cur.sp.Hdr.OBSOut)
-			continue
-		}
-		if cur.hops > e.opts.MaxHops {
-			e.fail(fmt.Errorf("dataplane: hop limit exceeded at switch %d (forwarding loop?)", cur.at))
-			return
-		}
-		sw := wk.switches[cur.at]
-		results, err := runContained(sw, cur.at, "engine.walk", wk.results[:0], cur.sp)
-		wk.results = results
-		e.load[cur.at].processed.Add(1)
-		if err != nil {
-			if e.containVMError(cur.at, err) {
-				e.dropQuarantined(cur.at, it.inj.tr, cur.sp.Hdr.OBSIn, cur.sp.Hdr.OBSOut)
-				continue
-			}
-			e.fail(err)
-			return
-		}
-		for _, r := range results {
-			switch r.Outcome {
-			case netasm.Dropped:
-				e.stats.dropped.Add(1)
-				e.observeDrop(cur.at, r.Packet.Hdr.OBSIn, -1)
-				traceHop(it.inj.tr, cur.at, "drop", "", -1)
-
-			case netasm.Delivered:
-				e.stats.delivered.Add(1)
-				e.observe(cur.at, r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut)
-				it.inj.deliver(Delivery{Port: r.Packet.Hdr.OBSOut, Packet: r.Packet.Pkt})
-				traceHop(it.inj.tr, cur.at, "deliver", "", r.Packet.Hdr.OBSOut)
-
-			case netasm.NeedState:
-				e.stats.suspends.Add(1)
-				e.load[cur.at].suspends.Add(1)
-				target, ok := pl.stateTarget(r)
-				if !ok {
-					e.fail(fmt.Errorf("dataplane: no owner for state of packet at switch %d", cur.at))
-					continue
-				}
-				if target == cur.at {
-					e.fail(fmt.Errorf("dataplane: suspended for local state at switch %d", cur.at))
-					continue
-				}
-				next, li, err := nextHopLink(pl.cfg, cur.at, r.Packet, target)
-				if err != nil {
-					e.fail(err)
-					continue
-				}
-				if e.linkDead(pl.cfg.Topo.Links[li]) {
-					e.stats.dropped.Add(1)
-					e.observeDrop(cur.at, r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut)
-					traceHop(it.inj.tr, cur.at, "drop", r.StateVar, -1)
-					continue
-				}
-				e.stats.hops.Add(1)
-				e.load[cur.at].forwarded.Add(1)
-				traceHop(it.inj.tr, cur.at, "suspend", r.StateVar, -1)
-				q = append(q, scrHop{at: next, sp: r.Packet, hops: cur.hops + 1})
-
-			case netasm.ToEgress:
-				eg, ok := pl.cfg.Topo.PortByID(r.Packet.Hdr.OBSOut)
-				if !ok {
-					e.stats.dropped.Add(1)
-					e.observeDrop(cur.at, r.Packet.Hdr.OBSIn, -1)
-					traceHop(it.inj.tr, cur.at, "drop", "", -1)
-					continue
-				}
-				if eg.Switch == cur.at {
-					e.stats.delivered.Add(1)
-					e.observe(cur.at, r.Packet.Hdr.OBSIn, eg.ID)
-					it.inj.deliver(Delivery{Port: eg.ID, Packet: r.Packet.Pkt})
-					traceHop(it.inj.tr, cur.at, "deliver", "", eg.ID)
-					continue
-				}
-				next, li, err := nextHopLink(pl.cfg, cur.at, r.Packet, eg.Switch)
-				if err != nil {
-					e.fail(err)
-					continue
-				}
-				if e.linkDead(pl.cfg.Topo.Links[li]) {
-					e.stats.dropped.Add(1)
-					e.observeDrop(cur.at, r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut)
-					traceHop(it.inj.tr, cur.at, "drop", "", r.Packet.Hdr.OBSOut)
-					continue
-				}
-				e.stats.hops.Add(1)
-				e.load[cur.at].forwarded.Add(1)
-				traceHop(it.inj.tr, cur.at, "forward", "", r.Packet.Hdr.OBSOut)
-				q = append(q, scrHop{at: next, sp: r.Packet, hops: cur.hops + 1})
-			}
-		}
-	}
 }
 
 // reconcile converges every worker replica by asking each worker goroutine

@@ -4,7 +4,7 @@
 // the packet loop nothing — the hot path keeps bumping the same atomics
 // it always did, and aggregation happens only when something scrapes
 // /metrics or takes a JSON snapshot. The only live instruments are the
-// per-variable lock-wait histograms (fed from step's already-slow
+// per-variable lock-wait histograms (fed from the visit's already-slow
 // contended path) and the link-duration histogram (control plane only).
 package dataplane
 

@@ -103,24 +103,42 @@ func TestEngineTraceSampling(t *testing.T) {
 	}
 }
 
+// settleGoroutines samples the goroutine count until it stops falling:
+// goroutines that have been told to exit get a moment to do so.
+func settleGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		time.Sleep(5 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m >= n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
+
+// checkGoroutinesBack fails the test unless the goroutine count returns to
+// base (taken with settleGoroutines before the engines were built).
+func checkGoroutinesBack(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("goroutines leaked across engine lifecycles: %d before, %d after\n%s",
+			base, n, buf[:runtime.Stack(buf, true)])
+	}
+}
+
 // TestEngineCloseNoGoroutineLeak: every engine lifecycle — locks,
 // state-compute replication, mirror replication, and a mid-life failover —
 // winds all its goroutines (switch pools, SCR appliers, the mirror
 // drainer) down on Close, and Close is idempotent.
 func TestEngineCloseNoGoroutineLeak(t *testing.T) {
-	settle := func() int {
-		n := runtime.NumGoroutine()
-		for i := 0; i < 200; i++ {
-			time.Sleep(5 * time.Millisecond)
-			if m := runtime.NumGoroutine(); m >= n {
-				return n
-			} else {
-				n = m
-			}
-		}
-		return n
-	}
-	base := settle()
+	base := settleGoroutines()
 
 	// Locks discipline.
 	{
@@ -175,15 +193,7 @@ func TestEngineCloseNoGoroutineLeak(t *testing.T) {
 		eng.Close()
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		buf := make([]byte, 1<<20)
-		t.Fatalf("goroutines leaked across engine lifecycles: %d before, %d after\n%s",
-			base, n, buf[:runtime.Stack(buf, true)])
-	}
+	checkGoroutinesBack(t, base)
 }
 
 // TestEngineInjectSteadyStateAllocs: with telemetry registered and

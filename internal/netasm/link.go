@@ -206,7 +206,6 @@ type Linked struct {
 	owns    map[string]bool
 	locals  []string       // local table id → variable name, sorted
 	localID map[string]int // inverse of locals, shared by every switch
-	maxFor  int
 
 	// Link-time facts consumed by the engine's execution-mode selection
 	// (see Diagnostics, WriteActs, ReplicationBlockers).
@@ -239,10 +238,6 @@ func (lp *Linked) ReplicationBlockers() []string { return lp.repBlocks }
 // VarSpace returns the space the program was linked against.
 func (lp *Linked) VarSpace() *VarSpace { return lp.vs }
 
-// MaxFork is the widest multicast fork, precomputed at link time
-// (Program.MaxFork scans the instruction stream).
-func (lp *Linked) MaxFork() int { return lp.maxFor }
-
 // entryPC resolves an xFDD node id to its pc, -1 when the program has no
 // entry for it.
 func (lp *Linked) entryPC(node int) int {
@@ -256,7 +251,7 @@ func (lp *Linked) entryPC(node int) int {
 // Every switch of one plane must link against the same space: pending
 // writes carry variable ids between switches.
 func Link(p *Program, vs *VarSpace, owns map[string]bool) *Linked {
-	lp := &Linked{Prog: p, vs: vs, owns: owns, maxFor: 1}
+	lp := &Linked{Prog: p, vs: vs, owns: owns}
 	// Local tables: everything the switch owns, plus any variable its
 	// local state instructions touch anyway — compiler-emitted programs
 	// only reference owned variables there, but the interpreter tolerated
@@ -350,9 +345,6 @@ func Link(p *Program, vs *VarSpace, owns map[string]bool) *Linked {
 			li.seqs = make([]int32, len(ins.Seqs))
 			for i, s := range ins.Seqs {
 				li.seqs[i] = int32(s)
-			}
-			if len(ins.Seqs) > lp.maxFor {
-				lp.maxFor = len(ins.Seqs)
 			}
 		}
 		if li.slowIdx != nil {

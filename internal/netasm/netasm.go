@@ -92,21 +92,6 @@ type Program struct {
 	EntryOf map[int]int
 }
 
-// MaxFork returns the widest multicast fork in the program, at least 1.
-// One packet entering a switch can leave as at most MaxFork copies, which
-// bounds how much a batch can amplify in flight — the concurrent engine
-// sizes its bounded link channels with it. (Linked programs carry this
-// precomputed: Linked.MaxFork.)
-func (p *Program) MaxFork() int {
-	max := 1
-	for _, ins := range p.Instrs {
-		if ins.Op == OpFork && len(ins.Seqs) > max {
-			max = len(ins.Seqs)
-		}
-	}
-	return max
-}
-
 // String disassembles the program.
 func (p *Program) String() string {
 	var b strings.Builder
@@ -349,9 +334,6 @@ func NewLinkedSwitch(id int, lp *Linked) *Switch {
 		tables:   make([]state.Table, len(lp.locals)),
 	}
 }
-
-// MaxFork returns the widest multicast fork of the linked program.
-func (sw *Switch) MaxFork() int { return sw.lp.MaxFork() }
 
 // LockVars lists the state variables a Run may touch, sorted: everything
 // the switch owns. Local branch/write instructions only ever reference

@@ -122,8 +122,13 @@ func New(fields map[Field]values.Value) Packet {
 	return p
 }
 
-// Field returns the value of f (values.None if unset).
-func (p Packet) Field(f Field) values.Value {
+// Field returns the value of f (values.None if unset). The receiver is a
+// pointer because a Packet is 800 bytes and the switch VM reads one field
+// per branch instruction: with a value receiver every read copied the
+// packet (16–26 % of a ctl-enterprise benchmark run sat in duffcopy), and
+// the copy's speed followed the parity of the stack pointer, so
+// ns_per_packet moved ±15 % with the depth of the caller's frames.
+func (p *Packet) Field(f Field) values.Value {
 	if !f.Valid() {
 		return values.None
 	}
