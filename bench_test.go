@@ -9,16 +9,13 @@ package snap_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
-	"time"
 
 	"snap"
 	"snap/internal/apps"
 	"snap/internal/bench"
 	"snap/internal/core"
 	"snap/internal/parser"
-	"snap/internal/rules"
 	"snap/internal/topo"
 	"snap/internal/traffic"
 	"snap/internal/xfdd"
@@ -292,118 +289,6 @@ func BenchmarkEvalSemantics(b *testing.B) {
 	}
 }
 
-// BenchmarkDataplaneInject measures distributed data-plane packet
-// processing on the compiled campus deployment (per-packet cost including
-// multi-switch traversal).
-func BenchmarkDataplaneInject(b *testing.B) {
-	network := snap.Campus(1000)
-	program := snap.Then(snap.Assumption(6), snap.Then(snap.DNSTunnelDetect(), snap.AssignEgress(6)))
-	dep, err := snap.Compile(program, network, snap.Gravity(network, 100, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		port := 1 + rng.Intn(6)
-		p := snap.NewPacket(map[snap.Field]snap.Value{
-			snap.Inport:   snap.Int(int64(port)),
-			snap.SrcIP:    snap.IPv4(10, 0, byte(port), byte(1+rng.Intn(3))),
-			snap.DstIP:    snap.IPv4(10, 0, byte(1+rng.Intn(6)), 2),
-			snap.SrcPort:  snap.Int(53),
-			snap.DstPort:  snap.Int(9999),
-			snap.DNSRData: snap.IPv4(10, 0, 4, 4),
-		})
-		if _, err := dep.Inject(port, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDataplaneThroughput measures the concurrent engine's
-// packets/sec on the campus monitor workload, swept over worker counts
-// and with sharding off/on — the Go-benchmark twin of `snapbench -exp
-// throughput`. On a single-core host the worker axis measures scheduling
-// overhead only; run on >=4 cores for the parallel-speedup comparison.
-func BenchmarkDataplaneThroughput(b *testing.B) {
-	network := snap.Campus(1000)
-	tm := snap.Gravity(network, 100, 1)
-	trace := bench.ReplayIngress(tm.Replay(4096, 7))
-	for _, sharded := range []bool{false, true} {
-		policy, err := bench.MonitorWorkload(sharded, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Heuristic placement, matching bench.Throughput exactly so the
-		// two harnesses measure the same deployment.
-		dep, err := snap.Compile(policy, network, tm, snap.WithHeuristicOptimizer())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, workers := range bench.ThroughputWorkers() {
-			b.Run(fmt.Sprintf("sharded=%v/workers=%d", sharded, workers), func(b *testing.B) {
-				eng := dep.Engine(snap.EngineOptions{Workers: workers, SwitchWorkers: 2, Window: 256})
-				defer eng.Close()
-				b.ResetTimer()
-				start := time.Now()
-				for done := 0; done < b.N; done += len(trace) {
-					n := len(trace)
-					if rest := b.N - done; rest < n {
-						n = rest
-					}
-					if err := eng.InjectReplay(trace[:n]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if el := time.Since(start).Seconds(); el > 0 {
-					b.ReportMetric(float64(b.N)/el, "pps")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkReconfig measures the engine's epoch swap in isolation: with a
-// warm (stateful) engine, ApplyConfig alternates between two compiled
-// configurations of the campus monitor workload — drain to quiescence,
-// migrate the state tables to their owners under the incoming placement,
-// publish the new plane. The Go-benchmark twin of `snapbench -exp
-// reconfig`, which additionally reports the cold-restart comparison.
-func BenchmarkReconfig(b *testing.B) {
-	network := snap.Campus(1000)
-	tmA := snap.Gravity(network, 100, 1)
-	tmB := snap.Gravity(network, 100, 2)
-	for _, sharded := range []bool{false, true} {
-		sharded := sharded
-		b.Run(fmt.Sprintf("sharded=%v", sharded), func(b *testing.B) {
-			policy, err := bench.MonitorWorkload(sharded, 6)
-			if err != nil {
-				b.Fatal(err)
-			}
-			depA, err := snap.Compile(policy, network, tmA, snap.WithHeuristicOptimizer())
-			if err != nil {
-				b.Fatal(err)
-			}
-			depB, err := depA.Replace(tmB)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng := depA.Engine(snap.EngineOptions{Workers: 4, SwitchWorkers: 2, Window: 256})
-			defer eng.Close()
-			if err := eng.InjectReplay(bench.ReplayIngress(tmA.Replay(4096, 7))); err != nil {
-				b.Fatal(err)
-			}
-			cfgs := []*rules.Config{depB.Config(), depA.Config()}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := eng.ApplyConfig(cfgs[i%2], nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPlacementST isolates the joint placement-and-routing solve on a
 // mid-size topology.
 func BenchmarkPlacementST(b *testing.B) {
@@ -444,49 +329,5 @@ func BenchmarkPlacementTE(b *testing.B) {
 		if _, err := model.SolveTE(mapping, order, st.Placement); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFailover measures the full controller-driven recovery from a
-// switch kill under replicated state placement: degraded-topology
-// recompile + replica promotion + hot swap. Each iteration kills the
-// counter's owner on a freshly warmed engine.
-func BenchmarkFailover(b *testing.B) {
-	network := snap.Campus(1000)
-	tm := snap.Gravity(network, 100, 1)
-	policy, err := bench.MonitorWorkload(false, 6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dep, err := snap.Compile(policy, network, tm, snap.WithHeuristicOptimizer(), snap.WithReplication(2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	owner := dep.Placement()["count"]
-	im, err := dep.AssessFailure(snap.SwitchFailure(owner))
-	if err != nil {
-		b.Fatal(err)
-	}
-	warm := bench.ReplayIngress(tm.Restrict(im.Degraded).Replay(2048, 7))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		eng := dep.Engine(snap.EngineOptions{Workers: 4, SwitchWorkers: 2, Window: 256})
-		ctl := dep.Controller(eng, snap.ControllerOptions{})
-		if err := eng.InjectReplay(warm); err != nil {
-			b.Fatal(err)
-		}
-		eng.FlushReplication()
-		b.StartTimer()
-		rep, err := ctl.Failover(snap.SwitchFailure(owner))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if rep.LostEntries != 0 {
-			b.Fatalf("lost %d entries", rep.LostEntries)
-		}
-		eng.Close()
-		b.StartTimer()
 	}
 }

@@ -1,30 +1,78 @@
 // Command snapbench regenerates the paper's evaluation tables and figures
-// (§6.2). Each experiment prints the same rows/series the paper reports;
-// absolute times reflect this machine, shapes are what to compare (see
-// EXPERIMENTS.md).
+// (§6.2) and the repo's exact-count experiments. Each experiment prints the
+// same rows/series the paper reports; absolute times reflect this machine,
+// shapes are what to compare (see EXPERIMENTS.md). Packet and
+// reconfiguration timings are not taken here: they are snapmark's
+// (benchmark/), which checks its outputs and documents its spread.
 //
 // Usage:
 //
 //	snapbench -exp table5 -scale full
 //	snapbench -exp all    -scale ci
-//	snapbench -exp all    -scale ci -json BENCH.json
+//	snapbench -exp all    -scale ci -json report.json
 //
 // With -json, the rows of every experiment run are also written to the
-// given file as a machine-readable report (durations in nanoseconds), so
-// successive revisions have a perf trajectory to compare against.
+// given file as a machine-readable report (durations in nanoseconds).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"snap/internal/bench"
 	"snap/internal/telemetry"
 )
+
+// experiment is one entry of the table below: -exp <name> prints the title
+// and the formatted rows, and -json stores the rows under the name.
+type experiment struct {
+	name, title string
+	run         func(bench.Scale) (rows any, text string, err error)
+}
+
+// entry pairs an experiment's row function with the formatter of its row
+// type, so the table cannot print one experiment's rows with another's.
+func entry[R any](name, title string, rows func(bench.Scale) (R, error), format func(R) string) experiment {
+	return experiment{name, title, func(s bench.Scale) (any, string, error) {
+		r, err := rows(s)
+		return r, format(r), err
+	}}
+}
+
+// experiments is the whole list: the usage string, -exp all and the
+// unknown-experiment error are all read from it.
+var experiments = []experiment{
+	entry("table3", "Table 3: applications written in SNAP",
+		func(bench.Scale) ([]bench.Table3Row, error) { return bench.Table3() }, bench.FormatTable3),
+	entry("table4", "Table 4: compiler phases per scenario", bench.Table4Rows, bench.FormatTable4),
+	entry("table5", "Table 5: evaluated topologies", bench.Table5, bench.FormatTable5),
+	entry("table6", "Table 6: phase runtimes, DNS-tunnel-detect with routing", bench.Table6, bench.FormatTable6),
+	entry("fig9", "Figure 9: compilation time per scenario", bench.Table6, bench.FormatFig9),
+	entry("fig10", "Figure 10: scaling with topology size", bench.Fig10, bench.FormatFig10),
+	entry("fig11", "Figure 11: scaling with composed policies", bench.Fig11, bench.FormatFig11),
+	entry("policy", "Policy delta: incremental PolicyChange vs cold recompile of the same edit",
+		bench.PolicyDelta, bench.FormatPolicyDelta),
+	entry("failover", "Failover: mid-stream switch kill, replicated vs unreplicated state",
+		bench.Failover, bench.FormatFailover),
+	entry("chaos", "Chaos soak: sustained throughput under churn + scheduled failures",
+		bench.Chaos, bench.FormatChaos),
+}
+
+// names lists the experiments as the -exp flag accepts them.
+func names() string {
+	ns := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		ns = append(ns, e.name)
+	}
+	return strings.Join(append(ns, "all"), "|")
+}
 
 // report is the machine-readable counterpart of the printed tables.
 type report struct {
@@ -35,12 +83,23 @@ type report struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table3|table4|table5|table6|fig9|fig10|fig11|policy|throughput|scale|hotpath|reconfig|failover|chaos|all")
-	scaleName := flag.String("scale", "ci", "scale preset: ci|full")
-	cpu := flag.Int("cpu", 0, "GOMAXPROCS for the throughput and scale experiments (0 = host default); 1-core rows are always emitted alongside")
-	jsonPath := flag.String("json", "", "also write the collected rows as JSON to this file (e.g. BENCH.json)")
-	telemetryAddr := flag.String("telemetry", "", "serve process metrics and /debug/pprof on this address while the experiments run")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintf(os.Stderr, "snapbench: %v\n", err)
+		}
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("snapbench", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment: "+names())
+	scaleName := fs.String("scale", "ci", "scale preset: ci|full")
+	jsonPath := fs.String("json", "", "also write the collected rows as JSON to this file")
+	telemetryAddr := fs.String("telemetry", "", "serve process metrics and /debug/pprof on this address while the experiments run")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *telemetryAddr != "" {
 		// The experiments build their engines internally, so this registry
@@ -48,164 +107,46 @@ func main() {
 		// endpoint for profiling a long bench run.
 		srv, err := telemetry.Serve(*telemetryAddr, telemetry.NewRegistry())
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		defer srv.Close()
-		fmt.Printf("telemetry: %s/debug/pprof/\n", srv.URL())
+		fmt.Fprintf(stdout, "telemetry: %s/debug/pprof/\n", srv.URL())
 	}
 
 	scale := bench.CI
 	if *scaleName == "full" {
 		scale = bench.Full
 	}
-
 	rep := report{
 		Scale:       scale.Name,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		Experiments: map[string]any{},
 	}
-
-	run := func(name string) error {
-		switch name {
-		case "table3":
-			rows, err := bench.Table3()
-			if err != nil {
-				return err
-			}
-			rep.Experiments[name] = rows
-			fmt.Printf("== Table 3: applications written in SNAP ==\n%s\n", bench.FormatTable3(rows))
-		case "table4":
-			rows, err := bench.Table4Rows(scale)
-			if err != nil {
-				return err
-			}
-			rep.Experiments[name] = rows
-			fmt.Printf("== Table 4: compiler phases per scenario ==\n%s\n", bench.FormatTable4(rows))
-		case "table5":
-			rows, err := bench.Table5(scale)
-			if err != nil {
-				return err
-			}
-			rep.Experiments[name] = rows
-			fmt.Printf("== Table 5: evaluated topologies (scale=%s) ==\n%s\n", scale.Name, bench.FormatTable5(rows))
-		case "table6":
-			rows, err := bench.Table6(scale)
-			if err != nil {
-				return err
-			}
-			rep.Experiments[name] = rows
-			fmt.Printf("== Table 6: phase runtimes, DNS-tunnel-detect with routing (scale=%s) ==\n%s\n",
-				scale.Name, bench.FormatTable6(rows))
-		case "fig9":
-			rows, err := bench.Table6(scale)
-			if err != nil {
-				return err
-			}
-			rep.Experiments[name] = rows
-			fmt.Printf("== Figure 9: compilation time per scenario (scale=%s) ==\n%s\n",
-				scale.Name, bench.FormatFig9(rows))
-		case "fig10":
-			rows, err := bench.Fig10(scale)
-			if err != nil {
-				return err
-			}
-			rep.Experiments[name] = rows
-			fmt.Printf("== Figure 10: scaling with topology size (scale=%s) ==\n%s\n",
-				scale.Name, bench.FormatFig10(rows))
-		case "fig11":
-			rows, err := bench.Fig11(scale)
-			if err != nil {
-				return err
-			}
-			rep.Experiments[name] = rows
-			fmt.Printf("== Figure 11: scaling with composed policies (scale=%s) ==\n%s\n",
-				scale.Name, bench.FormatFig11(rows))
-		case "policy":
-			rows, err := bench.PolicyDelta(scale)
-			if err != nil {
-				return err
-			}
-			rep.Experiments[name] = rows
-			fmt.Printf("== Policy delta: incremental PolicyChange vs cold recompile of the same edit (scale=%s) ==\n%s\n",
-				scale.Name, bench.FormatPolicyDelta(rows))
-		case "throughput":
-			rows, err := bench.ThroughputCPUs(scale, *cpu)
-			if err != nil {
-				return err
-			}
-			rep.Experiments[name] = rows
-			fmt.Printf("== Data-plane throughput: campus monitor workload, concurrent engine (scale=%s) ==\n%s\n",
-				scale.Name, bench.FormatThroughput(rows))
-		case "scale":
-			rows, err := bench.ScaleMatrix(scale, *cpu)
-			if err != nil {
-				return err
-			}
-			rep.Experiments[name] = rows
-			fmt.Printf("== Multi-core scaling: lock vs replication discipline, unsharded monitor (scale=%s) ==\n%s\n",
-				scale.Name, bench.FormatScale(rows))
-		case "hotpath":
-			rows, err := bench.HotPath(scale)
-			if err != nil {
-				return err
-			}
-			rep.Experiments[name] = rows
-			fmt.Printf("== Compiled fast path: single-core replay vs committed baseline + bare switch visit (scale=%s) ==\n%s\n",
-				scale.Name, bench.FormatHotPath(rows))
-		case "reconfig":
-			rows, err := bench.Reconfig(scale)
-			if err != nil {
-				return err
-			}
-			rep.Experiments[name] = rows
-			fmt.Printf("== Live reconfiguration: hot swap vs cold restart, campus monitor workload (scale=%s) ==\n%s\n",
-				scale.Name, bench.FormatReconfig(rows))
-		case "chaos":
-			rows, err := bench.Chaos(scale)
-			if err != nil {
-				return err
-			}
-			rep.Experiments[name] = rows
-			fmt.Printf("== Chaos soak: sustained throughput under churn + scheduled failures (scale=%s) ==\n%s\n",
-				scale.Name, bench.FormatChaos(rows))
-		case "failover":
-			rows, err := bench.Failover(scale)
-			if err != nil {
-				return err
-			}
-			rep.Experiments[name] = rows
-			fmt.Printf("== Failover: mid-stream switch kill, replicated vs unreplicated state (scale=%s) ==\n%s\n",
-				scale.Name, bench.FormatFailover(rows))
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		return nil
-	}
-
-	names := []string{*exp}
-	if *exp == "all" {
-		names = []string{"table3", "table4", "table5", "table6", "fig9", "fig10", "fig11", "policy", "throughput", "scale", "hotpath", "reconfig", "failover", "chaos"}
-	}
-	for _, n := range names {
-		if err := run(n); err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: %s: %v\n", n, err)
-			os.Exit(1)
+		rows, text, err := e.run(scale)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
+		rep.Experiments[e.name] = rows
+		fmt.Fprintf(stdout, "== %s (scale=%s) ==\n%s\n", e.title, scale.Name, text)
+	}
+	if len(rep.Experiments) == 0 {
+		return fmt.Errorf("unknown experiment %q (want %s)", *exp, names())
 	}
 
 	if *jsonPath != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: marshal report: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("marshal report: %w", err)
 		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: write %s: %v\n", *jsonPath, err)
-			os.Exit(1)
+		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
+			return fmt.Errorf("write report: %w", err)
 		}
-		fmt.Printf("wrote %s (%d experiments, scale=%s)\n", *jsonPath, len(rep.Experiments), rep.Scale)
+		fmt.Fprintf(stdout, "wrote %s (%d experiments, scale=%s)\n", *jsonPath, len(rep.Experiments), rep.Scale)
 	}
+	return nil
 }

@@ -1,23 +1,83 @@
 // The compiled fast path's public guarantees: the steady-state switch
 // visit costs no heap allocation, and stays that way (regression-pinned
-// with testing.AllocsPerRun). See internal/bench/hotpath.go for the
-// experiment these share a harness with and EXPERIMENTS.md for the
-// methodology.
+// with testing.AllocsPerRun). The same visit inside a running engine is
+// snapmark's netasm.visit_ns row (benchmark/); see EXPERIMENTS.md.
 package snap_test
 
 import (
+	"fmt"
 	"testing"
 
-	"snap/internal/bench"
+	"snap/internal/apps"
+	"snap/internal/core"
 	"snap/internal/netasm"
+	"snap/internal/pkt"
+	"snap/internal/place"
+	"snap/internal/syntax"
+	"snap/internal/topo"
+	"snap/internal/traffic"
+	"snap/internal/values"
 )
+
+// firewallVisit builds the steady-state stateful-firewall visit: the
+// switch owning the firewall's state, warmed with the flow's entry, and
+// an inside→outside packet whose visit re-writes that entry and assigns
+// the egress — the per-packet work of §5's compiled plane with zero
+// suspends.
+func firewallVisit() (*netasm.Switch, netasm.SimPacket, error) {
+	t := topo.Campus(1000)
+	tm := traffic.Gravity(t, 100, 1)
+	fw, ok := apps.ByName("stateful-firewall")
+	if !ok {
+		return nil, netasm.SimPacket{}, fmt.Errorf("stateful-firewall app missing")
+	}
+	policy := syntax.Then(
+		apps.Assumption(6),
+		syntax.Then(fw.MustPolicy(), apps.AssignEgress(6)),
+	)
+	comp, err := core.ColdStart(policy, t, tm, place.Options{Method: place.Heuristic})
+	if err != nil {
+		return nil, netasm.SimPacket{}, err
+	}
+	cfg := comp.Config
+	owner, ok := cfg.Placement["established"]
+	if !ok {
+		return nil, netasm.SimPacket{}, fmt.Errorf("no placement for established")
+	}
+	sc := cfg.Switches[owner]
+	sw := netasm.NewLinkedSwitch(int(owner), netasm.Link(sc.Prog, cfg.VarSpace(), sc.Owns))
+
+	p := pkt.New(map[pkt.Field]values.Value{
+		pkt.Inport:  values.Int(6),
+		pkt.SrcIP:   values.IPv4(10, 0, 6, 1),
+		pkt.DstIP:   values.IPv4(10, 0, 2, 9),
+		pkt.SrcPort: values.Int(4242),
+		pkt.DstPort: values.Int(80),
+	})
+	sp := netasm.SimPacket{
+		Pkt: p,
+		Hdr: netasm.Header{
+			OBSIn:  6,
+			OBSOut: -1,
+			Node:   cfg.RootID,
+			Seq:    -1,
+			Phase:  netasm.PhaseEval,
+		},
+	}
+	// Warm the flow entry so the measured visit overwrites in place (the
+	// steady state) instead of inserting.
+	if _, err := sw.Run(sp); err != nil {
+		return nil, netasm.SimPacket{}, err
+	}
+	return sw, sp, nil
+}
 
 // BenchmarkSwitchRun measures one steady-state stateful-firewall visit on
 // the switch owning the firewall state: the full per-packet work of the
 // compiled plane — branch dispatch, dense state read/overwrite, egress
 // assignment — with the engine stripped away.
 func BenchmarkSwitchRun(b *testing.B) {
-	sw, sp, err := bench.FirewallVisit()
+	sw, sp, err := firewallVisit()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,7 +100,7 @@ func BenchmarkSwitchRun(b *testing.B) {
 // allocate (first-insert of a state entry, multicast overflow) and what
 // is not.
 func TestSwitchRunZeroAlloc(t *testing.T) {
-	sw, sp, err := bench.FirewallVisit()
+	sw, sp, err := firewallVisit()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +113,7 @@ func TestSwitchRunZeroAlloc(t *testing.T) {
 		scratch = rs
 	}
 	visit() // size the scratch before measuring
-	if bench.RaceEnabled {
+	if raceEnabled {
 		// Under the race detector the instrumentation itself allocates;
 		// the visit still runs (exercising the scratch-reuse paths for
 		// race detection), only the exact-zero assertion is skipped.

@@ -18,10 +18,12 @@ import (
 
 	"snap/internal/apps"
 	"snap/internal/core"
+	"snap/internal/pkt"
 	"snap/internal/place"
 	"snap/internal/syntax"
 	"snap/internal/topo"
 	"snap/internal/traffic"
+	"snap/internal/xfdd"
 )
 
 // Scale presets the experiment sizes.
@@ -135,6 +137,22 @@ type Table6Row struct {
 	Demands int
 }
 
+// scenarios runs the three recompilation scenarios of Table 4 and Figure 9
+// on one lineage: a cold start of policy, a PolicyChange to edited and a
+// TopoTMChange to the shifted matrix. edited must be a genuine edit: a
+// structurally identical policy hits the no-op short-circuit and measures
+// nothing.
+func scenarios(policy, edited syntax.Policy, t *topo.Topology, tm, shifted traffic.Matrix) (cold, policyRun, teRun *core.Compilation, err error) {
+	if cold, err = core.ColdStart(policy, t, tm, place.Options{Method: place.Heuristic}); err != nil {
+		return nil, nil, nil, err
+	}
+	if policyRun, err = cold.PolicyChange(edited); err != nil {
+		return nil, nil, nil, err
+	}
+	teRun, err = cold.TopoTMChange(shifted)
+	return cold, policyRun, teRun, err
+}
+
 // RunTopology compiles the DNS tunnel workload on one topology and times
 // every phase and scenario.
 func RunTopology(t *topo.Topology, s Scale) (Table6Row, error) {
@@ -142,18 +160,7 @@ func RunTopology(t *topo.Topology, s Scale) (Table6Row, error) {
 	policy := dnsTunnelPolicy(ports)
 	tm := traffic.Gravity(t, s.Traffic, 1)
 
-	cold, err := core.ColdStart(policy, t, tm, place.Options{Method: place.Heuristic})
-	if err != nil {
-		return Table6Row{}, err
-	}
-	// The PolicyChange scenario recompiles a genuine single-fragment edit
-	// (a structurally identical policy would hit the no-op short-circuit
-	// and measure nothing).
-	policyRun, err := cold.PolicyChange(dnsTunnelPolicyEdited(ports))
-	if err != nil {
-		return Table6Row{}, err
-	}
-	teRun, err := cold.TopoTMChange(traffic.Gravity(t, s.Traffic, 2))
+	cold, policyRun, teRun, err := scenarios(policy, dnsTunnelPolicyEdited(ports), t, tm, traffic.Gravity(t, s.Traffic, 2))
 	if err != nil {
 		return Table6Row{}, err
 	}
@@ -272,6 +279,12 @@ type Fig11Row struct {
 // parallel, each guarded to affect traffic destined to a separate egress
 // port, sequenced with assign-egress.
 func ComposedPolicy(k, ports int) (syntax.Policy, error) {
+	return composedPolicy(k, ports, false)
+}
+
+// composedPolicy is ComposedPolicy, with the ACL fragment (policy.go)
+// prepended to the middle member program when edited is set.
+func composedPolicy(k, ports int, edited bool) (syntax.Policy, error) {
 	cat := apps.All()
 	if k > len(cat) {
 		k = len(cat)
@@ -282,7 +295,10 @@ func ComposedPolicy(k, ports int) (syntax.Policy, error) {
 		if err != nil {
 			return nil, err
 		}
-		guard := syntax.FieldEq(dstIPField(), apps.Subnet(1+i%ports))
+		if edited && i == k/2 {
+			p = syntax.Then(aclFragment(), p)
+		}
+		guard := syntax.FieldEq(pkt.DstIP, apps.Subnet(1+i%ports))
 		parts = append(parts, syntax.Then(guard, p))
 	}
 	return syntax.Then(syntax.Par(parts...), apps.AssignEgress(ports)), nil
@@ -300,21 +316,13 @@ func Fig11(s Scale) ([]Fig11Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		cold, err := core.ColdStart(policy, t, tm, place.Options{Method: place.Heuristic})
-		if err != nil {
-			return nil, fmt.Errorf("fig11 k=%d: %w", k, err)
-		}
 		edited, err := ComposedPolicyEdited(k, ports)
 		if err != nil {
 			return nil, err
 		}
-		policyRun, err := cold.PolicyChange(edited)
+		cold, policyRun, teRun, err := scenarios(policy, edited, t, tm, traffic.Gravity(t, s.Traffic, 2))
 		if err != nil {
-			return nil, err
-		}
-		teRun, err := cold.TopoTMChange(traffic.Gravity(t, s.Traffic, 2))
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fig11 k=%d: %w", k, err)
 		}
 		rows = append(rows, Fig11Row{
 			Policies:  k,
@@ -357,15 +365,7 @@ func Table4Rows(s Scale) ([]Table4Row, error) {
 	t := topo.IGen(12, s.Capacity)
 	policy := dnsTunnelPolicy(len(t.Ports))
 	tm := traffic.Gravity(t, s.Traffic, 1)
-	cold, err := core.ColdStart(policy, t, tm, place.Options{Method: place.Heuristic})
-	if err != nil {
-		return nil, err
-	}
-	policyRun, err := cold.PolicyChange(dnsTunnelPolicyEdited(len(t.Ports)))
-	if err != nil {
-		return nil, err
-	}
-	teRun, err := cold.TopoTMChange(tm)
+	cold, policyRun, teRun, err := scenarios(policy, dnsTunnelPolicyEdited(len(t.Ports)), t, tm, tm)
 	if err != nil {
 		return nil, err
 	}
@@ -394,17 +394,12 @@ func Table4Rows(s Scale) ([]Table4Row, error) {
 
 // FormatTable4 renders the checkmark matrix in the paper's layout.
 func FormatTable4(rows []Table4Row) string {
-	mark := func(x bool) string {
-		if x {
-			return "x"
-		}
-		return "-"
-	}
+	mark := map[bool]string{true: "x", false: "-"}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-28s %-12s %-12s %-10s\n", "Phase", "Topo/TM", "PolicyChg", "ColdStart")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-28s %-12s %-12s %-10s\n",
-			r.Phase, mark(r.TopoTM), mark(r.PolicyChg), mark(r.ColdStart))
+			r.Phase, mark[r.TopoTM], mark[r.PolicyChg], mark[r.ColdStart])
 	}
 	return b.String()
 }
@@ -436,11 +431,11 @@ func Table3() ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		comp, err := compileOnly(p)
+		d, order, err := xfdd.Translate(p)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
-		rows = append(rows, Table3Row{Name: a.Name, Group: a.Group, StateVars: comp.vars, XFDD: comp.size})
+		rows = append(rows, Table3Row{Name: a.Name, Group: a.Group, StateVars: len(order.Pos), XFDD: d.Size()})
 	}
 	return rows, nil
 }
@@ -453,19 +448,6 @@ func FormatTable3(rows []Table3Row) string {
 		fmt.Fprintf(&b, "%-22s %-9s %6d %6d\n", r.Name, r.Group, r.StateVars, r.XFDD)
 	}
 	return b.String()
-}
-
-type compiled struct {
-	vars int
-	size int
-}
-
-func compileOnly(p syntax.Policy) (compiled, error) {
-	d, order, err := translate(p)
-	if err != nil {
-		return compiled{}, err
-	}
-	return compiled{vars: len(order.Pos), size: d.Size()}, nil
 }
 
 func fd(d time.Duration) string {

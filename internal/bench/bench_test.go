@@ -194,36 +194,3 @@ func TestTable4Matrix(t *testing.T) {
 		}
 	}
 }
-
-// TestReconfigCI runs the hot-swap vs cold-restart experiment at CI scale
-// and checks its defining invariants: the hot swap preserves every warm
-// state entry while the cold restart by construction preserves none.
-func TestReconfigCI(t *testing.T) {
-	rows, err := Reconfig(CI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("want 4 rows (2 modes x sharded off/on), got %d", len(rows))
-	}
-	for _, r := range rows {
-		switch r.Mode {
-		case "hot-swap":
-			if r.Preserved == 0 {
-				t.Errorf("hot-swap sharded=%v preserved no state entries", r.Sharded)
-			}
-			if r.Divergence <= 0 {
-				t.Errorf("hot-swap sharded=%v fired without divergence", r.Sharded)
-			}
-			if r.Swap <= 0 || r.Recompile <= 0 {
-				t.Errorf("hot-swap sharded=%v missing timings: %+v", r.Sharded, r)
-			}
-		case "cold-restart":
-			if r.Preserved != 0 {
-				t.Errorf("cold-restart sharded=%v claims %d preserved entries", r.Sharded, r.Preserved)
-			}
-		default:
-			t.Errorf("unknown mode %q", r.Mode)
-		}
-	}
-}

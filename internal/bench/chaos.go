@@ -1,9 +1,9 @@
 // Sustained throughput under churn: what the engine delivers while the
 // chaos harness (internal/chaos) runs its full schedule against it —
 // policy edits, workload shifts, a failure/failover/restore episode, drift
-// reconfigurations — instead of the clean steady-state replay the
-// throughput experiment measures. One row per execution discipline, plus a
-// mirrored-state row showing what K=2 fault tolerance costs the same soak.
+// reconfigurations — instead of the clean steady-state replay snapmark
+// times. One row per execution discipline, plus a mirrored-state row
+// showing what K=2 fault tolerance costs the same soak.
 package bench
 
 import (

@@ -55,24 +55,7 @@ func dnsTunnelPolicyWith(ports int, stage syntax.Policy) syntax.Policy {
 // to one member program (the middle slot) — the Figure 11 workload's
 // single-fragment edit.
 func ComposedPolicyEdited(k, ports int) (syntax.Policy, error) {
-	cat := apps.All()
-	if k > len(cat) {
-		k = len(cat)
-	}
-	edit := k / 2
-	var parts []syntax.Policy
-	for i := 0; i < k; i++ {
-		p, err := cat[i].Policy()
-		if err != nil {
-			return nil, err
-		}
-		if i == edit {
-			p = syntax.Then(aclFragment(), p)
-		}
-		guard := syntax.FieldEq(dstIPField(), apps.Subnet(1+i%ports))
-		parts = append(parts, syntax.Then(guard, p))
-	}
-	return syntax.Then(syntax.Par(parts...), apps.AssignEgress(ports)), nil
+	return composedPolicy(k, ports, true)
 }
 
 // PolicyDeltaRow compares the delta and cold compilations of the same

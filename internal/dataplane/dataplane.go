@@ -54,7 +54,7 @@ func New(cfg *rules.Config) *Network {
 	n := &Network{pl: newPlane(cfg)}
 	n.fab.init(cfg, 0, nil)
 	n.pl.switches = make(map[topo.NodeID]*netasm.Switch, len(cfg.Switches))
-	linked, _, _ := linkPrograms(cfg, map[linkKey]*netasm.Linked{})
+	linked, _, _ := linkPrograms(cfg, nil)
 	for id, lp := range linked {
 		n.pl.switches[id] = netasm.NewLinkedSwitch(int(id), lp)
 	}
@@ -72,27 +72,26 @@ type linkKey struct {
 // linkPrograms links every switch's program against the configuration's
 // shared variable space, linking each distinct (program, ownership)
 // combination once — a fleet of stateless switches links exactly one
-// image. Images already in cache are recalled instead of linked (the
-// engine passes its cross-epoch cache, everyone else a fresh map); reused
-// and fresh count this call's distinct images by where they came from.
-func linkPrograms(cfg *rules.Config, cache map[linkKey]*netasm.Linked) (out map[topo.NodeID]*netasm.Linked, reused, fresh int) {
+// image. Images found in cache are recalled instead of linked (the engine
+// passes its cross-epoch cache, everyone else nil); images holds this
+// call's distinct images, fresh of them linked here.
+func linkPrograms(cfg *rules.Config, cache map[linkKey]*netasm.Linked) (out map[topo.NodeID]*netasm.Linked, images map[linkKey]*netasm.Linked, fresh int) {
 	vs := cfg.VarSpace()
-	seen := map[linkKey]*netasm.Linked{}
+	images = map[linkKey]*netasm.Linked{}
 	out = make(map[topo.NodeID]*netasm.Linked, len(cfg.Switches))
 	for id, sc := range cfg.Switches {
 		k := linkKey{prog: sc.Prog, owns: rules.OwnsKey(sc.Owns)}
-		lp, ok := seen[k]
+		lp, ok := images[k]
 		if !ok {
 			if lp, ok = cache[k]; !ok {
 				lp = netasm.Link(sc.Prog, vs, sc.Owns)
-				cache[k] = lp
 				fresh++
 			}
-			seen[k] = lp
+			images[k] = lp
 		}
 		out[id] = lp
 	}
-	return out, len(seen) - fresh, fresh
+	return out, images, fresh
 }
 
 // Inject sends one packet into the network at an OBS ingress port and runs

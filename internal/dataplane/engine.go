@@ -328,12 +328,17 @@ type Engine struct {
 	// switch whose program pointer, ownership set and variable-name space
 	// survive a reconfiguration reuses its linked image at the epoch gate,
 	// so a hot swap re-links only the dirty switches' programs. The cache
-	// resets when the variable-name space changes (linked images bake in
+	// holds the images of the plane last built (linkLast) and of the one
+	// before it, so an edit and its revert both stay warm while the images
+	// of older planes, and the programs they pin, are released; it resets
+	// when the variable-name space changes (linked images bake in
 	// VarSpace ids, which are valid across epochs only for an identical
-	// name set). Mutated only under the gate (buildPlane callers); the
-	// counters are atomics so LinkStats can be read concurrently.
+	// name set). Replaced, never mutated, and only under the gate
+	// (buildPlane callers); the counters are atomics so LinkStats can be
+	// read concurrently.
 	linkSig    string
 	linkCache  map[linkKey]*netasm.Linked
+	linkLast   map[linkKey]*netasm.Linked
 	linkReused atomic.Int64
 	linkFresh  atomic.Int64
 
@@ -430,13 +435,20 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 func (e *Engine) linkCached(cfg *rules.Config) map[topo.NodeID]*netasm.Linked {
 	t0 := time.Now()
 	defer func() { e.linkSeconds.Observe(int64(time.Since(t0))) }()
-	if sig := cfg.VarSpace().Signature(); e.linkCache == nil || sig != e.linkSig {
-		e.linkCache = map[linkKey]*netasm.Linked{}
-		e.linkSig = sig
+	if sig := cfg.VarSpace().Signature(); sig != e.linkSig {
+		e.linkSig, e.linkCache, e.linkLast = sig, nil, nil
 	}
-	out, reused, fresh := linkPrograms(cfg, e.linkCache)
-	e.linkReused.Add(int64(reused))
+	out, images, fresh := linkPrograms(cfg, e.linkCache)
+	e.linkReused.Add(int64(len(images) - fresh))
 	e.linkFresh.Add(int64(fresh))
+	cache := make(map[linkKey]*netasm.Linked, len(images)+len(e.linkLast))
+	for k, lp := range e.linkLast {
+		cache[k] = lp
+	}
+	for k, lp := range images {
+		cache[k] = lp
+	}
+	e.linkCache, e.linkLast = cache, images
 	return out
 }
 
@@ -502,13 +514,21 @@ func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
 }
 
 // Close stops the switch goroutines. The engine must be quiescent (no
-// InjectBatch/InjectStream in progress).
+// InjectBatch/InjectStream in progress). The snapshot readers keep working
+// afterwards: under the replication discipline the replicas converge here
+// one last time, while their workers still run, and nothing publishes after
+// that, so worker 0 stays canonical. The gate is held so a concurrent
+// reader or reconfiguration either finishes before the workers stop or
+// starts after closed is set.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return
 	}
+	e.gate.pause()
+	defer e.gate.resume()
+	e.reconcile(e.plane.Load())
 	e.closed.Store(true)
 	for _, ch := range e.inbox {
 		close(ch)
@@ -834,8 +854,8 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 // the state re-seat — against data the old plane never reads, so an error
 // anywhere aborts with the engine exactly as it was. The one piece of
 // engine state buildPlane touches, the cross-epoch link cache, is
-// snapshotted and restored on failure (a half-populated cache keyed to an
-// abandoned VarSpace must not leak into the next attempt). A panic in any
+// snapshotted and restored on failure (a cache rebuilt around an abandoned
+// plane or VarSpace must not leak into the next attempt). A panic in any
 // stage is contained here and rolls back like an error. No goroutines are
 // started for the tentative plane (buildPlane/buildSCR and newReplicator
 // guarantee that), so abandoning it leaks nothing.
@@ -844,13 +864,13 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 // failure stages — rewrite, link, reseed — for tests and the chaos
 // harness.
 func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, global *state.Store) (next *plane, newRep *replicator, err error) {
-	prevSig, prevCache := e.linkSig, e.linkCache
+	prevSig, prevCache, prevLast := e.linkSig, e.linkCache, e.linkLast
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("dataplane: contained panic during reconfiguration: %v\n%s", v, debug.Stack())
 		}
 		if err != nil {
-			e.linkSig, e.linkCache = prevSig, prevCache
+			e.linkSig, e.linkCache, e.linkLast = prevSig, prevCache, prevLast
 			next, newRep = nil, nil
 		}
 	}()

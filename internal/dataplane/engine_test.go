@@ -10,12 +10,17 @@ import (
 	"testing"
 
 	"snap/internal/apps"
+	"snap/internal/core"
+	"snap/internal/ctrl"
 	"snap/internal/dataplane"
 	"snap/internal/pkt"
+	"snap/internal/place"
+	"snap/internal/rules"
 	"snap/internal/shard"
 	"snap/internal/state"
 	"snap/internal/syntax"
 	"snap/internal/topo"
+	"snap/internal/traffic"
 	"snap/internal/values"
 )
 
@@ -479,6 +484,47 @@ func TestEngineApplyConfigMigratesState(t *testing.T) {
 	}
 	if n := countSum(eng.GlobalState()); n != 2*int64(len(batch)) {
 		t.Fatalf("count sum after swap %d, want %d", n, 2*len(batch))
+	}
+}
+
+// TestLinkCacheStaysBounded: the cross-epoch link cache holds the images of
+// the plane in service and of the one before it. Every edit here compiles a
+// new diagram, so every swap links new images; without eviction the cache,
+// and through it every program the lineage ever generated, grows per edit.
+func TestLinkCacheStaysBounded(t *testing.T) {
+	netw := topo.Campus(1000)
+	tm := traffic.Gravity(netw, 100, 1)
+	policy := func(i int) syntax.Policy {
+		acl := syntax.Cond(syntax.FieldEq(pkt.SrcPort, values.Int(int64(7000+i))), syntax.Nothing(), syntax.Id())
+		return campusWorkload(syntax.Then(apps.DNSTunnelDetect(), acl))
+	}
+	images := func(cfg *rules.Config) int {
+		distinct := map[string]bool{}
+		for _, sc := range cfg.Switches {
+			distinct[fmt.Sprintf("%p/%s", sc.Prog, rules.OwnsKey(sc.Owns))] = true
+		}
+		return len(distinct)
+	}
+	comp, err := core.ColdStart(policy(0), netw, tm, place.Options{Method: place.Heuristic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
+	defer eng.Close()
+	ctl := ctrl.New(comp, eng, ctrl.Options{})
+	previous := images(comp.Config)
+	for i := 1; i <= 10; i++ {
+		if _, err := ctl.ApplyPolicy(policy(i)); err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		current := images(ctl.Compilation().Config)
+		if n := eng.LinkCacheLen(); n > current+previous {
+			t.Fatalf("edit %d: link cache holds %d images, the last two planes have %d", i, n, current+previous)
+		}
+		previous = current
+	}
+	if _, linked := eng.LinkStats(); linked < 10 {
+		t.Fatalf("ten edits linked %d images: the bound was never exercised", linked)
 	}
 }
 

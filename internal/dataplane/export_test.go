@@ -13,3 +13,7 @@ func (e *Engine) WalkQueueCaps() []int {
 	}
 	return caps
 }
+
+// LinkCacheLen reports how many linked images the cross-epoch cache holds.
+// Callers hold the engine quiescent.
+func (e *Engine) LinkCacheLen() int { return len(e.linkCache) }

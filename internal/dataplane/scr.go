@@ -161,7 +161,7 @@ func collectDiags(linked map[topo.NodeID]*netasm.Linked) []string {
 // LinkDiagnostics links a configuration's programs and returns the plane's
 // link-time diagnostics without building an engine (snapsim -v, tooling).
 func LinkDiagnostics(cfg *rules.Config) []string {
-	linked, _, _ := linkPrograms(cfg, map[linkKey]*netasm.Linked{})
+	linked, _, _ := linkPrograms(cfg, nil)
 	return collectDiags(linked)
 }
 
@@ -465,9 +465,10 @@ func (wk *scrWorker) process(it *item) {
 // service the request immediately, and one pass converges every replica —
 // in particular worker 0's, which the control-plane readers treat as the
 // canonical state. The ack channel also orders the workers' table writes
-// before the caller's reads.
+// before the caller's reads. On a closed engine the workers are gone and
+// there is nothing to ask: Close converged them before it stopped them.
 func (e *Engine) reconcile(pl *plane) {
-	if pl == nil || pl.scr == nil {
+	if pl == nil || pl.scr == nil || e.closed.Load() {
 		return
 	}
 	for _, wk := range pl.scr.workers {

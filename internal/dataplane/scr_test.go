@@ -5,13 +5,16 @@
 package dataplane_test
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"snap/internal/apps"
 	"snap/internal/dataplane"
 	"snap/internal/pkt"
+	"snap/internal/state"
 	"snap/internal/syntax"
 	"snap/internal/topo"
 	"snap/internal/values"
@@ -180,4 +183,68 @@ func TestLockContentionCounters(t *testing.T) {
 	}
 	// The replication discipline's entire point: same workload, zero lock
 	// suspends (asserted hard in TestReplicatedConvergenceUnderLoad).
+}
+
+// TestSnapshotAfterClose: the control-plane readers keep working on a
+// closed engine and read what they read before it closed. Under the
+// replication discipline Close stops the worker goroutines that reconcile
+// asks to drain, so a reader that still asked would block forever with the
+// admission gate paused, and every later reader behind it.
+func TestSnapshotAfterClose(t *testing.T) {
+	policy := campusWorkload(apps.Monitor())
+	netw := topo.Campus(1000)
+	for _, replication := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			replication, workers := replication, workers
+			t.Run(fmt.Sprintf("replication=%v/workers=%d", replication, workers), func(t *testing.T) {
+				plane, _ := deploy(t, policy, netw, nil)
+				eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
+					Workers: workers, SwitchWorkers: 1, StateReplication: replication,
+				})
+				defer eng.Close()
+				if replication && eng.ExecMode() != dataplane.ModeReplication {
+					t.Fatalf("monitor refused replication: %v", eng.ReplicationFallback())
+				}
+				rng := rand.New(rand.NewSource(11))
+				trace := make([]dataplane.Ingress, 300)
+				for i := range trace {
+					port, p := campusPacket(rng)
+					trace[i] = dataplane.Ingress{Port: port, Packet: p}
+				}
+				if err := eng.InjectReplay(trace); err != nil {
+					t.Fatal(err)
+				}
+				before := eng.GlobalState()
+				if len(before.Vars()) == 0 {
+					t.Fatal("replay wrote no state")
+				}
+				owner := plane.Config().Placement["count"]
+				eng.Close()
+
+				type snapshot struct {
+					global, table *state.Store
+					audit         error
+				}
+				done := make(chan snapshot, 1)
+				go func() {
+					done <- snapshot{eng.GlobalState(), eng.SwitchTable(owner), eng.AuditReplicas()}
+				}()
+				select {
+				case after := <-done:
+					if !after.global.Equal(before) {
+						t.Fatalf("state read after Close differs\nbefore:\n%s\nafter:\n%s", before, after.global)
+					}
+					if len(after.table.Entries("count")) != len(before.Entries("count")) {
+						t.Fatalf("owner table after Close holds %d entries, want %d",
+							len(after.table.Entries("count")), len(before.Entries("count")))
+					}
+					if after.audit != nil {
+						t.Fatal(after.audit)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("snapshot after Close did not return")
+				}
+			})
+		}
+	}
 }

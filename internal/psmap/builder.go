@@ -1,10 +1,12 @@
 // Builder: packet-state mapping with cross-build memoization for the
 // delta compilation path. A mapping is a pure function of (diagram root,
 // OBS ports); hash-consed roots make pointer identity structural
-// identity, so an edit that cycles back to a previously seen diagram
-// (e.g. rotating policy variants) resolves to its cached mapping without
-// a walk, and the per-leaf fact cache is shared across builds because
-// edited diagrams overwhelmingly reuse the old diagram's leaves.
+// identity, so an edit that cycles back to the diagram built before it
+// (an edit and its revert) resolves to its cached mapping without a walk,
+// and a build recalls per-leaf facts from the builds it keeps because
+// edited diagrams overwhelmingly reuse the old diagram's leaves. A port
+// set keeps its last two builds: older mappings and leaf facts, and the
+// translator stores their diagram pointers pin, are released.
 package psmap
 
 import (
@@ -21,11 +23,18 @@ type Builder struct {
 	buckets map[string]*builderBucket
 }
 
-// builderBucket holds the caches for one OBS port set.
+// builderBucket holds the caches for one OBS port set: the build of the
+// diagram last asked for, then the one before it.
 type builderBucket struct {
-	ports    []int
+	ports  []int
+	builds [2]*build
+}
+
+// build is one cached mapping with the facts of the leaves its walk met.
+type build struct {
+	root     *xfdd.Diagram
+	result   *Mapping
 	leafInfo map[*xfdd.Diagram][]leafEntry
-	results  map[*xfdd.Diagram]*Mapping
 }
 
 // NewBuilder returns an empty builder.
@@ -48,23 +57,43 @@ func (bl *Builder) Build(d *xfdd.Diagram, ports []int) *Mapping {
 
 	bk := bl.buckets[key]
 	if bk == nil {
-		bk = &builderBucket{
-			ports:    sorted,
-			leafInfo: map[*xfdd.Diagram][]leafEntry{},
-			results:  map[*xfdd.Diagram]*Mapping{},
-		}
+		bk = &builderBucket{ports: sorted}
 		bl.buckets[key] = bk
 	}
-	if m, ok := bk.results[d]; ok {
-		return m
+	for i, kept := range bk.builds {
+		if kept != nil && kept.root == d {
+			bk.builds[0], bk.builds[i] = kept, bk.builds[0] // most recent first
+			return kept.result
+		}
 	}
 
 	m := &Mapping{
 		Vars: map[[2]int]map[string]bool{},
 		All:  map[string]bool{},
 	}
-	b := &builder{m: m, allPorts: bk.ports, leafInfo: bk.leafInfo}
+	b := &builder{m: m, allPorts: bk.ports, leafInfo: map[*xfdd.Diagram][]leafEntry{}}
+	for _, kept := range bk.builds {
+		if kept != nil {
+			b.warm = append(b.warm, kept.leafInfo)
+		}
+	}
 	b.walk(d, newPortSet(bk.ports), nil)
-	bk.results[d] = m
+	bk.builds = [2]*build{{root: d, result: m, leafInfo: b.leafInfo}, bk.builds[0]}
 	return m
+}
+
+// CachedBuilds reports the largest number of builds any port set holds;
+// the bound tests read it.
+func (bl *Builder) CachedBuilds() int {
+	most := 0
+	for _, bk := range bl.buckets {
+		n := 0
+		for _, kept := range bk.builds {
+			if kept != nil {
+				n++
+			}
+		}
+		most = max(most, n)
+	}
+	return most
 }

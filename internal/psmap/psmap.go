@@ -114,11 +114,13 @@ func Build(d *xfdd.Diagram, ports []int) *Mapping {
 	return m
 }
 
-// builder carries the walk's memoized per-leaf facts.
+// builder carries the walk's memoized per-leaf facts: leafInfo for the
+// leaves this walk has met, warm for those of earlier walks a Builder kept.
 type builder struct {
 	m        *Mapping
 	allPorts []int
 	leafInfo map[*xfdd.Diagram][]leafEntry
+	warm     []map[*xfdd.Diagram][]leafEntry
 }
 
 // leafEntry caches what one leaf sequence contributes: the state variables
@@ -131,6 +133,12 @@ type leafEntry struct {
 func (b *builder) entriesOf(leaf *xfdd.Diagram) []leafEntry {
 	if e, ok := b.leafInfo[leaf]; ok {
 		return e
+	}
+	for _, w := range b.warm {
+		if e, ok := w[leaf]; ok {
+			b.leafInfo[leaf] = e
+			return e
+		}
 	}
 	entries := make([]leafEntry, len(leaf.Seqs))
 	for i, seq := range leaf.Seqs {

@@ -4,9 +4,12 @@
 // deciding which state tests are real branches and which are suspend
 // stubs — so the program cache keys on exactly that pair. Hash-consed
 // roots make pointer identity structural identity: a policy edit that
-// cycles back to a previously compiled diagram (or a placement change
+// cycles back to the diagram compiled before it (or a placement change
 // that leaves the diagram alone) reuses every cached program, and the
-// node numbering is recalled instead of rebuilt.
+// node numbering is recalled instead of rebuilt. Both caches hold the
+// diagram last generated and the one before it, so an edit and its revert
+// stay warm while older diagrams, and the translator stores their pointers
+// pin, are released.
 package rules
 
 import (
@@ -38,6 +41,9 @@ type numbering struct {
 // Generator compiles per-switch configurations, caching work that
 // survives recompilation. Not safe for concurrent use.
 type Generator struct {
+	// roots are the diagrams the caches below are keyed on: the one last
+	// generated, then the one before it (nil until there is one).
+	roots      [2]*xfdd.Diagram
 	numberings map[*xfdd.Diagram]numbering
 	progs      map[progKey]compiledProg
 	spTopo     *topo.Topology
@@ -78,6 +84,7 @@ func (g *Generator) Generate(d *xfdd.Diagram, t *topo.Topology, placement map[st
 		}
 	}
 
+	g.retain(d)
 	num, ok := g.numberings[d]
 	if !ok {
 		ids, count := numberNodes(d)
@@ -160,6 +167,38 @@ func (g *Generator) Generate(d *xfdd.Diagram, t *topo.Topology, placement map[st
 		}
 	}
 	return cfg, nil
+}
+
+// retain makes d the most recent root and evicts what was cached for any
+// root but d and the one generated before it.
+func (g *Generator) retain(d *xfdd.Diagram) {
+	if d == g.roots[0] {
+		return
+	}
+	evicted := g.roots[1]
+	g.roots = [2]*xfdd.Diagram{d, g.roots[0]}
+	if evicted == nil || evicted == d {
+		return
+	}
+	delete(g.numberings, evicted)
+	for k := range g.progs {
+		if k.root == evicted {
+			delete(g.progs, k)
+		}
+	}
+}
+
+// CachedRoots reports how many diagram roots the program and numbering
+// caches hold entries for; the bound tests read it.
+func (g *Generator) CachedRoots() int {
+	roots := map[*xfdd.Diagram]bool{}
+	for d := range g.numberings {
+		roots[d] = true
+	}
+	for k := range g.progs {
+		roots[k.root] = true
+	}
+	return len(roots)
 }
 
 // DiffSwitches compares two configurations switch by switch and returns
