@@ -161,7 +161,12 @@ func Compile(p Policy, t *Topology, tm TrafficMatrix, options ...CompileOption) 
 	for _, o := range options {
 		o(&cfg)
 	}
-	comp, err := core.ColdStart(p, t, tm, cfg.opts)
+	return deploy(core.ColdStart(p, t, tm, cfg.opts))
+}
+
+// deploy instantiates the sequential data plane of a compilation that
+// succeeded: the tail of Compile and of every recompilation scenario.
+func deploy(comp *core.Compilation, err error) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -234,22 +239,14 @@ func (d *Deployment) XFDDSize() int { return d.comp.Diagram.Size() }
 // Recompile compiles a new policy on the same network, reusing the
 // optimization model (the paper's "policy change" scenario).
 func (d *Deployment) Recompile(p Policy) (*Deployment, error) {
-	comp, err := d.comp.PolicyChange(p)
-	if err != nil {
-		return nil, err
-	}
-	return &Deployment{comp: comp, plane: dataplane.New(comp.Config)}, nil
+	return deploy(d.comp.PolicyChange(p))
 }
 
 // Reroute re-optimizes routing for a new traffic matrix with placement
 // kept (the paper's "topology/TM change" scenario). State table contents
 // are not carried over; the returned deployment starts fresh.
 func (d *Deployment) Reroute(tm TrafficMatrix) (*Deployment, error) {
-	comp, err := d.comp.TopoTMChange(tm)
-	if err != nil {
-		return nil, err
-	}
-	return &Deployment{comp: comp, plane: dataplane.New(comp.Config)}, nil
+	return deploy(d.comp.TopoTMChange(tm))
 }
 
 // Replace re-optimizes placement AND routing jointly for a new traffic
@@ -259,11 +256,7 @@ func (d *Deployment) Reroute(tm TrafficMatrix) (*Deployment, error) {
 // reconfigure a live engine without losing state, use Controller /
 // Engine.ApplyConfig instead.
 func (d *Deployment) Replace(tm TrafficMatrix) (*Deployment, error) {
-	comp, err := d.comp.TopoTMReplace(tm)
-	if err != nil {
-		return nil, err
-	}
-	return &Deployment{comp: comp, plane: dataplane.New(comp.Config)}, nil
+	return deploy(d.comp.TopoTMReplace(tm))
 }
 
 // Failover recompiles this deployment for the surviving network after a
@@ -278,11 +271,7 @@ func (d *Deployment) Failover(ev FailureEvent) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	comp, err := d.comp.TopoFailover(degraded, d.comp.Demands)
-	if err != nil {
-		return nil, err
-	}
-	return &Deployment{comp: comp, plane: dataplane.New(comp.Config)}, nil
+	return deploy(d.comp.TopoFailover(degraded, d.comp.Demands))
 }
 
 // AssessFailure reports what a failure event would cost this deployment:

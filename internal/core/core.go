@@ -43,7 +43,9 @@ func (t PhaseTimes) Total() time.Duration {
 }
 
 // Compilation is the output of a pipeline run: every intermediate artifact
-// plus the phase timings.
+// plus the phase timings. A ColdStart and every compilation derived from it
+// form a lineage that shares one set of caches, none of them safe for
+// concurrent use: derive from a lineage on one goroutine at a time.
 type Compilation struct {
 	Policy  syntax.Policy
 	Topo    *topo.Topology
@@ -67,8 +69,8 @@ type Compilation struct {
 	// scenarios): the path taken and the reuse counters.
 	Delta *DeltaReport
 
-	// delta is the lineage's persistent cache bundle (see delta.go),
-	// propagated through every recompilation scenario.
+	// delta is the lineage's persistent cache bundle (see delta.go), which
+	// every recompilation scenario compiles through and hands on.
 	delta *deltaState
 }
 
@@ -79,43 +81,8 @@ func ColdStart(p syntax.Policy, t *topo.Topology, demands traffic.Matrix, opts p
 	// through them with everything empty — same work as the one-shot
 	// entry points, but the fragment memo, mapping caches and program
 	// cache come out primed for the first PolicyChange.
-	ds := newDeltaState()
-	c := &Compilation{Policy: p, Topo: t, Demands: demands, Opts: opts, Scenario: "coldstart", delta: ds}
-
-	start := time.Now()
-	c.Order = deps.OrderOf(p)
-	c.Times.P1Deps = time.Since(start)
-
-	start = time.Now()
-	d, err := ds.translator(c.Order).TranslateMemo(p)
-	if err != nil {
-		return nil, err
-	}
-	c.Diagram = d
-	c.Times.P2XFDD = time.Since(start)
-
-	start = time.Now()
-	c.Mapping = ds.builder.Build(d, t.PortIDs())
-	c.Times.P3Map = time.Since(start)
-
-	start = time.Now()
-	c.Model = place.NewModel(t, demands, opts)
-	c.Times.P4Model = time.Since(start)
-
-	start = time.Now()
-	c.Result, err = c.Model.SolveST(c.Mapping, c.Order)
-	if err != nil {
-		return nil, err
-	}
-	c.Times.P5Solve = time.Since(start)
-
-	start = time.Now()
-	c.Config, err = ds.gen.Generate(d, t, c.Result.Placement, c.Result.Replicas, c.Result.Routes)
-	if err != nil {
-		return nil, err
-	}
-	c.Times.P6Rules = time.Since(start)
-	return c, nil
+	seed := &Compilation{Opts: opts, delta: newDeltaState()}
+	return seed.derive(change{scenario: "coldstart", policy: p, topo: t, demands: demands, solve: solveST})
 }
 
 // PolicyChange compiles a new policy against an existing deployment. The
@@ -143,127 +110,22 @@ func (c *Compilation) PolicyChange(p syntax.Policy) (*Compilation, error) {
 		n.Delta = &DeltaReport{Scenario: "noop"}
 		return &n, nil
 	}
-
-	ds := c.delta
-	n := &Compilation{
-		Policy:   p,
-		Topo:     c.Topo,
-		Demands:  c.Demands,
-		Opts:     c.Opts,
-		Model:    c.Model,
-		Scenario: "delta",
-		delta:    ds,
-	}
-	rep := &DeltaReport{Scenario: "delta"}
-	n.Delta = rep
-
-	start := time.Now()
-	n.Order = deps.OrderOf(p)
-	diff := syntax.DiffPolicies(c.Policy, p)
-	var dirty map[string]bool
-	rep.DirtyVars, dirty = dirtyVars(diff)
-	n.Times.P1Deps = time.Since(start)
-
-	start = time.Now()
-	tr := ds.translator(n.Order)
-	mark, before := tr.Store().Watermark(), tr.Store().ApplyStats()
-	d, err := tr.TranslateMemo(p)
-	if err != nil {
-		return nil, err
-	}
-	n.Diagram = d
-	rep.ReusedNodes, rep.FreshNodes = xfdd.ReuseOf(d, mark)
-	after := tr.Store().ApplyStats()
-	rep.Contexts = after.Contexts - before.Contexts
-	rep.ApplyHits, rep.ApplyMisses = after.Hits-before.Hits, after.Misses-before.Misses
-	n.Times.P2XFDD = time.Since(start)
-
-	start = time.Now()
-	n.Mapping = ds.builder.Build(d, c.Topo.PortIDs())
-	n.Times.P3Map = time.Since(start)
-
-	start = time.Now()
-	n.Result, err = n.Model.SolveSTWarm(n.Mapping, n.Order, c.Result.Placement, dirty)
-	if err != nil {
-		return nil, err
-	}
-	rep.PinnedGroups, rep.MovedGroups = n.Result.PinnedGroups, n.Result.MovedGroups
-	n.Times.P5Solve = time.Since(start)
-
-	start = time.Now()
-	n.Config, err = ds.gen.Generate(d, c.Topo, n.Result.Placement, n.Result.Replicas, n.Result.Routes)
-	if err != nil {
-		return nil, err
-	}
-	rep.ReusedPrograms, rep.CompiledPrograms = ds.gen.ReusedPrograms, ds.gen.CompiledPrograms
-	rep.DirtySwitches = rules.DiffSwitches(c.Config, n.Config)
-	n.Times.P6Rules = time.Since(start)
-	return n, nil
+	return c.derive(change{scenario: "delta", policy: p, solve: solveSTWarm})
 }
 
-// ColdPolicy is the non-incremental policy-change path: the previous
-// PolicyChange body, kept as the fallback for non-delta lineages and as
-// the equivalence oracle the delta path is fuzz-tested against. It reuses
-// only the optimization model; every program-analysis phase runs from
-// scratch.
+// ColdPolicy is the non-incremental policy-change path, kept as the
+// fallback for non-delta lineages and as the equivalence oracle the delta
+// path is fuzz-tested against. It reuses only the optimization model; every
+// program-analysis phase runs from scratch, over the cache-free functions
+// and never the lineage's.
 func (c *Compilation) ColdPolicy(p syntax.Policy) (*Compilation, error) {
-	n := &Compilation{
-		Policy:   p,
-		Topo:     c.Topo,
-		Demands:  c.Demands,
-		Opts:     c.Opts,
-		Model:    c.Model,
-		Scenario: "policy_cold",
-		delta:    c.delta,
-		Delta:    &DeltaReport{Scenario: "cold"},
-	}
-
-	start := time.Now()
-	n.Order = deps.OrderOf(p)
-	n.Times.P1Deps = time.Since(start)
-
-	start = time.Now()
-	d, err := xfdd.TranslateWithOrder(p, n.Order)
-	if err != nil {
-		return nil, err
-	}
-	n.Diagram = d
-	n.Times.P2XFDD = time.Since(start)
-
-	start = time.Now()
-	n.Mapping = psmap.Build(d, c.Topo.PortIDs())
-	n.Times.P3Map = time.Since(start)
-
-	start = time.Now()
-	n.Result, err = n.Model.SolveST(n.Mapping, n.Order)
-	if err != nil {
-		return nil, err
-	}
-	n.Times.P5Solve = time.Since(start)
-
-	start = time.Now()
-	n.Config, err = rules.GenerateReplicated(d, c.Topo, n.Result.Placement, n.Result.Replicas, n.Result.Routes)
-	if err != nil {
-		return nil, err
-	}
-	n.Times.P6Rules = time.Since(start)
-	if c.Config != nil {
-		n.Delta.DirtySwitches = rules.DiffSwitches(c.Config, n.Config)
-	}
-	return n, nil
+	return c.derive(change{scenario: "policy_cold", policy: p, solve: solveST, cold: true})
 }
 
 // TopoTMChange reacts to a network event (failure, traffic shift): state
 // placement is kept, only routing re-optimizes (TE) and rules regenerate.
 func (c *Compilation) TopoTMChange(demands traffic.Matrix) (*Compilation, error) {
-	n, err := c.topoTMRecompile(demands, func(m *place.Model) (*place.Result, error) {
-		return m.SolveTE(c.Mapping, c.Order, c.Result.Placement)
-	})
-	if err != nil {
-		return nil, err
-	}
-	n.Scenario = "topotm"
-	return n, nil
+	return c.derive(change{scenario: "topotm", demands: demands, solve: solveTE})
 }
 
 // TopoTMReplace reacts to a traffic shift large enough that keeping the
@@ -274,14 +136,7 @@ func (c *Compilation) TopoTMChange(demands traffic.Matrix) (*Compilation, error)
 // control loop (internal/ctrl) pairs it with Engine.ApplyConfig, which
 // migrates the live state tables to the new owners during the swap.
 func (c *Compilation) TopoTMReplace(demands traffic.Matrix) (*Compilation, error) {
-	n, err := c.topoTMRecompile(demands, func(m *place.Model) (*place.Result, error) {
-		return m.SolveST(c.Mapping, c.Order)
-	})
-	if err != nil {
-		return nil, err
-	}
-	n.Scenario = "replace"
-	return n, nil
+	return c.derive(change{scenario: "replace", demands: demands, solve: solveST})
 }
 
 // TopoFailover recompiles onto a degraded topology after a failure: the
@@ -293,78 +148,147 @@ func (c *Compilation) TopoTMReplace(demands traffic.Matrix) (*Compilation, error
 // are restricted away; the caller (ctrl.Controller.Failover) pairs the
 // result with Engine.Failover to promote replica state owners.
 func (c *Compilation) TopoFailover(degraded *topo.Topology, demands traffic.Matrix) (*Compilation, error) {
-	demands = demands.Restrict(degraded)
-	n := &Compilation{
-		Policy:   c.Policy,
-		Topo:     degraded,
-		Demands:  demands,
-		Opts:     c.Opts,
-		Order:    c.Order,
-		Diagram:  c.Diagram,
-		Scenario: "failover",
-		delta:    c.delta,
-	}
-
-	start := time.Now()
-	n.Mapping = psmap.Build(c.Diagram, degraded.PortIDs())
-	n.Times.P3Map = time.Since(start)
-
-	start = time.Now()
-	n.Model = place.NewModel(degraded, demands, c.Opts)
-	n.Times.P4Model = time.Since(start)
-
-	start = time.Now()
-	var err error
-	n.Result, err = n.Model.SolveST(n.Mapping, n.Order)
-	if err != nil {
-		return nil, err
-	}
-	n.Times.P5Solve = time.Since(start)
-
-	start = time.Now()
-	n.Config, err = rules.GenerateReplicated(c.Diagram, degraded, n.Result.Placement, n.Result.Replicas, n.Result.Routes)
-	if err != nil {
-		return nil, err
-	}
-	n.Times.P6Rules = time.Since(start)
-	return n, nil
+	return c.derive(change{scenario: "failover", topo: degraded, demands: demands.Restrict(degraded), solve: solveST})
 }
 
-// topoTMRecompile is the shared Topo/TM-change sequence: reuse the
-// program-analysis artifacts, refresh the model incrementally, run the
-// scenario's solve, regenerate rules.
-func (c *Compilation) topoTMRecompile(demands traffic.Matrix, solve func(*place.Model) (*place.Result, error)) (*Compilation, error) {
-	n := &Compilation{
-		Policy:  c.Policy,
-		Topo:    c.Topo,
-		Demands: demands,
-		Opts:    c.Opts,
-		Order:   c.Order,
-		Diagram: c.Diagram,
-		Mapping: c.Mapping,
-		delta:   c.delta,
-	}
+// solver names the P5 variant a derivation runs.
+type solver uint8
 
+const (
+	// solveST is the joint placement-and-routing solve.
+	solveST solver = iota
+	// solveSTWarm is solveST warm-started from the parent's placement, with
+	// only the variables an edit can have touched free to move.
+	solveSTWarm
+	// solveTE keeps the parent's placement and re-optimizes routing only.
+	solveTE
+)
+
+// change says in what a derivation's inputs differ from its parent's and
+// how it runs; an input left zero did not change.
+type change struct {
+	scenario string
+	// policy, when set, runs P1–P3 on it.
+	policy syntax.Policy
+	// topo, when set, reruns P3 over its port set and rebuilds the model
+	// (P4): shortest paths changed.
+	topo *topo.Topology
+	// demands, when set on an unchanged topology, refreshes the model
+	// incrementally inside P5.
+	demands traffic.Matrix
+	solve   solver
+	// cold runs P2, P3 and P6 over the cache-free functions instead of the
+	// lineage's deltaState.
+	cold bool
+}
+
+// timed adds one phase's wall-clock time to its PhaseTimes field; every
+// phase that runs is timed here and nowhere else.
+func timed(into *time.Duration, phase func()) {
 	start := time.Now()
-	n.Model = c.Model.Refresh(demands)
-	modelTime := time.Since(start)
-	// Refresh reuses the topology-dependent precomputation (shortest paths,
-	// port structure) and swaps only the demand-dependent terms — the "few
-	// milliseconds of incremental updates" of §6.2, accounted inside P5.
+	phase()
+	*into += time.Since(start)
+}
 
-	start = time.Now()
+// derive is the pipeline, written once: Table 4's scenarios are the subsets
+// of P1–P6 that a change to the parent's inputs makes necessary. Every
+// artifact whose inputs did not change is carried by pointer, and P2, P3
+// and P6 go through the lineage's caches unless the change asks for the
+// cold function set.
+func (c *Compilation) derive(ch change) (*Compilation, error) {
+	n := *c
+	n.Scenario, n.Times, n.Delta = ch.scenario, PhaseTimes{}, nil
+	ds := c.delta
+	cold := ch.cold || ds == nil
+	if ch.topo != nil {
+		n.Topo = ch.topo
+	}
+	if ch.demands != nil {
+		n.Demands = ch.demands
+	}
+
 	var err error
-	n.Result, err = solve(n.Model)
-	if err != nil {
-		return nil, err
+	var rep *DeltaReport
+	var dirty map[string]bool
+	if ch.policy != nil {
+		n.Policy = ch.policy
+		if c.Policy != nil {
+			rep = &DeltaReport{Scenario: ch.scenario}
+			n.Delta = rep
+		}
+		timed(&n.Times.P1Deps, func() {
+			n.Order = deps.OrderOf(n.Policy)
+			if ch.solve == solveSTWarm {
+				rep.DirtyVars, dirty = dirtyVars(syntax.DiffPolicies(c.Policy, n.Policy))
+			}
+		})
+		timed(&n.Times.P2XFDD, func() {
+			if cold {
+				n.Diagram, err = xfdd.TranslateWithOrder(n.Policy, n.Order)
+			} else {
+				n.Diagram, err = ds.translate(n.Policy, n.Order, rep)
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	n.Times.P5Solve = time.Since(start) + modelTime
 
-	start = time.Now()
-	n.Config, err = rules.GenerateReplicated(c.Diagram, c.Topo, n.Result.Placement, n.Result.Replicas, n.Result.Routes)
+	if ch.policy != nil || ch.topo != nil {
+		timed(&n.Times.P3Map, func() {
+			if cold {
+				n.Mapping = psmap.Build(n.Diagram, n.Topo.PortIDs())
+			} else {
+				n.Mapping = ds.builder.Build(n.Diagram, n.Topo.PortIDs())
+			}
+		})
+	}
+
+	if ch.topo != nil {
+		timed(&n.Times.P4Model, func() { n.Model = place.NewModel(n.Topo, n.Demands, n.Opts) })
+	}
+
+	timed(&n.Times.P5Solve, func() {
+		if ch.topo == nil && ch.demands != nil {
+			// Refresh reuses the topology-dependent precomputation (shortest
+			// paths, port structure) and swaps only the demand-dependent terms —
+			// the "few milliseconds of incremental updates" of §6.2, accounted
+			// inside P5.
+			n.Model = c.Model.Refresh(n.Demands)
+		}
+		switch ch.solve {
+		case solveTE:
+			n.Result, err = n.Model.SolveTE(n.Mapping, n.Order, c.Result.Placement)
+		case solveSTWarm:
+			n.Result, err = n.Model.SolveSTWarm(n.Mapping, n.Order, c.Result.Placement, dirty)
+		default:
+			n.Result, err = n.Model.SolveST(n.Mapping, n.Order)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	n.Times.P6Rules = time.Since(start)
-	return n, nil
+
+	timed(&n.Times.P6Rules, func() {
+		r := n.Result
+		if cold {
+			n.Config, err = rules.GenerateReplicated(n.Diagram, n.Topo, r.Placement, r.Replicas, r.Routes)
+		} else {
+			n.Config, err = ds.gen.Generate(n.Diagram, n.Topo, r.Placement, r.Replicas, r.Routes)
+		}
+		if err != nil || rep == nil {
+			return
+		}
+		rep.PinnedGroups, rep.MovedGroups = r.PinnedGroups, r.MovedGroups
+		if !cold {
+			rep.ReusedPrograms, rep.CompiledPrograms = ds.gen.ReusedPrograms, ds.gen.CompiledPrograms
+		}
+		if c.Config != nil {
+			rep.DirtySwitches = rules.DiffSwitches(c.Config, n.Config)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &n, nil
 }

@@ -41,9 +41,9 @@ import (
 // DeltaReport describes how a PolicyChange was compiled: which path it
 // took and how much prior work it reused.
 type DeltaReport struct {
-	// Scenario is "noop" (structurally identical policy, everything
-	// reused), "delta" (incremental path), or "cold" (ColdPolicy
-	// fallback).
+	// Scenario is the Compilation's own label: "noop" (structurally
+	// identical policy, everything reused), "delta" (incremental path), or
+	// "policy_cold" (ColdPolicy fallback).
 	Scenario string
 	// DirtyVars lists the state variables the edit may have affected
 	// (union of the changed fragments' variable sets), sorted.
@@ -108,6 +108,24 @@ func (ds *deltaState) translator(order *deps.Order) *xfdd.Translator {
 	}
 	ds.translators, ds.sig = kept, sig
 	return tr
+}
+
+// translate is the lineage's P2: the memoized translation of p under order.
+// With a report to fill (a policy edit, not the cold start) it also splits
+// the diagram's nodes into reused and fresh, and diffs the store's exact
+// work counters across the translation.
+func (ds *deltaState) translate(p syntax.Policy, order *deps.Order, rep *DeltaReport) (*xfdd.Diagram, error) {
+	tr := ds.translator(order)
+	mark, before := tr.Store().Watermark(), tr.Store().ApplyStats()
+	d, err := tr.TranslateMemo(p)
+	if err != nil || rep == nil {
+		return d, err
+	}
+	rep.ReusedNodes, rep.FreshNodes = xfdd.ReuseOf(d, mark)
+	after := tr.Store().ApplyStats()
+	rep.Contexts = after.Contexts - before.Contexts
+	rep.ApplyHits, rep.ApplyMisses = after.Hits-before.Hits, after.Misses-before.Misses
+	return d, nil
 }
 
 // dirtyVars computes the sorted union of state variables mentioned by any

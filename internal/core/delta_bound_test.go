@@ -107,3 +107,46 @@ func liveHeap() int64 {
 	runtime.ReadMemStats(&m)
 	return int64(m.HeapAlloc)
 }
+
+// TestReRouteReusesPrograms pins what every scenario going through the
+// lineage caches buys: a re-route changes no program, so TopoTMChange hands
+// back the parent's program pointers (the engine's link cache keys on
+// them), and TopoFailover asks the lineage's mapping builder, so coming
+// back to a port set recalls its mapping instead of walking the diagram.
+func TestReRouteReusesPrograms(t *testing.T) {
+	net := topo.Campus(1000)
+	policy := syntax.Then(apps.Assumption(6), apps.DNSTunnelDetect(), apps.AssignEgress(6))
+	cold, err := ColdStart(policy, net, traffic.Gravity(net, 100, 1), place.Options{Method: place.Heuristic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shifted, err := cold.TopoTMChange(traffic.Gravity(net, 100, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, sc := range shifted.Config.Switches {
+		if sc.Prog != cold.Config.Switches[n].Prog {
+			t.Errorf("switch %d: re-route compiled a new program", n)
+		}
+	}
+
+	edge, _ := net.PortByID(5) // an edge switch takes its port with it
+	degraded, err := net.Degrade([]topo.NodeID{edge.Switch}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed, err := shifted.TopoFailover(degraded, shifted.Demands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed.Mapping == cold.Mapping {
+		t.Fatal("failover kept the mapping of the full port set")
+	}
+	restored, err := failed.TopoFailover(net, cold.Demands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Mapping != cold.Mapping {
+		t.Error("TopoFailover back onto the full port set did not recall the lineage builder's mapping")
+	}
+}

@@ -25,7 +25,10 @@
 //	actuation    Engine.ApplyConfig (pause → drain → migrate → swap)
 //
 // Controller.Step runs one iteration; callers decide the cadence (the
-// snapsim -drift demo checks between replay chunks).
+// snapsim -drift demo checks between replay chunks). Step, Failover,
+// Restore and ApplyPolicy differ in their preconditions, in which core
+// scenario recompiles and in which engine entry point installs; the
+// decision and actuation layers between are one transaction, reconfigure.
 package ctrl
 
 import (
@@ -201,21 +204,31 @@ func (p Plan) Rewrite() dataplane.StateRewrite {
 	}
 }
 
-// Reconfig records one completed reconfiguration.
-type Reconfig struct {
+// Applied is what every completed operation reports: the result of the one
+// transaction (reconfigure) they all run.
+type Applied struct {
 	// Epoch is the engine epoch after the swap.
 	Epoch int64
+	// Plan is the migration diff old→new placement: the variables the new
+	// solve re-placed. Empty after a re-route; after a failover, moves
+	// leaving a dead switch are the promotions.
+	Plan Plan
+	// Compile is the recompilation time, the sum of the phases the
+	// operation's scenario runs (Table 4); Times has the per-phase breakdown.
+	Compile time.Duration
+	Times   core.PhaseTimes
+	// Swap is the engine install latency (ApplyConfig, Failover or Recover):
+	// drain to quiescence, migrate state, publish the new plane.
+	Swap time.Duration
+}
+
+// Reconfig records one completed drift reconfiguration. Compile is the
+// incremental recompilation (P5 + P6 on reused artifacts).
+type Reconfig struct {
+	Applied
 	// Divergence is the drift that triggered it.
 	Divergence float64
 	Mode       Mode
-	Plan       Plan
-	// Compile is the incremental recompilation time (P5 + P6 on reused
-	// artifacts); Times has the per-phase breakdown.
-	Compile time.Duration
-	Times   core.PhaseTimes
-	// Swap is the ApplyConfig latency: drain to quiescence, migrate
-	// state, publish the new plane.
-	Swap time.Duration
 }
 
 // Options configures a Controller.
@@ -285,6 +298,60 @@ func (c *Controller) Drift() (float64, bool) {
 	return c.mon.Drift(c.eng.ObservedMatrix())
 }
 
+// reconfigure is the one transaction every operation runs, and the one
+// home of state relocation: under the recovery discipline (retry/backoff,
+// circuit breaker — recovery.go) it recompiles, plans the migration from
+// the running configuration to the new one and installs it on the engine,
+// timing the install. The engine's commit of the swap is the commit point:
+// only after it does the controller's lineage advance (commitGood) and the
+// action reach telemetry, so a failed attempt has mutated nothing the next
+// attempt — or the next operation — depends on. detail says what triggered
+// the operation, for the span log.
+func (c *Controller) reconfigure(op, detail string, recompile func() (*core.Compilation, error), install func(*rules.Config, dataplane.StateRewrite) error) (*core.Compilation, Applied, error) {
+	began := time.Now()
+	var next *core.Compilation
+	var out Applied
+	err := c.withRecovery(op, func() error {
+		err := faultpoint.Hit(faultpoint.CtrlRecompile)
+		if err == nil {
+			next, err = recompile()
+		}
+		if err != nil {
+			return fmt.Errorf("ctrl: %s recompile: %w", op, err)
+		}
+		out.Plan = PlanMigration(c.comp.Config, next.Config, c.opts.Shards, c.opts.Combine)
+		start := time.Now()
+		if err := install(next.Config, out.Plan.Rewrite()); err != nil {
+			return fmt.Errorf("ctrl: %s apply: %w", op, err)
+		}
+		out.Swap = time.Since(start)
+		return nil
+	})
+	if err != nil {
+		return nil, Applied{}, err
+	}
+	c.commitGood(next)
+	out.Epoch, out.Compile, out.Times = c.eng.Epoch(), next.Times.Total(), next.Times
+	scenario := next.Scenario
+	if op == "restore" {
+		// The recompile ran core's failover scenario, but filing restores
+		// under their own label keeps the two recovery directions separable.
+		scenario = op
+	}
+	if detail != "" {
+		detail += "; "
+	}
+	c.observe(op, scenario, detail+out.Plan.String(), began, out.Times, out.Swap)
+	return next, out, nil
+}
+
+// rebase adopts a committed compilation's demands as the drift reference
+// and starts a fresh observation window.
+func (c *Controller) rebase(next *core.Compilation) {
+	c.mon.Ref = next.Demands
+	c.eng.ResetObserved()
+}
+
 // Step runs one control-loop iteration: observe, and if drift crosses the
 // threshold, recompile for the observed matrix, plan the migration and
 // hot-swap the engine. Returns nil without error when no reconfiguration
@@ -319,63 +386,29 @@ func (c *Controller) Step() (rec *Reconfig, err error) {
 	if ref := c.mon.Ref.Total(); ref > 0 {
 		demands = demands.Scale(ref / demands.Total())
 	}
-	began := time.Now()
-	var next *core.Compilation
-	var plan Plan
-	var swap time.Duration
-	err = c.withRecovery("reconfig", func() error {
-		if err := faultpoint.Hit(faultpoint.CtrlRecompile); err != nil {
-			return fmt.Errorf("ctrl: recompile: %w", err)
-		}
-		var aerr error
-		switch c.opts.Mode {
-		case RePlace:
-			next, aerr = c.comp.TopoTMReplace(demands)
-		default:
-			next, aerr = c.comp.TopoTMChange(demands)
-		}
-		if aerr != nil {
-			return fmt.Errorf("ctrl: recompile: %w", aerr)
-		}
-		plan = PlanMigration(c.comp.Config, next.Config, c.opts.Shards, c.opts.Combine)
-		start := time.Now()
-		if aerr := c.eng.ApplyConfig(next.Config, plan.Rewrite()); aerr != nil {
-			return fmt.Errorf("ctrl: apply: %w", aerr)
-		}
-		swap = time.Since(start)
-		return nil
-	})
+	next, done, err := c.reconfigure("reconfig", fmt.Sprintf("%s divergence=%.3f", c.opts.Mode, div),
+		func() (*core.Compilation, error) {
+			if c.opts.Mode == RePlace {
+				return c.comp.TopoTMReplace(demands)
+			}
+			return c.comp.TopoTMChange(demands)
+		}, c.eng.ApplyConfig)
 	if err != nil {
 		return nil, err
 	}
-	c.commitGood(next)
-	c.mon.Ref = demands
-	c.eng.ResetObserved()
-	r := Reconfig{
-		Epoch:      c.eng.Epoch(),
-		Divergence: div,
-		Mode:       c.opts.Mode,
-		Plan:       plan,
-		Compile:    next.Times.Total(),
-		Times:      next.Times,
-		Swap:       swap,
-	}
+	c.rebase(next)
+	r := Reconfig{Applied: done, Divergence: div, Mode: c.opts.Mode}
 	c.history = append(c.history, r)
-	c.observe("reconfig", next.Scenario,
-		fmt.Sprintf("%s divergence=%.3f; %s", c.opts.Mode, div, plan),
-		began, next.Times, swap)
 	return &r, nil
 }
 
-// FailoverReport records one completed controller-driven failover.
+// FailoverReport records one completed controller-driven failover. Compile
+// is the degraded-topology recompilation (P3–P6), Swap the Engine.Failover
+// drain-recover-publish latency.
 type FailoverReport struct {
+	Applied
 	// Scenario is the failure handled.
 	Scenario fault.Scenario
-	// Epoch is the engine epoch after the recovery swap.
-	Epoch int64
-	// Plan is the migration diff old→new placement; moves leaving a dead
-	// switch are the promotions.
-	Plan Plan
 	// Promoted maps each orphaned state variable recovered from a replica
 	// to its new primary owner; Recovered counts the entries restored.
 	Promoted  map[string]topo.NodeID
@@ -390,11 +423,6 @@ type FailoverReport struct {
 	// LostPorts are external ports that died with their switch; their
 	// demand is no longer served (or accepted).
 	LostPorts []int
-	// Compile is the degraded-topology recompilation time (P3–P6); Swap
-	// the Engine.Failover drain-recover-publish latency.
-	Compile time.Duration
-	Times   core.PhaseTimes
-	Swap    time.Duration
 }
 
 // Failover recovers from a failure event: it injects the failure into the
@@ -417,7 +445,6 @@ type FailoverReport struct {
 // retried recompile must see the already-degraded engine, not re-fail it).
 func (c *Controller) Failover(s fault.Scenario) (rep *FailoverReport, err error) {
 	defer c.containPanic("failover", &err)
-	began := time.Now()
 	degraded, err := c.comp.Topo.Degrade(s.Switches, s.Links)
 	if err != nil {
 		return nil, fmt.Errorf("ctrl: failover: %w", err)
@@ -435,78 +462,56 @@ func (c *Controller) Failover(s fault.Scenario) (rep *FailoverReport, err error)
 			return nil, fmt.Errorf("ctrl: failover: %w", err)
 		}
 	}
-	var lostPorts []int
-	for _, p := range c.comp.Topo.Ports {
-		if _, ok := degraded.PortByID(p.ID); !ok {
-			lostPorts = append(lostPorts, p.ID)
-		}
-	}
-	sort.Ints(lostPorts)
-
 	demands := c.mon.Ref.Restrict(degraded)
 	if len(demands) == 0 {
 		return nil, fmt.Errorf("ctrl: failover %s leaves no surviving demand pairs", s)
 	}
-	var next *core.Compilation
-	var plan Plan
+	lostPorts := portsMissing(c.comp.Topo, degraded)
 	var fs *dataplane.FailoverStats
-	var swap time.Duration
-	err = c.withRecovery("failover", func() error {
-		if err := faultpoint.Hit(faultpoint.CtrlRecompile); err != nil {
-			return fmt.Errorf("ctrl: failover recompile: %w", err)
-		}
-		var aerr error
-		if next, aerr = c.comp.TopoFailover(degraded, demands); aerr != nil {
-			return fmt.Errorf("ctrl: failover recompile: %w", aerr)
-		}
-		plan = PlanMigration(c.comp.Config, next.Config, c.opts.Shards, c.opts.Combine)
-		start := time.Now()
-		if fs, aerr = c.eng.Failover(next.Config, plan.Rewrite()); aerr != nil {
-			return fmt.Errorf("ctrl: failover apply: %w", aerr)
-		}
-		swap = time.Since(start)
-		return nil
-	})
+	next, done, err := c.reconfigure("failover", s.String(),
+		func() (*core.Compilation, error) { return c.comp.TopoFailover(degraded, demands) },
+		func(cfg *rules.Config, rewrite dataplane.StateRewrite) (err error) {
+			fs, err = c.eng.Failover(cfg, rewrite)
+			return err
+		})
 	if err != nil {
 		return nil, err
 	}
-	c.commitGood(next)
-	c.mon.Ref = next.Demands
-	c.eng.ResetObserved()
-	c.observe("failover", next.Scenario, fmt.Sprintf("%s; %s", s, plan),
-		began, next.Times, swap)
+	c.rebase(next)
 	return &FailoverReport{
+		Applied:     done,
 		Scenario:    s,
-		Epoch:       c.eng.Epoch(),
-		Plan:        plan,
 		Promoted:    fs.Promoted,
 		Recovered:   fs.Recovered,
 		LostVars:    fs.LostVars,
 		LostEntries: fs.LostEntries,
 		LostWrites:  fs.LostWrites,
 		LostPorts:   lostPorts,
-		Compile:     next.Times.Total(),
-		Times:       next.Times,
-		Swap:        swap,
 	}, nil
 }
 
-// RestoreReport records one completed controller-driven recovery.
+// portsMissing lists, sorted, the external ports of a that b lacks.
+func portsMissing(a, b *topo.Topology) []int {
+	var out []int
+	for _, p := range a.Ports {
+		if _, ok := b.PortByID(p.ID); !ok {
+			out = append(out, p.ID)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// RestoreReport records one completed controller-driven recovery. Plan may
+// move state back onto the revived switches; Compile is the
+// restored-topology recompilation (P3–P6), Swap the Engine.Recover
+// drain-reseat-publish latency.
 type RestoreReport struct {
+	Applied
 	// Scenario is the failure being recovered.
 	Scenario fault.Scenario
-	// Epoch is the engine epoch after the recovery swap.
-	Epoch int64
-	// Plan is the migration diff old→new placement (the new solve may move
-	// state back onto the revived switches).
-	Plan Plan
 	// RestoredPorts are the external ports that came back with their switch.
 	RestoredPorts []int
-	// Compile is the restored-topology recompilation time (P3–P6); Swap the
-	// Engine.Recover drain-reseat-publish latency.
-	Compile time.Duration
-	Times   core.PhaseTimes
-	Swap    time.Duration
 }
 
 // Restore is Failover's inverse: the scenario's failed switches and links
@@ -523,7 +528,6 @@ type RestoreReport struct {
 // observation window advance to the restored network.
 func (c *Controller) Restore(s fault.Scenario, demands traffic.Matrix) (rep *RestoreReport, err error) {
 	defer c.containPanic("restore", &err)
-	began := time.Now()
 	restored, err := c.comp.Topo.Recover(s.Switches, s.Links)
 	if err != nil {
 		return nil, fmt.Errorf("ctrl: restore: %w", err)
@@ -535,66 +539,27 @@ func (c *Controller) Restore(s fault.Scenario, demands traffic.Matrix) (rep *Res
 	if len(dem) == 0 {
 		return nil, fmt.Errorf("ctrl: restore %s leaves no demand pairs", s)
 	}
-	var restoredPorts []int
-	for _, p := range restored.Ports {
-		if _, ok := c.comp.Topo.PortByID(p.ID); !ok {
-			restoredPorts = append(restoredPorts, p.ID)
-		}
-	}
-	sort.Ints(restoredPorts)
-	var next *core.Compilation
-	var plan Plan
-	var swap time.Duration
-	err = c.withRecovery("restore", func() error {
-		if err := faultpoint.Hit(faultpoint.CtrlRecompile); err != nil {
-			return fmt.Errorf("ctrl: restore recompile: %w", err)
-		}
-		var aerr error
-		if next, aerr = c.comp.TopoFailover(restored, dem); aerr != nil {
-			return fmt.Errorf("ctrl: restore recompile: %w", aerr)
-		}
-		plan = PlanMigration(c.comp.Config, next.Config, c.opts.Shards, c.opts.Combine)
-		start := time.Now()
-		if _, aerr := c.eng.Recover(next.Config, plan.Rewrite(), s.Switches, s.Links); aerr != nil {
-			return fmt.Errorf("ctrl: restore apply: %w", aerr)
-		}
-		swap = time.Since(start)
-		return nil
-	})
+	restoredPorts := portsMissing(restored, c.comp.Topo)
+	next, done, err := c.reconfigure("restore", s.String(),
+		func() (*core.Compilation, error) { return c.comp.TopoFailover(restored, dem) },
+		func(cfg *rules.Config, rewrite dataplane.StateRewrite) error {
+			_, err := c.eng.Recover(cfg, rewrite, s.Switches, s.Links)
+			return err
+		})
 	if err != nil {
 		return nil, err
 	}
-	c.commitGood(next)
-	c.mon.Ref = next.Demands
-	c.eng.ResetObserved()
-	// The recompile ran core's failover scenario, but filing restores
-	// under their own label keeps the two recovery directions separable.
-	c.observe("restore", "restore", fmt.Sprintf("%s; %s", s, plan),
-		began, next.Times, swap)
-	return &RestoreReport{
-		Scenario:      s,
-		Epoch:         c.eng.Epoch(),
-		Plan:          plan,
-		RestoredPorts: restoredPorts,
-		Compile:       next.Times.Total(),
-		Times:         next.Times,
-		Swap:          swap,
-	}, nil
+	c.rebase(next)
+	return &RestoreReport{Applied: done, Scenario: s, RestoredPorts: restoredPorts}, nil
 }
 
-// PolicyReport records one completed live policy edit.
+// PolicyReport records one completed live policy edit. Compile is the
+// incremental policy recompilation (P1–P3, P5-ST, P6 on the reused model).
 type PolicyReport struct {
-	// Epoch is the engine epoch after the swap.
-	Epoch int64
-	// Plan is the migration diff: variables the new solve re-placed.
-	Plan Plan
-	// Compile is the incremental policy recompilation (P1–P3, P5-ST, P6 on
-	// the reused model); Swap the ApplyConfig latency.
-	Compile time.Duration
-	Times   core.PhaseTimes
-	Swap    time.Duration
+	Applied
 	// Delta describes how the recompilation reused prior work: the
-	// scenario it took (noop/delta/cold) and the per-phase reuse counters.
+	// scenario it took (noop/delta/policy_cold) and the per-phase reuse
+	// counters.
 	Delta *core.DeltaReport
 	// DirtySwitches lists the switches whose configuration actually
 	// changed in this edit (from the delta path's config diff; nil when
@@ -613,43 +578,15 @@ type PolicyReport struct {
 // detection keeps its evidence.
 func (c *Controller) ApplyPolicy(p syntax.Policy) (rep *PolicyReport, err error) {
 	defer c.containPanic("policy", &err)
-	began := time.Now()
-	var next *core.Compilation
-	var plan Plan
-	var swap time.Duration
-	err = c.withRecovery("policy", func() error {
-		if err := faultpoint.Hit(faultpoint.CtrlRecompile); err != nil {
-			return fmt.Errorf("ctrl: policy recompile: %w", err)
-		}
-		next2, aerr := c.comp.PolicyChange(p)
-		if aerr != nil {
-			return fmt.Errorf("ctrl: policy recompile: %w", aerr)
-		}
-		next = next2
-		plan = PlanMigration(c.comp.Config, next.Config, c.opts.Shards, c.opts.Combine)
-		start := time.Now()
-		if aerr := c.eng.ApplyConfig(next.Config, plan.Rewrite()); aerr != nil {
-			return fmt.Errorf("ctrl: policy apply: %w", aerr)
-		}
-		swap = time.Since(start)
-		return nil
-	})
+	next, done, err := c.reconfigure("policy", "",
+		func() (*core.Compilation, error) { return c.comp.PolicyChange(p) }, c.eng.ApplyConfig)
 	if err != nil {
 		return nil, err
 	}
-	c.commitGood(next)
-	rep = &PolicyReport{
-		Epoch:   c.eng.Epoch(),
-		Plan:    plan,
-		Compile: next.Times.Total(),
-		Times:   next.Times,
-		Swap:    swap,
-		Delta:   next.Delta,
-	}
+	rep = &PolicyReport{Applied: done, Delta: next.Delta}
 	if next.Delta != nil {
 		rep.DirtySwitches = next.Delta.DirtySwitches
 	}
-	c.observe("policy", next.Scenario, plan.String(), began, next.Times, swap)
 	observeDelta(c.eng.Telemetry(), next.Delta)
 	return rep, nil
 }

@@ -357,6 +357,35 @@ func TestStepSanitizesDroppedDemand(t *testing.T) {
 	}
 }
 
+// TestReRouteRelinksNothing: a drift re-route changes routes, not programs,
+// so the recompilation hands the engine the program pointers it already
+// linked and the swap links no image.
+func TestReRouteRelinksNothing(t *testing.T) {
+	netw := topo.Campus(1000)
+	policy, err := bench.MonitorWorkload(false, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := core.ColdStart(policy, netw, traffic.Gravity(netw, 100, 1), place.Options{Method: place.Heuristic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
+	defer eng.Close()
+	ctl := ctrl.New(comp, eng, ctrl.Options{Threshold: 0.15, MinSample: 500, Mode: ctrl.ReRoute})
+	if err := eng.InjectReplay(bench.ReplayIngress(traffic.Gravity(netw, 100, 2).Replay(3000, 3))); err != nil {
+		t.Fatal(err)
+	}
+	_, linked := eng.LinkStats()
+	rec, err := ctl.Step()
+	if err != nil || rec == nil {
+		t.Fatalf("shifted matrix did not reconfigure: %v, %v", rec, err)
+	}
+	if _, after := eng.LinkStats(); after != linked {
+		t.Fatalf("re-route linked %d new program image(s), want 0", after-linked)
+	}
+}
+
 // TestApplyPolicyDeltaRotation: live policy edits ride the delta path end
 // to end. Rotating A -> B -> A preserves state at each swap, reports the
 // delta scenario with its reuse counters, and on the return to A — whose

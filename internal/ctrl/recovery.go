@@ -168,7 +168,7 @@ func (r *recoveryState) breakerFor(op string) *breaker {
 // under the breaker and the retry loop. The body must be repeatable: on
 // error it must have mutated nothing the next attempt depends on — which
 // the engine's transactional apply and the commit-after-success structure
-// of the Controller methods guarantee.
+// of reconfigure guarantee.
 func (c *Controller) withRecovery(op string, body func() error) error {
 	bp := c.opts.Breaker.withDefaults()
 	r := c.rec

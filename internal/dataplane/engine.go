@@ -736,18 +736,10 @@ func (e *Engine) InjectReplay(trace []Ingress) error {
 // under the new placement is an error — fold or drop it in rewrite.
 // ApplyConfig must not race with Close.
 func (e *Engine) ApplyConfig(cfg *rules.Config, rewrite StateRewrite) error {
-	// A failed switch must stay failed in the new configuration: applying
-	// a topology that treats it as up would silently re-seat state (and
-	// route traffic) onto a dead switch. Recover through Failover first;
-	// post-failover ApplyConfig calls carry the degraded topology and
-	// pass. The port sets must still match exactly — a surviving network
-	// neither grows nor loses ports outside the failover path.
-	for n := range e.down {
-		if e.down[n].Load() && cfg.Topo.Up(topo.NodeID(n)) {
-			return fmt.Errorf("dataplane: switch %d has failed; reconfigure through Failover with a degraded-topology configuration", n)
-		}
-	}
-	if err := e.compatible(cfg, false); err != nil {
+	// Post-failover calls carry the degraded topology and pass; the port
+	// sets must still match exactly — a surviving network neither grows nor
+	// loses ports outside the failover path.
+	if err := e.admit("ApplyConfig", cfg, false, nil); err != nil {
 		return err
 	}
 	_, err := e.apply(cfg, rewrite, false, nil)
@@ -956,49 +948,54 @@ func (e *Engine) recoverOrphans(old *plane, cfg *rules.Config, global *state.Sto
 	}
 }
 
-// compatible checks a new configuration targets the engine's physical
-// network: switch IDs index the inbox map and port attachments decide
-// where injections enter, so both must be preserved across epochs. In
-// degraded mode the new topology may have *fewer* ports (a dead switch
-// takes its ports with it), but every surviving port must keep its
-// attachment; otherwise the port sets must match exactly. Mismatches
-// report the precise per-port diff — the failover path and its operators
-// need to see exactly which attachment moved, not a bare rejection.
-func (e *Engine) compatible(cfg *rules.Config, degraded bool) error {
-	t := cfg.Topo
-	cur := e.plane.Load().cfg.Topo
+// admit is the admission check in front of apply, shared by ApplyConfig,
+// Failover and Recover. A new configuration must target the engine's
+// physical network: switch IDs index the inbox map and port attachments
+// decide where injections enter, so both must be preserved across epochs.
+// A failed switch must stay failed unless this apply recovers it: a
+// topology that treats it as up would silently re-seat state (and route
+// traffic) onto a dead switch. Ports may be missing when removedOK (a dead
+// switch takes its ports with it) and may appear only on a recovering
+// switch; otherwise the port sets must match exactly. Mismatches report the
+// precise per-port diff — the failover path and its operators need to see
+// exactly which attachment moved, not a bare rejection.
+func (e *Engine) admit(op string, cfg *rules.Config, removedOK bool, recovering map[topo.NodeID]bool) error {
+	t, cur := cfg.Topo, e.plane.Load().cfg.Topo
 	if t.Switches != cur.Switches {
-		return fmt.Errorf("dataplane: ApplyConfig topology has %d switches, engine has %d", t.Switches, cur.Switches)
+		return fmt.Errorf("dataplane: %s topology has %d switches, engine has %d", op, t.Switches, cur.Switches)
 	}
-	if diff := portDiff(cur, t, degraded); diff != "" {
-		return fmt.Errorf("dataplane: ApplyConfig topology port mismatch: %s", diff)
+	for n := range e.down {
+		if s := topo.NodeID(n); e.down[n].Load() && !recovering[s] && t.Up(s) {
+			return fmt.Errorf("dataplane: %s configuration treats failed switch %d as up; recompile on the degraded topology (Failover) or bring the switch back (Recover)", op, n)
+		}
+	}
+	if diff := portDiff(cur, t, removedOK, recovering); diff != "" {
+		return fmt.Errorf("dataplane: %s topology port mismatch: %s", op, diff)
 	}
 	return nil
 }
 
 // portDiff describes how topology b's external ports differ from a's:
-// added ports, removed ports (allowed when removedOK), and re-attached
-// ports (never allowed — injections would enter at the wrong switch).
-// Empty means compatible.
-func portDiff(a, b *topo.Topology, removedOK bool) string {
-	var added, removed, moved []string
+// added ports (allowed on the switches of addedOn), removed ports (allowed
+// when removedOK), and re-attached ports (never allowed — injections would
+// enter at the wrong switch). Empty means compatible.
+func portDiff(a, b *topo.Topology, removedOK bool, addedOn map[topo.NodeID]bool) string {
+	var parts []string
 	for _, p := range b.Ports {
 		if q, ok := a.PortByID(p.ID); !ok {
-			added = append(added, fmt.Sprintf("port %d (switch %d) not on the engine's network", p.ID, p.Switch))
+			if !addedOn[p.Switch] {
+				parts = append(parts, fmt.Sprintf("port %d (switch %d) not on the engine's network, and the switch is not recovering", p.ID, p.Switch))
+			}
 		} else if q.Switch != p.Switch {
-			moved = append(moved, fmt.Sprintf("port %d attached to switch %d, engine has it on switch %d", p.ID, p.Switch, q.Switch))
+			parts = append(parts, fmt.Sprintf("port %d attached to switch %d, engine has it on switch %d", p.ID, p.Switch, q.Switch))
 		}
 	}
-	for _, p := range a.Ports {
-		if _, ok := b.PortByID(p.ID); !ok {
-			removed = append(removed, fmt.Sprintf("port %d (switch %d) missing from the new topology", p.ID, p.Switch))
-		}
-	}
-	var parts []string
-	parts = append(parts, moved...)
-	parts = append(parts, added...)
 	if !removedOK {
-		parts = append(parts, removed...)
+		for _, p := range a.Ports {
+			if _, ok := b.PortByID(p.ID); !ok {
+				parts = append(parts, fmt.Sprintf("port %d (switch %d) missing from the new topology", p.ID, p.Switch))
+			}
+		}
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, "; ")

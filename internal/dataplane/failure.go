@@ -12,7 +12,6 @@ package dataplane
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"snap/internal/rules"
 	"snap/internal/topo"
@@ -118,13 +117,8 @@ func (fs *FailoverStats) String() string {
 // switch are rejected afterwards as unknown ports, leaving the engine
 // healthy.
 func (e *Engine) Failover(cfg *rules.Config, rewrite StateRewrite) (*FailoverStats, error) {
-	if err := e.compatible(cfg, true); err != nil {
+	if err := e.admit("Failover", cfg, true, nil); err != nil {
 		return nil, err
-	}
-	for n := 0; n < cfg.Topo.Switches; n++ {
-		if e.down[n].Load() && cfg.Topo.Up(topo.NodeID(n)) {
-			return nil, fmt.Errorf("dataplane: Failover configuration treats failed switch %d as up; recompile on the degraded topology", n)
-		}
 	}
 	return e.apply(cfg, rewrite, true, nil)
 }
@@ -160,41 +154,8 @@ func (e *Engine) Recover(cfg *rules.Config, rewrite StateRewrite, switches []top
 			return nil, fmt.Errorf("dataplane: Recover: link %d-%d is not failed", l[0], l[1])
 		}
 	}
-	for n := 0; n < cfg.Topo.Switches; n++ {
-		if e.down[n].Load() && !recovering[topo.NodeID(n)] && cfg.Topo.Up(topo.NodeID(n)) {
-			return nil, fmt.Errorf("dataplane: Recover configuration treats failed switch %d as up without recovering it", n)
-		}
-	}
-	if err := e.compatibleRecover(cfg, recovering); err != nil {
+	if err := e.admit("Recover", cfg, true, recovering); err != nil {
 		return nil, err
 	}
 	return e.apply(cfg, rewrite, true, &recovery{switches: switches, links: links})
-}
-
-// compatibleRecover is the recovery variant of the epoch compatibility
-// check: ports may be *added* relative to the current (degraded) epoch,
-// but only re-attached to a switch that is coming back up; surviving ports
-// must keep their attachment exactly, and ports may still be missing (they
-// belong to switches that stay failed).
-func (e *Engine) compatibleRecover(cfg *rules.Config, recovering map[topo.NodeID]bool) error {
-	t := cfg.Topo
-	cur := e.plane.Load().cfg.Topo
-	if t.Switches != cur.Switches {
-		return fmt.Errorf("dataplane: Recover topology has %d switches, engine has %d", t.Switches, cur.Switches)
-	}
-	var parts []string
-	for _, p := range t.Ports {
-		if q, ok := cur.PortByID(p.ID); !ok {
-			if !recovering[p.Switch] {
-				parts = append(parts, fmt.Sprintf("port %d appears on switch %d, which is not recovering", p.ID, p.Switch))
-			}
-		} else if q.Switch != p.Switch {
-			parts = append(parts, fmt.Sprintf("port %d attached to switch %d, engine has it on switch %d", p.ID, p.Switch, q.Switch))
-		}
-	}
-	if len(parts) > 0 {
-		sort.Strings(parts)
-		return fmt.Errorf("dataplane: Recover topology port mismatch: %s", strings.Join(parts, "; "))
-	}
-	return nil
 }
