@@ -139,7 +139,6 @@ func main() {
 	verbose := flag.Bool("v", false, "log each delivery; with -chaos, expand policy edits with the delta compiler's phase and reuse detail")
 	load := flag.Int("load", 0, "replay this many matrix-drawn packets through the concurrent engine")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine worker slots (load mode)")
-	switchWorkers := flag.Int("switch-workers", 2, "goroutines per switch (load mode)")
 	window := flag.Int("window", 256, "in-flight packet admission window (load mode)")
 	shardVar := flag.String("shard", "", "shard this state variable by ingress port before compiling")
 	replicate := flag.Bool("replicate", false, "run the load engine under the state-compute replication discipline (lock-free per-worker replicas)")
@@ -221,7 +220,7 @@ func main() {
 		if n <= 0 {
 			n = 20000
 		}
-		runKill(dep, t, tm, *kill, *replicas, n, *seed, *workers, *switchWorkers, *window, obs)
+		runKill(dep, t, tm, *kill, *replicas, n, *seed, *workers, *window, obs)
 		return
 	}
 	if *drift {
@@ -229,11 +228,11 @@ func main() {
 		if n <= 0 {
 			n = 20000
 		}
-		runDrift(dep, t, tm, shards, n, *seed, *workers, *switchWorkers, *window, obs)
+		runDrift(dep, t, tm, shards, n, *seed, *workers, *window, obs)
 		return
 	}
 	if *load > 0 {
-		runLoad(dep, tm, *load, *seed, *workers, *switchWorkers, *window, *replicate, obs)
+		runLoad(dep, tm, *load, *seed, *workers, *window, *replicate, obs)
 		return
 	}
 
@@ -275,7 +274,7 @@ func main() {
 
 // runLoad replays a matrix-drawn trace through the concurrent engine and
 // reports throughput plus each switch's share of the work.
-func runLoad(dep *snap.Deployment, tm snap.TrafficMatrix, n int, seed int64, workers, switchWorkers, window int, replicate bool, obs obsFlags) {
+func runLoad(dep *snap.Deployment, tm snap.TrafficMatrix, n int, seed int64, workers, window int, replicate bool, obs obsFlags) {
 	rng := rand.New(rand.NewSource(seed))
 	pairs := tm.Replay(n, seed)
 	trace := make([]snap.Ingress, len(pairs))
@@ -285,7 +284,6 @@ func runLoad(dep *snap.Deployment, tm snap.TrafficMatrix, n int, seed int64, wor
 
 	eng := dep.Engine(obs.engineOptions(snap.EngineOptions{
 		Workers:          workers,
-		SwitchWorkers:    switchWorkers,
 		Window:           window,
 		StateReplication: replicate,
 	}))
@@ -305,8 +303,8 @@ func runLoad(dep *snap.Deployment, tm snap.TrafficMatrix, n int, seed int64, wor
 	elapsed := time.Since(start)
 	st := eng.Stats()
 
-	fmt.Printf("\nreplayed %d packets in %s with %d workers (%d/switch, window %d, %s discipline): %.0f pps\n",
-		n, elapsed.Round(time.Millisecond), workers, switchWorkers, window, eng.ExecMode(),
+	fmt.Printf("\nreplayed %d packets in %s with %d workers (window %d, %s discipline): %.0f pps\n",
+		n, elapsed.Round(time.Millisecond), workers, window, eng.ExecMode(),
 		float64(n)/elapsed.Seconds())
 	fmt.Printf("delivered %d, dropped %d, suspends %d, inter-switch hops %d\n",
 		st.Delivered, st.Dropped, st.Suspends, st.Hops)
@@ -353,7 +351,7 @@ func runLoad(dep *snap.Deployment, tm snap.TrafficMatrix, n int, seed int64, wor
 // packets — every injected packet is accounted delivered or dropped — and
 // (b) state preservation — global state is identical across each swap and
 // the per-port counters match the per-port injection tallies end to end.
-func runDrift(dep *snap.Deployment, t *snap.Topology, tmA snap.TrafficMatrix, shards []snap.ShardPlan, n int, seed int64, workers, switchWorkers, window int, obs obsFlags) {
+func runDrift(dep *snap.Deployment, t *snap.Topology, tmA snap.TrafficMatrix, shards []snap.ShardPlan, n int, seed int64, workers, window int, obs obsFlags) {
 	tmB := snap.Gravity(t, 100, seed+1)
 	rng := rand.New(rand.NewSource(seed))
 
@@ -368,9 +366,8 @@ func runDrift(dep *snap.Deployment, t *snap.Topology, tmA snap.TrafficMatrix, sh
 	}
 
 	eng := dep.Engine(obs.engineOptions(snap.EngineOptions{
-		Workers:       workers,
-		SwitchWorkers: switchWorkers,
-		Window:        window,
+		Workers: workers,
+		Window:  window,
 	}))
 	defer eng.Close()
 	defer obs.serve(eng.Telemetry())()
@@ -471,7 +468,7 @@ func runDrift(dep *snap.Deployment, t *snap.Topology, tmA snap.TrafficMatrix, sh
 // runKill is the fault-tolerance demo: replay half the trace, kill a
 // switch mid-stream, fail over via the controller (replica promotion),
 // replay the surviving-port half, and audit packet and state accounting.
-func runKill(dep *snap.Deployment, t *snap.Topology, tm snap.TrafficMatrix, killArg string, replicas, n int, seed int64, workers, switchWorkers, window int, obs obsFlags) {
+func runKill(dep *snap.Deployment, t *snap.Topology, tm snap.TrafficMatrix, killArg string, replicas, n int, seed int64, workers, window int, obs obsFlags) {
 	victim, err := parseVictim(dep, killArg)
 	if err != nil {
 		fail(err)
@@ -509,7 +506,7 @@ func runKill(dep *snap.Deployment, t *snap.Topology, tm snap.TrafficMatrix, kill
 		perPort[ing.Port]++
 	}
 
-	eng := dep.Engine(obs.engineOptions(snap.EngineOptions{Workers: workers, SwitchWorkers: switchWorkers, Window: window}))
+	eng := dep.Engine(obs.engineOptions(snap.EngineOptions{Workers: workers, Window: window}))
 	defer eng.Close()
 	defer obs.serve(eng.Telemetry())()
 	ctl := dep.Controller(eng, snap.ControllerOptions{})

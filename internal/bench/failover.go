@@ -74,7 +74,7 @@ func Failover(s Scale) ([]FailoverRow, error) {
 		warm := ReplayIngress(tmD.Replay(n, 7))
 		post := ReplayIngress(tmD.Replay(n, 8))
 
-		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 256})
+		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 4, Window: 256})
 		ctl := ctrl.New(comp, eng, ctrl.Options{})
 		if err := eng.InjectReplay(warm); err != nil {
 			eng.Close()

@@ -2,6 +2,7 @@ package ctrl_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"snap/internal/apps"
@@ -146,7 +147,7 @@ func TestControllerSequentialEquivalence(t *testing.T) {
 	trace := make([]dataplane.Ingress, 0, len(traceA)+len(traceB))
 	trace = append(trace, traceA...)
 	trace = append(trace, traceB...)
-	opts := dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 64}
+	opts := dataplane.Options{Workers: 4, Window: 64}
 
 	for _, sharded := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sharded=%v", sharded), func(t *testing.T) {
@@ -243,7 +244,7 @@ func TestFailoverSequentialEquivalence(t *testing.T) {
 	// is not muddied by packets the reference cannot accept.
 	tmD := tm.Restrict(degraded)
 	trace := bench.ReplayIngress(tmD.Replay(4000, 7))
-	opts := dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 64}
+	opts := dataplane.Options{Workers: 4, Window: 64}
 
 	eng := dataplane.NewEngine(comp.Config, opts)
 	defer eng.Close()
@@ -357,9 +358,9 @@ func TestStepSanitizesDroppedDemand(t *testing.T) {
 	}
 }
 
-// TestReRouteRelinksNothing: a drift re-route changes routes, not programs,
-// so the recompilation hands the engine the program pointers it already
-// linked and the swap links no image.
+// TestReRouteRelinksNothing: a drift re-route changes routes, not programs
+// or placement, so the recompilation hands the engine the program pointers
+// it already linked and the swap links no image and reads no state entry.
 func TestReRouteRelinksNothing(t *testing.T) {
 	netw := topo.Campus(1000)
 	policy, err := bench.MonitorWorkload(false, 6)
@@ -383,6 +384,13 @@ func TestReRouteRelinksNothing(t *testing.T) {
 	}
 	if _, after := eng.LinkStats(); after != linked {
 		t.Fatalf("re-route linked %d new program image(s), want 0", after-linked)
+	}
+	var scrape strings.Builder
+	if err := eng.Telemetry().WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(scrape.String(), "\nsnap_swap_reseated_entries_total 0\n") {
+		t.Fatal("re-route spelled state entries out through a store, want every table handed over")
 	}
 }
 

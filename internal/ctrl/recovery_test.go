@@ -38,7 +38,7 @@ func newRecoveryHarness(t *testing.T, opts Options) (*Controller, *dataplane.Eng
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2, SwitchWorkers: 2, Window: 16})
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2, Window: 16})
 	t.Cleanup(eng.Close)
 	return New(comp, eng, opts), eng, tp
 }

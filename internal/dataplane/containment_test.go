@@ -22,80 +22,104 @@ import (
 
 // TestApplyConfigRollbackThenRetry: a failure injected at each stage of
 // the prepare→validate→commit swap must roll the engine back to the prior
-// plane — epoch unchanged, every state entry intact, traffic still served
-// — and a clean retry of the same reconfiguration must then succeed.
+// plane — epoch unchanged, every state entry intact (on every worker's
+// replica, under replication: the staged plane held the same tables),
+// traffic still served — and a clean retry of the same reconfiguration
+// must then succeed.
 func TestApplyConfigRollbackThenRetry(t *testing.T) {
-	t.Cleanup(faultpoint.Reset)
 	netw := topo.Campus(1000)
 	p := campusWorkload(apps.Monitor())
 	planeA, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": 8})
 	planeB, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": 2})
+	for _, c := range []struct {
+		name string
+		opts dataplane.Options
+		mode dataplane.ExecMode
+	}{
+		{"locks", dataplane.Options{Window: 16}, dataplane.ModeLocks},
+		{"replication", dataplane.Options{Workers: 4, Window: 16, StateReplication: true}, dataplane.ModeReplication},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Cleanup(faultpoint.Reset)
+			eng := dataplane.NewEngine(planeA.Config(), c.opts)
+			defer eng.Close()
+			if eng.ExecMode() != c.mode {
+				t.Fatalf("exec mode = %v, want %v", eng.ExecMode(), c.mode)
+			}
 
-	eng := dataplane.NewEngine(planeA.Config(), dataplane.Options{SwitchWorkers: 2, Window: 16})
-	defer eng.Close()
+			rng := rand.New(rand.NewSource(7))
+			batch := make([]dataplane.Ingress, 0, 150)
+			for i := 0; i < 150; i++ {
+				port, pk := campusPacket(rng)
+				batch = append(batch, dataplane.Ingress{Port: port, Packet: pk})
+			}
+			if _, err := eng.InjectBatch(batch); err != nil {
+				t.Fatalf("warm batch: %v", err)
+			}
+			before := eng.GlobalState()
 
-	rng := rand.New(rand.NewSource(7))
-	batch := make([]dataplane.Ingress, 0, 150)
-	for i := 0; i < 150; i++ {
-		port, pk := campusPacket(rng)
-		batch = append(batch, dataplane.Ingress{Port: port, Packet: pk})
-	}
-	if _, err := eng.InjectBatch(batch); err != nil {
-		t.Fatalf("warm batch: %v", err)
-	}
-	before := eng.GlobalState()
+			points := []string{
+				faultpoint.EngineApplyRewrite,
+				faultpoint.EngineApplyLink,
+				faultpoint.EngineApplyReseed,
+			}
+			for i, name := range points {
+				faultpoint.Enable(name, faultpoint.Plan{Times: 1})
+				err := eng.ApplyConfig(planeB.Config(), nil)
+				if err == nil {
+					t.Fatalf("%s: ApplyConfig succeeded despite injected failure", name)
+				}
+				if !errors.Is(err, faultpoint.ErrInjected) {
+					t.Fatalf("%s: error does not unwrap to ErrInjected: %v", name, err)
+				}
+				if e := eng.Epoch(); e != 0 {
+					t.Fatalf("%s: epoch advanced to %d on a failed swap", name, e)
+				}
+				if !eng.GlobalState().Equal(before) {
+					t.Fatalf("%s: state changed across a rolled-back swap", name)
+				}
+				if err := eng.AuditReplicas(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := eng.Stats().Rollbacks; got != int64(i+1) {
+					t.Fatalf("%s: Rollbacks = %d, want %d", name, got, i+1)
+				}
+			}
 
-	points := []string{
-		faultpoint.EngineApplyRewrite,
-		faultpoint.EngineApplyLink,
-		faultpoint.EngineApplyReseed,
-	}
-	for i, name := range points {
-		faultpoint.Enable(name, faultpoint.Plan{Times: 1})
-		err := eng.ApplyConfig(planeB.Config(), nil)
-		if err == nil {
-			t.Fatalf("%s: ApplyConfig succeeded despite injected failure", name)
-		}
-		if !errors.Is(err, faultpoint.ErrInjected) {
-			t.Fatalf("%s: error does not unwrap to ErrInjected: %v", name, err)
-		}
-		if e := eng.Epoch(); e != 0 {
-			t.Fatalf("%s: epoch advanced to %d on a failed swap", name, e)
-		}
-		if !eng.GlobalState().Equal(before) {
-			t.Fatalf("%s: state changed across a rolled-back swap", name)
-		}
-		if got := eng.Stats().Rollbacks; got != int64(i+1) {
-			t.Fatalf("%s: Rollbacks = %d, want %d", name, got, i+1)
-		}
-	}
+			// The prior epoch keeps serving: a batch after three rollbacks
+			// lands exactly as it would have without them.
+			if _, err := eng.InjectBatch(batch); err != nil {
+				t.Fatalf("post-rollback batch: %v", err)
+			}
+			if len(eng.SwitchTable(8).Entries("count")) == 0 {
+				t.Fatal("count entries left the original owner without a committed swap")
+			}
+			if n := countSum(eng.GlobalState()); n != 2*int64(len(batch)) {
+				t.Fatalf("count sum after the rollbacks %d, want %d", n, 2*len(batch))
+			}
 
-	// The prior epoch keeps serving: a batch after three rollbacks lands
-	// exactly as it would have without them.
-	if _, err := eng.InjectBatch(batch); err != nil {
-		t.Fatalf("post-rollback batch: %v", err)
-	}
-	if len(eng.SwitchTable(8).Entries("count")) == 0 {
-		t.Fatal("count entries left the original owner without a committed swap")
-	}
+			// Retry with the faults cleared: the identical call now commits.
+			if err := eng.ApplyConfig(planeB.Config(), nil); err != nil {
+				t.Fatalf("retry ApplyConfig: %v", err)
+			}
+			if e := eng.Epoch(); e != 1 {
+				t.Fatalf("epoch after successful retry = %d, want 1", e)
+			}
+			if n := len(eng.SwitchTable(2).Entries("count")); n == 0 {
+				t.Fatal("count entries did not migrate on the successful retry")
+			}
+			if err := eng.AuditReplicas(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Retry with the faults cleared: the identical call now commits.
-	if err := eng.ApplyConfig(planeB.Config(), nil); err != nil {
-		t.Fatalf("retry ApplyConfig: %v", err)
-	}
-	if e := eng.Epoch(); e != 1 {
-		t.Fatalf("epoch after successful retry = %d, want 1", e)
-	}
-	if n := len(eng.SwitchTable(2).Entries("count")); n == 0 {
-		t.Fatal("count entries did not migrate on the successful retry")
-	}
-
-	var buf strings.Builder
-	if err := eng.Telemetry().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "snap_reconfig_rollbacks_total 3") {
-		t.Fatalf("/metrics does not report the rollbacks:\n%s", buf.String())
+			var buf strings.Builder
+			if err := eng.Telemetry().WritePrometheus(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(buf.String(), "snap_reconfig_rollbacks_total 3") {
+				t.Fatalf("/metrics does not report the rollbacks:\n%s", buf.String())
+			}
+		})
 	}
 }
 
@@ -203,7 +227,7 @@ func TestWorkerPanicQuarantineLocks(t *testing.T) {
 	netw := topo.Campus(1000)
 	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
 	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers: 2, SwitchWorkers: 2, Window: 16,
+		Workers: 2, Window: 16,
 	})
 	defer eng.Close()
 	if eng.ExecMode() != dataplane.ModeLocks {
@@ -234,7 +258,7 @@ func TestOverloadShedding(t *testing.T) {
 	netw := topo.Campus(1000)
 	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
 	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers: 4, SwitchWorkers: 1, Window: 2, ShedWatermark: 2,
+		Workers: 4, Window: 2, ShedWatermark: 2,
 	})
 	defer eng.Close()
 
@@ -292,7 +316,7 @@ func TestStreamShedsAndContinues(t *testing.T) {
 	netw := topo.Campus(1000)
 	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
 	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers: 4, SwitchWorkers: 1, Window: 2, ShedWatermark: 2,
+		Workers: 4, Window: 2, ShedWatermark: 2,
 	})
 	defer eng.Close()
 
@@ -330,7 +354,7 @@ func TestStreamShedsAndContinues(t *testing.T) {
 func TestReplicatorDrainStall(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	comp, _, tm := compileCampus(t, 2)
-	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2, SwitchWorkers: 2})
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
 	defer eng.Close()
 
 	faultpoint.Enable(faultpoint.ReplicatorDrain, faultpoint.Plan{Kind: faultpoint.KindStall, Times: -1})

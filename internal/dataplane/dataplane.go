@@ -16,6 +16,7 @@ package dataplane
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"snap/internal/netasm"
 	"snap/internal/pkt"
@@ -32,7 +33,7 @@ type Delivery struct {
 
 // Network is the simulated data plane, processing one packet at a time to
 // quiescence: the walk of walk.go run by the caller of Inject against the
-// network's own switch VMs, with no locks, no tokens and no goroutine, so a
+// network's own switch VMs, with no locks and no goroutine, so a
 // Network needs no Close and must not be used from two goroutines at once.
 // It shares routing, stats accounting and the error discipline with the
 // concurrent Engine: a VM panic is contained (the switch is quarantined
@@ -52,7 +53,7 @@ type Network struct {
 // once against the configuration's shared variable space.
 func New(cfg *rules.Config) *Network {
 	n := &Network{pl: newPlane(cfg)}
-	n.fab.init(cfg, 0, nil)
+	n.fab.init(cfg, nil)
 	n.pl.switches = make(map[topo.NodeID]*netasm.Switch, len(cfg.Switches))
 	linked, _, _ := linkPrograms(cfg, nil)
 	for id, lp := range linked {
@@ -150,7 +151,7 @@ func (s *deliverySorter) Swap(i, j int) {
 // GlobalState unions the per-switch state tables. Placement puts each
 // variable on exactly one switch, so the union is well defined; it is the
 // distributed counterpart of the one-big-switch store.
-func (n *Network) GlobalState() *state.Store { return unionState(n.pl.switches) }
+func (n *Network) GlobalState() *state.Store { return unionState(n.pl.switches, n.fab.down) }
 
 // Config exposes the compiled configuration the plane was built from,
 // e.g. to build an Engine over the same deployment.
@@ -164,11 +165,14 @@ func (n *Network) SwitchTable(id topo.NodeID) *state.Store {
 }
 
 // unionState and switchTable are the state views both runtimes share,
-// converting the switches' dense runtime tables to canonical stores.
-func unionState(switches map[topo.NodeID]*netasm.Switch) *state.Store {
+// converting the switches' dense runtime tables to canonical stores. The
+// union leaves down switches out: their memory is gone with them.
+func unionState(switches map[topo.NodeID]*netasm.Switch, down []atomic.Bool) *state.Store {
 	out := state.NewStore()
-	for _, sw := range switches {
-		sw.StateInto(out)
+	for id, sw := range switches {
+		if !down[id].Load() {
+			sw.StateInto(out)
+		}
 	}
 	return out
 }

@@ -5,14 +5,12 @@
 // plane at link time. This file is the lock discipline and everything the
 // two share; scr.go is state-compute replication.
 //
-//   - a pool of goroutines per switch drains that switch's inbox of
-//     injections entering there and walks each to completion, visiting
-//     downstream switches' VMs itself rather than handing the copy over
-//     (a per-hop channel wakeup would dwarf the VM execution). With
-//     Options.Workers == 1 the injecting goroutine is the worker;
-//   - a global worker semaphore (Options.Workers) caps how many VM
-//     executions run at once, giving benchmarks a single parallelism knob
-//     (1 worker ≈ the sequential plane, modulo scheduling);
+//   - Options.Workers goroutines drain one queue of admitted injections
+//     and walk each to completion, visiting every switch's VM themselves
+//     rather than handing the copy over (a per-hop channel wakeup would
+//     dwarf the VM execution), so the goroutine count is the parallelism
+//     bound and benchmarks have a single knob (1 worker ≈ the sequential
+//     plane: the injecting goroutine is the worker and none is started);
 //   - per-variable striped locks (state.Stripes) protect the per-switch
 //     state tables. Placement puts each variable — and each shard of a
 //     sharded variable, since shards are ordinary variables — on exactly
@@ -30,7 +28,7 @@
 // Reconfiguration: the compiled configuration, the switch VMs and their
 // lock sets live behind one atomically-swapped plane pointer. ApplyConfig
 // installs a recompiled rules.Config onto the live engine in an epoch-based
-// swap — pause admission, drain in-flight copies to quiescence, migrate the
+// swap — pause admission, drain in-flight copies to quiescence, hand the
 // state tables to their new owner switches, publish the new plane, resume —
 // so long-running InjectStream callers continue across the swap and no
 // packet or state entry is lost. internal/ctrl drives this from observed
@@ -40,8 +38,10 @@ package dataplane
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -66,25 +66,18 @@ type Ingress struct {
 
 // Options configures an Engine. The zero value picks sensible defaults.
 type Options struct {
-	// Workers caps concurrent VM executions across the whole engine.
-	// 1 serializes all packet processing (the sequential baseline);
-	// 0 defaults to GOMAXPROCS.
+	// Workers is how many goroutines walk packets, and so how many VM
+	// executions run at once across the whole engine. 1 serializes all
+	// packet processing on the injecting goroutine (the sequential
+	// baseline); 0 defaults to GOMAXPROCS.
 	Workers int
-	// SwitchWorkers is the goroutine pool size per switch: how many
-	// injections entering at a switch are walked at once. Note that a
-	// switch's VM also executes on other pools' goroutines (a worker
-	// walks its injection through every switch it reaches), so Run is
-	// potentially concurrent at any pool size — safety always comes from
-	// the striped state locks, never from SwitchWorkers=1. 0 → 1.
+	// SwitchWorkers is read nowhere: it sized the per-switch goroutine pools
+	// that Workers replaced, and stays so that callers which set it compile.
 	SwitchWorkers int
-	// Window bounds how many injected packets are in flight at once. An
-	// injection sits in one inbox once, so inboxes of this capacity never
-	// block the injector. 0 → 256.
+	// Window bounds how many injected packets are in flight at once; the
+	// worker queue has this capacity, so handing an admitted injection over
+	// never blocks the injector. 0 → 256.
 	Window int
-	// MaxHops guards against forwarding loops. 0 → 16 × (switches + 2).
-	MaxHops int
-	// Stripes is the striped-lock pool size. 0 → state.DefaultStripes.
-	Stripes int
 	// ManualReplication disables the background mirror-drain goroutine:
 	// state writes queue until FlushReplication (or a reconfiguration)
 	// pumps them. It makes replica lag deterministic and exists for tests
@@ -104,13 +97,11 @@ type Options struct {
 	ReplicationRing int
 	// TraceSampling enables sampled packet traces: 1 in TraceSampling
 	// injections records its hop-by-hop path, state suspensions and
-	// inject-to-retirement latency into a bounded ring, readable from
-	// Telemetry().Traces (and the /debug/vars snapshot). 0 — the default —
-	// disables tracing entirely; the hot path then pays one nil check.
+	// inject-to-retirement latency into a ring of the traceBuffer most
+	// recent, readable from Telemetry().Traces (and the /debug/vars
+	// snapshot). 0 — the default — disables tracing entirely; the hot path
+	// then pays one nil check.
 	TraceSampling int
-	// TraceBuffer is the trace ring capacity: how many completed sampled
-	// traces are retained, oldest evicted first (0 → 256).
-	TraceBuffer int
 	// ShedWatermark turns on overload shedding: an injection arriving
 	// while ShedWatermark packets are already in flight is rejected with
 	// ErrOverload (and counted in Stats.Shed) instead of blocking on the
@@ -120,12 +111,12 @@ type Options struct {
 	ShedWatermark int
 }
 
+// traceBuffer is how many sampled traces are retained, oldest evicted first.
+const traceBuffer = 256
+
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.SwitchWorkers <= 0 {
-		o.SwitchWorkers = 1
 	}
 	if o.Window <= 0 {
 		o.Window = 256
@@ -137,7 +128,7 @@ func (o Options) withDefaults() Options {
 }
 
 // item is an admitted injection on its way to the goroutine that will walk
-// it: a switch pool's (by the ingress switch's inbox) or an SCR worker's.
+// it: one of the engine's workers or an SCR worker.
 type item struct {
 	at  topo.NodeID
 	ing Ingress
@@ -148,8 +139,8 @@ type item struct {
 // snapshots and epoch-based reconfiguration. Every injection holds an
 // enter/leave pair for its whole lifetime (admission through last-copy
 // retirement); pause blocks new admissions and waits for the in-flight
-// count to drain to zero, so between pause and resume the walking
-// goroutines are parked on empty inboxes and the state tables are frozen.
+// count to drain to zero, so between pause and resume no goroutine is
+// inside a walk and the state tables are frozen.
 type gate struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -209,11 +200,15 @@ func (g *gate) resume() {
 // injection loads it once through an atomic pointer; ApplyConfig publishes
 // a replacement only while the gate holds the engine quiescent, so no
 // packet ever sees a torn configuration. Network holds a bare one: no
-// locks, no tokens.
+// locks.
 type plane struct {
 	cfg      *rules.Config
 	switches map[topo.NodeID]*netasm.Switch
 	locks    map[topo.NodeID]state.LockSet
+	// sets lists every set of switch VMs an engine plane runs, for the
+	// swap's hand-over: switches alone under locks, each worker's replica
+	// under replication (worker 0's, which is switches, first).
+	sets []map[topo.NodeID]*netasm.Switch
 	// owners is the dense state-owner lookup: variable id (in cfg's
 	// VarSpace) → owning switch. placed marks ids that have an owner.
 	// Suspended packets carry variable ids, so the per-hop owner lookup is
@@ -221,10 +216,6 @@ type plane struct {
 	// the control plane and for results that predate the space (-1 ids).
 	owners []topo.NodeID
 	placed []bool
-	// slots are the engine's execution tokens (Options.Workers), nil
-	// unless this plane runs the lock discipline.
-	slots chan struct{}
-
 	// lockHist holds the per-variable lock-wait histogram handles
 	// (ModeLocks only), indexed like lockSusp/lockWait; resolved at plane
 	// build so the contended path observes without any registry lookup.
@@ -247,19 +238,6 @@ type plane struct {
 	lockSusp []atomic.Int64
 	lockWait []atomic.Int64
 	lockVars map[topo.NodeID][]int32
-}
-
-// seedVar re-seats one variable's entries on its owner switch — on every
-// worker's replica of it under replication mode, so all copies start the
-// epoch converged.
-func (pl *plane) seedVar(global *state.Store, v string, owner topo.NodeID) {
-	if pl.scr != nil {
-		for _, wk := range pl.scr.workers {
-			wk.switches[owner].SeedVar(global, v)
-		}
-		return
-	}
-	pl.switches[owner].SeedVar(global, v)
 }
 
 // newPlane starts a plane for a configuration with the parts every
@@ -288,10 +266,10 @@ func (pl *plane) stateTarget(r *netasm.Result) (topo.NodeID, bool) {
 	return node, ok
 }
 
-// StateRewrite transforms the global state store during ApplyConfig, after
-// extraction from the old switches and before re-seating on the new owners.
-// The controller uses it to fold shard variables (shard.Merge) when the new
-// configuration no longer knows them; nil means migrate entries unchanged.
+// StateRewrite transforms the global state store during ApplyConfig. The
+// controller uses it to fold shard variables (shard.Merge) when the new
+// configuration no longer knows them. nil hands every table over as it is;
+// a rewrite has every entry spelled out into the store it reads.
 type StateRewrite func(*state.Store) (*state.Store, error)
 
 // Engine is the concurrent data plane.
@@ -301,9 +279,10 @@ type Engine struct {
 	plane   atomic.Pointer[plane]
 	stripes *state.Stripes
 	epoch   atomic.Int64
-	inbox   map[topo.NodeID]chan item
-	slots   chan struct{} // global worker tokens
 	window  chan struct{} // admission control
+	// queue carries admitted injections to the Options.Workers goroutines
+	// that walk them on lock-discipline planes; nil with a single worker.
+	queue chan item
 	// inline is the injecting goroutine's walker when it is the only
 	// worker (Options.Workers == 1); its users hold mu.
 	inline walker
@@ -342,6 +321,10 @@ type Engine struct {
 	linkReused atomic.Int64
 	linkFresh  atomic.Int64
 
+	// reseated counts the entries reconfigurations passed through a
+	// state.Store (spell, recoverOrphans) instead of handing over.
+	reseated atomic.Int64
+
 	// Telemetry (telemetry.go): tel is the engine's private registry —
 	// almost entirely scrape-time collectors over the atomics above, so
 	// the packet loop is unaffected. sampler gates the 1-in-N packet
@@ -356,13 +339,13 @@ type Engine struct {
 	linkSeconds *telemetry.Histogram
 
 	gate   *gate
-	wg     sync.WaitGroup // switch goroutines
+	wg     sync.WaitGroup // worker goroutines
 	mu     sync.Mutex     // serializes InjectBatch/InjectStream/Close
 	closed atomic.Bool
 }
 
 // NewEngine builds the concurrent plane for a compiled configuration and
-// starts its switch goroutines. The engine owns fresh (empty) state
+// starts its worker goroutines. The engine owns fresh (empty) state
 // tables, independent of any Network built from the same configuration.
 // Call Close to stop the goroutines.
 //
@@ -378,9 +361,7 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 	opts = opts.withDefaults()
 	e := &Engine{
 		opts:    opts,
-		stripes: state.NewStripes(opts.Stripes),
-		inbox:   make(map[topo.NodeID]chan item, len(cfg.Switches)),
-		slots:   make(chan struct{}, opts.Workers),
+		stripes: state.NewStripes(state.DefaultStripes),
 		window:  make(chan struct{}, opts.Window),
 		gate:    newGate(),
 
@@ -390,7 +371,7 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 	// buildPlane runs (it resolves per-variable lock-wait histograms and
 	// times the link step).
 	e.tel = telemetry.NewRegistry()
-	e.fabric.init(cfg, opts.MaxHops, e.tel.Spans)
+	e.fabric.init(cfg, e.tel.Spans)
 	e.lockWaitVec = e.tel.HistogramVec("snap_lock_wait_seconds",
 		"Wait of blocked stripe-lock acquisitions, attributed to every variable of the contended lock set.",
 		1e-9, "var")
@@ -398,7 +379,7 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 		"Duration of program-link passes at plane builds (cold start and reconfigurations).", 1e-9)
 	if opts.TraceSampling > 0 {
 		e.sampler = telemetry.NewSampler(opts.TraceSampling)
-		e.traces = telemetry.NewTraceLog(opts.TraceBuffer)
+		e.traces = telemetry.NewTraceLog(traceBuffer)
 		e.tel.Traces = e.traces
 	}
 	e.rep = newReplicator(e, cfg)
@@ -408,17 +389,17 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 		pl.scr.start()
 	}
 	e.rep.start()
-	for id := range cfg.Switches {
-		// At most Window injections are in flight and each sits in one
-		// inbox once, so a send never blocks the injector.
-		ch := make(chan item, opts.Window)
-		e.inbox[id] = ch
-		for i := 0; i < opts.SwitchWorkers; i++ {
+	if opts.Workers > 1 {
+		// At most Window injections are in flight, so a send never blocks
+		// the injector. Replication planes dispatch to their own workers
+		// and leave these parked.
+		e.queue = make(chan item, opts.Window)
+		for i := 0; i < opts.Workers; i++ {
 			e.wg.Add(1)
 			go func() {
 				defer e.wg.Done()
 				var w walker
-				for it := range ch {
+				for it := range e.queue {
 					e.run(&w, &it)
 				}
 			}()
@@ -480,15 +461,18 @@ func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
 			p.scr = e.buildSCR(cfg, linked)
 			// Worker 0's replica doubles as the canonical switch set the
 			// control plane reads (always through reconcile, under the gate).
-			p.switches = p.scr.workers[0].switches
+			for _, wk := range p.scr.workers {
+				p.sets = append(p.sets, wk.switches)
+			}
+			p.switches = p.sets[0]
 			return p
 		} else {
 			p.repFallback = reasons
 			p.diags = append(p.diags, "state replication requested but refused: "+strings.Join(reasons, " | "))
 		}
 	}
-	p.slots = e.slots
 	p.switches = make(map[topo.NodeID]*netasm.Switch, len(cfg.Switches))
+	p.sets = append(p.sets, p.switches)
 	p.locks = make(map[topo.NodeID]state.LockSet, len(cfg.Switches))
 	p.lockSusp = make([]atomic.Int64, vs.Len())
 	p.lockWait = make([]atomic.Int64, vs.Len())
@@ -513,7 +497,7 @@ func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
 	return p
 }
 
-// Close stops the switch goroutines. The engine must be quiescent (no
+// Close stops the worker goroutines. The engine must be quiescent (no
 // InjectBatch/InjectStream in progress). The snapshot readers keep working
 // afterwards: under the replication discipline the replicas converge here
 // one last time, while their workers still run, and nothing publishes after
@@ -530,8 +514,8 @@ func (e *Engine) Close() {
 	defer e.gate.resume()
 	e.reconcile(e.plane.Load())
 	e.closed.Store(true)
-	for _, ch := range e.inbox {
-		close(ch)
+	if e.queue != nil {
+		close(e.queue)
 	}
 	e.wg.Wait()
 	if pl := e.plane.Load(); pl.scr != nil {
@@ -541,8 +525,8 @@ func (e *Engine) Close() {
 }
 
 // run walks one admitted injection to completion on the plane's shared
-// switches and finishes it: the body of the switch-pool goroutines and of
-// the inline single-worker path.
+// switches and finishes it: the body of the worker goroutines and of the
+// inline single-worker path.
 func (e *Engine) run(w *walker, it *item) {
 	defer it.inj.finish()
 	defer e.guard()
@@ -552,13 +536,12 @@ func (e *Engine) run(w *walker, it *item) {
 
 // inject admits one packet (blocking on the gate, then the window) and
 // hands it to the goroutine that will walk it: an SCR worker, the caller
-// itself when it is the only worker (with a single execution slot a
-// channel handoff buys no parallelism and costs a wakeup per packet), or
-// the ingress switch's pool, which keeps the injector free to admit the
-// next one. collect controls whether deliveries are recorded. An unknown
-// port rejects only this injection — the caller gets the error and the
-// engine stays usable; packets admitted before the bad one have already
-// run, which stream callers must expect.
+// itself when it is the only worker (a channel handoff would buy no
+// parallelism and cost a wakeup per packet), or the worker queue, which
+// keeps the injector free to admit the next one. collect controls whether
+// deliveries are recorded. An unknown port rejects only this injection —
+// the caller gets the error and the engine stays usable; packets admitted
+// before the bad one have already run, which stream callers must expect.
 func (e *Engine) inject(ing Ingress, collect bool, wg *sync.WaitGroup) (*injection, error) {
 	e.gate.enter()
 	pl := e.plane.Load()
@@ -596,7 +579,7 @@ func (e *Engine) inject(ing Ingress, collect bool, wg *sync.WaitGroup) (*injecti
 	case e.opts.Workers == 1:
 		e.run(&e.inline, &it)
 	default:
-		e.inbox[pt.Switch] <- it
+		e.queue <- it
 	}
 	return inj, nil
 }
@@ -720,13 +703,17 @@ func (e *Engine) InjectReplay(trace []Ingress) error {
 //
 //  1. pause — the admission gate stops new injections (InjectBatch and
 //     InjectStream callers block mid-call and continue afterwards) and
-//     waits for all in-flight copies to retire, leaving the switch
-//     goroutines parked on empty inboxes;
-//  2. migrate — the per-switch state tables are unioned into the global
-//     store, passed through rewrite (nil = identity; internal/ctrl uses it
-//     to fold shard variables the new configuration no longer knows), and
-//     re-seated variable by variable on each one's new owner switch;
-//  3. swap — fresh VMs with the migrated tables, the new programs and new
+//     waits for all in-flight copies to retire, leaving no goroutine
+//     inside a walk;
+//  2. hand over — each variable's table is given, as it is, to the VM of
+//     its owner under the new placement (each worker's replica to the
+//     same worker under replication): one step per variable, moved or
+//     not, and no entry is read. Only a non-nil rewrite (internal/ctrl
+//     folds shard variables the new configuration no longer knows), a
+//     mirror replica to warm, or a plane going from locks to replication
+//     spells entries out through a state.Store, into tables that are
+//     handed over the same way;
+//  3. swap — fresh VMs holding those tables, the new programs and new
 //     routes are published atomically as the next plane epoch, and the
 //     gate resumes admission.
 //
@@ -748,24 +735,89 @@ func (e *Engine) ApplyConfig(cfg *rules.Config, rewrite StateRewrite) error {
 
 // recovery lists the failed elements an apply brings back up; the flags
 // clear only at the commit point, after the old plane's state has been
-// extracted (a recovering switch's stale tables must not resurrect) and
+// staged (a recovering switch's stale tables must not resurrect) and
 // after every error return is behind.
 type recovery struct {
 	switches []topo.NodeID
 	links    [][2]topo.NodeID
 }
 
+// staged is the state a reconfiguration carries into the next plane: per
+// entry-holding variable, its table in each switch set of the old plane
+// (sets order), or the one table a store produced. The tables share their
+// storage with the old plane's, which is paused and, past the commit point,
+// never run again; until then nothing writes through either.
+type staged map[string][]state.Table
+
+// tableOf seats variable v's entries in src in a fresh table.
+func tableOf(src *state.Store, v string) state.Table {
+	var t state.Table
+	t.SeedFrom(src, v)
+	return t
+}
+
+// spell writes a table's entries into dst under v, one by one: the
+// O(entries) step a swap takes only where something has to read them.
+func (e *Engine) spell(dst *state.Store, v string, t *state.Table) {
+	t.AddToStore(dst, v)
+	e.reseated.Add(int64(t.Len()))
+}
+
+// stage gathers the tables of the variables alive switches own: a down
+// switch's memory is gone with it. Callers have reconciled the plane, so
+// worker 0's replica decides whether a variable holds entries.
+func (e *Engine) stage(old *plane) staged {
+	st := staged{}
+	for v, owner := range old.cfg.Placement {
+		if e.down[owner].Load() {
+			continue
+		}
+		var tabs []state.Table
+		for _, set := range old.sets {
+			if t, ok := set[owner].TableRef(v); ok {
+				tabs = append(tabs, *t)
+			}
+		}
+		if len(tabs) > 0 && tabs[0].Len() > 0 {
+			st[v] = tabs
+		}
+	}
+	return st
+}
+
+// handOver gives variable v's tables to its owner in a plane being
+// prepared: set i adopts tabs[i] as it is. A set past len(tabs) — the
+// variable comes from a lock-discipline plane or out of a store, and this
+// plane replicates — needs entries of its own and gets them spelled out.
+func (e *Engine) handOver(pl *plane, v string, tabs []state.Table) error {
+	owner := pl.cfg.Placement[v]
+	var src *state.Store
+	for i, set := range pl.sets {
+		if i == len(tabs) {
+			if src == nil {
+				src = state.NewStore()
+				e.spell(src, v, &tabs[0])
+			}
+			tabs = append(tabs, tableOf(src, v))
+		}
+		if !set[owner].AdoptTable(v, tabs[i]) {
+			return fmt.Errorf("dataplane: switch %d owns %s but has no table for it", owner, v)
+		}
+	}
+	return nil
+}
+
 // apply is the shared swap sequence of ApplyConfig, Failover and Recover,
-// structured as a transaction: prepare (flush, reconcile, union, rewrite),
+// structured as a transaction: prepare (flush, reconcile, stage, rewrite),
 // validate (every entry-holding variable has an up owner), build (link +
-// plane + replica seed — no goroutines started), then commit. Every
-// fallible stage runs in prepareSwap against private data; a failure
-// there — or a panic, contained there — rolls back: the old plane keeps
-// serving on the unchanged epoch with all state intact, the rollback
-// counter bumps, and the error returns for the controller's retry
-// discipline. In degraded mode, state owned by down switches is recovered
-// from replica stores (promotion) or reported lost; otherwise an
-// entry-holding variable without a new owner is an error.
+// plane + replica seed + hand-over — no goroutines started), then commit.
+// Every fallible stage runs in prepareSwap and writes only to the plane
+// being prepared; a failure there — or a panic, contained there — rolls
+// back: the old plane keeps serving on the unchanged epoch with all state
+// intact, the rollback counter bumps, and the error returns for the
+// controller's retry discipline. In degraded mode, state owned by down
+// switches is recovered from replica stores (promotion) or reported lost;
+// otherwise an entry-holding variable without a new owner is an error.
 func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, rec *recovery) (*FailoverStats, error) {
 	began := time.Now()
 	e.gate.pause()
@@ -782,25 +834,26 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 
 	fs := &FailoverStats{Promoted: map[string]topo.NodeID{}}
 	old := e.plane.Load()
-	// Under the replication discipline, drain the update rings so worker
-	// 0's replica (old.switches) is the converged canonical state.
+	// Under the replication discipline, drain the update rings so every
+	// worker's replica is converged before it is handed over.
 	e.reconcile(old)
-	global := e.unionUpState(old.switches)
+	st := e.stage(old)
 	if degraded {
-		e.recoverOrphans(old, cfg, global, fs)
+		e.recoverOrphans(old, cfg, st, fs)
 	}
-	next, newRep, err := e.prepareSwap(cfg, rewrite, global)
+	next, newRep, err := e.prepareSwap(cfg, rewrite, st)
 	if err != nil {
 		return nil, e.rollback(began, err)
 	}
 
-	// Commit point: nothing below can fail. The outgoing plane's
-	// contention counters bank here (not earlier — a rolled-back apply
-	// must not double-count them on retry), recovering elements come back
-	// up here — after the stale state of the dead switches was excluded
-	// from the union above, and never on an errored apply — and panic
+	// Commit point: nothing below can fail, and from here the old plane,
+	// whose tables the next one now holds, never runs again. The outgoing
+	// plane's contention counters bank here (not earlier — a rolled-back
+	// apply must not double-count them on retry), recovering elements come
+	// back up here — after the stale state of the dead switches was left
+	// out of the staging above, and never on an errored apply — and panic
 	// quarantine lifts: the poisoned VMs have just been replaced by fresh
-	// ones re-seated from the migrated state.
+	// ones holding the handed-over state.
 	e.foldContention(old)
 	e.clearQuarantine()
 	if rec != nil {
@@ -843,19 +896,20 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 
 // prepareSwap runs every fallible stage of a reconfiguration — the state
 // rewrite, ownership validation, link + plane build, replica seeding and
-// the state re-seat — against data the old plane never reads, so an error
-// anywhere aborts with the engine exactly as it was. The one piece of
-// engine state buildPlane touches, the cross-epoch link cache, is
-// snapshotted and restored on failure (a cache rebuilt around an abandoned
-// plane or VarSpace must not leak into the next attempt). A panic in any
-// stage is contained here and rolls back like an error. No goroutines are
-// started for the tentative plane (buildPlane/buildSCR and newReplicator
-// guarantee that), so abandoning it leaks nothing.
+// the hand-over — writing only to the plane it builds: the staged tables
+// are read or adopted whole, never written, so an error anywhere aborts
+// with the engine exactly as it was. The one piece of engine state
+// buildPlane touches, the cross-epoch link cache, is snapshotted and
+// restored on failure (a cache rebuilt around an abandoned plane or
+// VarSpace must not leak into the next attempt). A panic in any stage is
+// contained here and rolls back like an error. No goroutines are started
+// for the tentative plane (buildPlane/buildSCR and newReplicator guarantee
+// that), so abandoning it leaks nothing.
 //
 // The engine.apply.* fault points mark the three externally injectable
 // failure stages — rewrite, link, reseed — for tests and the chaos
 // harness.
-func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, global *state.Store) (next *plane, newRep *replicator, err error) {
+func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, st staged) (next *plane, newRep *replicator, err error) {
 	prevSig, prevCache, prevLast := e.linkSig, e.linkCache, e.linkLast
 	defer func() {
 		if v := recover(); v != nil {
@@ -870,14 +924,23 @@ func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, global *st
 		return nil, nil, fmt.Errorf("dataplane: state rewrite: %w", err)
 	}
 	if rewrite != nil {
+		global := state.NewStore()
+		for v, tabs := range st {
+			e.spell(global, v, &tabs[0])
+		}
 		if global, err = rewrite(global); err != nil {
 			return nil, nil, fmt.Errorf("dataplane: state rewrite: %w", err)
+		}
+		st = staged{}
+		for _, v := range global.Vars() {
+			st[v] = []state.Table{tableOf(global, v)}
 		}
 	}
 	// Validate ownership before paying for the build: an entry-holding
 	// variable the new placement cannot seat fails the swap regardless of
 	// what the plane would look like.
-	for _, v := range global.Vars() {
+	vars := slices.Sorted(maps.Keys(st))
+	for _, v := range vars {
 		owner, ok := cfg.Placement[v]
 		if !ok {
 			return nil, nil, fmt.Errorf("dataplane: state variable %s has no owner under the new configuration (fold or drop it in the rewrite)", v)
@@ -890,17 +953,19 @@ func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, global *st
 		return nil, nil, fmt.Errorf("dataplane: link: %w", err)
 	}
 	// Build the new configuration's replicator and hook the new switch VMs
-	// into it; seed the new replica stores from the recovered global state
-	// so backups are warm from the first post-swap packet. The engine's
-	// live replicator is only swapped at the caller's commit point.
+	// into it; seed the new replica stores from the staged state so backups
+	// are warm from the first post-swap packet. The engine's live
+	// replicator is only swapped at the caller's commit point.
 	newRep = newReplicator(e, cfg)
-	newRep.seed(global)
+	newRep.seed(st)
 	next = e.buildPlane(cfg, newRep)
 	if err := faultpoint.Hit(faultpoint.EngineApplyReseed); err != nil {
 		return nil, nil, fmt.Errorf("dataplane: state reseat: %w", err)
 	}
-	for _, v := range global.Vars() {
-		next.seedVar(global, v, cfg.Placement[v])
+	for _, v := range vars {
+		if err := e.handOver(next, v, st[v]); err != nil {
+			return nil, nil, err
+		}
 	}
 	return next, newRep, nil
 }
@@ -913,27 +978,24 @@ func (e *Engine) replicator() *replicator {
 	return e.rep
 }
 
-// recoverOrphans sources the entries of variables whose primary owner is
+// recoverOrphans stages the entries of variables whose primary owner is
 // down: the first alive replica in promotion-preference order (per the old
-// configuration) is authoritative; with no surviving replica the entries
-// are lost and only counted. Victim tables are never read — a dead
-// switch's memory is unreachable by definition; the simulator merely still
-// holds it, which is what lets the loss be counted exactly.
-func (e *Engine) recoverOrphans(old *plane, cfg *rules.Config, global *state.Store, fs *FailoverStats) {
-	oldCfg := old.cfg
-	vars := make([]string, 0, len(oldCfg.Placement))
-	for v := range oldCfg.Placement {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	for _, v := range vars {
-		owner := oldCfg.Placement[v]
+// configuration) is authoritative and its store is seated in a table; with
+// no surviving replica the entries are lost and only counted. Victim tables
+// are never read — a dead switch's memory is unreachable by definition; the
+// simulator merely still holds it, which lets the loss be counted exactly.
+func (e *Engine) recoverOrphans(old *plane, cfg *rules.Config, st staged, fs *FailoverStats) {
+	for _, v := range slices.Sorted(maps.Keys(old.cfg.Placement)) {
+		owner := old.cfg.Placement[v]
 		if !e.down[owner].Load() {
 			continue
 		}
 		if rst := e.replicator().aliveReplica(v); rst != nil {
-			global.CopyVar(rst, v)
-			fs.Recovered += len(rst.Entries(v))
+			if t := tableOf(rst, v); t.Len() > 0 {
+				st[v] = []state.Table{t}
+				fs.Recovered += t.Len()
+				e.reseated.Add(int64(t.Len()))
+			}
 			if newOwner, ok := cfg.Placement[v]; ok {
 				fs.Promoted[v] = newOwner
 			}
@@ -950,8 +1012,9 @@ func (e *Engine) recoverOrphans(old *plane, cfg *rules.Config, global *state.Sto
 
 // admit is the admission check in front of apply, shared by ApplyConfig,
 // Failover and Recover. A new configuration must target the engine's
-// physical network: switch IDs index the inbox map and port attachments
-// decide where injections enter, so both must be preserved across epochs.
+// physical network: switch IDs index the failure flags and load counters,
+// and port attachments decide where injections enter, so both must be
+// preserved across epochs.
 // A failed switch must stay failed unless this apply recovers it: a
 // topology that treats it as up would silently re-seat state (and route
 // traffic) onto a dead switch. Ports may be missing when removedOK (a dead
@@ -999,24 +1062,6 @@ func portDiff(a, b *topo.Topology, removedOK bool, addedOn map[topo.NodeID]bool)
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, "; ")
-}
-
-// unionUpState unions the state tables of alive switches only: a down
-// switch's memory is gone with it.
-func (e *Engine) unionUpState(switches map[topo.NodeID]*netasm.Switch) *state.Store {
-	out := state.NewStore()
-	ids := make([]topo.NodeID, 0, len(switches))
-	for id := range switches {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if e.down[id].Load() {
-			continue
-		}
-		switches[id].StateInto(out)
-	}
-	return out
 }
 
 // Epoch counts the configurations this engine has run: 0 at NewEngine,
@@ -1132,7 +1177,7 @@ func (e *Engine) GlobalState() *state.Store {
 	defer e.gate.resume()
 	pl := e.plane.Load()
 	e.reconcile(pl)
-	return e.unionUpState(pl.switches)
+	return unionState(pl.switches, e.down)
 }
 
 // SwitchTable snapshots one switch's tables (tests and diagnostics),

@@ -13,6 +13,7 @@ import (
 	"snap/internal/core"
 	"snap/internal/ctrl"
 	"snap/internal/dataplane"
+	"snap/internal/parser"
 	"snap/internal/pkt"
 	"snap/internal/place"
 	"snap/internal/rules"
@@ -92,7 +93,6 @@ func TestEngineSequentialEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			eng := dataplane.NewEngine(seqPlane.Config(), dataplane.Options{
 				Workers:          c.workers,
-				SwitchWorkers:    2,
 				Window:           64,
 				StateReplication: c.scr,
 			})
@@ -140,7 +140,7 @@ func TestEngineBatchOfOneExactEquivalence(t *testing.T) {
 	p := campusWorkload(fw.MustPolicy())
 	seqPlane, d := deploy(t, p, netw, nil)
 
-	eng := dataplane.NewEngine(seqPlane.Config(), dataplane.Options{SwitchWorkers: 2})
+	eng := dataplane.NewEngine(seqPlane.Config(), dataplane.Options{})
 	defer eng.Close()
 
 	ref := state.NewStore()
@@ -203,8 +203,7 @@ func TestEngineShardedStateEquivalence(t *testing.T) {
 			}
 
 			eng := dataplane.NewEngine(shardPlane.Config(), dataplane.Options{
-				SwitchWorkers: 2,
-				Window:        32,
+				Window: 32,
 			})
 			defer eng.Close()
 			if _, err := eng.InjectBatch(batch); err != nil {
@@ -229,7 +228,7 @@ func TestEngineStreamAndLoad(t *testing.T) {
 	p := campusWorkload(apps.Monitor())
 	plane, _ := deploy(t, p, netw, nil)
 
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 16})
+	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Workers: 4, Window: 16})
 	defer eng.Close()
 
 	const n = 500
@@ -290,7 +289,7 @@ func countSum(st *state.Store) int64 {
 func TestEngineBadPortDoesNotPoison(t *testing.T) {
 	netw := topo.Campus(1000)
 	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{SwitchWorkers: 2, Window: 16})
+	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Window: 16})
 	defer eng.Close()
 
 	rng := rand.New(rand.NewSource(3))
@@ -367,8 +366,8 @@ func TestEngineMulticastRunToCompletion(t *testing.T) {
 		name string
 		opts dataplane.Options
 	}{
-		{"workers=1", dataplane.Options{Workers: 1, SwitchWorkers: 2, Window: 64}},
-		{"locks", dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 64}},
+		{"workers=1", dataplane.Options{Workers: 1, Window: 64}},
+		{"locks", dataplane.Options{Workers: 4, Window: 64}},
 		{"replication", dataplane.Options{Workers: 4, Window: 64, StateReplication: true}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -402,7 +401,7 @@ func TestEngineMulticastRunToCompletion(t *testing.T) {
 func TestEngineSnapshotsMidStream(t *testing.T) {
 	netw := topo.Campus(1000)
 	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 16})
+	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Workers: 4, Window: 16})
 	defer eng.Close()
 
 	rng := rand.New(rand.NewSource(21))
@@ -437,7 +436,8 @@ func TestEngineSnapshotsMidStream(t *testing.T) {
 // TestEngineApplyConfigMigratesState: a hot swap onto a configuration with
 // a different owner for the state variable must carry every entry to the
 // new owner switch, leave the global view unchanged, and keep serving
-// traffic that accumulates on the migrated entries.
+// traffic that accumulates on the migrated entries — by handing the table
+// over, not by reading it.
 func TestEngineApplyConfigMigratesState(t *testing.T) {
 	netw := topo.Campus(1000)
 	p := campusWorkload(apps.Monitor())
@@ -445,7 +445,7 @@ func TestEngineApplyConfigMigratesState(t *testing.T) {
 	planeA, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": from})
 	planeB, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": to})
 
-	eng := dataplane.NewEngine(planeA.Config(), dataplane.Options{SwitchWorkers: 2, Window: 16})
+	eng := dataplane.NewEngine(planeA.Config(), dataplane.Options{Window: 16})
 	defer eng.Close()
 
 	rng := rand.New(rand.NewSource(31))
@@ -484,6 +484,132 @@ func TestEngineApplyConfigMigratesState(t *testing.T) {
 	}
 	if n := countSum(eng.GlobalState()); n != 2*int64(len(batch)) {
 		t.Fatalf("count sum after swap %d, want %d", n, 2*len(batch))
+	}
+	if n := reseated(t, eng); n != 0 {
+		t.Fatalf("a change of owner spelled out %d entries, want the table handed over", n)
+	}
+
+	// With a rewrite: swapping a sharded monitor for the unsharded one
+	// passes every entry through the store the fold reads, which the
+	// reseated counter reports, and the folded counts are the per-port totals.
+	t.Run("fold", func(t *testing.T) {
+		plan := shard.PortsPlan("count", []int{1, 2, 3, 4, 5, 6})
+		shardedInner, err := shard.Apply(apps.Monitor(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, _ := deploy(t, campusWorkload(shardedInner), netw, nil)
+		plain, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
+
+		eng := dataplane.NewEngine(sharded.Config(), dataplane.Options{Window: 16})
+		defer eng.Close()
+		rng := rand.New(rand.NewSource(31))
+		batch := make([]dataplane.Ingress, 200)
+		for i := range batch {
+			port, pk := campusPacket(rng)
+			batch[i] = dataplane.Ingress{Port: port, Packet: pk}
+		}
+		if _, err := eng.InjectBatch(batch); err != nil {
+			t.Fatalf("warm batch: %v", err)
+		}
+		want, err := shard.Merge(eng.GlobalState(), plan, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		migration := ctrl.PlanMigration(sharded.Config(), plain.Config(), []shard.Plan{plan}, nil)
+		if len(migration.Folds) != 1 {
+			t.Fatalf("folds = %v, want the count family", migration.Folds)
+		}
+		if err := eng.ApplyConfig(plain.Config(), migration.Rewrite()); err != nil {
+			t.Fatalf("ApplyConfig: %v", err)
+		}
+		if !eng.GlobalState().Equal(want) {
+			t.Fatalf("folded state:\n%s\nwant:\n%s", eng.GlobalState(), want)
+		}
+		if n := reseated(t, eng); n <= 0 {
+			t.Fatalf("a shard fold reports %d reseated entries, want > 0", n)
+		}
+		if _, err := eng.InjectBatch(batch); err != nil {
+			t.Fatalf("post-swap batch: %v", err)
+		}
+		if n := countSum(eng.GlobalState()); n != 2*int64(len(batch)) {
+			t.Fatalf("count sum after the fold %d, want %d", n, 2*len(batch))
+		}
+	})
+}
+
+// reseated reads snap_swap_reseated_entries_total from an engine's scrape.
+func reseated(t *testing.T, eng *dataplane.Engine) int64 {
+	t.Helper()
+	for _, m := range eng.Telemetry().Snapshot().Metrics {
+		if m.Name == "snap_swap_reseated_entries_total" {
+			return int64(m.Samples[0].Value)
+		}
+	}
+	t.Fatal("scrape has no snap_swap_reseated_entries_total")
+	return 0
+}
+
+// TestSwapHandsTablesOver: a swap hands each variable's table to its new
+// owner instead of reading its entries, so what ApplyConfig allocates does
+// not follow the number of entries seeded, under either discipline, and the
+// global state reads the same before and after.
+func TestSwapHandsTablesOver(t *testing.T) {
+	netw := topo.Campus(1000)
+	p := campusWorkload(parser.MustParse(`hits[srcport]++`))
+	plane, _ := deploy(t, p, netw, nil)
+	for _, c := range []struct {
+		name string
+		opts dataplane.Options
+		mode dataplane.ExecMode
+	}{
+		{"locks", dataplane.Options{Workers: 2}, dataplane.ModeLocks},
+		{"replication", dataplane.Options{Workers: 2, StateReplication: true}, dataplane.ModeReplication},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			swapBytes := func(entries int) uint64 {
+				eng := dataplane.NewEngine(plane.Config(), c.opts)
+				defer eng.Close()
+				if eng.ExecMode() != c.mode {
+					t.Fatalf("exec mode = %v, want %v: %v", eng.ExecMode(), c.mode, eng.ReplicationFallback())
+				}
+				rng := rand.New(rand.NewSource(3))
+				trace := make([]dataplane.Ingress, entries)
+				for i := range trace {
+					port, pk := campusPacket(rng)
+					trace[i] = dataplane.Ingress{Port: port, Packet: pk.With(pkt.SrcPort, values.Int(int64(i)))}
+				}
+				if err := eng.InjectReplay(trace); err != nil {
+					t.Fatal(err)
+				}
+				before := eng.GlobalState()
+				if n := len(before.Entries("hits")); n != entries {
+					t.Fatalf("seeded %d entries, want %d", n, entries)
+				}
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				err := eng.ApplyConfig(plane.Config(), nil)
+				runtime.ReadMemStats(&m1)
+				if err != nil {
+					t.Fatalf("ApplyConfig: %v", err)
+				}
+				if !eng.GlobalState().Equal(before) {
+					t.Fatal("global state changed across the swap")
+				}
+				if err := eng.AuditReplicas(); err != nil {
+					t.Fatal(err)
+				}
+				if n := reseated(t, eng); n != 0 {
+					t.Fatalf("a swap that moved nothing spelled out %d entries", n)
+				}
+				return m1.TotalAlloc - m0.TotalAlloc
+			}
+			small, large := swapBytes(1_000), swapBytes(100_000)
+			t.Logf("ApplyConfig allocated %d B over 1 000 entries, %d B over 100 000", small, large)
+			if large > 2*small {
+				t.Fatalf("ApplyConfig allocated %d B over 1 000 entries and %d B over 100 000: the swap reads entries", small, large)
+			}
+		})
 	}
 }
 
@@ -537,7 +663,7 @@ func TestEngineApplyConfigMidStream(t *testing.T) {
 	planeA, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": 8})
 	planeB, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": 2})
 
-	eng := dataplane.NewEngine(planeA.Config(), dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 16})
+	eng := dataplane.NewEngine(planeA.Config(), dataplane.Options{Workers: 4, Window: 16})
 	defer eng.Close()
 
 	const n = 1500

@@ -62,7 +62,7 @@ func TestEngineReplicationMirrorsWrites(t *testing.T) {
 	}
 	primary := comp.Config.Placement["count"]
 
-	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2, SwitchWorkers: 2})
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
 	defer eng.Close()
 	if err := eng.InjectReplay(trace(tm, 2000, 3)); err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestApplyConfigPortDiffError(t *testing.T) {
 // accounting stays exact.
 func TestFailSwitchMidStream(t *testing.T) {
 	comp, tp, tm := compileCampus(t, 0)
-	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2, SwitchWorkers: 2})
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
 	defer eng.Close()
 
 	tr := trace(tm, 2000, 7)
@@ -234,7 +234,7 @@ func TestFailSwitchMidStream(t *testing.T) {
 func TestEngineFailoverPromotesReplicas(t *testing.T) {
 	comp, tp, tm := compileCampus(t, 2)
 	owner := comp.Config.Placement["count"]
-	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2, SwitchWorkers: 2})
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
 	defer eng.Close()
 
 	if err := eng.InjectReplay(trace(tm, 2000, 9)); err != nil {

@@ -1,6 +1,6 @@
 // Failure injection and failover for the concurrent engine. FailSwitch
 // and FailLink model the failures real networks have constantly: a killed
-// switch takes its inbox, its in-flight work, its state tables and its
+// switch takes its in-flight work, its state tables and its
 // un-mirrored replication writes with it; a dead link silently eats every
 // copy sent across it. Both are injected *live* — traffic keeps flowing
 // and the victims' losses surface as observed drops — until the control

@@ -57,9 +57,8 @@ func checkCompiledEquivalence(t *testing.T, policy syntax.Policy, packets int, s
 	netw := topo.Campus(1000)
 	plane, _ := deploy(t, policy, netw, nil)
 	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers:       1,
-		SwitchWorkers: 1,
-		Window:        16,
+		Workers: 1,
+		Window:  16,
 	})
 	defer eng.Close()
 
@@ -288,9 +287,8 @@ func TestCompiledPlaneShardedEquivalence(t *testing.T) {
 	netw := topo.Campus(1000)
 	shardNet, _ := deploy(t, sharded, netw, nil)
 	eng := dataplane.NewEngine(shardNet.Config(), dataplane.Options{
-		Workers:       1,
-		SwitchWorkers: 1,
-		Window:        16,
+		Workers: 1,
+		Window:  16,
 	})
 	defer eng.Close()
 

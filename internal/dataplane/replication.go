@@ -239,17 +239,24 @@ func (r *replicator) flush() {
 	r.drain()
 }
 
-// seed warms the replica stores from a global state snapshot: every
-// replicated variable's current entries are copied to each of its backups.
-// Used when a new replicator is installed mid-life (reconfiguration,
-// failover), so backups do not start cold behind a populated primary.
-func (r *replicator) seed(global *state.Store) {
+// seed warms the replica stores from the state a reconfiguration staged:
+// every replicated variable's current entries are spelled out into its
+// first backup's (fresh) store and shared with the others from there. Used
+// when a new replicator is installed mid-life (reconfiguration, failover),
+// so backups do not start cold behind a populated primary.
+func (r *replicator) seed(st staged) {
 	if r == nil {
 		return
 	}
 	for v, backups := range r.vars {
-		for _, b := range backups {
-			r.stores[b].CopyVar(global, v)
+		tabs, ok := st[v]
+		if !ok || len(backups) == 0 {
+			continue
+		}
+		first := r.stores[backups[0]]
+		r.eng.spell(first, v, &tabs[0])
+		for _, b := range backups[1:] {
+			r.stores[b].CopyVar(first, v)
 		}
 	}
 }

@@ -10,14 +10,13 @@
 // instead of sharing the state: each worker owns a private replica of
 // every switch VM (and therefore of every state table), walks injected
 // packets end-to-end against it (the walk of walk.go, between a drain and
-// a publish) with no locks and no tokens, and appends its
-// state writes to a compact update log (state.Update) that per-worker-pair
-// SPSC ring buffers carry to the other workers. Each worker drains its
-// inbound rings before running the next packet, re-executing commutative
-// deltas and applying tag-ordered last-writer-wins sets (state.Replica),
-// so all replicas converge to the same tables once the logs drain — the
-// paper's packet-history ordering, with Lamport tags standing in for the
-// shared sequencer.
+// a publish) with no locks, and appends its state writes to a compact
+// update log (state.Update) that per-worker-pair SPSC ring buffers carry to
+// the other workers. Each worker drains its inbound rings before running
+// the next packet, re-executing commutative deltas and applying tag-ordered
+// last-writer-wins sets (state.Replica), so all replicas converge to the
+// same tables once the logs drain — the paper's packet-history ordering,
+// with Lamport tags standing in for the shared sequencer.
 //
 // Equivalence with the sequential plane: a worker publishes its packet's
 // log before the injection is finished, and drains before the next packet
@@ -40,7 +39,9 @@ package dataplane
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -353,7 +354,7 @@ func (s *scrState) start() {
 	}
 }
 
-// stop closes the worker inboxes and waits for the loops to exit. Callers
+// stop closes the workers' queues and waits for the loops to exit. Callers
 // hold the engine quiescent (gate paused or Close), so no sends race the
 // close.
 func (s *scrState) stop() {
@@ -481,11 +482,7 @@ func (e *Engine) reconcile(pl *plane) {
 // audit verifies all worker replicas hold equal tables for every placed
 // variable. Meaningful only after reconcile (at quiescence).
 func (s *scrState) audit(cfg *rules.Config) error {
-	vars := make([]string, 0, len(cfg.Placement))
-	for v := range cfg.Placement {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
+	vars := slices.Sorted(maps.Keys(cfg.Placement))
 	w0 := s.workers[0]
 	for _, wk := range s.workers[1:] {
 		for _, v := range vars {

@@ -24,6 +24,7 @@ import (
 	"snap/internal/apps"
 	"snap/internal/dataplane"
 	"snap/internal/pkt"
+	"snap/internal/rules"
 	"snap/internal/semantics"
 	"snap/internal/state"
 	"snap/internal/syntax"
@@ -40,7 +41,6 @@ func newReplicatedEngine(t *testing.T, policy syntax.Policy, workers, ring int) 
 	plane, _ := deploy(t, policy, netw, nil)
 	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
 		Workers:          workers,
-		SwitchWorkers:    1,
 		Window:           16,
 		StateReplication: true,
 		ReplicationRing:  ring,
@@ -326,8 +326,8 @@ func TestReplicatedConvergenceUnderLoad(t *testing.T) {
 }
 
 // TestReplicatedReconfigure drives an epoch swap on a live replicated
-// engine: replay, ApplyConfig of the same configuration (state must
-// migrate through the canonical store and re-seed every worker replica),
+// engine: replay, ApplyConfig of the same configuration (every worker's
+// replica of the state must reach the same worker of the next plane),
 // replay again, and compare against an uninterrupted sequential reference.
 func TestReplicatedReconfigure(t *testing.T) {
 	policy := campusWorkload(apps.Monitor())
@@ -371,4 +371,81 @@ func TestReplicatedReconfigure(t *testing.T) {
 		t.Fatalf("state after epoch swap diverged\nengine:\n%s\nref:\n%s",
 			eng.GlobalState(), plane.GlobalState())
 	}
+}
+
+// TestSwapAcrossDisciplines: an edit that introduces a replication blocker
+// (v assigned as well as incremented) takes a replicated plane to locks,
+// and the edit that removes it takes it back. Each swap must preserve every
+// entry — worker 0's tables become the shared ones; the shared ones are
+// handed to worker 0 and spelled out for the others — and the replicas must
+// converge afterwards.
+func TestSwapAcrossDisciplines(t *testing.T) {
+	netw := topo.Campus(1000)
+	deltas := campusWorkload(syntax.Then(
+		syntax.IncrState("v", syntax.F(pkt.SrcIP)),
+		syntax.IncrState("v", syntax.F(pkt.DstIP)),
+		apps.Monitor(),
+	))
+	mixed := campusWorkload(syntax.Then(
+		syntax.WriteState("v", syntax.F(pkt.SrcIP), syntax.V(values.Int(1))),
+		syntax.IncrState("v", syntax.F(pkt.DstIP)),
+		apps.Monitor(),
+	))
+	replicable, _ := deploy(t, deltas, netw, nil)
+	blocked, _ := deploy(t, mixed, netw, nil)
+
+	eng := dataplane.NewEngine(replicable.Config(), dataplane.Options{Workers: 4, Window: 16, StateReplication: true})
+	defer eng.Close()
+
+	rng := rand.New(rand.NewSource(13))
+	injected := 0
+	replay := func(want dataplane.ExecMode) {
+		t.Helper()
+		if eng.ExecMode() != want {
+			t.Fatalf("exec mode = %v, want %v: %v", eng.ExecMode(), want, eng.ReplicationFallback())
+		}
+		trace := make([]dataplane.Ingress, 300)
+		for i := range trace {
+			port, p := campusPacket(rng)
+			trace[i] = dataplane.Ingress{Port: port, Packet: p}
+		}
+		if err := eng.InjectReplay(trace); err != nil {
+			t.Fatal(err)
+		}
+		injected += len(trace)
+		if err := eng.AuditReplicas(); err != nil {
+			t.Fatal(err)
+		}
+		if n := countSum(eng.GlobalState()); n != int64(injected) {
+			t.Fatalf("count sum %d after %d packets", n, injected)
+		}
+	}
+	swap := func(cfg *rules.Config) {
+		t.Helper()
+		before := eng.GlobalState()
+		if len(before.Entries("v")) == 0 || len(before.Entries("count")) == 0 {
+			t.Fatalf("nothing to preserve:\n%s", before)
+		}
+		if err := eng.ApplyConfig(cfg, nil); err != nil {
+			t.Fatalf("ApplyConfig: %v", err)
+		}
+		if err := eng.AuditReplicas(); err != nil {
+			t.Fatal(err)
+		}
+		if after := eng.GlobalState(); !after.Equal(before) {
+			t.Fatalf("state changed across the swap\nbefore:\n%s\nafter:\n%s", before, after)
+		}
+	}
+
+	replay(dataplane.ModeReplication)
+	swap(blocked.Config())
+	if n := reseated(t, eng); n != 0 {
+		t.Fatalf("replication to locks spelled out %d entries, want worker 0's tables handed over", n)
+	}
+	replay(dataplane.ModeLocks)
+	swap(replicable.Config())
+	if n := reseated(t, eng); n == 0 {
+		t.Fatal("locks to replication reports no reseated entries: workers 1 to 3 need copies")
+	}
+	replay(dataplane.ModeReplication)
 }

@@ -39,7 +39,7 @@ func TestReplicationFallbackMixedActs(t *testing.T) {
 	netw := topo.Campus(1000)
 	plane, _ := deploy(t, policy, netw, nil)
 	eng2 := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers: 2, SwitchWorkers: 1, StateReplication: true,
+		Workers: 2, StateReplication: true,
 	})
 	defer eng2.Close()
 	if eng2.ExecMode() != dataplane.ModeLocks {
@@ -119,7 +119,7 @@ func TestWideIndexDiagnostic(t *testing.T) {
 	}
 
 	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers: 2, SwitchWorkers: 1, StateReplication: true,
+		Workers: 2, StateReplication: true,
 	})
 	defer eng.Close()
 	if eng.ExecMode() != dataplane.ModeLocks {
@@ -139,7 +139,7 @@ func TestWideIndexDiagnostic(t *testing.T) {
 func TestLockContentionCounters(t *testing.T) {
 	netw := topo.Campus(1000)
 	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Workers: 4, SwitchWorkers: 2, Window: 32})
+	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Workers: 4, Window: 32})
 	defer eng.Close()
 	if eng.ExecMode() != dataplane.ModeLocks {
 		t.Fatalf("exec mode = %v, want locks", eng.ExecMode())
@@ -199,7 +199,7 @@ func TestSnapshotAfterClose(t *testing.T) {
 			t.Run(fmt.Sprintf("replication=%v/workers=%d", replication, workers), func(t *testing.T) {
 				plane, _ := deploy(t, policy, netw, nil)
 				eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
-					Workers: workers, SwitchWorkers: 1, StateReplication: replication,
+					Workers: workers, StateReplication: replication,
 				})
 				defer eng.Close()
 				if replication && eng.ExecMode() != dataplane.ModeReplication {

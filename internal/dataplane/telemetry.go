@@ -34,8 +34,8 @@ func traceHop(tr *telemetry.PacketTrace, at topo.NodeID, outcome, stateVar strin
 }
 
 // registerMetrics wires the engine's existing atomics into scrape-time
-// collectors. Called once at the end of NewEngine, after the load and
-// inbox maps are final (the collectors iterate them lock-free).
+// collectors. Called once at the end of NewEngine, after the load map is
+// final (the collectors iterate it lock-free).
 func (e *Engine) registerMetrics() {
 	r := e.tel
 
@@ -84,6 +84,11 @@ func (e *Engine) registerMetrics() {
 		"Reconfigurations that failed mid-swap and rolled back to the prior plane (state intact, epoch unchanged).",
 		nil, func(emit telemetry.Emit) {
 			emit(nil, float64(e.stats.rollbacks.Load()))
+		})
+	r.CounterFunc("snap_swap_reseated_entries_total",
+		"State entries reconfigurations read or wrote one by one through a store (shard folds, replica promotion and warm-up, a change of discipline) instead of handing their table over; 0 after a re-route or an edit that folds nothing.",
+		nil, func(emit telemetry.Emit) {
+			emit(nil, float64(e.reseated.Load()))
 		})
 	r.CounterFunc("snap_contained_panics_total",
 		"Panics recovered at the containment sites: switch VMs under either discipline, and the mirror drainer.",

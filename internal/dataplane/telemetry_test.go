@@ -8,8 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"snap/internal/bench"
+	"snap/internal/core"
 	"snap/internal/dataplane"
+	"snap/internal/place"
 	"snap/internal/topo"
+	"snap/internal/traffic"
 )
 
 // TestEngineTelemetrySeries: after real traffic one scrape of the engine's
@@ -18,7 +22,7 @@ import (
 // gauges — without any instrumentation calls from the test.
 func TestEngineTelemetrySeries(t *testing.T) {
 	comp, _, tm := compileCampus(t, 2)
-	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2, SwitchWorkers: 2})
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
 	defer eng.Close()
 	if err := eng.InjectReplay(trace(tm, 2000, 3)); err != nil {
 		t.Fatal(err)
@@ -42,6 +46,7 @@ func TestEngineTelemetrySeries(t *testing.T) {
 		"snap_mirror_queue_depth",
 		"snap_switch_load_total",
 		"snap_epoch 0",
+		"snap_swap_reseated_entries_total 0",
 		"snap_down_switches 0",
 		"snap_go_goroutines",
 	} {
@@ -135,7 +140,7 @@ func checkGoroutinesBack(t *testing.T, base int) {
 
 // TestEngineCloseNoGoroutineLeak: every engine lifecycle — locks,
 // state-compute replication, mirror replication, and a mid-life failover —
-// winds all its goroutines (switch pools, SCR appliers, the mirror
+// winds all its goroutines (workers, SCR appliers, the mirror
 // drainer) down on Close, and Close is idempotent.
 func TestEngineCloseNoGoroutineLeak(t *testing.T) {
 	base := settleGoroutines()
@@ -196,6 +201,28 @@ func TestEngineCloseNoGoroutineLeak(t *testing.T) {
 	checkGoroutinesBack(t, base)
 }
 
+// TestEngineGoroutinesFollowWorkers: the goroutines an engine starts are its
+// Options.Workers, whatever the size of the network, so the goroutine count
+// is the parallelism bound.
+func TestEngineGoroutinesFollowWorkers(t *testing.T) {
+	netw := topo.IGen(120, 1000)
+	policy, err := bench.MonitorWorkload(false, len(netw.Ports))
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := core.ColdStart(policy, netw, traffic.Gravity(netw, 100, 1), place.Options{Method: place.Heuristic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, slack = 2, 2
+	base := settleGoroutines()
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: workers})
+	defer eng.Close()
+	if n := runtime.NumGoroutine() - base; n > workers+slack {
+		t.Fatalf("NewEngine on %d switches with Workers: %d started %d goroutines", netw.Switches, workers, n)
+	}
+}
+
 // TestEngineInjectSteadyStateAllocs: with telemetry registered and
 // sampling off (the defaults), the warmed packet loop must not allocate
 // per packet — the registry reads the hot path's atomics at scrape time
@@ -207,7 +234,7 @@ func TestEngineInjectSteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates on otherwise clean paths")
 	}
 	comp, _, tm := compileCampus(t, 1)
-	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 1, SwitchWorkers: 2, Window: 256})
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 1, Window: 256})
 	defer eng.Close()
 	tr := trace(tm, 200, 9)
 	for i := 0; i < 5; i++ { // insert every state key, size every pool

@@ -55,11 +55,8 @@ type fabric struct {
 	err      error
 }
 
-func (f *fabric) init(cfg *rules.Config, maxHops int, spans *telemetry.SpanLog) {
-	if maxHops <= 0 {
-		maxHops = 16 * (cfg.Topo.Switches + 2)
-	}
-	f.maxHops = maxHops
+func (f *fabric) init(cfg *rules.Config, spans *telemetry.SpanLog) {
+	f.maxHops = 16 * (cfg.Topo.Switches + 2)
 	f.spans = spans
 	f.load = make(map[topo.NodeID]*switchCounters, len(cfg.Switches))
 	f.obs = make(map[topo.NodeID]*obsShard, len(cfg.Switches))
@@ -183,11 +180,8 @@ func (f *fabric) walk(pl *plane, switches map[topo.NodeID]*netasm.Switch, w *wal
 // emits and appends those that travel on to q. q's free slot may be c
 // itself, so nothing of c is read once the VM has run.
 //
-// Under the lock discipline (pl.slots != nil) the visit takes the switch's
-// stripe locks first, then an execution token, so a copy waiting for a
-// contended variable does not occupy one of the Options.Workers slots.
-// Tokens are only held across Run, which never blocks; stripe holders
-// always progress, so neither wait can deadlock.
+// Under the lock discipline the visit holds the switch's stripe locks across
+// Run, which never blocks, so holders always progress and no wait deadlocks.
 func (f *fabric) visit(pl *plane, switches map[topo.NodeID]*netasm.Switch, w *walker, inj *injection, c *hop, q []hop) []hop {
 	at, hops := c.at, c.hops
 	in, out := c.sp.Hdr.OBSIn, c.sp.Hdr.OBSOut
@@ -222,14 +216,8 @@ func (f *fabric) visit(pl *plane, switches map[topo.NodeID]*netasm.Switch, w *wa
 			pl.lockHist[vid].Observe(wait)
 		}
 	}
-	if pl.slots != nil {
-		pl.slots <- struct{}{}
-	}
 	results, err := runContained(switches[at], at, w.results[:0], &c.sp)
 	w.results = results
-	if pl.slots != nil {
-		<-pl.slots
-	}
 	if !ls.Empty() {
 		ls.Unlock()
 	}

@@ -385,11 +385,10 @@ func (sw *Switch) table(v string) *state.Table {
 
 // TableRef returns a pointer to v's dense local table, false when the
 // switch has no table for it. The pointer stays valid as long as no
-// variable unknown to the switch is introduced afterwards (StateSet or
-// SeedVar of a new name grows the table slice): the state-replication
-// engine mode binds replica apply targets through it, and such planes only
-// ever seed placed variables — which the link step guarantees are among
-// the linked locals — so the slice never grows under them.
+// variable unknown to the switch is introduced afterwards (StateSet of a
+// new name grows the table slice, which only tests do): the
+// state-replication engine mode binds replica apply targets through it, and
+// the engine fills tables through AdoptTable, which never grows the slice.
 func (sw *Switch) TableRef(v string) (*state.Table, bool) {
 	id, ok := sw.tableID(v)
 	if !ok {
@@ -408,15 +407,24 @@ func (sw *Switch) StateGet(v string, idx values.Tuple) values.Value {
 }
 
 // StateSet seeds v[idx] ← val in the local tables directly, bypassing the
-// write observer (tests, diagnostics; the engine seeds via SeedVar).
+// write observer (tests, diagnostics; the engine uses AdoptTable).
 func (sw *Switch) StateSet(v string, idx values.Tuple, val values.Value) {
 	sw.table(v).SetTuple(idx, val)
 }
 
-// SeedVar replaces the local table of v with its contents in src (state
-// migration and failover re-seating).
-func (sw *Switch) SeedVar(src *state.Store, v string) {
-	sw.table(v).SeedFrom(src, v)
+// AdoptTable makes t the local table of v as it is: no entry is read, the
+// switch takes over t's storage, and a pointer TableRef gave out for v now
+// sees t. It is how a reconfiguration hands a variable's state to its owner
+// in the next plane; the caller guarantees that nothing else writes t from
+// here on. False when the switch has no table for v (the link step gives
+// every owned variable one), so the slice never grows under a state.Replica.
+func (sw *Switch) AdoptTable(v string, t state.Table) bool {
+	id, ok := sw.tableID(v)
+	if !ok {
+		return false
+	}
+	sw.tables[id] = t
+	return true
 }
 
 // EntryCount returns the number of entries in v's local table.

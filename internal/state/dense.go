@@ -172,15 +172,6 @@ func (t *Table) SetTuple(idx values.Tuple, v values.Value) values.Tuple {
 	return t.SetWide(idx, v)
 }
 
-// AddTuple dispatches a slice-tuple delta (control-plane convenience).
-func (t *Table) AddTuple(idx values.Tuple, delta int64) (values.Tuple, values.Value) {
-	if k, ok := KeyOfTuple(idx); ok {
-		raw, _ := values.VecOf(idx)
-		return t.Add(k, raw, delta)
-	}
-	return t.AddWide(idx, delta)
-}
-
 // Equal reports whether two tables hold semantically equal bindings: the
 // same keys mapping to Eq-equal values. Retained raw index tuples are not
 // compared — two tables first written with False and 0 at the same key are

@@ -10,8 +10,10 @@ package state
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"snap/internal/values"
 )
@@ -28,8 +30,39 @@ type Entry struct {
 
 // Store holds the contents of every state variable. The zero value is an
 // empty store ready to use.
+//
+// Clone and CopyVar share a variable's entries between stores instead of
+// copying them: a varTable a second store has been given is marked shared
+// and never written again, and whichever store writes the variable next
+// copies that one variable first. The mark is an atomic that is only ever
+// set, so goroutines may Clone (or read) one store concurrently; writes
+// need the caller's serialization, as they always did.
 type Store struct {
-	vars map[string]map[string]Entry
+	vars map[string]*varTable
+}
+
+// varTable is one variable's entries, keyed by Tuple.Key().
+type varTable struct {
+	m      map[string]Entry
+	shared atomic.Bool
+}
+
+// writable returns variable s's table for writing: created when absent,
+// copied when another store may hold it too.
+func (st *Store) writable(s string) map[string]Entry {
+	if st.vars == nil {
+		st.vars = make(map[string]*varTable)
+	}
+	vt, ok := st.vars[s]
+	switch {
+	case !ok:
+		vt = &varTable{m: make(map[string]Entry)}
+		st.vars[s] = vt
+	case vt.shared.Load():
+		vt = &varTable{m: maps.Clone(vt.m)}
+		st.vars[s] = vt
+	}
+	return vt.m
 }
 
 // NewStore returns an empty store.
@@ -37,13 +70,8 @@ func NewStore() *Store { return &Store{} }
 
 // Get reads s[idx], returning Default for absent entries.
 func (st *Store) Get(s string, idx values.Tuple) values.Value {
-	if st == nil || st.vars == nil {
-		return Default
-	}
-	if m, ok := st.vars[s]; ok {
-		if e, ok := m[idx.Key()]; ok {
-			return e.Val
-		}
+	if e, ok := st.varMap(s)[idx.Key()]; ok {
+		return e.Val
 	}
 	return Default
 }
@@ -52,14 +80,7 @@ func (st *Store) Get(s string, idx values.Tuple) values.Value {
 // written with; overwrites update the value in place instead of re-cloning
 // the tuple, so an entry costs one index copy per lifetime, not per write.
 func (st *Store) Set(s string, idx values.Tuple, v values.Value) {
-	if st.vars == nil {
-		st.vars = make(map[string]map[string]Entry)
-	}
-	m, ok := st.vars[s]
-	if !ok {
-		m = make(map[string]Entry)
-		st.vars[s] = m
-	}
+	m := st.writable(s)
 	k := idx.Key()
 	if e, ok := m[k]; ok {
 		e.Val = v
@@ -76,20 +97,18 @@ func (st *Store) Add(s string, idx values.Tuple, delta int64) {
 	st.Set(s, idx, values.Int(cur.AsInt()+delta))
 }
 
-// Clone returns a deep copy of the store, used to evaluate parallel
-// compositions from a common starting state.
+// Clone returns an independent copy of the store, used to evaluate parallel
+// compositions from a common starting state. It costs one step per variable:
+// the entries are shared until either side writes them.
 func (st *Store) Clone() *Store {
 	c := NewStore()
 	if st == nil || st.vars == nil {
 		return c
 	}
-	c.vars = make(map[string]map[string]Entry, len(st.vars))
-	for s, m := range st.vars {
-		cm := make(map[string]Entry, len(m))
-		for k, e := range m {
-			cm[k] = e
-		}
-		c.vars[s] = cm
+	c.vars = make(map[string]*varTable, len(st.vars))
+	for s, vt := range st.vars {
+		vt.shared.Store(true)
+		c.vars[s] = vt
 	}
 	return c
 }
@@ -120,7 +139,10 @@ func (st *Store) varMap(s string) map[string]Entry {
 	if st == nil || st.vars == nil {
 		return nil
 	}
-	return st.vars[s]
+	if vt, ok := st.vars[s]; ok {
+		return vt.m
+	}
+	return nil
 }
 
 // Vars returns the names of all variables with at least one entry, sorted.
@@ -151,24 +173,23 @@ func (st *Store) Entries(s string) []Entry {
 	return out
 }
 
-// CopyVar overwrites variable s in st with its contents in src. Used to
-// merge parallel evaluation results variable-by-variable.
+// CopyVar overwrites variable s in st with its contents in src, shared the
+// way Clone shares them. Used to merge parallel evaluation results
+// variable-by-variable.
 func (st *Store) CopyVar(src *Store, s string) {
-	m := src.varMap(s)
-	if m == nil {
-		if st.vars != nil {
-			delete(st.vars, s)
-		}
+	var vt *varTable
+	if src != nil {
+		vt = src.vars[s]
+	}
+	if vt == nil {
+		delete(st.vars, s)
 		return
 	}
 	if st.vars == nil {
-		st.vars = make(map[string]map[string]Entry)
+		st.vars = make(map[string]*varTable)
 	}
-	cm := make(map[string]Entry, len(m))
-	for k, e := range m {
-		cm[k] = e
-	}
-	st.vars[s] = cm
+	vt.shared.Store(true)
+	st.vars[s] = vt
 }
 
 // Equal reports whether both stores have identical contents for every

@@ -1,6 +1,8 @@
 package state
 
 import (
+	"maps"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -66,6 +68,73 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if got := st.Get("t", idx(values.Int(0))); !values.Eq(got, Default) {
 		t.Fatal("clone added variables to the original")
+	}
+
+	// Clones share entries until written, so every holder of a shared
+	// variable must copy before its first write: interleave writes on the
+	// original, a clone, and a clone of that clone, and check each store
+	// sees exactly its own.
+	cc := c.Clone()
+	stores := []*Store{st, c, cc}
+	want := []map[int64]int64{{0: 1}, {0: 2}, {0: 2}}
+	for round := int64(1); round <= 3; round++ {
+		for i, s := range stores[:3] {
+			s.Set("s", idx(values.Int(round)), values.Int(100*round+int64(i)))
+			want[i][round] = 100*round + int64(i)
+			s.Add("s", idx(values.Int(0)), int64(i+1))
+			want[i][0] += int64(i + 1)
+		}
+		// A clone taken mid-sequence shares again and is never written: the
+		// later rounds must leave it as it was.
+		stores = append(stores, stores[1].Clone())
+		want = append(want, maps.Clone(want[1]))
+	}
+	for i, s := range stores {
+		if n := len(s.Entries("s")); n != len(want[i]) {
+			t.Fatalf("store %d holds %d entries of s, want %d", i, n, len(want[i]))
+		}
+		for k, v := range want[i] {
+			if got := s.Get("s", idx(values.Int(k))); !values.Eq(got, values.Int(v)) {
+				t.Fatalf("store %d: s[%d] = %v, want %d", i, k, got, v)
+			}
+		}
+	}
+	if got := cc.Get("t", idx(values.Int(0))); !values.Eq(got, values.Int(3)) {
+		t.Fatal("clone of a clone lost an unwritten variable")
+	}
+}
+
+// TestConcurrentClones: any number of goroutines may clone one store at
+// once and write their clones, as the oracle and the engine's snapshot
+// readers do. Run under -race.
+func TestConcurrentClones(t *testing.T) {
+	st := NewStore()
+	for i := int64(0); i < 64; i++ {
+		st.Set("s", idx(values.Int(i)), values.Int(i))
+		st.Set("t", idx(values.Int(i)), values.Int(-i))
+	}
+	var wg sync.WaitGroup
+	for g := int64(0); g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				c := st.Clone()
+				c.Add("s", idx(values.Int(g)), 1000)
+				if got := c.Get("s", idx(values.Int(g))); !values.Eq(got, values.Int(g+1000)) {
+					t.Errorf("goroutine %d: clone reads %v after its own write", g, got)
+				}
+				if !c.VarEqual(st, "t") {
+					t.Errorf("goroutine %d: unwritten variable differs from the original", g)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := int64(0); i < 64; i++ {
+		if got := st.Get("s", idx(values.Int(i))); !values.Eq(got, values.Int(i)) {
+			t.Fatalf("original s[%d] = %v after concurrent clones wrote theirs", i, got)
+		}
 	}
 }
 

@@ -15,11 +15,6 @@ func Hash(p Policy) uint64 {
 	return hashPolicy(h, p)
 }
 
-// HashExpr returns the structural hash of an expression.
-func HashExpr(e Expr) uint64 {
-	return hashExpr(fnvOffset, e)
-}
-
 const (
 	fnvOffset uint64 = 14695981039346656037
 	fnvPrime  uint64 = 1099511628211

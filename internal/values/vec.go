@@ -64,11 +64,3 @@ func Canon(v Value) Value {
 	}
 	return v
 }
-
-// CanonVec canonicalizes every element (see Canon).
-func CanonVec(v Vec) Vec {
-	for i := 0; i < int(v.n); i++ {
-		v.a[i] = Canon(v.a[i])
-	}
-	return v
-}

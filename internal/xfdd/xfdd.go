@@ -441,40 +441,3 @@ func CheckRaces(d *Diagram) error {
 	})
 	return err
 }
-
-// StateVarsOf returns every state variable mentioned in tests or actions of
-// the diagram, sorted. The walk is a single pass over unique nodes: shared
-// subgraphs of a hash-consed diagram are not re-visited.
-func StateVarsOf(d *Diagram) []string {
-	set := map[string]bool{}
-	seen := map[*Diagram]bool{}
-	var walk func(*Diagram)
-	walk = func(n *Diagram) {
-		if n == nil || seen[n] {
-			return
-		}
-		seen[n] = true
-		if n.IsLeaf() {
-			for _, s := range n.Seqs {
-				for _, a := range s {
-					if a.isStateAct() {
-						set[a.Var] = true
-					}
-				}
-			}
-			return
-		}
-		if st, ok := n.Test.(STest); ok {
-			set[st.Var] = true
-		}
-		walk(n.True)
-		walk(n.False)
-	}
-	walk(d)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
