@@ -86,11 +86,12 @@ func (f *fabric) containVMError(at topo.NodeID, err error) bool {
 }
 
 // quarantine marks a switch poisoned: subsequent copies reaching it drop
-// and count (exactly the down-switch discipline, so packet conservation
-// audits keep balancing), the containment counter bumps, and the span log
-// records the stack. The flag clears only at the next committed
-// reconfiguration — the swap discards the poisoned VM and re-seats its
-// state on a fresh one; until then the switch serves nothing.
+// and count under DropQuarantine (exactly the down-switch discipline, so
+// packet conservation audits keep balancing; under replication the program
+// is poisoned on some replica, so every replica stops serving it), the
+// containment counter bumps, and the span log records the stack. The flag
+// clears only at the next committed reconfiguration — the swap discards the
+// poisoned VM and re-seats its state on a fresh one.
 func (f *fabric) quarantine(at topo.NodeID, detail string, stack []byte) {
 	f.stats.containedPanics.Add(1)
 	if !f.quar[at].Swap(true) {
@@ -125,16 +126,6 @@ func (e *Engine) QuarantinedSwitches() []topo.NodeID {
 		}
 	}
 	return out
-}
-
-// dropQuarantined accounts one copy discarded at a quarantined switch: a
-// contained panic poisoned its VM, so its copies drop-and-count (the
-// down-switch discipline) until a reconfiguration replaces it. Under
-// replication the program is poisoned on some replica, so every replica
-// stops serving it.
-func (f *fabric) dropQuarantined(at topo.NodeID, inj *injection, in, out int) {
-	f.stats.quarantineDrops.Add(1)
-	f.drop(at, inj, in, out, "")
 }
 
 // rollback accounts a failed reconfiguration at its single exit: the old

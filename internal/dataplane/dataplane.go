@@ -54,11 +54,8 @@ type Network struct {
 func New(cfg *rules.Config) *Network {
 	n := &Network{pl: newPlane(cfg)}
 	n.fab.init(cfg, nil)
-	n.pl.switches = make(map[topo.NodeID]*netasm.Switch, len(cfg.Switches))
 	linked, _, _ := linkPrograms(cfg, nil)
-	for id, lp := range linked {
-		n.pl.switches[id] = netasm.NewLinkedSwitch(int(id), lp)
-	}
+	n.pl.switches = newSwitches(linked, cfg.Topo.Switches)
 	return n
 }
 
@@ -167,7 +164,7 @@ func (n *Network) SwitchTable(id topo.NodeID) *state.Store {
 // unionState and switchTable are the state views both runtimes share,
 // converting the switches' dense runtime tables to canonical stores. The
 // union leaves down switches out: their memory is gone with them.
-func unionState(switches map[topo.NodeID]*netasm.Switch, down []atomic.Bool) *state.Store {
+func unionState(switches []*netasm.Switch, down []atomic.Bool) *state.Store {
 	out := state.NewStore()
 	for id, sw := range switches {
 		if !down[id].Load() {
@@ -177,9 +174,9 @@ func unionState(switches map[topo.NodeID]*netasm.Switch, down []atomic.Bool) *st
 	return out
 }
 
-func switchTable(switches map[topo.NodeID]*netasm.Switch, id topo.NodeID) *state.Store {
-	if sw, ok := switches[id]; ok {
-		return sw.Snapshot()
+func switchTable(switches []*netasm.Switch, id topo.NodeID) *state.Store {
+	if int(id) < 0 || int(id) >= len(switches) {
+		return nil
 	}
-	return nil
+	return switches[id].Snapshot()
 }

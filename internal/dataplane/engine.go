@@ -128,10 +128,11 @@ func (o Options) withDefaults() Options {
 }
 
 // item is an admitted injection on its way to the goroutine that will walk
-// it: one of the engine's workers or an SCR worker.
+// it: one of the engine's workers or an SCR worker. The packet goes by
+// pointer, so admission copies none: the one copy is walk's, into its queue.
 type item struct {
 	at  topo.NodeID
-	ing Ingress
+	ing *Ingress
 	inj *injection
 }
 
@@ -202,13 +203,17 @@ func (g *gate) resume() {
 // packet ever sees a torn configuration. Network holds a bare one: no
 // locks.
 type plane struct {
-	cfg      *rules.Config
-	switches map[topo.NodeID]*netasm.Switch
-	locks    map[topo.NodeID]state.LockSet
+	cfg *rules.Config
+	// Per switch, by NodeID: VMs, lock sets (empty under replication and on
+	// Network), switch configurations. linkDead is indexed like Topo.Links.
+	switches []*netasm.Switch
+	locks    []state.LockSet
+	scs      []*rules.SwitchConfig
+	linkDead []atomic.Bool
 	// sets lists every set of switch VMs an engine plane runs, for the
 	// swap's hand-over: switches alone under locks, each worker's replica
 	// under replication (worker 0's, which is switches, first).
-	sets []map[topo.NodeID]*netasm.Switch
+	sets [][]*netasm.Switch
 	// owners is the dense state-owner lookup: variable id (in cfg's
 	// VarSpace) → owning switch. placed marks ids that have an owner.
 	// Suspended packets carry variable ids, so the per-hop owner lookup is
@@ -237,18 +242,43 @@ type plane struct {
 	// disjoint. Indexed by VarSpace id; lockVars is switch → owned var ids.
 	lockSusp []atomic.Int64
 	lockWait []atomic.Int64
-	lockVars map[topo.NodeID][]int32
+	lockVars [][]int32
 }
 
 // newPlane starts a plane for a configuration with the parts every
-// discipline shares: the configuration and the dense owner lookup.
+// discipline shares: the configuration, its views by NodeID and link
+// index, and the dense owner lookup.
 func newPlane(cfg *rules.Config) *plane {
-	vs := cfg.VarSpace()
-	p := &plane{cfg: cfg, owners: make([]topo.NodeID, vs.Len()), placed: make([]bool, vs.Len())}
+	vs, n := cfg.VarSpace(), cfg.Topo.Switches
+	p := &plane{
+		cfg: cfg, owners: make([]topo.NodeID, vs.Len()), placed: make([]bool, vs.Len()),
+		locks: make([]state.LockSet, n), scs: make([]*rules.SwitchConfig, n),
+		linkDead: make([]atomic.Bool, len(cfg.Topo.Links)),
+	}
 	for i := range p.owners {
 		p.owners[i], p.placed[i] = cfg.Placement[vs.Name(i)]
 	}
+	for id, sc := range cfg.Switches {
+		p.scs[id] = sc
+	}
 	return p
+}
+
+// newSwitches instantiates one set of switch VMs over linked images.
+func newSwitches(linked map[topo.NodeID]*netasm.Linked, n int) []*netasm.Switch {
+	set := make([]*netasm.Switch, n)
+	for id, lp := range linked {
+		set[id] = netasm.NewLinkedSwitch(int(id), lp)
+	}
+	return set
+}
+
+// portSwitch resolves an OBS port id to the switch it hangs off.
+func (pl *plane) portSwitch(id int) (topo.NodeID, bool) {
+	if i := pl.cfg.Routes.Port(id); i >= 0 {
+		return pl.cfg.Topo.Ports[i].Switch, true
+	}
+	return 0, false
 }
 
 // stateTarget resolves the switch a suspended packet must reach next: the
@@ -471,19 +501,16 @@ func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
 			p.diags = append(p.diags, "state replication requested but refused: "+strings.Join(reasons, " | "))
 		}
 	}
-	p.switches = make(map[topo.NodeID]*netasm.Switch, len(cfg.Switches))
+	p.switches = newSwitches(linked, len(p.scs))
 	p.sets = append(p.sets, p.switches)
-	p.locks = make(map[topo.NodeID]state.LockSet, len(cfg.Switches))
 	p.lockSusp = make([]atomic.Int64, vs.Len())
 	p.lockWait = make([]atomic.Int64, vs.Len())
 	p.lockHist = make([]*telemetry.Histogram, vs.Len())
-	p.lockVars = make(map[topo.NodeID][]int32, len(cfg.Switches))
-	for id, sc := range cfg.Switches {
-		sw := netasm.NewLinkedSwitch(int(id), linked[id])
-		if hook := rep.hookFor(id, sc.Owns); hook != nil {
+	p.lockVars = make([][]int32, len(p.scs))
+	for id, sw := range p.switches {
+		if hook := rep.hookFor(topo.NodeID(id), p.scs[id].Owns); hook != nil {
 			sw.OnStateWrite = hook
 		}
-		p.switches[id] = sw
 		p.locks[id] = e.stripes.LockSet(sw.LockVars())
 		for _, v := range sw.LockVars() {
 			if vid := vs.ID(v); vid >= 0 {
@@ -531,24 +558,24 @@ func (e *Engine) run(w *walker, it *item) {
 	defer it.inj.finish()
 	defer e.guard()
 	pl := e.plane.Load()
-	e.walk(pl, pl.switches, w, it.inj, it.at, &it.ing)
+	e.walk(pl, pl.switches, w, it.inj, it.at, it.ing)
 }
 
 // inject admits one packet (blocking on the gate, then the window) and
 // hands it to the goroutine that will walk it: an SCR worker, the caller
 // itself when it is the only worker (a channel handoff would buy no
 // parallelism and cost a wakeup per packet), or the worker queue, which
-// keeps the injector free to admit the next one. collect controls whether
-// deliveries are recorded. An unknown port rejects only this injection —
-// the caller gets the error and the engine stays usable; packets admitted
+// keeps the injector free to admit the next one. inj is the caller's record
+// for it, which it keeps on rejection; ing must outlive the walk. An unknown
+// port rejects only this injection — the engine stays usable; packets admitted
 // before the bad one have already run, which stream callers must expect.
-func (e *Engine) inject(ing Ingress, collect bool, wg *sync.WaitGroup) (*injection, error) {
+func (e *Engine) inject(ing *Ingress, inj *injection, wg *sync.WaitGroup) error {
 	e.gate.enter()
 	pl := e.plane.Load()
-	pt, ok := pl.cfg.Topo.PortByID(ing.Port)
+	at, ok := pl.portSwitch(ing.Port)
 	if !ok {
 		e.gate.leave()
-		return nil, fmt.Errorf("dataplane: unknown ingress port %d", ing.Port)
+		return fmt.Errorf("dataplane: unknown ingress port %d", ing.Port)
 	}
 	if w := e.opts.ShedWatermark; w > 0 && len(e.window) >= w {
 		// Overload: the in-flight window is at the shed watermark. Reject
@@ -556,23 +583,16 @@ func (e *Engine) inject(ing Ingress, collect bool, wg *sync.WaitGroup) (*injecti
 		// so the depth read cannot race another injector upward.
 		e.gate.leave()
 		e.stats.shed.Add(1)
-		return nil, ErrOverload
+		return ErrOverload
 	}
 	e.window <- struct{}{}
 	seq := e.stats.injected.Add(1)
-	var inj *injection
-	if collect {
-		inj = &injection{collect: true}
-	} else {
-		inj = injPool.Get().(*injection)
-		inj.pooled = true
-	}
 	inj.eng, inj.wg = e, wg
 	if e.sampler.Hit() {
 		inj.tr = e.traces.Start(ing.Port, seq)
 	}
 	wg.Add(1)
-	it := item{at: pt.Switch, ing: ing, inj: inj}
+	it := item{at: at, ing: ing, inj: inj}
 	switch {
 	case pl.scr != nil:
 		pl.scr.dispatch(&it)
@@ -581,7 +601,7 @@ func (e *Engine) inject(ing Ingress, collect bool, wg *sync.WaitGroup) (*injecti
 	default:
 		e.queue <- it
 	}
-	return inj, nil
+	return nil
 }
 
 // InjectBatch pushes a batch of packets through the plane concurrently and
@@ -599,10 +619,10 @@ func (e *Engine) InjectBatch(batch []Ingress) ([][]Delivery, error) {
 	}
 	// Validate every ingress port before admitting anything: a bad port
 	// must not leave the first half of the batch silently executed.
-	batchTopo := e.plane.Load().cfg.Topo
-	for i, ing := range batch {
-		if _, ok := batchTopo.PortByID(ing.Port); !ok {
-			return nil, fmt.Errorf("dataplane: unknown ingress port %d (batch index %d)", ing.Port, i)
+	pl := e.plane.Load()
+	for i := range batch {
+		if _, ok := pl.portSwitch(batch[i].Port); !ok {
+			return nil, fmt.Errorf("dataplane: unknown ingress port %d (batch index %d)", batch[i].Port, i)
 		}
 	}
 	if e.failed.Load() {
@@ -611,12 +631,12 @@ func (e *Engine) InjectBatch(batch []Ingress) ([][]Delivery, error) {
 	out := make([][]Delivery, len(batch))
 	injs := make([]*injection, 0, len(batch))
 	var batchWg sync.WaitGroup
-	for _, ing := range batch {
+	for i := range batch {
 		if e.failed.Load() {
 			break
 		}
-		inj, err := e.inject(ing, true, &batchWg)
-		if err != nil {
+		inj := &injection{collect: true}
+		if err := e.inject(&batch[i], inj, &batchWg); err != nil {
 			batchWg.Wait()
 			return nil, err
 		}
@@ -640,16 +660,20 @@ func (e *Engine) InjectBatch(batch []Ingress) ([][]Delivery, error) {
 // poisons the engine) or a bad ingress port (which does not — the stream
 // stops there, but the engine remains usable).
 func (e *Engine) InjectStream(ch <-chan Ingress) error {
-	return e.stream(func() (Ingress, bool) {
-		ing, ok := <-ch
-		return ing, ok
+	return e.stream(func(inj *injection) *Ingress {
+		var ok bool
+		if *inj.ing, ok = <-ch; !ok {
+			return nil
+		}
+		return inj.ing
 	})
 }
 
 // stream drains an ingress iterator in stream mode and waits for
 // quiescence, sharing the admission/unwind bookkeeping between the
-// channel and slice frontends.
-func (e *Engine) stream(next func() (Ingress, bool)) error {
+// channel and slice frontends. next returns a pointer that outlives the
+// walk (into the record it is handed, if need be), nil at the end.
+func (e *Engine) stream(next func(*injection) *Ingress) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed.Load() {
@@ -659,12 +683,15 @@ func (e *Engine) stream(next func() (Ingress, bool)) error {
 		return e.err
 	}
 	var wg sync.WaitGroup
-	for {
-		ing, ok := next()
-		if !ok || e.failed.Load() {
+	for !e.failed.Load() {
+		inj := injPool.Get().(*injection)
+		ing := next(inj)
+		if ing == nil {
+			injPool.Put(inj)
 			break
 		}
-		if _, err := e.inject(ing, false, &wg); err != nil {
+		if err := e.inject(ing, inj, &wg); err != nil {
+			injPool.Put(inj)
 			if errors.Is(err, ErrOverload) {
 				// Graceful degradation: the shed packet is counted and
 				// the stream goes on — long replays ride out transient
@@ -688,13 +715,12 @@ func (e *Engine) stream(next func() (Ingress, bool)) error {
 // between producer and engine.
 func (e *Engine) InjectReplay(trace []Ingress) error {
 	i := 0
-	return e.stream(func() (Ingress, bool) {
+	return e.stream(func(*injection) *Ingress {
 		if i >= len(trace) {
-			return Ingress{}, false
+			return nil
 		}
-		ing := trace[i]
 		i++
-		return ing, true
+		return &trace[i-1]
 	})
 }
 
@@ -856,27 +882,21 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 	// ones holding the handed-over state.
 	e.foldContention(old)
 	e.clearQuarantine()
+	// linkMu spans the publication: a FailLink lands on the old plane and in
+	// the record the next one is flagged from, or on the next.
+	e.linkMu.Lock()
 	if rec != nil {
 		for _, s := range rec.switches {
 			e.down[s].Store(false)
 		}
-		if len(rec.links) > 0 {
-			e.linkMu.Lock()
-			alive := map[[2]topo.NodeID]bool{}
-			if old := e.deadLinks.Load(); old != nil {
-				for k, v := range *old {
-					alive[k] = v
-				}
-			}
-			for _, l := range rec.links {
-				delete(alive, [2]topo.NodeID{l[0], l[1]})
-				delete(alive, [2]topo.NodeID{l[1], l[0]})
-			}
-			e.deadLinks.Store(&alive)
-			e.linkMu.Unlock()
+		for _, l := range rec.links {
+			delete(e.deadLinks, l)
+			delete(e.deadLinks, [2]topo.NodeID{l[1], l[0]})
 		}
 	}
+	next.markDeadLinks(e.deadLinks)
 	e.plane.Store(next)
+	e.linkMu.Unlock()
 	e.epoch.Add(1)
 	e.repMu.Lock()
 	oldRep := e.rep
@@ -1001,11 +1021,9 @@ func (e *Engine) recoverOrphans(old *plane, cfg *rules.Config, st staged, fs *Fa
 			}
 			continue
 		}
-		if victim := old.switches[owner]; victim != nil {
-			if n := victim.EntryCount(v); n > 0 {
-				fs.LostVars = append(fs.LostVars, v)
-				fs.LostEntries += n
-			}
+		if n := old.switches[owner].EntryCount(v); n > 0 {
+			fs.LostVars = append(fs.LostVars, v)
+			fs.LostEntries += n
 		}
 	}
 }
@@ -1159,8 +1177,8 @@ func (e *Engine) Load() map[topo.NodeID]SwitchLoad {
 	e.gate.pause()
 	defer e.gate.resume()
 	out := make(map[topo.NodeID]SwitchLoad, len(e.load))
-	for id, c := range e.load {
-		out[id] = c.snapshot()
+	for id := range e.load {
+		out[topo.NodeID(id)] = e.load[id].snapshot()
 	}
 	return out
 }

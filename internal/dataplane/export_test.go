@@ -1,5 +1,11 @@
 package dataplane
 
+import "unsafe"
+
+// ItemBytes is the size of what admission hands the walking goroutine per
+// injection.
+const ItemBytes = unsafe.Sizeof(item{})
+
 // WalkQueueCaps reports the capacity of every walk queue the engine has
 // grown: the inline walker's and each SCR worker's. The switch pools'
 // walkers live on their goroutines' stacks and are not reachable. Callers

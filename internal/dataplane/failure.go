@@ -11,7 +11,7 @@ package dataplane
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"snap/internal/rules"
 	"snap/internal/topo"
@@ -47,28 +47,25 @@ func (e *Engine) FailSwitch(s topo.NodeID) error {
 // immediately: copies forwarded across either direction drop. Failing an
 // already-dead link is a no-op.
 func (e *Engine) FailLink(a, b topo.NodeID) error {
-	t := e.plane.Load().cfg.Topo
-	if t.LinkBetween(a, b) < 0 && t.LinkBetween(b, a) < 0 {
-		return fmt.Errorf("dataplane: FailLink: no link between switches %d and %d", a, b)
-	}
 	e.linkMu.Lock()
 	defer e.linkMu.Unlock()
-	next := map[[2]topo.NodeID]bool{}
-	if old := e.deadLinks.Load(); old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
+	pl := e.plane.Load()
+	if t := pl.cfg.Topo; t.LinkBetween(a, b) < 0 && t.LinkBetween(b, a) < 0 {
+		return fmt.Errorf("dataplane: FailLink: no link between switches %d and %d", a, b)
 	}
-	next[[2]topo.NodeID{a, b}] = true
-	next[[2]topo.NodeID{b, a}] = true
-	e.deadLinks.Store(&next)
+	e.deadLinks[[2]topo.NodeID{a, b}] = true
+	e.deadLinks[[2]topo.NodeID{b, a}] = true
+	pl.markDeadLinks(e.deadLinks)
 	return nil
 }
 
-// linkDead reports whether a link has been failed.
-func (f *fabric) linkDead(l topo.Link) bool {
-	m := f.deadLinks.Load()
-	return m != nil && (*m)[[2]topo.NodeID{l.From, l.To}]
+// markDeadLinks flags the failed links the plane's topology still has; callers hold linkMu.
+func (pl *plane) markDeadLinks(dead map[[2]topo.NodeID]bool) {
+	for l := range dead {
+		if li := pl.cfg.Topo.LinkBetween(l[0], l[1]); li >= 0 {
+			pl.linkDead[li].Store(true)
+		}
+	}
 }
 
 // SwitchDown reports whether a switch has been failed.
@@ -99,7 +96,7 @@ func (fs *FailoverStats) String() string {
 	for v := range fs.Promoted {
 		vars = append(vars, v)
 	}
-	sort.Strings(vars)
+	slices.Sort(vars)
 	return fmt.Sprintf("promoted %d var(s) %v, recovered %d entries, lost %d entries (%d vars) + %d lagged writes",
 		len(fs.Promoted), vars, fs.Recovered, fs.LostEntries, len(fs.LostVars), fs.LostWrites)
 }
@@ -149,10 +146,11 @@ func (e *Engine) Recover(cfg *rules.Config, rewrite StateRewrite, switches []top
 		}
 		recovering[s] = true
 	}
-	for _, l := range links {
-		if m := e.deadLinks.Load(); m == nil || !(*m)[[2]topo.NodeID{l[0], l[1]}] {
-			return nil, fmt.Errorf("dataplane: Recover: link %d-%d is not failed", l[0], l[1])
-		}
+	e.linkMu.Lock()
+	alive := slices.IndexFunc(links, func(l [2]topo.NodeID) bool { return !e.deadLinks[l] })
+	e.linkMu.Unlock()
+	if alive >= 0 {
+		return nil, fmt.Errorf("dataplane: Recover: link %d-%d is not failed", links[alive][0], links[alive][1])
 	}
 	if err := e.admit("Recover", cfg, true, recovering); err != nil {
 		return nil, err

@@ -210,9 +210,9 @@ func (r *updateRing) pop() (state.Update, bool) {
 type scrWorker struct {
 	id  int
 	eng *Engine
-	// switches is this worker's replica of every switch VM; worker 0's map
+	// switches is this worker's replica of every switch VM; worker 0's
 	// doubles as plane.switches, the canonical copy the control plane reads.
-	switches map[topo.NodeID]*netasm.Switch
+	switches []*netasm.Switch
 	rep      *state.Replica
 	clock    uint64
 	log      []state.Update
@@ -290,16 +290,14 @@ func (e *Engine) buildSCR(cfg *rules.Config, linked map[topo.NodeID]*netasm.Link
 		wk := &scrWorker{
 			id:       w,
 			eng:      e,
-			switches: make(map[topo.NodeID]*netasm.Switch, len(cfg.Switches)),
+			switches: newSwitches(linked, cfg.Topo.Switches),
 			rep:      state.NewReplica(vs.Len()),
 			in:       make(chan item, e.opts.Window),
 			kick:     make(chan struct{}, 1),
 			sync:     make(chan chan struct{}),
 		}
-		for id := range cfg.Switches {
-			sw := netasm.NewLinkedSwitch(int(id), linked[id])
+		for _, sw := range wk.switches {
 			sw.OnStateOp = wk.onStateOp
-			wk.switches[id] = sw
 		}
 		for v, owner := range cfg.Placement {
 			if tbl, ok := wk.switches[owner].TableRef(v); ok {
@@ -455,7 +453,7 @@ func (wk *scrWorker) process(it *item) {
 	defer it.inj.finish()
 	defer wk.eng.guard()
 	wk.drain()
-	wk.eng.walk(wk.eng.plane.Load(), wk.switches, &wk.w, it.inj, it.at, &it.ing)
+	wk.eng.walk(wk.eng.plane.Load(), wk.switches, &wk.w, it.inj, it.at, it.ing)
 	wk.publish()
 }
 

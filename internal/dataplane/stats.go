@@ -8,11 +8,12 @@ import "sync/atomic"
 // consistent per counter (though counters may be mid-update relative to
 // each other).
 type Stats struct {
-	Injected  int64 // packets entered at OBS ingress ports
-	Delivered int64 // copies that exited at an OBS egress port
-	Dropped   int64 // copies discarded (policy drop or dead outport)
-	Hops      int64 // inter-switch forwarding steps
-	Suspends  int64 // evaluations suspended for remote state
+	Injected  int64                 // packets entered at OBS ingress ports
+	Delivered int64                 // copies that exited at an OBS egress port
+	Dropped   int64                 // copies discarded, for any reason
+	Drops     [numDropReasons]int64 // Dropped by DropReason; they sum to it
+	Hops      int64                 // inter-switch forwarding steps
+	Suspends  int64                 // evaluations suspended for remote state
 
 	// Lock-discipline contention (always zero under ModeReplication —
 	// that is the discipline's point): visits whose stripe acquisition
@@ -27,18 +28,34 @@ type Stats struct {
 	// mid-swap and rolled back to the prior plane. ContainedPanics counts
 	// panics recovered at the containment sites (switch VMs, both
 	// disciplines, and the mirror drainer). QuarantineDrops counts copies
-	// discarded at panic-quarantined switches; they are also in Dropped.
+	// discarded at panic-quarantined switches (Drops[DropQuarantine]).
 	Shed            int64
 	Rollbacks       int64
 	ContainedPanics int64
 	QuarantineDrops int64
 }
 
+// DropReason says why the plane discarded a packet copy.
+type DropReason uint8
+
+const (
+	DropPolicy     DropReason = iota // the program dropped it
+	DropNoEgress                     // its outport is not an OBS port
+	DropDownSwitch                   // it reached a failed switch
+	DropDeadLink                     // its next hop crosses a failed link
+	DropQuarantine                   // it reached a panic-quarantined switch
+	numDropReasons
+)
+
+// dropOutcomes: a drop's trace-hop outcome; past the colon, its metric label.
+var dropOutcomes = [numDropReasons]string{"drop:policy", "drop:no_egress", "drop:down_switch", "drop:dead_link", "drop:quarantine"}
+
 // counters is the live, atomically-updated form of Stats.
 type counters struct {
 	injected        atomic.Int64
 	delivered       atomic.Int64
 	dropped         atomic.Int64
+	drops           [numDropReasons]atomic.Int64
 	hops            atomic.Int64
 	suspends        atomic.Int64
 	lockSuspends    atomic.Int64
@@ -46,11 +63,15 @@ type counters struct {
 	shed            atomic.Int64
 	rollbacks       atomic.Int64
 	containedPanics atomic.Int64
-	quarantineDrops atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
+	var drops [numDropReasons]int64
+	for i := range drops {
+		drops[i] = c.drops[i].Load()
+	}
 	return Stats{
+		Drops:           drops,
 		Injected:        c.injected.Load(),
 		Delivered:       c.delivered.Load(),
 		Dropped:         c.dropped.Load(),
@@ -61,21 +82,24 @@ func (c *counters) snapshot() Stats {
 		Shed:            c.shed.Load(),
 		Rollbacks:       c.rollbacks.Load(),
 		ContainedPanics: c.containedPanics.Load(),
-		QuarantineDrops: c.quarantineDrops.Load(),
+		QuarantineDrops: drops[DropQuarantine],
 	}
 }
 
 // SwitchLoad is the per-switch share of the engine's work, for load
-// reporting: how many packet copies a switch executed, how many of those
-// suspended for remote state, and how many it forwarded onward.
+// reporting: how many packet copies reached the switch and were served,
+// for how many of those its VM ran (a copy in transit runs no program), how
+// many suspended for remote state, and how many it sent onward.
 type SwitchLoad struct {
 	Processed int64
+	Ran       int64
 	Suspends  int64
 	Forwarded int64
 }
 
 type switchCounters struct {
 	processed atomic.Int64
+	ran       atomic.Int64
 	suspends  atomic.Int64
 	forwarded atomic.Int64
 }
@@ -83,6 +107,7 @@ type switchCounters struct {
 func (c *switchCounters) snapshot() SwitchLoad {
 	return SwitchLoad{
 		Processed: c.processed.Load(),
+		Ran:       c.ran.Load(),
 		Suspends:  c.suspends.Load(),
 		Forwarded: c.forwarded.Load(),
 	}

@@ -9,8 +9,8 @@
 package dataplane
 
 import (
-	"sort"
 	"strconv"
+	"sync/atomic"
 
 	"snap/internal/telemetry"
 	"snap/internal/topo"
@@ -34,10 +34,13 @@ func traceHop(tr *telemetry.PacketTrace, at topo.NodeID, outcome, stateVar strin
 }
 
 // registerMetrics wires the engine's existing atomics into scrape-time
-// collectors. Called once at the end of NewEngine, after the load map is
-// final (the collectors iterate it lock-free).
+// collectors. Called once at the end of NewEngine; the collectors read the
+// per-switch counters lock-free.
 func (e *Engine) registerMetrics() {
 	r := e.tel
+	counter := func(name, help string, v *atomic.Int64) {
+		r.CounterFunc(name, help, nil, func(emit telemetry.Emit) { emit(nil, float64(v.Load())) })
+	}
 
 	r.CounterFunc("snap_packets_total",
 		"Packet copies by outcome since the engine started.",
@@ -46,21 +49,19 @@ func (e *Engine) registerMetrics() {
 			emit([]string{"delivered"}, float64(e.stats.delivered.Load()))
 			emit([]string{"dropped"}, float64(e.stats.dropped.Load()))
 		})
-	r.CounterFunc("snap_hops_total",
-		"Inter-switch forwarding steps.",
-		nil, func(emit telemetry.Emit) {
-			emit(nil, float64(e.stats.hops.Load()))
+	r.CounterFunc("snap_drops_total",
+		"Dropped packet copies by reason; the reasons sum to snap_packets_total{outcome=\"dropped\"}.",
+		[]string{"reason"}, func(emit telemetry.Emit) {
+			for i := range e.stats.drops {
+				emit([]string{dropOutcomes[i][len("drop:"):]}, float64(e.stats.drops[i].Load()))
+			}
 		})
-	r.CounterFunc("snap_suspends_total",
-		"Evaluations suspended for remote state.",
-		nil, func(emit telemetry.Emit) {
-			emit(nil, float64(e.stats.suspends.Load()))
-		})
-	r.CounterFunc("snap_lock_suspends_total",
-		"Visits whose stripe-lock acquisition blocked (always 0 under the replication discipline).",
-		nil, func(emit telemetry.Emit) {
-			emit(nil, float64(e.stats.lockSuspends.Load()))
-		})
+	counter("snap_hops_total",
+		"Inter-switch forwarding steps.", &e.stats.hops)
+	counter("snap_suspends_total",
+		"Evaluations suspended for remote state.", &e.stats.suspends)
+	counter("snap_lock_suspends_total",
+		"Visits whose stripe-lock acquisition blocked (always 0 under the replication discipline).", &e.stats.lockSuspends)
 	r.GaugeFunc("snap_epoch",
 		"Configuration epoch: 0 at engine start, +1 per reconfiguration.",
 		nil, func(emit telemetry.Emit) {
@@ -80,21 +81,12 @@ func (e *Engine) registerMetrics() {
 	// Failure containment (containment.go): the self-healing loop's
 	// observable face — rollbacks of failed swaps, panics converted to
 	// quarantine, shed injections.
-	r.CounterFunc("snap_reconfig_rollbacks_total",
-		"Reconfigurations that failed mid-swap and rolled back to the prior plane (state intact, epoch unchanged).",
-		nil, func(emit telemetry.Emit) {
-			emit(nil, float64(e.stats.rollbacks.Load()))
-		})
-	r.CounterFunc("snap_swap_reseated_entries_total",
-		"State entries reconfigurations read or wrote one by one through a store (shard folds, replica promotion and warm-up, a change of discipline) instead of handing their table over; 0 after a re-route or an edit that folds nothing.",
-		nil, func(emit telemetry.Emit) {
-			emit(nil, float64(e.reseated.Load()))
-		})
-	r.CounterFunc("snap_contained_panics_total",
-		"Panics recovered at the containment sites: switch VMs under either discipline, and the mirror drainer.",
-		nil, func(emit telemetry.Emit) {
-			emit(nil, float64(e.stats.containedPanics.Load()))
-		})
+	counter("snap_reconfig_rollbacks_total",
+		"Reconfigurations that failed mid-swap and rolled back to the prior plane (state intact, epoch unchanged).", &e.stats.rollbacks)
+	counter("snap_swap_reseated_entries_total",
+		"State entries reconfigurations read or wrote one by one through a store (shard folds, replica promotion and warm-up, a change of discipline) instead of handing their table over; 0 after a re-route or an edit that folds nothing.", &e.reseated)
+	counter("snap_contained_panics_total",
+		"Panics recovered at the containment sites: switch VMs under either discipline, and the mirror drainer.", &e.stats.containedPanics)
 	r.GaugeFunc("snap_quarantined_switches",
 		"Switches currently under panic quarantine (dropping and counting until the next committed reconfiguration).",
 		nil, func(emit telemetry.Emit) {
@@ -106,16 +98,8 @@ func (e *Engine) registerMetrics() {
 			}
 			emit(nil, float64(n))
 		})
-	r.CounterFunc("snap_quarantine_drops_total",
-		"Packet copies discarded at panic-quarantined switches (also counted in snap_packets_total{outcome=\"dropped\"}).",
-		nil, func(emit telemetry.Emit) {
-			emit(nil, float64(e.stats.quarantineDrops.Load()))
-		})
-	r.CounterFunc("snap_shed_total",
-		"Injections rejected with ErrOverload at the shed watermark (never admitted).",
-		nil, func(emit telemetry.Emit) {
-			emit(nil, float64(e.stats.shed.Load()))
-		})
+	counter("snap_shed_total",
+		"Injections rejected with ErrOverload at the shed watermark (never admitted).", &e.stats.shed)
 
 	r.CounterFunc("snap_link_images_total",
 		"Distinct program images resolved at plane builds, by source: reused from the cross-epoch cache or freshly linked.",
@@ -163,25 +147,27 @@ func (e *Engine) registerMetrics() {
 		})
 
 	// Per-switch load. The label set is fixed at engine construction
-	// (the switch set never changes across epochs), so the ids and their
-	// label strings are resolved once here, not per scrape.
-	ids := make([]topo.NodeID, 0, len(e.load))
-	for id := range e.load {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	names := make([]string, len(ids))
-	for i, id := range ids {
-		names[i] = strconv.Itoa(int(id))
+	// (the switch set never changes across epochs), so the label strings
+	// are resolved once here, not per scrape.
+	names := make([]string, len(e.load))
+	for i := range names {
+		names[i] = strconv.Itoa(i)
 	}
 	r.CounterFunc("snap_switch_load_total",
-		"Per-switch work: packet copies processed, state suspensions, copies forwarded onward.",
+		"Per-switch work: packet copies that reached the switch and were served, state suspensions, copies sent onward.",
 		[]string{"switch", "kind"}, func(emit telemetry.Emit) {
-			for i, id := range ids {
-				c := e.load[id]
+			for i := range e.load {
+				c := &e.load[i]
 				emit([]string{names[i], "processed"}, float64(c.processed.Load()))
 				emit([]string{names[i], "suspends"}, float64(c.suspends.Load()))
 				emit([]string{names[i], "forwarded"}, float64(c.forwarded.Load()))
+			}
+		})
+	r.CounterFunc("snap_switch_vm_runs_total",
+		"Switch-VM executions per switch; a copy forwarded in transit counts as processed and runs none.",
+		[]string{"switch"}, func(emit telemetry.Emit) {
+			for i := range e.load {
+				emit(names[i:i+1], float64(e.load[i].ran.Load()))
 			}
 		})
 

@@ -1,9 +1,11 @@
-// The packet walk: the forwarding walk-through of the paper's §4.5 (guard,
-// VM run, outcome dispatch, next hop), written once. Every runtime in this
-// package is a configuration of the loop in this file: a plane to route by,
-// a switch set to run against, and a goroutine that calls walk and then
-// finishes the injection. See docs/ARCHITECTURE.md for the table of what
-// differs between them.
+// The packet walk: the forwarding walk-through of the paper's §4.5, written
+// once. A copy that still owes evaluation or a state write visits the VM of
+// every switch it reaches (visit: guard, VM run, outcome dispatch, next hop);
+// one that owes only its egress is carried there by match-action entries and
+// runs no program on the way (forward). Every runtime in this package is a
+// configuration of this loop: a plane to route by, a switch set to run
+// against, and a goroutine that calls walk and then finishes the injection.
+// See docs/ARCHITECTURE.md for the table of what differs between them.
 package dataplane
 
 import (
@@ -27,25 +29,25 @@ import (
 type fabric struct {
 	maxHops int // forwarding-loop guard
 	stats   counters
-	load    map[topo.NodeID]*switchCounters
 
-	// Observed per-(ingress, egress)-pair delivery counts, the empirical
-	// traffic matrix (Engine.ObservedMatrix), sharded per delivery switch
-	// so the hot-path write contends only with deliveries at the same
-	// switch (mirroring the per-switch load counters).
-	obs map[topo.NodeID]*obsShard
+	// Per switch, by NodeID (the switch count is fixed for the fabric's
+	// lifetime). obs holds the observed per-(ingress, egress)-pair delivery
+	// counts, the empirical traffic matrix (Engine.ObservedMatrix), sharded
+	// so the hot-path write contends only with deliveries at the same switch.
+	load []switchCounters
+	obs  []*obsShard
 
 	// Failure injection (failure.go): down switches drop everything that
-	// reaches them, dead links drop copies sent across them. The switch
-	// count is fixed for the fabric's lifetime, so down is indexed by
-	// NodeID. quar (containment.go) is the panic-quarantine flag per
-	// switch: a contained VM panic marks its switch here, and copies
-	// reaching it drop-and-count until a committed reconfiguration
-	// replaces the VM.
+	// reaches them, dead links drop copies sent across them. quar
+	// (containment.go) is the panic-quarantine flag per switch: a
+	// contained VM panic marks its switch here, and copies reaching it
+	// drop-and-count until a committed reconfiguration replaces the VM.
+	// deadLinks records failed links across plane epochs; the walk reads
+	// the plane's flags by link index, which linkMu keeps in step with it.
 	down      []atomic.Bool
 	quar      []atomic.Bool
-	linkMu    sync.Mutex // serializes FailLink writers
-	deadLinks atomic.Pointer[map[[2]topo.NodeID]bool]
+	linkMu    sync.Mutex
+	deadLinks map[[2]topo.NodeID]bool
 
 	// spans receives the stack of each contained panic; nil on Network.
 	spans *telemetry.SpanLog
@@ -58,13 +60,13 @@ type fabric struct {
 func (f *fabric) init(cfg *rules.Config, spans *telemetry.SpanLog) {
 	f.maxHops = 16 * (cfg.Topo.Switches + 2)
 	f.spans = spans
-	f.load = make(map[topo.NodeID]*switchCounters, len(cfg.Switches))
-	f.obs = make(map[topo.NodeID]*obsShard, len(cfg.Switches))
+	f.load = make([]switchCounters, cfg.Topo.Switches)
+	f.obs = make([]*obsShard, cfg.Topo.Switches)
 	f.down = make([]atomic.Bool, cfg.Topo.Switches)
 	f.quar = make([]atomic.Bool, cfg.Topo.Switches)
-	for id := range cfg.Switches {
-		f.load[id] = &switchCounters{}
-		f.obs[id] = &obsShard{counts: map[[2]int]int64{}, drops: map[[2]int]int64{}}
+	f.deadLinks = map[[2]topo.NodeID]bool{}
+	for i := range f.obs {
+		f.obs[i] = &obsShard{counts: map[[2]int]int64{}, drops: map[[2]int]int64{}}
 	}
 }
 
@@ -98,32 +100,33 @@ func (f *fabric) guard() {
 // delivery collection) are pooled: the steady replay loop re-uses retired
 // records instead of allocating one per packet.
 type injection struct {
-	eng    *Engine
-	wg     *sync.WaitGroup
-	pooled bool
+	eng *Engine
+	wg  *sync.WaitGroup
 	// tr is the sampled packet trace, nil for the (default) unsampled
 	// case; finish commits it and clears the field before pooling.
 	tr *telemetry.PacketTrace
+	// ing buffers a channel-fed packet in the pooled record; others stay put.
+	ing *Ingress
 
 	// collect records deliveries in out; otherwise they are only counted.
 	collect bool
 	out     []Delivery
 }
 
-var injPool = sync.Pool{New: func() any { return new(injection) }}
+var injPool = sync.Pool{New: func() any { return &injection{ing: new(Ingress)} }}
 
 // finish completes an engine injection once its walk has returned: release
-// the admission window and gate, notify the waiter, and return pooled
-// records. Batch-mode injections are not pooled — the caller still reads
-// their collected deliveries.
+// the admission window and gate, notify the waiter, and return stream-mode
+// records to the pool. Batch-mode injections are not pooled — the caller
+// still reads their collected deliveries.
 func (in *injection) finish() {
 	if in.tr != nil {
 		in.tr.Finish()
 		in.tr = nil
 	}
 	e, wg := in.eng, in.wg
-	if in.pooled {
-		in.eng, in.wg, in.pooled = nil, nil, false
+	if !in.collect {
+		in.eng, in.wg = nil, nil
 		injPool.Put(in)
 	}
 	<-e.window
@@ -132,8 +135,8 @@ func (in *injection) finish() {
 }
 
 // hop is one packet copy on its way to a switch visit. A SimPacket is
-// 1 120 bytes, so the walk is arranged to copy one as rarely as it can:
-// see walk.
+// 1 120 bytes, so the walk is arranged to copy one as rarely as it can (see
+// walk), and a copy that owes only its egress is never queued (see forward).
 type hop struct {
 	at   topo.NodeID
 	hops int
@@ -158,22 +161,43 @@ type walker struct {
 //
 // The queue is popped last-in-first-out into the slot being visited: the
 // visit appends the copies that travel on over the slot it was handed, so
-// a chain of single continuations (every hop of a unicast packet) reuses
+// a chain of single continuations (every hop of a suspended packet) reuses
 // one element and the queue never grows past the widest fork. A FIFO queue
 // that kept every hop cost 20 % of ns_per_packet on the 5.5-hop WAN
 // workload in packet copies alone; TestWalkQueueStaysShort holds the line.
-func (f *fabric) walk(pl *plane, switches map[topo.NodeID]*netasm.Switch, w *walker, inj *injection, at topo.NodeID, ing *Ingress) {
+func (f *fabric) walk(pl *plane, switches []*netasm.Switch, w *walker, inj *injection, at topo.NodeID, ing *Ingress) {
 	// The packet enters in the initial SNAP-header of §4.5: evaluation
-	// starts at the xFDD root.
-	q := append(w.queue[:0], hop{at: at, sp: netasm.SimPacket{
-		Pkt: ing.Packet,
-		Hdr: netasm.Header{OBSIn: ing.Port, OBSOut: -1, Node: pl.cfg.RootID, Seq: -1, Phase: netasm.PhaseEval},
-	}})
-	for len(q) > 0 && !f.failed.Load() {
+	// starts at the xFDD root. This is the one copy between injection and VM.
+	if w.queue == nil {
+		w.queue = make([]hop, 1)
+	}
+	q := w.queue[:1]
+	q[0].at, q[0].hops = at, 0
+	q[0].sp.Pkt = ing.Packet
+	q[0].sp.Hdr = netasm.Header{OBSIn: ing.Port, OBSOut: -1, Node: pl.cfg.RootID, Seq: -1, Phase: netasm.PhaseEval}
+	for len(q) > 0 {
 		n := len(q) - 1
 		q = f.visit(pl, switches, w, inj, &q[n], q[:n])
 	}
 	w.queue = q[:0]
+}
+
+// arrive applies the guards a copy meets at every switch it reaches, visited
+// or in transit: it is not served once the fabric has failed, at a down or
+// quarantined switch (the drop is observed as offered load), past the hop limit.
+func (f *fabric) arrive(at topo.NodeID, hops int, inj *injection, in, out int) bool {
+	switch {
+	case f.failed.Load():
+	case f.down[at].Load():
+		f.drop(at, inj, in, out, DropDownSwitch)
+	case f.quar[at].Load():
+		f.drop(at, inj, in, out, DropQuarantine)
+	case hops > f.maxHops:
+		f.fail(fmt.Errorf("dataplane: hop limit exceeded at switch %d (forwarding loop?)", at))
+	default:
+		return true
+	}
+	return false
 }
 
 // visit executes one packet copy at one switch, accounts every copy the VM
@@ -182,24 +206,12 @@ func (f *fabric) walk(pl *plane, switches map[topo.NodeID]*netasm.Switch, w *wal
 //
 // Under the lock discipline the visit holds the switch's stripe locks across
 // Run, which never blocks, so holders always progress and no wait deadlocks.
-func (f *fabric) visit(pl *plane, switches map[topo.NodeID]*netasm.Switch, w *walker, inj *injection, c *hop, q []hop) []hop {
+func (f *fabric) visit(pl *plane, switches []*netasm.Switch, w *walker, inj *injection, c *hop, q []hop) []hop {
 	at, hops := c.at, c.hops
 	in, out := c.sp.Hdr.OBSIn, c.sp.Hdr.OBSOut
-	switch {
-	case f.down[at].Load():
-		// The switch died with this copy in flight toward it: the copy is
-		// lost. The drop is observed so the empirical matrix still
-		// reflects the offered load.
-		f.drop(at, inj, in, out, "")
-		return q
-	case f.quar[at].Load():
-		f.dropQuarantined(at, inj, in, out)
-		return q
-	case hops > f.maxHops:
-		f.fail(fmt.Errorf("dataplane: hop limit exceeded at switch %d (forwarding loop?)", at))
+	if !f.arrive(at, hops, inj, in, out) {
 		return q
 	}
-
 	ls := pl.locks[at]
 	if !ls.Empty() && !ls.TryLock() {
 		// Count contended acquisitions per variable: the uncontended path
@@ -222,9 +234,10 @@ func (f *fabric) visit(pl *plane, switches map[topo.NodeID]*netasm.Switch, w *wa
 		ls.Unlock()
 	}
 	f.load[at].processed.Add(1)
+	f.load[at].ran.Add(1)
 	if err != nil {
 		if f.containVMError(at, err) {
-			f.dropQuarantined(at, inj, in, out)
+			f.drop(at, inj, in, out, DropQuarantine)
 		} else {
 			f.fail(err)
 		}
@@ -234,72 +247,92 @@ func (f *fabric) visit(pl *plane, switches map[topo.NodeID]*netasm.Switch, w *wa
 	for i := range results {
 		r := &results[i]
 		in, out := r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut
-		var target topo.NodeID
-		outcome, egress := "forward", out
 		switch r.Outcome {
 		case netasm.Dropped:
-			f.drop(at, inj, in, -1, "")
-			continue
+			f.drop(at, inj, in, -1, DropPolicy)
 
-		case netasm.Delivered:
-			f.deliver(at, inj, r, out)
-			continue
+		case netasm.ToEgress:
+			// Nothing is pending (the VM returns NeedState while a write is).
+			// An outport that is no OBS port leaves nowhere: count as dropped.
+			if eg, ok := pl.portSwitch(out); !ok {
+				f.drop(at, inj, in, -1, DropNoEgress)
+			} else if eg == at {
+				f.deliver(at, inj, r, out)
+			} else {
+				f.forward(pl, inj, r, at, hops, eg)
+			}
 
 		case netasm.NeedState:
+			// The copy owes a state visit: it takes the shortest path toward
+			// the owner (Appendix D's fallback, which always makes progress)
+			// and visits every VM on the way; an intermediate owner commits.
 			f.stats.suspends.Add(1)
 			f.load[at].suspends.Add(1)
 			owner, ok := pl.stateTarget(r)
 			if !ok {
 				f.fail(fmt.Errorf("dataplane: no owner for state of packet at switch %d", at))
-				continue
-			}
-			if owner == at {
+			} else if owner == at {
 				f.fail(fmt.Errorf("dataplane: suspended for local state at switch %d", at))
-				continue
+			} else if li := pl.scs[at].SPNext[owner]; li < 0 {
+				f.fail(fmt.Errorf("dataplane: switch %d cannot reach switch %d", at, owner))
+			} else if pl.linkDead[li].Load() {
+				f.drop(at, inj, in, out, DropDeadLink)
+			} else {
+				f.stats.hops.Add(1)
+				f.load[at].forwarded.Add(1)
+				traceHop(inj.tr, at, "suspend", r.StateVar, -1)
+				q = append(q, hop{at: pl.cfg.Topo.Links[li].To, hops: hops + 1, sp: r.Packet})
 			}
-			target, outcome, egress = owner, "suspend", -1
-
-		case netasm.ToEgress:
-			eg, ok := pl.cfg.Topo.PortByID(out)
-			if !ok {
-				// Outport set to a value that is not an OBS port: the
-				// packet leaves the system nowhere; count as dropped.
-				f.drop(at, inj, in, -1, "")
-				continue
-			}
-			if eg.Switch == at {
-				f.deliver(at, inj, r, eg.ID)
-				continue
-			}
-			target = eg.Switch
 		}
-		next, li, err := nextHopLink(pl.cfg, at, &r.Packet.Hdr, target)
-		if err != nil {
-			f.fail(err)
-			continue
-		}
-		if f.linkDead(pl.cfg.Topo.Links[li]) {
-			f.drop(at, inj, in, out, r.StateVar)
-			continue
-		}
-		f.stats.hops.Add(1)
-		f.load[at].forwarded.Add(1)
-		traceHop(inj.tr, at, outcome, r.StateVar, egress)
-		q = append(q, hop{at: next, hops: hops + 1, sp: r.Packet})
 	}
 	return q
 }
 
-// drop accounts one copy discarded at a switch: by policy, at a dead
-// outport, a down switch or a dead link. out is the intended egress when
-// the packet already knew it, negative otherwise.
-func (f *fabric) drop(at topo.NodeID, inj *injection, in, out int, stateVar string) {
+// forward carries a copy that owes only its egress from switch at to egress
+// switch eg, the match-action stage of §4.5: per hop the link (the entry of
+// the copy's (inport, outport) pair where this switch has one, else the
+// shortest path), the dead-link flag, the counters, the arrival guards. The
+// packet stays in the VM result: no program runs, no stripe lock is taken
+// (transit touches no state), nothing is queued or copied.
+func (f *fabric) forward(pl *plane, inj *injection, r *netasm.Result, at topo.NodeID, hops int, eg topo.NodeID) {
+	in, out := r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut
+	entries := pl.cfg.Routes.Pair(in, out)
+	// The shared hop counter is bumped once, on the way out.
+	defer func(from int) { f.stats.hops.Add(int64(hops - from)) }(hops)
+	for at != eg {
+		li := rules.NextLink(entries, at)
+		if li < 0 {
+			li = pl.scs[at].SPNext[eg]
+		}
+		if li < 0 {
+			f.fail(fmt.Errorf("dataplane: switch %d cannot reach switch %d", at, eg))
+			return
+		}
+		if pl.linkDead[li].Load() {
+			f.drop(at, inj, in, out, DropDeadLink)
+			return
+		}
+		f.load[at].forwarded.Add(1)
+		traceHop(inj.tr, at, "forward", "", out)
+		at, hops = pl.cfg.Topo.Links[li].To, hops+1
+		if !f.arrive(at, hops, inj, in, out) {
+			return
+		}
+		f.load[at].processed.Add(1)
+	}
+	f.deliver(at, inj, r, out)
+}
+
+// drop accounts one copy discarded at a switch, by reason. out is the
+// intended egress when the packet already knew it, negative otherwise.
+func (f *fabric) drop(at topo.NodeID, inj *injection, in, out int, why DropReason) {
 	if out < 0 {
 		out = -1
 	}
 	f.stats.dropped.Add(1)
+	f.stats.drops[why].Add(1)
 	f.observeDrop(at, in, out)
-	traceHop(inj.tr, at, "drop", stateVar, out)
+	traceHop(inj.tr, at, dropOutcomes[why], "", out)
 }
 
 // deliver accounts one copy leaving the network at an OBS port of switch
@@ -320,24 +353,4 @@ func (f *fabric) deliver(at topo.NodeID, inj *injection, r *netasm.Result, port 
 		}
 	}
 	inj.out = append(inj.out, Delivery{Port: port, Packet: r.Packet.Pkt})
-}
-
-// nextHopLink picks the outgoing link from `at` toward `target`. A packet
-// still owing state visits (evaluation suspends or pending writes) follows
-// the shortest-path next hop toward the owning switch — the Appendix D
-// fallback, guaranteed to make progress. Once only the egress remains, the
-// optimizer's (u,v) match-action entry is preferred. The link index is
-// returned so the walk can honor injected link failures.
-func nextHopLink(cfg *rules.Config, at topo.NodeID, h *netasm.Header, target topo.NodeID) (topo.NodeID, int, error) {
-	sc := cfg.Switches[at]
-	if h.OBSOut >= 0 && h.Phase == netasm.PhaseDeliver && h.PendingLen() == 0 {
-		if li, ok := sc.RouteNext[[2]int{h.OBSIn, h.OBSOut}]; ok {
-			return cfg.Topo.Links[li].To, li, nil
-		}
-	}
-	li := sc.SPNext[target]
-	if li < 0 {
-		return 0, -1, fmt.Errorf("dataplane: switch %d cannot reach switch %d", at, target)
-	}
-	return cfg.Topo.Links[li].To, li, nil
 }

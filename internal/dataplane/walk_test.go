@@ -1,17 +1,205 @@
 package dataplane_test
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
 	"snap/internal/apps"
 	"snap/internal/core"
 	"snap/internal/dataplane"
+	"snap/internal/faultpoint"
+	"snap/internal/pkt"
 	"snap/internal/place"
+	"snap/internal/rules"
 	"snap/internal/syntax"
+	"snap/internal/telemetry"
 	"snap/internal/topo"
 	"snap/internal/traffic"
+	"snap/internal/values"
 )
+
+// compileLine compiles the stateless forwarding policy onto a line of six
+// switches, 0-1-2-3-4-5, with port 1 at switch 0, port 2 at switch 5 and
+// port 3 at switch 2: a packet from port 1 to port 2 crosses the four
+// transit switches 1, 2, 3, 4 in five hops.
+func compileLine(t *testing.T) *rules.Config {
+	t.Helper()
+	var links []topo.Link
+	for n := topo.NodeID(0); n < 5; n++ {
+		links = append(links, topo.Link{From: n, To: n + 1, Capacity: 1000}, topo.Link{From: n + 1, To: n, Capacity: 1000})
+	}
+	tp, err := topo.New("line", 6, links, []topo.Port{{ID: 1, Switch: 0}, {ID: 2, Switch: 5}, {ID: 3, Switch: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := syntax.Then(apps.Assumption(3), apps.AssignEgress(3))
+	comp, err := core.ColdStart(policy, tp, traffic.Gravity(tp, 100, 1), place.Options{Method: place.Heuristic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp.Config
+}
+
+// linePacket is a packet of the line workload entering at port u for port v.
+func linePacket(u, v int) dataplane.Ingress {
+	return dataplane.Ingress{Port: u, Packet: pkt.New(map[pkt.Field]values.Value{
+		pkt.Inport: values.Int(int64(u)),
+		pkt.SrcIP:  values.IPv4(10, 0, byte(u), 7),
+		pkt.DstIP:  values.IPv4(10, 0, byte(v), 7),
+	})}
+}
+
+// TestTransitNeverEntersVM: a packet whose evaluation is finished is
+// forwarded, not executed. With every switch-VM run after the first armed
+// to panic, a stateless packet still crosses its four transit switches and
+// is delivered, under all three configurations of the walk: one VM run
+// (the ingress visit), six switches reached, nobody quarantined.
+func TestTransitNeverEntersVM(t *testing.T) {
+	cfg := compileLine(t)
+	t.Cleanup(faultpoint.Reset)
+	arm := func() {
+		faultpoint.Enable(faultpoint.EngineRun, faultpoint.Plan{Kind: faultpoint.KindPanic, After: 1, Times: -1})
+	}
+	check := func(name string, ds []dataplane.Delivery, st dataplane.Stats) {
+		t.Helper()
+		if len(ds) != 1 || ds[0].Port != 2 {
+			t.Fatalf("%s: deliveries %v, want one at port 2", name, ds)
+		}
+		if st.Hops != 5 || st.Dropped != 0 || st.ContainedPanics != 0 {
+			t.Fatalf("%s: hops=%d dropped=%d contained panics=%d, want 5, 0, 0", name, st.Hops, st.Dropped, st.ContainedPanics)
+		}
+	}
+
+	arm()
+	net := dataplane.New(cfg)
+	in := linePacket(1, 2)
+	ds, err := net.Inject(in.Port, in.Packet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("network", ds, net.Stats())
+
+	for _, scr := range []bool{false, true} {
+		name := map[bool]string{false: "locks", true: "replication"}[scr]
+		eng := dataplane.NewEngine(cfg, dataplane.Options{Workers: 2, StateReplication: scr})
+		defer eng.Close()
+		if scr && eng.ExecMode() != dataplane.ModeReplication {
+			t.Fatalf("replication refused: %v", eng.ReplicationFallback())
+		}
+		arm()
+		out, err := eng.InjectBatch([]dataplane.Ingress{in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, out[0], eng.Stats())
+		if q := eng.QuarantinedSwitches(); len(q) != 0 {
+			t.Fatalf("%s: switches %v quarantined by a packet in transit", name, q)
+		}
+		var ran, processed int64
+		for _, l := range eng.Load() {
+			ran, processed = ran+l.Ran, processed+l.Processed
+		}
+		if ran != 1 || processed != 6 {
+			t.Fatalf("%s: %d VM runs and %d switches reached, want 1 and 6 (hops + 1)", name, ran, processed)
+		}
+	}
+}
+
+// TestForwardFailuresInTransit pins how a copy lost in transit is
+// accounted, at the second of the line's four transit switches (switch 2):
+// the switch is down, its link onward is dead, or it is quarantined. The
+// packet has taken two hops (0→1, 1→2) in every case and is dropped at
+// switch 2 under its (1, 2) cell of the observed matrix; a dead link is met
+// after the switch was reached, the other two before. The figures are what
+// the walk accounted when every hop was a VM visit.
+func TestForwardFailuresInTransit(t *testing.T) {
+	cfg := compileLine(t)
+	t.Cleanup(faultpoint.Reset)
+	type load = map[topo.NodeID]dataplane.SwitchLoad
+	cases := []struct {
+		name   string
+		break_ func(*testing.T, *dataplane.Engine)
+		reason dataplane.DropReason
+		hop    string
+		load   load
+	}{
+		{"switch down", func(t *testing.T, e *dataplane.Engine) {
+			if err := e.FailSwitch(2); err != nil {
+				t.Fatal(err)
+			}
+		}, dataplane.DropDownSwitch, "drop:down_switch",
+			load{0: {Processed: 1, Ran: 1, Forwarded: 1}, 1: {Processed: 1, Forwarded: 1}}},
+		{"link dead", func(t *testing.T, e *dataplane.Engine) {
+			if err := e.FailLink(2, 3); err != nil {
+				t.Fatal(err)
+			}
+		}, dataplane.DropDeadLink, "drop:dead_link",
+			load{0: {Processed: 1, Ran: 1, Forwarded: 1}, 1: {Processed: 1, Forwarded: 1}, 2: {Processed: 1}}},
+		{"switch quarantined", func(t *testing.T, e *dataplane.Engine) {
+			// A packet entering at switch 2 (port 3) panics its VM.
+			faultpoint.Enable(faultpoint.EngineRun, faultpoint.Plan{Kind: faultpoint.KindPanic, Times: 1})
+			if _, err := e.InjectBatch([]dataplane.Ingress{linePacket(3, 2)}); err != nil {
+				t.Fatal(err)
+			}
+			if q := e.QuarantinedSwitches(); !slices.Equal(q, []topo.NodeID{2}) {
+				t.Fatalf("quarantined %v, want switch 2", q)
+			}
+		}, dataplane.DropQuarantine, "drop:quarantine",
+			load{0: {Processed: 1, Ran: 1, Forwarded: 1}, 1: {Processed: 1, Forwarded: 1}, 2: {Processed: 1, Ran: 1}}},
+	}
+	for _, tc := range cases {
+		for _, scr := range []bool{false, true} {
+			eng := dataplane.NewEngine(cfg, dataplane.Options{Workers: 2, StateReplication: scr, TraceSampling: 1})
+			defer eng.Close()
+			tc.break_(t, eng)
+			before := eng.Stats()
+			eng.ResetObserved()
+			out, err := eng.InjectBatch([]dataplane.Ingress{linePacket(1, 2)})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			st := eng.Stats()
+			if len(out[0]) != 0 || st.Delivered != before.Delivered {
+				t.Fatalf("%s: delivered %v across the failure", tc.name, out[0])
+			}
+			if got := st.Hops - before.Hops; got != 2 {
+				t.Errorf("%s: %d hops, want 2", tc.name, got)
+			}
+			if d, r := st.Dropped-before.Dropped, st.Drops[tc.reason]-before.Drops[tc.reason]; d != 1 || r != 1 {
+				t.Errorf("%s: %d dropped, %d of them %v; want 1 and 1", tc.name, d, r, tc.reason)
+			}
+			var sum int64
+			for _, n := range st.Drops {
+				sum += n
+			}
+			if sum != st.Dropped || st.QuarantineDrops != st.Drops[dataplane.DropQuarantine] {
+				t.Errorf("%s: reasons %v do not sum to Dropped=%d (QuarantineDrops=%d)", tc.name, st.Drops, st.Dropped, st.QuarantineDrops)
+			}
+			if m := eng.ObservedMatrix(); len(m) != 1 || m[[2]int{1, 2}] != 1 {
+				t.Errorf("%s: observed matrix %v, want the one drop under (1, 2)", tc.name, m)
+			}
+			got := load{}
+			for id, l := range eng.Load() {
+				if l != (dataplane.SwitchLoad{}) {
+					got[id] = l
+				}
+			}
+			if !maps.Equal(got, tc.load) {
+				t.Errorf("%s: per-switch load %v, want %v", tc.name, got, tc.load)
+			}
+			traces := eng.Telemetry().Snapshot().Traces
+			want := []telemetry.HopRecord{
+				{Switch: 0, Outcome: "forward", Egress: 2},
+				{Switch: 1, Outcome: "forward", Egress: 2},
+				{Switch: 2, Outcome: tc.hop, Egress: 2},
+			}
+			if last := traces[len(traces)-1]; !slices.Equal(last.Hops, want) {
+				t.Errorf("%s: traced hops %v, want %v", tc.name, last.Hops, want)
+			}
+		}
+	}
+}
 
 // TestWalkQueueStaysShort guards the packet-copy cost of the walk. A
 // SimPacket is 1 120 bytes, so a walk that keeps every hop of an injection
@@ -76,5 +264,60 @@ func TestInjectBatchOfOneAllocs(t *testing.T) {
 	inject()
 	if n := testing.AllocsPerRun(200, inject); n > 8 {
 		t.Fatalf("InjectBatch of one packet allocates %.0f times, want at most 8", n)
+	}
+}
+
+// TestDeadLinkFollowsThePlane: the walk reads a link's failure from a flag
+// on the plane, by link index, so the flag has to follow the failure across
+// plane epochs: a link failed under traffic drops from then on, still drops
+// after a swap onto a fresh plane, and carries again once Recover names it.
+func TestDeadLinkFollowsThePlane(t *testing.T) {
+	cfg := compileLine(t)
+	eng := dataplane.NewEngine(cfg, dataplane.Options{Workers: 2})
+	defer eng.Close()
+	delivered := func() int64 {
+		t.Helper()
+		before := eng.Stats().Delivered
+		if _, err := eng.InjectBatch([]dataplane.Ingress{linePacket(1, 2)}); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Stats().Delivered - before
+	}
+
+	if n := delivered(); n != 1 {
+		t.Fatalf("%d delivered over the healthy line, want 1", n)
+	}
+	ch, done := make(chan dataplane.Ingress), make(chan error, 1)
+	go func() { done <- eng.InjectStream(ch) }()
+	for i := 0; i < 200; i++ {
+		if i == 100 {
+			if err := eng.FailLink(3, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ch <- linePacket(1, 2)
+	}
+	close(ch)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// Packets admitted before the failure may still be short of the link.
+	if st := eng.Stats(); st.Drops[dataplane.DropDeadLink] < 100 || st.Delivered+st.Drops[dataplane.DropDeadLink] != 201 {
+		t.Fatalf("link failed after 100 of 200 packets: %d delivered, %d dropped at it", st.Delivered, st.Drops[dataplane.DropDeadLink])
+	}
+	if err := eng.ApplyConfig(cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := delivered(); n != 0 {
+		t.Fatal("the swap revived a failed link")
+	}
+	if _, err := eng.Recover(cfg, nil, nil, [][2]topo.NodeID{{2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := delivered(); n != 1 {
+		t.Fatal("the recovered link still drops")
+	}
+	if _, err := eng.Recover(cfg, nil, nil, [][2]topo.NodeID{{2, 3}}); err == nil {
+		t.Fatal("Recover accepted a link that is not failed")
 	}
 }

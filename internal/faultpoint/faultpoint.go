@@ -44,11 +44,11 @@ const (
 	// EngineApplyReseed fires in Engine.apply before the migrated state is
 	// re-seated on the new plane — a reseed failure after the build.
 	EngineApplyReseed = "engine.apply.reseed"
-	// EngineRun fires at every switch-VM execution, under both concurrency
-	// disciplines, before the VM touches any state. Armed as KindPanic it
-	// is the "worker panic" fault (contained by quarantine); as KindStall
-	// it parks the visit, which is how the overload-shedding tests hold
-	// the admission window full.
+	// EngineRun fires at every switch-VM execution (a copy forwarded in
+	// transit runs none), under both disciplines, before the VM touches any
+	// state. Armed as KindPanic it is the "worker panic" fault (contained by
+	// quarantine); as KindStall it parks the visit, which is how the
+	// overload-shedding tests hold the admission window full.
 	EngineRun = "engine.run"
 	// ReplicatorDrain fires at the top of the mirror drainer's batch
 	// apply — armed as KindStall it is the "stalled drainer" fault.

@@ -14,6 +14,8 @@ package rules
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"snap/internal/netasm"
@@ -110,6 +112,7 @@ func (g *Generator) Generate(d *xfdd.Diagram, t *topo.Topology, placement map[st
 
 	g.ReusedPrograms, g.CompiledPrograms = 0, 0
 	seenKeys := map[progKey]bool{}
+	scs := make([]*SwitchConfig, t.Switches)
 	for n := 0; n < t.Switches; n++ {
 		node := topo.NodeID(n)
 		owns := map[string]bool{}
@@ -118,12 +121,7 @@ func (g *Generator) Generate(d *xfdd.Diagram, t *topo.Topology, placement map[st
 				owns[v] = true
 			}
 		}
-		sc := &SwitchConfig{
-			Node:      node,
-			Owns:      owns,
-			RouteNext: map[[2]int]int{},
-			SPNext:    spNext[n],
-		}
+		sc := &SwitchConfig{Node: node, Owns: owns, SPNext: spNext[n]}
 		ck := progKey{root: d, owns: OwnsKey(owns)}
 		cp, ok := g.progs[ck]
 		if !ok {
@@ -141,30 +139,50 @@ func (g *Generator) Generate(d *xfdd.Diagram, t *topo.Topology, placement map[st
 		}
 		sc.Prog = cp.prog
 		sc.Stats = cp.stats
-		cfg.Switches[node] = sc
+		cfg.Switches[node], scs[n] = sc, sc
 	}
 
 	for _, p := range t.Ports {
-		sc := cfg.Switches[p.Switch]
-		sc.LocalPorts = append(sc.LocalPorts, p.ID)
+		scs[p.Switch].LocalPorts = append(scs[p.Switch].LocalPorts, p.ID)
 	}
-	for _, sc := range cfg.Switches {
+	for _, sc := range scs {
 		sort.Ints(sc.LocalPorts)
 	}
 
-	// Install path match-action entries along each optimizer route. When a
-	// route revisits a switch (waypoint ordering can force that), the last
-	// occurrence wins: following last-occurrence entries always makes
-	// progress toward the route's egress.
-	for pair, r := range routes {
-		for _, li := range r.Links {
-			from := t.Links[li].From
-			sc := cfg.Switches[from]
-			if _, dup := sc.RouteNext[pair]; !dup {
-				sc.Stats.ForwardRules++
-			}
-			sc.RouteNext[pair] = li
+	// Install path match-action entries along each optimizer route, straight
+	// into the one flat table. When a route revisits a switch (waypoint
+	// ordering can force that), the last occurrence wins: following
+	// last-occurrence entries always makes progress toward the route's
+	// egress. Walking backwards meets it first; claimed[s] is the last taker.
+	rt := &cfg.Routes
+	rt.ports, rt.hops = len(t.Ports), make([]RouteHop, 0, 4*len(routes))
+	rt.span = make([][2]int32, rt.ports*rt.ports)
+	for i, p := range t.Ports {
+		for p.ID >= len(rt.rank) {
+			rt.rank = append(rt.rank, -1)
 		}
+		if p.ID >= 0 {
+			rt.rank[p.ID] = int32(i)
+		}
+	}
+	claimed, route := make([]int, t.Switches), 0
+	for pair, r := range routes {
+		u, v := rt.Port(pair[0]), rt.Port(pair[1])
+		if u < 0 || v < 0 {
+			continue
+		}
+		route++
+		start := len(rt.hops)
+		for i := len(r.Links) - 1; i >= 0; i-- {
+			li := r.Links[i]
+			if from := t.Links[li].From; claimed[from] != route {
+				claimed[from] = route
+				rt.hops = append(rt.hops, RouteHop{Switch: int32(from), Link: int32(li)})
+				scs[from].Stats.ForwardRules++
+			}
+		}
+		slices.Reverse(rt.hops[start:])
+		rt.span[u*rt.ports+v] = [2]int32{int32(start), int32(len(rt.hops))}
 	}
 	return cfg, nil
 }
@@ -208,65 +226,47 @@ func (g *Generator) CachedRoots() int {
 // shortest-path fallbacks or local ports. Switches present in only one
 // configuration are always dirty. The result is sorted.
 func DiffSwitches(old, next *Config) []topo.NodeID {
-	if old == nil || next == nil {
-		var all []topo.NodeID
-		if next != nil {
-			for n := range next.Switches {
-				all = append(all, n)
-			}
-		} else if old != nil {
-			for n := range old.Switches {
-				all = append(all, n)
-			}
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		return all
+	if old == nil {
+		old = &Config{}
 	}
-	var dirty []topo.NodeID
-	seen := map[topo.NodeID]bool{}
+	if next == nil {
+		next = &Config{}
+	}
+	dirty := map[topo.NodeID]bool{}
+	old.Routes.markChanged(&next.Routes, dirty)
+	next.Routes.markChanged(&old.Routes, dirty)
 	for n, nsc := range next.Switches {
-		seen[n] = true
-		osc, ok := old.Switches[n]
-		if !ok || switchChanged(osc, nsc) {
-			dirty = append(dirty, n)
+		if osc, ok := old.Switches[n]; !ok || switchChanged(osc, nsc) {
+			dirty[n] = true
 		}
 	}
 	for n := range old.Switches {
-		if !seen[n] {
-			dirty = append(dirty, n)
+		if _, ok := next.Switches[n]; !ok {
+			dirty[n] = true
 		}
 	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-	return dirty
+	return slices.Sorted(maps.Keys(dirty))
+}
+
+// markChanged marks every switch where rt installs an entry that other
+// does not: the pair is unknown to other, or leaves on a different link.
+func (rt *RouteTable) markChanged(other *RouteTable, dirty map[topo.NodeID]bool) {
+	for u := range rt.rank {
+		for v := range rt.rank {
+			mine, theirs := rt.Pair(u, v), other.Pair(u, v)
+			if slices.Equal(mine, theirs) {
+				continue
+			}
+			for _, h := range mine {
+				if NextLink(theirs, topo.NodeID(h.Switch)) != int(h.Link) {
+					dirty[topo.NodeID(h.Switch)] = true
+				}
+			}
+		}
+	}
 }
 
 func switchChanged(a, b *SwitchConfig) bool {
-	if a.Prog != b.Prog || OwnsKey(a.Owns) != OwnsKey(b.Owns) {
-		return true
-	}
-	if len(a.RouteNext) != len(b.RouteNext) {
-		return true
-	}
-	for pair, li := range a.RouteNext {
-		if b.RouteNext[pair] != li {
-			return true
-		}
-	}
-	if len(a.SPNext) != len(b.SPNext) {
-		return true
-	}
-	for i, li := range a.SPNext {
-		if b.SPNext[i] != li {
-			return true
-		}
-	}
-	if len(a.LocalPorts) != len(b.LocalPorts) {
-		return true
-	}
-	for i, p := range a.LocalPorts {
-		if b.LocalPorts[i] != p {
-			return true
-		}
-	}
-	return false
+	return a.Prog != b.Prog || OwnsKey(a.Owns) != OwnsKey(b.Owns) ||
+		!slices.Equal(a.SPNext, b.SPNext) || !slices.Equal(a.LocalPorts, b.LocalPorts)
 }

@@ -39,9 +39,6 @@ type SwitchConfig struct {
 	Node topo.NodeID
 	Prog *netasm.Program
 	Owns map[string]bool
-	// RouteNext maps an OBS pair (u,v) to the outgoing link on its
-	// optimizer-chosen path.
-	RouteNext map[[2]int]int
 	// SPNext[d] is the outgoing link toward switch d (shortest path), the
 	// fallback used while a packet's egress is still unknown (Appendix D).
 	SPNext []int
@@ -64,9 +61,52 @@ type Config struct {
 	// instructions, so the per-switch programs are unaffected.
 	Replicas map[string][]topo.NodeID
 	Switches map[topo.NodeID]*SwitchConfig
+	Routes   RouteTable // every switch's (u,v) match-action forwarding entries
 
 	varsOnce sync.Once
 	vars     *netasm.VarSpace
+}
+
+// RouteHop is one forwarding entry: at Switch, its pair's packets leave on Link.
+type RouteHop struct{ Switch, Link int32 }
+
+// RouteTable is the network's forwarding table, flat: each OBS pair (u,v)
+// owns one contiguous run of entries, one per switch of its route in path
+// order. The generator writes it once; the walk, DiffSwitches and
+// Stats.ForwardRules all read it. It grows with the entries installed.
+type RouteTable struct {
+	rank  []int32    // port id → index into Topo.Ports, -1 where no such port
+	ports int        // len(Topo.Ports)
+	span  [][2]int32 // rank(u)*ports+rank(v) → [start, end) in hops
+	hops  []RouteHop
+}
+
+// Port returns the index in Topo.Ports of OBS port id, -1 when there is none.
+func (rt *RouteTable) Port(id int) int {
+	if uint(id) >= uint(len(rt.rank)) {
+		return -1
+	}
+	return int(rt.rank[id])
+}
+
+// Pair returns the entries of OBS pair (u,v), none when it has no route.
+func (rt *RouteTable) Pair(u, v int) []RouteHop {
+	i, j := rt.Port(u), rt.Port(v)
+	if i < 0 || j < 0 {
+		return nil
+	}
+	s := rt.span[i*rt.ports+j]
+	return rt.hops[s[0]:s[1]]
+}
+
+// NextLink picks, from one pair's entries, the link installed at a switch or -1.
+func NextLink(entries []RouteHop, at topo.NodeID) int {
+	for _, h := range entries {
+		if h.Switch == int32(at) {
+			return int(h.Link)
+		}
+	}
+	return -1
 }
 
 // VarSpace returns the configuration's dense state-variable id space: every

@@ -116,12 +116,19 @@ func TestBranchTargetsResolved(t *testing.T) {
 // leaves the switch it is installed on.
 func TestRouteEntriesFollowLinks(t *testing.T) {
 	cfg := dnsCampusConfig(t)
-	for id, sc := range cfg.Switches {
-		for pair, li := range sc.RouteNext {
-			if cfg.Topo.Links[li].From != id {
-				t.Fatalf("switch %d: pair %v entry uses foreign link %d", id, pair, li)
+	entries := 0
+	for _, u := range cfg.Topo.PortIDs() {
+		for _, v := range cfg.Topo.PortIDs() {
+			for _, h := range cfg.Routes.Pair(u, v) {
+				entries++
+				if cfg.Topo.Links[h.Link].From != topo.NodeID(h.Switch) {
+					t.Fatalf("switch %d: pair (%d,%d) entry uses foreign link %d", h.Switch, u, v, h.Link)
+				}
 			}
 		}
+	}
+	if entries == 0 {
+		t.Fatal("no forwarding entry installed")
 	}
 }
 

@@ -37,7 +37,7 @@ func (s *Sampler) Hit() bool {
 // suspended for remote state.
 type HopRecord struct {
 	Switch   int    `json:"switch"`
-	Outcome  string `json:"outcome"` // "forward", "suspend", "deliver", "drop"
+	Outcome  string `json:"outcome"` // "forward", "suspend", "deliver", "drop:<reason>"
 	StateVar string `json:"state_var,omitempty"`
 	Egress   int    `json:"egress,omitempty"`
 }
