@@ -1,6 +1,7 @@
 // The compiled fast path's public guarantees: the steady-state switch
-// visit costs no heap allocation, and stays that way (regression-pinned
-// with testing.AllocsPerRun). The same visit inside a running engine is
+// visit — an ingress visit, and a resume visit committing a carried write
+// at its owner — costs no heap allocation, and stays that way
+// (regression-pinned with testing.AllocsPerRun). The same visit inside a running engine is
 // snapmark's netasm.visit_ns row (benchmark/); see EXPERIMENTS.md.
 package snap_test
 
@@ -124,5 +125,85 @@ func TestSwitchRunZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, visit); allocs != 0 {
 		t.Fatalf("steady-state firewall visit allocates: %v allocs/op, want 0", allocs)
+	}
+}
+
+// commitVisit builds the steady-state resume visit of the campus monitor
+// (count[inport]++): the packet as the ingress switch hands it on, carrying
+// its resolved write, and the switch owning count, warmed with the entry so
+// the measured commit updates it in place.
+func commitVisit() (*netasm.Switch, netasm.SimPacket, error) {
+	t := topo.Campus(1000)
+	tm := traffic.Gravity(t, 100, 1)
+	policy := syntax.Then(
+		apps.Assumption(6),
+		syntax.Then(apps.Monitor(), apps.AssignEgress(6)),
+	)
+	comp, err := core.ColdStart(policy, t, tm, place.Options{Method: place.Heuristic})
+	if err != nil {
+		return nil, netasm.SimPacket{}, err
+	}
+	cfg := comp.Config
+	link := func(id topo.NodeID) *netasm.Switch {
+		sc := cfg.Switches[id]
+		return netasm.NewLinkedSwitch(int(id), netasm.Link(sc.Prog, cfg.VarSpace(), sc.Owns))
+	}
+	owner := cfg.Placement["count"]
+	for _, port := range t.Ports {
+		if port.Switch == owner {
+			continue
+		}
+		sp := netasm.SimPacket{
+			Pkt: pkt.New(map[pkt.Field]values.Value{
+				pkt.Inport: values.Int(int64(port.ID)),
+				pkt.SrcIP:  values.IPv4(10, 0, byte(port.ID), 1),
+				pkt.DstIP:  values.IPv4(10, 0, 6, 9),
+			}),
+			Hdr: netasm.Header{OBSIn: port.ID, OBSOut: -1, Node: cfg.RootID, Seq: -1, Phase: netasm.PhaseEval},
+		}
+		rs, err := link(port.Switch).Run(sp)
+		if err != nil {
+			return nil, netasm.SimPacket{}, err
+		}
+		if len(rs) != 1 || rs[0].Outcome != netasm.NeedState || rs[0].Packet.Hdr.PendingLen() != 1 {
+			return nil, netasm.SimPacket{}, fmt.Errorf("ingress visit at port %d: %+v, want one copy carrying one write", port.ID, rs)
+		}
+		sw := link(owner)
+		if _, err := sw.Run(rs[0].Packet); err != nil {
+			return nil, netasm.SimPacket{}, err
+		}
+		return sw, rs[0].Packet, nil
+	}
+	return nil, netasm.SimPacket{}, fmt.Errorf("every port hangs off count's owner")
+}
+
+// TestCommitVisitZeroAlloc pins the resume visit that commits a carried
+// write at its owner (commitLocal, narrow index, entry present) at zero
+// heap allocations: the owner finds the variable by id, not by name.
+func TestCommitVisitZeroAlloc(t *testing.T) {
+	sw, sp, err := commitVisit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch []netasm.Result
+	visit := func() {
+		rs, err := sw.RunAppend(scratch[:0], sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs) != 1 || rs[0].Packet.Hdr.PendingLen() != 0 {
+			t.Fatalf("commit visit: %+v, want one copy with its write committed", rs)
+		}
+		scratch = rs
+	}
+	visit()
+	if raceEnabled {
+		for i := 0; i < 100; i++ {
+			visit()
+		}
+		t.Skip("race detector instrumentation allocates; zero-alloc assertion skipped")
+	}
+	if allocs := testing.AllocsPerRun(200, visit); allocs != 0 {
+		t.Fatalf("steady-state commit visit allocates: %v allocs/op, want 0", allocs)
 	}
 }

@@ -218,7 +218,7 @@ type plane struct {
 	// VarSpace) → owning switch. placed marks ids that have an owner.
 	// Suspended packets carry variable ids, so the per-hop owner lookup is
 	// an array index; the string Placement map remains authoritative for
-	// the control plane and for results that predate the space (-1 ids).
+	// the control plane.
 	owners []topo.NodeID
 	placed []bool
 	// lockHist holds the per-variable lock-wait histogram handles
@@ -282,18 +282,9 @@ func (pl *plane) portSwitch(id int) (topo.NodeID, bool) {
 }
 
 // stateTarget resolves the switch a suspended packet must reach next: the
-// owner of the suspending test's variable, or of the first pending write;
-// by dense id when the result carries one and by name otherwise.
+// owner of the suspending test's variable, or of the first pending write.
 func (pl *plane) stateTarget(r *netasm.Result) (topo.NodeID, bool) {
-	if id := r.StateVarID; id >= 0 && int(id) < len(pl.owners) && pl.placed[id] {
-		return pl.owners[id], true
-	}
-	v := r.StateVar
-	if v == "" && r.Packet.Hdr.PendingLen() > 0 {
-		v = r.Packet.Hdr.PendingAt(0).Var
-	}
-	node, ok := pl.cfg.Placement[v]
-	return node, ok
+	return pl.owners[r.StateVarID], pl.placed[r.StateVarID]
 }
 
 // StateRewrite transforms the global state store during ApplyConfig. The
@@ -351,8 +342,8 @@ type Engine struct {
 	linkReused atomic.Int64
 	linkFresh  atomic.Int64
 
-	// reseated counts the entries reconfigurations passed through a
-	// state.Store (spell, recoverOrphans) instead of handing over.
+	// reseated counts the entries reconfigurations copied one by one
+	// (spell, clone) instead of handing their table over.
 	reseated atomic.Int64
 
 	// Telemetry (telemetry.go): tel is the engine's private registry —
@@ -508,7 +499,7 @@ func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
 	p.lockHist = make([]*telemetry.Histogram, vs.Len())
 	p.lockVars = make([][]int32, len(p.scs))
 	for id, sw := range p.switches {
-		if hook := rep.hookFor(topo.NodeID(id), p.scs[id].Owns); hook != nil {
+		if hook := rep.hookFor(topo.NodeID(id)); hook != nil {
 			sw.OnStateWrite = hook
 		}
 		p.locks[id] = e.stripes.LockSet(sw.LockVars())
@@ -735,10 +726,10 @@ func (e *Engine) InjectReplay(trace []Ingress) error {
 //     its owner under the new placement (each worker's replica to the
 //     same worker under replication): one step per variable, moved or
 //     not, and no entry is read. Only a non-nil rewrite (internal/ctrl
-//     folds shard variables the new configuration no longer knows), a
-//     mirror replica to warm, or a plane going from locks to replication
-//     spells entries out through a state.Store, into tables that are
-//     handed over the same way;
+//     folds shard variables the new configuration no longer knows) spells
+//     entries out through a state.Store, into tables that are handed over
+//     the same way; a mirror replica to warm, or a plane going from locks
+//     to replication, clones a table;
 //  3. swap — fresh VMs holding those tables, the new programs and new
 //     routes are published atomically as the next plane epoch, and the
 //     gate resumes admission.
@@ -775,18 +766,18 @@ type recovery struct {
 // never run again; until then nothing writes through either.
 type staged map[string][]state.Table
 
-// tableOf seats variable v's entries in src in a fresh table.
-func tableOf(src *state.Store, v string) state.Table {
-	var t state.Table
-	t.SeedFrom(src, v)
-	return t
-}
-
 // spell writes a table's entries into dst under v, one by one: the
 // O(entries) step a swap takes only where something has to read them.
 func (e *Engine) spell(dst *state.Store, v string, t *state.Table) {
 	t.AddToStore(dst, v)
 	e.reseated.Add(int64(t.Len()))
+}
+
+// clone copies a table entry by entry, where two tables must hold the same
+// entries apart: a replica warm-up, a worker of a replicating plane.
+func (e *Engine) clone(t *state.Table) state.Table {
+	e.reseated.Add(int64(t.Len()))
+	return t.Clone()
 }
 
 // stage gathers the tables of the variables alive switches own: a down
@@ -814,17 +805,12 @@ func (e *Engine) stage(old *plane) staged {
 // handOver gives variable v's tables to its owner in a plane being
 // prepared: set i adopts tabs[i] as it is. A set past len(tabs) — the
 // variable comes from a lock-discipline plane or out of a store, and this
-// plane replicates — needs entries of its own and gets them spelled out.
+// plane replicates — needs entries of its own and gets a clone.
 func (e *Engine) handOver(pl *plane, v string, tabs []state.Table) error {
 	owner := pl.cfg.Placement[v]
-	var src *state.Store
 	for i, set := range pl.sets {
 		if i == len(tabs) {
-			if src == nil {
-				src = state.NewStore()
-				e.spell(src, v, &tabs[0])
-			}
-			tabs = append(tabs, tableOf(src, v))
+			tabs = append(tabs, e.clone(&tabs[0]))
 		}
 		if !set[owner].AdoptTable(v, tabs[i]) {
 			return fmt.Errorf("dataplane: switch %d owns %s but has no table for it", owner, v)
@@ -842,7 +828,7 @@ func (e *Engine) handOver(pl *plane, v string, tabs []state.Table) error {
 // back: the old plane keeps serving on the unchanged epoch with all state
 // intact, the rollback counter bumps, and the error returns for the
 // controller's retry discipline. In degraded mode, state owned by down
-// switches is recovered from replica stores (promotion) or reported lost;
+// switches is recovered from replica tables (promotion) or reported lost;
 // otherwise an entry-holding variable without a new owner is an error.
 func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, rec *recovery) (*FailoverStats, error) {
 	began := time.Now()
@@ -953,7 +939,9 @@ func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, st staged)
 		}
 		st = staged{}
 		for _, v := range global.Vars() {
-			st[v] = []state.Table{tableOf(global, v)}
+			var t state.Table
+			t.SeedFrom(global, v)
+			st[v] = []state.Table{t}
 		}
 	}
 	// Validate ownership before paying for the build: an entry-holding
@@ -973,7 +961,7 @@ func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, st staged)
 		return nil, nil, fmt.Errorf("dataplane: link: %w", err)
 	}
 	// Build the new configuration's replicator and hook the new switch VMs
-	// into it; seed the new replica stores from the staged state so backups
+	// into it; seed the new replica tables from the staged state so backups
 	// are warm from the first post-swap packet. The engine's live
 	// replicator is only swapped at the caller's commit point.
 	newRep = newReplicator(e, cfg)
@@ -999,22 +987,21 @@ func (e *Engine) replicator() *replicator {
 }
 
 // recoverOrphans stages the entries of variables whose primary owner is
-// down: the first alive replica in promotion-preference order (per the old
-// configuration) is authoritative and its store is seated in a table; with
-// no surviving replica the entries are lost and only counted. Victim tables
-// are never read — a dead switch's memory is unreachable by definition; the
-// simulator merely still holds it, which lets the loss be counted exactly.
+// down: when a backup (per the old configuration) is alive, the replica
+// table is authoritative and is handed over as it is; with no surviving
+// backup the entries are lost and only counted. Victim tables are never
+// read — a dead switch's memory is unreachable by definition; the simulator
+// merely still holds it, which lets the loss be counted exactly.
 func (e *Engine) recoverOrphans(old *plane, cfg *rules.Config, st staged, fs *FailoverStats) {
 	for _, v := range slices.Sorted(maps.Keys(old.cfg.Placement)) {
 		owner := old.cfg.Placement[v]
 		if !e.down[owner].Load() {
 			continue
 		}
-		if rst := e.replicator().aliveReplica(v); rst != nil {
-			if t := tableOf(rst, v); t.Len() > 0 {
+		if t, ok := e.replicator().aliveReplica(v); ok {
+			if t.Len() > 0 {
 				st[v] = []state.Table{t}
 				fs.Recovered += t.Len()
-				e.reseated.Add(int64(t.Len()))
 			}
 			if newOwner, ok := cfg.Placement[v]; ok {
 				fs.Promoted[v] = newOwner

@@ -1,14 +1,17 @@
 package dataplane_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"snap/internal/apps"
 	"snap/internal/core"
 	"snap/internal/dataplane"
+	"snap/internal/parser"
 	"snap/internal/pkt"
 	"snap/internal/place"
+	"snap/internal/state"
 	"snap/internal/syntax"
 	"snap/internal/topo"
 	"snap/internal/traffic"
@@ -52,8 +55,8 @@ func trace(tm traffic.Matrix, n int, seed int64) []dataplane.Ingress {
 }
 
 // TestEngineReplicationMirrorsWrites: under K=2 every write the primary
-// performs reaches the first backup's replica store; once flushed, the
-// replica table equals the primary's and the lag is zero.
+// performs reaches its replica table; once flushed, the replica table
+// equals the primary's and the lag is zero.
 func TestEngineReplicationMirrorsWrites(t *testing.T) {
 	comp, _, tm := compileCampus(t, 2)
 	backups := comp.Result.Replicas["count"]
@@ -267,6 +270,15 @@ func TestEngineFailoverPromotesReplicas(t *testing.T) {
 	if fs.Recovered == 0 {
 		t.Fatal("nothing recovered although the owner held entries")
 	}
+	// Promotion hands the replica table over as it is; the only entries
+	// copied one by one are the warm-up clone of count's 6 (one per
+	// ingress port) into the degraded plane's new backup.
+	if fs.Recovered != 6 {
+		t.Fatalf("recovered %d entries, want count's 6", fs.Recovered)
+	}
+	if n := reseated(t, eng); n != 6 {
+		t.Fatalf("failover reseated %d entries, want 6: the warm-up clone only", n)
+	}
 	if !eng.GlobalState().Equal(before) {
 		t.Fatalf("global state changed across failover\nbefore:\n%s\nafter:\n%s", before, eng.GlobalState())
 	}
@@ -388,4 +400,97 @@ func TestFailoverRejectsHealthyTopology(t *testing.T) {
 		t.Fatal("ApplyConfig accepted a healthy topology on a failed engine")
 	}
 	_ = tp
+}
+
+// TestEngineFailoverThreeReplicas: K = 3, a variable indexed by a 5-tuple
+// (wider than the VM's inline index) beside a narrow one, both on one
+// primary with two backups. Writes flushed to the replicas survive the loss
+// of the primary and the first backup, recovered from the second backup;
+// writes still queued at the primary are the reported loss.
+func TestEngineFailoverThreeReplicas(t *testing.T) {
+	tp := topo.Campus(1000)
+	tm := traffic.Gravity(tp, 100, 1)
+	policy := campusWorkload(parser.MustParse(`flows[srcip][dstip][srcport][dstport][proto] <- True; count[inport]++`))
+	comp, err := core.ColdStart(policy, tp, tm, place.Options{Method: place.Heuristic, Replicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := comp.Config.Placement["flows"]
+	backups := comp.Config.Replicas["flows"]
+	if comp.Config.Placement["count"] != primary || len(backups) != 2 ||
+		!slices.Equal(comp.Config.Replicas["count"], backups) {
+		t.Fatalf("want both variables on one primary with the same two backups: placement %v, replicas %v",
+			comp.Config.Placement, comp.Config.Replicas)
+	}
+
+	// One packet from port u to port v: srcip in u's subnet (the
+	// assumption), dstip in v's (assign-egress), proto 6.
+	pk := func(u, v int, sport int64) dataplane.Ingress {
+		return dataplane.Ingress{Port: u, Packet: pkt.New(map[pkt.Field]values.Value{
+			pkt.Inport:  values.Int(int64(u)),
+			pkt.SrcIP:   values.IPv4(10, 0, byte(u), 1),
+			pkt.DstIP:   values.IPv4(10, 0, byte(v), 1),
+			pkt.SrcPort: values.Int(sport),
+			pkt.DstPort: values.Int(80),
+			pkt.Proto:   values.Int(6),
+		})}
+	}
+	flow := func(u, v int, sport int64) values.Tuple {
+		return values.Tuple{values.IPv4(10, 0, byte(u), 1), values.IPv4(10, 0, byte(v), 1),
+			values.Int(sport), values.Int(80), values.Int(6)}
+	}
+
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 1, ManualReplication: true})
+	defer eng.Close()
+	if err := eng.InjectReplay([]dataplane.Ingress{pk(1, 2, 1000), pk(1, 3, 1001), pk(2, 6, 1002), pk(1, 2, 1000)}); err != nil {
+		t.Fatal(err)
+	}
+	eng.FlushReplication()
+	want := state.NewStore()
+	want.Set("flows", flow(1, 2, 1000), values.Bool(true))
+	want.Set("flows", flow(1, 3, 1001), values.Bool(true))
+	want.Set("flows", flow(2, 6, 1002), values.Bool(true))
+	want.Set("count", values.Tuple{values.Int(1)}, values.Int(3))
+	want.Set("count", values.Tuple{values.Int(2)}, values.Int(1))
+	const flushedEntries = 5
+
+	// Two more packets, two writes each, stay queued at the primary.
+	if err := eng.InjectReplay([]dataplane.Ingress{pk(3, 4, 2000), pk(1, 2, 1000)}); err != nil {
+		t.Fatal(err)
+	}
+	if rs := eng.ReplicaStats(); rs.Lag != 4 {
+		t.Fatalf("queued writes %d, want 4", rs.Lag)
+	}
+	for _, s := range []topo.NodeID{primary, backups[0]} {
+		if err := eng.FailSwitch(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := eng.ReplicaTable(backups[1]); !got.Equal(want) {
+		t.Fatalf("second backup holds\n%s\nwant\n%s", got, want)
+	}
+
+	degraded, err := tp.Degrade([]topo.NodeID{primary, backups[0]}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp2, err := comp.TopoFailover(degraded, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := eng.Failover(comp2.Config, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs.Recovered != flushedEntries || fs.LostWrites != 4 || fs.LostEntries != 0 || len(fs.LostVars) != 0 {
+		t.Fatalf("failover %s, want %d recovered, 4 lost writes, no lost entries", fs, flushedEntries)
+	}
+	for _, v := range []string{"flows", "count"} {
+		if _, ok := fs.Promoted[v]; !ok {
+			t.Fatalf("%s not promoted: %v", v, fs.Promoted)
+		}
+	}
+	if got := eng.GlobalState(); !got.Equal(want) {
+		t.Fatalf("recovered state\n%s\nwant\n%s", got, want)
+	}
 }

@@ -3,59 +3,58 @@
 // a primary switch performs is observed through the netasm write hook —
 // under the same striped lock that serializes the write itself, so one
 // variable's observations arrive in table order — appended to a per-switch
-// mirror queue, and applied to the backup switches' replica stores by a
-// single background goroutine, in batches, off the packet hot path.
+// mirror queue, and applied to the variable's replica table by a single
+// background goroutine, in batches, off the packet hot path.
 //
-// Observations carry the *post-write* value (never the operation), so
-// applying them is idempotent and insensitive to batching boundaries. The
-// replica therefore trails the primary by a bounded, measurable lag
-// (ReplicaStats): exactly the writes still queued. A switch failure
-// discards the victim's queue — those writes are the bounded state loss a
-// failover reports — while everything already applied survives on the
-// backups and is promoted by Engine.Failover.
+// Every backup of a variable receives every one of its writes, so the
+// backups never diverge: the replicator keeps one replica table per
+// replicated variable id, which stands for all of them, and applies each
+// write once. Observations carry the *post-write* value (never the
+// operation), so applying them is idempotent and insensitive to batching
+// boundaries. The replica therefore trails the primary by a bounded,
+// measurable lag (ReplicaStats): exactly the writes still queued. A switch
+// failure discards the victim's queue — those writes are the bounded state
+// loss a failover reports — while everything already applied survives in
+// the replica, which Engine.Failover promotes by handing the table over.
 package dataplane
 
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"snap/internal/faultpoint"
+	"snap/internal/netasm"
 	"snap/internal/rules"
 	"snap/internal/state"
 	"snap/internal/telemetry"
 	"snap/internal/topo"
-	"snap/internal/values"
 )
 
-// repWrite is one observed state mutation: the post-write value of v[idx].
-type repWrite struct {
-	v   string
-	idx values.Tuple
-	val values.Value
-}
-
-// repBuffer is one primary switch's mirror queue. dead marks a failed
-// switch: its queued (and any still-arriving) writes are discarded and
-// counted as lost instead of reaching the replicas.
+// repBuffer is one primary switch's mirror queue of observed writes, each
+// as the write hook reports it: variable id, index, post-write value. dead
+// marks a failed switch: its queued (and any still-arriving) writes are
+// discarded and counted as lost instead of reaching the replicas.
 type repBuffer struct {
 	mu   sync.Mutex
 	dead bool
-	ws   []repWrite
+	ws   []netasm.PendingWrite
 }
 
 // replicator owns the mirror pipeline for one configuration epoch. The
 // engine swaps it wholesale on reconfiguration (under the gate, after a
-// flush), so vars/stores/pending are immutable maps after construction.
-// All methods are nil-receiver-safe: an unreplicated configuration has a
-// nil replicator.
+// flush), so vs/backups/pending are immutable after construction; tables
+// is written by the drain only. All methods are nil-receiver-safe: an
+// unreplicated configuration has a nil replicator.
 type replicator struct {
 	eng     *Engine
-	vars    map[string][]topo.NodeID     // replicated var → backups, preference order
-	stores  map[topo.NodeID]*state.Store // per-backup replica tables
-	pending map[topo.NodeID]*repBuffer   // per-primary mirror queues
+	vs      *netasm.VarSpace
+	backups [][]topo.NodeID            // by var id: backups in preference order, nil when unreplicated
+	tables  []state.Table              // by var id: the replica every backup holds
+	pending map[topo.NodeID]*repBuffer // per-primary mirror queues
 
 	// enq/app count writes enqueued and applied; their difference is the
 	// replica lag. They are atomics because enq sits on the packet hot
@@ -80,10 +79,12 @@ func newReplicator(e *Engine, cfg *rules.Config) *replicator {
 	if len(cfg.Replicas) == 0 {
 		return nil
 	}
+	vs := cfg.VarSpace()
 	r := &replicator{
 		eng:     e,
-		vars:    cfg.Replicas,
-		stores:  map[topo.NodeID]*state.Store{},
+		vs:      vs,
+		backups: make([][]topo.NodeID, vs.Len()),
+		tables:  make([]state.Table, vs.Len()),
 		pending: map[topo.NodeID]*repBuffer{},
 		manual:  e.opts.ManualReplication,
 		kick:    make(chan struct{}, 1),
@@ -91,11 +92,7 @@ func newReplicator(e *Engine, cfg *rules.Config) *replicator {
 		done:    make(chan struct{}),
 	}
 	for v, backups := range cfg.Replicas {
-		for _, b := range backups {
-			if r.stores[b] == nil {
-				r.stores[b] = state.NewStore()
-			}
-		}
+		r.backups[vs.ID(v)] = backups
 		if owner, ok := cfg.Placement[v]; ok && r.pending[owner] == nil {
 			r.pending[owner] = &repBuffer{}
 		}
@@ -105,7 +102,7 @@ func newReplicator(e *Engine, cfg *rules.Config) *replicator {
 
 // hookFor returns the netasm write observer for a primary switch, or nil
 // when the switch owns no replicated variable.
-func (r *replicator) hookFor(node topo.NodeID, owns map[string]bool) func(string, values.Tuple, values.Value) {
+func (r *replicator) hookFor(node topo.NodeID) func(netasm.PendingWrite) {
 	if r == nil {
 		return nil
 	}
@@ -113,18 +110,8 @@ func (r *replicator) hookFor(node topo.NodeID, owns map[string]bool) func(string
 	if !ok {
 		return nil
 	}
-	replicated := false
-	for v := range owns {
-		if _, ok := r.vars[v]; ok {
-			replicated = true
-			break
-		}
-	}
-	if !replicated {
-		return nil
-	}
-	return func(v string, idx values.Tuple, val values.Value) {
-		if _, ok := r.vars[v]; !ok {
+	return func(w netasm.PendingWrite) {
+		if r.backups[w.VarID] == nil {
 			return
 		}
 		buf.mu.Lock()
@@ -134,7 +121,7 @@ func (r *replicator) hookFor(node topo.NodeID, owns map[string]bool) func(string
 			r.eng.repLost.Add(1)
 			return
 		}
-		buf.ws = append(buf.ws, repWrite{v: v, idx: idx, val: val})
+		buf.ws = append(buf.ws, w)
 		buf.mu.Unlock()
 		r.enq.Add(1)
 		select {
@@ -199,7 +186,8 @@ func (r *replicator) drainGuarded() {
 	r.drain()
 }
 
-// drain applies every queued mirror write to the replica stores. Buffers
+// drain applies every queued mirror write to its variable's replica table,
+// once for all the variable's backups. Buffers
 // are swapped out under their own lock and applied outside it, so primary
 // writers are blocked only for the swap. The replicator.drain fault point
 // sits before the mutex: armed as a stall it parks the background drainer
@@ -218,9 +206,12 @@ func (r *replicator) drain() {
 		ws := buf.ws
 		buf.ws = nil
 		buf.mu.Unlock()
-		for _, w := range ws {
-			for _, b := range r.vars[w.v] {
-				r.stores[b].Set(w.v, w.idx, w.val)
+		for i := range ws {
+			w, t := &ws[i], &r.tables[ws[i].VarID]
+			if w.IdxWide != nil {
+				t.SetWide(w.IdxWide, w.Val)
+			} else {
+				t.Set(state.KeyOf(w.Idx), w.Idx, w.Val)
 			}
 		}
 		applied += len(ws)
@@ -239,24 +230,18 @@ func (r *replicator) flush() {
 	r.drain()
 }
 
-// seed warms the replica stores from the state a reconfiguration staged:
-// every replicated variable's current entries are spelled out into its
-// first backup's (fresh) store and shared with the others from there. Used
-// when a new replicator is installed mid-life (reconfiguration, failover),
-// so backups do not start cold behind a populated primary.
+// seed warms the replica tables from the state a reconfiguration staged:
+// every replicated variable's replica starts as a clone of its staged
+// table. Used when a new replicator is installed mid-life
+// (reconfiguration, failover), so backups do not start cold behind a
+// populated primary.
 func (r *replicator) seed(st staged) {
 	if r == nil {
 		return
 	}
-	for v, backups := range r.vars {
-		tabs, ok := st[v]
-		if !ok || len(backups) == 0 {
-			continue
-		}
-		first := r.stores[backups[0]]
-		r.eng.spell(first, v, &tabs[0])
-		for _, b := range backups[1:] {
-			r.stores[b].CopyVar(first, v)
+	for v, tabs := range st {
+		if id := r.vs.ID(v); id >= 0 && r.backups[id] != nil {
+			r.tables[id] = r.eng.clone(&tabs[0])
 		}
 	}
 }
@@ -285,18 +270,34 @@ func (r *replicator) condemn(node topo.NodeID) int64 {
 	return lost
 }
 
-// aliveReplica returns the replica store of the first alive backup of v in
-// promotion-preference order, or nil. Caller holds the engine quiescent.
-func (r *replicator) aliveReplica(v string) *state.Store {
-	if r == nil {
-		return nil
-	}
-	for _, b := range r.vars[v] {
-		if !r.eng.down[b].Load() {
-			return r.stores[b]
+// aliveReplica returns v's replica table when a backup of v is alive.
+// Caller holds the engine quiescent.
+func (r *replicator) aliveReplica(v string) (state.Table, bool) {
+	if r != nil {
+		if id := r.vs.ID(v); id >= 0 {
+			for _, b := range r.backups[id] {
+				if !r.eng.down[b].Load() {
+					return r.tables[id], true
+				}
+			}
 		}
 	}
-	return nil
+	return state.Table{}, false
+}
+
+// replicaStore spells out the replica tables a backup switch holds, nil
+// when it backs up nothing.
+func (r *replicator) replicaStore(node topo.NodeID) *state.Store {
+	var st *state.Store
+	for id, backups := range r.backups {
+		if slices.Contains(backups, node) {
+			if st == nil {
+				st = state.NewStore()
+			}
+			r.tables[id].AddToStore(st, r.vs.Name(id))
+		}
+	}
+	return st
 }
 
 // queueDepth counts mirror writes currently queued at the primaries,
@@ -351,7 +352,7 @@ func (e *Engine) ReplicaStats() ReplicaStats {
 	}
 }
 
-// FlushReplication drains the mirror queues to the replica stores under
+// FlushReplication drains the mirror queues to the replica tables under
 // the admission gate, returning with the replicas quiescent (lag zero).
 // The failover demo and tests use it to establish the "replicas are
 // quiescent" precondition for zero-loss recovery; production callers can
@@ -362,20 +363,16 @@ func (e *Engine) FlushReplication() {
 	e.replicator().flush()
 }
 
-// ReplicaTable snapshots the replica store a backup switch holds (tests
-// and diagnostics); nil when the switch backs up nothing. Taken under the
-// gate after a flush, so it reflects every write admitted so far.
+// ReplicaTable snapshots the replica tables a backup switch holds (tests
+// and diagnostics) as a store; nil when the switch backs up nothing. Taken
+// under the gate after a flush, so it reflects every write admitted so far.
 func (e *Engine) ReplicaTable(id topo.NodeID) *state.Store {
 	e.gate.pause()
 	defer e.gate.resume()
 	r := e.replicator()
-	r.flush()
 	if r == nil {
 		return nil
 	}
-	st, ok := r.stores[id]
-	if !ok {
-		return nil
-	}
-	return st.Clone()
+	r.flush()
+	return r.replicaStore(id)
 }

@@ -51,7 +51,6 @@ import (
 	"snap/internal/rules"
 	"snap/internal/state"
 	"snap/internal/topo"
-	"snap/internal/values"
 	"snap/internal/xfdd"
 )
 
@@ -81,7 +80,7 @@ const maxSCRWorkers = 1 << 16
 // discipline, returning the reasons it may not (empty = safe). Sources:
 //
 //   - per-program blockers from the link step (wide-index writes,
-//     non-scalar set values, touches of unowned or unplaced variables);
+//     non-scalar set values, local touches of unowned variables);
 //   - plane-wide act mixing: a variable written by ActSet on one program
 //     and ++/-- on another (or the same) cannot merge — last-writer-wins
 //     would drop deltas and re-execution would misorder sets;
@@ -297,7 +296,7 @@ func (e *Engine) buildSCR(cfg *rules.Config, linked map[topo.NodeID]*netasm.Link
 			sync:     make(chan chan struct{}),
 		}
 		for _, sw := range wk.switches {
-			sw.OnStateOp = wk.onStateOp
+			sw.OnStateWrite = wk.onStateWrite
 		}
 		for v, owner := range cfg.Placement {
 			if tbl, ok := wk.switches[owner].TableRef(v); ok {
@@ -374,18 +373,23 @@ func (s *scrState) dispatch(it *item) {
 	s.workers[w%uint64(len(s.workers))].in <- *it
 }
 
-// onStateOp is the VM write observer: record the operation in the
+// onStateWrite is the VM write observer: record the operation in the
 // per-packet log. Sets advance the Lamport clock and pre-record their tag
 // locally so a remote set with a smaller tag cannot later overwrite them.
-func (wk *scrWorker) onStateOp(varID int32, act xfdd.ActKind, idx values.Vec, val values.Value) {
-	u := state.Update{VarID: varID, Idx: idx}
-	switch act {
+// Wide-index writes are not logged: the link-time classifier keeps planes
+// that make them off this discipline.
+func (wk *scrWorker) onStateWrite(w netasm.PendingWrite) {
+	if w.IdxWide != nil {
+		return
+	}
+	u := state.Update{VarID: w.VarID, Idx: w.Idx}
+	switch w.Act {
 	case xfdd.ActSet:
 		wk.clock++
 		u.Act = state.UpdateSet
 		u.Tag = state.MakeTag(wk.clock, wk.id)
-		u.Val = val
-		wk.rep.RecordLocal(varID, state.KeyOf(idx), u.Tag)
+		u.Val = w.Val
+		wk.rep.RecordLocal(w.VarID, state.KeyOf(w.Idx), u.Tag)
 	case xfdd.ActIncr:
 		u.Act = state.UpdateIncr
 	case xfdd.ActDecr:

@@ -135,7 +135,7 @@ func (in *injection) finish() {
 }
 
 // hop is one packet copy on its way to a switch visit. A SimPacket is
-// 1 120 bytes, so the walk is arranged to copy one as rarely as it can (see
+// 1 104 bytes, so the walk is arranged to copy one as rarely as it can (see
 // walk), and a copy that owes only its egress is never queued (see forward).
 type hop struct {
 	at   topo.NodeID
@@ -280,7 +280,9 @@ func (f *fabric) visit(pl *plane, switches []*netasm.Switch, w *walker, inj *inj
 			} else {
 				f.stats.hops.Add(1)
 				f.load[at].forwarded.Add(1)
-				traceHop(inj.tr, at, "suspend", r.StateVar, -1)
+				if inj.tr != nil {
+					inj.tr.Hop(int(at), "suspend", pl.cfg.VarSpace().Name(int(r.StateVarID)), -1)
+				}
 				q = append(q, hop{at: pl.cfg.Topo.Links[li].To, hops: hops + 1, sp: r.Packet})
 			}
 		}

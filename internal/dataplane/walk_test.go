@@ -202,7 +202,7 @@ func TestForwardFailuresInTransit(t *testing.T) {
 }
 
 // TestWalkQueueStaysShort guards the packet-copy cost of the walk. A
-// SimPacket is 1 120 bytes, so a walk that keeps every hop of an injection
+// SimPacket is 1 104 bytes, so a walk that keeps every hop of an injection
 // in its queue pays for it on long paths (+20 % ns_per_packet on the
 // benchmark's 5.5-hop fwd-wan workload when tried). The trace here is
 // stateless unicast on the same kind of network, so the queue never needs

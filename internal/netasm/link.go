@@ -10,8 +10,9 @@
 //   - variable names become dense ids in a VarSpace shared by every
 //     switch of a plane (pending writes carry the id across switches, and
 //     the engine's owner lookup is an array index instead of a map probe);
-//   - owned variables additionally get a local table id, an index into
-//     the switch's dense state tables (state.Table);
+//   - owned variables additionally get a local table slot, an index into
+//     the switch's dense state tables (state.Table), looked up by id: below
+//     the linker a variable is a number;
 //   - index expressions compile to flat extractors — a fixed sequence of
 //     const|field-ref ops evaluated into an inline values.Vec, no
 //     interface-tree walk, no allocation;
@@ -163,9 +164,8 @@ type linstr struct {
 	op      Op
 	act     xfdd.ActKind
 	valMode uint8
-	tbl     int32 // local state-table id; -1 when not owned here
-	varID   int32 // plane-global variable id; -1 when unknown to the space
-	vname   string
+	tbl     int32 // local state-table slot; -1 when not owned here
+	varID   int32 // plane-global variable id
 	field   pkt.Field
 	field2  pkt.Field
 	val     values.Value
@@ -200,12 +200,12 @@ type Linked struct {
 	// diagnostics).
 	Prog *Program
 
-	vs      *VarSpace
-	ins     []linstr
-	entry   []int32 // node id → pc, -1 holes
-	owns    map[string]bool
-	locals  []string       // local table id → variable name, sorted
-	localID map[string]int // inverse of locals, shared by every switch
+	vs     *VarSpace
+	ins    []linstr
+	entry  []int32  // node id → pc, -1 holes
+	locals []string // local table slot → variable name, sorted
+	slot   []int32  // variable id → local table slot, -1 when none
+	owned  []uint64 // bitset of the variable ids the switch owns
 
 	// Link-time facts consumed by the engine's execution-mode selection
 	// (see Diagnostics, WriteActs, ReplicationBlockers).
@@ -238,6 +238,22 @@ func (lp *Linked) ReplicationBlockers() []string { return lp.repBlocks }
 // VarSpace returns the space the program was linked against.
 func (lp *Linked) VarSpace() *VarSpace { return lp.vs }
 
+// owns reports whether the switch owns variable id.
+func (lp *Linked) owns(id int32) bool {
+	return int(id>>6) < len(lp.owned) && lp.owned[id>>6]&(1<<(id&63)) != 0
+}
+
+// varID resolves a name in the program's space. Link is handed the plane's
+// space, built from every program's variables, or the program's own, so a
+// miss is a compiler bug.
+func (lp *Linked) varID(name string) int32 {
+	id := lp.vs.ID(name)
+	if id < 0 {
+		panic(fmt.Sprintf("netasm: variable %s is not in the variable space", name))
+	}
+	return int32(id)
+}
+
 // entryPC resolves an xFDD node id to its pc, -1 when the program has no
 // entry for it.
 func (lp *Linked) entryPC(node int) int {
@@ -251,31 +267,35 @@ func (lp *Linked) entryPC(node int) int {
 // Every switch of one plane must link against the same space: pending
 // writes carry variable ids between switches.
 func Link(p *Program, vs *VarSpace, owns map[string]bool) *Linked {
-	lp := &Linked{Prog: p, vs: vs, owns: owns}
+	lp := &Linked{Prog: p, vs: vs, slot: make([]int32, vs.Len()), owned: make([]uint64, (vs.Len()+63)/64)}
 	// Local tables: everything the switch owns, plus any variable its
 	// local state instructions touch anyway — compiler-emitted programs
 	// only reference owned variables there, but the interpreter tolerated
 	// hand-built programs writing unowned state locally, and linking must
-	// not turn that into an out-of-range table id.
-	seen := make(map[string]bool, len(owns))
+	// not turn that into an out-of-range table slot. Mark each such
+	// variable with slot 0, then number them in id order, which is name
+	// order.
+	for i := range lp.slot {
+		lp.slot[i] = -1
+	}
 	for v, ok := range owns {
 		if ok {
-			seen[v] = true
-			lp.locals = append(lp.locals, v)
+			id := lp.varID(v)
+			lp.owned[id>>6] |= 1 << (id & 63)
+			lp.slot[id] = 0
 		}
 	}
 	for _, ins := range p.Instrs {
-		if (ins.Op == OpBranchState || ins.Op == OpStateWrite) && ins.Var != "" && !seen[ins.Var] {
-			seen[ins.Var] = true
-			lp.locals = append(lp.locals, ins.Var)
+		if ins.Op == OpBranchState || ins.Op == OpStateWrite {
+			lp.slot[lp.varID(ins.Var)] = 0
 		}
 	}
-	sort.Strings(lp.locals)
-	lp.localID = make(map[string]int, len(lp.locals))
-	for i, v := range lp.locals {
-		lp.localID[v] = i
+	for id, s := range lp.slot {
+		if s == 0 {
+			lp.slot[id] = int32(len(lp.locals))
+			lp.locals = append(lp.locals, vs.Name(id))
+		}
 	}
-	localID := lp.localID
 
 	maxNode := -1
 	for node := range p.EntryOf {
@@ -301,8 +321,6 @@ func Link(p *Program, vs *VarSpace, owns map[string]bool) *Linked {
 			op:     ins.Op,
 			act:    ins.Act,
 			tbl:    -1,
-			varID:  -1,
-			vname:  ins.Var,
 			field:  ins.Field,
 			field2: ins.Field2,
 			val:    ins.Val,
@@ -312,10 +330,8 @@ func Link(p *Program, vs *VarSpace, owns map[string]bool) *Linked {
 			resume: int32(ins.Resume),
 		}
 		if ins.Var != "" {
-			li.varID = int32(vs.ID(ins.Var))
-			if id, ok := localID[ins.Var]; ok {
-				li.tbl = int32(id)
-			}
+			li.varID = lp.varID(ins.Var)
+			li.tbl = lp.slot[li.varID]
 		}
 		if len(ins.Idx) > 0 {
 			var flat extractor
@@ -368,9 +384,6 @@ func Link(p *Program, vs *VarSpace, owns map[string]bool) *Linked {
 			}
 			if li.valMode == valSlow {
 				lp.block("pc %d: write to %s carries a non-scalar value expression", pc, ins.Var)
-			}
-			if li.varID < 0 {
-				lp.block("pc %d: variable %s is unknown to the plane's variable space", pc, ins.Var)
 			}
 			if ins.Op == OpStateWrite && !owns[ins.Var] {
 				lp.block("pc %d: local write to unowned variable %s", pc, ins.Var)

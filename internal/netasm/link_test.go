@@ -210,25 +210,6 @@ func TestUnownedLocalStateOps(t *testing.T) {
 	}
 }
 
-// TestSeedUnlinkedVariable: StateSet/StateGet/Snapshot on a variable the
-// program neither owns nor references (the dynamic-table path).
-func TestSeedUnlinkedVariable(t *testing.T) {
-	sw := netasm.NewSwitch(0, &netasm.Program{EntryOf: map[int]int{}}, map[string]bool{"s": true})
-	sw.StateSet("s", values.Tuple{values.Int(1)}, values.Int(10))
-	sw.StateSet("elsewhere", values.Tuple{values.Int(2)}, values.Bool(true))
-	sw.StateSet("elsewhere", values.Tuple{values.Int(3)}, values.Bool(true))
-	if got := sw.StateGet("elsewhere", values.Tuple{values.Int(2)}); !got.True() {
-		t.Fatalf("dynamic table read: %v", got)
-	}
-	if n := sw.EntryCount("elsewhere"); n != 2 {
-		t.Fatalf("dynamic table entries: %d", n)
-	}
-	snap := sw.Snapshot()
-	if len(snap.Vars()) != 2 || len(snap.Entries("elsewhere")) != 2 {
-		t.Fatalf("snapshot: %s", snap)
-	}
-}
-
 // TestMissingValueExpr: an instruction requiring a value expression but
 // built without one must error (the interpreter's EvalScalar behavior),
 // not silently compare or store None.

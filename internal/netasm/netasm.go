@@ -21,7 +21,6 @@ package netasm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"snap/internal/pkt"
@@ -127,17 +126,17 @@ func (i Instr) String() string {
 	return "nop"
 }
 
-// PendingWrite is a state update resolved at the evaluation switch and
-// carried in the SNAP-header until it reaches the owning switch. The
-// variable travels both as its interned name (the control-plane identity)
-// and its plane-global id (the engine's dense owner lookup); the index
-// travels inline (Idx) except for tuples wider than values.MaxVec, which
-// use the IdxWide slice instead.
+// PendingWrite is one state write as the VM represents it: resolved at the
+// evaluation switch and carried in the SNAP-header until it reaches the
+// owning switch (§4.5), or applied where it was resolved. The variable
+// travels as its id in the plane's VarSpace; the index travels inline (Idx)
+// except for tuples wider than values.MaxVec, which use the IdxWide slice
+// instead. Switch.OnStateWrite receives the same record with Val set to
+// the post-write value.
 type PendingWrite struct {
-	Var     string
 	VarID   int32
 	Act     xfdd.ActKind
-	Val     values.Value // ActSet only
+	Val     values.Value // ActSet: the value written
 	Idx     values.Vec
 	IdxWide values.Tuple // set instead of Idx when too wide for the fast path
 }
@@ -247,7 +246,7 @@ type Outcome uint8
 
 // Switch decisions.
 const (
-	// NeedState: evaluation suspended; forward toward StateVar's owner.
+	// NeedState: evaluation suspended; forward toward StateVarID's owner.
 	NeedState Outcome = iota
 	// ToEgress: evaluation finished; forward toward the OBS outport.
 	ToEgress
@@ -261,58 +260,44 @@ const (
 // possibly multicast into several copies.
 type Result struct {
 	Outcome Outcome
-	// StateVar and StateVarID name the variable a NeedState packet must
-	// reach (meaningful only for that outcome). The id is valid in the
-	// plane's VarSpace, -1 when the space does not know the variable.
-	StateVar   string
+	// StateVarID is the VarSpace id of the variable a NeedState packet
+	// must reach (meaningful only for that outcome).
 	StateVarID int32
 	Packet     SimPacket
 }
 
 // Switch is a NetASM VM instance: a linked program plus local state held
-// in dense per-variable tables.
+// in dense per-variable tables, one per variable the link step gave the
+// switch (LockVars, plus any unowned variable its local instructions touch).
+// The tables never grow or move, so a pointer TableRef hands out stays
+// valid for the switch's life.
 //
 // Concurrency: Run keeps no state between calls other than the tables —
 // the linked program is immutable, packets are value types, and
 // pending-write lists are never shared between live packet copies (fork
 // clones). Concurrent Runs on the same Switch are therefore safe exactly
 // when access to the tables is serialized externally; they are touched
-// only for variables in Owns, so holding a lock set covering LockVars()
+// only for owned variables, so holding a lock set covering LockVars()
 // for the duration of the call suffices. A switch owning no state
 // (LockVars empty) is freely re-entrant.
 type Switch struct {
 	ID int
-	// Owns reports local ownership of state variables.
-	Owns map[string]bool
 	// Guard against runaway programs.
 	MaxSteps int
-	// OnStateWrite, when set, observes every mutation of the state tables
-	// with the variable, index and post-write value. The data-plane engine
-	// installs it to mirror writes to replica switches asynchronously. It
-	// runs under the same external serialization as Run itself (the
-	// caller's lock set covers the written variable), so implementations
-	// see writes to one variable in table order; they must not block. The
-	// index tuple it receives is the entry's retained first-insert tuple —
-	// observers must treat it as immutable.
-	OnStateWrite func(v string, idx values.Tuple, val values.Value)
-	// OnStateOp, when set, observes every fast-path state mutation as the
-	// *operation* that produced it: dense variable id, act, raw index
-	// vector and — for sets — the written value. Unlike OnStateWrite it
-	// never allocates (the index travels as the inline Vec, not the
-	// retained Tuple), which is what lets the state-replication engine mode
-	// build per-packet update logs on the hot path. It fires only for
-	// writes with an index of arity ≤ values.MaxVec and a variable known
-	// to the linked space; replication-mode planes are classified at link
-	// time (Linked.ReplicationBlockers) so neither exclusion occurs there.
-	OnStateOp func(varID int32, act xfdd.ActKind, idx values.Vec, val values.Value)
+	// OnStateWrite, when set, observes every mutation of the state tables,
+	// exactly once: a local write (OpStateWrite) and a carried write
+	// committed here alike, narrow and wide indices alike. It receives the
+	// write as the VM holds it, with Val set to the post-write value. The
+	// data-plane engine installs it to mirror writes to replica switches
+	// and to log them for state-compute replication. It runs under the same
+	// external serialization as Run itself (the caller's lock set covers
+	// the written variable), so implementations see writes to one variable
+	// in table order; they must not block. Nothing mutates a write's
+	// IdxWide afterwards, so observers may keep it.
+	OnStateWrite func(w PendingWrite)
 
 	lp     *Linked
 	tables []state.Table
-	// Dynamic tables past the linked locals (test seeding of variables
-	// the program neither owns nor references); the linked name↔id
-	// mapping itself is shared, immutable, on lp.
-	extraID    map[string]int
-	extraNames []string
 }
 
 // NewSwitch builds a VM with empty tables, linking the program against a
@@ -328,7 +313,6 @@ func NewSwitch(id int, prog *Program, owns map[string]bool) *Switch {
 func NewLinkedSwitch(id int, lp *Linked) *Switch {
 	return &Switch{
 		ID:       id,
-		Owns:     lp.owns,
 		MaxSteps: 1 << 16,
 		lp:       lp,
 		tables:   make([]state.Table, len(lp.locals)),
@@ -338,78 +322,54 @@ func NewLinkedSwitch(id int, lp *Linked) *Switch {
 // LockVars lists the state variables a Run may touch, sorted: everything
 // the switch owns. Local branch/write instructions only ever reference
 // owned variables (remote tests compile to suspend stubs), and commitLocal
-// can apply a pending write for any owned variable, so Owns is both sound
-// and tight as a static lock set.
+// can apply a pending write for any owned variable, so the owned set is
+// both sound and tight as a static lock set.
 func (sw *Switch) LockVars() []string {
-	out := make([]string, 0, len(sw.Owns))
-	for v := range sw.Owns {
-		out = append(out, v)
+	var out []string
+	for _, v := range sw.lp.locals {
+		if sw.lp.owns(int32(sw.lp.vs.ID(v))) {
+			out = append(out, v)
+		}
 	}
-	sort.Strings(out)
 	return out
 }
 
-// tableID resolves a variable to its table index: the linked locals
-// first, then this switch's dynamic extras.
-func (sw *Switch) tableID(v string) (int, bool) {
-	if id, ok := sw.lp.localID[v]; ok {
-		return id, true
-	}
-	id, ok := sw.extraID[v]
-	return id, ok
-}
-
-// tableName is the inverse of tableID.
-func (sw *Switch) tableName(id int) string {
-	if id < len(sw.lp.locals) {
-		return sw.lp.locals[id]
-	}
-	return sw.extraNames[id-len(sw.lp.locals)]
-}
-
-// table returns the dense table of a variable, creating it on demand for
-// names outside the linked locals (test seeding of unowned variables).
+// table returns v's dense local table, nil when the switch has none.
 func (sw *Switch) table(v string) *state.Table {
-	if id, ok := sw.tableID(v); ok {
-		return &sw.tables[id]
+	if id := sw.lp.vs.ID(v); id >= 0 {
+		if slot := sw.lp.slot[id]; slot >= 0 {
+			return &sw.tables[slot]
+		}
 	}
-	if sw.extraID == nil {
-		sw.extraID = make(map[string]int)
-	}
-	sw.tables = append(sw.tables, state.Table{})
-	id := len(sw.tables) - 1
-	sw.extraID[v] = id
-	sw.extraNames = append(sw.extraNames, v)
-	return &sw.tables[id]
+	return nil
 }
 
 // TableRef returns a pointer to v's dense local table, false when the
-// switch has no table for it. The pointer stays valid as long as no
-// variable unknown to the switch is introduced afterwards (StateSet of a
-// new name grows the table slice, which only tests do): the
-// state-replication engine mode binds replica apply targets through it, and
-// the engine fills tables through AdoptTable, which never grows the slice.
+// switch has no table for it. The pointer stays valid for the switch's
+// life: the state-replication engine mode binds replica apply targets
+// through it, and AdoptTable swaps contents behind it.
 func (sw *Switch) TableRef(v string) (*state.Table, bool) {
-	id, ok := sw.tableID(v)
-	if !ok {
-		return nil, false
-	}
-	return &sw.tables[id], true
+	t := sw.table(v)
+	return t, t != nil
 }
 
 // StateGet reads v[idx] from the local tables (Default when absent).
 func (sw *Switch) StateGet(v string, idx values.Tuple) values.Value {
-	id, ok := sw.tableID(v)
-	if !ok {
-		return state.Default
+	if t := sw.table(v); t != nil {
+		return t.GetTuple(idx)
 	}
-	return sw.tables[id].GetTuple(idx)
+	return state.Default
 }
 
 // StateSet seeds v[idx] ← val in the local tables directly, bypassing the
-// write observer (tests, diagnostics; the engine uses AdoptTable).
-func (sw *Switch) StateSet(v string, idx values.Tuple, val values.Value) {
-	sw.table(v).SetTuple(idx, val)
+// write observer (tests, diagnostics; the engine uses AdoptTable). False,
+// and nothing written, when the switch has no table for v.
+func (sw *Switch) StateSet(v string, idx values.Tuple, val values.Value) bool {
+	t := sw.table(v)
+	if t != nil {
+		t.SetTuple(idx, val)
+	}
+	return t != nil
 }
 
 // AdoptTable makes t the local table of v as it is: no entry is read, the
@@ -417,23 +377,21 @@ func (sw *Switch) StateSet(v string, idx values.Tuple, val values.Value) {
 // sees t. It is how a reconfiguration hands a variable's state to its owner
 // in the next plane; the caller guarantees that nothing else writes t from
 // here on. False when the switch has no table for v (the link step gives
-// every owned variable one), so the slice never grows under a state.Replica.
+// every owned variable one).
 func (sw *Switch) AdoptTable(v string, t state.Table) bool {
-	id, ok := sw.tableID(v)
-	if !ok {
-		return false
+	dst := sw.table(v)
+	if dst != nil {
+		*dst = t
 	}
-	sw.tables[id] = t
-	return true
+	return dst != nil
 }
 
 // EntryCount returns the number of entries in v's local table.
 func (sw *Switch) EntryCount(v string) int {
-	id, ok := sw.tableID(v)
-	if !ok {
-		return 0
+	if t := sw.table(v); t != nil {
+		return t.Len()
 	}
-	return sw.tables[id].Len()
+	return 0
 }
 
 // StateInto dumps every non-empty local table into st (the dense →
@@ -441,7 +399,7 @@ func (sw *Switch) EntryCount(v string) int {
 func (sw *Switch) StateInto(st *state.Store) {
 	for i := range sw.tables {
 		if sw.tables[i].Len() > 0 {
-			sw.tables[i].AddToStore(st, sw.tableName(i))
+			sw.tables[i].AddToStore(st, sw.lp.locals[i])
 		}
 	}
 }
@@ -478,7 +436,7 @@ func (sw *Switch) RunAppend(dst []Result, sp SimPacket) ([]Result, error) {
 		}
 		return sw.exec(dst, sp, pc)
 	default:
-		return append(dst, Result{Outcome: Dropped, StateVarID: -1, Packet: sp}), nil
+		return append(dst, Result{Outcome: Dropped, Packet: sp}), nil
 	}
 }
 
@@ -493,45 +451,46 @@ func (sw *Switch) commitLocal(sp *SimPacket) {
 	kept := 0
 	for i := 0; i < n; i++ {
 		w := *h.pendingAt(i)
-		if !sw.Owns[w.Var] {
+		if !sw.lp.owns(w.VarID) {
 			if kept != i {
 				h.setPendingAt(kept, w)
 			}
 			kept++
 			continue
 		}
-		tbl := sw.table(w.Var)
-		var idx values.Tuple
-		var val values.Value
-		switch {
-		case w.IdxWide != nil:
-			switch w.Act {
-			case xfdd.ActSet:
-				idx, val = tbl.SetWide(w.IdxWide, w.Val), w.Val
-			case xfdd.ActIncr:
-				idx, val = tbl.AddWide(w.IdxWide, 1)
-			case xfdd.ActDecr:
-				idx, val = tbl.AddWide(w.IdxWide, -1)
-			}
-		default:
-			k := state.KeyOf(w.Idx)
-			switch w.Act {
-			case xfdd.ActSet:
-				idx, val = tbl.Set(k, w.Idx, w.Val), w.Val
-			case xfdd.ActIncr:
-				idx, val = tbl.Add(k, w.Idx, 1)
-			case xfdd.ActDecr:
-				idx, val = tbl.Add(k, w.Idx, -1)
-			}
-			if sw.OnStateOp != nil && w.VarID >= 0 {
-				sw.OnStateOp(w.VarID, w.Act, w.Idx, val)
-			}
-		}
-		if sw.OnStateWrite != nil {
-			sw.OnStateWrite(w.Var, idx, val)
-		}
+		sw.write(&sw.tables[sw.lp.slot[w.VarID]], &w)
 	}
 	h.truncatePending(kept)
+}
+
+// write applies w to tbl and reports it to OnStateWrite with Val set to the
+// post-write value.
+func (sw *Switch) write(tbl *state.Table, w *PendingWrite) {
+	var delta int64
+	switch w.Act {
+	case xfdd.ActSet:
+		if w.IdxWide != nil {
+			tbl.SetWide(w.IdxWide, w.Val)
+		} else {
+			tbl.Set(state.KeyOf(w.Idx), w.Idx, w.Val)
+		}
+	case xfdd.ActIncr:
+		delta = 1
+	case xfdd.ActDecr:
+		delta = -1
+	default:
+		return
+	}
+	if delta != 0 {
+		if w.IdxWide != nil {
+			w.Val = tbl.AddWide(w.IdxWide, delta)
+		} else {
+			w.Val = tbl.Add(state.KeyOf(w.Idx), w.Idx, delta)
+		}
+	}
+	if sw.OnStateWrite != nil {
+		sw.OnStateWrite(*w)
+	}
 }
 
 // deliverOutcome routes a delivery-phase packet: first to any remaining
@@ -539,12 +498,12 @@ func (sw *Switch) commitLocal(sp *SimPacket) {
 func (sw *Switch) deliverOutcome(sp SimPacket) Result {
 	if sp.Hdr.PendingLen() > 0 {
 		w := sp.Hdr.pendingAt(0)
-		return Result{Outcome: NeedState, StateVar: w.Var, StateVarID: w.VarID, Packet: sp}
+		return Result{Outcome: NeedState, StateVarID: w.VarID, Packet: sp}
 	}
 	if sp.Hdr.OBSOut < 0 {
-		return Result{Outcome: Dropped, StateVarID: -1, Packet: sp}
+		return Result{Outcome: Dropped, Packet: sp}
 	}
-	return Result{Outcome: ToEgress, StateVarID: -1, Packet: sp}
+	return Result{Outcome: ToEgress, Packet: sp}
 }
 
 // scalar evaluates a linked instruction's value expression. It is only
@@ -617,50 +576,8 @@ func (sw *Switch) exec(dst []Result, sp SimPacket, pc int) ([]Result, error) {
 			sp.Pkt = sp.Pkt.With(li.field, li.val)
 			pc = int(li.next)
 
-		case OpStateWrite:
-			tbl := &sw.tables[li.tbl]
-			var idx values.Tuple
-			var val values.Value
-			if li.slowIdx == nil {
-				raw := li.idx.vec(&sp.Pkt)
-				k := state.KeyOf(raw)
-				switch li.act {
-				case xfdd.ActSet:
-					v, err := sw.scalar(li, &sp.Pkt)
-					if err != nil {
-						return dst, err
-					}
-					idx, val = tbl.Set(k, raw, v), v
-				case xfdd.ActIncr:
-					idx, val = tbl.Add(k, raw, 1)
-				case xfdd.ActDecr:
-					idx, val = tbl.Add(k, raw, -1)
-				}
-				if sw.OnStateOp != nil && li.varID >= 0 {
-					sw.OnStateOp(li.varID, li.act, raw, val)
-				}
-			} else {
-				wide := evalIdx(li.slowIdx, sp.Pkt)
-				switch li.act {
-				case xfdd.ActSet:
-					v, err := sw.scalar(li, &sp.Pkt)
-					if err != nil {
-						return dst, err
-					}
-					idx, val = tbl.SetWide(wide, v), v
-				case xfdd.ActIncr:
-					idx, val = tbl.AddWide(wide, 1)
-				case xfdd.ActDecr:
-					idx, val = tbl.AddWide(wide, -1)
-				}
-			}
-			if sw.OnStateWrite != nil {
-				sw.OnStateWrite(li.vname, idx, val)
-			}
-			pc = int(li.next)
-
-		case OpResolve:
-			w := PendingWrite{Var: li.vname, VarID: li.varID, Act: li.act}
+		case OpStateWrite, OpResolve:
+			w := PendingWrite{VarID: li.varID, Act: li.act}
 			if li.slowIdx == nil {
 				w.Idx = li.idx.vec(&sp.Pkt)
 			} else {
@@ -673,12 +590,16 @@ func (sw *Switch) exec(dst []Result, sp SimPacket, pc int) ([]Result, error) {
 				}
 				w.Val = v
 			}
-			sp.Hdr.AppendPending(w)
+			if li.op == OpStateWrite {
+				sw.write(&sw.tables[li.tbl], &w)
+			} else {
+				sp.Hdr.AppendPending(w)
+			}
 			pc = int(li.next)
 
 		case OpSuspend:
 			sp.Hdr.Node = int(li.resume)
-			return append(dst, Result{Outcome: NeedState, StateVar: li.vname, StateVarID: li.varID, Packet: sp}), nil
+			return append(dst, Result{Outcome: NeedState, StateVarID: li.varID, Packet: sp}), nil
 
 		case OpFork:
 			if len(li.seqs) == 1 {

@@ -103,7 +103,8 @@ func TestSuspendAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs[0].Outcome != netasm.NeedState || rs[0].StateVar != "s" {
+	// A's private space holds only s, so s is id 0.
+	if rs[0].Outcome != netasm.NeedState || rs[0].StateVarID != 0 {
 		t.Fatalf("suspend: %+v", rs[0])
 	}
 	// Resume on B: the entry for node 0 is the real state branch.

@@ -35,8 +35,8 @@ func (g *Gen) Value() values.Value { return Vals[g.Rng.Intn(len(Vals))] }
 // Field picks a random packet field from the domain.
 func (g *Gen) Field() pkt.Field { return Fields[g.Rng.Intn(len(Fields))] }
 
-// StateVar picks a random state variable name from the domain.
-func (g *Gen) StateVar() string { return Vars[g.Rng.Intn(len(Vars))] }
+// Var picks a random state variable name from the domain.
+func (g *Gen) Var() string { return Vars[g.Rng.Intn(len(Vars))] }
 
 // Expr picks a random scalar expression: a constant or a field reference.
 func (g *Gen) Expr() syntax.Expr {
@@ -57,7 +57,7 @@ func (g *Gen) Pred(depth int) syntax.Pred {
 		case 2:
 			return syntax.FieldEq(g.Field(), g.Value())
 		default:
-			return syntax.TestState(g.StateVar(), g.Expr(), g.Expr())
+			return syntax.TestState(g.Var(), g.Expr(), g.Expr())
 		}
 	}
 	switch g.Rng.Intn(4) {
@@ -81,11 +81,11 @@ func (g *Gen) Policy(depth int) syntax.Policy {
 		case 1:
 			return syntax.Assign(g.Field(), g.Value())
 		case 2:
-			return syntax.WriteState(g.StateVar(), g.Expr(), g.Expr())
+			return syntax.WriteState(g.Var(), g.Expr(), g.Expr())
 		case 3:
-			return syntax.IncrState(g.StateVar(), g.Expr())
+			return syntax.IncrState(g.Var(), g.Expr())
 		case 4:
-			return syntax.DecrState(g.StateVar(), g.Expr())
+			return syntax.DecrState(g.Var(), g.Expr())
 		default:
 			return syntax.Assign(pkt.Outport, g.Value())
 		}

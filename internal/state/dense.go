@@ -22,6 +22,7 @@
 package state
 
 import (
+	"maps"
 	"sort"
 
 	"snap/internal/values"
@@ -75,39 +76,33 @@ func (t *Table) Get(k Key) values.Value {
 
 // Set writes v at k, retaining raw as the entry's index tuple on first
 // insert (overwrites keep the original tuple — same policy as Store.Set,
-// one clone per entry lifetime, not per write). It returns the retained
-// tuple so the caller can hand a stable index to the write observer
-// without re-allocating.
-func (t *Table) Set(k Key, raw values.Vec, v values.Value) values.Tuple {
+// one clone per entry lifetime, not per write).
+func (t *Table) Set(k Key, raw values.Vec, v values.Value) {
 	if e, ok := t.m[k]; ok {
 		e.Val = v
 		t.m[k] = e
-		return e.Idx
+		return
 	}
 	if t.m == nil {
 		t.m = make(map[Key]Entry)
 	}
-	idx := raw.Tuple()
-	t.m[k] = Entry{Idx: idx, Val: v}
-	return idx
+	t.m[k] = Entry{Idx: raw.Tuple(), Val: v}
 }
 
 // Add applies the ++/-- delta at k (coercing the current value like
-// Store.Add) in one lookup-and-store, returning the retained index tuple
-// and the post-write value for the write observer.
-func (t *Table) Add(k Key, raw values.Vec, delta int64) (values.Tuple, values.Value) {
+// Store.Add) in one lookup-and-store, returning the post-write value.
+func (t *Table) Add(k Key, raw values.Vec, delta int64) values.Value {
 	if e, ok := t.m[k]; ok {
 		e.Val = values.Int(e.Val.AsInt() + delta)
 		t.m[k] = e
-		return e.Idx, e.Val
+		return e.Val
 	}
 	if t.m == nil {
 		t.m = make(map[Key]Entry)
 	}
-	idx := raw.Tuple()
 	val := values.Int(Default.AsInt() + delta)
-	t.m[k] = Entry{Idx: idx, Val: val}
-	return idx, val
+	t.m[k] = Entry{Idx: raw.Tuple(), Val: val}
+	return val
 }
 
 // GetWide / SetWide / AddWide are the overflow path for index tuples wider
@@ -122,36 +117,33 @@ func (t *Table) GetWide(idx values.Tuple) values.Value {
 }
 
 // SetWide writes v at a wide index, cloning idx only on first insert.
-func (t *Table) SetWide(idx values.Tuple, v values.Value) values.Tuple {
+func (t *Table) SetWide(idx values.Tuple, v values.Value) {
 	k := idx.Key()
 	if e, ok := t.wide[k]; ok {
 		e.Val = v
 		t.wide[k] = e
-		return e.Idx
+		return
 	}
 	if t.wide == nil {
 		t.wide = make(map[string]Entry)
 	}
-	kept := append(values.Tuple(nil), idx...)
-	t.wide[k] = Entry{Idx: kept, Val: v}
-	return kept
+	t.wide[k] = Entry{Idx: append(values.Tuple(nil), idx...), Val: v}
 }
 
-// AddWide applies a delta at a wide index.
-func (t *Table) AddWide(idx values.Tuple, delta int64) (values.Tuple, values.Value) {
+// AddWide applies a delta at a wide index, returning the post-write value.
+func (t *Table) AddWide(idx values.Tuple, delta int64) values.Value {
 	k := idx.Key()
 	if e, ok := t.wide[k]; ok {
 		e.Val = values.Int(e.Val.AsInt() + delta)
 		t.wide[k] = e
-		return e.Idx, e.Val
+		return e.Val
 	}
 	if t.wide == nil {
 		t.wide = make(map[string]Entry)
 	}
-	kept := append(values.Tuple(nil), idx...)
 	val := values.Int(Default.AsInt() + delta)
-	t.wide[k] = Entry{Idx: kept, Val: val}
-	return kept, val
+	t.wide[k] = Entry{Idx: append(values.Tuple(nil), idx...), Val: val}
+	return val
 }
 
 // GetTuple dispatches a slice-tuple read to the right map (control-plane
@@ -164,12 +156,18 @@ func (t *Table) GetTuple(idx values.Tuple) values.Value {
 }
 
 // SetTuple dispatches a slice-tuple write (control-plane convenience).
-func (t *Table) SetTuple(idx values.Tuple, v values.Value) values.Tuple {
-	if k, ok := KeyOfTuple(idx); ok {
-		raw, _ := values.VecOf(idx)
-		return t.Set(k, raw, v)
+func (t *Table) SetTuple(idx values.Tuple, v values.Value) {
+	if raw, ok := values.VecOf(idx); ok {
+		t.Set(KeyOf(raw), raw, v)
+	} else {
+		t.SetWide(idx, v)
 	}
-	return t.SetWide(idx, v)
+}
+
+// Clone returns an independent copy of the table. Entries' retained index
+// tuples are shared: nothing mutates one after insert.
+func (t *Table) Clone() Table {
+	return Table{m: maps.Clone(t.m), wide: maps.Clone(t.wide)}
 }
 
 // Equal reports whether two tables hold semantically equal bindings: the

@@ -26,12 +26,12 @@ func TestTableGetSetAdd(t *testing.T) {
 		t.Fatalf("after set: %v", got)
 	}
 	// Add coerces like Store.Add: True → 1, then +1.
-	if _, v := tbl.Add(k, idx, 1); !values.Eq(v, values.Int(2)) {
+	if v := tbl.Add(k, idx, 1); !values.Eq(v, values.Int(2)) {
 		t.Fatalf("add on bool: %v", v)
 	}
 	// Absent entry: Default (False) coerces to 0.
 	idx2 := vec(values.Int(9))
-	if _, v := tbl.Add(KeyOf(idx2), idx2, -1); !values.Eq(v, values.Int(-1)) {
+	if v := tbl.Add(KeyOf(idx2), idx2, -1); !values.Eq(v, values.Int(-1)) {
 		t.Fatalf("add on absent: %v", v)
 	}
 	if tbl.Len() != 2 {
@@ -101,10 +101,12 @@ func TestTableStoreRoundTrip(t *testing.T) {
 func TestSetRetainsFirstIndex(t *testing.T) {
 	var tbl Table
 	idx := vec(values.Bool(true))
-	first := tbl.Set(KeyOf(idx), idx, values.Int(1))
+	tbl.Set(KeyOf(idx), idx, values.Int(1))
+	first := tbl.Entries()[0].Idx
 	// Eq-equal but distinct raw index: entry keeps the original.
 	idx2 := vec(values.Int(1))
-	second := tbl.Set(KeyOf(idx2), idx2, values.Int(2))
+	tbl.Set(KeyOf(idx2), idx2, values.Int(2))
+	second := tbl.Entries()[0].Idx
 	if &first[0] != &second[0] {
 		t.Fatal("overwrite re-cloned the index tuple")
 	}

@@ -36,10 +36,10 @@ func (s *Sampler) Hit() bool {
 // how the visit ended, and the state variable involved when the visit
 // suspended for remote state.
 type HopRecord struct {
-	Switch   int    `json:"switch"`
-	Outcome  string `json:"outcome"` // "forward", "suspend", "deliver", "drop:<reason>"
-	StateVar string `json:"state_var,omitempty"`
-	Egress   int    `json:"egress,omitempty"`
+	Switch  int    `json:"switch"`
+	Outcome string `json:"outcome"` // "forward", "suspend", "deliver", "drop:<reason>"
+	Var     string `json:"state_var,omitempty"`
+	Egress  int    `json:"egress,omitempty"`
 }
 
 // TraceRecord is one completed sampled packet: its hop-by-hop path
@@ -94,7 +94,7 @@ func (t *PacketTrace) Hop(sw int, outcome, stateVar string, egress int) {
 		return
 	}
 	t.mu.Lock()
-	t.rec.Hops = append(t.rec.Hops, HopRecord{Switch: sw, Outcome: outcome, StateVar: stateVar, Egress: egress})
+	t.rec.Hops = append(t.rec.Hops, HopRecord{Switch: sw, Outcome: outcome, Var: stateVar, Egress: egress})
 	t.mu.Unlock()
 }
 
