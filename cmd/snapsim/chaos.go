@@ -12,17 +12,16 @@ import (
 )
 
 type chaosOptions struct {
-	seed        int64
-	topo        string
-	packets     int
-	chunk       int
-	k           int
-	replication bool
-	short       bool
-	faults      bool
-	workers     int
-	verbose     bool
-	telemetry   string
+	seed      int64
+	topo      string
+	packets   int
+	chunk     int
+	k         int
+	short     bool
+	faults    bool
+	workers   int
+	verbose   bool
+	telemetry string
 }
 
 func runChaos(co chaosOptions) {
@@ -32,7 +31,6 @@ func runChaos(co chaosOptions) {
 		Packets:       co.packets,
 		Chunk:         co.chunk,
 		Workers:       co.workers,
-		Replication:   co.replication,
 		Replicas:      co.k,
 		Faults:        co.faults,
 		Log:           os.Stdout,
@@ -51,10 +49,7 @@ func runChaos(co chaosOptions) {
 	}
 
 	fmt.Printf("\n--- chaos report (seed %d, %s, %d packets) ---\n", rep.Seed, rep.Topology, rep.Packets)
-	fmt.Printf("discipline: %s (k=%d)\n", rep.Discipline, rep.Replicas)
-	for _, r := range rep.Fallback {
-		fmt.Printf("  fallback: %s\n", r)
-	}
+	fmt.Printf("replication factor: k=%d\n", rep.Replicas)
 	fmt.Printf("packets: injected %d, delivered %d, dropped %d (%d in degraded windows)\n",
 		rep.Injected, rep.Delivered, rep.Dropped, rep.DegradedDrops)
 	fmt.Printf("state: recovered %d entries, promoted %d vars, lost %d entries + %d lagged writes\n",

@@ -19,13 +19,8 @@
 //
 // -shard splits the named state variable into per-ingress-port shards
 // (Appendix C) before compiling, letting the optimizer spread its state so
-// disjoint flows do not contend. -replicate instead keeps the variables
-// whole and switches the engine to the state-compute replication
-// discipline: each worker runs against private state replicas and the
-// hot path takes no locks (the engine falls back to locks, and says why,
-// when the policy is outside the replicable fragment). The load report
-// prints the executed discipline and, under locks, the per-variable
-// contention table — the signal for choosing -shard or -replicate.
+// disjoint flows do not contend. The load report prints the per-variable
+// contention table — the signal for choosing -shard.
 //
 // With -drift it becomes the live-reconfiguration demo: the trace's
 // traffic matrix shifts halfway through the replay, the control loop
@@ -60,7 +55,6 @@
 //	snapsim -chaos -seed 7
 //	snapsim -chaos -seed 1 -short                   # the CI smoke configuration
 //	snapsim -chaos -seed 3 -topo campus -k 2        # replicated fault tolerance
-//	snapsim -chaos -seed 3 -replication             # state-compute replication plane
 //	snapsim -chaos -seed 1 -short -faults           # faultpoint injection + containment audit
 package main
 
@@ -141,7 +135,6 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine worker slots (load mode)")
 	window := flag.Int("window", 256, "in-flight packet admission window (load mode)")
 	shardVar := flag.String("shard", "", "shard this state variable by ingress port before compiling")
-	replicate := flag.Bool("replicate", false, "run the load engine under the state-compute replication discipline (lock-free per-worker replicas)")
 	drift := flag.Bool("drift", false, "shift the traffic matrix mid-replay and run the reconfiguration control loop")
 	kill := flag.String("kill", "", "kill this switch mid-replay and fail over (campus name like C3, s<id>, or 'auto' for the first state owner)")
 	replicas := flag.Int("replicas", 2, "state replication factor for the -kill demo (1 = none)")
@@ -149,7 +142,6 @@ func main() {
 	chaosTopo := flag.String("topo", "Stanford", "chaos soak topology: a Table 5 name or 'campus'")
 	chaosChunk := flag.Int("chunk", 0, "chaos soak chunk size in packets (0 = default)")
 	chaosK := flag.Int("k", 1, "chaos soak state replication factor")
-	chaosRepl := flag.Bool("replication", false, "chaos soak: request the state-compute replication discipline")
 	chaosShort := flag.Bool("short", false, "chaos soak: reduced-length smoke run (3000 packets, chunk 300)")
 	chaosFaults := flag.Bool("faults", false, "chaos soak: arm faultpoint injection (transient recompile failure, mid-swap apply failure, worker panic) and audit containment")
 	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this address (e.g. :9090) for the run")
@@ -172,7 +164,7 @@ func main() {
 		})
 		runChaos(chaosOptions{
 			seed: *seed, topo: *chaosTopo, packets: chaosPackets, chunk: *chaosChunk,
-			k: *chaosK, replication: *chaosRepl, short: *chaosShort, faults: *chaosFaults,
+			k: *chaosK, short: *chaosShort, faults: *chaosFaults,
 			workers: *workers, verbose: *verbose, telemetry: *telemetryAddr,
 		})
 		return
@@ -232,7 +224,7 @@ func main() {
 		return
 	}
 	if *load > 0 {
-		runLoad(dep, tm, *load, *seed, *workers, *window, *replicate, obs)
+		runLoad(dep, tm, *load, *seed, *workers, *window, obs)
 		return
 	}
 
@@ -274,7 +266,7 @@ func main() {
 
 // runLoad replays a matrix-drawn trace through the concurrent engine and
 // reports throughput plus each switch's share of the work.
-func runLoad(dep *snap.Deployment, tm snap.TrafficMatrix, n int, seed int64, workers, window int, replicate bool, obs obsFlags) {
+func runLoad(dep *snap.Deployment, tm snap.TrafficMatrix, n int, seed int64, workers, window int, obs obsFlags) {
 	rng := rand.New(rand.NewSource(seed))
 	pairs := tm.Replay(n, seed)
 	trace := make([]snap.Ingress, len(pairs))
@@ -282,19 +274,9 @@ func runLoad(dep *snap.Deployment, tm snap.TrafficMatrix, n int, seed int64, wor
 		trace[i] = snap.Ingress{Port: uv[0], Packet: pairPacket(rng, uv[0], uv[1])}
 	}
 
-	eng := dep.Engine(obs.engineOptions(snap.EngineOptions{
-		Workers:          workers,
-		Window:           window,
-		StateReplication: replicate,
-	}))
+	eng := dep.Engine(obs.engineOptions(snap.EngineOptions{Workers: workers, Window: window}))
 	defer eng.Close()
 	defer obs.serve(eng.Telemetry())()
-	if replicate && eng.ExecMode() != snap.ModeReplication {
-		fmt.Println("\nreplication requested but the policy is outside the replicable fragment; running under locks:")
-		for _, r := range eng.ReplicationFallback() {
-			fmt.Printf("  %s\n", r)
-		}
-	}
 
 	start := time.Now()
 	if err := eng.InjectReplay(trace); err != nil {
@@ -303,26 +285,24 @@ func runLoad(dep *snap.Deployment, tm snap.TrafficMatrix, n int, seed int64, wor
 	elapsed := time.Since(start)
 	st := eng.Stats()
 
-	fmt.Printf("\nreplayed %d packets in %s with %d workers (window %d, %s discipline): %.0f pps\n",
-		n, elapsed.Round(time.Millisecond), workers, window, eng.ExecMode(),
+	fmt.Printf("\nreplayed %d packets in %s with %d workers (window %d): %.0f pps\n",
+		n, elapsed.Round(time.Millisecond), workers, window,
 		float64(n)/elapsed.Seconds())
 	fmt.Printf("delivered %d, dropped %d, suspends %d, inter-switch hops %d\n",
 		st.Delivered, st.Dropped, st.Suspends, st.Hops)
-	if eng.ExecMode() == snap.ModeLocks {
-		fmt.Printf("lock contention: %d blocked acquisitions, %s total wait\n",
-			st.LockSuspends, time.Duration(st.LockWaitNs))
-		cont := eng.LockContention()
-		if len(cont) > 0 {
-			vars := make([]string, 0, len(cont))
-			for v := range cont {
-				vars = append(vars, v)
-			}
-			sort.Strings(vars)
-			fmt.Printf("\n%-16s %10s %12s\n", "variable", "suspends", "wait")
-			for _, v := range vars {
-				c := cont[v]
-				fmt.Printf("%-16s %10d %12s\n", v, c.Suspends, time.Duration(c.WaitNs))
-			}
+	fmt.Printf("lock contention: %d blocked acquisitions, %s total wait\n",
+		st.LockSuspends, time.Duration(st.LockWaitNs))
+	cont := eng.LockContention()
+	if len(cont) > 0 {
+		vars := make([]string, 0, len(cont))
+		for v := range cont {
+			vars = append(vars, v)
+		}
+		sort.Strings(vars)
+		fmt.Printf("\n%-16s %10s %12s\n", "variable", "suspends", "wait")
+		for _, v := range vars {
+			c := cont[v]
+			fmt.Printf("%-16s %10d %12s\n", v, c.Suspends, time.Duration(c.WaitNs))
 		}
 	}
 

@@ -51,12 +51,14 @@ type PhaseTimes = core.PhaseTimes
 // Delivery is a packet leaving the network at an OBS port.
 type Delivery = dataplane.Delivery
 
-// Engine is the concurrent, batched data-plane runtime: per-switch worker
-// pools connected by bounded channels, striped per-variable state locks.
+// Engine is the concurrent, batched data-plane runtime: a pool of worker
+// goroutines, each walking an injected packet and all its copies to
+// completion, with per-variable stripe locks ordering the visits that
+// touch one variable's state.
 type Engine = dataplane.Engine
 
-// EngineOptions configures an Engine (workers, admission window, striping,
-// and the StateReplication execution mode).
+// EngineOptions configures an Engine (worker count, admission window,
+// trace sampling, overload shedding).
 type EngineOptions = dataplane.Options
 
 // Ingress is one packet entering the network at an OBS port.
@@ -68,21 +70,9 @@ type PlaneStats = dataplane.Stats
 // SwitchLoad is one switch's share of the engine's work.
 type SwitchLoad = dataplane.SwitchLoad
 
-// ExecMode identifies the engine's concurrency discipline for a plane
-// epoch: striped locks, or state-compute replication (per-worker state
-// replicas converging through update logs; see EngineOptions.
-// StateReplication and Engine.ExecMode).
-type ExecMode = dataplane.ExecMode
-
-// Engine execution modes.
-const (
-	ModeLocks       = dataplane.ModeLocks
-	ModeReplication = dataplane.ModeReplication
-)
-
 // VarContention is one state variable's share of lock contention
 // (Engine.LockContention): the observable "which variable is hot" signal
-// for choosing sharding or the replication execution mode.
+// for choosing sharding.
 type VarContention = dataplane.VarContention
 
 // StateRewrite transforms the global state during Engine.ApplyConfig

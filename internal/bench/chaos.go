@@ -2,8 +2,8 @@
 // chaos harness (internal/chaos) runs its full schedule against it —
 // policy edits, workload shifts, a failure/failover/restore episode, drift
 // reconfigurations — instead of the clean steady-state replay snapmark
-// times. One row per execution discipline, plus a mirrored-state row
-// showing what K=2 fault tolerance costs the same soak.
+// times. One row unreplicated, plus a mirrored-state row showing what K=2
+// fault tolerance costs the same soak.
 package bench
 
 import (
@@ -14,18 +14,17 @@ import (
 	"snap/internal/chaos"
 )
 
-// ChaosRow is one discipline cell of the soak comparison.
+// ChaosRow is one replication-factor cell of the soak comparison.
 type ChaosRow struct {
-	Discipline string  `json:"discipline"` // executed, after any fallback
-	Replicas   int     `json:"replicas"`
-	Seed       int64   `json:"seed"`
-	Topology   string  `json:"topology"`
-	Packets    int64   `json:"packets"` // injected, including oracle probes
-	Events     int     `json:"events"`  // chaos events executed
-	Reconfigs  int     `json:"reconfigs"`
-	Dropped    int64   `json:"dropped"` // all inside degraded windows
-	EngineNs   int64   `json:"engine_ns"`
-	PPS        float64 `json:"sustained_pps"`
+	Replicas  int     `json:"replicas"`
+	Seed      int64   `json:"seed"`
+	Topology  string  `json:"topology"`
+	Packets   int64   `json:"packets"` // injected, including oracle probes
+	Events    int     `json:"events"`  // chaos events executed
+	Reconfigs int     `json:"reconfigs"`
+	Dropped   int64   `json:"dropped"` // all inside degraded windows
+	EngineNs  int64   `json:"engine_ns"`
+	PPS       float64 `json:"sustained_pps"`
 }
 
 // Chaos soaks the campus network once per configuration and reports the
@@ -38,27 +37,20 @@ func Chaos(s Scale) ([]ChaosRow, error) {
 		packets, chunk = 8000, 400
 	}
 
-	configs := []struct {
-		replication bool
-		k           int
-	}{
-		{false, 1}, // baseline: lock discipline, unreplicated
-		{true, 1},  // state-compute replication (lock-free hot path)
-		{false, 2}, // mirrored state: failover recovers every orphan
-	}
+	// k=1 is the unreplicated baseline; with k=2, mirrored state lets
+	// failover recover every orphan.
 	var rows []ChaosRow
-	for _, c := range configs {
+	for _, k := range []int{1, 2} {
 		rep, err := chaos.Run(chaos.Options{
-			Seed:        1,
-			Topology:    "campus",
-			Packets:     packets,
-			Chunk:       chunk,
-			Workers:     4,
-			Replication: c.replication,
-			Replicas:    c.k,
+			Seed:     1,
+			Topology: "campus",
+			Packets:  packets,
+			Chunk:    chunk,
+			Workers:  4,
+			Replicas: k,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("chaos soak (replication=%v k=%d): %w", c.replication, c.k, err)
+			return nil, fmt.Errorf("chaos soak (k=%d): %w", k, err)
 		}
 		if !rep.Passed() {
 			return nil, fmt.Errorf("chaos soak violated %d invariant(s); reproduce with: %s",
@@ -71,16 +63,15 @@ func Chaos(s Scale) ([]ChaosRow, error) {
 			}
 		}
 		rows = append(rows, ChaosRow{
-			Discipline: rep.Discipline,
-			Replicas:   rep.Replicas,
-			Seed:       rep.Seed,
-			Topology:   rep.Topology,
-			Packets:    rep.Injected,
-			Events:     len(rep.Events) - reconfigs,
-			Reconfigs:  reconfigs,
-			Dropped:    rep.Dropped,
-			EngineNs:   rep.EngineNs,
-			PPS:        rep.PPS,
+			Replicas:  rep.Replicas,
+			Seed:      rep.Seed,
+			Topology:  rep.Topology,
+			Packets:   rep.Injected,
+			Events:    len(rep.Events) - reconfigs,
+			Reconfigs: reconfigs,
+			Dropped:   rep.Dropped,
+			EngineNs:  rep.EngineNs,
+			PPS:       rep.PPS,
 		})
 	}
 	return rows, nil
@@ -88,11 +79,11 @@ func Chaos(s Scale) ([]ChaosRow, error) {
 
 func FormatChaos(rows []ChaosRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %3s %9s %7s %10s %8s %10s %12s\n",
-		"discipline", "k", "packets", "events", "reconfigs", "dropped", "engine", "pps")
+	fmt.Fprintf(&b, "%3s %9s %7s %10s %8s %10s %12s\n",
+		"k", "packets", "events", "reconfigs", "dropped", "engine", "pps")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %3d %9d %7d %10d %8d %10s %12.0f\n",
-			r.Discipline, r.Replicas, r.Packets, r.Events, r.Reconfigs, r.Dropped,
+		fmt.Fprintf(&b, "%3d %9d %7d %10d %8d %10s %12.0f\n",
+			r.Replicas, r.Packets, r.Events, r.Reconfigs, r.Dropped,
 			time.Duration(r.EngineNs).Round(time.Millisecond), r.PPS)
 	}
 	b.WriteString("every drop occurred inside a degraded window (failure injected, failover pending); all invariants held\n")

@@ -3,9 +3,8 @@
 // drift, live policy edits, switch/link failures, failovers and
 // recoveries — continuously audited against the invariants the system
 // claims (packet conservation per port, bounded state loss across
-// failover, replica convergence at quiescence) and against a differential
-// oracle that shadows the network's state through the denotational
-// semantics. Every run is reproducible byte-for-byte from its Options:
+// failover) and against a differential oracle that shadows the network's
+// state through the denotational semantics. Every run is reproducible byte-for-byte from its Options:
 // events fire only at chunk boundaries (quiescent points), so scheduling
 // nondeterminism inside a chunk cannot leak into any audited observable.
 //
@@ -65,9 +64,6 @@ type Options struct {
 	// Workers caps the engine's concurrent VM executions (0 =
 	// GOMAXPROCS).
 	Workers int
-	// Replication requests the state-compute replication discipline; the
-	// engine may fall back to locks (Report.Fallback says why).
-	Replication bool
 	// Replicas is the mirror-replication factor K for fault tolerance
 	// (default 1 = unreplicated).
 	Replicas int
@@ -229,10 +225,7 @@ func Run(o Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: cold start: %w", err)
 	}
-	eng := dataplane.NewEngine(comp.Config, dataplane.Options{
-		Workers:          o.Workers,
-		StateReplication: o.Replication,
-	})
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: o.Workers})
 	defer eng.Close()
 	ctrl.ObserveCompile(eng.Telemetry(), comp.Scenario, comp.Times)
 	if o.TelemetryAddr != "" {
@@ -290,8 +283,8 @@ func Run(o Options) (*Report, error) {
 	h.resync(-1, "initial")
 	h.rep.OracleResyncs = 0 // the initial sync is not a resync
 
-	h.logf("chaos soak: seed=%d topo=%s (%d ports) packets=%d chunk=%d workers=%d replication=%v k=%d",
-		o.Seed, o.Topology, ports, o.Packets, o.Chunk, o.Workers, o.Replication, o.Replicas)
+	h.logf("chaos soak: seed=%d topo=%s (%d ports) packets=%d chunk=%d workers=%d k=%d",
+		o.Seed, o.Topology, ports, o.Packets, o.Chunk, o.Workers, o.Replicas)
 
 	total := 0
 loop:
@@ -329,8 +322,6 @@ func (h *harness) finish(total int) {
 	h.rep.Rollbacks = st.Rollbacks
 	h.rep.ContainedPanics = st.ContainedPanics
 	h.rep.Retries = h.ctl.Retries()
-	h.rep.Discipline = h.eng.ExecMode().String()
-	h.rep.Fallback = h.eng.ReplicationFallback()
 	h.rep.EngineNs = h.engineNs
 	if h.engineNs > 0 {
 		h.rep.PPS = float64(total) / (float64(h.engineNs) / float64(time.Second))

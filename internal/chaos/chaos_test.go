@@ -10,15 +10,14 @@ import (
 // each soak fast while still giving the schedule a real fault space
 // (correlated scenarios included) and the oracle a few hundred state
 // entries to shadow.
-func campusOpts(seed int64, replication bool, k int) Options {
+func campusOpts(seed int64, k int) Options {
 	return Options{
-		Seed:        seed,
-		Topology:    "campus",
-		Packets:     3000,
-		Chunk:       300,
-		Workers:     2,
-		Replication: replication,
-		Replicas:    k,
+		Seed:     seed,
+		Topology: "campus",
+		Packets:  3000,
+		Chunk:    300,
+		Workers:  2,
+		Replicas: k,
 	}
 }
 
@@ -42,122 +41,109 @@ func requirePassed(t *testing.T, rep *Report) {
 	}
 }
 
-// TestChaosMatrix is the soak matrix: seeds × execution discipline ×
-// replication factor. Every cell must complete with zero invariant
-// violations, and rerunning the identical options must reproduce the run
-// byte-for-byte (Fingerprint equality) — the property that makes any
-// future soak failure a one-command repro.
+// TestChaosMatrix is the soak matrix: seeds × replication factor. Every
+// cell must complete with zero invariant violations, and rerunning the
+// identical options must reproduce the run byte-for-byte (Fingerprint
+// equality) — the property that makes any future soak failure a
+// one-command repro.
 func TestChaosMatrix(t *testing.T) {
 	seeds := []int64{1, 2}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		for _, replication := range []bool{false, true} {
-			for _, k := range []int{1, 2} {
-				o := campusOpts(seed, replication, k)
-				name := fmt.Sprintf("seed=%d/replication=%v/k=%d", seed, replication, k)
-				t.Run(name, func(t *testing.T) {
-					rep := mustRun(t, o)
-					requirePassed(t, rep)
+		for _, k := range []int{1, 2} {
+			o := campusOpts(seed, k)
+			name := fmt.Sprintf("seed=%d/k=%d", seed, k)
+			t.Run(name, func(t *testing.T) {
+				rep := mustRun(t, o)
+				requirePassed(t, rep)
 
-					// The scheduled chaos must actually have happened.
-					kinds := map[string]bool{}
-					for _, e := range rep.Events {
-						kinds[e.Kind] = true
+				// The scheduled chaos must actually have happened.
+				kinds := map[string]bool{}
+				for _, e := range rep.Events {
+					kinds[e.Kind] = true
+				}
+				for _, want := range []string{"policy", "shift", "fail", "failover", "restore"} {
+					if !kinds[want] {
+						t.Errorf("no %q event executed; events: %v", want, rep.Events)
 					}
-					for _, want := range []string{"policy", "shift", "fail", "failover", "restore"} {
-						if !kinds[want] {
-							t.Errorf("no %q event executed; events: %v", want, rep.Events)
-						}
-					}
-					if rep.OracleProbes == 0 || rep.OracleStateAudits == 0 {
-						t.Errorf("oracle idle: probes=%d state audits=%d", rep.OracleProbes, rep.OracleStateAudits)
-					}
+				}
+				if rep.OracleProbes == 0 || rep.OracleStateAudits == 0 {
+					t.Errorf("oracle idle: probes=%d state audits=%d", rep.OracleProbes, rep.OracleStateAudits)
+				}
 
-					// Requesting SCR with K>=2 mirrors must fall back to
-					// locks — mirrors and SCR are mutually exclusive by
-					// design — and the report must say why.
-					if replication && k == 1 && rep.Discipline != "replication" {
-						t.Errorf("discipline %q, want replication (fallback: %v)", rep.Discipline, rep.Fallback)
-					}
-					if replication && k > 1 {
-						if rep.Discipline != "locks" || len(rep.Fallback) == 0 {
-							t.Errorf("SCR+mirrors should fall back to locks with a reason; got %q %v", rep.Discipline, rep.Fallback)
-						}
-					}
-					// With K=2 every orphaned entry must come back from a
-					// replica; unreplicated runs may lose entries but the
-					// loss must be exactly the explained FailoverStats.
-					if k == 2 && rep.LostEntries != 0 {
-						t.Errorf("K=2 soak lost %d entries; replication should cover every orphan", rep.LostEntries)
-					}
+				// With K=2 every orphaned entry must come back from a
+				// replica; unreplicated runs may lose entries but the
+				// loss must be exactly the explained FailoverStats.
+				if k == 2 && rep.LostEntries != 0 {
+					t.Errorf("K=2 soak lost %d entries; replication should cover every orphan", rep.LostEntries)
+				}
 
-					rep2 := mustRun(t, o)
-					if a, b := rep.Fingerprint(), rep2.Fingerprint(); a != b {
-						t.Errorf("same options, different runs:\n--- first\n%s--- second\n%s", a, b)
-					}
-				})
-			}
+				rep2 := mustRun(t, o)
+				if a, b := rep.Fingerprint(), rep2.Fingerprint(); a != b {
+					t.Errorf("same options, different runs:\n--- first\n%s--- second\n%s", a, b)
+				}
+			})
 		}
+
 	}
 }
 
-// TestChaosContainmentMatrix is the faults-on soak matrix: seeds × the
-// two execution disciplines with faultpoint injection armed. Every cell
-// must absorb the scripted control-plane failure (retry), mid-swap apply
-// failure (rollback + retry) and worker panic (quarantine + heal) with
-// zero invariant violations — the engine keeps serving on the prior
-// epoch with zero lost state entries across every contained fault — and
-// the run must stay byte-reproducible, containment counters included.
+// TestChaosContainmentMatrix is the faults-on soak matrix: seeds with
+// faultpoint injection armed. Every cell must absorb the scripted
+// control-plane failure (retry), mid-swap apply failure (rollback + retry)
+// and worker panic (quarantine + heal) with zero invariant violations —
+// the engine keeps serving on the prior epoch with zero lost state entries
+// across every contained fault — and the run must stay byte-reproducible,
+// containment counters included.
 func TestChaosContainmentMatrix(t *testing.T) {
 	seeds := []int64{1, 2}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		for _, replication := range []bool{false, true} {
-			o := campusOpts(seed, replication, 1)
-			o.Faults = true
-			name := fmt.Sprintf("seed=%d/replication=%v", seed, replication)
-			t.Run(name, func(t *testing.T) {
-				rep := mustRun(t, o)
-				requirePassed(t, rep)
+		o := campusOpts(seed, 1)
+		o.Faults = true
+		name := fmt.Sprintf("seed=%d", seed)
+		t.Run(name, func(t *testing.T) {
+			rep := mustRun(t, o)
+			requirePassed(t, rep)
 
-				kinds := map[string]bool{}
-				for _, e := range rep.Events {
-					kinds[e.Kind] = true
+			kinds := map[string]bool{}
+			for _, e := range rep.Events {
+				kinds[e.Kind] = true
+			}
+			for _, want := range []string{"cfail", "afail", "wpanic"} {
+				if !kinds[want] {
+					t.Errorf("no %q containment event executed; events: %v", want, rep.Events)
 				}
-				for _, want := range []string{"cfail", "afail", "wpanic"} {
-					if !kinds[want] {
-						t.Errorf("no %q containment event executed; events: %v", want, rep.Events)
-					}
-				}
-				// The scripted faults are absorbed by exactly one rollback,
-				// two retried operations and one contained panic; any other
-				// count means a fault escaped or double-fired.
-				if !rep.Faults {
-					t.Error("report does not flag faults mode")
-				}
-				if rep.Rollbacks != 1 {
-					t.Errorf("rollbacks = %d, want exactly 1", rep.Rollbacks)
-				}
-				if rep.Retries != 2 {
-					t.Errorf("retries = %d, want exactly 2", rep.Retries)
-				}
-				if rep.ContainedPanics != 1 {
-					t.Errorf("contained panics = %d, want exactly 1", rep.ContainedPanics)
-				}
-				if !strings.Contains(rep.ReproCommand(), "-faults") {
-					t.Errorf("repro command %q missing -faults", rep.ReproCommand())
-				}
+			}
+			// The scripted faults are absorbed by exactly one rollback,
+			// two retried operations and one contained panic; any other
+			// count means a fault escaped or double-fired.
+			if !rep.Faults {
+				t.Error("report does not flag faults mode")
+			}
+			if rep.Rollbacks != 1 {
+				t.Errorf("rollbacks = %d, want exactly 1", rep.Rollbacks)
+			}
+			if rep.Retries != 2 {
+				t.Errorf("retries = %d, want exactly 2", rep.Retries)
+			}
+			if rep.ContainedPanics != 1 {
+				t.Errorf("contained panics = %d, want exactly 1", rep.ContainedPanics)
+			}
+			if !strings.Contains(rep.ReproCommand(), "-faults") {
+				t.Errorf("repro command %q missing -faults", rep.ReproCommand())
+			}
 
-				rep2 := mustRun(t, o)
-				if a, b := rep.Fingerprint(), rep2.Fingerprint(); a != b {
-					t.Errorf("same faults options, different runs:\n--- first\n%s--- second\n%s", a, b)
-				}
-			})
-		}
+			rep2 := mustRun(t, o)
+			if a, b := rep.Fingerprint(), rep2.Fingerprint(); a != b {
+				t.Errorf("same faults options, different runs:\n--- first\n%s--- second\n%s", a, b)
+			}
+		})
+
 	}
 }
 
@@ -183,14 +169,14 @@ func TestChaosTable5(t *testing.T) {
 // TestChaosRaceWorkers is the cell the CI race job runs with -race: a
 // multi-worker soak whose every audited observable must still be exact.
 func TestChaosRaceWorkers(t *testing.T) {
-	rep := mustRun(t, campusOpts(3, true, 1))
+	rep := mustRun(t, campusOpts(3, 1))
 	requirePassed(t, rep)
 }
 
 // TestReproCommandRoundTrips sanity-checks the repro string against the
 // options that produced the report.
 func TestReproCommandRoundTrips(t *testing.T) {
-	rep := mustRun(t, campusOpts(1, false, 2))
+	rep := mustRun(t, campusOpts(1, 2))
 	cmd := rep.ReproCommand()
 	for _, want := range []string{"-chaos", "-seed 1", "-packets 3000", "-chunk 300", "-topo campus", "-k 2"} {
 		if !strings.Contains(cmd, want) {

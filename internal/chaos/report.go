@@ -27,11 +27,6 @@ type Report struct {
 	Packets  int    `json:"packets"`
 	Chunk    int    `json:"chunk"`
 	Replicas int    `json:"replicas"`
-	// Discipline is the discipline the engine actually executed
-	// ("locks" or "replication"); Fallback lists the reasons when a
-	// requested replication plane fell back to locks.
-	Discipline string   `json:"discipline"`
-	Fallback   []string `json:"fallback,omitempty"`
 
 	// Engine-lifetime packet accounting at the end of the soak.
 	Injected  int64 `json:"injected"`
@@ -84,8 +79,8 @@ type Report struct {
 // Wall-clock-dependent fields (EngineNs, PPS, LostWrites) are excluded.
 func (r *Report) Fingerprint() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "seed=%d topo=%s packets=%d chunk=%d k=%d disc=%s\n",
-		r.Seed, r.Topology, r.Packets, r.Chunk, r.Replicas, r.Discipline)
+	fmt.Fprintf(&b, "seed=%d topo=%s packets=%d chunk=%d k=%d\n",
+		r.Seed, r.Topology, r.Packets, r.Chunk, r.Replicas)
 	fmt.Fprintf(&b, "injected=%d delivered=%d dropped=%d degraded-drops=%d\n",
 		r.Injected, r.Delivered, r.Dropped, r.DegradedDrops)
 	// LostWrites is deliberately excluded: mirror replication drains
@@ -117,9 +112,6 @@ func (r *Report) ReproCommand() string {
 		r.Seed, r.Packets, r.Chunk, r.Topology)
 	if r.Replicas > 1 {
 		fmt.Fprintf(&b, " -k %d", r.Replicas)
-	}
-	if r.Discipline == "replication" {
-		b.WriteString(" -replication")
 	}
 	if r.Faults {
 		b.WriteString(" -faults")

@@ -4,7 +4,7 @@
 // which is what keeps a multi-worker soak byte-reproducible — the only
 // nondeterminism the engine has is scheduling *within* a chunk, and the
 // invariants audited there (delivery counts, final state) are
-// schedule-independent by the disciplines' own guarantees.
+// schedule-independent by the engine's own guarantees.
 package chaos
 
 import (

@@ -1,9 +1,8 @@
 // The soak's inner loop: chunk replay, quiescent-point audits, lockstep
 // oracle probes and event execution. Everything here runs at chunk
 // boundaries, after InjectReplay has drained the engine to quiescence —
-// the one place where "delivered + dropped == injected", "global state is
-// well-defined" and "replicas have converged" are all simultaneously
-// checkable.
+// the one place where "delivered + dropped == injected" and "global state
+// is well-defined" are both checkable.
 package chaos
 
 import (
@@ -87,11 +86,6 @@ func (h *harness) audit(ci int, wasDegraded bool) {
 		if got := rows[port]; got < inj-0.5 || got > inj+0.5 {
 			h.violate(ci, "port %d conservation: injected %.0f, observed %.0f", port, inj, got)
 		}
-	}
-
-	// Replica convergence at quiescence (a no-op under locks).
-	if err := h.eng.AuditReplicas(); err != nil {
-		h.violate(ci, "replica audit: %v", err)
 	}
 
 	// Differential oracle: in tracked windows the engine's merged global

@@ -2,7 +2,7 @@
 // plane. Three mechanisms live here —
 //
 //   - panic containment: every switch-VM execution (the one visit of
-//     walk.go, so Network and both engine disciplines) and the mirror
+//     walk.go, so Network and the engine alike) and the mirror
 //     drainer run inside a recover() envelope. A panicking program does
 //     not crash the process and does not poison the plane:
 //     the panic becomes a *panicError carrying the captured stack, the

@@ -1,7 +1,6 @@
 // Failure-containment tests: transactional reconfiguration rollback,
-// panic quarantine on the sequential plane and under both concurrency
-// disciplines, overload shedding
-// at the admission window, and the mirror-drainer stall point. Every test
+// panic quarantine on the sequential plane and the engine, overload
+// shedding at the admission window, and the mirror-drainer stall point. Every test
 // arms process-global fault points, so none of them may run in parallel;
 // t.Cleanup(faultpoint.Reset) restores the disarmed state even on failure.
 package dataplane_test
@@ -22,29 +21,27 @@ import (
 
 // TestApplyConfigRollbackThenRetry: a failure injected at each stage of
 // the prepare→validate→commit swap must roll the engine back to the prior
-// plane — epoch unchanged, every state entry intact (on every worker's
-// replica, under replication: the staged plane held the same tables),
-// traffic still served — and a clean retry of the same reconfiguration
-// must then succeed.
+// plane — epoch unchanged, every state entry intact, traffic still served
+// — and a clean retry of the same reconfiguration must then succeed.
 func TestApplyConfigRollbackThenRetry(t *testing.T) {
 	netw := topo.Campus(1000)
 	p := campusWorkload(apps.Monitor())
 	planeA, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": 8})
 	planeB, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": 2})
+	// The replication row sets the inert StateReplication field.
 	for _, c := range []struct {
 		name string
 		opts dataplane.Options
-		mode dataplane.ExecMode
 	}{
-		{"locks", dataplane.Options{Window: 16}, dataplane.ModeLocks},
-		{"replication", dataplane.Options{Workers: 4, Window: 16, StateReplication: true}, dataplane.ModeReplication},
+		{"locks", dataplane.Options{Window: 16}},
+		{"replication", dataplane.Options{Workers: 4, Window: 16, StateReplication: true}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			t.Cleanup(faultpoint.Reset)
 			eng := dataplane.NewEngine(planeA.Config(), c.opts)
 			defer eng.Close()
-			if eng.ExecMode() != c.mode {
-				t.Fatalf("exec mode = %v, want %v", eng.ExecMode(), c.mode)
+			if eng.ExecMode() != dataplane.ModeLocks {
+				t.Fatalf("exec mode = %v, want locks", eng.ExecMode())
 			}
 
 			rng := rand.New(rand.NewSource(7))
@@ -78,9 +75,6 @@ func TestApplyConfigRollbackThenRetry(t *testing.T) {
 				if !eng.GlobalState().Equal(before) {
 					t.Fatalf("%s: state changed across a rolled-back swap", name)
 				}
-				if err := eng.AuditReplicas(); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
 				if got := eng.Stats().Rollbacks; got != int64(i+1) {
 					t.Fatalf("%s: Rollbacks = %d, want %d", name, got, i+1)
 				}
@@ -107,9 +101,6 @@ func TestApplyConfigRollbackThenRetry(t *testing.T) {
 			}
 			if n := len(eng.SwitchTable(2).Entries("count")); n == 0 {
 				t.Fatal("count entries did not migrate on the successful retry")
-			}
-			if err := eng.AuditReplicas(); err != nil {
-				t.Fatal(err)
 			}
 
 			var buf strings.Builder
@@ -220,8 +211,7 @@ func TestWorkerPanicQuarantineNetwork(t *testing.T) {
 	})
 }
 
-// TestWorkerPanicQuarantineLocks: panic containment under the striped-lock
-// discipline.
+// TestWorkerPanicQuarantineLocks: panic containment on the engine.
 func TestWorkerPanicQuarantineLocks(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	netw := topo.Campus(1000)
@@ -229,21 +219,6 @@ func TestWorkerPanicQuarantineLocks(t *testing.T) {
 	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
 		Workers: 2, Window: 16,
 	})
-	defer eng.Close()
-	if eng.ExecMode() != dataplane.ModeLocks {
-		t.Fatalf("exec mode = %v, want locks", eng.ExecMode())
-	}
-	panicQuarantineCheck(t, eng)
-}
-
-// TestWorkerPanicQuarantineSCR: the same containment cycle under the
-// state-compute replication discipline.
-func TestWorkerPanicQuarantineSCR(t *testing.T) {
-	t.Cleanup(faultpoint.Reset)
-	eng, _, ok := newReplicatedEngine(t, campusWorkload(apps.Monitor()), 4, 0)
-	if !ok {
-		t.Fatal("monitor must classify replication-safe")
-	}
 	defer eng.Close()
 	panicQuarantineCheck(t, eng)
 }

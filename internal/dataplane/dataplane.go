@@ -9,13 +9,16 @@
 // Two runtimes share the compiled configuration and the one packet walk
 // (walk.go): the sequential Network (this file), which is that walk called
 // from Inject against its own switches, and the concurrent batched Engine
-// (engine.go, scr.go). See docs/ARCHITECTURE.md for the invariants both
+// (engine.go). See docs/ARCHITECTURE.md for the invariants both
 // maintain.
 package dataplane
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"snap/internal/netasm"
@@ -92,6 +95,40 @@ func linkPrograms(cfg *rules.Config, cache map[linkKey]*netasm.Linked) (out map[
 	return out, images, fresh
 }
 
+// collectDiags gathers link-time diagnostics across a plane's programs,
+// prefixed with the switches sharing each program (satisfying the
+// "once per program" contract even though many switches run it).
+func collectDiags(linked map[topo.NodeID]*netasm.Linked) []string {
+	byProg := make(map[*netasm.Linked][]topo.NodeID)
+	for id, lp := range linked {
+		byProg[lp] = append(byProg[lp], id)
+	}
+	var out []string
+	for lp, ids := range byProg {
+		diags := lp.Diagnostics()
+		if len(diags) == 0 {
+			continue
+		}
+		slices.Sort(ids)
+		parts := make([]string, len(ids))
+		for i, id := range ids {
+			parts[i] = strconv.Itoa(int(id))
+		}
+		for _, d := range diags {
+			out = append(out, fmt.Sprintf("program of switch %s: %s", strings.Join(parts, ","), d))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// LinkDiagnostics links a configuration's programs and returns the plane's
+// link-time diagnostics without building an engine (snapsim -v, tooling).
+func LinkDiagnostics(cfg *rules.Config) []string {
+	linked, _, _ := linkPrograms(cfg, nil)
+	return collectDiags(linked)
+}
+
 // Inject sends one packet into the network at an OBS ingress port and runs
 // the plane to quiescence, returning the deliveries (multicast may produce
 // several).
@@ -103,7 +140,7 @@ func (n *Network) Inject(port int, p pkt.Packet) ([]Delivery, error) {
 	if !n.fab.failed.Load() {
 		n.fab.stats.injected.Add(1)
 		n.inj = injection{collect: true}
-		n.fab.walk(n.pl, n.pl.switches, &n.w, &n.inj, pt.Switch, &Ingress{Port: port, Packet: p})
+		n.fab.walk(n.pl, &n.w, &n.inj, pt.Switch, &Ingress{Port: port, Packet: p})
 	}
 	if n.fab.failed.Load() {
 		return nil, n.fab.err

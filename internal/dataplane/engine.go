@@ -1,9 +1,10 @@
 // The concurrent, batched execution engine. Network (dataplane.go) runs
 // one packet at a time to quiescence; Engine runs whole batches or streams
 // of packets through the same walk (walk.go), one goroutine per injection
-// from ingress to its last copy, under one of two disciplines chosen per
-// plane at link time. This file is the lock discipline and everything the
-// two share; scr.go is state-compute replication.
+// from ingress to its last copy, under one concurrency discipline: each
+// variable lives in exactly one table, at its owner switch, and stripe
+// locks order the visits that touch it (the owner applying its packets in
+// order, §4.5).
 //
 //   - Options.Workers goroutines drain one queue of admitted injections
 //     and walk each to completion, visiting every switch's VM themselves
@@ -83,18 +84,10 @@ type Options struct {
 	// pumps them. It makes replica lag deterministic and exists for tests
 	// of the bounded-loss accounting; leave false in production.
 	ManualReplication bool
-	// StateReplication requests the state-compute replication discipline
-	// (scr.go): per-worker state replicas and update-log merge instead of
-	// striped locks. The request is honored per plane, at link time — a
-	// plane that classifies replication-unsafe (wide-index writes, mixed
-	// set/delta variables, mirror replicas in the configuration) falls
-	// back to locks, with the reasons available from
-	// Engine.ReplicationFallback.
+	// StateReplication is read nowhere: it selected the state-compute
+	// replication discipline the lock pool replaced, and stays so that
+	// callers which set it compile. Every plane runs under locks.
 	StateReplication bool
-	// ReplicationRing overrides the capacity of each worker-pair update
-	// ring (0 → 1024). Small values force publish backpressure and exist
-	// for tests; leave 0 in production.
-	ReplicationRing int
 	// TraceSampling enables sampled packet traces: 1 in TraceSampling
 	// injections records its hop-by-hop path, state suspensions and
 	// inject-to-retirement latency into a ring of the traceBuffer most
@@ -111,6 +104,27 @@ type Options struct {
 	ShedWatermark int
 }
 
+// ExecMode names an engine concurrency discipline. Only ModeLocks remains:
+// the type, ModeReplication and Engine.ExecMode stay so that callers which
+// name them compile.
+type ExecMode uint8
+
+const (
+	// ModeLocks is the striped-lock discipline: one set of switch VMs,
+	// per-variable stripe locks serializing conflicting visits.
+	ModeLocks ExecMode = iota
+	// ModeReplication named the deleted state-compute replication
+	// discipline; no plane runs it.
+	ModeReplication
+)
+
+func (m ExecMode) String() string {
+	if m == ModeReplication {
+		return "replication"
+	}
+	return "locks"
+}
+
 // traceBuffer is how many sampled traces are retained, oldest evicted first.
 const traceBuffer = 256
 
@@ -121,15 +135,12 @@ func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = 256
 	}
-	if o.ReplicationRing <= 0 {
-		o.ReplicationRing = 1024
-	}
 	return o
 }
 
-// item is an admitted injection on its way to the goroutine that will walk
-// it: one of the engine's workers or an SCR worker. The packet goes by
-// pointer, so admission copies none: the one copy is walk's, into its queue.
+// item is an admitted injection on its way to the worker goroutine that
+// will walk it. The packet goes by pointer, so admission copies none: the
+// one copy is walk's, into its queue.
 type item struct {
 	at  topo.NodeID
 	ing *Ingress
@@ -204,16 +215,12 @@ func (g *gate) resume() {
 // locks.
 type plane struct {
 	cfg *rules.Config
-	// Per switch, by NodeID: VMs, lock sets (empty under replication and on
-	// Network), switch configurations. linkDead is indexed like Topo.Links.
+	// Per switch, by NodeID: VMs, lock sets (empty on Network), switch
+	// configurations. linkDead is indexed like Topo.Links.
 	switches []*netasm.Switch
 	locks    []state.LockSet
 	scs      []*rules.SwitchConfig
 	linkDead []atomic.Bool
-	// sets lists every set of switch VMs an engine plane runs, for the
-	// swap's hand-over: switches alone under locks, each worker's replica
-	// under replication (worker 0's, which is switches, first).
-	sets [][]*netasm.Switch
 	// owners is the dense state-owner lookup: variable id (in cfg's
 	// VarSpace) → owning switch. placed marks ids that have an owner.
 	// Suspended packets carry variable ids, so the per-hop owner lookup is
@@ -221,21 +228,14 @@ type plane struct {
 	// the control plane.
 	owners []topo.NodeID
 	placed []bool
-	// lockHist holds the per-variable lock-wait histogram handles
-	// (ModeLocks only), indexed like lockSusp/lockWait; resolved at plane
-	// build so the contended path observes without any registry lookup.
+	// lockHist holds the per-variable lock-wait histogram handles (engine
+	// planes only), indexed like lockSusp/lockWait; resolved at plane build
+	// so the contended path observes without any registry lookup.
 	lockHist []*telemetry.Histogram
+	// diags are the plane's link-time diagnostics.
+	diags []string
 
-	// mode is the concurrency discipline this plane runs (scr.go); scr is
-	// its worker set, nil under ModeLocks. diags are the plane's link-time
-	// diagnostics; repFallback records why a requested replication mode was
-	// refused (empty otherwise).
-	mode        ExecMode
-	scr         *scrState
-	diags       []string
-	repFallback []string
-
-	// Per-variable lock-contention attribution (ModeLocks only): a visit
+	// Per-variable lock-contention attribution (engine planes only): a visit
 	// whose TryLock fails charges the blocked acquisition and its wait to
 	// every variable of the switch's lock set — stripe granularity cannot
 	// split blame within a set, but placement keeps sets small and
@@ -245,9 +245,9 @@ type plane struct {
 	lockVars [][]int32
 }
 
-// newPlane starts a plane for a configuration with the parts every
-// discipline shares: the configuration, its views by NodeID and link
-// index, and the dense owner lookup.
+// newPlane starts a plane for a configuration with the parts Network and
+// Engine share: the configuration, its views by NodeID and link index, and
+// the dense owner lookup.
 func newPlane(cfg *rules.Config) *plane {
 	vs, n := cfg.VarSpace(), cfg.Topo.Switches
 	p := &plane{
@@ -302,7 +302,7 @@ type Engine struct {
 	epoch   atomic.Int64
 	window  chan struct{} // admission control
 	// queue carries admitted injections to the Options.Workers goroutines
-	// that walk them on lock-discipline planes; nil with a single worker.
+	// that walk them; nil with a single worker.
 	queue chan item
 	// inline is the injecting goroutine's walker when it is the only
 	// worker (Options.Workers == 1); its users hold mu.
@@ -406,14 +406,10 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 	e.rep = newReplicator(e, cfg)
 	pl := e.buildPlane(cfg, e.rep)
 	e.plane.Store(pl)
-	if pl.scr != nil {
-		pl.scr.start()
-	}
 	e.rep.start()
 	if opts.Workers > 1 {
 		// At most Window injections are in flight, so a send never blocks
-		// the injector. Replication planes dispatch to their own workers
-		// and leave these parked.
+		// the injector.
 		e.queue = make(chan item, opts.Window)
 		for i := 0; i < opts.Workers; i++ {
 			e.wg.Add(1)
@@ -464,36 +460,15 @@ func (e *Engine) LinkStats() (reused, linked int64) {
 }
 
 // buildPlane instantiates switch VMs for a configuration, linking each
-// program once against the configuration's variable space and selecting
-// the concurrency discipline: when Options.StateReplication is set and the
-// plane classifies replication-safe, per-worker state replicas connected
-// by update rings (scr.go); otherwise one VM set guarded by lock sets
+// program once against the configuration's variable space, with lock sets
 // drawn from the engine's stripe pool, so successive plane epochs keep a
-// consistent variable→stripe mapping. Replication workers are NOT started
-// here — the caller starts them once the plane is committed.
+// consistent variable→stripe mapping.
 func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
 	p := newPlane(cfg)
 	linked := e.linkCached(cfg)
 	p.diags = collectDiags(linked)
 	vs := cfg.VarSpace()
-	if e.opts.StateReplication {
-		if reasons := replicationBlockers(cfg, linked, e.opts.Workers); len(reasons) == 0 {
-			p.mode = ModeReplication
-			p.scr = e.buildSCR(cfg, linked)
-			// Worker 0's replica doubles as the canonical switch set the
-			// control plane reads (always through reconcile, under the gate).
-			for _, wk := range p.scr.workers {
-				p.sets = append(p.sets, wk.switches)
-			}
-			p.switches = p.sets[0]
-			return p
-		} else {
-			p.repFallback = reasons
-			p.diags = append(p.diags, "state replication requested but refused: "+strings.Join(reasons, " | "))
-		}
-	}
 	p.switches = newSwitches(linked, len(p.scs))
-	p.sets = append(p.sets, p.switches)
 	p.lockSusp = make([]atomic.Int64, vs.Len())
 	p.lockWait = make([]atomic.Int64, vs.Len())
 	p.lockHist = make([]*telemetry.Histogram, vs.Len())
@@ -517,11 +492,8 @@ func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
 
 // Close stops the worker goroutines. The engine must be quiescent (no
 // InjectBatch/InjectStream in progress). The snapshot readers keep working
-// afterwards: under the replication discipline the replicas converge here
-// one last time, while their workers still run, and nothing publishes after
-// that, so worker 0 stays canonical. The gate is held so a concurrent
-// reader or reconfiguration either finishes before the workers stop or
-// starts after closed is set.
+// afterwards. The gate is held so a concurrent reader or reconfiguration
+// either finishes before the workers stop or starts after closed is set.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -530,33 +502,27 @@ func (e *Engine) Close() {
 	}
 	e.gate.pause()
 	defer e.gate.resume()
-	e.reconcile(e.plane.Load())
 	e.closed.Store(true)
 	if e.queue != nil {
 		close(e.queue)
 	}
 	e.wg.Wait()
-	if pl := e.plane.Load(); pl.scr != nil {
-		pl.scr.stop()
-	}
 	e.replicator().stop()
 }
 
-// run walks one admitted injection to completion on the plane's shared
-// switches and finishes it: the body of the worker goroutines and of the
-// inline single-worker path.
+// run walks one admitted injection to completion and finishes it: the body
+// of the worker goroutines and of the inline single-worker path.
 func (e *Engine) run(w *walker, it *item) {
 	defer it.inj.finish()
 	defer e.guard()
-	pl := e.plane.Load()
-	e.walk(pl, pl.switches, w, it.inj, it.at, it.ing)
+	e.walk(e.plane.Load(), w, it.inj, it.at, it.ing)
 }
 
 // inject admits one packet (blocking on the gate, then the window) and
-// hands it to the goroutine that will walk it: an SCR worker, the caller
-// itself when it is the only worker (a channel handoff would buy no
-// parallelism and cost a wakeup per packet), or the worker queue, which
-// keeps the injector free to admit the next one. inj is the caller's record
+// hands it to the goroutine that will walk it: the caller itself when it is
+// the only worker (a channel handoff would buy no parallelism and cost a
+// wakeup per packet), or the worker queue, which keeps the injector free
+// to admit the next one. inj is the caller's record
 // for it, which it keeps on rejection; ing must outlive the walk. An unknown
 // port rejects only this injection — the engine stays usable; packets admitted
 // before the bad one have already run, which stream callers must expect.
@@ -584,12 +550,9 @@ func (e *Engine) inject(ing *Ingress, inj *injection, wg *sync.WaitGroup) error 
 	}
 	wg.Add(1)
 	it := item{at: at, ing: ing, inj: inj}
-	switch {
-	case pl.scr != nil:
-		pl.scr.dispatch(&it)
-	case e.opts.Workers == 1:
+	if e.opts.Workers == 1 {
 		e.run(&e.inline, &it)
-	default:
+	} else {
 		e.queue <- it
 	}
 	return nil
@@ -723,13 +686,11 @@ func (e *Engine) InjectReplay(trace []Ingress) error {
 //     waits for all in-flight copies to retire, leaving no goroutine
 //     inside a walk;
 //  2. hand over — each variable's table is given, as it is, to the VM of
-//     its owner under the new placement (each worker's replica to the
-//     same worker under replication): one step per variable, moved or
+//     its owner under the new placement: one step per variable, moved or
 //     not, and no entry is read. Only a non-nil rewrite (internal/ctrl
 //     folds shard variables the new configuration no longer knows) spells
 //     entries out through a state.Store, into tables that are handed over
-//     the same way; a mirror replica to warm, or a plane going from locks
-//     to replication, clones a table;
+//     the same way; a mirror replica to warm clones a table;
 //  3. swap — fresh VMs holding those tables, the new programs and new
 //     routes are published atomically as the next plane epoch, and the
 //     gate resumes admission.
@@ -760,11 +721,11 @@ type recovery struct {
 }
 
 // staged is the state a reconfiguration carries into the next plane: per
-// entry-holding variable, its table in each switch set of the old plane
-// (sets order), or the one table a store produced. The tables share their
-// storage with the old plane's, which is paused and, past the commit point,
-// never run again; until then nothing writes through either.
-type staged map[string][]state.Table
+// entry-holding variable, its table in the old plane, or the one a store
+// produced. The tables share their storage with the old plane's, which is
+// paused and, past the commit point, never run again; until then nothing
+// writes through either.
+type staged map[string]state.Table
 
 // spell writes a table's entries into dst under v, one by one: the
 // O(entries) step a swap takes only where something has to read them.
@@ -774,53 +735,29 @@ func (e *Engine) spell(dst *state.Store, v string, t *state.Table) {
 }
 
 // clone copies a table entry by entry, where two tables must hold the same
-// entries apart: a replica warm-up, a worker of a replicating plane.
+// entries apart: a mirror replica's warm-up.
 func (e *Engine) clone(t *state.Table) state.Table {
 	e.reseated.Add(int64(t.Len()))
 	return t.Clone()
 }
 
 // stage gathers the tables of the variables alive switches own: a down
-// switch's memory is gone with it. Callers have reconciled the plane, so
-// worker 0's replica decides whether a variable holds entries.
+// switch's memory is gone with it.
 func (e *Engine) stage(old *plane) staged {
 	st := staged{}
 	for v, owner := range old.cfg.Placement {
 		if e.down[owner].Load() {
 			continue
 		}
-		var tabs []state.Table
-		for _, set := range old.sets {
-			if t, ok := set[owner].TableRef(v); ok {
-				tabs = append(tabs, *t)
-			}
-		}
-		if len(tabs) > 0 && tabs[0].Len() > 0 {
-			st[v] = tabs
+		if t, ok := old.switches[owner].TableRef(v); ok && t.Len() > 0 {
+			st[v] = *t
 		}
 	}
 	return st
 }
 
-// handOver gives variable v's tables to its owner in a plane being
-// prepared: set i adopts tabs[i] as it is. A set past len(tabs) — the
-// variable comes from a lock-discipline plane or out of a store, and this
-// plane replicates — needs entries of its own and gets a clone.
-func (e *Engine) handOver(pl *plane, v string, tabs []state.Table) error {
-	owner := pl.cfg.Placement[v]
-	for i, set := range pl.sets {
-		if i == len(tabs) {
-			tabs = append(tabs, e.clone(&tabs[0]))
-		}
-		if !set[owner].AdoptTable(v, tabs[i]) {
-			return fmt.Errorf("dataplane: switch %d owns %s but has no table for it", owner, v)
-		}
-	}
-	return nil
-}
-
 // apply is the shared swap sequence of ApplyConfig, Failover and Recover,
-// structured as a transaction: prepare (flush, reconcile, stage, rewrite),
+// structured as a transaction: prepare (flush, stage, rewrite),
 // validate (every entry-holding variable has an up owner), build (link +
 // plane + replica seed + hand-over — no goroutines started), then commit.
 // Every fallible stage runs in prepareSwap and writes only to the plane
@@ -846,9 +783,6 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 
 	fs := &FailoverStats{Promoted: map[string]topo.NodeID{}}
 	old := e.plane.Load()
-	// Under the replication discipline, drain the update rings so every
-	// worker's replica is converged before it is handed over.
-	e.reconcile(old)
 	st := e.stage(old)
 	if degraded {
 		e.recoverOrphans(old, cfg, st, fs)
@@ -888,12 +822,6 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 	oldRep := e.rep
 	e.rep = newRep
 	e.repMu.Unlock()
-	if old.scr != nil {
-		old.scr.stop()
-	}
-	if next.scr != nil {
-		next.scr.start()
-	}
 	oldRep.stop()
 	newRep.start()
 	fs.LostWrites = e.repLost.Load()
@@ -909,8 +837,8 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 // restored on failure (a cache rebuilt around an abandoned plane or
 // VarSpace must not leak into the next attempt). A panic in any stage is
 // contained here and rolls back like an error. No goroutines are started
-// for the tentative plane (buildPlane/buildSCR and newReplicator guarantee
-// that), so abandoning it leaks nothing.
+// for the tentative plane (buildPlane and newReplicator guarantee that), so
+// abandoning it leaks nothing.
 //
 // The engine.apply.* fault points mark the three externally injectable
 // failure stages — rewrite, link, reseed — for tests and the chaos
@@ -931,8 +859,8 @@ func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, st staged)
 	}
 	if rewrite != nil {
 		global := state.NewStore()
-		for v, tabs := range st {
-			e.spell(global, v, &tabs[0])
+		for v, t := range st {
+			e.spell(global, v, &t)
 		}
 		if global, err = rewrite(global); err != nil {
 			return nil, nil, fmt.Errorf("dataplane: state rewrite: %w", err)
@@ -941,7 +869,7 @@ func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, st staged)
 		for _, v := range global.Vars() {
 			var t state.Table
 			t.SeedFrom(global, v)
-			st[v] = []state.Table{t}
+			st[v] = t
 		}
 	}
 	// Validate ownership before paying for the build: an entry-holding
@@ -970,9 +898,10 @@ func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, st staged)
 	if err := faultpoint.Hit(faultpoint.EngineApplyReseed); err != nil {
 		return nil, nil, fmt.Errorf("dataplane: state reseat: %w", err)
 	}
+	// Hand over: each table, as it is, to its owner's VM.
 	for _, v := range vars {
-		if err := e.handOver(next, v, st[v]); err != nil {
-			return nil, nil, err
+		if owner := cfg.Placement[v]; !next.switches[owner].AdoptTable(v, st[v]) {
+			return nil, nil, fmt.Errorf("dataplane: switch %d owns %s but has no table for it", owner, v)
 		}
 	}
 	return next, newRep, nil
@@ -1000,7 +929,7 @@ func (e *Engine) recoverOrphans(old *plane, cfg *rules.Config, st staged, fs *Fa
 		}
 		if t, ok := e.replicator().aliveReplica(v); ok {
 			if t.Len() > 0 {
-				st[v] = []state.Table{t}
+				st[v] = t
 				fs.Recovered += t.Len()
 			}
 			if newOwner, ok := cfg.Placement[v]; ok {
@@ -1067,6 +996,15 @@ func portDiff(a, b *topo.Topology, removedOK bool, addedOn map[topo.NodeID]bool)
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, "; ")
+}
+
+// ExecMode reports the concurrency discipline of the engine: ModeLocks.
+func (e *Engine) ExecMode() ExecMode { return ModeLocks }
+
+// LinkDiagnostics returns the current plane's link-time diagnostics
+// (interpreter-fallback advisories).
+func (e *Engine) LinkDiagnostics() []string {
+	return append([]string(nil), e.plane.Load().diags...)
 }
 
 // Epoch counts the configurations this engine has run: 0 at NewEngine,
@@ -1180,9 +1118,7 @@ func (e *Engine) Load() map[topo.NodeID]SwitchLoad {
 func (e *Engine) GlobalState() *state.Store {
 	e.gate.pause()
 	defer e.gate.resume()
-	pl := e.plane.Load()
-	e.reconcile(pl)
-	return unionState(pl.switches, e.down)
+	return unionState(e.plane.Load().switches, e.down)
 }
 
 // SwitchTable snapshots one switch's tables (tests and diagnostics),
@@ -1192,7 +1128,5 @@ func (e *Engine) GlobalState() *state.Store {
 func (e *Engine) SwitchTable(id topo.NodeID) *state.Store {
 	e.gate.pause()
 	defer e.gate.resume()
-	pl := e.plane.Load()
-	e.reconcile(pl)
-	return switchTable(pl.switches, id)
+	return switchTable(e.plane.Load().switches, id)
 }

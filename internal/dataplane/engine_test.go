@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"snap/internal/apps"
 	"snap/internal/core"
@@ -82,23 +83,22 @@ func TestEngineSequentialEquivalence(t *testing.T) {
 		want[i] = ds
 	}
 
+	// The replication row sets the inert StateReplication field, which must
+	// leave the lock pool in charge.
 	for _, c := range []struct {
-		workers int
-		scr     bool
-	}{{1, false}, {4, false}, {runtime.GOMAXPROCS(0), false}, {4, true}} {
-		name := fmt.Sprintf("workers=%d", c.workers)
-		if c.scr {
-			name = "replication"
-		}
-		t.Run(name, func(t *testing.T) {
-			eng := dataplane.NewEngine(seqPlane.Config(), dataplane.Options{
-				Workers:          c.workers,
-				Window:           64,
-				StateReplication: c.scr,
-			})
+		name string
+		opts dataplane.Options
+	}{
+		{"workers=1", dataplane.Options{Workers: 1, Window: 64}},
+		{"workers=4", dataplane.Options{Workers: 4, Window: 64}},
+		{fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), dataplane.Options{Workers: runtime.GOMAXPROCS(0), Window: 64}},
+		{"replication", dataplane.Options{Workers: 4, Window: 64, StateReplication: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := dataplane.NewEngine(seqPlane.Config(), c.opts)
 			defer eng.Close()
-			if c.scr && eng.ExecMode() != dataplane.ModeReplication {
-				t.Fatalf("replication refused: %v", eng.ReplicationFallback())
+			if eng.ExecMode() != dataplane.ModeLocks {
+				t.Fatalf("exec mode = %v, want locks", eng.ExecMode())
 			}
 			got, err := eng.InjectBatch(batch)
 			if err != nil {
@@ -375,8 +375,8 @@ func TestEngineMulticastRunToCompletion(t *testing.T) {
 			// Close must return with every copy retired; a regression
 			// here hangs.
 			defer eng.Close()
-			if c.opts.StateReplication && eng.ExecMode() != dataplane.ModeReplication {
-				t.Fatalf("replication refused: %v", eng.ReplicationFallback())
+			if eng.ExecMode() != dataplane.ModeLocks {
+				t.Fatalf("exec mode = %v, want locks", eng.ExecMode())
 			}
 			got, err := eng.InjectBatch(batch)
 			if err != nil {
@@ -552,26 +552,26 @@ func reseated(t *testing.T, eng *dataplane.Engine) int64 {
 
 // TestSwapHandsTablesOver: a swap hands each variable's table to its new
 // owner instead of reading its entries, so what ApplyConfig allocates does
-// not follow the number of entries seeded, under either discipline, and the
-// global state reads the same before and after.
+// not follow the number of entries seeded, and the global state reads the
+// same before and after.
 func TestSwapHandsTablesOver(t *testing.T) {
 	netw := topo.Campus(1000)
 	p := campusWorkload(parser.MustParse(`hits[srcport]++`))
 	plane, _ := deploy(t, p, netw, nil)
+	// The replication row sets the inert StateReplication field.
 	for _, c := range []struct {
 		name string
 		opts dataplane.Options
-		mode dataplane.ExecMode
 	}{
-		{"locks", dataplane.Options{Workers: 2}, dataplane.ModeLocks},
-		{"replication", dataplane.Options{Workers: 2, StateReplication: true}, dataplane.ModeReplication},
+		{"locks", dataplane.Options{Workers: 2}},
+		{"replication", dataplane.Options{Workers: 2, StateReplication: true}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			swapBytes := func(entries int) uint64 {
 				eng := dataplane.NewEngine(plane.Config(), c.opts)
 				defer eng.Close()
-				if eng.ExecMode() != c.mode {
-					t.Fatalf("exec mode = %v, want %v: %v", eng.ExecMode(), c.mode, eng.ReplicationFallback())
+				if eng.ExecMode() != dataplane.ModeLocks {
+					t.Fatalf("exec mode = %v, want locks", eng.ExecMode())
 				}
 				rng := rand.New(rand.NewSource(3))
 				trace := make([]dataplane.Ingress, entries)
@@ -595,9 +595,6 @@ func TestSwapHandsTablesOver(t *testing.T) {
 				}
 				if !eng.GlobalState().Equal(before) {
 					t.Fatal("global state changed across the swap")
-				}
-				if err := eng.AuditReplicas(); err != nil {
-					t.Fatal(err)
 				}
 				if n := reseated(t, eng); n != 0 {
 					t.Fatalf("a swap that moved nothing spelled out %d entries", n)
@@ -713,5 +710,206 @@ func TestEngineUnknownPort(t *testing.T) {
 	defer eng.Close()
 	if _, err := eng.InjectBatch([]dataplane.Ingress{{Port: 9999, Packet: pkt.New(map[pkt.Field]values.Value{})}}); err == nil {
 		t.Fatal("expected error for unknown ingress port")
+	}
+}
+
+// TestWideIndexDiagnostic: an index tuple wider than values.MaxVec drops
+// the affected instructions to the interpreter slow path; the link step
+// must say so exactly once per program, and the engine must expose it.
+func TestWideIndexDiagnostic(t *testing.T) {
+	wide := syntax.Vec(
+		syntax.F(pkt.SrcIP), syntax.F(pkt.DstIP), syntax.F(pkt.SrcPort),
+		syntax.F(pkt.DstPort), syntax.F(pkt.Proto),
+	)
+	policy := campusWorkload(syntax.Then(
+		syntax.IncrState("w", wide),
+		apps.Monitor(),
+	))
+	netw := topo.Campus(1000)
+	plane, _ := deploy(t, policy, netw, nil)
+
+	diags := dataplane.LinkDiagnostics(plane.Config())
+	seen := map[string]bool{}
+	for _, d := range diags {
+		if !strings.Contains(d, "interpreter slow path") {
+			continue
+		}
+		// Once per distinct program: the "program of switch ..." prefix
+		// must not repeat.
+		prefix := d[:strings.Index(d, ":")]
+		if seen[prefix] {
+			t.Fatalf("wide-index diagnostic repeated for %q: %v", prefix, diags)
+		}
+		seen[prefix] = true
+	}
+	if len(seen) == 0 {
+		t.Fatalf("no wide-index diagnostic in %v", diags)
+	}
+
+	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Workers: 2})
+	defer eng.Close()
+	if got := eng.LinkDiagnostics(); len(got) == 0 {
+		t.Fatal("engine exposes no link diagnostics")
+	}
+}
+
+// TestLockContentionCounters: the engine attributes blocked stripe
+// acquisitions to variables and survives reconfiguration by folding
+// retired planes into the engine history. On a single-core runner
+// contention may legitimately be zero, so the assertions are structural:
+// consistency between Stats and the per-variable map, and monotonicity
+// across an ApplyConfig.
+func TestLockContentionCounters(t *testing.T) {
+	netw := topo.Campus(1000)
+	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
+	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Workers: 4, Window: 32})
+	defer eng.Close()
+	rng := rand.New(rand.NewSource(11))
+	batch := make([]dataplane.Ingress, 0, 400)
+	for i := 0; i < 400; i++ {
+		port, pk := campusPacket(rng)
+		batch = append(batch, dataplane.Ingress{Port: port, Packet: pk})
+	}
+	if err := eng.InjectReplay(batch); err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	if st.LockSuspends < 0 || st.LockWaitNs < 0 {
+		t.Fatalf("negative contention counters: %+v", st)
+	}
+	if st.LockSuspends > 0 && st.LockWaitNs == 0 {
+		t.Fatal("suspends recorded with zero cumulative wait")
+	}
+	before := eng.LockContention()
+	var total int64
+	for v, c := range before {
+		if c.Suspends <= 0 && c.WaitNs <= 0 {
+			t.Fatalf("empty contention entry for %q", v)
+		}
+		total += c.Suspends
+	}
+	if total > st.LockSuspends {
+		t.Fatalf("per-variable suspends %d exceed engine total %d", total, st.LockSuspends)
+	}
+	// Reconfigure to the same config: history must fold, not reset.
+	if err := eng.ApplyConfig(plane.Config(), nil); err != nil {
+		t.Fatal(err)
+	}
+	after := eng.LockContention()
+	for v, c := range before {
+		if after[v].Suspends < c.Suspends || after[v].WaitNs < c.WaitNs {
+			t.Fatalf("contention for %q shrank across reconfiguration: %+v -> %+v", v, c, after[v])
+		}
+	}
+}
+
+// TestSnapshotAfterClose: the control-plane readers keep working on a
+// closed engine and read what they read before it closed.
+func TestSnapshotAfterClose(t *testing.T) {
+	policy := campusWorkload(apps.Monitor())
+	netw := topo.Campus(1000)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			plane, _ := deploy(t, policy, netw, nil)
+			eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Workers: workers})
+			defer eng.Close()
+			rng := rand.New(rand.NewSource(11))
+			trace := make([]dataplane.Ingress, 300)
+			for i := range trace {
+				port, p := campusPacket(rng)
+				trace[i] = dataplane.Ingress{Port: port, Packet: p}
+			}
+			if err := eng.InjectReplay(trace); err != nil {
+				t.Fatal(err)
+			}
+			before := eng.GlobalState()
+			if len(before.Vars()) == 0 {
+				t.Fatal("replay wrote no state")
+			}
+			owner := plane.Config().Placement["count"]
+			eng.Close()
+
+			type snapshot struct{ global, table *state.Store }
+			done := make(chan snapshot, 1)
+			go func() { done <- snapshot{eng.GlobalState(), eng.SwitchTable(owner)} }()
+			select {
+			case after := <-done:
+				if !after.global.Equal(before) {
+					t.Fatalf("state read after Close differs\nbefore:\n%s\nafter:\n%s", before, after.global)
+				}
+				if len(after.table.Entries("count")) != len(before.Entries("count")) {
+					t.Fatalf("owner table after Close holds %d entries, want %d",
+						len(after.table.Entries("count")), len(before.Entries("count")))
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("snapshot after Close did not return")
+			}
+		})
+	}
+}
+
+// TestStateReplicationIsInert: Options.StateReplication no longer selects a
+// discipline. An engine built with it runs the lock pool: it reports
+// ModeLocks, its visits take the owner's stripe locks (a visit that finds
+// them held blocks and is counted), and it leaves the same state as an
+// engine built without it.
+func TestStateReplicationIsInert(t *testing.T) {
+	plane, _ := deploy(t, campusWorkload(apps.Monitor()), topo.Campus(1000), nil)
+	cfg := plane.Config()
+	eng := dataplane.NewEngine(cfg, dataplane.Options{Workers: 2, StateReplication: true})
+	defer eng.Close()
+	ref := dataplane.NewEngine(cfg, dataplane.Options{Workers: 2})
+	defer ref.Close()
+	if eng.ExecMode() != dataplane.ModeLocks {
+		t.Fatalf("exec mode = %v, want locks", eng.ExecMode())
+	}
+	// Every monitor packet updates count at its owner: while the test
+	// holds the owner's stripes, the first visit there blocks and counts.
+	rng := rand.New(rand.NewSource(5))
+	trace := make([]dataplane.Ingress, 200)
+	for i := range trace {
+		port, p := campusPacket(rng)
+		trace[i] = dataplane.Ingress{Port: port, Packet: p}
+	}
+	release := eng.HoldStripes(cfg.Placement["count"])
+	done := make(chan error, 1)
+	go func() { done <- eng.InjectReplay(trace) }()
+	for deadline := time.Now().Add(10 * time.Second); eng.Stats().LockSuspends == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			release()
+			t.Fatal("no visit blocked on the held stripe locks")
+		}
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.InjectReplay(trace); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := eng.GlobalState(), ref.GlobalState(); !got.Equal(want) {
+		t.Fatalf("state with the option differs from the lock engine's\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestCatalogueWideIndexApps pins which catalogue apps index state by a
+// tuple wider than values.MaxVec on the campus, and so take the
+// interpreter's slow path for those instructions: the five that key by the
+// 5-tuple.
+func TestCatalogueWideIndexApps(t *testing.T) {
+	netw := topo.Campus(1000)
+	var wide []string
+	for _, app := range apps.All() {
+		plane, _ := deploy(t, campusWorkload(app.MustPolicy()), netw, nil)
+		for _, d := range dataplane.LinkDiagnostics(plane.Config()) {
+			if strings.Contains(d, "interpreter slow path") {
+				wide = append(wide, app.Name)
+				break
+			}
+		}
+	}
+	want := []string{"conn-affinity", "elephant-flows", "flow-size-sampling", "snort-flowbits", "tcp-state-machine"}
+	if !slices.Equal(wide, want) {
+		t.Fatalf("apps on the interpreter path: %v, want %v", wide, want)
 	}
 }

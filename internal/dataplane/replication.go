@@ -239,9 +239,9 @@ func (r *replicator) seed(st staged) {
 	if r == nil {
 		return
 	}
-	for v, tabs := range st {
+	for v, t := range st {
 		if id := r.vs.ID(v); id >= 0 && r.backups[id] != nil {
-			r.tables[id] = r.eng.clone(&tabs[0])
+			r.tables[id] = r.eng.clone(&t)
 		}
 	}
 }

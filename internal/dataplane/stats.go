@@ -15,10 +15,9 @@ type Stats struct {
 	Hops      int64                 // inter-switch forwarding steps
 	Suspends  int64                 // evaluations suspended for remote state
 
-	// Lock-discipline contention (always zero under ModeReplication —
-	// that is the discipline's point): visits whose stripe acquisition
-	// blocked, and the cumulative nanoseconds they waited. Per-variable
-	// attribution is available from Engine.LockContention.
+	// Lock contention: visits whose stripe acquisition blocked, and the
+	// cumulative nanoseconds they waited. Per-variable attribution is
+	// available from Engine.LockContention.
 	LockSuspends int64
 	LockWaitNs   int64
 
@@ -26,9 +25,9 @@ type Stats struct {
 	// rejected with ErrOverload at the shed watermark (never admitted, so
 	// not in Injected). Rollbacks counts reconfigurations that failed
 	// mid-swap and rolled back to the prior plane. ContainedPanics counts
-	// panics recovered at the containment sites (switch VMs, both
-	// disciplines, and the mirror drainer). QuarantineDrops counts copies
-	// discarded at panic-quarantined switches (Drops[DropQuarantine]).
+	// panics recovered at the containment sites (switch VMs and the
+	// mirror drainer). QuarantineDrops counts copies discarded at
+	// panic-quarantined switches (Drops[DropQuarantine]).
 	Shed            int64
 	Rollbacks       int64
 	ContainedPanics int64
@@ -116,8 +115,7 @@ func (c *switchCounters) snapshot() SwitchLoad {
 // VarContention is one state variable's share of lock contention: how many
 // blocked stripe acquisitions its lock set was charged with, and their
 // cumulative wait. This is the observable "which variable is hot" signal —
-// the variable(s) worth sharding (shard.Plan) or running under the
-// replication discipline.
+// the variable(s) worth sharding (shard.Plan).
 type VarContention struct {
 	Suspends int64
 	WaitNs   int64

@@ -1,5 +1,5 @@
 // The engine's telemetry face: every counter the engine already keeps
-// (stats.go, replication.go, scr.go) is exported through scrape-time
+// (stats.go, replication.go) is exported through scrape-time
 // collectors on a per-engine telemetry.Registry, so observability costs
 // the packet loop nothing — the hot path keeps bumping the same atomics
 // it always did, and aggregation happens only when something scrapes
@@ -61,7 +61,7 @@ func (e *Engine) registerMetrics() {
 	counter("snap_suspends_total",
 		"Evaluations suspended for remote state.", &e.stats.suspends)
 	counter("snap_lock_suspends_total",
-		"Visits whose stripe-lock acquisition blocked (always 0 under the replication discipline).", &e.stats.lockSuspends)
+		"Visits whose stripe-lock acquisition blocked.", &e.stats.lockSuspends)
 	r.GaugeFunc("snap_epoch",
 		"Configuration epoch: 0 at engine start, +1 per reconfiguration.",
 		nil, func(emit telemetry.Emit) {
@@ -84,9 +84,9 @@ func (e *Engine) registerMetrics() {
 	counter("snap_reconfig_rollbacks_total",
 		"Reconfigurations that failed mid-swap and rolled back to the prior plane (state intact, epoch unchanged).", &e.stats.rollbacks)
 	counter("snap_swap_reseated_entries_total",
-		"State entries reconfigurations copied one by one (shard folds, replica warm-up, a change of discipline) instead of handing their table over; replica promotion hands its table over. 0 after a re-route or an edit that folds nothing.", &e.reseated)
+		"State entries reconfigurations copied one by one (shard folds, replica warm-up) instead of handing their table over; replica promotion hands its table over. 0 after a re-route or an edit that folds nothing.", &e.reseated)
 	counter("snap_contained_panics_total",
-		"Panics recovered at the containment sites: switch VMs under either discipline, and the mirror drainer.", &e.stats.containedPanics)
+		"Panics recovered at the containment sites: switch VMs and the mirror drainer.", &e.stats.containedPanics)
 	r.GaugeFunc("snap_quarantined_switches",
 		"Switches currently under panic quarantine (dropping and counting until the next committed reconfiguration).",
 		nil, func(emit telemetry.Emit) {
@@ -108,17 +108,13 @@ func (e *Engine) registerMetrics() {
 			emit([]string{"fresh"}, float64(e.linkFresh.Load()))
 		})
 
-	// Replication backlog, both disciplines under one series: mirror is
-	// the PR-style pipeline (writes enqueued but not yet applied to the
-	// replica stores), scr is the update-log discipline (entries still
-	// queued in the worker-pair rings). Whichever discipline is inactive
-	// reads 0.
+	// Replication backlog of the mirror pipeline: writes enqueued but not
+	// yet applied to the replica stores.
 	r.GaugeFunc("snap_replica_lag",
-		"Replication backlog by discipline: mirror writes not yet applied, or SCR updates queued in the worker-pair rings.",
+		"Replication backlog: mirror writes not yet applied.",
 		[]string{"kind"}, func(emit telemetry.Emit) {
 			enq, app := e.replicator().lag()
 			emit([]string{"mirror"}, float64(enq-app))
-			emit([]string{"scr"}, float64(e.plane.Load().scr.ringOccupancy()))
 		})
 	r.GaugeFunc("snap_mirror_queue_depth",
 		"Mirror writes currently queued at primary switches, awaiting the background drain.",
@@ -132,18 +128,6 @@ func (e *Engine) registerMetrics() {
 			emit([]string{"enqueued"}, float64(enq))
 			emit([]string{"applied"}, float64(app))
 			emit([]string{"lost"}, float64(e.repLost.Load()))
-		})
-	r.GaugeFunc("snap_scr_ring_occupancy",
-		"State updates currently queued in the SCR worker-pair rings (0 under the lock discipline).",
-		nil, func(emit telemetry.Emit) {
-			emit(nil, float64(e.plane.Load().scr.ringOccupancy()))
-		})
-	r.CounterFunc("snap_scr_updates_total",
-		"SCR update-log entries by stage: published counts each logged write once, applied counts each remote replica application (~published x (workers-1)).",
-		[]string{"stage"}, func(emit telemetry.Emit) {
-			pub, app := e.plane.Load().scr.updateCounts()
-			emit([]string{"published"}, float64(pub))
-			emit([]string{"applied"}, float64(app))
 		})
 
 	// Per-switch load. The label set is fixed at engine construction

@@ -139,29 +139,17 @@ func checkGoroutinesBack(t *testing.T, base int) {
 	}
 }
 
-// TestEngineCloseNoGoroutineLeak: every engine lifecycle — locks,
-// state-compute replication, mirror replication, and a mid-life failover —
-// winds all its goroutines (workers, SCR appliers, the mirror
-// drainer) down on Close, and Close is idempotent.
+// TestEngineCloseNoGoroutineLeak: every engine lifecycle — plain, mirror
+// replication, and a mid-life failover — winds all its goroutines (workers,
+// the mirror drainer) down on Close, and Close is idempotent.
 func TestEngineCloseNoGoroutineLeak(t *testing.T) {
 	base := settleGoroutines()
 
-	// Locks discipline.
+	// No mirrors.
 	{
 		comp, _, tm := compileCampus(t, 1)
 		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
 		if err := eng.InjectReplay(trace(tm, 500, 1)); err != nil {
-			t.Fatal(err)
-		}
-		eng.Close()
-		eng.Close()
-	}
-
-	// State-compute replication discipline (SCR rings + appliers).
-	{
-		comp, _, tm := compileCampus(t, 1)
-		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2, StateReplication: true})
-		if err := eng.InjectReplay(trace(tm, 500, 2)); err != nil {
 			t.Fatal(err)
 		}
 		eng.Close()

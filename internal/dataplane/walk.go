@@ -3,8 +3,8 @@
 // every switch it reaches (visit: guard, VM run, outcome dispatch, next hop);
 // one that owes only its egress is carried there by match-action entries and
 // runs no program on the way (forward). Every runtime in this package is a
-// configuration of this loop: a plane to route by, a switch set to run
-// against, and a goroutine that calls walk and then finishes the injection.
+// configuration of this loop: a plane to route by and run against, and a
+// goroutine that calls walk and then finishes the injection.
 // See docs/ARCHITECTURE.md for the table of what differs between them.
 package dataplane
 
@@ -152,9 +152,8 @@ type walker struct {
 }
 
 // walk runs one injection, entering at switch `at`, and all its copies to
-// quiescence on the calling goroutine against the given switch set (run to
-// completion, the per-core model of State-Compute Replication, arXiv
-// 2309.14647): multicast extras join the same local queue, so no copy ever
+// quiescence on the calling goroutine against the plane's switches (run to
+// completion): multicast extras join the same local queue, so no copy ever
 // changes goroutine and an injection needs no reference count. The plane
 // cannot change underneath it — an injection holds the admission gate for
 // its whole life and planes swap only while the gate is drained.
@@ -165,7 +164,7 @@ type walker struct {
 // one element and the queue never grows past the widest fork. A FIFO queue
 // that kept every hop cost 20 % of ns_per_packet on the 5.5-hop WAN
 // workload in packet copies alone; TestWalkQueueStaysShort holds the line.
-func (f *fabric) walk(pl *plane, switches []*netasm.Switch, w *walker, inj *injection, at topo.NodeID, ing *Ingress) {
+func (f *fabric) walk(pl *plane, w *walker, inj *injection, at topo.NodeID, ing *Ingress) {
 	// The packet enters in the initial SNAP-header of §4.5: evaluation
 	// starts at the xFDD root. This is the one copy between injection and VM.
 	if w.queue == nil {
@@ -177,7 +176,7 @@ func (f *fabric) walk(pl *plane, switches []*netasm.Switch, w *walker, inj *inje
 	q[0].sp.Hdr = netasm.Header{OBSIn: ing.Port, OBSOut: -1, Node: pl.cfg.RootID, Seq: -1, Phase: netasm.PhaseEval}
 	for len(q) > 0 {
 		n := len(q) - 1
-		q = f.visit(pl, switches, w, inj, &q[n], q[:n])
+		q = f.visit(pl, w, inj, &q[n], q[:n])
 	}
 	w.queue = q[:0]
 }
@@ -204,9 +203,9 @@ func (f *fabric) arrive(at topo.NodeID, hops int, inj *injection, in, out int) b
 // emits and appends those that travel on to q. q's free slot may be c
 // itself, so nothing of c is read once the VM has run.
 //
-// Under the lock discipline the visit holds the switch's stripe locks across
-// Run, which never blocks, so holders always progress and no wait deadlocks.
-func (f *fabric) visit(pl *plane, switches []*netasm.Switch, w *walker, inj *injection, c *hop, q []hop) []hop {
+// The visit holds the switch's stripe locks (none on Network) across Run,
+// which never blocks, so holders always progress and no wait deadlocks.
+func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []hop {
 	at, hops := c.at, c.hops
 	in, out := c.sp.Hdr.OBSIn, c.sp.Hdr.OBSOut
 	if !f.arrive(at, hops, inj, in, out) {
@@ -216,11 +215,12 @@ func (f *fabric) visit(pl *plane, switches []*netasm.Switch, w *walker, inj *inj
 	if !ls.Empty() && !ls.TryLock() {
 		// Count contended acquisitions per variable: the uncontended path
 		// is a TryLock (one CAS per stripe, same as Lock); only a blocked
-		// visit pays for the clock reads and counter updates.
+		// visit pays for the clock reads and counter updates. The engine
+		// count goes up before the wait, so a blocked visit is observable.
+		f.stats.lockSuspends.Add(1)
 		t0 := time.Now()
 		ls.Lock()
 		wait := int64(time.Since(t0))
-		f.stats.lockSuspends.Add(1)
 		f.stats.lockWaitNs.Add(wait)
 		for _, vid := range pl.lockVars[at] {
 			pl.lockSusp[vid].Add(1)
@@ -228,7 +228,7 @@ func (f *fabric) visit(pl *plane, switches []*netasm.Switch, w *walker, inj *inj
 			pl.lockHist[vid].Observe(wait)
 		}
 	}
-	results, err := runContained(switches[at], at, w.results[:0], &c.sp)
+	results, err := runContained(pl.switches[at], at, w.results[:0], &c.sp)
 	w.results = results
 	if !ls.Empty() {
 		ls.Unlock()

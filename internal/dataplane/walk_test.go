@@ -53,8 +53,8 @@ func linePacket(u, v int) dataplane.Ingress {
 // TestTransitNeverEntersVM: a packet whose evaluation is finished is
 // forwarded, not executed. With every switch-VM run after the first armed
 // to panic, a stateless packet still crosses its four transit switches and
-// is delivered, under all three configurations of the walk: one VM run
-// (the ingress visit), six switches reached, nobody quarantined.
+// is delivered, on the Network and on the engine: one VM run (the ingress
+// visit), six switches reached, nobody quarantined.
 func TestTransitNeverEntersVM(t *testing.T) {
 	cfg := compileLine(t)
 	t.Cleanup(faultpoint.Reset)
@@ -80,29 +80,23 @@ func TestTransitNeverEntersVM(t *testing.T) {
 	}
 	check("network", ds, net.Stats())
 
-	for _, scr := range []bool{false, true} {
-		name := map[bool]string{false: "locks", true: "replication"}[scr]
-		eng := dataplane.NewEngine(cfg, dataplane.Options{Workers: 2, StateReplication: scr})
-		defer eng.Close()
-		if scr && eng.ExecMode() != dataplane.ModeReplication {
-			t.Fatalf("replication refused: %v", eng.ReplicationFallback())
-		}
-		arm()
-		out, err := eng.InjectBatch([]dataplane.Ingress{in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(name, out[0], eng.Stats())
-		if q := eng.QuarantinedSwitches(); len(q) != 0 {
-			t.Fatalf("%s: switches %v quarantined by a packet in transit", name, q)
-		}
-		var ran, processed int64
-		for _, l := range eng.Load() {
-			ran, processed = ran+l.Ran, processed+l.Processed
-		}
-		if ran != 1 || processed != 6 {
-			t.Fatalf("%s: %d VM runs and %d switches reached, want 1 and 6 (hops + 1)", name, ran, processed)
-		}
+	eng := dataplane.NewEngine(cfg, dataplane.Options{Workers: 2})
+	defer eng.Close()
+	arm()
+	out, err := eng.InjectBatch([]dataplane.Ingress{in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("engine", out[0], eng.Stats())
+	if q := eng.QuarantinedSwitches(); len(q) != 0 {
+		t.Fatalf("switches %v quarantined by a packet in transit", q)
+	}
+	var ran, processed int64
+	for _, l := range eng.Load() {
+		ran, processed = ran+l.Ran, processed+l.Processed
+	}
+	if ran != 1 || processed != 6 {
+		t.Fatalf("%d VM runs and %d switches reached, want 1 and 6 (hops + 1)", ran, processed)
 	}
 }
 
@@ -149,54 +143,52 @@ func TestForwardFailuresInTransit(t *testing.T) {
 			load{0: {Processed: 1, Ran: 1, Forwarded: 1}, 1: {Processed: 1, Forwarded: 1}, 2: {Processed: 1, Ran: 1}}},
 	}
 	for _, tc := range cases {
-		for _, scr := range []bool{false, true} {
-			eng := dataplane.NewEngine(cfg, dataplane.Options{Workers: 2, StateReplication: scr, TraceSampling: 1})
-			defer eng.Close()
-			tc.break_(t, eng)
-			before := eng.Stats()
-			eng.ResetObserved()
-			out, err := eng.InjectBatch([]dataplane.Ingress{linePacket(1, 2)})
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
+		eng := dataplane.NewEngine(cfg, dataplane.Options{Workers: 2, TraceSampling: 1})
+		defer eng.Close()
+		tc.break_(t, eng)
+		before := eng.Stats()
+		eng.ResetObserved()
+		out, err := eng.InjectBatch([]dataplane.Ingress{linePacket(1, 2)})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		st := eng.Stats()
+		if len(out[0]) != 0 || st.Delivered != before.Delivered {
+			t.Fatalf("%s: delivered %v across the failure", tc.name, out[0])
+		}
+		if got := st.Hops - before.Hops; got != 2 {
+			t.Errorf("%s: %d hops, want 2", tc.name, got)
+		}
+		if d, r := st.Dropped-before.Dropped, st.Drops[tc.reason]-before.Drops[tc.reason]; d != 1 || r != 1 {
+			t.Errorf("%s: %d dropped, %d of them %v; want 1 and 1", tc.name, d, r, tc.reason)
+		}
+		var sum int64
+		for _, n := range st.Drops {
+			sum += n
+		}
+		if sum != st.Dropped || st.QuarantineDrops != st.Drops[dataplane.DropQuarantine] {
+			t.Errorf("%s: reasons %v do not sum to Dropped=%d (QuarantineDrops=%d)", tc.name, st.Drops, st.Dropped, st.QuarantineDrops)
+		}
+		if m := eng.ObservedMatrix(); len(m) != 1 || m[[2]int{1, 2}] != 1 {
+			t.Errorf("%s: observed matrix %v, want the one drop under (1, 2)", tc.name, m)
+		}
+		got := load{}
+		for id, l := range eng.Load() {
+			if l != (dataplane.SwitchLoad{}) {
+				got[id] = l
 			}
-			st := eng.Stats()
-			if len(out[0]) != 0 || st.Delivered != before.Delivered {
-				t.Fatalf("%s: delivered %v across the failure", tc.name, out[0])
-			}
-			if got := st.Hops - before.Hops; got != 2 {
-				t.Errorf("%s: %d hops, want 2", tc.name, got)
-			}
-			if d, r := st.Dropped-before.Dropped, st.Drops[tc.reason]-before.Drops[tc.reason]; d != 1 || r != 1 {
-				t.Errorf("%s: %d dropped, %d of them %v; want 1 and 1", tc.name, d, r, tc.reason)
-			}
-			var sum int64
-			for _, n := range st.Drops {
-				sum += n
-			}
-			if sum != st.Dropped || st.QuarantineDrops != st.Drops[dataplane.DropQuarantine] {
-				t.Errorf("%s: reasons %v do not sum to Dropped=%d (QuarantineDrops=%d)", tc.name, st.Drops, st.Dropped, st.QuarantineDrops)
-			}
-			if m := eng.ObservedMatrix(); len(m) != 1 || m[[2]int{1, 2}] != 1 {
-				t.Errorf("%s: observed matrix %v, want the one drop under (1, 2)", tc.name, m)
-			}
-			got := load{}
-			for id, l := range eng.Load() {
-				if l != (dataplane.SwitchLoad{}) {
-					got[id] = l
-				}
-			}
-			if !maps.Equal(got, tc.load) {
-				t.Errorf("%s: per-switch load %v, want %v", tc.name, got, tc.load)
-			}
-			traces := eng.Telemetry().Snapshot().Traces
-			want := []telemetry.HopRecord{
-				{Switch: 0, Outcome: "forward", Egress: 2},
-				{Switch: 1, Outcome: "forward", Egress: 2},
-				{Switch: 2, Outcome: tc.hop, Egress: 2},
-			}
-			if last := traces[len(traces)-1]; !slices.Equal(last.Hops, want) {
-				t.Errorf("%s: traced hops %v, want %v", tc.name, last.Hops, want)
-			}
+		}
+		if !maps.Equal(got, tc.load) {
+			t.Errorf("%s: per-switch load %v, want %v", tc.name, got, tc.load)
+		}
+		traces := eng.Telemetry().Snapshot().Traces
+		want := []telemetry.HopRecord{
+			{Switch: 0, Outcome: "forward", Egress: 2},
+			{Switch: 1, Outcome: "forward", Egress: 2},
+			{Switch: 2, Outcome: tc.hop, Egress: 2},
+		}
+		if last := traces[len(traces)-1]; !slices.Equal(last.Hops, want) {
+			t.Errorf("%s: traced hops %v, want %v", tc.name, last.Hops, want)
 		}
 	}
 }
@@ -206,8 +198,8 @@ func TestForwardFailuresInTransit(t *testing.T) {
 // in its queue pays for it on long paths (+20 % ns_per_packet on the
 // benchmark's 5.5-hop fwd-wan workload when tried). The trace here is
 // stateless unicast on the same kind of network, so the queue never needs
-// to hold more than the one continuation: after the replay its capacity
-// must still be at most 2, on the inline path and on an SCR worker alike.
+// to hold more than the one continuation: after the replay the inline
+// walker's capacity must still be at most 2.
 func TestWalkQueueStaysShort(t *testing.T) {
 	tp, err := topo.NewIGen(40, 1000)
 	if err != nil {
@@ -220,25 +212,18 @@ func TestWalkQueueStaysShort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay := trace(tm, 2000, 5)
-	for _, scr := range []bool{false, true} {
-		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 1, StateReplication: scr})
-		if scr && eng.ExecMode() != dataplane.ModeReplication {
-			t.Fatalf("replication refused: %v", eng.ReplicationFallback())
-		}
-		if err := eng.InjectReplay(replay); err != nil {
-			t.Fatal(err)
-		}
-		st := eng.Stats()
-		if st.Delivered != st.Injected || st.Hops < 5*st.Injected {
-			t.Fatalf("replication=%v: %d of %d delivered over %d hops; the trace must be unicast over ≥ 5 hops a packet",
-				scr, st.Delivered, st.Injected, st.Hops)
-		}
-		caps := eng.WalkQueueCaps()
-		if c := slices.Max(caps); c < 1 || c > 2 {
-			t.Errorf("replication=%v: walk queue capacities %v after a unicast trace, want the one in use at 1 or 2", scr, caps)
-		}
-		eng.Close()
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 1})
+	defer eng.Close()
+	if err := eng.InjectReplay(trace(tm, 2000, 5)); err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	if st.Delivered != st.Injected || st.Hops < 5*st.Injected {
+		t.Fatalf("%d of %d delivered over %d hops; the trace must be unicast over ≥ 5 hops a packet",
+			st.Delivered, st.Injected, st.Hops)
+	}
+	if c := eng.WalkQueueCap(); c < 1 || c > 2 {
+		t.Errorf("walk queue capacity %d after a unicast trace, want the one in use at 1 or 2", c)
 	}
 }
 

@@ -45,8 +45,8 @@ const (
 	// re-seated on the new plane — a reseed failure after the build.
 	EngineApplyReseed = "engine.apply.reseed"
 	// EngineRun fires at every switch-VM execution (a copy forwarded in
-	// transit runs none), under both disciplines, before the VM touches any
-	// state. Armed as KindPanic it is the "worker panic" fault (contained by
+	// transit runs none), on Network and engine alike, before the VM
+	// touches any state. Armed as KindPanic it is the "worker panic" fault (contained by
 	// quarantine); as KindStall it parks the visit, which is how the
 	// overload-shedding tests hold the admission window full.
 	EngineRun = "engine.run"

@@ -21,10 +21,10 @@
 //     int32 arrays;
 //   - the widest fork is precomputed (the engine sizes its inboxes by it).
 //
-// Index tuples wider than values.MaxVec — expressible, but absent from
-// every example policy — keep their syntax.Expr form and take the
-// interpreter's slow path for exactly that instruction, so linking never
-// changes semantics, only cost.
+// Index tuples wider than values.MaxVec — the 5-tuple flow key of five
+// catalogue apps — keep their syntax.Expr form and take the interpreter's
+// slow path for exactly that instruction, so linking never changes
+// semantics, only cost.
 package netasm
 
 import (
@@ -181,16 +181,6 @@ type linstr struct {
 	resume  int32
 }
 
-// Write-act mask bits for Linked.WriteActs: which kinds of state update a
-// program performs on a variable. A variable carrying both bits mixes
-// value-assignment with delta updates, which no merge discipline can
-// reconcile without a shared order — the state-replication engine mode
-// refuses such planes.
-const (
-	WActSet   uint8 = 1 << iota // s[idx] ← e
-	WActDelta                   // s[idx]++ / s[idx]--
-)
-
 // Linked is an executable program: the link-time image of a Program for
 // one ownership set and one variable space. It is immutable and shared
 // between every switch with the same program (rules already shares the
@@ -207,11 +197,7 @@ type Linked struct {
 	slot   []int32  // variable id → local table slot, -1 when none
 	owned  []uint64 // bitset of the variable ids the switch owns
 
-	// Link-time facts consumed by the engine's execution-mode selection
-	// (see Diagnostics, WriteActs, ReplicationBlockers).
-	diags     []string
-	writeActs map[string]uint8
-	repBlocks []string
+	diags []string // link-time advisories (see Diagnostics)
 }
 
 // Diagnostics returns link-time advisories: conditions that do not change
@@ -219,21 +205,6 @@ type Linked struct {
 // values.MaxVec forcing the interpreter fallback. Each condition is
 // reported once per program.
 func (lp *Linked) Diagnostics() []string { return lp.diags }
-
-// WriteActs maps each state variable this program writes (locally or via a
-// pending write resolved elsewhere) to the union of write kinds performed
-// on it, as WAct bits.
-func (lp *Linked) WriteActs() map[string]uint8 { return lp.writeActs }
-
-// ReplicationBlockers lists why this program is unsafe for the
-// state-compute replication discipline, empty when it is safe: every state
-// write must be a function of packet fields and the entry's own prior
-// value, expressible in the compact update log (inline index vector,
-// scalar const/field value). The analysis reuses the extractor flattening
-// Link already performed — an instruction that kept its syntax.Expr form
-// (wide index, non-scalar value) is by construction outside the log's
-// reach.
-func (lp *Linked) ReplicationBlockers() []string { return lp.repBlocks }
 
 // VarSpace returns the space the program was linked against.
 func (lp *Linked) VarSpace() *VarSpace { return lp.vs }
@@ -369,30 +340,6 @@ func Link(p *Program, vs *VarSpace, owns map[string]bool) *Linked {
 				firstWide = fmt.Sprintf("pc %d, variable %s", pc, ins.Var)
 			}
 		}
-		switch ins.Op {
-		case OpStateWrite, OpResolve:
-			mask := WActDelta
-			if ins.Act == xfdd.ActSet {
-				mask = WActSet
-			}
-			if lp.writeActs == nil {
-				lp.writeActs = make(map[string]uint8)
-			}
-			lp.writeActs[ins.Var] |= mask
-			if li.slowIdx != nil {
-				lp.block("pc %d: write to %s indexes by a tuple wider than %d values", pc, ins.Var, values.MaxVec)
-			}
-			if li.valMode == valSlow {
-				lp.block("pc %d: write to %s carries a non-scalar value expression", pc, ins.Var)
-			}
-			if ins.Op == OpStateWrite && !owns[ins.Var] {
-				lp.block("pc %d: local write to unowned variable %s", pc, ins.Var)
-			}
-		case OpBranchState:
-			if !owns[ins.Var] {
-				lp.block("pc %d: local read of unowned variable %s", pc, ins.Var)
-			}
-		}
 		lp.ins[pc] = li
 	}
 	if wideIdx > 0 {
@@ -401,11 +348,6 @@ func Link(p *Program, vs *VarSpace, owns map[string]bool) *Linked {
 			wideIdx, values.MaxVec, firstWide))
 	}
 	return lp
-}
-
-// block records one replication-safety violation.
-func (lp *Linked) block(format string, args ...any) {
-	lp.repBlocks = append(lp.repBlocks, fmt.Sprintf(format, args...))
 }
 
 // soloSpace builds a private variable space for a switch linked outside a

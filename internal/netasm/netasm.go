@@ -288,11 +288,10 @@ type Switch struct {
 	// exactly once: a local write (OpStateWrite) and a carried write
 	// committed here alike, narrow and wide indices alike. It receives the
 	// write as the VM holds it, with Val set to the post-write value. The
-	// data-plane engine installs it to mirror writes to replica switches
-	// and to log them for state-compute replication. It runs under the same
-	// external serialization as Run itself (the caller's lock set covers
-	// the written variable), so implementations see writes to one variable
-	// in table order; they must not block. Nothing mutates a write's
+	// data-plane engine installs it to mirror writes to replica switches.
+	// It runs under the same external serialization as Run itself (the
+	// caller's lock set covers the written variable), so implementations
+	// see writes to one variable in table order; they must not block. Nothing mutates a write's
 	// IdxWide afterwards, so observers may keep it.
 	OnStateWrite func(w PendingWrite)
 

@@ -11,9 +11,10 @@
 // the string encoding (two tuples share a Key iff their Tuple.Key()s are
 // equal).
 //
-// Index tuples wider than values.MaxVec — legal in the language, absent
-// from every example policy — take a string-keyed overflow map, keeping
-// the fast path honest without losing generality.
+// Index tuples wider than values.MaxVec — the 5-tuple flow key of five
+// catalogue apps (conn-affinity, elephant-flows, flow-size-sampling,
+// snort-flowbits, tcp-state-machine) — take a string-keyed overflow map,
+// keeping the fast path honest without losing generality.
 //
 // Tables convert losslessly to and from Store: each entry retains the raw
 // (uncanonicalized) index tuple it was first written with, exactly like
@@ -168,31 +169,6 @@ func (t *Table) SetTuple(idx values.Tuple, v values.Value) {
 // tuples are shared: nothing mutates one after insert.
 func (t *Table) Clone() Table {
 	return Table{m: maps.Clone(t.m), wide: maps.Clone(t.wide)}
-}
-
-// Equal reports whether two tables hold semantically equal bindings: the
-// same keys mapping to Eq-equal values. Retained raw index tuples are not
-// compared — two tables first written with False and 0 at the same key are
-// equal, exactly as their string-keyed Store dumps would be. This is the
-// convergence audit of the replication discipline: after all update logs
-// drain, every worker replica must be Equal to every other.
-func (t *Table) Equal(o *Table) bool {
-	if len(t.m) != len(o.m) || len(t.wide) != len(o.wide) {
-		return false
-	}
-	for k, e := range t.m {
-		oe, ok := o.m[k]
-		if !ok || !values.Eq(e.Val, oe.Val) {
-			return false
-		}
-	}
-	for k, e := range t.wide {
-		oe, ok := o.wide[k]
-		if !ok || !values.Eq(e.Val, oe.Val) {
-			return false
-		}
-	}
-	return true
 }
 
 // Entries returns the table's bindings sorted by canonical index key,

@@ -79,3 +79,26 @@ func TestStripesDeadlockFree(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+func TestTryLock(t *testing.T) {
+	s := NewStripes(4)
+	a := s.LockSet([]string{"x", "y"})
+	b := s.LockSet([]string{"y", "z"})
+	if !a.TryLock() {
+		t.Fatal("TryLock on free stripes failed")
+	}
+	// b overlaps a on y's stripe: must fail and back out anything it took.
+	if b.TryLock() {
+		t.Fatal("TryLock succeeded on held stripe")
+	}
+	a.Unlock()
+	// The failed attempt must have released its partial acquisitions.
+	if !b.TryLock() {
+		t.Fatal("TryLock failed after contender unlocked — partial acquisition leaked")
+	}
+	b.Unlock()
+	empty := s.LockSet(nil)
+	if !empty.TryLock() {
+		t.Fatal("TryLock on empty set failed")
+	}
+}

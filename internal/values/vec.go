@@ -2,9 +2,9 @@
 // interpreter's Tuple is a slice — building one per state access puts an
 // allocation on every packet — so the compiled fast path carries index
 // tuples inline, in a fixed-capacity array that lives in the instruction
-// scratch or travels inside the SNAP-header. MaxVec covers every index
-// arity the example policies use (the widest is a host pair); wider
-// tuples exist in principle, and callers fall back to Tuple for them.
+// scratch or travels inside the SNAP-header. MaxVec covers the index
+// arities of most catalogue policies; the 5-tuple flow key of five
+// catalogue apps is wider, and callers fall back to Tuple for it.
 package values
 
 // MaxVec is the arity the inline vector supports. Index expressions wider
