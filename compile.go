@@ -53,8 +53,8 @@ type Delivery = dataplane.Delivery
 
 // Engine is the concurrent, batched data-plane runtime: a pool of worker
 // goroutines, each walking an injected packet and all its copies to
-// completion, with per-variable stripe locks ordering the visits that
-// touch one variable's state.
+// completion, with one lock per owning switch ordering the visits that
+// touch its state.
 type Engine = dataplane.Engine
 
 // EngineOptions configures an Engine (worker count, admission window,
@@ -171,9 +171,9 @@ func (d *Deployment) Inject(port int, p Packet) ([]Delivery, error) {
 }
 
 // Engine builds the concurrent data-plane runtime for this deployment:
-// batched/streamed ingress served by per-switch worker pools, with state
-// protected by striped per-variable locks so disjoint flows proceed in
-// parallel. The engine starts with fresh (empty) state tables, independent
+// batched/streamed ingress served by a pool of worker goroutines, with
+// state protected by one lock per owning switch so disjoint flows proceed
+// in parallel. The engine starts with fresh (empty) state tables, independent
 // of the deployment's sequential plane; call Close when done.
 func (d *Deployment) Engine(opts EngineOptions) *Engine {
 	eng := dataplane.NewEngine(d.comp.Config, opts)

@@ -110,9 +110,10 @@ func liveHeap() int64 {
 
 // TestReRouteReusesPrograms pins what every scenario going through the
 // lineage caches buys: a re-route changes no program, so TopoTMChange hands
-// back the parent's program pointers (the engine's link cache keys on
-// them), and TopoFailover asks the lineage's mapping builder, so coming
-// back to a port set recalls its mapping instead of walking the diagram.
+// back the parent's program and linked-image pointers, as does an edit
+// followed by its revert; and TopoFailover asks the lineage's mapping
+// builder, so coming back to a port set recalls its mapping instead of
+// walking the diagram.
 func TestReRouteReusesPrograms(t *testing.T) {
 	net := topo.Campus(1000)
 	policy := syntax.Then(apps.Assumption(6), apps.DNSTunnelDetect(), apps.AssignEgress(6))
@@ -124,11 +125,28 @@ func TestReRouteReusesPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n, sc := range shifted.Config.Switches {
-		if sc.Prog != cold.Config.Switches[n].Prog {
-			t.Errorf("switch %d: re-route compiled a new program", n)
+	samePrograms := func(step string, got *Compilation) {
+		t.Helper()
+		for n, sc := range got.Config.Switches {
+			if sc.Prog != cold.Config.Switches[n].Prog {
+				t.Errorf("switch %d: %s compiled a new program", n, step)
+			}
+			if sc.Linked != cold.Config.Switches[n].Linked {
+				t.Errorf("switch %d: %s linked a new image", n, step)
+			}
 		}
 	}
+	samePrograms("re-route", shifted)
+	acl := syntax.Cond(syntax.FieldEq(pkt.SrcPort, values.Int(7777)), syntax.Nothing(), syntax.Id())
+	edited, err := shifted.PolicyChange(syntax.Then(apps.Assumption(6), apps.DNSTunnelDetect(), acl, apps.AssignEgress(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reverted, err := edited.PolicyChange(policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePrograms("an edit and its revert", reverted)
 
 	edge, _ := net.PortByID(5) // an edge switch takes its port with it
 	degraded, err := net.Degrade([]topo.NodeID{edge.Switch}, nil)

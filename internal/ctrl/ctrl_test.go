@@ -359,8 +359,8 @@ func TestStepSanitizesDroppedDemand(t *testing.T) {
 }
 
 // TestReRouteRelinksNothing: a drift re-route changes routes, not programs
-// or placement, so the recompilation hands the engine the program pointers
-// it already linked and the swap links no image and reads no state entry.
+// or placement, so the recompilation hands the engine the linked images it
+// already runs and the swap reads no state entry.
 func TestReRouteRelinksNothing(t *testing.T) {
 	netw := topo.Campus(1000)
 	policy, err := bench.MonitorWorkload(false, 6)
@@ -377,13 +377,18 @@ func TestReRouteRelinksNothing(t *testing.T) {
 	if err := eng.InjectReplay(bench.ReplayIngress(traffic.Gravity(netw, 100, 2).Replay(3000, 3))); err != nil {
 		t.Fatal(err)
 	}
-	_, linked := eng.LinkStats()
+	before := eng.Config()
 	rec, err := ctl.Step()
 	if err != nil || rec == nil {
 		t.Fatalf("shifted matrix did not reconfigure: %v, %v", rec, err)
 	}
-	if _, after := eng.LinkStats(); after != linked {
-		t.Fatalf("re-route linked %d new program image(s), want 0", after-linked)
+	if eng.Config() == before {
+		t.Fatal("re-route did not swap the engine's configuration")
+	}
+	for id, sc := range eng.Config().Switches {
+		if sc.Linked != before.Switches[id].Linked {
+			t.Fatalf("switch %d: re-route linked a new program image", id)
+		}
 	}
 	var scrape strings.Builder
 	if err := eng.Telemetry().WritePrometheus(&scrape); err != nil {
@@ -398,8 +403,8 @@ func TestReRouteRelinksNothing(t *testing.T) {
 // to end. Rotating A -> B -> A preserves state at each swap, reports the
 // delta scenario with its reuse counters, and on the return to A — whose
 // diagram the translator memo resolves to the original root pointer — the
-// rule generator recompiles nothing and the engine's epoch gate re-links
-// no program images.
+// rule generator recompiles and relinks nothing: the engine runs A's
+// images again.
 func TestApplyPolicyDeltaRotation(t *testing.T) {
 	netw := topo.Campus(1000)
 	tm := traffic.Gravity(netw, 100, 1)
@@ -418,7 +423,7 @@ func TestApplyPolicyDeltaRotation(t *testing.T) {
 	if err := eng.InjectReplay(bench.ReplayIngress(tm.Replay(2000, 5))); err != nil {
 		t.Fatal(err)
 	}
-	_, linked0 := eng.LinkStats()
+	cfgA := eng.Config()
 
 	before := eng.GlobalState()
 	prB, err := ctl.ApplyPolicy(varB)
@@ -448,15 +453,11 @@ func TestApplyPolicyDeltaRotation(t *testing.T) {
 		t.Fatalf("edit B->A programs: compiled=%d reused=%d, want 0/>0",
 			prA.Delta.CompiledPrograms, prA.Delta.ReusedPrograms)
 	}
-	// … and the engine's cross-epoch link cache recalls every image: the
-	// swap back to A links nothing new.
-	reused, linked := eng.LinkStats()
-	if linked > linked0+int64(prB.Delta.CompiledPrograms) {
-		t.Fatalf("B->A swap linked new images: %d linked after, %d at start, %d compiled for B",
-			linked, linked0, prB.Delta.CompiledPrograms)
-	}
-	if reused == 0 {
-		t.Fatal("cross-epoch link cache never hit")
+	// … and every image with it: the swap back to A links nothing new.
+	for id, sc := range eng.Config().Switches {
+		if sc.Linked != cfgA.Switches[id].Linked {
+			t.Fatalf("switch %d: B->A swap linked a new image", id)
+		}
 	}
 	if !eng.GlobalState().Equal(before) {
 		t.Fatal("rotation lost state")

@@ -140,6 +140,9 @@ type recoveryState struct {
 	lastGood *core.Compilation
 	sleep    func(time.Duration)
 	now      func() time.Time
+	// retryVec and transitionVec count retries and breaker transitions on
+	// the engine's registry; nil without one.
+	retryVec, transitionVec *telemetry.CounterVec
 }
 
 func newRecoveryState(seed int64, lastGood *core.Compilation) *recoveryState {
@@ -216,10 +219,8 @@ func (c *Controller) withRecovery(op string, body func() error) error {
 		r.mu.Lock()
 		r.retries++
 		r.mu.Unlock()
-		if reg := c.eng.Telemetry(); reg != nil {
-			reg.CounterVec("snap_ctrl_retries_total",
-				"Controller operation retries after a failed recompile or apply, by operation.",
-				"op").With(op).Inc()
+		if v := r.retryVec; v != nil {
+			v.With(op).Inc()
 		}
 		r.sleep(delay)
 	}
@@ -242,10 +243,8 @@ func (c *Controller) withRecovery(op string, body func() error) error {
 // rec.mu.
 func (c *Controller) breakerTransition(br *breaker, op string, to BreakerState) {
 	br.state = to
-	if reg := c.eng.Telemetry(); reg != nil {
-		reg.CounterVec("snap_ctrl_breaker_transitions_total",
-			"Circuit-breaker state transitions by operation and target state.",
-			"op", "to").With(op, to.String()).Inc()
+	if v := c.rec.transitionVec; v != nil {
+		v.With(op, to.String()).Inc()
 	}
 }
 
@@ -322,13 +321,20 @@ func (c *Controller) Retries() int64 {
 	return c.rec.retries
 }
 
-// registerRecoveryMetrics wires the breaker/degraded gauges onto the
-// engine's registry (idempotent per series name; called from New).
+// registerRecoveryMetrics wires the retry and breaker counters and the
+// breaker/degraded gauges onto the engine's registry (idempotent per series
+// name; called from New), so a scrape lists them before the first failure.
 func (c *Controller) registerRecoveryMetrics() {
 	reg := c.eng.Telemetry()
 	if reg == nil {
 		return
 	}
+	c.rec.retryVec = reg.CounterVec("snap_ctrl_retries_total",
+		"Controller operation retries after a failed recompile or apply, by operation.",
+		"op")
+	c.rec.transitionVec = reg.CounterVec("snap_ctrl_breaker_transitions_total",
+		"Circuit-breaker state transitions by operation and target state.",
+		"op", "to")
 	reg.GaugeFunc("snap_ctrl_degraded",
 		"1 while any controller operation's circuit breaker is open or half-open.",
 		nil, func(emit telemetry.Emit) {

@@ -52,59 +52,23 @@ type Network struct {
 	inj injection
 }
 
-// New instantiates switch VMs for a configuration, linking each program
-// once against the configuration's shared variable space.
+// New instantiates switch VMs over the configuration's linked images.
 func New(cfg *rules.Config) *Network {
 	n := &Network{pl: newPlane(cfg)}
 	n.fab.init(cfg, nil)
-	linked, _, _ := linkPrograms(cfg, nil)
-	n.pl.switches = newSwitches(linked, cfg.Topo.Switches)
 	return n
 }
 
-// linkKey identifies a distinct linkable image: rules shares one Program
-// across all switches with the same ownership set, so (program pointer,
-// ownership signature) is the image's identity within one variable space.
-type linkKey struct {
-	prog *netasm.Program
-	owns string
-}
-
-// linkPrograms links every switch's program against the configuration's
-// shared variable space, linking each distinct (program, ownership)
-// combination once — a fleet of stateless switches links exactly one
-// image. Images found in cache are recalled instead of linked (the engine
-// passes its cross-epoch cache, everyone else nil); images holds this
-// call's distinct images, fresh of them linked here.
-func linkPrograms(cfg *rules.Config, cache map[linkKey]*netasm.Linked) (out map[topo.NodeID]*netasm.Linked, images map[linkKey]*netasm.Linked, fresh int) {
-	vs := cfg.VarSpace()
-	images = map[linkKey]*netasm.Linked{}
-	out = make(map[topo.NodeID]*netasm.Linked, len(cfg.Switches))
+// LinkDiagnostics returns a configuration's link-time diagnostics
+// (interpreter-fallback advisories), prefixed with the switches sharing
+// each image: reported once per program even though many switches run it.
+func LinkDiagnostics(cfg *rules.Config) []string {
+	byImage := make(map[*netasm.Linked][]topo.NodeID)
 	for id, sc := range cfg.Switches {
-		k := linkKey{prog: sc.Prog, owns: rules.OwnsKey(sc.Owns)}
-		lp, ok := images[k]
-		if !ok {
-			if lp, ok = cache[k]; !ok {
-				lp = netasm.Link(sc.Prog, vs, sc.Owns)
-				fresh++
-			}
-			images[k] = lp
-		}
-		out[id] = lp
-	}
-	return out, images, fresh
-}
-
-// collectDiags gathers link-time diagnostics across a plane's programs,
-// prefixed with the switches sharing each program (satisfying the
-// "once per program" contract even though many switches run it).
-func collectDiags(linked map[topo.NodeID]*netasm.Linked) []string {
-	byProg := make(map[*netasm.Linked][]topo.NodeID)
-	for id, lp := range linked {
-		byProg[lp] = append(byProg[lp], id)
+		byImage[sc.Linked] = append(byImage[sc.Linked], id)
 	}
 	var out []string
-	for lp, ids := range byProg {
+	for lp, ids := range byImage {
 		diags := lp.Diagnostics()
 		if len(diags) == 0 {
 			continue
@@ -120,13 +84,6 @@ func collectDiags(linked map[topo.NodeID]*netasm.Linked) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// LinkDiagnostics links a configuration's programs and returns the plane's
-// link-time diagnostics without building an engine (snapsim -v, tooling).
-func LinkDiagnostics(cfg *rules.Config) []string {
-	linked, _, _ := linkPrograms(cfg, nil)
-	return collectDiags(linked)
 }
 
 // Inject sends one packet into the network at an OBS ingress port and runs

@@ -2,9 +2,9 @@
 // one packet at a time to quiescence; Engine runs whole batches or streams
 // of packets through the same walk (walk.go), one goroutine per injection
 // from ingress to its last copy, under one concurrency discipline: each
-// variable lives in exactly one table, at its owner switch, and stripe
-// locks order the visits that touch it (the owner applying its packets in
-// order, §4.5).
+// variable lives in exactly one table, at its owner switch, and that
+// switch's lock orders the visits that touch it (the owner applying its
+// packets in order, §4.5).
 //
 //   - Options.Workers goroutines drain one queue of admitted injections
 //     and walk each to completion, visiting every switch's VM themselves
@@ -12,12 +12,12 @@
 //     dwarf the VM execution), so the goroutine count is the parallelism
 //     bound and benchmarks have a single knob (1 worker ≈ the sequential
 //     plane: the injecting goroutine is the worker and none is started);
-//   - per-variable striped locks (state.Stripes) protect the per-switch
-//     state tables. Placement puts each variable — and each shard of a
-//     sharded variable, since shards are ordinary variables — on exactly
-//     one switch, so lock sets of different switches are disjoint and
-//     packets of disjoint flows proceed in parallel; packets contending
-//     for the same variable serialize, preserving per-visit atomicity.
+//   - one mutex per switch that owns state protects its tables; a visit
+//     holds it across the VM run. Placement puts each variable — and each
+//     shard of a sharded variable, since shards are ordinary variables — on
+//     exactly one switch, so visits at different switches never contend;
+//     visits at the same owner serialize, preserving per-visit atomicity.
+//     Switches owning nothing take no lock.
 //
 // Equivalence with the sequential plane: every packet copy performs the
 // same switch visits and state operations as under Network.Inject; only
@@ -27,12 +27,14 @@
 // assert against Network.
 //
 // Reconfiguration: the compiled configuration, the switch VMs and their
-// lock sets live behind one atomically-swapped plane pointer. ApplyConfig
-// installs a recompiled rules.Config onto the live engine in an epoch-based
-// swap — pause admission, drain in-flight copies to quiescence, hand the
-// state tables to their new owner switches, publish the new plane, resume —
-// so long-running InjectStream callers continue across the swap and no
-// packet or state entry is lost. internal/ctrl drives this from observed
+// locks live behind one atomically-swapped plane pointer. The compiler
+// hands over linked images (rules.SwitchConfig.Linked); a plane build only
+// instantiates VMs over them. ApplyConfig installs a recompiled
+// rules.Config onto the live engine in an epoch-based swap — pause
+// admission, drain in-flight copies to quiescence, hand the state tables to
+// their new owner switches, publish the new plane, resume — so long-running
+// InjectStream callers continue across the swap and no packet or state
+// entry is lost. internal/ctrl drives this from observed
 // traffic drift.
 package dataplane
 
@@ -110,8 +112,8 @@ type Options struct {
 type ExecMode uint8
 
 const (
-	// ModeLocks is the striped-lock discipline: one set of switch VMs,
-	// per-variable stripe locks serializing conflicting visits.
+	// ModeLocks is the lock discipline: one set of switch VMs, one lock per
+	// owning switch serializing conflicting visits.
 	ModeLocks ExecMode = iota
 	// ModeReplication named the deleted state-compute replication
 	// discipline; no plane runs it.
@@ -208,17 +210,18 @@ func (g *gate) resume() {
 }
 
 // plane is the swappable half of the engine: the compiled configuration,
-// the per-switch VMs holding the state tables, and their lock sets. An
+// the per-switch VMs holding the state tables, and their locks. An
 // injection loads it once through an atomic pointer; ApplyConfig publishes
 // a replacement only while the gate holds the engine quiescent, so no
 // packet ever sees a torn configuration. Network holds a bare one: no
 // locks.
 type plane struct {
 	cfg *rules.Config
-	// Per switch, by NodeID: VMs, lock sets (empty on Network), switch
-	// configurations. linkDead is indexed like Topo.Links.
+	// Per switch, by NodeID: VMs, locks (nil where the switch owns nothing,
+	// and everywhere on Network), switch configurations. linkDead is indexed
+	// like Topo.Links.
 	switches []*netasm.Switch
-	locks    []state.LockSet
+	locks    []*sync.Mutex
 	scs      []*rules.SwitchConfig
 	linkDead []atomic.Bool
 	// owners is the dense state-owner lookup: variable id (in cfg's
@@ -232,45 +235,35 @@ type plane struct {
 	// planes only), indexed like lockSusp/lockWait; resolved at plane build
 	// so the contended path observes without any registry lookup.
 	lockHist []*telemetry.Histogram
-	// diags are the plane's link-time diagnostics.
-	diags []string
 
 	// Per-variable lock-contention attribution (engine planes only): a visit
 	// whose TryLock fails charges the blocked acquisition and its wait to
-	// every variable of the switch's lock set — stripe granularity cannot
-	// split blame within a set, but placement keeps sets small and
-	// disjoint. Indexed by VarSpace id; lockVars is switch → owned var ids.
+	// every variable the switch owns — one lock cannot split blame among
+	// them, but placement keeps the sets small. Indexed by VarSpace id;
+	// lockVars is switch → owned var ids.
 	lockSusp []atomic.Int64
 	lockWait []atomic.Int64
 	lockVars [][]int32
 }
 
 // newPlane starts a plane for a configuration with the parts Network and
-// Engine share: the configuration, its views by NodeID and link index, and
-// the dense owner lookup.
+// Engine share: the configuration, its views by NodeID and link index, the
+// dense owner lookup, and switch VMs over the configuration's linked images.
 func newPlane(cfg *rules.Config) *plane {
 	vs, n := cfg.VarSpace(), cfg.Topo.Switches
 	p := &plane{
 		cfg: cfg, owners: make([]topo.NodeID, vs.Len()), placed: make([]bool, vs.Len()),
-		locks: make([]state.LockSet, n), scs: make([]*rules.SwitchConfig, n),
-		linkDead: make([]atomic.Bool, len(cfg.Topo.Links)),
+		switches: make([]*netasm.Switch, n), locks: make([]*sync.Mutex, n),
+		scs: make([]*rules.SwitchConfig, n), linkDead: make([]atomic.Bool, len(cfg.Topo.Links)),
 	}
 	for i := range p.owners {
 		p.owners[i], p.placed[i] = cfg.Placement[vs.Name(i)]
 	}
 	for id, sc := range cfg.Switches {
 		p.scs[id] = sc
+		p.switches[id] = netasm.NewLinkedSwitch(int(id), sc.Linked)
 	}
 	return p
-}
-
-// newSwitches instantiates one set of switch VMs over linked images.
-func newSwitches(linked map[topo.NodeID]*netasm.Linked, n int) []*netasm.Switch {
-	set := make([]*netasm.Switch, n)
-	for id, lp := range linked {
-		set[id] = netasm.NewLinkedSwitch(int(id), lp)
-	}
-	return set
 }
 
 // portSwitch resolves an OBS port id to the switch it hangs off.
@@ -296,11 +289,10 @@ type StateRewrite func(*state.Store) (*state.Store, error)
 // Engine is the concurrent data plane.
 type Engine struct {
 	fabric
-	opts    Options
-	plane   atomic.Pointer[plane]
-	stripes *state.Stripes
-	epoch   atomic.Int64
-	window  chan struct{} // admission control
+	opts   Options
+	plane  atomic.Pointer[plane]
+	epoch  atomic.Int64
+	window chan struct{} // admission control
 	// queue carries admitted injections to the Options.Workers goroutines
 	// that walk them; nil with a single worker.
 	queue chan item
@@ -324,24 +316,6 @@ type Engine struct {
 	contMu   sync.Mutex
 	contHist map[string]VarContention
 
-	// Cross-epoch link cache, the data-plane half of delta compilation: a
-	// switch whose program pointer, ownership set and variable-name space
-	// survive a reconfiguration reuses its linked image at the epoch gate,
-	// so a hot swap re-links only the dirty switches' programs. The cache
-	// holds the images of the plane last built (linkLast) and of the one
-	// before it, so an edit and its revert both stay warm while the images
-	// of older planes, and the programs they pin, are released; it resets
-	// when the variable-name space changes (linked images bake in
-	// VarSpace ids, which are valid across epochs only for an identical
-	// name set). Replaced, never mutated, and only under the gate
-	// (buildPlane callers); the counters are atomics so LinkStats can be
-	// read concurrently.
-	linkSig    string
-	linkCache  map[linkKey]*netasm.Linked
-	linkLast   map[linkKey]*netasm.Linked
-	linkReused atomic.Int64
-	linkFresh  atomic.Int64
-
 	// reseated counts the entries reconfigurations copied one by one
 	// (spell, clone) instead of handing their table over.
 	reseated atomic.Int64
@@ -350,14 +324,12 @@ type Engine struct {
 	// almost entirely scrape-time collectors over the atomics above, so
 	// the packet loop is unaffected. sampler gates the 1-in-N packet
 	// traces collected in traces (both nil at the default TraceSampling
-	// of 0); lockWaitVec and linkSeconds are the two live histograms,
-	// fed from the contended-lock slow path and the plane-build link
-	// step respectively.
+	// of 0); lockWaitVec is the one live histogram, fed from the
+	// contended-lock slow path.
 	tel         *telemetry.Registry
 	sampler     *telemetry.Sampler
 	traces      *telemetry.TraceLog
 	lockWaitVec *telemetry.HistogramVec
-	linkSeconds *telemetry.Histogram
 
 	gate   *gate
 	wg     sync.WaitGroup // worker goroutines
@@ -381,23 +353,19 @@ type Engine struct {
 func NewEngine(cfg *rules.Config, opts Options) *Engine {
 	opts = opts.withDefaults()
 	e := &Engine{
-		opts:    opts,
-		stripes: state.NewStripes(state.DefaultStripes),
-		window:  make(chan struct{}, opts.Window),
-		gate:    newGate(),
+		opts:   opts,
+		window: make(chan struct{}, opts.Window),
+		gate:   newGate(),
 
 		contHist: map[string]VarContention{},
 	}
-	// The registry and the two live histogram handles must exist before
-	// buildPlane runs (it resolves per-variable lock-wait histograms and
-	// times the link step).
+	// The registry and the lock-wait histogram must exist before buildPlane
+	// runs: it resolves the per-variable histogram handles.
 	e.tel = telemetry.NewRegistry()
 	e.fabric.init(cfg, e.tel.Spans)
 	e.lockWaitVec = e.tel.HistogramVec("snap_lock_wait_seconds",
-		"Wait of blocked stripe-lock acquisitions, attributed to every variable of the contended lock set.",
+		"Wait of blocked switch-lock acquisitions, attributed to every variable the switch owns.",
 		1e-9, "var")
-	e.linkSeconds = e.tel.Histogram("snap_link_seconds",
-		"Duration of program-link passes at plane builds (cold start and reconfigurations).", 1e-9)
 	if opts.TraceSampling > 0 {
 		e.sampler = telemetry.NewSampler(opts.TraceSampling)
 		e.traces = telemetry.NewTraceLog(traceBuffer)
@@ -426,49 +394,11 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 	return e
 }
 
-// linkCached is linkPrograms through the engine's cross-epoch cache:
-// distinct images already linked in a previous epoch (same program
-// pointer, ownership set and variable-name space) are reused, so a hot
-// swap pays link cost only for the switches the recompilation dirtied.
-func (e *Engine) linkCached(cfg *rules.Config) map[topo.NodeID]*netasm.Linked {
-	t0 := time.Now()
-	defer func() { e.linkSeconds.Observe(int64(time.Since(t0))) }()
-	if sig := cfg.VarSpace().Signature(); sig != e.linkSig {
-		e.linkSig, e.linkCache, e.linkLast = sig, nil, nil
-	}
-	out, images, fresh := linkPrograms(cfg, e.linkCache)
-	e.linkReused.Add(int64(len(images) - fresh))
-	e.linkFresh.Add(int64(fresh))
-	cache := make(map[linkKey]*netasm.Linked, len(images)+len(e.linkLast))
-	for k, lp := range e.linkLast {
-		cache[k] = lp
-	}
-	for k, lp := range images {
-		cache[k] = lp
-	}
-	e.linkCache, e.linkLast = cache, images
-	return out
-}
-
-// LinkStats reports the engine's lifetime link-cache accounting over
-// distinct program images: Reused images were recalled from a previous
-// epoch, Linked were compiled by netasm.Link. The first plane build is
-// all Linked; a policy edit whose programs survived (rules' generator
-// keeps them pointer-stable) shows up as Reused at the swap.
-func (e *Engine) LinkStats() (reused, linked int64) {
-	return e.linkReused.Load(), e.linkFresh.Load()
-}
-
-// buildPlane instantiates switch VMs for a configuration, linking each
-// program once against the configuration's variable space, with lock sets
-// drawn from the engine's stripe pool, so successive plane epochs keep a
-// consistent variable→stripe mapping.
+// buildPlane instantiates switch VMs over the configuration's linked images
+// and gives every switch that owns state one lock.
 func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
 	p := newPlane(cfg)
-	linked := e.linkCached(cfg)
-	p.diags = collectDiags(linked)
 	vs := cfg.VarSpace()
-	p.switches = newSwitches(linked, len(p.scs))
 	p.lockSusp = make([]atomic.Int64, vs.Len())
 	p.lockWait = make([]atomic.Int64, vs.Len())
 	p.lockHist = make([]*telemetry.Histogram, vs.Len())
@@ -477,14 +407,15 @@ func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
 		if hook := rep.hookFor(topo.NodeID(id)); hook != nil {
 			sw.OnStateWrite = hook
 		}
-		p.locks[id] = e.stripes.LockSet(sw.LockVars())
 		for _, v := range sw.LockVars() {
-			if vid := vs.ID(v); vid >= 0 {
-				p.lockVars[id] = append(p.lockVars[id], int32(vid))
-				// Same variable name across epochs → same histogram
-				// child, so waits accumulate over the engine's life.
-				p.lockHist[vid] = e.lockWaitVec.With(v)
-			}
+			vid := vs.ID(v)
+			p.lockVars[id] = append(p.lockVars[id], int32(vid))
+			// Same variable name across epochs → same histogram child, so
+			// waits accumulate over the engine's life.
+			p.lockHist[vid] = e.lockWaitVec.With(v)
+		}
+		if len(p.lockVars[id]) > 0 {
+			p.locks[id] = new(sync.Mutex)
 		}
 	}
 	return p
@@ -758,8 +689,8 @@ func (e *Engine) stage(old *plane) staged {
 
 // apply is the shared swap sequence of ApplyConfig, Failover and Recover,
 // structured as a transaction: prepare (flush, stage, rewrite),
-// validate (every entry-holding variable has an up owner), build (link +
-// plane + replica seed + hand-over — no goroutines started), then commit.
+// validate (every entry-holding variable has an up owner), build (plane +
+// replica seed + hand-over — no goroutines started), then commit.
 // Every fallible stage runs in prepareSwap and writes only to the plane
 // being prepared; a failure there — or a panic, contained there — rolls
 // back: the old plane keeps serving on the unchanged epoch with all state
@@ -829,28 +760,23 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 }
 
 // prepareSwap runs every fallible stage of a reconfiguration — the state
-// rewrite, ownership validation, link + plane build, replica seeding and
-// the hand-over — writing only to the plane it builds: the staged tables
-// are read or adopted whole, never written, so an error anywhere aborts
-// with the engine exactly as it was. The one piece of engine state
-// buildPlane touches, the cross-epoch link cache, is snapshotted and
-// restored on failure (a cache rebuilt around an abandoned plane or
-// VarSpace must not leak into the next attempt). A panic in any stage is
+// rewrite, ownership validation, plane build, replica seeding and the
+// hand-over — writing only to the plane it builds: the staged tables are
+// read or adopted whole, never written, so an error anywhere aborts with
+// the engine exactly as it was. A panic in any stage is
 // contained here and rolls back like an error. No goroutines are started
 // for the tentative plane (buildPlane and newReplicator guarantee that), so
 // abandoning it leaks nothing.
 //
 // The engine.apply.* fault points mark the three externally injectable
-// failure stages — rewrite, link, reseed — for tests and the chaos
-// harness.
+// failure stages — rewrite, link (the plane build over the compiler's
+// images), reseed — for tests and the chaos harness.
 func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, st staged) (next *plane, newRep *replicator, err error) {
-	prevSig, prevCache, prevLast := e.linkSig, e.linkCache, e.linkLast
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("dataplane: contained panic during reconfiguration: %v\n%s", v, debug.Stack())
 		}
 		if err != nil {
-			e.linkSig, e.linkCache, e.linkLast = prevSig, prevCache, prevLast
 			next, newRep = nil, nil
 		}
 	}()
@@ -1003,9 +929,7 @@ func (e *Engine) ExecMode() ExecMode { return ModeLocks }
 
 // LinkDiagnostics returns the current plane's link-time diagnostics
 // (interpreter-fallback advisories).
-func (e *Engine) LinkDiagnostics() []string {
-	return append([]string(nil), e.plane.Load().diags...)
-}
+func (e *Engine) LinkDiagnostics() []string { return LinkDiagnostics(e.Config()) }
 
 // Epoch counts the configurations this engine has run: 0 at NewEngine,
 // +1 per successful ApplyConfig.

@@ -11,18 +11,14 @@ import (
 	"time"
 
 	"snap/internal/apps"
-	"snap/internal/core"
 	"snap/internal/ctrl"
 	"snap/internal/dataplane"
 	"snap/internal/parser"
 	"snap/internal/pkt"
-	"snap/internal/place"
-	"snap/internal/rules"
 	"snap/internal/shard"
 	"snap/internal/state"
 	"snap/internal/syntax"
 	"snap/internal/topo"
-	"snap/internal/traffic"
 	"snap/internal/values"
 )
 
@@ -610,47 +606,6 @@ func TestSwapHandsTablesOver(t *testing.T) {
 	}
 }
 
-// TestLinkCacheStaysBounded: the cross-epoch link cache holds the images of
-// the plane in service and of the one before it. Every edit here compiles a
-// new diagram, so every swap links new images; without eviction the cache,
-// and through it every program the lineage ever generated, grows per edit.
-func TestLinkCacheStaysBounded(t *testing.T) {
-	netw := topo.Campus(1000)
-	tm := traffic.Gravity(netw, 100, 1)
-	policy := func(i int) syntax.Policy {
-		acl := syntax.Cond(syntax.FieldEq(pkt.SrcPort, values.Int(int64(7000+i))), syntax.Nothing(), syntax.Id())
-		return campusWorkload(syntax.Then(apps.DNSTunnelDetect(), acl))
-	}
-	images := func(cfg *rules.Config) int {
-		distinct := map[string]bool{}
-		for _, sc := range cfg.Switches {
-			distinct[fmt.Sprintf("%p/%s", sc.Prog, rules.OwnsKey(sc.Owns))] = true
-		}
-		return len(distinct)
-	}
-	comp, err := core.ColdStart(policy(0), netw, tm, place.Options{Method: place.Heuristic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
-	defer eng.Close()
-	ctl := ctrl.New(comp, eng, ctrl.Options{})
-	previous := images(comp.Config)
-	for i := 1; i <= 10; i++ {
-		if _, err := ctl.ApplyPolicy(policy(i)); err != nil {
-			t.Fatalf("edit %d: %v", i, err)
-		}
-		current := images(ctl.Compilation().Config)
-		if n := eng.LinkCacheLen(); n > current+previous {
-			t.Fatalf("edit %d: link cache holds %d images, the last two planes have %d", i, n, current+previous)
-		}
-		previous = current
-	}
-	if _, linked := eng.LinkStats(); linked < 10 {
-		t.Fatalf("ten edits linked %d images: the bound was never exercised", linked)
-	}
-}
-
 // TestEngineApplyConfigMidStream: ApplyConfig issued while an InjectStream
 // is feeding must swap between packets — the stream continues across the
 // epoch, no packet or state entry is lost.
@@ -753,7 +708,7 @@ func TestWideIndexDiagnostic(t *testing.T) {
 	}
 }
 
-// TestLockContentionCounters: the engine attributes blocked stripe
+// TestLockContentionCounters: the engine attributes blocked switch-lock
 // acquisitions to variables and survives reconfiguration by folding
 // retired planes into the engine history. On a single-core runner
 // contention may legitimately be zero, so the assertions are structural:
@@ -850,8 +805,8 @@ func TestSnapshotAfterClose(t *testing.T) {
 
 // TestStateReplicationIsInert: Options.StateReplication no longer selects a
 // discipline. An engine built with it runs the lock pool: it reports
-// ModeLocks, its visits take the owner's stripe locks (a visit that finds
-// them held blocks and is counted), and it leaves the same state as an
+// ModeLocks, its visits take the owner's lock (a visit that finds it held
+// blocks and is counted), and it leaves the same state as an
 // engine built without it.
 func TestStateReplicationIsInert(t *testing.T) {
 	plane, _ := deploy(t, campusWorkload(apps.Monitor()), topo.Campus(1000), nil)
@@ -864,20 +819,20 @@ func TestStateReplicationIsInert(t *testing.T) {
 		t.Fatalf("exec mode = %v, want locks", eng.ExecMode())
 	}
 	// Every monitor packet updates count at its owner: while the test
-	// holds the owner's stripes, the first visit there blocks and counts.
+	// holds the owner's lock, the first visit there blocks and counts.
 	rng := rand.New(rand.NewSource(5))
 	trace := make([]dataplane.Ingress, 200)
 	for i := range trace {
 		port, p := campusPacket(rng)
 		trace[i] = dataplane.Ingress{Port: port, Packet: p}
 	}
-	release := eng.HoldStripes(cfg.Placement["count"])
+	release := eng.HoldSwitch(cfg.Placement["count"])
 	done := make(chan error, 1)
 	go func() { done <- eng.InjectReplay(trace) }()
 	for deadline := time.Now().Add(10 * time.Second); eng.Stats().LockSuspends == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			release()
-			t.Fatal("no visit blocked on the held stripe locks")
+			t.Fatal("no visit blocked on the held switch lock")
 		}
 	}
 	release()
@@ -889,6 +844,53 @@ func TestStateReplicationIsInert(t *testing.T) {
 	}
 	if got, want := eng.GlobalState(), ref.GlobalState(); !got.Equal(want) {
 		t.Fatalf("state with the option differs from the lock engine's\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestDisjointSwitchesDoNotContend: a switch's lock guards exactly the
+// variables placed there. With count and y on different switches, a replay
+// whose every packet writes y at its ingress switch, and touches nothing
+// else, runs to the end while count's owner is held, and never blocks.
+func TestDisjointSwitchesDoNotContend(t *testing.T) {
+	netw := topo.Campus(1000)
+	p := campusWorkload(syntax.Cond(syntax.FieldEq(pkt.Inport, values.Int(1)),
+		syntax.IncrState("y", syntax.Vec(syntax.F(pkt.SrcIP))),
+		syntax.IncrState("count", syntax.Vec(syntax.F(pkt.Inport)))))
+	ingress, _ := netw.PortByID(1)
+	plane, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": 6, "y": ingress.Switch})
+	cfg := plane.Config()
+	if cfg.Placement["count"] == cfg.Placement["y"] {
+		t.Fatalf("count and y share switch %d", cfg.Placement["y"])
+	}
+	// One worker: the replay's own visits never contend with each other,
+	// so any blocked visit is one that met the held lock.
+	eng := dataplane.NewEngine(cfg, dataplane.Options{Workers: 1})
+	defer eng.Close()
+	rng := rand.New(rand.NewSource(7))
+	trace := make([]dataplane.Ingress, 200)
+	for i := range trace {
+		for trace[i].Port != 1 {
+			trace[i].Port, trace[i].Packet = campusPacket(rng)
+		}
+	}
+	release := eng.HoldSwitch(cfg.Placement["count"])
+	done := make(chan error, 1)
+	go func() { done <- eng.InjectReplay(trace) }()
+	select {
+	case err := <-done:
+		release()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		release()
+		t.Fatal("a replay touching only y blocked on count's owner")
+	}
+	if n := eng.Stats().LockSuspends; n != 0 {
+		t.Fatalf("%d visits blocked, want 0", n)
+	}
+	if got := len(eng.GlobalState().Entries("y")); got == 0 {
+		t.Fatal("the replay wrote no y entry")
 	}
 }
 

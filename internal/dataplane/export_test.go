@@ -15,14 +15,10 @@ const ItemBytes = unsafe.Sizeof(item{})
 // reachable. Callers hold the engine quiescent.
 func (e *Engine) WalkQueueCap() int { return cap(e.inline.queue) }
 
-// LinkCacheLen reports how many linked images the cross-epoch cache holds.
-// Callers hold the engine quiescent.
-func (e *Engine) LinkCacheLen() int { return len(e.linkCache) }
-
-// HoldStripes takes switch id's stripe locks on the current plane, as a
-// visit there would, and returns their release.
-func (e *Engine) HoldStripes(id topo.NodeID) (release func()) {
-	ls := e.plane.Load().locks[id]
-	ls.Lock()
-	return ls.Unlock
+// HoldSwitch takes switch id's lock on the current plane, as a visit there
+// would, and returns its release.
+func (e *Engine) HoldSwitch(id topo.NodeID) (release func()) {
+	mu := e.plane.Load().locks[id]
+	mu.Lock()
+	return mu.Unlock
 }

@@ -1,7 +1,7 @@
 // Asynchronous state replication: the runtime half of the compiler's
 // replication-aware placement (place.Options.Replicas). Every state write
 // a primary switch performs is observed through the netasm write hook —
-// under the same striped lock that serializes the write itself, so one
+// under the same switch lock that serializes the write itself, so one
 // variable's observations arrive in table order — appended to a per-switch
 // mirror queue, and applied to the variable's replica table by a single
 // background goroutine, in batches, off the packet hot path.

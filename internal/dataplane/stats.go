@@ -15,7 +15,7 @@ type Stats struct {
 	Hops      int64                 // inter-switch forwarding steps
 	Suspends  int64                 // evaluations suspended for remote state
 
-	// Lock contention: visits whose stripe acquisition blocked, and the
+	// Lock contention: visits whose switch-lock acquisition blocked, and the
 	// cumulative nanoseconds they waited. Per-variable attribution is
 	// available from Engine.LockContention.
 	LockSuspends int64
@@ -113,9 +113,9 @@ func (c *switchCounters) snapshot() SwitchLoad {
 }
 
 // VarContention is one state variable's share of lock contention: how many
-// blocked stripe acquisitions its lock set was charged with, and their
-// cumulative wait. This is the observable "which variable is hot" signal —
-// the variable(s) worth sharding (shard.Plan).
+// blocked acquisitions of its owner switch's lock it was charged with, and
+// their cumulative wait. This is the observable "which variable is hot"
+// signal — the variable(s) worth sharding (shard.Plan).
 type VarContention struct {
 	Suspends int64
 	WaitNs   int64
@@ -123,9 +123,9 @@ type VarContention struct {
 
 // LockContention reports per-variable lock contention accumulated over the
 // engine's lifetime: the live plane's counters plus the history folded in
-// at each reconfiguration. Stripe granularity charges a blocked visit to
-// every variable of the switch's lock set; placement keeps those sets
-// small, so attribution is tight in practice.
+// at each reconfiguration. One lock per switch charges a blocked visit to
+// every variable the switch owns; placement keeps those sets small, so
+// attribution is tight in practice.
 func (e *Engine) LockContention() map[string]VarContention {
 	out := map[string]VarContention{}
 	e.contMu.Lock()

@@ -4,8 +4,8 @@
 // the packet loop nothing — the hot path keeps bumping the same atomics
 // it always did, and aggregation happens only when something scrapes
 // /metrics or takes a JSON snapshot. The only live instruments are the
-// per-variable lock-wait histograms (fed from the visit's already-slow
-// contended path) and the link-duration histogram (control plane only).
+// per-variable lock-wait histograms, fed from the visit's already-slow
+// contended path.
 package dataplane
 
 import (
@@ -61,7 +61,7 @@ func (e *Engine) registerMetrics() {
 	counter("snap_suspends_total",
 		"Evaluations suspended for remote state.", &e.stats.suspends)
 	counter("snap_lock_suspends_total",
-		"Visits whose stripe-lock acquisition blocked.", &e.stats.lockSuspends)
+		"Visits whose switch-lock acquisition blocked.", &e.stats.lockSuspends)
 	r.GaugeFunc("snap_epoch",
 		"Configuration epoch: 0 at engine start, +1 per reconfiguration.",
 		nil, func(emit telemetry.Emit) {
@@ -100,13 +100,6 @@ func (e *Engine) registerMetrics() {
 		})
 	counter("snap_shed_total",
 		"Injections rejected with ErrOverload at the shed watermark (never admitted).", &e.stats.shed)
-
-	r.CounterFunc("snap_link_images_total",
-		"Distinct program images resolved at plane builds, by source: reused from the cross-epoch cache or freshly linked.",
-		[]string{"source"}, func(emit telemetry.Emit) {
-			emit([]string{"reused"}, float64(e.linkReused.Load()))
-			emit([]string{"fresh"}, float64(e.linkFresh.Load()))
-		})
 
 	// Replication backlog of the mirror pipeline: writes enqueued but not
 	// yet applied to the replica stores.

@@ -41,7 +41,6 @@ func TestEngineTelemetrySeries(t *testing.T) {
 		"snap_hops_total",
 		"snap_suspends_total",
 		"# TYPE snap_lock_wait_seconds histogram",
-		"# TYPE snap_link_seconds histogram",
 		`snap_replica_lag{kind="mirror"}`,
 		`snap_mirror_writes_total{stage="applied"}`,
 		"snap_mirror_queue_depth",

@@ -203,23 +203,24 @@ func (f *fabric) arrive(at topo.NodeID, hops int, inj *injection, in, out int) b
 // emits and appends those that travel on to q. q's free slot may be c
 // itself, so nothing of c is read once the VM has run.
 //
-// The visit holds the switch's stripe locks (none on Network) across Run,
-// which never blocks, so holders always progress and no wait deadlocks.
+// The visit holds the switch's lock (none on Network, or where the switch
+// owns nothing) across Run, which never blocks, so holders always progress
+// and no wait deadlocks.
 func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []hop {
 	at, hops := c.at, c.hops
 	in, out := c.sp.Hdr.OBSIn, c.sp.Hdr.OBSOut
 	if !f.arrive(at, hops, inj, in, out) {
 		return q
 	}
-	ls := pl.locks[at]
-	if !ls.Empty() && !ls.TryLock() {
+	mu := pl.locks[at]
+	if mu != nil && !mu.TryLock() {
 		// Count contended acquisitions per variable: the uncontended path
-		// is a TryLock (one CAS per stripe, same as Lock); only a blocked
-		// visit pays for the clock reads and counter updates. The engine
-		// count goes up before the wait, so a blocked visit is observable.
+		// is a TryLock (one CAS, same as Lock); only a blocked visit pays
+		// for the clock reads and counter updates. The engine count goes up
+		// before the wait, so a blocked visit is observable.
 		f.stats.lockSuspends.Add(1)
 		t0 := time.Now()
-		ls.Lock()
+		mu.Lock()
 		wait := int64(time.Since(t0))
 		f.stats.lockWaitNs.Add(wait)
 		for _, vid := range pl.lockVars[at] {
@@ -230,8 +231,8 @@ func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []
 	}
 	results, err := runContained(pl.switches[at], at, w.results[:0], &c.sp)
 	w.results = results
-	if !ls.Empty() {
-		ls.Unlock()
+	if mu != nil {
+		mu.Unlock()
 	}
 	f.load[at].processed.Add(1)
 	f.load[at].ran.Add(1)
@@ -294,7 +295,7 @@ func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []
 // switch eg, the match-action stage of §4.5: per hop the link (the entry of
 // the copy's (inport, outport) pair where this switch has one, else the
 // shortest path), the dead-link flag, the counters, the arrival guards. The
-// packet stays in the VM result: no program runs, no stripe lock is taken
+// packet stays in the VM result: no program runs, no switch lock is taken
 // (transit touches no state), nothing is queued or copied.
 func (f *fabric) forward(pl *plane, inj *injection, r *netasm.Result, at topo.NodeID, hops int, eg topo.NodeID) {
 	in, out := r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut

@@ -36,7 +36,8 @@ const (
 	// "compile failure" fault.
 	CtrlRecompile = "ctrl.recompile"
 	// EngineApplyLink fires inside Engine.apply before the new plane's
-	// programs are linked — the "link failure mid-swap" fault.
+	// VMs are built over the linked images — the "link failure mid-swap"
+	// fault.
 	EngineApplyLink = "engine.apply.link"
 	// EngineApplyRewrite fires in Engine.apply where the state rewrite
 	// runs — a rewrite failure during migration.

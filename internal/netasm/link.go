@@ -95,8 +95,8 @@ func (vs *VarSpace) Len() int {
 
 // Signature canonically identifies the space's name set. Two spaces with
 // equal signatures assign identical ids (ids are by sorted name), so a
-// program linked against one is valid against the other — the fact the
-// engine's cross-epoch link cache relies on.
+// program linked against one is valid against the other — the fact
+// rules.Generator relies on to recall a cached image.
 func (vs *VarSpace) Signature() string {
 	if vs == nil {
 		return ""

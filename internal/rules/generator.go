@@ -6,10 +6,13 @@
 // roots make pointer identity structural identity: a policy edit that
 // cycles back to the diagram compiled before it (or a placement change
 // that leaves the diagram alone) reuses every cached program, and the
-// node numbering is recalled instead of rebuilt. Both caches hold the
-// diagram last generated and the one before it, so an edit and its revert
-// stay warm while older diagrams, and the translator stores their pointers
-// pin, are released.
+// node numbering is recalled instead of rebuilt. A cached program also
+// keeps its linked image (netasm.Link) and the variable-space signature it
+// was linked against, so P6 hands the data plane executable images and
+// relinks a program only when the configuration's variable names differ.
+// Both caches hold the diagram last generated and the one before it, so an
+// edit and its revert stay warm while older diagrams, and the translator
+// stores their pointers pin, are released.
 package rules
 
 import (
@@ -24,10 +27,13 @@ import (
 	"snap/internal/xfdd"
 )
 
-// compiledProg pairs a compiled NetASM program with its stats.
+// compiledProg pairs a compiled NetASM program with its stats and its
+// image linked against the variable space whose signature is sig.
 type compiledProg struct {
-	prog  *netasm.Program
-	stats SwitchStats
+	prog   *netasm.Program
+	stats  SwitchStats
+	linked *netasm.Linked
+	sig    string
 }
 
 type progKey struct {
@@ -67,9 +73,10 @@ func NewGenerator() *Generator {
 }
 
 // Generate compiles per-switch configurations from the xFDD and the
-// optimizer's placement, replicas and routes, reusing cached programs,
-// node numberings and shortest-path tables where their inputs are
-// unchanged. Semantics are identical to GenerateReplicated.
+// optimizer's placement, replicas and routes, and links each distinct
+// program against the configuration's variable space, reusing cached
+// programs, images, node numberings and shortest-path tables where their
+// inputs are unchanged. Semantics are identical to GenerateReplicated.
 func (g *Generator) Generate(d *xfdd.Diagram, t *topo.Topology, placement map[string]topo.NodeID, replicas map[string][]topo.NodeID, routes map[[2]int]place.Route) (*Config, error) {
 	for v, rs := range replicas {
 		owner, ok := placement[v]
@@ -111,7 +118,9 @@ func (g *Generator) Generate(d *xfdd.Diagram, t *topo.Topology, placement map[st
 	spNext := g.spNext
 
 	g.ReusedPrograms, g.CompiledPrograms = 0, 0
-	seenKeys := map[progKey]bool{}
+	names := slices.Collect(maps.Keys(placement))
+	seen := map[progKey]bool{}
+	keys := make([]progKey, t.Switches)
 	scs := make([]*SwitchConfig, t.Switches)
 	for n := 0; n < t.Switches; n++ {
 		node := topo.NodeID(n)
@@ -132,14 +141,33 @@ func (g *Generator) Generate(d *xfdd.Diagram, t *topo.Topology, placement map[st
 			cp = compiledProg{prog: prog, stats: stats}
 			g.progs[ck] = cp
 			g.CompiledPrograms++
-			seenKeys[ck] = true
-		} else if !seenKeys[ck] {
+		} else if !seen[ck] {
 			g.ReusedPrograms++
-			seenKeys[ck] = true
+		}
+		if !seen[ck] {
+			seen[ck] = true
+			for _, ins := range cp.prog.Instrs {
+				if ins.Var != "" {
+					names = append(names, ins.Var)
+				}
+			}
 		}
 		sc.Prog = cp.prog
 		sc.Stats = cp.stats
-		cfg.Switches[node], scs[n] = sc, sc
+		cfg.Switches[node], scs[n], keys[n] = sc, sc, ck
+	}
+
+	// Link every distinct program against the configuration's one variable
+	// space; an image linked against the same name set is recalled.
+	cfg.vars = netasm.NewVarSpace(names)
+	sig := cfg.vars.Signature()
+	for n, sc := range scs {
+		cp := g.progs[keys[n]]
+		if cp.linked == nil || cp.sig != sig {
+			cp.linked, cp.sig = netasm.Link(cp.prog, cfg.vars, sc.Owns), sig
+			g.progs[keys[n]] = cp
+		}
+		sc.Linked = cp.linked
 	}
 
 	for _, p := range t.Ports {

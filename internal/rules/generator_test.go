@@ -1,6 +1,7 @@
 package rules_test
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -62,9 +63,41 @@ func TestGeneratorReusesPrograms(t *testing.T) {
 		if cfg2.Switches[n].Prog != sc.Prog {
 			t.Fatalf("switch %d program not pointer-stable", n)
 		}
+		if cfg2.Switches[n].Linked != sc.Linked {
+			t.Fatalf("switch %d linked image not pointer-stable", n)
+		}
 	}
 	if dirty := rules.DiffSwitches(cfg1, cfg2); len(dirty) != 0 {
 		t.Fatalf("identical configs diff as dirty: %v", dirty)
+	}
+}
+
+// TestGeneratorRelinksOnNewVarSpace: a cached image bakes in variable ids,
+// so when the same diagram is generated under a placement with one more
+// name, every switch — also those whose program is recalled — runs an
+// image linked against the new configuration's variable space.
+func TestGeneratorRelinksOnNewVarSpace(t *testing.T) {
+	net := topo.Campus(1000)
+	p := syntax.Then(apps.Assumption(6), syntax.Then(apps.DNSTunnelDetect(), apps.AssignEgress(6)))
+	d, res := solveFor(t, p, net)
+	wider := maps.Clone(res.Placement)
+	wider["extra"] = 0
+
+	g := rules.NewGenerator()
+	for i, placement := range []map[string]topo.NodeID{res.Placement, wider, res.Placement} {
+		cfg, err := g.Generate(d, net, placement, nil, res.Routes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && g.ReusedPrograms == 0 {
+			t.Fatalf("generation %d reused no program: the signature check was never exercised", i)
+		}
+		want := cfg.VarSpace().Signature()
+		for n, sc := range cfg.Switches {
+			if got := sc.Linked.VarSpace().Signature(); got != want {
+				t.Fatalf("generation %d, switch %d: image linked against %q, configuration space is %q", i, n, got, want)
+			}
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"snap/internal/netasm"
 	"snap/internal/place"
@@ -38,7 +37,11 @@ type SwitchStats struct {
 type SwitchConfig struct {
 	Node topo.NodeID
 	Prog *netasm.Program
-	Owns map[string]bool
+	// Linked is Prog linked against the configuration's VarSpace for Owns:
+	// the image the data plane instantiates VMs over, shared by every
+	// switch running the same program.
+	Linked *netasm.Linked
+	Owns   map[string]bool
 	// SPNext[d] is the outgoing link toward switch d (shortest path), the
 	// fallback used while a packet's egress is still unknown (Appendix D).
 	SPNext []int
@@ -63,8 +66,7 @@ type Config struct {
 	Switches map[topo.NodeID]*SwitchConfig
 	Routes   RouteTable // every switch's (u,v) match-action forwarding entries
 
-	varsOnce sync.Once
-	vars     *netasm.VarSpace
+	vars *netasm.VarSpace
 }
 
 // RouteHop is one forwarding entry: at Switch, its pair's packets leave on Link.
@@ -111,36 +113,15 @@ func NextLink(entries []RouteHop, at topo.NodeID) int {
 
 // VarSpace returns the configuration's dense state-variable id space: every
 // placed variable plus every variable the per-switch programs reference,
-// id-assigned by sorted name. The link step (netasm.Link) resolves each
-// program against this one shared space, so pending writes can carry
-// variable ids between switches and the engine can look owners up by array
-// index. Names remain the canonical identity everywhere the control plane
+// id-assigned by sorted name. Generate builds it and links each program
+// against this one shared space (SwitchConfig.Linked), so pending writes
+// can carry variable ids between switches and the engine can look owners
+// up by array index. Names remain the canonical identity everywhere the control plane
 // is involved — Placement, snapshots, replication, shard merges — and the
 // mapping is immutable for the configuration's lifetime (a recompiled
 // configuration gets its own space; the engine never lets packets cross
 // epochs).
-func (c *Config) VarSpace() *netasm.VarSpace {
-	c.varsOnce.Do(func() {
-		var names []string
-		for v := range c.Placement {
-			names = append(names, v)
-		}
-		seen := map[*netasm.Program]bool{}
-		for _, sc := range c.Switches {
-			if sc.Prog == nil || seen[sc.Prog] {
-				continue
-			}
-			seen[sc.Prog] = true
-			for _, ins := range sc.Prog.Instrs {
-				if ins.Var != "" {
-					names = append(names, ins.Var)
-				}
-			}
-		}
-		c.vars = netasm.NewVarSpace(names)
-	})
-	return c.vars
-}
+func (c *Config) VarSpace() *netasm.VarSpace { return c.vars }
 
 // Generate compiles per-switch configurations from the xFDD and the
 // optimizer's placement and routes.
@@ -165,8 +146,7 @@ func GenerateReplicated(d *xfdd.Diagram, t *topo.Topology, placement map[string]
 
 // OwnsKey is the canonical signature of an ownership set (sorted
 // owned-variable names, NUL-joined; false entries are not owned and do
-// not contribute). Generate keys its program cache with it and the
-// dataplane keys linked-program caches with it.
+// not contribute). Generate keys its program and image cache with it.
 func OwnsKey(owns map[string]bool) string {
 	if len(owns) == 0 {
 		return ""

@@ -4,7 +4,7 @@
 // recycled-flow-churn traces whose flow identities turn over continuously.
 // Both exist to stress the parts of the data plane the smooth gravity
 // model cannot: hot-key skew concentrates state writes on one owner switch
-// (lock stripes, replication rings), flow churn keeps inserting fresh
+// (switch locks, replication rings), flow churn keeps inserting fresh
 // state-table entries instead of re-touching warm ones.
 package traffic
 
