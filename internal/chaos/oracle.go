@@ -134,7 +134,7 @@ func (o *oracle) eval(t *topo.Topology, p pkt.Packet) (map[string]bool, error) {
 func entryCount(st *state.Store) int {
 	n := 0
 	for _, v := range st.Vars() {
-		n += len(st.Entries(v))
+		n += st.Len(v)
 	}
 	return n
 }

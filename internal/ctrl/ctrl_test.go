@@ -395,7 +395,7 @@ func TestReRouteRelinksNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(scrape.String(), "\nsnap_swap_reseated_entries_total 0\n") {
-		t.Fatal("re-route spelled state entries out through a store, want every table handed over")
+		t.Fatal("re-route copied state entries, want every table handed over")
 	}
 }
 

@@ -28,13 +28,25 @@ func TestApplyConfigRollbackThenRetry(t *testing.T) {
 	p := campusWorkload(apps.Monitor())
 	planeA, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": 8})
 	planeB, _ := deploy(t, p, netw, map[string]topo.NodeID{"count": 2})
+	// bump writes count, which no fold touches, through the store of the
+	// old plane's tables the swap stages: the store must copy the table
+	// before writing it, or a rolled-back swap leaves the old plane's
+	// count changed.
+	bump := func(st *state.Store) (*state.Store, error) {
+		for _, e := range st.Entries("count") {
+			st.Add("count", e.Idx, 1000)
+		}
+		return st, nil
+	}
 	// The replication row sets the inert StateReplication field.
 	for _, c := range []struct {
-		name string
-		opts dataplane.Options
+		name    string
+		opts    dataplane.Options
+		rewrite dataplane.StateRewrite
 	}{
-		{"locks", dataplane.Options{Window: 16}},
-		{"replication", dataplane.Options{Workers: 4, Window: 16, StateReplication: true}},
+		{"locks", dataplane.Options{Window: 16}, nil},
+		{"replication", dataplane.Options{Workers: 4, Window: 16, StateReplication: true}, nil},
+		{"rewrite", dataplane.Options{Window: 16}, bump},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			t.Cleanup(faultpoint.Reset)
@@ -62,7 +74,7 @@ func TestApplyConfigRollbackThenRetry(t *testing.T) {
 			}
 			for i, name := range points {
 				faultpoint.Enable(name, faultpoint.Plan{Times: 1})
-				err := eng.ApplyConfig(planeB.Config(), nil)
+				err := eng.ApplyConfig(planeB.Config(), c.rewrite)
 				if err == nil {
 					t.Fatalf("%s: ApplyConfig succeeded despite injected failure", name)
 				}
@@ -92,12 +104,23 @@ func TestApplyConfigRollbackThenRetry(t *testing.T) {
 				t.Fatalf("count sum after the rollbacks %d, want %d", n, 2*len(batch))
 			}
 
-			// Retry with the faults cleared: the identical call now commits.
-			if err := eng.ApplyConfig(planeB.Config(), nil); err != nil {
+			// Retry with the faults cleared: the identical call now commits,
+			// and the state is what the rewrite makes of it, exactly once.
+			want := eng.GlobalState()
+			if c.rewrite != nil {
+				var err error
+				if want, err = c.rewrite(want); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.ApplyConfig(planeB.Config(), c.rewrite); err != nil {
 				t.Fatalf("retry ApplyConfig: %v", err)
 			}
 			if e := eng.Epoch(); e != 1 {
 				t.Fatalf("epoch after successful retry = %d, want 1", e)
+			}
+			if !eng.GlobalState().Equal(want) {
+				t.Fatalf("state after the retry:\n%s\nwant:\n%s", eng.GlobalState(), want)
 			}
 			if n := len(eng.SwitchTable(2).Entries("count")); n == 0 {
 				t.Fatal("count entries did not migrate on the successful retry")

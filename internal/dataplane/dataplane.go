@@ -142,35 +142,43 @@ func (s *deliverySorter) Swap(i, j int) {
 // GlobalState unions the per-switch state tables. Placement puts each
 // variable on exactly one switch, so the union is well defined; it is the
 // distributed counterpart of the one-big-switch store.
-func (n *Network) GlobalState() *state.Store { return unionState(n.pl.switches, n.fab.down) }
+func (n *Network) GlobalState() *state.Store { return n.pl.state(n.fab.down, true) }
 
 // Config exposes the compiled configuration the plane was built from,
 // e.g. to build an Engine over the same deployment.
 func (n *Network) Config() *rules.Config { return n.pl.cfg }
 
-// SwitchTable snapshots one switch's tables (tests and diagnostics) in
-// canonical Store form. The runtime representation is the switch's dense
-// tables; the returned store is a copy.
-func (n *Network) SwitchTable(id topo.NodeID) *state.Store {
-	return switchTable(n.pl.switches, id)
-}
+// SwitchTable snapshots one switch's tables (tests and diagnostics): a
+// copy, which later traffic does not change. nil for an unknown switch.
+func (n *Network) SwitchTable(id topo.NodeID) *state.Store { return n.pl.snapshot(id) }
 
-// unionState and switchTable are the state views both runtimes share,
-// converting the switches' dense runtime tables to canonical stores. The
-// union leaves down switches out: their memory is gone with them.
-func unionState(switches []*netasm.Switch, down []atomic.Bool) *state.Store {
+// state gathers the tables of the variables alive switches own into a
+// store; a down switch's memory is gone with it. Placement puts each
+// variable on exactly one switch. With clone set, each table is copied, so
+// later traffic cannot change the store; otherwise the store holds the
+// live tables, shared — the state a swap stages from a paused plane.
+func (pl *plane) state(down []atomic.Bool, clone bool) *state.Store {
 	out := state.NewStore()
-	for id, sw := range switches {
-		if !down[id].Load() {
-			sw.StateInto(out)
+	for v, owner := range pl.cfg.Placement {
+		if down[owner].Load() {
+			continue
+		}
+		if t, ok := pl.switches[owner].TableRef(v); ok {
+			if clone {
+				out.SetTable(v, t.Clone())
+			} else {
+				out.SetTable(v, *t)
+			}
 		}
 	}
 	return out
 }
 
-func switchTable(switches []*netasm.Switch, id topo.NodeID) *state.Store {
-	if int(id) < 0 || int(id) >= len(switches) {
+// snapshot copies one switch's tables into a store, nil for an unknown
+// switch.
+func (pl *plane) snapshot(id topo.NodeID) *state.Store {
+	if int(id) < 0 || int(id) >= len(pl.switches) {
 		return nil
 	}
-	return switches[id].Snapshot()
+	return pl.switches[id].Snapshot()
 }

@@ -282,8 +282,10 @@ func (pl *plane) stateTarget(r *netasm.Result) (topo.NodeID, bool) {
 
 // StateRewrite transforms the global state store during ApplyConfig. The
 // controller uses it to fold shard variables (shard.Merge) when the new
-// configuration no longer knows them. nil hands every table over as it is;
-// a rewrite has every entry spelled out into the store it reads.
+// configuration no longer knows them. The store it reads holds the old
+// plane's tables, shared, so writing a variable copies that table first;
+// the tables of the store it returns are handed to their new owners as
+// they are, and that store belongs to the engine from then on.
 type StateRewrite func(*state.Store) (*state.Store, error)
 
 // Engine is the concurrent data plane.
@@ -316,8 +318,9 @@ type Engine struct {
 	contMu   sync.Mutex
 	contHist map[string]VarContention
 
-	// reseated counts the entries reconfigurations copied one by one
-	// (spell, clone) instead of handing their table over.
+	// reseated counts the entries of tables reconfigurations could not
+	// hand over as they were: staged tables a rewrite replaced, and
+	// replica warm-up clones.
 	reseated atomic.Int64
 
 	// Telemetry (telemetry.go): tel is the engine's private registry —
@@ -618,10 +621,10 @@ func (e *Engine) InjectReplay(trace []Ingress) error {
 //     inside a walk;
 //  2. hand over — each variable's table is given, as it is, to the VM of
 //     its owner under the new placement: one step per variable, moved or
-//     not, and no entry is read. Only a non-nil rewrite (internal/ctrl
-//     folds shard variables the new configuration no longer knows) spells
-//     entries out through a state.Store, into tables that are handed over
-//     the same way; a mirror replica to warm clones a table;
+//     not, and no entry is read. A non-nil rewrite (internal/ctrl folds
+//     shard variables the new configuration no longer knows) reads and
+//     returns a state.Store of those same tables, and what it returns is
+//     handed over the same way; a mirror replica to warm clones a table;
 //  3. swap — fresh VMs holding those tables, the new programs and new
 //     routes are published atomically as the next plane epoch, and the
 //     gate resumes admission.
@@ -651,42 +654,6 @@ type recovery struct {
 	links    [][2]topo.NodeID
 }
 
-// staged is the state a reconfiguration carries into the next plane: per
-// entry-holding variable, its table in the old plane, or the one a store
-// produced. The tables share their storage with the old plane's, which is
-// paused and, past the commit point, never run again; until then nothing
-// writes through either.
-type staged map[string]state.Table
-
-// spell writes a table's entries into dst under v, one by one: the
-// O(entries) step a swap takes only where something has to read them.
-func (e *Engine) spell(dst *state.Store, v string, t *state.Table) {
-	t.AddToStore(dst, v)
-	e.reseated.Add(int64(t.Len()))
-}
-
-// clone copies a table entry by entry, where two tables must hold the same
-// entries apart: a mirror replica's warm-up.
-func (e *Engine) clone(t *state.Table) state.Table {
-	e.reseated.Add(int64(t.Len()))
-	return t.Clone()
-}
-
-// stage gathers the tables of the variables alive switches own: a down
-// switch's memory is gone with it.
-func (e *Engine) stage(old *plane) staged {
-	st := staged{}
-	for v, owner := range old.cfg.Placement {
-		if e.down[owner].Load() {
-			continue
-		}
-		if t, ok := old.switches[owner].TableRef(v); ok && t.Len() > 0 {
-			st[v] = *t
-		}
-	}
-	return st
-}
-
 // apply is the shared swap sequence of ApplyConfig, Failover and Recover,
 // structured as a transaction: prepare (flush, stage, rewrite),
 // validate (every entry-holding variable has an up owner), build (plane +
@@ -714,7 +681,7 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 
 	fs := &FailoverStats{Promoted: map[string]topo.NodeID{}}
 	old := e.plane.Load()
-	st := e.stage(old)
+	st := old.state(e.down, false)
 	if degraded {
 		e.recoverOrphans(old, cfg, st, fs)
 	}
@@ -761,8 +728,9 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 
 // prepareSwap runs every fallible stage of a reconfiguration — the state
 // rewrite, ownership validation, plane build, replica seeding and the
-// hand-over — writing only to the plane it builds: the staged tables are
-// read or adopted whole, never written, so an error anywhere aborts with
+// hand-over — writing only to the plane it builds: the staged store holds
+// the old plane's tables shared, so they are read or adopted whole and a
+// rewrite that writes one copies it first; an error anywhere aborts with
 // the engine exactly as it was. A panic in any stage is
 // contained here and rolls back like an error. No goroutines are started
 // for the tentative plane (buildPlane and newReplicator guarantee that), so
@@ -771,7 +739,7 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 // The engine.apply.* fault points mark the three externally injectable
 // failure stages — rewrite, link (the plane build over the compiler's
 // images), reseed — for tests and the chaos harness.
-func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, st staged) (next *plane, newRep *replicator, err error) {
+func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, st *state.Store) (next *plane, newRep *replicator, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("dataplane: contained panic during reconfiguration: %v\n%s", v, debug.Stack())
@@ -784,24 +752,23 @@ func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, st staged)
 		return nil, nil, fmt.Errorf("dataplane: state rewrite: %w", err)
 	}
 	if rewrite != nil {
-		global := state.NewStore()
-		for v, t := range st {
-			e.spell(global, v, &t)
-		}
-		if global, err = rewrite(global); err != nil {
+		out, err := rewrite(st.Clone())
+		if err != nil {
 			return nil, nil, fmt.Errorf("dataplane: state rewrite: %w", err)
 		}
-		st = staged{}
-		for _, v := range global.Vars() {
-			var t state.Table
-			t.SeedFrom(global, v)
-			st[v] = t
+		// A fold reads every entry of the tables it replaces; the tables
+		// it passes through are handed over as they are.
+		for _, v := range st.Vars() {
+			if !out.Shares(st, v) {
+				e.reseated.Add(int64(st.Len(v)))
+			}
 		}
+		st = out
 	}
 	// Validate ownership before paying for the build: an entry-holding
 	// variable the new placement cannot seat fails the swap regardless of
 	// what the plane would look like.
-	vars := slices.Sorted(maps.Keys(st))
+	vars := st.Vars()
 	for _, v := range vars {
 		owner, ok := cfg.Placement[v]
 		if !ok {
@@ -826,7 +793,7 @@ func (e *Engine) prepareSwap(cfg *rules.Config, rewrite StateRewrite, st staged)
 	}
 	// Hand over: each table, as it is, to its owner's VM.
 	for _, v := range vars {
-		if owner := cfg.Placement[v]; !next.switches[owner].AdoptTable(v, st[v]) {
+		if owner := cfg.Placement[v]; !next.switches[owner].AdoptTable(v, st.Table(v)) {
 			return nil, nil, fmt.Errorf("dataplane: switch %d owns %s but has no table for it", owner, v)
 		}
 	}
@@ -847,25 +814,23 @@ func (e *Engine) replicator() *replicator {
 // backup the entries are lost and only counted. Victim tables are never
 // read — a dead switch's memory is unreachable by definition; the simulator
 // merely still holds it, which lets the loss be counted exactly.
-func (e *Engine) recoverOrphans(old *plane, cfg *rules.Config, st staged, fs *FailoverStats) {
+func (e *Engine) recoverOrphans(old *plane, cfg *rules.Config, st *state.Store, fs *FailoverStats) {
 	for _, v := range slices.Sorted(maps.Keys(old.cfg.Placement)) {
 		owner := old.cfg.Placement[v]
 		if !e.down[owner].Load() {
 			continue
 		}
 		if t, ok := e.replicator().aliveReplica(v); ok {
-			if t.Len() > 0 {
-				st[v] = t
-				fs.Recovered += t.Len()
-			}
+			st.SetTable(v, t)
+			fs.Recovered += t.Len()
 			if newOwner, ok := cfg.Placement[v]; ok {
 				fs.Promoted[v] = newOwner
 			}
 			continue
 		}
-		if n := old.switches[owner].EntryCount(v); n > 0 {
+		if t, ok := old.switches[owner].TableRef(v); ok && t.Len() > 0 {
 			fs.LostVars = append(fs.LostVars, v)
-			fs.LostEntries += n
+			fs.LostEntries += t.Len()
 		}
 	}
 }
@@ -1042,15 +1007,13 @@ func (e *Engine) Load() map[topo.NodeID]SwitchLoad {
 func (e *Engine) GlobalState() *state.Store {
 	e.gate.pause()
 	defer e.gate.resume()
-	return unionState(e.plane.Load().switches, e.down)
+	return e.plane.Load().state(e.down, true)
 }
 
-// SwitchTable snapshots one switch's tables (tests and diagnostics),
-// under the same gate discipline as GlobalState. Unlike
-// Network.SwitchTable it returns a copy: the live tables may move to a
-// different owner at the next ApplyConfig.
+// SwitchTable snapshots one switch's tables (tests and diagnostics) as
+// Network.SwitchTable does, under the same gate discipline as GlobalState.
 func (e *Engine) SwitchTable(id topo.NodeID) *state.Store {
 	e.gate.pause()
 	defer e.gate.resume()
-	return switchTable(e.plane.Load().switches, id)
+	return e.plane.Load().snapshot(id)
 }

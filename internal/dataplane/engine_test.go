@@ -482,20 +482,22 @@ func TestEngineApplyConfigMigratesState(t *testing.T) {
 		t.Fatalf("count sum after swap %d, want %d", n, 2*len(batch))
 	}
 	if n := reseated(t, eng); n != 0 {
-		t.Fatalf("a change of owner spelled out %d entries, want the table handed over", n)
+		t.Fatalf("a change of owner copied %d entries, want the table handed over", n)
 	}
 
 	// With a rewrite: swapping a sharded monitor for the unsharded one
-	// passes every entry through the store the fold reads, which the
-	// reseated counter reports, and the folded counts are the per-port totals.
+	// folds the count family, whose entries — and only those — the
+	// reseated counter reports; hits, which nothing folds, is handed over
+	// as it is. The folded counts are the per-port totals.
 	t.Run("fold", func(t *testing.T) {
+		inner := parser.MustParse(`count[inport]++; hits[srcport]++`)
 		plan := shard.PortsPlan("count", []int{1, 2, 3, 4, 5, 6})
-		shardedInner, err := shard.Apply(apps.Monitor(), plan)
+		shardedInner, err := shard.Apply(inner, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sharded, _ := deploy(t, campusWorkload(shardedInner), netw, nil)
-		plain, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
+		plain, _ := deploy(t, campusWorkload(inner), netw, nil)
 
 		eng := dataplane.NewEngine(sharded.Config(), dataplane.Options{Window: 16})
 		defer eng.Close()
@@ -508,9 +510,17 @@ func TestEngineApplyConfigMigratesState(t *testing.T) {
 		if _, err := eng.InjectBatch(batch); err != nil {
 			t.Fatalf("warm batch: %v", err)
 		}
-		want, err := shard.Merge(eng.GlobalState(), plan, nil)
+		staged := eng.GlobalState()
+		want, err := shard.Merge(staged, plan, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		family := 0
+		for _, n := range plan.Names() {
+			family += len(staged.Entries(n))
+		}
+		if family == 0 || len(staged.Entries("hits")) == 0 {
+			t.Fatalf("warm state holds %d count-family and %d hits entries, want both > 0", family, len(staged.Entries("hits")))
 		}
 		migration := ctrl.PlanMigration(sharded.Config(), plain.Config(), []shard.Plan{plan}, nil)
 		if len(migration.Folds) != 1 {
@@ -522,8 +532,8 @@ func TestEngineApplyConfigMigratesState(t *testing.T) {
 		if !eng.GlobalState().Equal(want) {
 			t.Fatalf("folded state:\n%s\nwant:\n%s", eng.GlobalState(), want)
 		}
-		if n := reseated(t, eng); n <= 0 {
-			t.Fatalf("a shard fold reports %d reseated entries, want > 0", n)
+		if n := reseated(t, eng); n != int64(family) {
+			t.Fatalf("a shard fold reports %d reseated entries, want the count family's %d", n, family)
 		}
 		if _, err := eng.InjectBatch(batch); err != nil {
 			t.Fatalf("post-swap batch: %v", err)
@@ -593,7 +603,7 @@ func TestSwapHandsTablesOver(t *testing.T) {
 					t.Fatal("global state changed across the swap")
 				}
 				if n := reseated(t, eng); n != 0 {
-					t.Fatalf("a swap that moved nothing spelled out %d entries", n)
+					t.Fatalf("a swap that moved nothing copied %d entries", n)
 				}
 				return m1.TotalAlloc - m0.TotalAlloc
 			}

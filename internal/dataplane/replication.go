@@ -235,13 +235,15 @@ func (r *replicator) flush() {
 // table. Used when a new replicator is installed mid-life
 // (reconfiguration, failover), so backups do not start cold behind a
 // populated primary.
-func (r *replicator) seed(st staged) {
+func (r *replicator) seed(st *state.Store) {
 	if r == nil {
 		return
 	}
-	for v, t := range st {
+	for _, v := range st.Vars() {
 		if id := r.vs.ID(v); id >= 0 && r.backups[id] != nil {
-			r.tables[id] = r.eng.clone(&t)
+			t := st.Table(v)
+			r.tables[id] = t.Clone()
+			r.eng.reseated.Add(int64(t.Len()))
 		}
 	}
 }
@@ -283,21 +285,6 @@ func (r *replicator) aliveReplica(v string) (state.Table, bool) {
 		}
 	}
 	return state.Table{}, false
-}
-
-// replicaStore spells out the replica tables a backup switch holds, nil
-// when it backs up nothing.
-func (r *replicator) replicaStore(node topo.NodeID) *state.Store {
-	var st *state.Store
-	for id, backups := range r.backups {
-		if slices.Contains(backups, node) {
-			if st == nil {
-				st = state.NewStore()
-			}
-			r.tables[id].AddToStore(st, r.vs.Name(id))
-		}
-	}
-	return st
 }
 
 // queueDepth counts mirror writes currently queued at the primaries,
@@ -374,5 +361,14 @@ func (e *Engine) ReplicaTable(id topo.NodeID) *state.Store {
 		return nil
 	}
 	r.flush()
-	return r.replicaStore(id)
+	var st *state.Store
+	for vid, backups := range r.backups {
+		if slices.Contains(backups, id) {
+			if st == nil {
+				st = state.NewStore()
+			}
+			st.SetTable(r.vs.Name(vid), r.tables[vid].Clone())
+		}
+	}
+	return st
 }

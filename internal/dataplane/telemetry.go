@@ -84,7 +84,7 @@ func (e *Engine) registerMetrics() {
 	counter("snap_reconfig_rollbacks_total",
 		"Reconfigurations that failed mid-swap and rolled back to the prior plane (state intact, epoch unchanged).", &e.stats.rollbacks)
 	counter("snap_swap_reseated_entries_total",
-		"State entries reconfigurations copied one by one (shard folds, replica warm-up) instead of handing their table over; replica promotion hands its table over. 0 after a re-route or an edit that folds nothing.", &e.reseated)
+		"State entries in tables reconfigurations could not hand over as they were: the tables a state rewrite replaced (a shard fold reads each of the folded family's entries; variables it passes through do not count) and replica warm-up clones. Replica promotion hands its table over. 0 after a re-route or an edit that folds nothing.", &e.reseated)
 	counter("snap_contained_panics_total",
 		"Panics recovered at the containment sites: switch VMs and the mirror drainer.", &e.stats.containedPanics)
 	r.GaugeFunc("snap_quarantined_switches",

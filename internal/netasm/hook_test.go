@@ -121,7 +121,7 @@ func TestStateSetNeedsTable(t *testing.T) {
 	if sw.StateSet("elsewhere", values.Tuple{values.Int(2)}, values.Bool(true)) {
 		t.Fatal("variable without a table accepted")
 	}
-	if _, ok := sw.TableRef("elsewhere"); ok || sw.EntryCount("elsewhere") != 0 {
+	if _, ok := sw.TableRef("elsewhere"); ok || sw.Snapshot().Len("elsewhere") != 0 {
 		t.Fatal("a refused seed left a table behind")
 	}
 	if snap := sw.Snapshot(); len(snap.Vars()) != 1 || len(snap.Entries("s")) != 1 {

@@ -128,7 +128,7 @@ func TestWideIndexPendingWrite(t *testing.T) {
 	for _, f := range []pkt.Field{pkt.SrcIP, pkt.DstIP, pkt.SrcPort, pkt.DstPort, pkt.Proto} {
 		idx = append(idx, sp.Pkt.Field(f))
 	}
-	if got := b.StateGet("flows", idx); !values.Eq(got, values.Int(1)) {
+	if got := b.Snapshot().Get("flows", idx); !values.Eq(got, values.Int(1)) {
 		t.Fatalf("committed wide entry: %v", got)
 	}
 }
@@ -177,7 +177,7 @@ func TestPendingOverflowFork(t *testing.T) {
 	// Shared prefix committed once per copy (both copies carry it), each
 	// branch's write once.
 	for v, want := range map[int64]int64{1: 2, 2: 2, 3: 2, 10: 1, 20: 1} {
-		got := owner.StateGet("s", values.Tuple{values.Int(v)})
+		got := owner.Snapshot().Get("s", values.Tuple{values.Int(v)})
 		if !values.Eq(got, values.Int(want)) {
 			t.Fatalf("s[%d] = %v, want %d", v, got, want)
 		}
@@ -205,7 +205,7 @@ func TestUnownedLocalStateOps(t *testing.T) {
 		t.Fatalf("unowned local state op must execute, got %v", err)
 	}
 	sp := widePacket()
-	if got := sw.StateGet("ghost", values.Tuple{sp.Pkt.Field(pkt.SrcPort)}); !values.Eq(got, values.Int(1)) {
+	if got := sw.Snapshot().Get("ghost", values.Tuple{sp.Pkt.Field(pkt.SrcPort)}); !values.Eq(got, values.Int(1)) {
 		t.Fatalf("unowned local write lost: %v", got)
 	}
 }

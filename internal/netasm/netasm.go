@@ -345,19 +345,11 @@ func (sw *Switch) table(v string) *state.Table {
 
 // TableRef returns a pointer to v's dense local table, false when the
 // switch has no table for it. The pointer stays valid for the switch's
-// life: the state-replication engine mode binds replica apply targets
-// through it, and AdoptTable swaps contents behind it.
+// life, and AdoptTable swaps contents behind it; the engine reads a plane's
+// tables through it for snapshots and a swap's staged state.
 func (sw *Switch) TableRef(v string) (*state.Table, bool) {
 	t := sw.table(v)
 	return t, t != nil
-}
-
-// StateGet reads v[idx] from the local tables (Default when absent).
-func (sw *Switch) StateGet(v string, idx values.Tuple) values.Value {
-	if t := sw.table(v); t != nil {
-		return t.GetTuple(idx)
-	}
-	return state.Default
 }
 
 // StateSet seeds v[idx] ← val in the local tables directly, bypassing the
@@ -385,28 +377,12 @@ func (sw *Switch) AdoptTable(v string, t state.Table) bool {
 	return dst != nil
 }
 
-// EntryCount returns the number of entries in v's local table.
-func (sw *Switch) EntryCount(v string) int {
-	if t := sw.table(v); t != nil {
-		return t.Len()
-	}
-	return 0
-}
-
-// StateInto dumps every non-empty local table into st (the dense →
-// canonical Store conversion; st accumulates across switches).
-func (sw *Switch) StateInto(st *state.Store) {
-	for i := range sw.tables {
-		if sw.tables[i].Len() > 0 {
-			sw.tables[i].AddToStore(st, sw.lp.locals[i])
-		}
-	}
-}
-
-// Snapshot returns the switch's state as a canonical Store copy.
+// Snapshot returns a copy of the switch's non-empty tables as a store.
 func (sw *Switch) Snapshot() *state.Store {
 	st := state.NewStore()
-	sw.StateInto(st)
+	for i := range sw.tables {
+		st.SetTable(sw.lp.locals[i], sw.tables[i].Clone())
+	}
 	return st
 }
 

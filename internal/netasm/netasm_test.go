@@ -55,7 +55,7 @@ func TestBranchAndWrite(t *testing.T) {
 	if rs[0].Packet.Hdr.OBSOut != 6 {
 		t.Fatalf("outport: %d", rs[0].Packet.Hdr.OBSOut)
 	}
-	if got := sw.StateGet("c", values.Tuple{values.Int(1)}); !values.Eq(got, values.Int(1)) {
+	if got := sw.Snapshot().Get("c", values.Tuple{values.Int(1)}); !values.Eq(got, values.Int(1)) {
 		t.Fatalf("counter: %v", got)
 	}
 
@@ -160,7 +160,7 @@ func TestPendingWritesCommitInOrder(t *testing.T) {
 	if rs[0].Outcome != netasm.ToEgress {
 		t.Fatalf("after commit: %+v", rs[0])
 	}
-	if got := b.StateGet("s", values.Tuple{values.Int(1)}); !values.Eq(got, values.Int(11)) {
+	if got := b.Snapshot().Get("s", values.Tuple{values.Int(1)}); !values.Eq(got, values.Int(11)) {
 		t.Fatalf("committed value: %v, want 11 (set 10 then ++)", got)
 	}
 }
@@ -222,7 +222,7 @@ func TestDropCommitsPending(t *testing.T) {
 	if rs[0].Outcome != netasm.Dropped {
 		t.Fatalf("after commit the copy drops: %+v", rs[0])
 	}
-	if got := owner.StateGet("flag", values.Tuple{values.Int(1)}); !got.True() {
+	if got := owner.Snapshot().Get("flag", values.Tuple{values.Int(1)}); !got.True() {
 		t.Fatal("pending write lost on dropped packet")
 	}
 }

@@ -254,7 +254,8 @@ func touches(p syntax.Policy, v string) bool {
 
 // Merge folds a store's shard variables back into the original array,
 // undoing the Apply rewrite on the data: the result binds plan.Var where
-// the input bound any s@v shard, with all other variables copied through.
+// the input bound any s@v shard, and every other variable's table passes
+// through as it is, shared rather than copied.
 // Shards partition accesses by the dispatch field's value, not by index,
 // so two shards may bind the same index (e.g. count[srcip] sharded by
 // inport, one source entering at two ports); combine resolves such
@@ -272,21 +273,16 @@ func Merge(st *state.Store, plan Plan, combine func(a, b values.Value) values.Va
 			out.CopyVar(st, v)
 		}
 	}
-	seen := map[string]bool{}
-	for _, e := range out.Entries(plan.Var) {
-		seen[e.Idx.Key()] = true
-	}
 	for _, n := range plan.Names() {
 		for _, e := range st.Entries(n) {
-			if seen[e.Idx.Key()] {
+			v := e.Val
+			if cur, ok := out.Lookup(plan.Var, e.Idx); ok {
 				if combine == nil {
 					return nil, fmt.Errorf("shard: merge collision on %s%s (pass a combine function)", plan.Var, e.Idx)
 				}
-				out.Set(plan.Var, e.Idx, combine(out.Get(plan.Var, e.Idx), e.Val))
-				continue
+				v = combine(cur, e.Val)
 			}
-			seen[e.Idx.Key()] = true
-			out.Set(plan.Var, e.Idx, e.Val)
+			out.Set(plan.Var, e.Idx, v)
 		}
 	}
 	return out, nil

@@ -1,25 +1,22 @@
-// Dense fast-path state tables for the compiled data plane.
+// Dense state tables: the one representation of a state variable's
+// contents, for the compiled data plane and the control plane alike.
 //
-// The canonical Store (store.go) keys entries by the Tuple.Key() string —
-// the right format for the control plane, where snapshots, migrations and
-// shard merges want stable, order-able, human-auditable keys, but a per-
-// packet tax on the data plane: every Get/Set builds a fresh key string.
-// Table is the runtime representation the linked NetASM VM uses instead:
-// one table per state variable, keyed by a fixed-size comparable Key whose
-// elements are canonicalized values (values.Canon), so a lookup is a single
-// Go map access with zero allocations and the same collision classes as
-// the string encoding (two tuples share a Key iff their Tuple.Key()s are
-// equal).
+// Table keys entries by a fixed-size comparable Key whose elements are
+// canonicalized values (values.Canon), so a lookup is a single Go map
+// access with zero allocations and the same collision classes as the
+// Tuple.Key() string encoding (two tuples share a Key iff their
+// Tuple.Key()s are equal). The linked NetASM VM runs on Tables directly,
+// and a Store (store.go) is a name → Table map, so switches, snapshots,
+// migrations and shard merges pass whole tables between them.
 //
 // Index tuples wider than values.MaxVec — the 5-tuple flow key of five
 // catalogue apps (conn-affinity, elephant-flows, flow-size-sampling,
 // snort-flowbits, tcp-state-machine) — take a string-keyed overflow map,
 // keeping the fast path honest without losing generality.
 //
-// Tables convert losslessly to and from Store: each entry retains the raw
-// (uncanonicalized) index tuple it was first written with, exactly like
-// Store entries do, so dumps, replication reseeding and shard.Merge see
-// the same bindings whichever representation the runtime used.
+// Each entry retains the raw (uncanonicalized) index tuple it was first
+// written with, so dumps and Entries order (by Tuple.Key()) read the same
+// whichever path wrote an entry.
 package state
 
 import (
@@ -31,10 +28,16 @@ import (
 
 // Key is the comparable fast-path index of one state entry: the index
 // tuple, canonicalized element-wise so that == coincides with the
-// semantic tuple equality the string keys encode.
+// semantic tuple equality the string keys encode. The elements' fields are
+// stored by field rather than as values.Values: the numeric fields form one
+// padding-free run that a map hashes and compares in one step, and the key
+// stays small enough (112 bytes) for Go maps to hold it inline.
 type Key struct {
-	n uint8
-	a [values.MaxVec]values.Value
+	num  [values.MaxVec]int64
+	kind [values.MaxVec]values.Kind
+	plen [values.MaxVec]uint8
+	n    uint8
+	str  [values.MaxVec]string
 }
 
 // KeyOf canonicalizes an inline vector into a map key.
@@ -42,7 +45,8 @@ func KeyOf(v values.Vec) Key {
 	var k Key
 	k.n = uint8(v.Len())
 	for i := 0; i < v.Len(); i++ {
-		k.a[i] = values.Canon(v.At(i))
+		c := values.Canon(v.At(i))
+		k.num[i], k.kind[i], k.plen[i], k.str[i] = c.Num, c.Kind, c.Len, c.Str
 	}
 	return k
 }
@@ -147,13 +151,15 @@ func (t *Table) AddWide(idx values.Tuple, delta int64) values.Value {
 	return val
 }
 
-// GetTuple dispatches a slice-tuple read to the right map (control-plane
-// convenience; the VM uses Get/GetWide directly).
-func (t *Table) GetTuple(idx values.Tuple) values.Value {
+// lookup returns the entry at a slice-tuple index, false when absent
+// (control-plane convenience; the VM uses Get/GetWide directly).
+func (t *Table) lookup(idx values.Tuple) (Entry, bool) {
 	if k, ok := KeyOfTuple(idx); ok {
-		return t.Get(k)
+		e, ok := t.m[k]
+		return e, ok
 	}
-	return t.GetWide(idx)
+	e, ok := t.wide[idx.Key()]
+	return e, ok
 }
 
 // SetTuple dispatches a slice-tuple write (control-plane convenience).
@@ -171,37 +177,61 @@ func (t *Table) Clone() Table {
 	return Table{m: maps.Clone(t.m), wide: maps.Clone(t.wide)}
 }
 
-// Entries returns the table's bindings sorted by canonical index key,
-// matching Store.Entries order.
+// Entries returns the table's bindings sorted by their index tuples'
+// Tuple.Key() strings, building each string once.
 func (t *Table) Entries() []Entry {
-	out := make([]Entry, 0, t.Len())
+	type keyed struct {
+		key string
+		e   Entry
+	}
+	ks := make([]keyed, 0, t.Len())
 	for _, e := range t.m {
-		out = append(out, e)
+		ks = append(ks, keyed{e.Idx.Key(), e})
 	}
-	for _, e := range t.wide {
-		out = append(out, e)
+	for k, e := range t.wide {
+		ks = append(ks, keyed{k, e})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Idx.Key() < out[j].Idx.Key() })
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	out := make([]Entry, len(ks))
+	for i := range ks {
+		out[i] = ks[i].e
+	}
 	return out
 }
 
-// AddToStore dumps the table into st under variable name — the lossless
-// dense→canonical converter (snapshots, migration, replication seeds).
-func (t *Table) AddToStore(st *Store, name string) {
-	for _, e := range t.m {
-		st.Set(name, e.Idx, e.Val)
+// equal reports whether t and o bind the same values, an absent entry
+// reading as Default. A table shared between two stores is one pointer.
+// When every entry of o has a counterpart in t, one pass over t decides.
+func (t *Table) equal(o *Table) bool {
+	if t == o {
+		return true
 	}
-	for _, e := range t.wide {
-		st.Set(name, e.Idx, e.Val)
+	n, ok := within(t.m, o.m)
+	w, wok := within(t.wide, o.wide)
+	if !ok || !wok {
+		return false
 	}
+	if n+w == o.Len() {
+		return true
+	}
+	_, ok = within(o.m, t.m)
+	_, wok = within(o.wide, t.wide)
+	return ok && wok
 }
 
-// SeedFrom loads variable name's entries from a canonical store — the
-// canonical→dense converter. Existing table contents are replaced.
-func (t *Table) SeedFrom(st *Store, name string) {
-	t.m = nil
-	t.wide = nil
-	for _, e := range st.Entries(name) {
-		t.SetTuple(e.Idx, e.Val)
+// within reports whether every entry of a reads the same in b, and how
+// many of a's keys b holds.
+func within[K comparable](a, b map[K]Entry) (n int, ok bool) {
+	for k, e := range a {
+		be, found := b[k]
+		if found {
+			n++
+		} else {
+			be.Val = Default
+		}
+		if !values.Eq(be.Val, e.Val) {
+			return n, false
+		}
 	}
+	return n, true
 }

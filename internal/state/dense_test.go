@@ -62,41 +62,6 @@ func TestKeyCollisionClasses(t *testing.T) {
 	}
 }
 
-// The dense table and the canonical store must convert losslessly in both
-// directions, including the raw (uncanonicalized) index tuples.
-func TestTableStoreRoundTrip(t *testing.T) {
-	st := NewStore()
-	st.Set("v", values.Tuple{values.Bool(true)}, values.Int(7))
-	st.Set("v", values.Tuple{values.IPv4(10, 0, 0, 1), values.Int(80)}, values.Bool(true))
-	wide := values.Tuple{values.Int(1), values.Int(2), values.Int(3), values.Int(4), values.Int(5)}
-	st.Set("v", wide, values.String("w"))
-
-	var tbl Table
-	tbl.SeedFrom(st, "v")
-	if tbl.Len() != 3 {
-		t.Fatalf("seeded entries: %d", tbl.Len())
-	}
-	if got := tbl.GetWide(wide); !values.Eq(got, values.String("w")) {
-		t.Fatalf("wide read: %v", got)
-	}
-
-	back := NewStore()
-	tbl.AddToStore(back, "v")
-	if !back.Equal(st) {
-		t.Fatalf("round trip diverges:\n%s\nvs\n%s", back, st)
-	}
-	// Raw index tuples survive: the bool-indexed entry still renders True.
-	found := false
-	for _, e := range back.Entries("v") {
-		if len(e.Idx) == 1 && e.Idx[0] == values.Bool(true) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("raw bool index lost in round trip")
-	}
-}
-
 // Overwrites keep the first-insert index tuple and do not re-clone it.
 func TestSetRetainsFirstIndex(t *testing.T) {
 	var tbl Table

@@ -10,7 +10,6 @@ package state
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -28,41 +27,58 @@ type Entry struct {
 	Val values.Value
 }
 
-// Store holds the contents of every state variable. The zero value is an
-// empty store ready to use.
+// Store holds the contents of every state variable: one Table per
+// variable, the representation the data plane's VMs run on too, so a store
+// and a switch exchange whole tables instead of entries. The zero value is
+// an empty store ready to use.
 //
-// Clone and CopyVar share a variable's entries between stores instead of
-// copying them: a varTable a second store has been given is marked shared
-// and never written again, and whichever store writes the variable next
-// copies that one variable first. The mark is an atomic that is only ever
-// set, so goroutines may Clone (or read) one store concurrently; writes
-// need the caller's serialization, as they always did.
+// Clone, CopyVar, SetTable and Table share a variable's table instead of
+// copying it: a table that more than one holder may see is marked shared
+// and never written through this store again, and whichever store writes
+// the variable next copies that one table first. The mark is an atomic
+// that is only ever set, so goroutines may Clone (or read) one store
+// concurrently; writes need the caller's serialization, as they always
+// did.
 type Store struct {
 	vars map[string]*varTable
 }
 
-// varTable is one variable's entries, keyed by Tuple.Key().
+// varTable is one variable's table and its copy-on-write mark.
 type varTable struct {
-	m      map[string]Entry
+	t      Table
 	shared atomic.Bool
 }
 
+// none is the table an absent variable reads as. It is never written.
+var none Table
+
 // writable returns variable s's table for writing: created when absent,
-// copied when another store may hold it too.
-func (st *Store) writable(s string) map[string]Entry {
+// copied when another holder may see it too.
+func (st *Store) writable(s string) *Table {
 	if st.vars == nil {
 		st.vars = make(map[string]*varTable)
 	}
 	vt, ok := st.vars[s]
 	switch {
 	case !ok:
-		vt = &varTable{m: make(map[string]Entry)}
+		vt = &varTable{}
 		st.vars[s] = vt
 	case vt.shared.Load():
-		vt = &varTable{m: maps.Clone(vt.m)}
+		vt = &varTable{t: vt.t.Clone()}
 		st.vars[s] = vt
 	}
-	return vt.m
+	return &vt.t
+}
+
+// read returns variable s's table for reading; an absent variable reads as
+// an empty table.
+func (st *Store) read(s string) *Table {
+	if st != nil {
+		if vt, ok := st.vars[s]; ok {
+			return &vt.t
+		}
+	}
+	return &none
 }
 
 // NewStore returns an empty store.
@@ -70,24 +86,24 @@ func NewStore() *Store { return &Store{} }
 
 // Get reads s[idx], returning Default for absent entries.
 func (st *Store) Get(s string, idx values.Tuple) values.Value {
-	if e, ok := st.varMap(s)[idx.Key()]; ok {
-		return e.Val
+	if v, ok := st.Lookup(s, idx); ok {
+		return v
 	}
 	return Default
+}
+
+// Lookup reads s[idx] and reports whether the entry exists; an entry once
+// written exists even when it holds Default.
+func (st *Store) Lookup(s string, idx values.Tuple) (values.Value, bool) {
+	e, ok := st.read(s).lookup(idx)
+	return e.Val, ok
 }
 
 // Set writes s[idx] ← v. The entry retains the index tuple it was first
 // written with; overwrites update the value in place instead of re-cloning
 // the tuple, so an entry costs one index copy per lifetime, not per write.
 func (st *Store) Set(s string, idx values.Tuple, v values.Value) {
-	m := st.writable(s)
-	k := idx.Key()
-	if e, ok := m[k]; ok {
-		e.Val = v
-		m[k] = e
-		return
-	}
-	m[k] = Entry{Idx: append(values.Tuple(nil), idx...), Val: v}
+	st.writable(s).SetTuple(idx, v)
 }
 
 // Add implements s[idx]++ / s[idx]-- with the given delta, coercing the
@@ -99,7 +115,7 @@ func (st *Store) Add(s string, idx values.Tuple, delta int64) {
 
 // Clone returns an independent copy of the store, used to evaluate parallel
 // compositions from a common starting state. It costs one step per variable:
-// the entries are shared until either side writes them.
+// the tables are shared until either side writes them.
 func (st *Store) Clone() *Store {
 	c := NewStore()
 	if st == nil || st.vars == nil {
@@ -113,36 +129,61 @@ func (st *Store) Clone() *Store {
 	return c
 }
 
+// SetTable makes t the contents of variable s as it is, reading no entry.
+// t enters shared: the store copies it before writing s, so whoever else
+// holds t keeps it unchanged. An empty t removes s.
+func (st *Store) SetTable(s string, t Table) {
+	if t.Len() == 0 {
+		st.share(s, nil)
+	} else {
+		st.share(s, &varTable{t: t})
+	}
+}
+
+// share makes vt variable s's table, marked shared; nil removes s.
+func (st *Store) share(s string, vt *varTable) {
+	if vt == nil {
+		delete(st.vars, s)
+		return
+	}
+	if st.vars == nil {
+		st.vars = make(map[string]*varTable)
+	}
+	vt.shared.Store(true)
+	st.vars[s] = vt
+}
+
+// Table returns variable s's table as it is, copying no entry, and marks
+// it shared: the store copies it before writing s again, so the caller may
+// take the table over.
+func (st *Store) Table(s string) Table {
+	if st != nil {
+		if vt, ok := st.vars[s]; ok {
+			vt.shared.Store(true)
+			return vt.t
+		}
+	}
+	return Table{}
+}
+
+// Shares reports whether st and other hold variable s in one table: one of
+// them passed it to the other (Clone, CopyVar) and neither has written it
+// since.
+func (st *Store) Shares(other *Store, s string) bool {
+	if st == nil || other == nil {
+		return false
+	}
+	a, ok := st.vars[s]
+	return ok && a == other.vars[s]
+}
+
+// Len returns the number of entries variable s holds.
+func (st *Store) Len(s string) int { return st.read(s).Len() }
+
 // VarEqual reports whether variable s has identical contents in both stores
 // (treating absent entries as Default).
 func (st *Store) VarEqual(other *Store, s string) bool {
-	a := st.varMap(s)
-	b := other.varMap(s)
-	for k, e := range a {
-		if be, ok := b[k]; ok {
-			if !values.Eq(be.Val, e.Val) {
-				return false
-			}
-		} else if !values.Eq(e.Val, Default) {
-			return false
-		}
-	}
-	for k, e := range b {
-		if _, ok := a[k]; !ok && !values.Eq(e.Val, Default) {
-			return false
-		}
-	}
-	return true
-}
-
-func (st *Store) varMap(s string) map[string]Entry {
-	if st == nil || st.vars == nil {
-		return nil
-	}
-	if vt, ok := st.vars[s]; ok {
-		return vt.m
-	}
-	return nil
+	return st.read(s).equal(other.read(s))
 }
 
 // Vars returns the names of all variables with at least one entry, sorted.
@@ -159,19 +200,7 @@ func (st *Store) Vars() []string {
 }
 
 // Entries returns the bindings of variable s sorted by index key.
-func (st *Store) Entries(s string) []Entry {
-	m := st.varMap(s)
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Entry, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, m[k])
-	}
-	return out
-}
+func (st *Store) Entries(s string) []Entry { return st.read(s).Entries() }
 
 // CopyVar overwrites variable s in st with its contents in src, shared the
 // way Clone shares them. Used to merge parallel evaluation results
@@ -181,29 +210,20 @@ func (st *Store) CopyVar(src *Store, s string) {
 	if src != nil {
 		vt = src.vars[s]
 	}
-	if vt == nil {
-		delete(st.vars, s)
-		return
-	}
-	if st.vars == nil {
-		st.vars = make(map[string]*varTable)
-	}
-	vt.shared.Store(true)
-	st.vars[s] = vt
+	st.share(s, vt)
 }
 
 // Equal reports whether both stores have identical contents for every
 // variable appearing in either.
 func (st *Store) Equal(other *Store) bool {
-	seen := map[string]bool{}
 	for _, s := range st.Vars() {
-		seen[s] = true
 		if !st.VarEqual(other, s) {
 			return false
 		}
 	}
+	// Variables only other holds; a variable a store holds has entries.
 	for _, s := range other.Vars() {
-		if !seen[s] && !st.VarEqual(other, s) {
+		if st.Len(s) == 0 && !st.VarEqual(other, s) {
 			return false
 		}
 	}

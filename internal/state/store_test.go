@@ -152,8 +152,18 @@ func TestVarEqualTreatsDefaultAsAbsent(t *testing.T) {
 		t.Fatal("Int(0) coerces to the False default")
 	}
 	a.Set("s", idx(values.Int(0)), values.Int(7))
-	if a.VarEqual(b, "s") {
+	if a.VarEqual(b, "s") || b.VarEqual(a, "s") {
 		t.Fatal("distinct values must differ")
+	}
+	// Wide indices compare the same way.
+	wide := idx(values.Int(1), values.Int(2), values.Int(3), values.Int(4), values.Int(5))
+	a.Set("w", wide, values.Int(0))
+	if !a.VarEqual(b, "w") || !b.VarEqual(a, "w") {
+		t.Fatal("explicit default at a wide index must equal absent")
+	}
+	b.Set("w", wide, values.Int(2))
+	if a.VarEqual(b, "w") || b.VarEqual(a, "w") {
+		t.Fatal("distinct wide values must differ")
 	}
 }
 
@@ -207,6 +217,66 @@ func TestCopyVar(t *testing.T) {
 	dst.CopyVar(NewStore(), "s")
 	if got := dst.Get("s", idx(values.Int(0))); !values.Eq(got, Default) {
 		t.Fatal("CopyVar of an absent variable must clear")
+	}
+}
+
+// TestStoreKeepsRawAndWideIndices: a store keeps what its tables keep — a
+// wide index beside narrow ones, and the raw index tuple an entry was
+// first written with.
+func TestStoreKeepsRawAndWideIndices(t *testing.T) {
+	st := NewStore()
+	st.Set("v", idx(values.Bool(true)), values.Int(7))
+	st.Set("v", idx(values.IPv4(10, 0, 0, 1), values.Int(80)), values.Bool(true))
+	wide := idx(values.Int(1), values.Int(2), values.Int(3), values.Int(4), values.Int(5))
+	st.Set("v", wide, values.String("w"))
+	if n := len(st.Entries("v")); n != 3 {
+		t.Fatalf("entries: %d, want 3", n)
+	}
+	if got := st.Get("v", wide); !values.Eq(got, values.String("w")) {
+		t.Fatalf("wide read: %v", got)
+	}
+	// The bool-indexed entry still renders True.
+	found := false
+	for _, e := range st.Entries("v") {
+		if len(e.Idx) == 1 && e.Idx[0] == values.Bool(true) {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("raw bool index lost")
+	}
+}
+
+// TestTablesEnterAndLeaveShared: a table given to a store with SetTable or
+// taken from it with Table is shared, so the store copies it before its
+// next write and the other holder's table stays as it was.
+func TestTablesEnterAndLeaveShared(t *testing.T) {
+	var tbl Table
+	tbl.SetTuple(idx(values.Int(1)), values.Int(1))
+	st := NewStore()
+	st.SetTable("v", tbl)
+	st.Add("v", idx(values.Int(1)), 1)
+	st.Set("v", idx(values.Int(2)), values.Int(5))
+	if tbl.Len() != 1 || !values.Eq(tbl.Entries()[0].Val, values.Int(1)) {
+		t.Fatal("writing through the store changed the table it was given")
+	}
+	out := st.Table("v")
+	st.Set("v", idx(values.Int(3)), values.Int(9))
+	if out.Len() != 2 || st.Len("v") != 3 {
+		t.Fatalf("taken table holds %d entries, store %d; want 2 and 3", out.Len(), st.Len("v"))
+	}
+
+	c := st.Clone()
+	if !c.Shares(st, "v") {
+		t.Fatal("a clone must share the unwritten table")
+	}
+	c.Set("v", idx(values.Int(4)), values.Int(1))
+	if c.Shares(st, "v") || st.Len("v") != 3 {
+		t.Fatal("a written clone must hold its own table")
+	}
+	st.SetTable("v", Table{})
+	if len(st.Vars()) != 0 {
+		t.Fatalf("an empty table must remove the variable: %v", st.Vars())
 	}
 }
 
