@@ -184,3 +184,30 @@ func TestPolicyEditContextCount(t *testing.T) {
 	}
 	t.Logf("contexts=%d apply hits=%d misses=%d", rep.Contexts, rep.ApplyHits, rep.ApplyMisses)
 }
+
+// TestColdStartAllocs gates what one cold start allocates on the 120-switch
+// IGen WAN under the DNS-tunnel policy: at most 120 000 objects. Building a
+// route with a map per pair and per splice, and copying a field's whole
+// failed-test list on every false edge, allocated about 198 000.
+func TestColdStartAllocs(t *testing.T) {
+	tp, err := topo.NewIGen(120, CI.Capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := dnsTunnelPolicy(len(tp.Ports))
+	tm := traffic.Gravity(tp, CI.Traffic, 1)
+	cold := func() {
+		if _, err := core.ColdStart(policy, tp, tm, place.Options{Method: place.Heuristic}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	objects := testing.AllocsPerRun(2, cold)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cold()
+	runtime.ReadMemStats(&after)
+	t.Logf("one cold start on %s: %.0f objects, %.1f MB", tp.Name, objects, float64(after.TotalAlloc-before.TotalAlloc)/1e6)
+	if objects > 120000 {
+		t.Errorf("cold start allocated %.0f objects, want at most 120 000", objects)
+	}
+}

@@ -54,11 +54,11 @@ func TestBuildRouteVisitsWaypointsInOrder(t *testing.T) {
 	ord := orderFor([]string{"a", "b"}, [][2]string{{"a", "b"}})
 
 	model := NewModel(net, traffic.Matrix{{1, 2}: 1}, Options{Method: Heuristic})
-	s := model.newSolver()
-	s.in = model.inputs(m, ord)
+	s := model.newSolver(model.inputs(m, ord))
 	loc := map[string]topo.NodeID{"a": 5, "b": 1} // a behind, b ahead
 
-	r := s.buildRoute(1, 2, loc)
+	routes, _, _ := s.route(loc)
+	r := routes[[2]int{1, 2}]
 	if len(r.Waypoints) != 2 || r.Waypoints[0] != "a" || r.Waypoints[1] != "b" {
 		t.Fatalf("waypoints: %v", r.Waypoints)
 	}
@@ -93,20 +93,24 @@ func TestRemoveCyclesPreservesWaypoints(t *testing.T) {
 	// Path 0-1-2-1-3 with a pointless 1-2-1 detour (no waypoint inside).
 	nodes := []topo.NodeID{0, 1, 2, 1, 3}
 	links := []int{100, 101, 102, 103} // link ids are opaque here
-	wp := map[int]bool{}
-	outN, outL := removeCycles(nodes, links, wp)
+	wp := make([]bool, len(nodes))
+	c := newCycleCutter(4)
+	outN, outL, outW := c.removeCycles(nodes, links, wp)
 	if len(outN) != 3 || outN[0] != 0 || outN[1] != 1 || outN[2] != 3 {
 		t.Fatalf("cycle not removed: %v", outN)
 	}
 	if len(outL) != 2 || outL[0] != 100 || outL[1] != 103 {
 		t.Fatalf("links mis-spliced: %v", outL)
 	}
+	if len(outW) != 3 {
+		t.Fatalf("waypoint marks mis-spliced: %v", outW)
+	}
 
 	// Same path, but node 2 is a waypoint: the detour must stay.
-	wp = map[int]bool{2: true}
-	outN, _ = removeCycles([]topo.NodeID{0, 1, 2, 1, 3}, []int{100, 101, 102, 103}, wp)
-	if len(outN) != 5 {
-		t.Fatalf("waypoint cycle removed: %v", outN)
+	wp = []bool{false, false, true, false, false}
+	outN, _, outW = c.removeCycles([]topo.NodeID{0, 1, 2, 1, 3}, []int{100, 101, 102, 103}, wp)
+	if len(outN) != 5 || !outW[2] {
+		t.Fatalf("waypoint cycle removed: %v %v", outN, outW)
 	}
 }
 
@@ -121,13 +125,25 @@ func TestSeedPlacementPicksCoverage(t *testing.T) {
 	})
 	ord := orderFor([]string{"s"}, nil)
 	model := NewModel(net, traffic.Matrix{{1, 2}: 1, {2, 1}: 1}, Options{Method: Heuristic})
-	s := model.newSolver()
-	s.in = model.inputs(m, ord)
+	s := model.newSolver(model.inputs(m, ord))
 
 	groups := buildGroups(s.in)
 	loc := map[string]topo.NodeID{}
 	s.seedPlacement(groups, loc)
+	// Without both pairs in the index every switch costs 0 and the seed
+	// falls on switch 0, which the distance check below cannot tell apart.
+	if len(s.gpairs) != 1 || len(s.gpairs[0]) != 2 {
+		t.Fatalf("placement index %v: want both directions on the one group", s.gpairs)
+	}
 	n := loc["s"]
+	cost := 0.0
+	for _, pi := range s.gpairs[0] {
+		p := &s.pinfos[pi]
+		cost += p.demand * (s.dist[p.su][n] + s.dist[n][p.sv])
+	}
+	if cost <= 0 {
+		t.Fatalf("seed %d costs %f: the index priced no pair", n, cost)
+	}
 	// Any node on the ring is at distance ≤ 3 from both ports; the seed
 	// must not pick a node farther than the direct path allows (total
 	// path cost u→n→v ≤ 6 hops means n ∈ {0..3} one way or {3..0} other).

@@ -17,7 +17,10 @@
 //     path (link weight 1/capacity, which makes per-pair shortest paths
 //     exactly optimal for the utilization-sum objective whenever capacity
 //     constraints are slack), followed by penalty-based rerouting when
-//     links overload.
+//     links overload. Routes are read off the per-source shortest-path
+//     trees the model already holds: a pair without waypoints takes its
+//     tree path as it is, and a waypoint pair splices one tree path per
+//     leg into a flat slice and cuts the waypoint-free cycles out of it.
 //
 // The TE variant (§6.2 "Topology/TM Changes") keeps placement fixed and
 // reruns routing only.
@@ -26,6 +29,7 @@ package place
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"snap/internal/deps"
@@ -166,11 +170,14 @@ func (m *Model) inputs(mapping *psmap.Mapping, order *deps.Order) Inputs {
 	return Inputs{Topo: m.topo, Demands: m.demands, Mapping: mapping, Order: order}
 }
 
-func (m *Model) newSolver() *solver {
-	s := &solver{opts: m.opts}
+// newSolver returns a solver for in over the model's precomputed shortest
+// paths, with its dense pair index built.
+func (m *Model) newSolver(in Inputs) *solver {
+	s := &solver{in: in, opts: m.opts, cut: newCycleCutter(m.topo.Switches)}
 	s.weights = append([]float64(nil), m.baseWeights...)
 	s.dist = m.baseDist
 	s.prev = m.basePrev
+	s.prepare()
 	return s
 }
 
@@ -312,12 +319,15 @@ type solver struct {
 	weights []float64   // per-link routing weight
 	dist    [][]float64 // all-pairs distances under weights
 	prev    [][]int     // predecessor links per source
-	// seqs caches each pair's dependency-ordered waypoint sequence: the
-	// innermost placement cost loops consult it millions of times, so it is
-	// derived from the mapping exactly once per solve.
-	seqs map[[2]int][]string
-	// ends caches each pair's ingress/egress switch.
-	ends map[[2]int][2]topo.NodeID
+	// Dense pair index, built once per solve by prepare: every demand pair
+	// in sorted order, and the distinct waypoint variables their sequences
+	// name. Routing and the placement index read it instead of the maps.
+	pairs []demandPair
+	vars  []string
+
+	// Route-building scratch, reused across pairs and rounds.
+	cut cycleCutter
+	buf routeBuf
 
 	// Dense placement index: stateful pairs and group locations as slices,
 	// so the local-search cost loops run on array arithmetic instead of
@@ -325,6 +335,17 @@ type solver struct {
 	pinfos []pairInfo
 	gpairs [][]int // per group: indices into pinfos of pairs needing it
 	glocs  []topo.NodeID
+}
+
+// demandPair is one demand pair of the dense index: its end switches, its
+// demand and its waypoint sequence, as names (the Route's Waypoints) and as
+// indices into solver.vars.
+type demandPair struct {
+	key    [2]int
+	su, sv topo.NodeID
+	demand float64
+	seq    []string
+	vars   []int32
 }
 
 // pairInfo is the placement view of one stateful demand pair: endpoint
@@ -344,50 +365,51 @@ func (s *solver) computeAllDists() {
 	}
 }
 
-// prepare precomputes the per-pair waypoint sequences and endpoint
-// switches consulted by the cost loops.
+// prepare builds the dense pair index: the demand pairs sorted, each with
+// its end switches, its demand and its dependency-ordered waypoint
+// sequence. Only the mapping's stateful pairs have waypoints.
 func (s *solver) prepare() {
-	s.seqs = s.in.Mapping.StateSeqs(s.in.Order)
-	s.ends = make(map[[2]int][2]topo.NodeID, len(s.in.Demands))
-	record := func(pr [2]int) {
-		if _, ok := s.ends[pr]; ok {
-			return
+	keys := s.in.Demands.Pairs()
+	s.pairs = make([]demandPair, len(keys))
+	var pu topo.Port
+	for i, pr := range keys {
+		if i == 0 || pr[0] != keys[i-1][0] {
+			pu, _ = s.in.Topo.PortByID(pr[0])
 		}
-		pu, _ := s.in.Topo.PortByID(pr[0])
 		pv, _ := s.in.Topo.PortByID(pr[1])
-		s.ends[pr] = [2]topo.NodeID{pu.Switch, pv.Switch}
+		s.pairs[i] = demandPair{key: pr, su: pu.Switch, sv: pv.Switch, demand: s.in.Demands[pr]}
 	}
-	for pr := range s.in.Demands {
-		record(pr)
+	for pr, set := range s.in.Mapping.Vars {
+		if len(set) == 0 {
+			continue
+		}
+		if i, ok := slices.BinarySearchFunc(keys, pr, traffic.ComparePairs); ok {
+			s.pairs[i].seq = s.in.Mapping.StateSeq(pr[0], pr[1], s.in.Order)
+		}
 	}
-	for pr := range s.in.Mapping.Vars {
-		record(pr)
+	varIdx := map[string]int32{}
+	for i := range s.pairs {
+		p := &s.pairs[i]
+		if len(p.seq) == 0 {
+			continue
+		}
+		p.vars = make([]int32, len(p.seq))
+		for j, v := range p.seq {
+			vi, ok := varIdx[v]
+			if !ok {
+				vi = int32(len(s.vars))
+				varIdx[v] = vi
+				s.vars = append(s.vars, v)
+			}
+			p.vars[j] = vi
+		}
 	}
-}
-
-// pairSeq returns the state-variable sequence pair uv must traverse, in
-// dependency order, given the current placement (consecutive waypoints on
-// the same switch collapse naturally during routing).
-func (s *solver) pairSeq(u, v int) []string {
-	if s.seqs == nil {
-		s.seqs = s.in.Mapping.StateSeqs(s.in.Order)
-	}
-	return s.seqs[[2]int{u, v}]
-}
-
-// pairEnds returns the ingress and egress switches of pair uv.
-func (s *solver) pairEnds(u, v int) (topo.NodeID, topo.NodeID) {
-	if e, ok := s.ends[[2]int{u, v}]; ok {
-		return e[0], e[1]
-	}
-	pu, _ := s.in.Topo.PortByID(u)
-	pv, _ := s.in.Topo.PortByID(v)
-	return pu.Switch, pv.Switch
 }
 
 // indexPairs builds the dense placement index for the current groups: one
-// pairInfo per stateful mapping pair, each waypoint resolved to its group
-// index, plus the per-group reverse index.
+// pairInfo per stateful demand pair, each waypoint resolved to its group
+// index, plus the per-group reverse index. A stateful pair with no demand
+// adds nothing to any cost, so only demand pairs are indexed.
 func (s *solver) indexPairs(groups []*group) {
 	varGroup := map[string]int32{}
 	for gi, g := range groups {
@@ -399,30 +421,30 @@ func (s *solver) indexPairs(groups []*group) {
 	for gi, g := range groups {
 		s.glocs[gi] = g.node
 	}
-	pairs := make([][2]int, 0, len(s.in.Mapping.Vars))
-	for pr := range s.in.Mapping.Vars {
-		pairs = append(pairs, pr)
+	vgroup := make([]int32, len(s.vars))
+	for vi, v := range s.vars {
+		vgroup[vi] = varGroup[v]
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
+	stateful := 0
+	for _, p := range s.pairs {
+		if len(p.vars) > 0 {
+			stateful++
 		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	s.pinfos = make([]pairInfo, len(pairs))
+	}
+	s.pinfos = make([]pairInfo, 0, stateful)
 	s.gpairs = make([][]int, len(groups))
-	for i, pr := range pairs {
-		su, sv := s.pairEnds(pr[0], pr[1])
-		seq := s.pairSeq(pr[0], pr[1])
-		wps := make([]int32, len(seq))
-		for j, v := range seq {
-			wps[j] = varGroup[v]
+	for _, p := range s.pairs {
+		if len(p.vars) == 0 {
+			continue
 		}
-		s.pinfos[i] = pairInfo{su: su, sv: sv, wps: wps, demand: s.in.Demands[pr]}
-		seen := map[int32]bool{}
-		for _, gi := range wps {
-			if !seen[gi] {
-				seen[gi] = true
+		wps := make([]int32, len(p.vars))
+		for j, vi := range p.vars {
+			wps[j] = vgroup[vi]
+		}
+		i := len(s.pinfos)
+		s.pinfos = append(s.pinfos, pairInfo{su: p.su, sv: p.sv, wps: wps, demand: p.demand})
+		for j, gi := range wps {
+			if !slices.Contains(wps[:j], gi) {
 				s.gpairs[gi] = append(s.gpairs[gi], i)
 			}
 		}
@@ -462,9 +484,7 @@ func solveHeuristicModel(m *Model, in Inputs, fixed map[string]topo.NodeID) (*Re
 	if len(in.Topo.Ports) == 0 {
 		return nil, fmt.Errorf("place: topology %s has no external ports", in.Topo.Name)
 	}
-	s := m.newSolver()
-	s.in = in
-	s.prepare()
+	s := m.newSolver(in)
 
 	groups := buildGroups(in)
 	loc := map[string]topo.NodeID{}
@@ -609,9 +629,7 @@ func (m *Model) replicate(in Inputs, res *Result) {
 	if m.opts.Replicas < 2 || len(res.Placement) == 0 || res.Replicas != nil {
 		return
 	}
-	s := m.newSolver()
-	s.in = in
-	s.prepare()
+	s := m.newSolver(in)
 	groups := buildGroups(in)
 	for _, g := range groups {
 		g.node = res.Placement[g.vars[0]]
@@ -668,14 +686,20 @@ func (s *solver) chooseReplicas(groups []*group, k int) map[string][]topo.NodeID
 // route computes final paths for every demand pair under the current
 // weights, then reroutes overloaded links with multiplicative penalties.
 func (s *solver) route(loc map[string]topo.NodeID) (map[[2]int]Route, float64, float64) {
-	routes := make(map[[2]int]Route, len(s.in.Demands))
+	vnode := make([]topo.NodeID, len(s.vars))
+	for vi, v := range s.vars {
+		vnode[vi] = loc[v]
+	}
+	routes := make(map[[2]int]Route, len(s.pairs))
+	load := make([]float64, len(s.in.Topo.Links))
 	for round := 0; ; round++ {
-		load := make([]float64, len(s.in.Topo.Links))
-		for _, pr := range s.in.Demands.Pairs() {
-			r := s.buildRoute(pr[0], pr[1], loc)
-			routes[pr] = r
+		clear(load)
+		for i := range s.pairs {
+			p := &s.pairs[i]
+			r := s.buildRoute(p, vnode)
+			routes[p.key] = r
 			for _, li := range r.Links {
-				load[li] += s.in.Demands[pr]
+				load[li] += p.demand
 			}
 		}
 		congestion, maxUtil := 0.0, 0.0
@@ -706,78 +730,110 @@ func (s *solver) route(loc map[string]topo.NodeID) (map[[2]int]Route, float64, f
 	}
 }
 
-// buildRoute threads pair uv through its placed waypoints and strips any
-// cycles that do not contain a waypoint visit.
-func (s *solver) buildRoute(u, v int, loc map[string]topo.NodeID) Route {
-	su, sv := s.pairEnds(u, v)
-	seq := s.pairSeq(u, v)
-
-	nodes := []topo.NodeID{su}
-	var links []int
-	waypointAt := map[int]bool{0: false}
-	cur := su
-
-	hop := func(to topo.NodeID) {
-		if to == cur {
-			return
+// buildRoute threads pair p through its placed waypoints (vnode maps a
+// variable index to its switch). Without waypoints the route is the tree
+// path from the ingress switch: weights are positive, so a shortest-path
+// tree path is simple and has no cycle to cut. A waypoint pair splices one
+// tree path per leg in the scratch buffer, marking where each waypoint is
+// visited, and strips the cycles that contain no waypoint visit.
+func (s *solver) buildRoute(p *demandPair, vnode []topo.NodeID) Route {
+	t := s.in.Topo
+	if len(p.vars) == 0 {
+		prev := s.prev[p.su]
+		k := t.TreeHops(prev, p.sv)
+		r := Route{Nodes: make([]topo.NodeID, k+1), Waypoints: p.seq}
+		r.Nodes[0] = p.su
+		if k > 0 {
+			r.Links = make([]int, k)
+			t.TreePath(prev, p.sv, r.Nodes[1:], r.Links)
 		}
-		path := s.in.Topo.PathLinks(s.prev[cur], to)
-		for _, li := range path {
-			links = append(links, li)
-			nodes = append(nodes, s.in.Topo.Links[li].To)
-		}
-		cur = to
+		return r
 	}
-	for _, sv := range seq {
-		hop(loc[sv])
-		waypointAt[len(nodes)-1] = true
-	}
-	hop(sv)
 
-	nodes, links = removeCycles(nodes, links, waypointAt)
-	return Route{Nodes: nodes, Links: links, Waypoints: seq}
+	b := &s.buf
+	b.nodes = append(b.nodes[:0], p.su)
+	b.links = b.links[:0]
+	b.wp = append(b.wp[:0], false)
+	cur := p.su
+	for _, vi := range p.vars {
+		s.hop(cur, vnode[vi])
+		cur = vnode[vi]
+		b.wp[len(b.wp)-1] = true
+	}
+	s.hop(cur, p.sv)
+
+	nodes, links, _ := s.cut.removeCycles(b.nodes, b.links, b.wp)
+	r := Route{Nodes: slices.Clone(nodes), Waypoints: p.seq}
+	if len(links) > 0 {
+		r.Links = slices.Clone(links)
+	}
+	return r
 }
 
-// removeCycles deletes revisit loops that contain no waypoint, preserving
-// the waypoint visit order (the MILP's Σ R_uvin ≤ 1 constraint analogue).
-func removeCycles(nodes []topo.NodeID, links []int, waypointAt map[int]bool) ([]topo.NodeID, []int) {
+// routeBuf is the scratch a waypoint route is spliced in: the switch
+// sequence, the links between them, and which positions visit a waypoint.
+type routeBuf struct {
+	nodes []topo.NodeID
+	links []int
+	wp    []bool
+}
+
+// hop appends the tree path from switch cur to switch to onto the scratch
+// route. An unreachable target appends nothing.
+func (s *solver) hop(cur, to topo.NodeID) {
+	if to == cur {
+		return
+	}
+	b := &s.buf
+	prev := s.prev[cur]
+	k := s.in.Topo.TreeHops(prev, to)
+	n0, l0 := len(b.nodes), len(b.links)
+	b.nodes = append(b.nodes, make([]topo.NodeID, k)...)
+	b.links = append(b.links, make([]int, k)...)
+	b.wp = append(b.wp, make([]bool, k)...)
+	s.in.Topo.TreePath(prev, to, b.nodes[n0:], b.links[l0:])
+}
+
+// cycleCutter removes revisit loops that contain no waypoint from a route,
+// preserving the waypoint visit order (the MILP's Σ R_uvin ≤ 1 constraint
+// analogue). last[n] is switch n's latest position in the current scan,
+// valid only while seen[n] == gen, so starting a scan costs one increment.
+type cycleCutter struct {
+	last []int
+	seen []uint32
+	gen  uint32
+}
+
+func newCycleCutter(switches int) cycleCutter {
+	return cycleCutter{last: make([]int, switches), seen: make([]uint32, switches)}
+}
+
+// removeCycles scans nodes left to right. At the first switch revisited
+// with no waypoint visit after its previous position j (exclusive) up to
+// this one at i (inclusive), it splices out nodes j+1..i, links j..i-1 and
+// their waypoint marks in place, and scans again from the start. It
+// returns the shortened slices, which share the arguments' arrays.
+func (c *cycleCutter) removeCycles(nodes []topo.NodeID, links []int, wp []bool) ([]topo.NodeID, []int, []bool) {
 	for {
-		last := map[topo.NodeID]int{}
+		if c.gen++; c.gen == 0 {
+			clear(c.seen)
+			c.gen = 1
+		}
 		cut := false
 		for i, n := range nodes {
-			if j, seen := last[n]; seen {
-				// Candidate cycle nodes j..i; removable if no waypoint
-				// strictly inside (j exclusive, i inclusive).
-				ok := true
-				for k := j + 1; k <= i; k++ {
-					if waypointAt[k] {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					// Splice out nodes j+1..i and links j..i-1.
-					newNodes := append(append([]topo.NodeID{}, nodes[:j+1]...), nodes[i+1:]...)
-					newLinks := append(append([]int{}, links[:j]...), links[i:]...)
-					// Re-key waypoint positions after the splice.
-					newWp := map[int]bool{}
-					for k, w := range waypointAt {
-						switch {
-						case k <= j:
-							newWp[k] = newWp[k] || w
-						case k > i:
-							newWp[k-(i-j)] = newWp[k-(i-j)] || w
-						}
-					}
-					nodes, links, waypointAt = newNodes, newLinks, newWp
+			if c.seen[n] == c.gen {
+				if j := c.last[n]; !slices.Contains(wp[j+1:i+1], true) {
+					nodes = append(nodes[:j+1], nodes[i+1:]...)
+					links = append(links[:j], links[i:]...)
+					wp = append(wp[:j+1], wp[i+1:]...)
 					cut = true
 					break
 				}
 			}
-			last[n] = i
+			c.seen[n], c.last[n] = c.gen, i
 		}
 		if !cut {
-			return nodes, links
+			return nodes, links, wp
 		}
 	}
 }

@@ -62,9 +62,7 @@ func (m *Model) SolveSTWarm(mapping *psmap.Mapping, order *deps.Order, prev map[
 		return m.SolveST(mapping, order)
 	}
 
-	s := m.newSolver()
-	s.in = in
-	s.prepare()
+	s := m.newSolver(in)
 	s.indexPairs(groups)
 	loc := map[string]topo.NodeID{}
 	for gi, g := range groups {

@@ -35,19 +35,6 @@ func (m *Mapping) StateSeq(u, v int, order *deps.Order) []string {
 	return orderedVars(m.Vars[[2]int{u, v}], order)
 }
 
-// StateSeqs precomputes the dependency-ordered variable sequence for every
-// pair in the mapping. The placement solver evaluates pair sequences inside
-// its innermost cost loops; computing them once here (instead of a map-sort
-// per evaluation) is what keeps placement local search linear in the demand
-// count.
-func (m *Mapping) StateSeqs(order *deps.Order) map[[2]int][]string {
-	out := make(map[[2]int][]string, len(m.Vars))
-	for pair, set := range m.Vars {
-		out[pair] = orderedVars(set, order)
-	}
-	return out
-}
-
 // orderedVars sorts a variable set by dependency position, looking each
 // position up once (the sets are tiny, so insertion sort on the decorated
 // pairs beats sort.Slice with map lookups in the comparator).

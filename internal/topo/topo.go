@@ -182,16 +182,27 @@ func (t *Topology) ShortestDists(src NodeID, weight []float64) (dist []float64, 
 	}
 }
 
-// PathLinks reconstructs the src→dst link sequence from a Dijkstra run.
-func (t *Topology) PathLinks(prevLink []int, dst NodeID) []int {
-	var rev []int
+// TreeHops returns the number of links on the path that a predecessor
+// tree from ShortestDists holds from its source to dst: 0 when dst is the
+// source or unreachable.
+func (t *Topology) TreeHops(prevLink []int, dst NodeID) int {
+	k := 0
 	for n := dst; prevLink[n] >= 0; n = t.Links[prevLink[n]].From {
-		rev = append(rev, prevLink[n])
+		k++
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	return k
+}
+
+// TreePath writes that path, filling backwards from dst: links[i] is its
+// i-th link and nodes[i] the switch that link enters. Both slices must hold
+// exactly TreeHops(prevLink, dst) elements.
+func (t *Topology) TreePath(prevLink []int, dst NodeID, nodes []NodeID, links []int) {
+	n := dst
+	for i := len(links) - 1; i >= 0; i-- {
+		li := prevLink[n]
+		links[i], nodes[i] = li, n
+		n = t.Links[li].From
 	}
-	return rev
 }
 
 // Connected reports whether every switch is reachable from switch 0.

@@ -146,20 +146,28 @@ func TestShortestPaths(t *testing.T) {
 	if dist[3] >= 0.5 {
 		t.Fatalf("capacity-weight dist to 3 = %f", dist[3])
 	}
-	path := tp.PathLinks(prev, 3)
-	if len(path) != 3 {
-		t.Fatalf("path length %d, want 3 hops", len(path))
+	hops := tp.TreeHops(prev, 3)
+	if hops != 3 {
+		t.Fatalf("path length %d, want 3 hops", hops)
 	}
-	// Path is contiguous from 0 to 3.
+	nodes, path := make([]NodeID, hops), make([]int, hops)
+	tp.TreePath(prev, 3, nodes, path)
+	// Path is contiguous from 0 to 3, and nodes[i] is where link i ends.
 	at := NodeID(0)
-	for _, li := range path {
+	for i, li := range path {
 		if tp.Links[li].From != at {
 			t.Fatalf("discontiguous path at link %d", li)
 		}
 		at = tp.Links[li].To
+		if nodes[i] != at {
+			t.Fatalf("node %d is %d, link %d enters %d", i, nodes[i], li, at)
+		}
 	}
 	if at != 3 {
 		t.Fatalf("path ends at %d", at)
+	}
+	if tp.TreeHops(prev, 0) != 0 {
+		t.Fatal("the source has a path to itself")
 	}
 }
 

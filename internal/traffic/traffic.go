@@ -7,8 +7,10 @@
 package traffic
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"snap/internal/topo"
@@ -83,13 +85,14 @@ func (m Matrix) Pairs() [][2]int {
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
+	slices.SortFunc(out, ComparePairs)
 	return out
+}
+
+// ComparePairs orders port pairs as Pairs returns them: by ingress port,
+// then by egress port.
+func ComparePairs(a, b [2]int) int {
+	return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 }
 
 // Replay samples n ordered port pairs from the matrix, each drawn with

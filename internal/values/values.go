@@ -236,6 +236,32 @@ func (v Value) Key() string {
 	}
 }
 
+// Hash returns a 64-bit hash of v that Eq-equal values share, like Key but
+// without building a string. It reads only what Key encodes, so a prefix
+// hashes by its base address and length.
+func (v Value) Hash() uint64 {
+	var h uint64
+	switch v.Kind {
+	case KindString:
+		h = 14695981039346656037 // FNV-1a
+		for i := 0; i < len(v.Str); i++ {
+			h = (h ^ uint64(v.Str[i])) * 1099511628211
+		}
+	case KindPrefix:
+		h = 4<<40 | uint64(v.Len)<<32 | uint64(uint32(v.Num))
+	case KindBool, KindInt:
+		h = uint64(v.Num) ^ 2<<56
+	case KindIP:
+		h = 3<<40 | uint64(uint32(v.Num))
+	}
+	// splitmix64's finaliser spreads every input bit over the result.
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
 // Tuple is a vector of values (⇀v in the paper), used as a composite state
 // index such as orphan[dstip][dns.rdata].
 type Tuple []Value

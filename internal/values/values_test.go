@@ -66,6 +66,28 @@ func TestKeyEqConsistency(t *testing.T) {
 	}
 }
 
+// TestHashEqConsistency: Eq-equal values hash alike, and a prefix built
+// around an address it contains hashes like that prefix.
+func TestHashEqConsistency(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		a, b := genValue(rng), genValue(rng)
+		if Eq(a, b) && a.Hash() != b.Hash() {
+			t.Fatalf("Eq(%v,%v) but hashes %x vs %x", a, b, a.Hash(), b.Hash())
+		}
+	}
+	if Bool(true).Hash() != Int(1).Hash() || Bool(false).Hash() != Int(0).Hash() {
+		t.Fatal("booleans hash unlike their integer coercion")
+	}
+	p := Prefix(10<<24|6<<8, 24)
+	if Prefix(10<<24|6<<8|77, 24).Hash() != p.Hash() {
+		t.Fatal("a prefix around a contained address hashes unlike the prefix")
+	}
+	if p.Hash() == Prefix(10<<24|7<<8, 24).Hash() || p.Hash() == Prefix(10<<24|6<<8, 23).Hash() {
+		t.Fatal("distinct prefixes collide")
+	}
+}
+
 func TestPrefixMatch(t *testing.T) {
 	p := Prefix(10<<24|6<<8, 24) // 10.0.6.0/24
 	cases := []struct {

@@ -256,11 +256,11 @@ func (tr *Translator) unionSteps(d1, d2 *Diagram, ctx *Context) (*Diagram, error
 		d1, d2 = d2, d1
 		fallthrough
 	case d2.IsLeaf():
-		tb, err := tr.unionCtx(d1.True, d2, ctx.With(d1.Test, true))
+		tb, err := tr.unionCtx(d1.True, d2, ctx.withRoot(d1, true))
 		if err != nil {
 			return nil, err
 		}
-		fb, err := tr.unionCtx(d1.False, d2, ctx.With(d1.Test, false))
+		fb, err := tr.unionCtx(d1.False, d2, ctx.withRoot(d1, false))
 		if err != nil {
 			return nil, err
 		}
@@ -269,11 +269,11 @@ func (tr *Translator) unionSteps(d1, d2 *Diagram, ctx *Context) (*Diagram, error
 
 	switch cmp := tr.cmpNodes(d1, d2); {
 	case cmp == 0:
-		tb, err := tr.unionCtx(d1.True, d2.True, ctx.With(d1.Test, true))
+		tb, err := tr.unionCtx(d1.True, d2.True, ctx.withRoot(d1, true))
 		if err != nil {
 			return nil, err
 		}
-		fb, err := tr.unionCtx(d1.False, d2.False, ctx.With(d1.Test, false))
+		fb, err := tr.unionCtx(d1.False, d2.False, ctx.withRoot(d1, false))
 		if err != nil {
 			return nil, err
 		}
@@ -282,11 +282,11 @@ func (tr *Translator) unionSteps(d1, d2 *Diagram, ctx *Context) (*Diagram, error
 		d1, d2 = d2, d1
 		fallthrough
 	default:
-		tb, err := tr.unionCtx(d1.True, d2, ctx.With(d1.Test, true))
+		tb, err := tr.unionCtx(d1.True, d2, ctx.withRoot(d1, true))
 		if err != nil {
 			return nil, err
 		}
-		fb, err := tr.unionCtx(d1.False, d2, ctx.With(d1.Test, false))
+		fb, err := tr.unionCtx(d1.False, d2, ctx.withRoot(d1, false))
 		if err != nil {
 			return nil, err
 		}
@@ -463,11 +463,11 @@ func (tr *Translator) seqComposeSteps(d1, d2 *Diagram, ctx *Context) (*Diagram, 
 		}
 		return acc, nil
 	}
-	dT, err := tr.seqCompose(d1.True, d2, ctx.With(d1.Test, true))
+	dT, err := tr.seqCompose(d1.True, d2, ctx.withRoot(d1, true))
 	if err != nil {
 		return nil, err
 	}
-	dF, err := tr.seqCompose(d1.False, d2, ctx.With(d1.Test, false))
+	dF, err := tr.seqCompose(d1.False, d2, ctx.withRoot(d1, false))
 	if err != nil {
 		return nil, err
 	}

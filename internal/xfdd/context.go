@@ -16,7 +16,11 @@ import (
 //
 // Contexts are persistent: With returns an extension that shares every
 // table with c except the one its fact touches, which it copies first. No
-// table is ever written after its context is published.
+// table is ever written after its context is published. Field-value facts
+// are per-field lists, newest first, that share their tails with the
+// context they extend, so recording one copies the fixed array of list
+// heads and prepends one node: the cost of an extension does not grow with
+// the chain it extends.
 type Context struct {
 	// vals holds exact known field values (from passed exact-value tests or
 	// field assignments of a preceding action sequence), at the class root;
@@ -25,7 +29,8 @@ type Context struct {
 	vals  *[pkt.NumFields]values.Value
 	// pos/neg hold passed and failed field-value tests (including prefix
 	// tests, which constrain without pinning an exact value).
-	pos, neg *[pkt.NumFields][]values.Value
+	pos *[pkt.NumFields]*fvFact
+	neg *[pkt.NumFields]*negFact
 	// eq holds what field-field facts established; nil until the first one.
 	eq *eqFacts
 	// st lists the recorded state-test outcomes, newest first.
@@ -59,6 +64,26 @@ type eqFacts struct {
 	neq    [][2]pkt.Field
 }
 
+// fvFact is one passed field-value test on a field, in a list that runs
+// newest first.
+type fvFact struct {
+	val   values.Value
+	older *fvFact
+}
+
+// negFact is one failed field-value test on a field, in a list that runs
+// newest first. Each node also indexes its whole list by match shape, so a
+// query can nearly always rule the list out without walking it: bit L of
+// lens says the list holds a failed prefix test of length L (at most 32, as
+// values.Prefix builds them), and keys is a one-hash Bloom filter of the
+// failed values' values.Hash.
+type negFact struct {
+	val   values.Value
+	older *negFact
+	lens  uint64
+	keys  [8]uint64
+}
+
 // stFact records the outcome of one state test, under the canonical key it
 // resolved to when it was recorded.
 type stFact struct {
@@ -76,8 +101,8 @@ type withKey struct {
 func NewContext() *Context {
 	return &Context{
 		vals: new([pkt.NumFields]values.Value),
-		pos:  new([pkt.NumFields][]values.Value),
-		neg:  new([pkt.NumFields][]values.Value),
+		pos:  new([pkt.NumFields]*fvFact),
+		neg:  new([pkt.NumFields]*negFact),
 	}
 }
 
@@ -104,12 +129,52 @@ func (c *Context) clearVal(f pkt.Field) {
 	c.known &^= 1 << f
 }
 
-// appended returns a copy of table with v appended to f's list.
-func appended(table *[pkt.NumFields][]values.Value, f pkt.Field, v values.Value) *[pkt.NumFields][]values.Value {
-	t := *table
-	l := t[f]
-	t[f] = append(l[:len(l):len(l)], v)
-	return &t
+// withPos returns a copy of the list heads with v recorded first on f's
+// list; the lists themselves are shared.
+func withPos(heads *[pkt.NumFields]*fvFact, f pkt.Field, v values.Value) *[pkt.NumFields]*fvFact {
+	h := *heads
+	h[f] = &fvFact{val: v, older: h[f]}
+	return &h
+}
+
+// withNeg is withPos for failed tests, extending the older node's index.
+func withNeg(heads *[pkt.NumFields]*negFact, f pkt.Field, v values.Value) *[pkt.NumFields]*negFact {
+	h := *heads
+	n := &negFact{val: v, older: h[f]}
+	if n.older != nil {
+		n.lens, n.keys = n.older.lens, n.older.keys
+	}
+	if v.Kind == values.KindPrefix {
+		n.lens |= 1 << v.Len
+	}
+	k := v.Hash()
+	n.keys[k>>6&7] |= 1 << (k & 63)
+	h[f] = n
+	return &h
+}
+
+// mayRefute reports whether the list starting at n might hold a failed test
+// that subsumes q, so that it must be walked. Such a test either equals q,
+// and shares its hash, or is a prefix of one of the lengths in lens that
+// contains q, and hashes like q's address cut to that length.
+func (n *negFact) mayRefute(q values.Value) bool {
+	has := func(k uint64) bool { return n.keys[k>>6&7]&(1<<(k&63)) != 0 }
+	if has(q.Hash()) {
+		return true
+	}
+	if q.Kind != values.KindIP && q.Kind != values.KindPrefix {
+		return false
+	}
+	for lens := n.lens; lens != 0; lens &= lens - 1 {
+		l := uint8(bits.TrailingZeros64(lens))
+		if q.Kind == values.KindPrefix && l > q.Len {
+			return false
+		}
+		if has(values.Prefix(uint32(q.Num), l).Hash()) {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *Context) root(f pkt.Field) pkt.Field {
@@ -146,6 +211,15 @@ func (c *Context) With(t Test, outcome bool) *Context {
 	return c.withID(c.store.TestID(t), outcome)
 }
 
+// withRoot is With for the root test of branch d: an interned branch
+// carries its test's id, so the test is not hashed again.
+func (c *Context) withRoot(d *Diagram, outcome bool) *Context {
+	if c.store != nil && d.testID != 0 {
+		return c.withID(d.testID, outcome)
+	}
+	return c.With(d.Test, outcome)
+}
+
 // withID is With for the store's interned test id.
 func (c *Context) withID(id int32, outcome bool) *Context {
 	mk := withKey{test: id, outcome: outcome}
@@ -174,9 +248,9 @@ func (c *Context) extend(t Test, outcome bool) *Context {
 			if x.Val.Kind != values.KindPrefix {
 				n.setVal(n.root(x.Field), x.Val)
 			}
-			n.pos = appended(n.pos, x.Field, x.Val)
+			n.pos = withPos(n.pos, x.Field, x.Val)
 		} else {
-			n.neg = appended(n.neg, x.Field, x.Val)
+			n.neg = withNeg(n.neg, x.Field, x.Val)
 		}
 	case FFTest:
 		n.opaque = true
@@ -303,17 +377,23 @@ func (c *Context) Infer(t Test) (outcome, known bool) {
 		if !x.Field.Valid() {
 			return false, false
 		}
-		for _, w := range c.pos[x.Field] {
-			if x.Val.Subsumes(w) {
+		// The scan order does not matter: every failed test that subsumes
+		// the query answers false, and the passed tests of one path all
+		// hold of its packets, so the query cannot subsume one of them and
+		// be disjoint from another.
+		for w := c.pos[x.Field]; w != nil; w = w.older {
+			if x.Val.Subsumes(w.val) {
 				return true, true
 			}
-			if values.Disjoint(x.Val, w) {
+			if values.Disjoint(x.Val, w.val) {
 				return false, true
 			}
 		}
-		for _, w := range c.neg[x.Field] {
-			if w.Subsumes(x.Val) {
-				return false, true
+		if n := c.neg[x.Field]; n != nil && n.mayRefute(x.Val) {
+			for w := n; w != nil; w = w.older {
+				if w.val.Subsumes(x.Val) {
+					return false, true
+				}
 			}
 		}
 		return false, false
