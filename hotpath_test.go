@@ -1,7 +1,8 @@
 // The compiled fast path's public guarantees: the steady-state switch
 // visit — an ingress visit, and a resume visit committing a carried write
 // at its owner — costs no heap allocation, and stays that way
-// (regression-pinned with testing.AllocsPerRun). The same visit inside a running engine is
+// (regression-pinned with testing.AllocsPerRun), and an ingress visit's
+// step count does not grow with the port count. The same visit inside a running engine is
 // snapmark's netasm.visit_ns row (benchmark/); see EXPERIMENTS.md.
 package snap_test
 
@@ -207,3 +208,174 @@ func TestCommitVisitZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state commit visit allocates: %v allocs/op, want 0", allocs)
 	}
 }
+
+// chainVisitSteps bounds an ingress visit under assumption(n); body;
+// assign-egress(n) for every n: the inport and dstip tests are one table
+// lookup each, where walking them branch by branch took about n + 5 steps.
+const chainVisitSteps = 8
+
+// chainPlane compiles Assumption(n); AssignEgress(n) onto a topology with n
+// ports and returns, per ingress port, the linked switch it enters at and
+// the packet it enters with.
+func chainPlane(n int) ([]*netasm.Switch, []netasm.SimPacket, error) {
+	var t *topo.Topology
+	switch n {
+	case 6:
+		t = topo.Campus(1000)
+	case 28:
+		t = topo.IGen(40, 1000)
+	case 84:
+		t = topo.IGen(120, 1000)
+	default:
+		return nil, nil, fmt.Errorf("no topology with %d ports", n)
+	}
+	if len(t.Ports) != n {
+		return nil, nil, fmt.Errorf("topology %s has %d ports, want %d", t.Name, len(t.Ports), n)
+	}
+	policy := syntax.Then(apps.Assumption(n), apps.AssignEgress(n))
+	comp, err := core.ColdStart(policy, t, traffic.Gravity(t, 100, 1), place.Options{Method: place.Heuristic})
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := comp.Config
+	var sws []*netasm.Switch
+	var sps []netasm.SimPacket
+	for _, port := range t.Ports {
+		sc := cfg.Switches[port.Switch]
+		sws = append(sws, netasm.NewLinkedSwitch(int(port.Switch), netasm.Link(sc.Prog, cfg.VarSpace(), sc.Owns)))
+		src, dst := apps.Subnet(port.ID), apps.Subnet(n+1-port.ID)
+		sps = append(sps, netasm.SimPacket{
+			Pkt: pkt.New(map[pkt.Field]values.Value{
+				pkt.Inport: values.Int(int64(port.ID)),
+				pkt.SrcIP:  values.IP(uint32(src.Num) + 1),
+				pkt.DstIP:  values.IP(uint32(dst.Num) + 9),
+			}),
+			Hdr: netasm.Header{OBSIn: port.ID, OBSOut: -1, Node: cfg.RootID, Seq: -1, Phase: netasm.PhaseEval},
+		})
+	}
+	return sws, sps, nil
+}
+
+// TestChainVisitSteps: with MaxSteps at one small constant, every ingress
+// visit of the 6-, 28- and 84-port planes completes and picks its egress.
+func TestChainVisitSteps(t *testing.T) {
+	for _, n := range []int{6, 28, 84} {
+		sws, sps, err := chainPlane(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sw := range sws {
+			sw.MaxSteps = chainVisitSteps
+			rs, err := sw.Run(sps[i])
+			if err != nil {
+				t.Fatalf("n=%d, inport %d: %v", n, sps[i].Hdr.OBSIn, err)
+			}
+			if want := n + 1 - sps[i].Hdr.OBSIn; len(rs) != 1 || rs[0].Packet.Hdr.OBSOut != want {
+				t.Fatalf("n=%d, inport %d: %+v, want one copy to port %d", n, sps[i].Hdr.OBSIn, rs, want)
+			}
+		}
+	}
+}
+
+// TestChainVisitZeroAlloc: a table lookup allocates nothing; the 84-port
+// ingress visit stays at zero, as TestSwitchRunZeroAlloc's does.
+func TestChainVisitZeroAlloc(t *testing.T) {
+	sws, sps, err := chainPlane(84)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, sp := sws[len(sws)-1], sps[len(sps)-1]
+	var scratch []netasm.Result
+	visit := func() {
+		rs, err := sw.RunAppend(scratch[:0], sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch = rs
+	}
+	visit()
+	if raceEnabled {
+		for i := 0; i < 100; i++ {
+			visit()
+		}
+		t.Skip("race detector instrumentation allocates; zero-alloc assertion skipped")
+	}
+	if allocs := testing.AllocsPerRun(200, visit); allocs != 0 {
+		t.Fatalf("84-port ingress visit allocates: %v allocs/op, want 0", allocs)
+	}
+}
+
+// BenchmarkChainVisit measures one visit through a run of L exact-int
+// tests on inport, the packets taking each member's true edge in turn:
+// below the link step's cut-off the VM walks the branches, at and above it
+// the run is one table lookup. The lengths around the cut-off are the
+// measurement that sets it.
+func BenchmarkChainVisit(b *testing.B) {
+	for _, l := range []int{2, 3, 4, 5, 6, 8, 10, 12, 16, 28, 84} {
+		b.Run(fmt.Sprintf("L=%d", l), func(b *testing.B) {
+			p := &netasm.Program{EntryOf: map[int]int{0: 0}}
+			for i := 0; i < l; i++ {
+				p.Instrs = append(p.Instrs, netasm.Instr{Op: netasm.OpBranchFV, Field: pkt.Inport,
+					Val: values.Int(int64(i + 1)), True: l + 2*i, False: i + 1})
+			}
+			p.Instrs[l-1].False = l + 2*l
+			for i := 0; i <= l; i++ {
+				p.Instrs = append(p.Instrs,
+					netasm.Instr{Op: netasm.OpSetField, Field: pkt.Outport, Val: values.Int(int64(i + 1)), Next: l + 2*i + 1},
+					netasm.Instr{Op: netasm.OpFinish})
+			}
+			sw := netasm.NewSwitch(0, p, nil)
+			sps := make([]netasm.SimPacket, l)
+			for i := range sps {
+				sps[i] = netasm.SimPacket{
+					Pkt: pkt.New(map[pkt.Field]values.Value{pkt.Inport: values.Int(int64(i + 1))}),
+					Hdr: netasm.Header{OBSIn: i + 1, OBSOut: -1, Seq: -1, Phase: netasm.PhaseEval},
+				}
+			}
+			var scratch []netasm.Result
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rs, err := sw.RunAppend(scratch[:0], sps[i%l])
+				if err != nil {
+					b.Fatal(err)
+				}
+				scratch = rs
+			}
+		})
+	}
+}
+
+// BenchmarkLink links every program of a ctl-enterprise-shaped plane
+// (Stanford at half its ports, 72 of them, under assumption; DNS-tunnel
+// detection; assign-egress) against the plane's variable space: the link
+// step's share of P6.
+func BenchmarkLink(b *testing.B) {
+	t, err := topo.Named("Stanford", 1000, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dns, ok := apps.ByName("dns-tunnel-detect")
+	if !ok {
+		b.Fatal("dns-tunnel-detect app missing")
+	}
+	n := len(t.Ports)
+	policy := syntax.Then(apps.Assumption(n), syntax.Then(dns.MustPolicy(), apps.AssignEgress(n)))
+	comp, err := core.ColdStart(policy, t, traffic.Gravity(t, 100, 1), place.Options{Method: place.Heuristic})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := comp.Config
+	vs := cfg.VarSpace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sc := range cfg.Switches {
+			linkSink = netasm.Link(sc.Prog, vs, sc.Owns)
+		}
+	}
+}
+
+// linkSink keeps BenchmarkLink's images live, so the compiler cannot drop
+// the calls.
+var linkSink *netasm.Linked

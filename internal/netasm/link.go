@@ -19,7 +19,15 @@
 //   - scalar value expressions compile to a const or a single field read;
 //   - branch targets, fork entries and the node-id→pc entry map become
 //     int32 arrays;
-//   - the widest fork is precomputed (the engine sizes its inboxes by it).
+//   - the widest fork is precomputed (the engine sizes its inboxes by it);
+//   - each false-edge run of at least chainMin field tests on one field
+//     whose constants share a key class (numeric, exact IP, or canonical
+//     prefixes of one length) collapses into one table lookup at the run's
+//     head. The run ends at an overlapping key, a different field or key
+//     class, or any other instruction; the members stay where they are, so
+//     entries into the middle still work. A packet value outside the key
+//     class takes the head's own branch and walks the run as before, and a
+//     lookup is one step against MaxSteps.
 //
 // Index tuples wider than values.MaxVec — the 5-tuple flow key of five
 // catalogue apps — keep their syntax.Expr form and take the interpreter's
@@ -29,6 +37,7 @@ package netasm
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -152,7 +161,7 @@ func flattenExpr(e syntax.Expr, dst extractor) extractor {
 // Scalar value sources for state writes and tests.
 const (
 	valNone  uint8 = iota
-	valConst       // valC
+	valConst       // val: a state op's constant (its Instr.Val is unused)
 	valField       // read valF from the packet
 	valSlow        // semantics.EvalScalar on slowVal (non-scalar: runtime error)
 )
@@ -170,7 +179,6 @@ type linstr struct {
 	field2  pkt.Field
 	val     values.Value
 	valF    pkt.Field
-	valC    values.Value
 	idx     extractor
 	slowIdx []syntax.Expr // set instead of idx when the index is too wide
 	slowVal syntax.Expr
@@ -179,6 +187,7 @@ type linstr struct {
 	next    int32
 	seqs    []int32
 	resume  int32
+	tab     *chainTable // opChain: the collapsed run
 }
 
 // Linked is an executable program: the link-time image of a Program for
@@ -321,7 +330,7 @@ func Link(p *Program, vs *VarSpace, owns map[string]bool) *Linked {
 			case len(flat) == 1 && flat[0].isField:
 				li.valMode, li.valF = valField, flat[0].field
 			case len(flat) == 1:
-				li.valMode, li.valC = valConst, flat[0].val
+				li.valMode, li.val = valConst, flat[0].val
 			default:
 				// Non-scalar value expression: preserved as a runtime
 				// error, exactly like the interpreter.
@@ -347,7 +356,163 @@ func Link(p *Program, vs *VarSpace, owns map[string]bool) *Linked {
 			"%d state instruction(s) index by tuples wider than %d values and take the interpreter slow path (first at %s)",
 			wideIdx, values.MaxVec, firstWide))
 	}
+	lp.linkChains(p.Instrs)
 	return lp
+}
+
+// chainMin is the shortest run of field tests worth a table: below it a
+// lookup costs more than walking the branches (BenchmarkChainVisit).
+const chainMin = 4
+
+// Key classes of a chain table. A prefix class adds the prefix length to
+// classPrefix, so two lengths are two classes.
+const (
+	classNone   uint8 = iota
+	classNum          // KindBool/KindInt by Num: values.Eq coerces them
+	classIP           // exact KindIP
+	classPrefix       // canonical KindPrefix of length class-classPrefix
+)
+
+// chainTable is a collapsed run: the key of each member's constant leads to
+// the member's true pc, any other key to the false pc of the last member.
+// The keys sit in an open-addressed array at most half full.
+type chainTable struct {
+	class uint8
+	shift uint8  // 64 - log2(len(slots))
+	mask  uint32 // prefix classes: the prefix mask
+	slots []chainSlot
+	miss  int32
+}
+
+type chainSlot struct {
+	key  int64
+	pc   int32 // the member's true pc
+	used bool
+}
+
+// slot returns k's slot, or the free slot where k would go.
+func (t *chainTable) slot(k int64) *chainSlot {
+	for i := uint64(k) * 0x9e3779b97f4a7c15 >> t.shift; ; i++ {
+		s := &t.slots[i&uint64(len(t.slots)-1)]
+		if !s.used || s.key == k {
+			return s
+		}
+	}
+}
+
+// chainKey classifies a branch constant, classNone when it may not join a
+// run. A prefix that values.Prefix would not build (bits below its mask, a
+// length over 32) never matches an address, and an IP carrying a length or
+// a string is not the plain address, so neither has a key.
+func chainKey(v values.Value) (uint8, int64) {
+	switch v.Kind {
+	case values.KindBool, values.KindInt:
+		return classNum, v.Num
+	case values.KindIP:
+		if v.Len == 0 && v.Str == "" {
+			return classIP, v.Num
+		}
+	case values.KindPrefix:
+		if v == values.Prefix(uint32(v.Num), v.Len) {
+			return classPrefix + v.Len, v.Num
+		}
+	}
+	return classNone, 0
+}
+
+// lookup returns the pc a packet value leads to, false when the value is
+// outside the table's key class (the caller then takes the head's branch).
+func (t *chainTable) lookup(fv values.Value) (int32, bool) {
+	var k int64
+	switch {
+	case t.class == classNum && (fv.Kind == values.KindBool || fv.Kind == values.KindInt):
+		k = fv.Num
+	case t.class == classIP && fv.Kind == values.KindIP && fv.Len == 0 && fv.Str == "":
+		k = fv.Num
+	case t.class >= classPrefix && fv.Kind == values.KindIP:
+		k = int64(uint32(fv.Num) & t.mask)
+	default:
+		return 0, false
+	}
+	if s := t.slot(k); s.used {
+		return s.pc, true
+	}
+	return t.miss, true
+}
+
+// Chain marks: a field test's key class in the low bits, and two flags.
+const (
+	markClass = 0x3f
+	continues = 0x40 // a field test's false edge extends its run to here
+	headed    = 0x80
+)
+
+// linkChains makes the head of every run of at least chainMin field tests
+// a table instruction. A test that a run continues into is not a head. A
+// run cut short by a key it already holds restarts there, and each pc
+// heads at most once, so a false-edge cycle ends.
+func (lp *Linked) linkChains(in []Instr) {
+	mark := make([]uint8, len(in))
+	for pc := range in {
+		if in[pc].Op == OpBranchFV {
+			mark[pc], _ = chainKey(in[pc].Val)
+		}
+	}
+	for pc, m := range mark {
+		if c, next := m&markClass, in[pc].False; c != classNone && inRun(in, mark, next, in[pc].Field, c) {
+			mark[next] |= continues
+		}
+	}
+	for pc, m := range mark {
+		if m&markClass == classNone || m&continues != 0 {
+			continue
+		}
+		for head := pc; head >= 0 && mark[head]&headed == 0; {
+			mark[head] |= headed
+			head = lp.collapse(in, mark, head)
+		}
+	}
+}
+
+// inRun reports whether pc is a field test on field in key class class.
+func inRun(in []Instr, mark []uint8, pc int, field pkt.Field, class uint8) bool {
+	return pc >= 0 && pc < len(in) && mark[pc]&markClass == class && in[pc].Field == field
+}
+
+// collapse makes the field test at head a table instruction when the run
+// it heads has at least chainMin members. It returns the pc where the run
+// met a key it already held, -1 when the run ended otherwise.
+func (lp *Linked) collapse(in []Instr, mark []uint8, head int) int {
+	class, field := mark[head]&markClass, in[head].Field
+	// Size the table, counting at most the program against a cycle.
+	size := 0
+	for pc := head; size < len(in) && inRun(in, mark, pc, field, class); pc = in[pc].False {
+		size++
+	}
+	if size < chainMin {
+		return -1
+	}
+	log := bits.Len(uint(2*size - 1))
+	t := &chainTable{class: class, shift: uint8(64 - log), slots: make([]chainSlot, 1<<log)}
+	n, pc, last, overlap := 0, head, head, -1
+	for ; inRun(in, mark, pc, field, class); n++ {
+		_, k := chainKey(in[pc].Val)
+		s := t.slot(k)
+		if s.used {
+			overlap = pc
+			break
+		}
+		*s = chainSlot{key: k, pc: int32(in[pc].True), used: true}
+		last, pc = pc, in[pc].False
+	}
+	if n >= chainMin {
+		t.miss = int32(in[last].False)
+		if class >= classPrefix {
+			t.mask = uint32(values.Prefix(^uint32(0), class-classPrefix).Num)
+		}
+		lp.ins[head].op, lp.ins[head].tab = opChain, t
+	}
+	return overlap
 }
 
 // soloSpace builds a private variable space for a switch linked outside a

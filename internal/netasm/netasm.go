@@ -13,7 +13,9 @@
 //
 // Programs execute in linked form (link.go): variable names resolved to
 // dense table ids, index/value expressions compiled to flat extractors,
-// state held in dense tables (state.Table). A steady-state packet visit —
+// state held in dense tables (state.Table), and each long run of field
+// tests on one field collapsed into one table lookup, as NetASM matches a
+// field against a table (§4.5). A steady-state packet visit —
 // branches, state reads, in-place writes, pending-write resolution within
 // the inline header array — performs no heap allocation; see
 // docs/ARCHITECTURE.md ("the compiled plane").
@@ -62,6 +64,9 @@ const (
 	OpFinish
 	// OpDrop discards the packet copy (pending writes still commit).
 	OpDrop
+	// opChain exists only in linked programs: the head of a collapsed run
+	// of field tests, one table lookup (link.go).
+	opChain
 )
 
 // Instr is one VM instruction in portable (unlinked) form: state
@@ -107,13 +112,13 @@ func (i Instr) String() string {
 	case OpBranchFF:
 		return fmt.Sprintf("bff   %s = %s ? %d : %d", i.Field, i.Field2, i.True, i.False)
 	case OpBranchState:
-		return fmt.Sprintf("bst   %s%s = %s ? %d : %d", i.Var, xfdd.IndexKey(i.Idx), i.ValE, i.True, i.False)
+		return fmt.Sprintf("bst   %s ? %d : %d", xfdd.STest{Var: i.Var, Idx: i.Idx, Val: i.ValE}, i.True, i.False)
 	case OpSetField:
 		return fmt.Sprintf("mod   %s <- %s -> %d", i.Field, i.Val, i.Next)
 	case OpStateWrite:
-		return fmt.Sprintf("stw   %s[%d] %v -> %d", i.Var, i.Act, i.Idx, i.Next)
+		return fmt.Sprintf("stw   %s -> %d", i.action(), i.Next)
 	case OpResolve:
-		return fmt.Sprintf("rsv   %s[%d] %v -> %d", i.Var, i.Act, i.Idx, i.Next)
+		return fmt.Sprintf("rsv   %s -> %d", i.action(), i.Next)
 	case OpSuspend:
 		return fmt.Sprintf("susp  %s resume@%d", i.Var, i.Resume)
 	case OpFork:
@@ -124,6 +129,12 @@ func (i Instr) String() string {
 		return "drop"
 	}
 	return "nop"
+}
+
+// action is a state instruction's action; it prints as the policy writes
+// it: s[e]++, s[e]-- or s[e] <- v.
+func (i Instr) action() xfdd.Action {
+	return xfdd.Action{Kind: i.Act, Var: i.Var, Idx: i.Idx, SVal: i.ValE}
 }
 
 // PendingWrite is one state write as the VM represents it: resolved at the
@@ -488,7 +499,7 @@ func (sw *Switch) deliverOutcome(sp SimPacket) Result {
 func (sw *Switch) scalar(li *linstr, p *pkt.Packet) (values.Value, error) {
 	switch li.valMode {
 	case valConst:
-		return li.valC, nil
+		return li.val, nil
 	case valField:
 		return p.Field(li.valF), nil
 	case valSlow:
@@ -517,6 +528,16 @@ func (sw *Switch) exec(dst []Result, sp SimPacket, pc int) ([]Result, error) {
 
 		case OpBranchFV:
 			if li.val.Matches(sp.Pkt.Field(li.field)) {
+				pc = int(li.tpc)
+			} else {
+				pc = int(li.fpc)
+			}
+
+		case opChain:
+			fv := sp.Pkt.Field(li.field)
+			if next, ok := li.tab.lookup(fv); ok {
+				pc = int(next)
+			} else if li.val.Matches(fv) {
 				pc = int(li.tpc)
 			} else {
 				pc = int(li.fpc)

@@ -10,15 +10,16 @@ import (
 	"snap/internal/xfdd"
 )
 
-// prog builds a tiny hand-written program:
+// prog builds a tiny hand-written program, its leaves behind forks so leaf
+// semantics are exercised; progListing is its disassembly.
 //
-//	0: bfv srcport = 53 ? 1 : 4
-//	1: stw c[inport]++            (local)
-//	2: mod outport <- 6
-//	3: fin
+//	0: bfv   srcport = 53 ? 1 : 5
+//	1: fork  [2]
+//	2: stw   c[inport]++ -> 3       (local)
+//	3: mod   outport <- 6 -> 4
 //	4: fin
-//
-// wrapped behind a fork so leaf semantics are exercised.
+//	5: fork  [6]
+//	6: fin
 func prog() *netasm.Program {
 	p := &netasm.Program{EntryOf: map[int]int{0: 0}}
 	p.Instrs = []netasm.Instr{
@@ -31,6 +32,41 @@ func prog() *netasm.Program {
 		{Op: netasm.OpFinish},
 	}
 	return p
+}
+
+const progListing = `   0: bfv   srcport = 53 ? 1 : 5
+   1: fork  [2]
+   2: stw   c[inport]++ -> 3
+   3: mod   outport <- 6 -> 4
+   4: fin
+   5: fork  [6]
+   6: fin
+`
+
+// TestDisassembly: state instructions print their action in the policy's
+// surface syntax, index and set value included.
+func TestDisassembly(t *testing.T) {
+	if got := prog().String(); got != progListing {
+		t.Fatalf("disassembly:\n%s\nwant:\n%s", got, progListing)
+	}
+	pair := []syntax.Expr{syntax.F(pkt.SrcIP), syntax.F(pkt.DstIP)}
+	for _, c := range []struct {
+		ins  netasm.Instr
+		want string
+	}{
+		{netasm.Instr{Op: netasm.OpResolve, Var: "established", Idx: pair, Act: xfdd.ActSet,
+			ValE: syntax.V(values.Bool(true)), Next: 4}, "rsv   established[srcip][dstip] <- True -> 4"},
+		{netasm.Instr{Op: netasm.OpStateWrite, Var: "susp-client", Idx: pair[1:], Act: xfdd.ActDecr, Next: 2},
+			"stw   susp-client[dstip]-- -> 2"},
+		{netasm.Instr{Op: netasm.OpStateWrite, Var: "last", Idx: pair[:1], Act: xfdd.ActSet,
+			ValE: syntax.F(pkt.DstPort), Next: 1}, "stw   last[srcip] <- dstport -> 1"},
+		{netasm.Instr{Op: netasm.OpBranchState, Var: "established", Idx: pair,
+			ValE: syntax.V(values.Bool(true)), True: 1, False: 2}, "bst   established[srcip][dstip] = True ? 1 : 2"},
+	} {
+		if got := c.ins.String(); got != c.want {
+			t.Errorf("%q, want %q", got, c.want)
+		}
+	}
 }
 
 func mkPacket(srcport int64) netasm.SimPacket {
