@@ -57,8 +57,8 @@ func runChaos(co chaosOptions) {
 	fmt.Printf("events: %d executed; oracle: %d lockstep probes, %d state audits, %d resyncs\n",
 		len(rep.Events), rep.OracleProbes, rep.OracleStateAudits, rep.OracleResyncs)
 	if rep.Faults {
-		fmt.Printf("containment: %d rollback(s), %d retried op(s), %d contained panic(s)\n",
-			rep.Rollbacks, rep.Retries, rep.ContainedPanics)
+		fmt.Printf("containment: %d rollback(s), %d contained panic(s)\n",
+			rep.Rollbacks, rep.ContainedPanics)
 	}
 	if rep.EngineNs > 0 {
 		fmt.Printf("engine: %s inside InjectReplay, %.0f sustained pps under churn\n",

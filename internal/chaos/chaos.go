@@ -71,11 +71,11 @@ type Options struct {
 	// boundary; default 3.
 	Probes int
 	// Faults adds control-plane fault injection to the schedule: a
-	// transient recompile failure (absorbed by the controller's retry
-	// budget), a mid-swap apply failure (engine rollback, then retried),
-	// and an injected worker panic (quarantine, then healed) — each with
-	// its containment asserted as an invariant. The faults are armed
-	// through the process-global faultpoint registry, so at most one
+	// recompile failure (the controller returns it; the edit is issued
+	// again), a mid-swap apply failure (engine rollback; the edit is issued
+	// again), and an injected worker panic (quarantine, then healed) —
+	// each with its containment asserted as an invariant. The faults are
+	// armed through the process-global faultpoint registry, so at most one
 	// faults-enabled soak may run at a time.
 	Faults bool
 	// Log receives the event timeline as it executes (nil = silent).
@@ -244,10 +244,6 @@ func Run(o Options) (*Report, error) {
 		Mode:      ctrl.RePlace,
 	}
 	if o.Faults {
-		// The injected recompile/apply failures are one-shot; a small
-		// retry budget absorbs them inside the same operation. Seeded
-		// jitter keeps even the backoff schedule reproducible.
-		ctlOpts.Retry = ctrl.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, JitterSeed: o.Seed ^ 0xfa17}
 		defer faultpoint.Reset()
 	}
 	ctl := ctrl.New(comp, eng, ctlOpts)
@@ -321,7 +317,6 @@ func (h *harness) finish(total int) {
 	h.rep.Dropped = st.Dropped
 	h.rep.Rollbacks = st.Rollbacks
 	h.rep.ContainedPanics = st.ContainedPanics
-	h.rep.Retries = h.ctl.Retries()
 	h.rep.EngineNs = h.engineNs
 	if h.engineNs > 0 {
 		h.rep.PPS = float64(total) / (float64(h.engineNs) / float64(time.Second))

@@ -49,12 +49,11 @@ type Report struct {
 	Events []EventRecord `json:"events"`
 
 	// Containment accounting, populated when Faults is set: injected
-	// control-plane and worker faults must be absorbed by exactly these
-	// rollback/retry/containment paths, so the counts are deterministic
+	// control-plane and worker faults must be contained by exactly these
+	// rollback and panic-quarantine paths, so the counts are deterministic
 	// and fingerprinted.
 	Faults          bool  `json:"faults,omitempty"`
 	Rollbacks       int64 `json:"rollbacks,omitempty"`
-	Retries         int64 `json:"retries,omitempty"`
 	ContainedPanics int64 `json:"containedPanics,omitempty"`
 
 	// Differential-oracle accounting: sampled probe flows compared in
@@ -93,8 +92,8 @@ func (r *Report) Fingerprint() string {
 		fmt.Fprintf(&b, "event chunk=%d kind=%s %s\n", e.Chunk, e.Kind, e.Detail)
 	}
 	if r.Faults {
-		fmt.Fprintf(&b, "faults=%v rollbacks=%d retries=%d contained-panics=%d\n",
-			r.Faults, r.Rollbacks, r.Retries, r.ContainedPanics)
+		fmt.Fprintf(&b, "faults=%v rollbacks=%d contained-panics=%d\n",
+			r.Faults, r.Rollbacks, r.ContainedPanics)
 	}
 	fmt.Fprintf(&b, "oracle probes=%d audits=%d resyncs=%d\n",
 		r.OracleProbes, r.OracleStateAudits, r.OracleResyncs)

@@ -6,10 +6,12 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"snap/internal/core"
+	"snap/internal/ctrl"
 	"snap/internal/dataplane"
 	"snap/internal/faultpoint"
 	"snap/internal/syntax"
@@ -231,43 +233,25 @@ func (h *harness) execEvent(ci int, ev event, variants []syntax.Policy) bool {
 		h.resync(ci, "post-restore")
 
 	case "cfail":
-		// Transient controller failure: the recompile of a policy rotation
-		// fails once; the retry budget absorbs it inside the same
-		// operation, with no externally visible failure.
-		h.polID++
-		next := variants[h.polID%len(variants)]
-		before := entryCount(h.eng.GlobalState())
-		retriesBefore := h.ctl.Retries()
-		faultpoint.Enable(faultpoint.CtrlRecompile, faultpoint.Plan{Times: 1})
-		pr, err := h.ctl.ApplyPolicy(next)
-		if err != nil {
-			h.violate(ci, "cfail: recompile fault not absorbed by retry: %v", err)
+		// Controller failure: the recompile of a policy rotation fails
+		// once. The controller returns the error with nothing advanced;
+		// the identical edit, issued again, commits.
+		pr, ok := h.faultedEdit(ci, "cfail", faultpoint.CtrlRecompile, variants)
+		if !ok {
 			return false
 		}
-		if d := h.ctl.Retries() - retriesBefore; d != 1 {
-			h.violate(ci, "cfail: %d retries taken, want 1", d)
-		}
-		if after := entryCount(h.eng.GlobalState()); after != before {
-			h.violate(ci, "cfail lost state: %d entries before, %d after", before, after)
-		}
-		h.orc.policy = next
-		h.record(ci, "cfail", fmt.Sprintf("recompile fault absorbed by retry; variant=%d epoch=%d",
+		h.record(ci, "cfail", fmt.Sprintf("recompile fault returned, edit issued again; variant=%d epoch=%d",
 			h.polID%len(variants), pr.Epoch))
 
 	case "afail":
 		// Mid-swap engine failure: the apply stage of a policy rotation
-		// fails once, the engine rolls back to the prior plane with state
-		// intact, and the controller's retry commits the identical edit on
-		// the second attempt — so the epoch advances exactly once.
-		h.polID++
-		next := variants[h.polID%len(variants)]
-		before := entryCount(h.eng.GlobalState())
+		// fails once and the engine rolls back to the prior plane with
+		// state intact. The identical edit, issued again, commits — so
+		// the epoch advances exactly once across the event.
 		epochBefore := h.eng.Epoch()
 		rollbacksBefore := h.eng.Stats().Rollbacks
-		faultpoint.Enable(faultpoint.EngineApplyLink, faultpoint.Plan{Times: 1})
-		pr, err := h.ctl.ApplyPolicy(next)
-		if err != nil {
-			h.violate(ci, "afail: apply fault not absorbed by rollback+retry: %v", err)
+		pr, ok := h.faultedEdit(ci, "afail", faultpoint.EngineApplyLink, variants)
+		if !ok {
 			return false
 		}
 		if d := h.eng.Stats().Rollbacks - rollbacksBefore; d != 1 {
@@ -276,11 +260,7 @@ func (h *harness) execEvent(ci int, ev event, variants []syntax.Policy) bool {
 		if d := h.eng.Epoch() - epochBefore; d != 1 {
 			h.violate(ci, "afail: epoch advanced by %d across the event, want exactly 1", d)
 		}
-		if after := entryCount(h.eng.GlobalState()); after != before {
-			h.violate(ci, "afail lost state: %d entries before, %d after", before, after)
-		}
-		h.orc.policy = next
-		h.record(ci, "afail", fmt.Sprintf("apply fault rolled back, retried; variant=%d epoch=%d",
+		h.record(ci, "afail", fmt.Sprintf("apply fault rolled back, edit issued again; variant=%d epoch=%d",
 			h.polID%len(variants), pr.Epoch))
 
 	case "wpanic":
@@ -346,6 +326,39 @@ func (h *harness) execEvent(ci int, ev event, variants []syntax.Policy) bool {
 		}
 	}
 	return true
+}
+
+// faultedEdit rotates to the next policy variant with a one-shot fault
+// armed at point. The first ApplyPolicy must return the injected error and
+// move nothing — compilation, epoch, state entries; the identical edit,
+// issued again, must commit without losing an entry. ok is false when
+// either call did otherwise and the soak cannot continue.
+func (h *harness) faultedEdit(ci int, kind, point string, variants []syntax.Policy) (pr *ctrl.PolicyReport, ok bool) {
+	h.polID++
+	next := variants[h.polID%len(variants)]
+	before := entryCount(h.eng.GlobalState())
+	comp, epoch := h.ctl.Compilation(), h.eng.Epoch()
+	faultpoint.Enable(point, faultpoint.Plan{Times: 1})
+	if _, err := h.ctl.ApplyPolicy(next); !errors.Is(err, faultpoint.ErrInjected) {
+		h.violate(ci, "%s: edit returned %v, want the injected fault", kind, err)
+		return nil, false
+	}
+	if h.ctl.Compilation() != comp || h.eng.Epoch() != epoch {
+		h.violate(ci, "%s: failed edit moved the controller (epoch %d → %d)", kind, epoch, h.eng.Epoch())
+	}
+	if after := entryCount(h.eng.GlobalState()); after != before {
+		h.violate(ci, "%s: failed edit lost state: %d entries before, %d after", kind, before, after)
+	}
+	pr, err := h.ctl.ApplyPolicy(next)
+	if err != nil {
+		h.violate(ci, "%s: edit issued again: %v", kind, err)
+		return nil, false
+	}
+	if after := entryCount(h.eng.GlobalState()); after != before {
+		h.violate(ci, "%s lost state: %d entries before, %d after", kind, before, after)
+	}
+	h.orc.policy = next
+	return pr, true
 }
 
 // deltaSummary compacts a recompilation's DeltaReport for the event

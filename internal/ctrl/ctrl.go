@@ -33,6 +33,7 @@ package ctrl
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
@@ -45,6 +46,7 @@ import (
 	"snap/internal/shard"
 	"snap/internal/state"
 	"snap/internal/syntax"
+	"snap/internal/telemetry"
 	"snap/internal/topo"
 	"snap/internal/traffic"
 	"snap/internal/values"
@@ -245,16 +247,6 @@ type Options struct {
 	Shards []shard.Plan
 	// Combine resolves shard-fold collisions (see Plan.Combine).
 	Combine func(a, b values.Value) values.Value
-	// Retry bounds the retry-with-backoff loop around every operation's
-	// recompile+apply (recovery.go). The zero value keeps the historical
-	// fail-fast behavior: one attempt, no retry.
-	Retry RetryPolicy
-	// Breaker configures the per-operation circuit breakers (recovery.go).
-	// The zero value applies the defaults (threshold 3, cooldown 5s); the
-	// breaker only ever trips after whole operations exhaust their
-	// retries, so fail-fast callers see it exactly at 3 consecutive
-	// errors.
-	Breaker BreakerPolicy
 }
 
 // Controller owns the closed loop for one engine. It tracks the current
@@ -268,9 +260,6 @@ type Controller struct {
 	mon     Monitor
 	opts    Options
 	history []Reconfig
-	// rec is the recovery discipline (recovery.go): retry bookkeeping,
-	// circuit breakers, the last-known-good compilation.
-	rec *recoveryState
 }
 
 // New builds a controller for an engine currently running comp.Config.
@@ -281,15 +270,12 @@ func New(comp *core.Compilation, eng *dataplane.Engine, opts Options) *Controlle
 	if opts.MinSample <= 0 {
 		opts.MinSample = 500
 	}
-	c := &Controller{
+	return &Controller{
 		eng:  eng,
 		comp: comp,
 		mon:  Monitor{Ref: comp.Demands, Threshold: opts.Threshold, MinSample: opts.MinSample},
 		opts: opts,
-		rec:  newRecoveryState(opts.Retry.JitterSeed, comp),
 	}
-	c.registerRecoveryMetrics()
-	return c
 }
 
 // Drift reports the current divergence between the engine's observed
@@ -299,38 +285,32 @@ func (c *Controller) Drift() (float64, bool) {
 }
 
 // reconfigure is the one transaction every operation runs, and the one
-// home of state relocation: under the recovery discipline (retry/backoff,
-// circuit breaker — recovery.go) it recompiles, plans the migration from
-// the running configuration to the new one and installs it on the engine,
-// timing the install. The engine's commit of the swap is the commit point:
-// only after it does the controller's lineage advance (commitGood) and the
-// action reach telemetry, so a failed attempt has mutated nothing the next
-// attempt — or the next operation — depends on. detail says what triggered
-// the operation, for the span log.
+// home of state relocation: it recompiles, plans the migration from the
+// running configuration to the new one and installs it on the engine,
+// timing the install. It runs once. The engine's commit of the swap is the
+// commit point: only after it does the controller's lineage advance and
+// the action reach telemetry. A failure returns "ctrl: <op> recompile: …"
+// or "ctrl: <op> apply: …" with nothing the controller holds advanced and
+// the engine on its prior epoch with state intact, so the caller may issue
+// the operation again. detail says what triggered the operation, for the
+// span log.
 func (c *Controller) reconfigure(op, detail string, recompile func() (*core.Compilation, error), install func(*rules.Config, dataplane.StateRewrite) error) (*core.Compilation, Applied, error) {
 	began := time.Now()
+	err := faultpoint.Hit(faultpoint.CtrlRecompile)
 	var next *core.Compilation
-	var out Applied
-	err := c.withRecovery(op, func() error {
-		err := faultpoint.Hit(faultpoint.CtrlRecompile)
-		if err == nil {
-			next, err = recompile()
-		}
-		if err != nil {
-			return fmt.Errorf("ctrl: %s recompile: %w", op, err)
-		}
-		out.Plan = PlanMigration(c.comp.Config, next.Config, c.opts.Shards, c.opts.Combine)
-		start := time.Now()
-		if err := install(next.Config, out.Plan.Rewrite()); err != nil {
-			return fmt.Errorf("ctrl: %s apply: %w", op, err)
-		}
-		out.Swap = time.Since(start)
-		return nil
-	})
-	if err != nil {
-		return nil, Applied{}, err
+	if err == nil {
+		next, err = recompile()
 	}
-	c.commitGood(next)
+	if err != nil {
+		return nil, Applied{}, fmt.Errorf("ctrl: %s recompile: %w", op, err)
+	}
+	out := Applied{Plan: PlanMigration(c.comp.Config, next.Config, c.opts.Shards, c.opts.Combine)}
+	start := time.Now()
+	if err := install(next.Config, out.Plan.Rewrite()); err != nil {
+		return nil, Applied{}, fmt.Errorf("ctrl: %s apply: %w", op, err)
+	}
+	out.Swap = time.Since(start)
+	c.comp = next
 	out.Epoch, out.Compile, out.Times = c.eng.Epoch(), next.Times.Total(), next.Times
 	scenario := next.Scenario
 	if op == "restore" {
@@ -343,6 +323,26 @@ func (c *Controller) reconfigure(op, detail string, recompile func() (*core.Comp
 	}
 	c.observe(op, scenario, detail+out.Plan.String(), began, out.Times, out.Swap)
 	return next, out, nil
+}
+
+// containPanic is the deferred panic envelope of every controller
+// operation: a panic in compile, planning or apply code becomes a returned
+// error, with the stack captured in the span log — the control loop caller
+// survives and decides whether to issue the operation again.
+func (c *Controller) containPanic(op string, err *error) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	*err = fmt.Errorf("ctrl: contained panic in %s: %v", op, v)
+	if reg := c.eng.Telemetry(); reg != nil {
+		reg.Spans.Record(telemetry.Span{
+			Kind:     "panic",
+			Scenario: op,
+			Detail:   fmt.Sprintf("%v\n%s", v, debug.Stack()),
+			Start:    time.Now(),
+		})
+	}
 }
 
 // rebase adopts a committed compilation's demands as the drift reference
@@ -358,12 +358,11 @@ func (c *Controller) rebase(next *core.Compilation) {
 // was needed. After a swap the observation window resets and the observed
 // matrix (scaled to the reference volume) becomes the new reference.
 //
-// Failure atomicity: the recompile+apply runs under the recovery
-// discipline (retry/backoff, circuit breaker — recovery.go), and the
-// controller's own state — compilation lineage, reference matrix,
-// observation window, history — advances only after the engine commits
-// the swap. A failed Step is a clean no-op: the same drift evidence is
-// still in the window and the next Step fires on it again.
+// Failure atomicity: the controller's own state — compilation lineage,
+// reference matrix, observation window, history — advances only after the
+// engine commits the swap. A failed Step returns its error and is a clean
+// no-op: the same drift evidence is still in the window and the next Step
+// fires on it again.
 func (c *Controller) Step() (rec *Reconfig, err error) {
 	defer c.containPanic("reconfig", &err)
 	obs := c.eng.ObservedMatrix()
@@ -440,9 +439,10 @@ type FailoverReport struct {
 // across partitions cannot be routed, so recovery needs operator intent
 // (e.g. a second scenario failing the minority side).
 //
-// The recompile+apply runs under the recovery discipline; the failure
-// injection itself stays outside the retry loop (it is idempotent, and a
-// retried recompile must see the already-degraded engine, not re-fail it).
+// A failed recompile or apply returns its error with the lineage where it
+// was; the failure stays injected in the engine. Issuing Failover again
+// re-injects it, which is idempotent, and recompiles against the same
+// degraded topology.
 func (c *Controller) Failover(s fault.Scenario) (rep *FailoverReport, err error) {
 	defer c.containPanic("failover", &err)
 	degraded, err := c.comp.Topo.Degrade(s.Switches, s.Links)
@@ -558,13 +558,9 @@ func (c *Controller) Restore(s fault.Scenario, demands traffic.Matrix) (rep *Res
 type PolicyReport struct {
 	Applied
 	// Delta describes how the recompilation reused prior work: the
-	// scenario it took (noop/delta/policy_cold) and the per-phase reuse
-	// counters.
+	// scenario it took (noop/delta/policy_cold), the per-phase reuse
+	// counters and the switches whose configuration changed.
 	Delta *core.DeltaReport
-	// DirtySwitches lists the switches whose configuration actually
-	// changed in this edit (from the delta path's config diff; nil when
-	// the recompile fell back to the cold path without a report).
-	DirtySwitches []topo.NodeID
 }
 
 // ApplyPolicy hot-swaps a new policy onto the running deployment: the
@@ -583,12 +579,8 @@ func (c *Controller) ApplyPolicy(p syntax.Policy) (rep *PolicyReport, err error)
 	if err != nil {
 		return nil, err
 	}
-	rep = &PolicyReport{Applied: done, Delta: next.Delta}
-	if next.Delta != nil {
-		rep.DirtySwitches = next.Delta.DirtySwitches
-	}
 	observeDelta(c.eng.Telemetry(), next.Delta)
-	return rep, nil
+	return &PolicyReport{Applied: done, Delta: next.Delta}, nil
 }
 
 // Compilation returns the controller's current compilation (the lineage
