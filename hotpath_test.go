@@ -2,8 +2,10 @@
 // visit — an ingress visit, and a resume visit committing a carried write
 // at its owner — costs no heap allocation, and stays that way
 // (regression-pinned with testing.AllocsPerRun), and an ingress visit's
-// step count does not grow with the port count. The same visit inside a running engine is
-// snapmark's netasm.visit_ns row (benchmark/); see EXPERIMENTS.md.
+// step count does not grow with the port count. Visits run as the packet
+// walk runs them: Switch.Visit on a packet copied into a reused slot. The
+// same visit inside a running engine is snapmark's netasm.visit_ns row
+// (benchmark/); see EXPERIMENTS.md.
 package snap_test
 
 import (
@@ -20,6 +22,35 @@ import (
 	"snap/internal/traffic"
 	"snap/internal/values"
 )
+
+// slotVisitor drives Switch.Visit as the packet walk does: each visit
+// copies a fresh packet into one preallocated slot and runs the VM on it
+// in place, reusing the result and fork buffers.
+type slotVisitor struct {
+	sw      *netasm.Switch
+	slot    netasm.SimPacket
+	results []netasm.Result
+	forks   []netasm.SimPacket
+}
+
+func (v *slotVisitor) visit(sp *netasm.SimPacket) ([]netasm.Result, error) {
+	v.slot, v.forks = *sp, v.forks[:0]
+	var err error
+	v.results, err = v.sw.Visit(v.results[:0], &v.slot, &v.forks)
+	return v.results, err
+}
+
+// run visits a copy of sp and returns, beside each result, the packet it
+// describes.
+func run(sw *netasm.Switch, sp netasm.SimPacket) ([]netasm.Result, []netasm.SimPacket, error) {
+	v := slotVisitor{sw: sw}
+	rs, err := v.visit(&sp)
+	sps := make([]netasm.SimPacket, len(rs))
+	for i := range rs {
+		sps[i] = *rs[i].Slot(&v.slot, v.forks)
+	}
+	return rs, sps, err
+}
 
 // firewallVisit builds the steady-state stateful-firewall visit: the
 // switch owning the firewall's state, warmed with the flow's entry, and
@@ -68,7 +99,7 @@ func firewallVisit() (*netasm.Switch, netasm.SimPacket, error) {
 	}
 	// Warm the flow entry so the measured visit overwrites in place (the
 	// steady state) instead of inserting.
-	if _, err := sw.Run(sp); err != nil {
+	if _, _, err := run(sw, sp); err != nil {
 		return nil, netasm.SimPacket{}, err
 	}
 	return sw, sp, nil
@@ -83,15 +114,13 @@ func BenchmarkSwitchRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var scratch []netasm.Result
+	v := slotVisitor{sw: sw}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := sw.RunAppend(scratch[:0], sp)
-		if err != nil {
+		if _, err := v.visit(&sp); err != nil {
 			b.Fatal(err)
 		}
-		scratch = rs
 	}
 }
 
@@ -100,32 +129,47 @@ func BenchmarkSwitchRun(b *testing.B) {
 // on the per-packet path — string keys, expression walks, slice clones;
 // see docs/ARCHITECTURE.md ("the compiled plane") for what is allowed to
 // allocate (first-insert of a state entry, multicast overflow) and what
-// is not.
+// is not. The by-value Switch.RunAppend wrapper is pinned beside Visit.
 func TestSwitchRunZeroAlloc(t *testing.T) {
 	sw, sp, err := firewallVisit()
 	if err != nil {
 		t.Fatal(err)
 	}
+	v := slotVisitor{sw: sw}
 	var scratch []netasm.Result
-	visit := func() {
-		rs, err := sw.RunAppend(scratch[:0], sp)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		visit func()
+	}{
+		{"Visit", func() {
+			if _, err := v.visit(&sp); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"RunAppend", func() {
+			rs, err := sw.RunAppend(scratch[:0], sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scratch = rs
+		}},
+	} {
+		c.visit() // size the scratch before measuring
+		if raceEnabled {
+			// Under the race detector the instrumentation itself allocates;
+			// the visit still runs (exercising the scratch-reuse paths for
+			// race detection), only the exact-zero assertion is skipped.
+			for i := 0; i < 100; i++ {
+				c.visit()
+			}
+			continue
 		}
-		scratch = rs
+		if allocs := testing.AllocsPerRun(200, c.visit); allocs != 0 {
+			t.Fatalf("steady-state firewall visit (%s) allocates: %v allocs/op, want 0", c.name, allocs)
+		}
 	}
-	visit() // size the scratch before measuring
 	if raceEnabled {
-		// Under the race detector the instrumentation itself allocates;
-		// the visit still runs (exercising the scratch-reuse paths for
-		// race detection), only the exact-zero assertion is skipped.
-		for i := 0; i < 100; i++ {
-			visit()
-		}
 		t.Skip("race detector instrumentation allocates; zero-alloc assertion skipped")
-	}
-	if allocs := testing.AllocsPerRun(200, visit); allocs != 0 {
-		t.Fatalf("steady-state firewall visit allocates: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -162,18 +206,18 @@ func commitVisit() (*netasm.Switch, netasm.SimPacket, error) {
 			}),
 			Hdr: netasm.Header{OBSIn: port.ID, OBSOut: -1, Node: cfg.RootID, Seq: -1, Phase: netasm.PhaseEval},
 		}
-		rs, err := link(port.Switch).Run(sp)
+		rs, sps, err := run(link(port.Switch), sp)
 		if err != nil {
 			return nil, netasm.SimPacket{}, err
 		}
-		if len(rs) != 1 || rs[0].Outcome != netasm.NeedState || rs[0].Packet.Hdr.PendingLen() != 1 {
+		if len(rs) != 1 || rs[0].Outcome != netasm.NeedState || sps[0].Hdr.PendingLen() != 1 {
 			return nil, netasm.SimPacket{}, fmt.Errorf("ingress visit at port %d: %+v, want one copy carrying one write", port.ID, rs)
 		}
 		sw := link(owner)
-		if _, err := sw.Run(rs[0].Packet); err != nil {
+		if _, _, err := run(sw, sps[0]); err != nil {
 			return nil, netasm.SimPacket{}, err
 		}
-		return sw, rs[0].Packet, nil
+		return sw, sps[0], nil
 	}
 	return nil, netasm.SimPacket{}, fmt.Errorf("every port hangs off count's owner")
 }
@@ -186,16 +230,15 @@ func TestCommitVisitZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var scratch []netasm.Result
+	v := slotVisitor{sw: sw}
 	visit := func() {
-		rs, err := sw.RunAppend(scratch[:0], sp)
+		rs, err := v.visit(&sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rs) != 1 || rs[0].Packet.Hdr.PendingLen() != 0 {
+		if len(rs) != 1 || rs[0].Slot(&v.slot, v.forks).Hdr.PendingLen() != 0 {
 			t.Fatalf("commit visit: %+v, want one copy with its write committed", rs)
 		}
-		scratch = rs
 	}
 	visit()
 	if raceEnabled {
@@ -266,11 +309,11 @@ func TestChainVisitSteps(t *testing.T) {
 		}
 		for i, sw := range sws {
 			sw.MaxSteps = chainVisitSteps
-			rs, err := sw.Run(sps[i])
+			rs, out, err := run(sw, sps[i])
 			if err != nil {
 				t.Fatalf("n=%d, inport %d: %v", n, sps[i].Hdr.OBSIn, err)
 			}
-			if want := n + 1 - sps[i].Hdr.OBSIn; len(rs) != 1 || rs[0].Packet.Hdr.OBSOut != want {
+			if want := n + 1 - sps[i].Hdr.OBSIn; len(rs) != 1 || out[0].Hdr.OBSOut != want {
 				t.Fatalf("n=%d, inport %d: %+v, want one copy to port %d", n, sps[i].Hdr.OBSIn, rs, want)
 			}
 		}
@@ -284,14 +327,11 @@ func TestChainVisitZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, sp := sws[len(sws)-1], sps[len(sps)-1]
-	var scratch []netasm.Result
+	v, sp := slotVisitor{sw: sws[len(sws)-1]}, sps[len(sps)-1]
 	visit := func() {
-		rs, err := sw.RunAppend(scratch[:0], sp)
-		if err != nil {
+		if _, err := v.visit(&sp); err != nil {
 			t.Fatal(err)
 		}
-		scratch = rs
 	}
 	visit()
 	if raceEnabled {
@@ -324,7 +364,7 @@ func BenchmarkChainVisit(b *testing.B) {
 					netasm.Instr{Op: netasm.OpSetField, Field: pkt.Outport, Val: values.Int(int64(i + 1)), Next: l + 2*i + 1},
 					netasm.Instr{Op: netasm.OpFinish})
 			}
-			sw := netasm.NewSwitch(0, p, nil)
+			v := slotVisitor{sw: netasm.NewSwitch(0, p, nil)}
 			sps := make([]netasm.SimPacket, l)
 			for i := range sps {
 				sps[i] = netasm.SimPacket{
@@ -332,15 +372,12 @@ func BenchmarkChainVisit(b *testing.B) {
 					Hdr: netasm.Header{OBSIn: i + 1, OBSOut: -1, Seq: -1, Phase: netasm.PhaseEval},
 				}
 			}
-			var scratch []netasm.Result
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rs, err := sw.RunAppend(scratch[:0], sps[i%l])
-				if err != nil {
+				if _, err := v.visit(&sps[i%l]); err != nil {
 					b.Fatal(err)
 				}
-				scratch = rs
 			}
 		})
 	}

@@ -50,21 +50,22 @@ func (p *panicError) Error() string {
 	return fmt.Sprintf("dataplane: contained panic at %s (switch %d): %v", faultpoint.EngineRun, p.sw, p.value)
 }
 
-// runContained executes one switch visit under the panic envelope (and
-// the engine.run faultpoint, which is how tests and the chaos harness
-// inject worker panics). A recovered panic returns as *panicError; the
-// caller quarantines the switch instead of poisoning the plane.
-func runContained(sw *netasm.Switch, at topo.NodeID, buf []netasm.Result, sp *netasm.SimPacket) (results []netasm.Result, err error) {
+// runContained visits sp at switch sw under the panic envelope (and the
+// engine.run faultpoint, which is how tests and the chaos harness inject
+// worker panics), leaving the results in w. A recovered panic returns as
+// *panicError; the caller quarantines the switch instead of poisoning the plane.
+func runContained(sw *netasm.Switch, at topo.NodeID, w *walker, sp *netasm.SimPacket) (err error) {
+	w.results, w.forks = w.results[:0], w.forks[:0]
 	defer func() {
 		if v := recover(); v != nil {
-			results = buf[:0]
+			w.results = w.results[:0]
 			err = &panicError{sw: at, value: v, stack: debug.Stack()}
 		}
 	}()
-	if err := faultpoint.Hit(faultpoint.EngineRun); err != nil {
-		return buf[:0], err
+	if err = faultpoint.Hit(faultpoint.EngineRun); err == nil {
+		w.results, err = sw.Visit(w.results, sp, &w.forks)
 	}
-	return sw.RunAppend(buf, *sp)
+	return err
 }
 
 // containVMError routes a switch-visit error: a contained panic (or an

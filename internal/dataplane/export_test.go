@@ -3,6 +3,7 @@ package dataplane
 import (
 	"unsafe"
 
+	"snap/internal/netasm"
 	"snap/internal/topo"
 )
 
@@ -21,4 +22,11 @@ func (e *Engine) HoldSwitch(id topo.NodeID) (release func()) {
 	mu := e.plane.Load().locks[id]
 	mu.Lock()
 	return mu.Unlock
+}
+
+// HookStateWrites installs hook as the state-write observer of switch id on
+// the current plane, where a replicated plane's mirror hook sits. Callers
+// hold the engine quiescent.
+func (e *Engine) HookStateWrites(id topo.NodeID, hook func(netasm.PendingWrite)) {
+	e.plane.Load().switches[id].OnStateWrite = hook
 }

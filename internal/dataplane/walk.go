@@ -134,21 +134,22 @@ func (in *injection) finish() {
 	wg.Done()
 }
 
-// hop is one packet copy on its way to a switch visit. A SimPacket is
-// 1 104 bytes, so the walk is arranged to copy one as rarely as it can (see
-// walk), and a copy that owes only its egress is never queued (see forward).
+// hop is one packet copy on its way to a switch visit, and the packet the
+// VM runs on there: a SimPacket is 1 104 bytes, so it is written once at
+// ingress and copied only when a fork's copy travels on (see walk).
 type hop struct {
 	at   topo.NodeID
 	hops int
 	sp   netasm.SimPacket
 }
 
-// walker is the walking goroutine's own memory: the copies still to visit
-// and the VM result buffer, reused across injections so the steady-state
-// packet loop allocates nothing.
+// walker is the walking goroutine's own memory: the copies still to visit,
+// the VM result buffer and the fork copies of the current visit, reused
+// across injections so the steady-state packet loop allocates nothing.
 type walker struct {
 	queue   []hop
 	results []netasm.Result
+	forks   []netasm.SimPacket
 }
 
 // walk runs one injection, entering at switch `at`, and all its copies to
@@ -158,22 +159,23 @@ type walker struct {
 // cannot change underneath it — an injection holds the admission gate for
 // its whole life and planes swap only while the gate is drained.
 //
-// The queue is popped last-in-first-out into the slot being visited: the
-// visit appends the copies that travel on over the slot it was handed, so
-// a chain of single continuations (every hop of a suspended packet) reuses
-// one element and the queue never grows past the widest fork. A FIFO queue
-// that kept every hop cost 20 % of ns_per_packet on the 5.5-hop WAN
+// The queue is popped last-in-first-out, and the popped slot is the packet
+// the VM runs on in place. A copy that travels on from it stays there, the
+// free top of the queue, so a suspended packet's every hop reuses one
+// element and copies nothing; a fork's copies are appended over it. A FIFO
+// queue that kept every hop cost 20 % of ns_per_packet on the 5.5-hop WAN
 // workload in packet copies alone; TestWalkQueueStaysShort holds the line.
 func (f *fabric) walk(pl *plane, w *walker, inj *injection, at topo.NodeID, ing *Ingress) {
-	// The packet enters in the initial SNAP-header of §4.5: evaluation
-	// starts at the xFDD root. This is the one copy between injection and VM.
+	// The packet enters in the initial SNAP-header of §4.5, the one copy
+	// between injection and VM. Only a retired copy held the slot before,
+	// so the header keeps its spill storage.
 	if w.queue == nil {
 		w.queue = make([]hop, 1)
 	}
 	q := w.queue[:1]
 	q[0].at, q[0].hops = at, 0
 	q[0].sp.Pkt = ing.Packet
-	q[0].sp.Hdr = netasm.Header{OBSIn: ing.Port, OBSOut: -1, Node: pl.cfg.RootID, Seq: -1, Phase: netasm.PhaseEval}
+	q[0].sp.Hdr.Enter(ing.Port, pl.cfg.RootID)
 	for len(q) > 0 {
 		n := len(q) - 1
 		q = f.visit(pl, w, inj, &q[n], q[:n])
@@ -199,12 +201,13 @@ func (f *fabric) arrive(at topo.NodeID, hops int, inj *injection, in, out int) b
 	return false
 }
 
-// visit executes one packet copy at one switch, accounts every copy the VM
-// emits and appends those that travel on to q. q's free slot may be c
-// itself, so nothing of c is read once the VM has run.
+// visit executes packet copy c at one switch, in place, accounts every copy
+// the VM emits and appends those that travel on to q. c is q's free top: a
+// result naming it is the visit's only one and re-extends q, and fork
+// copies are appended over it only when no result names it.
 //
 // The visit holds the switch's lock (none on Network, or where the switch
-// owns nothing) across Run, which never blocks, so holders always progress
+// owns nothing) across the VM run, which never blocks, so holders always progress
 // and no wait deadlocks.
 func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []hop {
 	at, hops := c.at, c.hops
@@ -229,8 +232,7 @@ func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []
 			pl.lockHist[vid].Observe(wait)
 		}
 	}
-	results, err := runContained(pl.switches[at], at, w.results[:0], &c.sp)
-	w.results = results
+	err := runContained(pl.switches[at], at, w, &c.sp)
 	if mu != nil {
 		mu.Unlock()
 	}
@@ -245,9 +247,10 @@ func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []
 		return q
 	}
 
-	for i := range results {
-		r := &results[i]
-		in, out := r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut
+	for i := range w.results {
+		r := &w.results[i]
+		sp := r.Slot(&c.sp, w.forks)
+		in, out := sp.Hdr.OBSIn, sp.Hdr.OBSOut
 		switch r.Outcome {
 		case netasm.Dropped:
 			f.drop(at, inj, in, -1, DropPolicy)
@@ -258,9 +261,9 @@ func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []
 			if eg, ok := pl.portSwitch(out); !ok {
 				f.drop(at, inj, in, -1, DropNoEgress)
 			} else if eg == at {
-				f.deliver(at, inj, r, out)
+				f.deliver(at, inj, sp, out)
 			} else {
-				f.forward(pl, inj, r, at, hops, eg)
+				f.forward(pl, inj, sp, at, hops, eg)
 			}
 
 		case netasm.NeedState:
@@ -284,7 +287,12 @@ func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []
 				if inj.tr != nil {
 					inj.tr.Hop(int(at), "suspend", pl.cfg.VarSpace().Name(int(r.StateVarID)), -1)
 				}
-				q = append(q, hop{at: pl.cfg.Topo.Links[li].To, hops: hops + 1, sp: r.Packet})
+				if r.Copy == 0 {
+					q = q[:len(q)+1] // c itself: the packet stays where it lies
+				} else {
+					q = append(q, hop{sp: *sp})
+				}
+				q[len(q)-1].at, q[len(q)-1].hops = pl.cfg.Topo.Links[li].To, hops+1
 			}
 		}
 	}
@@ -295,10 +303,10 @@ func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []
 // switch eg, the match-action stage of §4.5: per hop the link (the entry of
 // the copy's (inport, outport) pair where this switch has one, else the
 // shortest path), the dead-link flag, the counters, the arrival guards. The
-// packet stays in the VM result: no program runs, no switch lock is taken
-// (transit touches no state), nothing is queued or copied.
-func (f *fabric) forward(pl *plane, inj *injection, r *netasm.Result, at topo.NodeID, hops int, eg topo.NodeID) {
-	in, out := r.Packet.Hdr.OBSIn, r.Packet.Hdr.OBSOut
+// packet stays where the VM left it: no program runs, no switch lock is
+// taken (transit touches no state), nothing is queued or copied.
+func (f *fabric) forward(pl *plane, inj *injection, sp *netasm.SimPacket, at topo.NodeID, hops int, eg topo.NodeID) {
+	in, out := sp.Hdr.OBSIn, sp.Hdr.OBSOut
 	entries := pl.cfg.Routes.Pair(in, out)
 	// The shared hop counter is bumped once, on the way out.
 	defer func(from int) { f.stats.hops.Add(int64(hops - from)) }(hops)
@@ -323,7 +331,7 @@ func (f *fabric) forward(pl *plane, inj *injection, r *netasm.Result, at topo.No
 		}
 		f.load[at].processed.Add(1)
 	}
-	f.deliver(at, inj, r, out)
+	f.deliver(at, inj, sp, out)
 }
 
 // drop accounts one copy discarded at a switch, by reason. out is the
@@ -343,17 +351,17 @@ func (f *fabric) drop(at topo.NodeID, inj *injection, in, out int, why DropReaso
 // *set*, so multicast copies that end up indistinguishable collapse; a
 // collected injection holds one or two deliveries, so the duplicate check
 // is a scan.
-func (f *fabric) deliver(at topo.NodeID, inj *injection, r *netasm.Result, port int) {
+func (f *fabric) deliver(at topo.NodeID, inj *injection, sp *netasm.SimPacket, port int) {
 	f.stats.delivered.Add(1)
-	f.observe(at, r.Packet.Hdr.OBSIn, port)
+	f.observe(at, sp.Hdr.OBSIn, port)
 	traceHop(inj.tr, at, "deliver", "", port)
 	if !inj.collect {
 		return
 	}
 	for i := range inj.out {
-		if inj.out[i].Port == port && inj.out[i].Packet.Equal(r.Packet.Pkt) {
+		if inj.out[i].Port == port && inj.out[i].Packet.Equal(sp.Pkt) {
 			return
 		}
 	}
-	inj.out = append(inj.out, Delivery{Port: port, Packet: r.Packet.Pkt})
+	inj.out = append(inj.out, Delivery{Port: port, Packet: sp.Pkt})
 }

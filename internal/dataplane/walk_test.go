@@ -1,7 +1,9 @@
 package dataplane_test
 
 import (
+	"fmt"
 	"maps"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -9,9 +11,12 @@ import (
 	"snap/internal/core"
 	"snap/internal/dataplane"
 	"snap/internal/faultpoint"
+	"snap/internal/netasm"
 	"snap/internal/pkt"
 	"snap/internal/place"
 	"snap/internal/rules"
+	"snap/internal/semantics"
+	"snap/internal/state"
 	"snap/internal/syntax"
 	"snap/internal/telemetry"
 	"snap/internal/topo"
@@ -196,9 +201,10 @@ func TestForwardFailuresInTransit(t *testing.T) {
 // TestWalkQueueStaysShort guards the packet-copy cost of the walk. A
 // SimPacket is 1 104 bytes, so a walk that keeps every hop of an injection
 // in its queue pays for it on long paths (+20 % ns_per_packet on the
-// benchmark's 5.5-hop fwd-wan workload when tried). The trace here is
-// stateless unicast on the same kind of network, so the queue never needs
-// to hold more than the one continuation: after the replay the inline
+// benchmark's 5.5-hop fwd-wan workload when tried). The VM runs each copy
+// in its queue slot, where a copy that travels on stays, and the trace
+// here is stateless unicast on the same kind of network, so the queue
+// never holds more than that one slot: after the replay the inline
 // walker's capacity must still be at most 2.
 func TestWalkQueueStaysShort(t *testing.T) {
 	tp, err := topo.NewIGen(40, 1000)
@@ -304,5 +310,177 @@ func TestDeadLinkFollowsThePlane(t *testing.T) {
 	}
 	if _, err := eng.Recover(cfg, nil, nil, [][2]topo.NodeID{{2, 3}}); err == nil {
 		t.Fatal("Recover accepted a link that is not failed")
+	}
+}
+
+// TestTwoWriteReplayAllocs: a campus packet from the protected subnet
+// resolves two remote writes, the firewall's established[srcip][dstip] and
+// the monitor's count[inport]++, and spills past the SNAP-header's one
+// inline pending slot. The walk's entry slot keeps the spill's storage
+// across injections, so a warmed replay allocates nothing per packet: what
+// it allocates stays within its per-call bookkeeping however many packets
+// spill.
+func TestTwoWriteReplayAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on otherwise clean paths")
+	}
+	tp := topo.Campus(1000)
+	tm := traffic.Gravity(tp, 100, 1)
+	fw, ok := apps.ByName("stateful-firewall")
+	if !ok {
+		t.Fatal("stateful-firewall app missing")
+	}
+	comp, err := core.ColdStart(campusWorkload(syntax.Then(fw.MustPolicy(), apps.Monitor())), tp, tm,
+		place.Options{Method: place.Heuristic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := comp.Config
+	in, _ := tp.PortByID(6)
+	if cfg.Placement["established"] == in.Switch || cfg.Placement["count"] == in.Switch {
+		t.Fatalf("port 6's switch %d owns a written variable (%v): its packets do not carry two writes", in.Switch, cfg.Placement)
+	}
+	tr := trace(tm, 1000, 9)
+	spills := 0
+	for _, ing := range tr {
+		if ing.Port == 6 {
+			spills++
+		}
+	}
+	if spills < 100 {
+		t.Fatalf("%d of %d packets enter at port 6, want ≥ 100", spills, len(tr))
+	}
+	eng := dataplane.NewEngine(cfg, dataplane.Options{Workers: 1, Window: 256})
+	defer eng.Close()
+	replay := func() {
+		if err := eng.InjectReplay(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ { // insert every state key, size every pool
+		replay()
+	}
+	if n := testing.AllocsPerRun(20, replay); n > 50 {
+		t.Fatalf("warmed replay of %d packets, %d spilling a write, allocates %.0f times, want per-call bookkeeping only (≤ 50)", len(tr), spills, n)
+	}
+}
+
+// TestForkCopiesSuspendPastTheSlot: a leaf that multicasts every packet into
+// two copies, each carrying its own write to a variable owned away from the
+// edge, emits two suspended copies from one visit. The first travels on in
+// the visited slot and the second past it, so the walk queue must grow to
+// two; every injection's deliveries, and the state after it, equal
+// semantics.Eval's.
+func TestForkCopiesSuspendPastTheSlot(t *testing.T) {
+	netw := topo.Campus(1000)
+	p := syntax.Then(apps.Assumption(6), syntax.Par(
+		syntax.Then(syntax.IncrState("s", syntax.F(pkt.SrcIP)), syntax.Assign(pkt.Outport, values.Int(5))),
+		syntax.Then(syntax.IncrState("t", syntax.F(pkt.DstIP)), syntax.Assign(pkt.Outport, values.Int(6))),
+	))
+	plane, _ := deploy(t, p, netw, map[string]topo.NodeID{"s": 8, "t": 11})
+	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Workers: 1})
+	defer eng.Close()
+
+	rng := rand.New(rand.NewSource(5))
+	ref := state.NewStore()
+	for i := 0; i < 200; i++ {
+		port, pk := campusPacket(rng)
+		want, err := semantics.Eval(p, ref, pk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref = want.Store
+		wantKeys := make([]string, 0, len(want.Packets))
+		for _, wp := range want.Packets {
+			wantKeys = append(wantKeys, fmt.Sprintf("%d|%s", wp.Field(pkt.Outport).Num, wp.Key()))
+		}
+		slices.Sort(wantKeys)
+		for name, inject := range map[string]func() ([]dataplane.Delivery, error){
+			"network": func() ([]dataplane.Delivery, error) { return plane.Inject(port, pk) },
+			"engine": func() ([]dataplane.Delivery, error) {
+				got, err := eng.InjectBatch([]dataplane.Ingress{{Port: port, Packet: pk}})
+				return got[0], err
+			},
+		} {
+			got, err := inject()
+			if err != nil {
+				t.Fatalf("%s, packet %d: %v", name, i, err)
+			}
+			if keys := sortedKeys(got); len(want.Packets) != 2 || !slices.Equal(keys, wantKeys) {
+				t.Fatalf("%s, packet %d: deliveries %v, want %v", name, i, keys, wantKeys)
+			}
+		}
+		if !plane.GlobalState().Equal(ref) || !eng.GlobalState().Equal(ref) {
+			t.Fatalf("packet %d: state\nnetwork %s\nengine %s\nwant %s", i, plane.GlobalState(), eng.GlobalState(), ref)
+		}
+	}
+	if st := eng.Stats(); st.Suspends < 2*st.Injected {
+		t.Fatalf("%d suspends over %d injections: each copy must suspend toward its owner", st.Suspends, st.Injected)
+	}
+	if c := eng.WalkQueueCap(); c < 2 {
+		t.Errorf("walk queue capacity %d, want the second suspended copy queued past the visited slot", c)
+	}
+}
+
+// TestVMPanicDropsUnderPreRunPorts: the VM runs on the walk's queue slot in
+// place, so a panic mid-program leaves that packet half-run. The copy is
+// still dropped and counted, and under the ports the visit read before the
+// run. The firewall and monitor both live on switch 8, which the hook
+// there makes panic at its next state write: for a reply entering at port
+// 1, the local count[inport]++ after the established test (the copy has no
+// outport yet); for a packet from port 1 to port 2, committing its carried
+// count write in the delivery phase (outport 2).
+func TestVMPanicDropsUnderPreRunPorts(t *testing.T) {
+	tp := topo.Campus(1000)
+	tm := traffic.Gravity(tp, 100, 1)
+	fw, ok := apps.ByName("stateful-firewall")
+	if !ok {
+		t.Fatal("stateful-firewall app missing")
+	}
+	comp, err := core.ColdStart(campusWorkload(syntax.Then(fw.MustPolicy(), apps.Monitor())), tp, tm,
+		place.Options{Method: place.Heuristic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const owner = topo.NodeID(8)
+	if pl := comp.Config.Placement; pl["established"] != owner || pl["count"] != owner {
+		t.Fatalf("placement %v, want established and count on switch %d", pl, owner)
+	}
+	packet := func(in, src, dst int) dataplane.Ingress {
+		return dataplane.Ingress{Port: in, Packet: pkt.New(map[pkt.Field]values.Value{
+			pkt.Inport: values.Int(int64(in)),
+			pkt.SrcIP:  values.IPv4(10, 0, byte(src), 1),
+			pkt.DstIP:  values.IPv4(10, 0, byte(dst), 1),
+		})}
+	}
+	for _, c := range []struct {
+		name  string
+		probe dataplane.Ingress
+		out   int
+	}{
+		{"mid-program", packet(1, 1, 6), -1},
+		{"delivery-phase commit", packet(1, 1, 2), 2},
+	} {
+		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 1})
+		// The inside host opens the flow the probe's reply needs.
+		if _, err := eng.InjectBatch([]dataplane.Ingress{packet(6, 6, 1)}); err != nil {
+			t.Fatal(err)
+		}
+		eng.HookStateWrites(owner, func(netasm.PendingWrite) { panic("state-write observer") })
+		before := eng.Stats()
+		got, err := eng.InjectBatch([]dataplane.Ingress{c.probe})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		st := eng.Stats()
+		if len(got[0]) != 0 || st.ContainedPanics != 1 || st.Dropped-before.Dropped != 1 || st.QuarantineDrops != 1 {
+			t.Errorf("%s: deliveries %v, %d contained panics, %d dropped, %d quarantine drops; want none, 1, 1, 1",
+				c.name, got[0], st.ContainedPanics, st.Dropped-before.Dropped, st.QuarantineDrops)
+		}
+		key := [2]int{c.probe.Port, c.out}
+		if n := eng.ObservedMatrix()[key]; n != 1 {
+			t.Errorf("%s: %v observed under %v, want the drop counted there once", c.name, n, key)
+		}
+		eng.Close()
 	}
 }

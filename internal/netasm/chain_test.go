@@ -13,17 +13,17 @@ import (
 // it walks the portable instructions branch by branch with Matches and Eq,
 // as the VM did before chains collapsed into tables. It knows the
 // stateless ops only.
-func refRun(p *Program, sp SimPacket, maxSteps int) (Result, error) {
+func refRun(p *Program, sp SimPacket, maxSteps int) (Result, SimPacket, error) {
 	pc, ok := p.EntryOf[sp.Hdr.Node]
 	if !ok {
-		return Result{}, fmt.Errorf("no entry for node %d", sp.Hdr.Node)
+		return Result{}, sp, fmt.Errorf("no entry for node %d", sp.Hdr.Node)
 	}
 	for steps := 0; ; steps++ {
 		if steps >= maxSteps {
-			return Result{}, fmt.Errorf("step limit exceeded")
+			return Result{}, sp, fmt.Errorf("step limit exceeded")
 		}
 		if pc < 0 || pc >= len(p.Instrs) {
-			return Result{}, fmt.Errorf("pc %d out of range", pc)
+			return Result{}, sp, fmt.Errorf("pc %d out of range", pc)
 		}
 		ins := p.Instrs[pc]
 		switch ins.Op {
@@ -47,11 +47,11 @@ func refRun(p *Program, sp SimPacket, maxSteps int) (Result, error) {
 				sp.Hdr.OBSOut = int(v.Num)
 			}
 			if sp.Hdr.OBSOut < 0 {
-				return Result{Outcome: Dropped, Packet: sp}, nil
+				return Result{Outcome: Dropped}, sp, nil
 			}
-			return Result{Outcome: ToEgress, Packet: sp}, nil
+			return Result{Outcome: ToEgress}, sp, nil
 		default:
-			return Result{}, fmt.Errorf("reference walker: op %d unsupported", ins.Op)
+			return Result{}, sp, fmt.Errorf("reference walker: op %d unsupported", ins.Op)
 		}
 	}
 }
@@ -113,14 +113,14 @@ func sameAsReference(t testing.TB, p *Program, field pkt.Field, probes []values.
 				Pkt: pkt.New(map[pkt.Field]values.Value{field: v}),
 				Hdr: Header{OBSIn: 1, OBSOut: -1, Node: node, Seq: -1, Phase: PhaseEval},
 			}
-			want, werr := refRun(p, sp, maxSteps)
-			got, gerr := sw.Run(sp)
+			want, wantSP, werr := refRun(p, sp, maxSteps)
+			got, gotSP, gerr := sw.Run(sp)
 			switch {
 			case werr != nil || gerr != nil:
 				if (werr == nil) != (gerr == nil) {
 					t.Fatalf("node %d, %s = %#v: reference error %v, linked error %v", node, field, v, werr, gerr)
 				}
-			case len(got) != 1 || !reflect.DeepEqual(got[0], want):
+			case len(got) != 1 || !reflect.DeepEqual(got[0], want) || !reflect.DeepEqual(gotSP[0], wantSP):
 				t.Fatalf("node %d, %s = %#v: linked %+v, reference %+v\n%s", node, field, v, got, want, p)
 			}
 		}

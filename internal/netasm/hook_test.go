@@ -72,7 +72,7 @@ func TestStateWriteHook(t *testing.T) {
 						if !owner.StateSet("s", tuple, values.Int(5)) {
 							t.Fatal("owner has no table for s")
 						}
-						rs, err := eval.Run(widePacket())
+						rs, sps, err := eval.Run(widePacket())
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -80,7 +80,7 @@ func TestStateWriteHook(t *testing.T) {
 							if rs[0].Outcome != netasm.NeedState || rs[0].StateVarID != 0 {
 								t.Fatalf("carried write must suspend toward s: %+v", rs[0])
 							}
-							if rs, err = owner.Run(rs[0].Packet); err != nil {
+							if rs, sps, err = owner.Run(sps[0]); err != nil {
 								t.Fatal(err)
 							}
 						}

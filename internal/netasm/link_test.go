@@ -68,7 +68,7 @@ func TestWideIndexLocalWrite(t *testing.T) {
 	sw := netasm.NewSwitch(0, p, map[string]bool{"flows": true})
 
 	// First packet: branch false (absent), write the entry, no outport.
-	rs, err := sw.Run(widePacket())
+	rs, sps, err := sw.Run(widePacket())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestWideIndexLocalWrite(t *testing.T) {
 		t.Fatalf("first visit: %+v", rs[0])
 	}
 	// Second packet: the wide entry is now present → branch true → egress.
-	rs, err = sw.Run(widePacket())
+	rs, sps, err = sw.Run(widePacket())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs[0].Outcome != netasm.ToEgress || rs[0].Packet.Hdr.OBSOut != 2 {
+	if rs[0].Outcome != netasm.ToEgress || sps[0].Hdr.OBSOut != 2 {
 		t.Fatalf("second visit: %+v", rs[0])
 	}
 	// The snapshot view carries the full 5-component tuple.
@@ -105,18 +105,18 @@ func TestWideIndexPendingWrite(t *testing.T) {
 	a := netasm.NewSwitch(0, progA, nil)
 	b := netasm.NewSwitch(1, &netasm.Program{EntryOf: map[int]int{}}, map[string]bool{"flows": true})
 
-	rs, err := a.Run(widePacket())
+	rs, sps, err := a.Run(widePacket())
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rs[0]
-	if r.Outcome != netasm.NeedState || r.Packet.Hdr.PendingLen() != 1 {
+	if r.Outcome != netasm.NeedState || sps[0].Hdr.PendingLen() != 1 {
 		t.Fatalf("suspension: %+v", r)
 	}
-	if w := r.Packet.Hdr.PendingAt(0); len(w.IdxWide) != 5 || len(w.Index()) != 5 {
+	if w := sps[0].Hdr.PendingAt(0); len(w.IdxWide) != 5 || len(w.Index()) != 5 {
 		t.Fatalf("pending write should carry the wide tuple: %+v", w)
 	}
-	rs, err = b.Run(r.Packet)
+	rs, sps, err = b.Run(sps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,18 +159,18 @@ func TestPendingOverflowFork(t *testing.T) {
 
 	sp := widePacket()
 	sp.Pkt = sp.Pkt.With(pkt.Outport, values.Int(1))
-	rs, err := a.Run(sp)
+	rs, sps, err := a.Run(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rs) != 2 {
 		t.Fatalf("fork copies: %d", len(rs))
 	}
-	for _, r := range rs {
-		if r.Packet.Hdr.PendingLen() != 4 {
-			t.Fatalf("copy pending: %d, want 4", r.Packet.Hdr.PendingLen())
+	for i := range rs {
+		if sps[i].Hdr.PendingLen() != 4 {
+			t.Fatalf("copy pending: %d, want 4", sps[i].Hdr.PendingLen())
 		}
-		if _, err := owner.Run(r.Packet); err != nil {
+		if _, _, err := owner.Run(sps[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +201,7 @@ func TestUnownedLocalStateOps(t *testing.T) {
 		},
 	}
 	sw := netasm.NewSwitch(0, p, nil) // owns nothing
-	if _, err := sw.Run(widePacket()); err != nil {
+	if _, _, err := sw.Run(widePacket()); err != nil {
 		t.Fatalf("unowned local state op must execute, got %v", err)
 	}
 	sp := widePacket()
@@ -223,7 +223,7 @@ func TestMissingValueExpr(t *testing.T) {
 		},
 	}
 	sw := netasm.NewSwitch(0, p, map[string]bool{"s": true})
-	if _, err := sw.Run(widePacket()); err == nil {
+	if _, _, err := sw.Run(widePacket()); err == nil {
 		t.Fatal("expected error for missing value expression")
 	}
 }

@@ -167,15 +167,12 @@ type Phase uint8
 const (
 	PhaseEval Phase = iota
 	PhaseDeliver
-	PhaseDone
-	PhaseDropped
 )
 
 // inlinePending is how many pending writes the SNAP-header carries inline
-// before spilling to a heap slice. The example policies resolve at most
-// one remote write per packet, so one inline slot keeps the steady-state
-// loop allocation-free while keeping header copies small; packets
-// resolving several writes spill to the (fork-cloned) overflow slice.
+// before spilling to the overflow slice. One slot keeps the header small; a
+// packet resolving two remote writes (campus: established[…] and
+// count[inport]++) spills, into storage its walk slot keeps (Enter).
 const inlinePending = 1
 
 // Header is the SNAP-header of §4.5: attached at ingress, stripped at
@@ -184,7 +181,7 @@ const inlinePending = 1
 // The pending-write list is copy-on-write: the first inlinePending writes
 // live inline in the header (copied by value with the packet), the
 // overflow slice is owned exclusively by one live packet copy and cloned
-// only when OpFork splits the packet. Use the Pending* accessors.
+// when OpFork splits the packet. Use the Pending* accessors.
 type Header struct {
 	OBSIn  int
 	OBSOut int
@@ -195,6 +192,13 @@ type Header struct {
 	npend uint8
 	pend  [inlinePending]PendingWrite
 	over  []PendingWrite
+}
+
+// Enter resets h to the initial SNAP-header of §4.5 for a packet entering
+// at OBS port in, evaluation at xFDD node root. The overflow slice keeps
+// its storage: the caller guarantees no live copy shares it.
+func (h *Header) Enter(in, root int) {
+	*h = Header{OBSIn: in, OBSOut: -1, Node: root, Seq: -1, Phase: PhaseEval, over: h.over[:0]}
 }
 
 // PendingLen returns the number of carried pending writes.
@@ -223,27 +227,17 @@ func (h *Header) AppendPending(w PendingWrite) {
 }
 
 // truncatePending keeps the first n pending writes after an in-place
-// compaction (commitLocal).
+// compaction (commitLocal). The overflow slice keeps its storage.
 func (h *Header) truncatePending(n int) {
-	if n <= int(h.npend) {
-		h.npend = uint8(n)
-		h.over = h.over[:0:0]
-		return
-	}
-	h.over = h.over[:n-int(h.npend)]
+	m := min(n, int(h.npend))
+	h.npend, h.over = uint8(m), h.over[:n-m]
 }
 
-// setPendingAt overwrites slot i (in-place compaction).
-func (h *Header) setPendingAt(i int, w PendingWrite) { *h.pendingAt(i) = w }
-
-// cloneForFork gives a forked copy its own overflow slice. The inline
-// array is copied by value with the header; only the spill needs a deep
-// copy, and only when present (multicast of packets carrying more than
-// inlinePending writes — rare).
-func (h *Header) cloneForFork() {
-	if len(h.over) > 0 {
-		h.over = append([]PendingWrite(nil), h.over...)
-	}
+// fork makes h the header of fork copy seq, with its own overflow slice
+// (nil when empty, so no copy shares spare capacity). Only a spill
+// allocates: multicast of packets carrying more than inlinePending writes.
+func (h *Header) fork(seq int) {
+	h.Seq, h.over = seq, append([]PendingWrite(nil), h.over...)
 }
 
 // SimPacket is a packet in flight with its SNAP-header.
@@ -267,14 +261,24 @@ const (
 	Dropped
 )
 
-// Result is the outcome of running one packet through a switch VM,
-// possibly multicast into several copies.
+// Result is the outcome of one packet copy a visit emitted; a multicast
+// leaf emits several.
 type Result struct {
 	Outcome Outcome
 	// StateVarID is the VarSpace id of the variable a NeedState packet
 	// must reach (meaningful only for that outcome).
 	StateVarID int32
-	Packet     SimPacket
+	// Copy names the packet the result describes: 0 the one passed to
+	// Visit, k > 0 the k-th fork copy. See Slot.
+	Copy int32
+}
+
+// Slot returns the packet r describes, given what the visit was handed.
+func (r *Result) Slot(sp *SimPacket, forks []SimPacket) *SimPacket {
+	if r.Copy == 0 {
+		return sp
+	}
+	return &forks[r.Copy-1]
 }
 
 // Switch is a NetASM VM instance: a linked program plus local state held
@@ -283,10 +287,10 @@ type Result struct {
 // The tables never grow or move, so a pointer TableRef hands out stays
 // valid for the switch's life.
 //
-// Concurrency: Run keeps no state between calls other than the tables —
-// the linked program is immutable, packets are value types, and
-// pending-write lists are never shared between live packet copies (fork
-// clones). Concurrent Runs on the same Switch are therefore safe exactly
+// Concurrency: Visit keeps no state between calls other than the tables —
+// the linked program is immutable, the packet and fork buffer are the
+// caller's, and live packet copies never share a pending-write list (fork
+// clones). Concurrent visits to one Switch are therefore safe exactly
 // when access to the tables is serialized externally; they are touched
 // only for owned variables, so holding a lock set covering LockVars()
 // for the duration of the call suffices. A switch owning no state
@@ -300,7 +304,7 @@ type Switch struct {
 	// committed here alike, narrow and wide indices alike. It receives the
 	// write as the VM holds it, with Val set to the post-write value. The
 	// data-plane engine installs it to mirror writes to replica switches.
-	// It runs under the same external serialization as Run itself (the
+	// It runs under the same external serialization as Visit itself (the
 	// caller's lock set covers the written variable), so implementations
 	// see writes to one variable in table order; they must not block. Nothing mutates a write's
 	// IdxWide afterwards, so observers may keep it.
@@ -329,7 +333,7 @@ func NewLinkedSwitch(id int, lp *Linked) *Switch {
 	}
 }
 
-// LockVars lists the state variables a Run may touch, sorted: everything
+// LockVars lists the state variables a visit may touch, sorted: everything
 // the switch owns. Local branch/write instructions only ever reference
 // owned variables (remote tests compile to suspend stubs), and commitLocal
 // can apply a pending write for any owned variable, so the owned set is
@@ -397,21 +401,15 @@ func (sw *Switch) Snapshot() *state.Store {
 	return st
 }
 
-// Run processes one packet copy: commit its pending writes for local
-// variables, then continue per phase. It returns one Result per emitted
-// copy (multicast leaves fork). See RunAppend for the allocation-free
-// variant the engine hot path uses.
-func (sw *Switch) Run(sp SimPacket) ([]Result, error) {
-	return sw.RunAppend(nil, sp)
-}
-
-// RunAppend is Run appending results to dst (reuse a scratch slice across
-// calls to keep steady-state visits allocation-free).
-func (sw *Switch) RunAppend(dst []Result, sp SimPacket) ([]Result, error) {
-	sw.commitLocal(&sp)
+// Visit runs packet copy *sp in place: commit its pending writes for local
+// variables, then continue per phase, appending a Result per emitted copy
+// to dst. Only a multi-sequence OpFork copies, appending to *forks (reuse
+// it, as dst, across visits); a result naming *sp is the visit's only one.
+func (sw *Switch) Visit(dst []Result, sp *SimPacket, forks *[]SimPacket) ([]Result, error) {
+	sw.commitLocal(sp)
 	switch sp.Hdr.Phase {
 	case PhaseDeliver:
-		return append(dst, sw.deliverOutcome(sp)), nil
+		return append(dst, deliverOutcome(&sp.Hdr, 0)), nil
 	case PhaseEval:
 		pc := sw.lp.entryPC(sp.Hdr.Node)
 		if pc < 0 {
@@ -420,10 +418,17 @@ func (sw *Switch) RunAppend(dst []Result, sp SimPacket) ([]Result, error) {
 			// entry is a compiler bug.
 			return dst, fmt.Errorf("netasm: switch %d has no entry for node %d", sw.ID, sp.Hdr.Node)
 		}
-		return sw.exec(dst, sp, pc)
+		return sw.exec(dst, sp, 0, forks, pc)
 	default:
-		return append(dst, Result{Outcome: Dropped, Packet: sp}), nil
+		return append(dst, Result{Outcome: Dropped}), nil
 	}
+}
+
+// RunAppend is Visit on a copy of sp; the packets its results describe are
+// dropped with it.
+func (sw *Switch) RunAppend(dst []Result, sp SimPacket) ([]Result, error) {
+	var forks []SimPacket
+	return sw.Visit(dst, &sp, &forks)
 }
 
 // commitLocal applies the pending writes owned by this switch, preserving
@@ -437,14 +442,12 @@ func (sw *Switch) commitLocal(sp *SimPacket) {
 	kept := 0
 	for i := 0; i < n; i++ {
 		w := *h.pendingAt(i)
-		if !sw.lp.owns(w.VarID) {
-			if kept != i {
-				h.setPendingAt(kept, w)
-			}
-			kept++
+		if sw.lp.owns(w.VarID) {
+			sw.write(&sw.tables[sw.lp.slot[w.VarID]], &w)
 			continue
 		}
-		sw.write(&sw.tables[sw.lp.slot[w.VarID]], &w)
+		*h.pendingAt(kept) = w
+		kept++
 	}
 	h.truncatePending(kept)
 }
@@ -479,17 +482,16 @@ func (sw *Switch) write(tbl *state.Table, w *PendingWrite) {
 	}
 }
 
-// deliverOutcome routes a delivery-phase packet: first to any remaining
-// pending-write owners, then to the egress.
-func (sw *Switch) deliverOutcome(sp SimPacket) Result {
-	if sp.Hdr.PendingLen() > 0 {
-		w := sp.Hdr.pendingAt(0)
-		return Result{Outcome: NeedState, StateVarID: w.VarID, Packet: sp}
+// deliverOutcome routes delivery-phase copy cp with header h: first to any
+// remaining pending-write owners, then to the egress.
+func deliverOutcome(h *Header, cp int32) Result {
+	r := Result{Outcome: ToEgress, Copy: cp}
+	if h.PendingLen() > 0 {
+		r.Outcome, r.StateVarID = NeedState, h.pendingAt(0).VarID
+	} else if h.OBSOut < 0 {
+		r.Outcome = Dropped
 	}
-	if sp.Hdr.OBSOut < 0 {
-		return Result{Outcome: Dropped, Packet: sp}
-	}
-	return Result{Outcome: ToEgress, Packet: sp}
+	return r
 }
 
 // scalar evaluates a linked instruction's value expression. It is only
@@ -509,9 +511,9 @@ func (sw *Switch) scalar(li *linstr, p *pkt.Packet) (values.Value, error) {
 	}
 }
 
-// exec interprets the linked program from pc, appending emitted copies to
-// dst.
-func (sw *Switch) exec(dst []Result, sp SimPacket, pc int) ([]Result, error) {
+// exec interprets the linked program from pc on copy cp, *sp, appending
+// emitted copies to dst.
+func (sw *Switch) exec(dst []Result, sp *SimPacket, cp int32, forks *[]SimPacket, pc int) ([]Result, error) {
 	ins := sw.lp.ins
 	steps := 0
 	for pc >= 0 {
@@ -560,7 +562,7 @@ func (sw *Switch) exec(dst []Result, sp SimPacket, pc int) ([]Result, error) {
 				raw := li.idx.vec(&sp.Pkt)
 				got = sw.tables[li.tbl].Get(state.KeyOf(raw))
 			} else {
-				got = sw.tables[li.tbl].GetWide(evalIdx(li.slowIdx, sp.Pkt))
+				got = sw.tables[li.tbl].GetWide(evalIdx(li.slowIdx, &sp.Pkt))
 			}
 			if values.Eq(got, want) {
 				pc = int(li.tpc)
@@ -569,7 +571,7 @@ func (sw *Switch) exec(dst []Result, sp SimPacket, pc int) ([]Result, error) {
 			}
 
 		case OpSetField:
-			sp.Pkt = sp.Pkt.With(li.field, li.val)
+			sp.Pkt.Set(li.field, li.val)
 			pc = int(li.next)
 
 		case OpStateWrite, OpResolve:
@@ -577,7 +579,7 @@ func (sw *Switch) exec(dst []Result, sp SimPacket, pc int) ([]Result, error) {
 			if li.slowIdx == nil {
 				w.Idx = li.idx.vec(&sp.Pkt)
 			} else {
-				w.IdxWide = evalIdx(li.slowIdx, sp.Pkt)
+				w.IdxWide = evalIdx(li.slowIdx, &sp.Pkt)
 			}
 			if li.act == xfdd.ActSet {
 				v, err := sw.scalar(li, &sp.Pkt)
@@ -595,7 +597,7 @@ func (sw *Switch) exec(dst []Result, sp SimPacket, pc int) ([]Result, error) {
 
 		case OpSuspend:
 			sp.Hdr.Node = int(li.resume)
-			return append(dst, Result{Outcome: NeedState, StateVarID: li.varID, Packet: sp}), nil
+			return append(dst, Result{Outcome: NeedState, StateVarID: li.varID, Copy: cp}), nil
 
 		case OpFork:
 			if len(li.seqs) == 1 {
@@ -605,32 +607,26 @@ func (sw *Switch) exec(dst []Result, sp SimPacket, pc int) ([]Result, error) {
 				pc = int(li.seqs[0])
 				continue
 			}
+			// Each sequence runs on its own copy of the pre-fork packet,
+			// found by index: a nested fork may move the buffer.
 			for si, entry := range li.seqs {
-				cp := sp
-				cp.Hdr.Seq = si
-				cp.Hdr.cloneForFork()
+				*forks = append(*forks, *sp)
+				k := len(*forks)
+				(*forks)[k-1].Hdr.fork(si)
 				var err error
-				dst, err = sw.exec(dst, cp, int(entry))
-				if err != nil {
+				if dst, err = sw.exec(dst, &(*forks)[k-1], int32(k), forks, int(entry)); err != nil {
 					return dst, err
 				}
 			}
 			return dst, nil
 
-		case OpFinish:
-			sp.Hdr.Phase = PhaseDeliver
-			if v := sp.Pkt.Field(pkt.Outport); v.Kind == values.KindInt {
+		case OpFinish, OpDrop:
+			// A dropped copy still carries its pending writes to their owners.
+			sp.Hdr.Phase, sp.Hdr.OBSOut = PhaseDeliver, -1
+			if v := sp.Pkt.Field(pkt.Outport); li.op == OpFinish && v.Kind == values.KindInt {
 				sp.Hdr.OBSOut = int(v.Num)
-			} else {
-				sp.Hdr.OBSOut = -1
 			}
-			return append(dst, sw.deliverOutcome(sp)), nil
-
-		case OpDrop:
-			sp.Hdr.Phase = PhaseDeliver
-			sp.Hdr.OBSOut = -1
-			// Pending writes still need to commit remotely.
-			return append(dst, sw.deliverOutcome(sp)), nil
+			return append(dst, deliverOutcome(&sp.Hdr, cp)), nil
 
 		default:
 			return dst, fmt.Errorf("netasm: switch %d: bad opcode %d", sw.ID, li.op)
@@ -641,10 +637,10 @@ func (sw *Switch) exec(dst []Result, sp SimPacket, pc int) ([]Result, error) {
 
 // evalIdx is the interpreter's index evaluation, kept for tuples wider
 // than the inline fast path.
-func evalIdx(idx []syntax.Expr, p pkt.Packet) values.Tuple {
+func evalIdx(idx []syntax.Expr, p *pkt.Packet) values.Tuple {
 	out := make(values.Tuple, 0, len(idx))
 	for _, e := range idx {
-		out = append(out, semantics.EvalExpr(e, p)...)
+		out = append(out, semantics.EvalExpr(e, *p)...)
 	}
 	return out
 }

@@ -144,6 +144,13 @@ func (p Packet) With(f Field, v values.Value) Packet {
 	return p
 }
 
+// Set sets field f to v in place: With for a packet the caller owns.
+func (p *Packet) Set(f Field, v values.Value) {
+	if f.Valid() {
+		p.fields[f] = v
+	}
+}
+
 // Equal reports whether two packets agree on every field under semantic
 // value equality (values.Eq, which coerces booleans and integers). Equal
 // and Key are consistent: p.Equal(q) ⇔ p.Key() == q.Key().
