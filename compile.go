@@ -58,7 +58,7 @@ type Delivery = dataplane.Delivery
 type Engine = dataplane.Engine
 
 // EngineOptions configures an Engine (worker count, admission window,
-// trace sampling, overload shedding).
+// trace sampling).
 type EngineOptions = dataplane.Options
 
 // Ingress is one packet entering the network at an OBS port.

@@ -270,12 +270,11 @@ func (c *Compilation) derive(ch change) (*Compilation, error) {
 	}
 
 	timed(&n.Times.P6Rules, func() {
-		r := n.Result
-		if cold {
-			n.Config, err = rules.GenerateReplicated(n.Diagram, n.Topo, r.Placement, r.Replicas, r.Routes)
-		} else {
-			n.Config, err = ds.gen.Generate(n.Diagram, n.Topo, r.Placement, r.Replicas, r.Routes)
+		r, gen := n.Result, rules.NewGenerator()
+		if !cold {
+			gen = ds.gen
 		}
+		n.Config, err = gen.Generate(n.Diagram, n.Topo, n.Model.Forest(), r.Placement, r.Replicas, r.Routes)
 		if err != nil || rep == nil {
 			return
 		}

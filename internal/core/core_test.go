@@ -73,6 +73,46 @@ func TestPolicyChangeSkipsModelCreation(t *testing.T) {
 	}
 }
 
+// TestRulesReadTheModelsForest: P6 runs no all-pairs pass of its own. After
+// a cold start, a policy edit and its cold twin, a demand change, a
+// failover and a restore, every switch's fallback next hops are that
+// switch's row of the model's shortest-path forest, the same slice.
+func TestRulesReadTheModelsForest(t *testing.T) {
+	p, net, tm := pipelineInputs()
+	cold, err := core.ColdStart(p, net, tm, place.Options{Method: place.Heuristic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, _ := apps.ByName("stateful-firewall")
+	edited := syntax.Then(apps.Assumption(6), syntax.Then(fw.MustPolicy(), apps.AssignEgress(6)))
+	degraded, err := net.Degrade([]topo.NodeID{4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps := map[string]*core.Compilation{"cold": cold}
+	for name, derive := range map[string]func() (*core.Compilation, error){
+		"policy":      func() (*core.Compilation, error) { return cold.PolicyChange(edited) },
+		"policy_cold": func() (*core.Compilation, error) { return cold.ColdPolicy(edited) },
+		"topotm":      func() (*core.Compilation, error) { return cold.TopoTMChange(traffic.Gravity(net, 200, 2)) },
+		"failover":    func() (*core.Compilation, error) { return cold.TopoFailover(degraded, tm) },
+	} {
+		if comps[name], err = derive(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if comps["restore"], err = comps["failover"].TopoFailover(net, tm); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	for name, c := range comps {
+		next := c.Model.Forest().Next
+		for n, sc := range c.Config.Switches {
+			if len(sc.SPNext) != net.Switches || &sc.SPNext[0] != &next[n][0] {
+				t.Fatalf("%s: switch %d's SPNext is not its row of the model's forest", name, n)
+			}
+		}
+	}
+}
+
 func TestTopoTMChangeKeepsPlacement(t *testing.T) {
 	p, net, tm := pipelineInputs()
 	cold, err := core.ColdStart(p, net, tm, place.Options{Method: place.Heuristic})

@@ -1,5 +1,5 @@
 // Failure containment: the engine-side half of the self-healing control
-// plane. Three mechanisms live here —
+// plane. Two mechanisms live here —
 //
 //   - panic containment: every switch-VM execution (the one visit of
 //     walk.go, so Network and the engine alike) and the mirror
@@ -14,10 +14,6 @@
 //   - rollback accounting: a reconfiguration that fails mid-swap
 //     (engine.go apply) rolls back to the prior plane; the counter and
 //     span recorded here are the observable trace of that.
-//
-//   - overload shedding: inject paths consult the admission-window
-//     watermark (Options.ShedWatermark) and reject with ErrOverload
-//     instead of blocking without bound.
 package dataplane
 
 import (
@@ -31,12 +27,6 @@ import (
 	"snap/internal/telemetry"
 	"snap/internal/topo"
 )
-
-// ErrOverload rejects an injection because the engine's in-flight window
-// is at the configured shed watermark (Options.ShedWatermark). The packet
-// was not admitted; the engine is healthy and the caller may retry,
-// back off, or drop — match with errors.Is.
-var ErrOverload = errors.New("dataplane: overloaded, injection shed")
 
 // panicError is a VM panic converted to an error by runContained, with the
 // stack captured where it unwound.

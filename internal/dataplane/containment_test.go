@@ -1,14 +1,13 @@
 // Failure-containment tests: transactional reconfiguration rollback,
-// panic quarantine on the sequential plane and the engine, overload
-// shedding at the admission window, and the mirror-drainer stall point. Every test
-// arms process-global fault points, so none of them may run in parallel;
-// t.Cleanup(faultpoint.Reset) restores the disarmed state even on failure.
+// panic quarantine on the sequential plane and the engine, and the
+// mirror-drainer stall point. Every test arms process-global fault points,
+// so none of them may run in parallel; t.Cleanup(faultpoint.Reset)
+// restores the disarmed state even on failure.
 package dataplane_test
 
 import (
 	"errors"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -244,106 +243,6 @@ func TestWorkerPanicQuarantineLocks(t *testing.T) {
 	})
 	defer eng.Close()
 	panicQuarantineCheck(t, eng)
-}
-
-// TestOverloadShedding: with ShedWatermark set, an injection arriving at a
-// full in-flight window is rejected with ErrOverload instead of blocking.
-// The stall fault point parks every admitted packet in its VM, making the
-// window depth deterministic: exactly ShedWatermark packets admitted, the
-// next one shed.
-func TestOverloadShedding(t *testing.T) {
-	t.Cleanup(faultpoint.Reset)
-	netw := topo.Campus(1000)
-	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers: 4, Window: 2, ShedWatermark: 2,
-	})
-	defer eng.Close()
-
-	rng := rand.New(rand.NewSource(19))
-	batch := make([]dataplane.Ingress, 3)
-	for i := range batch {
-		port, pk := campusPacket(rng)
-		batch[i] = dataplane.Ingress{Port: port, Packet: pk}
-	}
-
-	faultpoint.Enable(faultpoint.EngineRun, faultpoint.Plan{Kind: faultpoint.KindStall, Times: -1})
-	errc := make(chan error, 1)
-	go func() {
-		_, err := eng.InjectBatch(batch)
-		errc <- err
-	}()
-	// Packets 1 and 2 are admitted and park in their VMs; packet 3 finds
-	// the window at the watermark and sheds. Only then release the stalls
-	// so the batch can drain.
-	for eng.Stats().Shed == 0 {
-		runtime.Gosched()
-	}
-	faultpoint.Disable(faultpoint.EngineRun)
-	if err := <-errc; !errors.Is(err, dataplane.ErrOverload) {
-		t.Fatalf("InjectBatch error = %v, want ErrOverload", err)
-	}
-	st := eng.Stats()
-	if st.Shed != 1 {
-		t.Fatalf("Shed = %d, want 1", st.Shed)
-	}
-	if st.Injected != 2 {
-		t.Fatalf("Injected = %d, want 2 (the admitted packets)", st.Injected)
-	}
-
-	// Shedding is not poisoning: the engine keeps accepting traffic (one
-	// packet at a time here — a 3-packet burst may legitimately shed
-	// again under so small a window).
-	if _, err := eng.InjectBatch(batch[:1]); err != nil {
-		t.Fatalf("post-shed batch: %v", err)
-	}
-
-	var buf strings.Builder
-	if err := eng.Telemetry().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "snap_shed_total 1") {
-		t.Fatal("/metrics does not report the shed injection")
-	}
-}
-
-// TestStreamShedsAndContinues: InjectStream treats ErrOverload as graceful
-// degradation — the shed packet is counted and the stream goes on.
-func TestStreamShedsAndContinues(t *testing.T) {
-	t.Cleanup(faultpoint.Reset)
-	netw := topo.Campus(1000)
-	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{
-		Workers: 4, Window: 2, ShedWatermark: 2,
-	})
-	defer eng.Close()
-
-	rng := rand.New(rand.NewSource(23))
-	ings := make([]dataplane.Ingress, 3)
-	for i := range ings {
-		port, pk := campusPacket(rng)
-		ings[i] = dataplane.Ingress{Port: port, Packet: pk}
-	}
-
-	faultpoint.Enable(faultpoint.EngineRun, faultpoint.Plan{Kind: faultpoint.KindStall, Times: -1})
-	ch := make(chan dataplane.Ingress)
-	done := make(chan error, 1)
-	go func() { done <- eng.InjectStream(ch) }()
-	for _, ing := range ings {
-		ch <- ing
-	}
-	for eng.Stats().Shed == 0 {
-		runtime.Gosched()
-	}
-	faultpoint.Disable(faultpoint.EngineRun)
-	close(ch)
-	if err := <-done; err != nil {
-		t.Fatalf("InjectStream = %v, want nil (shed packets are not errors)", err)
-	}
-	st := eng.Stats()
-	if st.Shed != 1 || st.Injected != 2 {
-		t.Fatalf("Shed = %d, Injected = %d; want 1 shed, 2 admitted", st.Shed, st.Injected)
-	}
 }
 
 // TestReplicatorDrainStall: stalling the background mirror drainer lets

@@ -39,7 +39,6 @@
 package dataplane
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"runtime"
@@ -97,13 +96,6 @@ type Options struct {
 	// snapshot). 0 — the default — disables tracing entirely; the hot path
 	// then pays one nil check.
 	TraceSampling int
-	// ShedWatermark turns on overload shedding: an injection arriving
-	// while ShedWatermark packets are already in flight is rejected with
-	// ErrOverload (and counted in Stats.Shed) instead of blocking on the
-	// admission window. Must be ≤ Window to have any effect beyond the
-	// window's own blocking. 0 — the default — disables shedding and
-	// keeps the historical unbounded-blocking admission.
-	ShedWatermark int
 }
 
 // ExecMode names an engine concurrency discipline. Only ModeLocks remains:
@@ -468,14 +460,6 @@ func (e *Engine) inject(ing *Ingress, inj *injection, wg *sync.WaitGroup) error 
 		e.gate.leave()
 		return fmt.Errorf("dataplane: unknown ingress port %d", ing.Port)
 	}
-	if w := e.opts.ShedWatermark; w > 0 && len(e.window) >= w {
-		// Overload: the in-flight window is at the shed watermark. Reject
-		// before taking a window slot — admission is serialized under e.mu,
-		// so the depth read cannot race another injector upward.
-		e.gate.leave()
-		e.stats.shed.Add(1)
-		return ErrOverload
-	}
 	e.window <- struct{}{}
 	seq := e.stats.injected.Add(1)
 	inj.eng, inj.wg = e, wg
@@ -580,12 +564,6 @@ func (e *Engine) stream(next func(*injection) *Ingress) error {
 		}
 		if err := e.inject(ing, inj, &wg); err != nil {
 			injPool.Put(inj)
-			if errors.Is(err, ErrOverload) {
-				// Graceful degradation: the shed packet is counted and
-				// the stream goes on — long replays ride out transient
-				// overload instead of aborting.
-				continue
-			}
 			wg.Wait()
 			return err
 		}

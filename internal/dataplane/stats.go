@@ -21,14 +21,11 @@ type Stats struct {
 	LockSuspends int64
 	LockWaitNs   int64
 
-	// Failure containment (containment.go). Shed counts injections
-	// rejected with ErrOverload at the shed watermark (never admitted, so
-	// not in Injected). Rollbacks counts reconfigurations that failed
-	// mid-swap and rolled back to the prior plane. ContainedPanics counts
-	// panics recovered at the containment sites (switch VMs and the
-	// mirror drainer). QuarantineDrops counts copies discarded at
-	// panic-quarantined switches (Drops[DropQuarantine]).
-	Shed            int64
+	// Failure containment (containment.go). Rollbacks counts
+	// reconfigurations that failed mid-swap and rolled back to the prior
+	// plane. ContainedPanics counts panics recovered at the containment
+	// sites (switch VMs and the mirror drainer). QuarantineDrops counts
+	// copies discarded at panic-quarantined switches (Drops[DropQuarantine]).
 	Rollbacks       int64
 	ContainedPanics int64
 	QuarantineDrops int64
@@ -59,7 +56,6 @@ type counters struct {
 	suspends        atomic.Int64
 	lockSuspends    atomic.Int64
 	lockWaitNs      atomic.Int64
-	shed            atomic.Int64
 	rollbacks       atomic.Int64
 	containedPanics atomic.Int64
 }
@@ -78,7 +74,6 @@ func (c *counters) snapshot() Stats {
 		Suspends:        c.suspends.Load(),
 		LockSuspends:    c.lockSuspends.Load(),
 		LockWaitNs:      c.lockWaitNs.Load(),
-		Shed:            c.shed.Load(),
 		Rollbacks:       c.rollbacks.Load(),
 		ContainedPanics: c.containedPanics.Load(),
 		QuarantineDrops: drops[DropQuarantine],

@@ -79,8 +79,8 @@ func (e *Engine) registerMetrics() {
 			emit(nil, float64(n))
 		})
 	// Failure containment (containment.go): the self-healing loop's
-	// observable face — rollbacks of failed swaps, panics converted to
-	// quarantine, shed injections.
+	// observable face — rollbacks of failed swaps and panics converted to
+	// quarantine.
 	counter("snap_reconfig_rollbacks_total",
 		"Reconfigurations that failed mid-swap and rolled back to the prior plane (state intact, epoch unchanged).", &e.stats.rollbacks)
 	counter("snap_swap_reseated_entries_total",
@@ -98,8 +98,6 @@ func (e *Engine) registerMetrics() {
 			}
 			emit(nil, float64(n))
 		})
-	counter("snap_shed_total",
-		"Injections rejected with ErrOverload at the shed watermark (never admitted).", &e.stats.shed)
 
 	// Replication backlog of the mirror pipeline: writes enqueued but not
 	// yet applied to the replica stores.

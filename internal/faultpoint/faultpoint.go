@@ -48,8 +48,7 @@ const (
 	// EngineRun fires at every switch-VM execution (a copy forwarded in
 	// transit runs none), on Network and engine alike, before the VM
 	// touches any state. Armed as KindPanic it is the "worker panic" fault (contained by
-	// quarantine); as KindStall it parks the visit, which is how the
-	// overload-shedding tests hold the admission window full.
+	// quarantine); as KindStall it parks the visit.
 	EngineRun = "engine.run"
 	// ReplicatorDrain fires at the top of the mirror drainer's batch
 	// apply — armed as KindStall it is the "stalled drainer" fault.

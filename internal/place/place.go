@@ -120,46 +120,37 @@ func (o Options) withDefaults() Options {
 }
 
 // Model is the reusable part of the optimization: the topology-dependent
-// precomputation (link weights, all-pairs shortest paths). The paper's P4
-// phase ("MILP creation") builds this once per topology/traffic pair; later
-// policy changes reuse it and only re-run the solve phases (§6.2, Table 4).
+// precomputation, that is the 1/capacity link weights and the shortest-path
+// forest under them. The paper's P4 phase ("MILP creation") builds this
+// once per topology/traffic pair; later policy changes reuse it and only
+// re-run the solve phases (§6.2, Table 4). P5 routes on the forest's trees
+// and P6 reads each switch's fallback next hops from it (Forest), so a
+// compilation computes the trees under these weights once.
 type Model struct {
-	topo        *topo.Topology
-	demands     traffic.Matrix
-	opts        Options
-	baseWeights []float64
-	baseDist    [][]float64
-	basePrev    [][]int
+	topo    *topo.Topology
+	demands traffic.Matrix
+	opts    Options
+	weights []float64
+	forest  *topo.Forest
 }
 
 // NewModel performs the P4 precomputation for a topology and traffic
 // matrix.
 func NewModel(t *topo.Topology, demands traffic.Matrix, opts Options) *Model {
-	opts = opts.withDefaults()
-	m := &Model{topo: t, demands: demands, opts: opts}
-	m.baseWeights = make([]float64, len(t.Links))
-	for i, l := range t.Links {
-		if l.Capacity > 0 {
-			m.baseWeights[i] = 1 / l.Capacity
-		} else {
-			m.baseWeights[i] = 1
-		}
-	}
-	n := t.Switches
-	m.baseDist = make([][]float64, n)
-	m.basePrev = make([][]int, n)
-	for v := 0; v < n; v++ {
-		m.baseDist[v], m.basePrev[v] = t.ShortestDists(topo.NodeID(v), m.baseWeights)
-	}
-	return m
+	w := t.CapacityWeights()
+	return &Model{topo: t, demands: demands, opts: opts.withDefaults(), weights: w, forest: t.Forest(w)}
 }
 
-// Refresh returns a model for a new traffic matrix that reuses every
-// topology-dependent precomputation (link weights, all-pairs shortest
-// paths, predecessor trees) of the receiver. Only the demand-dependent
-// terms change, so a topology/TM change pays none of the P4 rebuild cost —
-// the "few milliseconds of incremental updates" of §6.2. The receiver is
-// not modified and stays usable.
+// Forest returns the model's shortest-path trees under 1/capacity weights,
+// one per source switch. Callers must not modify it.
+func (m *Model) Forest() *topo.Forest { return m.forest }
+
+// Refresh returns a model for a new traffic matrix that shares every
+// topology-dependent precomputation (link weights and the shortest-path
+// forest) of the receiver. Only the demand-dependent terms change, so a
+// topology/TM change pays none of the P4 rebuild cost — the "few
+// milliseconds of incremental updates" of §6.2. The receiver is not
+// modified and stays usable.
 func (m *Model) Refresh(demands traffic.Matrix) *Model {
 	n := *m
 	n.demands = demands
@@ -174,9 +165,8 @@ func (m *Model) inputs(mapping *psmap.Mapping, order *deps.Order) Inputs {
 // paths, with its dense pair index built.
 func (m *Model) newSolver(in Inputs) *solver {
 	s := &solver{in: in, opts: m.opts, cut: newCycleCutter(m.topo.Switches)}
-	s.weights = append([]float64(nil), m.baseWeights...)
-	s.dist = m.baseDist
-	s.prev = m.basePrev
+	s.weights = slices.Clone(m.weights)
+	s.dist, s.prev = m.forest.Dist, m.forest.Prev
 	s.prepare()
 	return s
 }
@@ -356,13 +346,11 @@ type pairInfo struct {
 	demand float64
 }
 
+// computeAllDists recomputes the trees under the solver's current
+// (penalised) weights.
 func (s *solver) computeAllDists() {
-	n := s.in.Topo.Switches
-	s.dist = make([][]float64, n)
-	s.prev = make([][]int, n)
-	for v := 0; v < n; v++ {
-		s.dist[v], s.prev[v] = s.in.Topo.ShortestDists(topo.NodeID(v), s.weights)
-	}
+	f := s.in.Topo.Forest(s.weights)
+	s.dist, s.prev = f.Dist, f.Prev
 }
 
 // prepare builds the dense pair index: the demand pairs sorted, each with

@@ -54,8 +54,6 @@ type Generator struct {
 	roots      [2]*xfdd.Diagram
 	numberings map[*xfdd.Diagram]numbering
 	progs      map[progKey]compiledProg
-	spTopo     *topo.Topology
-	spNext     [][]int
 
 	// ReusedPrograms and CompiledPrograms report, for the most recent
 	// Generate call, how many distinct per-switch programs came from the
@@ -75,9 +73,16 @@ func NewGenerator() *Generator {
 // Generate compiles per-switch configurations from the xFDD and the
 // optimizer's placement, replicas and routes, and links each distinct
 // program against the configuration's variable space, reusing cached
-// programs, images, node numberings and shortest-path tables where their
-// inputs are unchanged. Semantics are identical to GenerateReplicated.
-func (g *Generator) Generate(d *xfdd.Diagram, t *topo.Topology, placement map[string]topo.NodeID, replicas map[string][]topo.NodeID, routes map[[2]int]place.Route) (*Config, error) {
+// programs, images and node numberings where their inputs are unchanged.
+// Each switch's fallback next hops are its row of f's Next, the forest
+// the routes were computed on (place.Model.Forest). Semantics are
+// identical to GenerateReplicated.
+func (g *Generator) Generate(d *xfdd.Diagram, t *topo.Topology, f *topo.Forest, placement map[string]topo.NodeID, replicas map[string][]topo.NodeID, routes map[[2]int]place.Route) (*Config, error) {
+	for v, at := range placement {
+		if int(at) < 0 || int(at) >= t.Switches {
+			return nil, fmt.Errorf("rules: state variable %s placed on unknown switch %d", v, at)
+		}
+	}
 	for v, rs := range replicas {
 		owner, ok := placement[v]
 		if !ok {
@@ -111,12 +116,6 @@ func (g *Generator) Generate(d *xfdd.Diagram, t *topo.Topology, placement map[st
 		Switches:  map[topo.NodeID]*SwitchConfig{},
 	}
 
-	if g.spTopo != t {
-		g.spNext = allPairsNextHop(t)
-		g.spTopo = t
-	}
-	spNext := g.spNext
-
 	g.ReusedPrograms, g.CompiledPrograms = 0, 0
 	names := slices.Collect(maps.Keys(placement))
 	seen := map[progKey]bool{}
@@ -130,7 +129,7 @@ func (g *Generator) Generate(d *xfdd.Diagram, t *topo.Topology, placement map[st
 				owns[v] = true
 			}
 		}
-		sc := &SwitchConfig{Node: node, Owns: owns, SPNext: spNext[n]}
+		sc := &SwitchConfig{Node: node, Owns: owns, SPNext: f.Next[n]}
 		ck := progKey{root: d, owns: OwnsKey(owns)}
 		cp, ok := g.progs[ck]
 		if !ok {

@@ -34,6 +34,9 @@ func solveFor(t *testing.T, p syntax.Policy, net *topo.Topology) (*xfdd.Diagram,
 	return d, res
 }
 
+// forest is the shortest-path forest P4 hands P6 for net.
+func forest(net *topo.Topology) *topo.Forest { return net.Forest(net.CapacityWeights()) }
+
 // TestGeneratorReusesPrograms: regenerating with the same diagram keeps
 // programs pointer-stable, so DiffSwitches reports nothing dirty.
 func TestGeneratorReusesPrograms(t *testing.T) {
@@ -42,14 +45,14 @@ func TestGeneratorReusesPrograms(t *testing.T) {
 	d, res := solveFor(t, p, net)
 
 	g := rules.NewGenerator()
-	cfg1, err := g.Generate(d, net, res.Placement, nil, res.Routes)
+	cfg1, err := g.Generate(d, net, forest(net), res.Placement, nil, res.Routes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.CompiledPrograms == 0 {
 		t.Fatal("first generation compiled nothing")
 	}
-	cfg2, err := g.Generate(d, net, res.Placement, nil, res.Routes)
+	cfg2, err := g.Generate(d, net, forest(net), res.Placement, nil, res.Routes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +88,7 @@ func TestGeneratorRelinksOnNewVarSpace(t *testing.T) {
 
 	g := rules.NewGenerator()
 	for i, placement := range []map[string]topo.NodeID{res.Placement, wider, res.Placement} {
-		cfg, err := g.Generate(d, net, placement, nil, res.Routes)
+		cfg, err := g.Generate(d, net, forest(net), placement, nil, res.Routes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +113,7 @@ func TestDiffSwitchesDetectsMove(t *testing.T) {
 	d, res := solveFor(t, p, net)
 
 	g := rules.NewGenerator()
-	cfg1, err := g.Generate(d, net, res.Placement, nil, res.Routes)
+	cfg1, err := g.Generate(d, net, forest(net), res.Placement, nil, res.Routes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +126,7 @@ func TestDiffSwitchesDetectsMove(t *testing.T) {
 		newOwner = topo.NodeID((int(n) + 1) % net.Switches)
 		moved[v] = newOwner
 	}
-	cfg2, err := g.Generate(d, net, moved, nil, res.Routes)
+	cfg2, err := g.Generate(d, net, forest(net), moved, nil, res.Routes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +272,11 @@ func TestDiffSwitchesNamesReroutedSwitches(t *testing.T) {
 	}
 	back := place.Route{Links: []int{net.LinkBetween(3, 2), net.LinkBetween(2, 0)}}
 	g := rules.NewGenerator()
-	a, err := g.Generate(d, net, nil, nil, map[[2]int]place.Route{{1, 2}: via(1), {2, 1}: back})
+	a, err := g.Generate(d, net, forest(net), nil, nil, map[[2]int]place.Route{{1, 2}: via(1), {2, 1}: back})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := g.Generate(d, net, nil, nil, map[[2]int]place.Route{{1, 2}: via(2), {2, 1}: back})
+	b, err := g.Generate(d, net, forest(net), nil, nil, map[[2]int]place.Route{{1, 2}: via(2), {2, 1}: back})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +287,31 @@ func TestDiffSwitchesNamesReroutedSwitches(t *testing.T) {
 		dirty := rules.DiffSwitches(pair[0], pair[1])
 		if want := []topo.NodeID{0, 1, 2}; !slices.Equal(dirty, want) {
 			t.Fatalf("dirty switches %v, want %v", dirty, want)
+		}
+	}
+}
+
+// TestGenerateRejectsUnknownOwners: a variable placed, or replicated, on a
+// switch outside the topology, a replica for an unplaced variable and a
+// backup equal to its primary are refused before any program is built; an
+// unknown primary once passed and crashed the walk at its first fallback
+// hop toward the owner.
+func TestGenerateRejectsUnknownOwners(t *testing.T) {
+	net, d := diamond(t)
+	for _, c := range []struct {
+		placement map[string]topo.NodeID
+		replicas  map[string][]topo.NodeID
+		want      string
+	}{
+		{map[string]topo.NodeID{"s": 99}, nil, "rules: state variable s placed on unknown switch 99"},
+		{map[string]topo.NodeID{"s": -1}, nil, "rules: state variable s placed on unknown switch -1"},
+		{map[string]topo.NodeID{"s": 1}, map[string][]topo.NodeID{"s": {4}}, "rules: state variable s replicated onto unknown switch 4"},
+		{map[string]topo.NodeID{"s": 1}, map[string][]topo.NodeID{"s": {1}}, "rules: state variable s replicated onto its own primary switch 1"},
+		{nil, map[string][]topo.NodeID{"s": {1}}, "rules: replica assignment for unplaced state variable s"},
+	} {
+		_, err := rules.NewGenerator().Generate(d, net, forest(net), c.placement, c.replicas, nil)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("placement %v, replicas %v: error %v, want %q", c.placement, c.replicas, err, c.want)
 		}
 	}
 }

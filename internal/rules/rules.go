@@ -42,8 +42,10 @@ type SwitchConfig struct {
 	// switch running the same program.
 	Linked *netasm.Linked
 	Owns   map[string]bool
-	// SPNext[d] is the outgoing link toward switch d (shortest path), the
-	// fallback used while a packet's egress is still unknown (Appendix D).
+	// SPNext[d] is the first link of this switch's tree path to switch d
+	// in P4's forest (-1 toward itself and toward an unreachable switch):
+	// the shortest-path fallback toward a state owner or an egress switch
+	// with no route entry here (Appendix D).
 	SPNext []int
 	// LocalPorts lists OBS ports attached to this switch.
 	LocalPorts []int
@@ -133,7 +135,8 @@ func Generate(d *xfdd.Diagram, t *topo.Topology, placement map[string]topo.NodeI
 // configuration additionally records each state variable's backup owners,
 // which the data-plane engine mirrors writes to and the failover path
 // promotes. A replica entry for an unplaced variable is an error, as is a
-// backup equal to the primary.
+// backup equal to the primary. It computes the fallback next hops from t's
+// own shortest-path forest under 1/capacity weights.
 func GenerateReplicated(d *xfdd.Diagram, t *topo.Topology, placement map[string]topo.NodeID, replicas map[string][]topo.NodeID, routes map[[2]int]place.Route) (*Config, error) {
 	// One-shot generation is a fresh Generator whose caches are discarded.
 	// Switches owning the same state-variable set compile to the same
@@ -141,7 +144,7 @@ func GenerateReplicated(d *xfdd.Diagram, t *topo.Topology, placement map[string]
 	// per-switch tables). With hash-consed diagrams most switches own no
 	// state at all, so the whole fleet shares a single stateless program
 	// compiled once.
-	return NewGenerator().Generate(d, t, placement, replicas, routes)
+	return NewGenerator().Generate(d, t, t.Forest(t.CapacityWeights()), placement, replicas, routes)
 }
 
 // OwnsKey is the canonical signature of an ownership set (sorted
@@ -287,65 +290,4 @@ func compileProgram(d *xfdd.Diagram, ids map[*xfdd.Diagram]int, owns map[string]
 		}
 	}
 	return prog, stats, nil
-}
-
-// allPairsNextHop computes, for every switch, the outgoing link on the
-// shortest path (1/capacity weights) toward every destination switch.
-func allPairsNextHop(t *topo.Topology) [][]int {
-	// Reverse graph Dijkstra per destination.
-	weights := make([]float64, len(t.Links))
-	for i, l := range t.Links {
-		if l.Capacity > 0 {
-			weights[i] = 1 / l.Capacity
-		} else {
-			weights[i] = 1
-		}
-	}
-	revAdj := make([][]int, t.Switches) // incoming links per node
-	for li, l := range t.Links {
-		revAdj[l.To] = append(revAdj[l.To], li)
-	}
-
-	next := make([][]int, t.Switches)
-	for n := range next {
-		next[n] = make([]int, t.Switches)
-		for d := range next[n] {
-			next[n][d] = -1
-		}
-	}
-
-	const inf = 1e30
-	for dst := 0; dst < t.Switches; dst++ {
-		dist := make([]float64, t.Switches)
-		visited := make([]bool, t.Switches)
-		via := make([]int, t.Switches) // link leaving the node toward dst
-		for i := range dist {
-			dist[i] = inf
-			via[i] = -1
-		}
-		dist[dst] = 0
-		for {
-			best, bestD := -1, inf
-			for n := 0; n < t.Switches; n++ {
-				if !visited[n] && dist[n] < bestD {
-					best, bestD = n, dist[n]
-				}
-			}
-			if best < 0 {
-				break
-			}
-			visited[best] = true
-			for _, li := range revAdj[best] {
-				l := t.Links[li]
-				if nd := bestD + weights[li]; nd < dist[l.From] {
-					dist[l.From] = nd
-					via[l.From] = li
-				}
-			}
-		}
-		for n := 0; n < t.Switches; n++ {
-			next[n][dst] = via[n]
-		}
-	}
-	return next
 }

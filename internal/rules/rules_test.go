@@ -1,6 +1,7 @@
 package rules_test
 
 import (
+	"math"
 	"testing"
 
 	"snap/internal/apps"
@@ -132,26 +133,52 @@ func TestRouteEntriesFollowLinks(t *testing.T) {
 	}
 }
 
-// TestSPNextReachesEverySwitch: the fallback next-hop tables route every
-// switch to every other switch, decreasing shortest-path distance each hop.
+// TestSPNextReachesEverySwitch: on the campus, a 120-switch WAN and the
+// campus with one switch down, the fallback next hops route every up switch
+// to every other, each hop lowering the shortest-path distance to the
+// target by exactly the weight of the link it takes, so the walk is
+// loop-free and shortest; toward or from the down switch they read -1.
 func TestSPNextReachesEverySwitch(t *testing.T) {
-	cfg := dnsCampusConfig(t)
-	n := cfg.Topo.Switches
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			if from == to {
-				continue
-			}
-			at := topo.NodeID(from)
-			for hops := 0; at != topo.NodeID(to); hops++ {
-				if hops > n {
-					t.Fatalf("SPNext loops from %d to %d", from, to)
+	wan := topo.IGen(120, 1000)
+	degraded, err := topo.Campus(1000).Degrade([]topo.NodeID{4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dns := syntax.Then(apps.Assumption(6), syntax.Then(apps.DNSTunnelDetect(), apps.AssignEgress(6)))
+	for _, cfg := range []*rules.Config{
+		dnsCampusConfig(t),
+		generate(t, syntax.Then(apps.Assumption(len(wan.Ports)), apps.AssignEgress(len(wan.Ports))), wan),
+		generate(t, dns, degraded),
+	} {
+		net := cfg.Topo
+		w := net.CapacityWeights()
+		dist := net.Forest(w).Dist
+		for from := 0; from < net.Switches; from++ {
+			for to := 0; to < net.Switches; to++ {
+				if from == to {
+					continue
 				}
-				li := cfg.Switches[at].SPNext[to]
-				if li < 0 {
-					t.Fatalf("no next hop from %d toward %d", at, to)
+				if !net.Up(topo.NodeID(from)) || !net.Up(topo.NodeID(to)) {
+					if li := cfg.Switches[topo.NodeID(from)].SPNext[to]; li != -1 {
+						t.Fatalf("%s: SPNext from %d toward %d is link %d across a down switch", net.Name, from, to, li)
+					}
+					continue
 				}
-				at = cfg.Topo.Links[li].To
+				at := topo.NodeID(from)
+				for hops := 0; at != topo.NodeID(to); hops++ {
+					if hops > net.Switches {
+						t.Fatalf("%s: SPNext loops from %d to %d", net.Name, from, to)
+					}
+					li := cfg.Switches[at].SPNext[to]
+					if li < 0 {
+						t.Fatalf("%s: no next hop from %d toward %d", net.Name, at, to)
+					}
+					next := net.Links[li].To
+					if gap := dist[at][to] - w[li] - dist[next][to]; math.Abs(gap) > 1e-9 {
+						t.Fatalf("%s: hop %d→%d toward %d leaves the shortest path (gap %g)", net.Name, at, next, to, gap)
+					}
+					at = next
+				}
 			}
 		}
 	}

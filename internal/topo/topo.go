@@ -142,32 +142,92 @@ func (t *Topology) Degree() []int {
 	return deg
 }
 
+// unreachable is the distance ShortestDists and Forest report for a switch
+// that no path reaches.
+const unreachable = 1e30
+
+// CapacityWeights returns the routing weight of every link (indexed like
+// Links): 1/capacity, or 1 for a link without capacity. Under these
+// weights per-pair shortest paths minimise the sum of link utilisation
+// whenever capacities are slack (§4.4), so P5 routes and P6's fallback
+// next hops both follow them.
+func (t *Topology) CapacityWeights() []float64 {
+	w := make([]float64, len(t.Links))
+	for i, l := range t.Links {
+		w[i] = 1
+		if l.Capacity > 0 {
+			w[i] = 1 / l.Capacity
+		}
+	}
+	return w
+}
+
+// Forest is the shortest-path tree of every source switch under one weight
+// vector. Row s is the tree from s: Dist[s][d] its distance to d (1e30 when
+// unreachable), Prev[s][d] the link entering d on it (-1 at s and where d
+// is unreachable), and Next[s][d] the first link of its path to d (-1 at s
+// and where d is unreachable). The rows are read-only.
+type Forest struct {
+	Dist [][]float64
+	Prev [][]int
+	Next [][]int
+}
+
+// Forest computes the shortest-path tree of every switch under weight
+// (indexed like Links; nil means unit weights): the one all-pairs
+// computation the compiler runs per topology and weight vector.
+func (t *Topology) Forest(weight []float64) *Forest {
+	n := t.Switches
+	f := &Forest{Dist: make([][]float64, n), Prev: make([][]int, n), Next: make([][]int, n)}
+	dist, prev, next := make([]float64, n*n), make([]int, n*n), make([]int, n*n)
+	for s := 0; s < n; s++ {
+		lo, hi := s*n, (s+1)*n
+		f.Dist[s], f.Prev[s], f.Next[s] = dist[lo:hi:hi], prev[lo:hi:hi], next[lo:hi:hi]
+		t.tree(NodeID(s), weight, f.Dist[s], f.Prev[s], f.Next[s])
+	}
+	return f
+}
+
 // ShortestDists runs Dijkstra from src with the given per-link weights
 // (indexed like Links; nil means unit weights), returning distance and
 // predecessor-link arrays. Unreachable nodes have distance +Inf (1e30).
 func (t *Topology) ShortestDists(src NodeID, weight []float64) (dist []float64, prevLink []int) {
-	const inf = 1e30
-	dist = make([]float64, t.Switches)
-	prevLink = make([]int, t.Switches)
-	visited := make([]bool, t.Switches)
+	n := t.Switches
+	dist, prevLink = make([]float64, n), make([]int, n)
+	t.tree(src, weight, dist, prevLink, make([]int, n))
+	return dist, prevLink
+}
+
+// tree is Dijkstra from src, the module's one shortest-path loop: it
+// fills dist, prev and next as Forest's row for src. A switch is finalised
+// after its tree parent, so its first hop is known when it is: its entering
+// link when the parent is src, else the parent's first hop.
+func (t *Topology) tree(src NodeID, weight []float64, dist []float64, prev, next []int) {
+	done := make([]bool, len(dist))
 	for i := range dist {
-		dist[i] = inf
-		prevLink[i] = -1
+		dist[i], prev[i], next[i] = unreachable, -1, -1
 	}
 	dist[src] = 0
 	for {
 		// Linear-scan extract-min: topologies stay in the hundreds of
 		// switches, where a heap buys little.
-		best, bestD := -1, inf
-		for n := 0; n < t.Switches; n++ {
-			if !visited[n] && dist[n] < bestD {
+		best, bestD := -1, unreachable
+		for n := range dist {
+			if !done[n] && dist[n] < bestD {
 				best, bestD = n, dist[n]
 			}
 		}
 		if best < 0 {
-			return dist, prevLink
+			return
 		}
-		visited[best] = true
+		done[best] = true
+		if li := prev[best]; li >= 0 {
+			if p := t.Links[li].From; p == src {
+				next[best] = li
+			} else {
+				next[best] = next[p]
+			}
+		}
 		for _, li := range t.out[best] {
 			l := t.Links[li]
 			w := 1.0
@@ -176,7 +236,7 @@ func (t *Topology) ShortestDists(src NodeID, weight []float64) (dist []float64, 
 			}
 			if nd := bestD + w; nd < dist[l.To] {
 				dist[l.To] = nd
-				prevLink[l.To] = li
+				prev[l.To] = li
 			}
 		}
 	}
@@ -212,7 +272,7 @@ func (t *Topology) Connected() bool {
 	}
 	dist, _ := t.ShortestDists(0, nil)
 	for _, d := range dist {
-		if d >= 1e30 {
+		if d >= unreachable {
 			return false
 		}
 	}
@@ -374,7 +434,7 @@ func (t *Topology) UpConnected() bool {
 	}
 	dist, _ := t.ShortestDists(src, nil)
 	for n := 0; n < t.Switches; n++ {
-		if t.Up(NodeID(n)) && dist[n] >= 1e30 {
+		if t.Up(NodeID(n)) && dist[n] >= unreachable {
 			return false
 		}
 	}
