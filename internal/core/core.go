@@ -116,8 +116,8 @@ func (c *Compilation) PolicyChange(p syntax.Policy) (*Compilation, error) {
 // ColdPolicy is the non-incremental policy-change path, kept as the
 // fallback for non-delta lineages and as the equivalence oracle the delta
 // path is fuzz-tested against. It reuses only the optimization model; every
-// program-analysis phase runs from scratch, over the cache-free functions
-// and never the lineage's.
+// program-analysis phase runs from scratch, on a fresh translator, builder
+// and generator, never the lineage's.
 func (c *Compilation) ColdPolicy(p syntax.Policy) (*Compilation, error) {
 	return c.derive(change{scenario: "policy_cold", policy: p, solve: solveST, cold: true})
 }
@@ -177,8 +177,8 @@ type change struct {
 	// incrementally inside P5.
 	demands traffic.Matrix
 	solve   solver
-	// cold runs P2, P3 and P6 over the cache-free functions instead of the
-	// lineage's deltaState.
+	// cold runs P2, P3 and P6 on a fresh translator, builder and generator
+	// instead of the lineage's deltaState.
 	cold bool
 }
 

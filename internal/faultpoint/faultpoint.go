@@ -7,10 +7,10 @@
 // A point that is not armed costs one atomic load (the package-wide armed
 // counter), so the hooks are safe to leave in hot paths. Arming is
 // explicit, per name, with a Plan describing when the point fires (the
-// first N hits, after a warmup, or probabilistically from a seeded source —
-// never from global randomness, so chaos schedules stay reproducible) and
-// what it does. Disable/Reset return the process to the unfaulted fast
-// path and release any goroutine parked on a stall.
+// first N hits, or every hit, after a warmup — never at random, so chaos
+// schedules stay reproducible) and what it does. Disable/Reset return the
+// process to the unfaulted fast path and release any goroutine parked on a
+// stall.
 //
 // The registry is process-global on purpose: fault points sit in code that
 // is constructed many layers below the test that arms them (engine planes,
@@ -23,7 +23,6 @@ package faultpoint
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 )
@@ -63,8 +62,7 @@ var ErrInjected = errors.New("injected fault")
 type Kind int
 
 const (
-	// KindError makes Hit return an error (Plan.Err, or a default wrapping
-	// ErrInjected).
+	// KindError makes Hit return an error wrapping ErrInjected.
 	KindError Kind = iota
 	// KindPanic makes Hit panic — exercising the panic-containment layer.
 	KindPanic
@@ -77,18 +75,10 @@ const (
 // once, on the first hit.
 type Plan struct {
 	Kind Kind
-	// Err overrides the returned error for KindError (nil → a default
-	// wrapping ErrInjected).
-	Err error
 	// Times caps how many hits fire: 0 → 1, -1 → every hit while armed.
 	Times int
 	// After skips the first After hits before the point may fire.
 	After int
-	// Prob fires each eligible hit with this probability from a source
-	// seeded by Seed (0 → always fire). Deterministic per seed by
-	// construction; there is no global-randomness mode.
-	Prob float64
-	Seed int64
 }
 
 // point is one armed site.
@@ -97,7 +87,6 @@ type point struct {
 	plan    Plan
 	hits    int64
 	fired   int64
-	rng     *rand.Rand
 	release chan struct{} // closed on disable; unblocks stalls
 }
 
@@ -115,9 +104,6 @@ func Enable(name string, p Plan) {
 		p.Times = 1
 	}
 	pt := &point{plan: p, release: make(chan struct{})}
-	if p.Prob > 0 {
-		pt.rng = rand.New(rand.NewSource(p.Seed))
-	}
 	mu.Lock()
 	if old, ok := points[name]; ok {
 		close(old.release)
@@ -181,9 +167,6 @@ func Hit(name string) error {
 	pt.hits++
 	eligible := pt.hits > int64(pt.plan.After) &&
 		(pt.plan.Times < 0 || pt.fired < int64(pt.plan.Times))
-	if eligible && pt.plan.Prob > 0 && pt.rng.Float64() >= pt.plan.Prob {
-		eligible = false
-	}
 	if !eligible {
 		pt.mu.Unlock()
 		return nil
@@ -199,9 +182,6 @@ func Hit(name string) error {
 		<-release
 		return nil
 	default:
-		if plan.Err != nil {
-			return plan.Err
-		}
 		return fmt.Errorf("faultpoint %s: %w", name, ErrInjected)
 	}
 }

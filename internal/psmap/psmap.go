@@ -88,17 +88,10 @@ func (m *Mapping) Pairs() [][2]int {
 //
 // Hash-consed diagrams are DAGs with heavily shared leaves; the walk keys a
 // memo map by leaf pointer so per-sequence facts (written variables, egress
-// ports) are derived once per unique leaf rather than once per path.
+// ports) are derived once per unique leaf rather than once per path. It is
+// a fresh Builder's build: the same walk with no earlier leaves to recall.
 func Build(d *xfdd.Diagram, ports []int) *Mapping {
-	m := &Mapping{
-		Vars: map[[2]int]map[string]bool{},
-		All:  map[string]bool{},
-	}
-	sorted := append([]int(nil), ports...)
-	sort.Ints(sorted)
-	b := &builder{m: m, allPorts: sorted, leafInfo: map[*xfdd.Diagram][]leafEntry{}}
-	b.walk(d, newPortSet(sorted), nil)
-	return m
+	return NewBuilder().Build(d, ports)
 }
 
 // builder carries the walk's memoized per-leaf facts: leafInfo for the

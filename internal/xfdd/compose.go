@@ -21,16 +21,21 @@ type Translator struct {
 	// diagrams and spurious race reports on guarded parallel writes).
 	noPrune bool
 	// memo maps structural policy hashes to previously translated
-	// fragments (see delta.go). Valid for the translator's lifetime: the
-	// diagram for a policy depends only on the policy and the test order,
-	// both fixed here.
+	// fragments. Valid for the translator's lifetime: the diagram for a
+	// policy depends only on the policy and the test order, both fixed
+	// here.
 	memo map[uint64][]memoEntry
+}
+
+type memoEntry struct {
+	p syntax.Policy
+	d *Diagram
 }
 
 // NewTranslator builds a translator using the dependency order of state
 // variables (which fixes the position of state tests in the total order).
 func NewTranslator(order *deps.Order) *Translator {
-	return &Translator{ord: Orderer{VarPos: order.Pos}, st: NewStore()}
+	return &Translator{ord: Orderer{VarPos: order.Pos}, st: NewStore(), memo: map[uint64][]memoEntry{}}
 }
 
 // Store exposes the translator's hash-consing store (node interning and
@@ -56,7 +61,13 @@ func Translate(p syntax.Policy) (*Diagram, *deps.Order, error) {
 // callers time the dependency-analysis (P1) and xFDD-generation (P2)
 // phases separately as the paper's evaluation does.
 func TranslateWithOrder(p syntax.Policy, order *deps.Order) (*Diagram, error) {
-	tr := NewTranslator(order)
+	return NewTranslator(order).TranslateMemo(p)
+}
+
+// TranslateMemo is ToXFDD followed by the race check. On a translator that
+// compiled a prior revision of p, only edited fragments and the spine above
+// them are recompiled (see delta.go).
+func (tr *Translator) TranslateMemo(p syntax.Policy) (*Diagram, error) {
 	d, err := tr.ToXFDD(p)
 	if err != nil {
 		return nil, err
@@ -67,9 +78,26 @@ func TranslateWithOrder(p syntax.Policy, order *deps.Order) (*Diagram, error) {
 	return d, nil
 }
 
-// ToXFDD implements the to-xfdd translation of Figure 6.
+// ToXFDD implements the to-xfdd translation of Figure 6, one case per
+// policy construct. Every fragment goes through the fragment memo, keyed by
+// structural hash and confirmed with syntax.Equal, so a fragment seen before
+// on this translator resolves to its interned diagram without a walk.
 func (tr *Translator) ToXFDD(p syntax.Policy) (*Diagram, error) {
-	ctx := tr.st.newContext()
+	h := syntax.Hash(p)
+	for _, e := range tr.memo[h] {
+		if syntax.Equal(e.p, p) {
+			return e.d, nil
+		}
+	}
+	d, err := tr.toXFDD(p)
+	if err != nil {
+		return nil, err
+	}
+	tr.memo[h] = append(tr.memo[h], memoEntry{p: p, d: d})
+	return d, nil
+}
+
+func (tr *Translator) toXFDD(p syntax.Policy) (*Diagram, error) {
 	switch n := p.(type) {
 	case syntax.Identity:
 		return tr.st.IDLeaf(), nil
@@ -92,9 +120,7 @@ func (tr *Translator) ToXFDD(p syntax.Policy) (*Diagram, error) {
 	case syntax.Or:
 		return tr.binop(n.X, n.Y, tr.unionCtx)
 	case syntax.And:
-		return tr.binop(n.X, n.Y, func(a, b *Diagram, c *Context) (*Diagram, error) {
-			return tr.seqCompose(a, b, c)
-		})
+		return tr.binop(n.X, n.Y, tr.seqCompose)
 	case syntax.Modify:
 		return tr.st.Leaf([]ActionSeq{{Action{Kind: ActModify, Field: n.Field, Val: n.Val}}}), nil
 	case syntax.SetState:
@@ -110,10 +136,10 @@ func (tr *Translator) ToXFDD(p syntax.Policy) (*Diagram, error) {
 	case syntax.Parallel:
 		return tr.binop(n.P, n.Q, tr.unionCtx)
 	case syntax.Seq:
-		return tr.binop(n.P, n.Q, func(a, b *Diagram, c *Context) (*Diagram, error) {
-			return tr.seqCompose(a, b, c)
-		})
+		return tr.binop(n.P, n.Q, tr.seqCompose)
 	case syntax.If:
+		// Catalogue compositions guard each app with a Cond, so an edited
+		// guard-free app reuses its neighbours' branches from the memo.
 		dx, err := tr.ToXFDD(n.Cond)
 		if err != nil {
 			return nil, err
@@ -130,6 +156,7 @@ func (tr *Translator) ToXFDD(p syntax.Policy) (*Diagram, error) {
 		if err != nil {
 			return nil, err
 		}
+		ctx := tr.st.newContext()
 		left, err := tr.seqCompose(dx, dp, ctx)
 		if err != nil {
 			return nil, err
@@ -173,21 +200,9 @@ func scalarExpr(e syntax.Expr) (syntax.Expr, error) {
 	return flat[0], nil
 }
 
-// cmpNodes orders the root tests of two interned branches via their cached
-// test records, falling back to the generic comparison for hand-built
-// nodes.
-func (tr *Translator) cmpNodes(d1, d2 *Diagram) int {
-	if d1.testID != 0 && d2.testID != 0 {
-		return tr.st.compareTests(tr.ord, d1.testID, d2.testID)
-	}
-	return tr.ord.Compare(d1.Test, d2.Test)
-}
-
-func (tr *Translator) cmpTestNode(tid int32, t Test, d *Diagram) int {
-	if tid != 0 && d.testID != 0 {
-		return tr.st.compareTests(tr.ord, tid, d.testID)
-	}
-	return tr.ord.Compare(t, d.Test)
+// cmpTests orders two interned tests in the translator's total order.
+func (tr *Translator) cmpTests(a, b int32) int {
+	return tr.st.compareTests(tr.ord, a, b)
 }
 
 // refine walks past branch tests whose outcome the context already decides
@@ -223,28 +238,22 @@ func (tr *Translator) unionCtx(d1, d2 *Diagram, ctx *Context) (*Diagram, error) 
 		// same children. Pointer equality is structural equality here.
 		return d1, nil
 	}
-	ctx = ctx.project(d1.support().union(d2.support()))
-	var key pairKey
-	cacheable := d1.id != 0 && d2.id != 0 && ctx.id != 0
-	if cacheable {
-		a, b := d1.id, d2.id
-		if b < a {
-			a, b = b, a
-		}
-		key = pairKey{a: a, b: b, ctx: ctx.id}
-		if r, ok := tr.st.unionCache[key]; ok {
-			tr.st.applyHits++
-			return r, nil
-		}
-		tr.st.applyMisses++
+	ctx = ctx.project(d1.sup.union(d2.sup))
+	a, b := d1.id, d2.id
+	if b < a {
+		a, b = b, a
 	}
+	key := pairKey{a: a, b: b, ctx: ctx.id}
+	if r, ok := tr.st.unionCache[key]; ok {
+		tr.st.applyHits++
+		return r, nil
+	}
+	tr.st.applyMisses++
 	r, err := tr.unionSteps(d1, d2, ctx)
 	if err != nil {
 		return nil, err
 	}
-	if cacheable {
-		tr.st.unionCache[key] = r
-	}
+	tr.st.unionCache[key] = r
 	return r, nil
 }
 
@@ -256,24 +265,24 @@ func (tr *Translator) unionSteps(d1, d2 *Diagram, ctx *Context) (*Diagram, error
 		d1, d2 = d2, d1
 		fallthrough
 	case d2.IsLeaf():
-		tb, err := tr.unionCtx(d1.True, d2, ctx.withRoot(d1, true))
+		tb, err := tr.unionCtx(d1.True, d2, ctx.withID(d1.testID, true))
 		if err != nil {
 			return nil, err
 		}
-		fb, err := tr.unionCtx(d1.False, d2, ctx.withRoot(d1, false))
+		fb, err := tr.unionCtx(d1.False, d2, ctx.withID(d1.testID, false))
 		if err != nil {
 			return nil, err
 		}
 		return tr.st.Branch(d1.Test, tb, fb), nil
 	}
 
-	switch cmp := tr.cmpNodes(d1, d2); {
+	switch cmp := tr.cmpTests(d1.testID, d2.testID); {
 	case cmp == 0:
-		tb, err := tr.unionCtx(d1.True, d2.True, ctx.withRoot(d1, true))
+		tb, err := tr.unionCtx(d1.True, d2.True, ctx.withID(d1.testID, true))
 		if err != nil {
 			return nil, err
 		}
-		fb, err := tr.unionCtx(d1.False, d2.False, ctx.withRoot(d1, false))
+		fb, err := tr.unionCtx(d1.False, d2.False, ctx.withID(d1.testID, false))
 		if err != nil {
 			return nil, err
 		}
@@ -282,11 +291,11 @@ func (tr *Translator) unionSteps(d1, d2 *Diagram, ctx *Context) (*Diagram, error
 		d1, d2 = d2, d1
 		fallthrough
 	default:
-		tb, err := tr.unionCtx(d1.True, d2, ctx.withRoot(d1, true))
+		tb, err := tr.unionCtx(d1.True, d2, ctx.withID(d1.testID, true))
 		if err != nil {
 			return nil, err
 		}
-		fb, err := tr.unionCtx(d1.False, d2, ctx.withRoot(d1, false))
+		fb, err := tr.unionCtx(d1.False, d2, ctx.withID(d1.testID, false))
 		if err != nil {
 			return nil, err
 		}
@@ -297,18 +306,14 @@ func (tr *Translator) unionSteps(d1, d2 *Diagram, ctx *Context) (*Diagram, error
 // negate implements ⊖: complement the pass/drop leaves of a predicate xFDD.
 // Memoized per node (negation is context-free).
 func (tr *Translator) negate(d *Diagram) (*Diagram, error) {
-	if d.id != 0 {
-		if r, ok := tr.st.negCache[d.id]; ok {
-			return r, nil
-		}
+	if r, ok := tr.st.negCache[d.id]; ok {
+		return r, nil
 	}
 	r, err := tr.negateSteps(d)
 	if err != nil {
 		return nil, err
 	}
-	if d.id != 0 {
-		tr.st.negCache[d.id] = r
-	}
+	tr.st.negCache[d.id] = r
 	return r, nil
 }
 
@@ -336,25 +341,14 @@ func (tr *Translator) negateSteps(d *Diagram) (*Diagram, error) {
 
 // restrict implements d|t (outcome=true) and d|~t (outcome=false) from
 // Figure 7: ordered insertion of test t, guarding d behind the required
-// outcome. Memoized per (node, test, outcome).
-func (tr *Translator) restrict(d *Diagram, t Test, outcome bool) *Diagram {
-	tid := tr.st.TestID(t)
-	return tr.restrictT(d, t, tid, outcome)
-}
-
-func (tr *Translator) restrictT(d *Diagram, t Test, tid int32, outcome bool) *Diagram {
-	var key restrictKey
-	cacheable := d.id != 0 && tid != 0
-	if cacheable {
-		key = restrictKey{node: d.id, test: tid, outcome: outcome}
-		if r, ok := tr.st.restrictCache[key]; ok {
-			return r
-		}
+// outcome. t is the interned test tid. Memoized per (node, test, outcome).
+func (tr *Translator) restrict(d *Diagram, t Test, tid int32, outcome bool) *Diagram {
+	key := restrictKey{node: d.id, test: tid, outcome: outcome}
+	if r, ok := tr.st.restrictCache[key]; ok {
+		return r
 	}
 	r := tr.restrictSteps(d, t, tid, outcome)
-	if cacheable {
-		tr.st.restrictCache[key] = r
-	}
+	tr.st.restrictCache[key] = r
 	return r
 }
 
@@ -371,7 +365,7 @@ func (tr *Translator) restrictSteps(d *Diagram, t Test, tid int32, outcome bool)
 		}
 		return guard(d)
 	}
-	switch cmp := tr.cmpTestNode(tid, t, d); {
+	switch cmp := tr.cmpTests(tid, d.testID); {
 	case cmp == 0:
 		if outcome {
 			return tr.st.Branch(d.Test, d.True, tr.st.DropLeaf())
@@ -380,7 +374,7 @@ func (tr *Translator) restrictSteps(d *Diagram, t Test, tid int32, outcome bool)
 	case cmp < 0:
 		return guard(d)
 	default:
-		return tr.st.Branch(d.Test, tr.restrictT(d.True, t, tid, outcome), tr.restrictT(d.False, t, tid, outcome))
+		return tr.st.Branch(d.Test, tr.restrict(d.True, t, tid, outcome), tr.restrict(d.False, t, tid, outcome))
 	}
 }
 
@@ -389,14 +383,14 @@ func (tr *Translator) restrictSteps(d *Diagram, t Test, tid int32, outcome bool)
 // subtrees are restricted and re-merged so t lands at its ordered position.
 func (tr *Translator) mkBranch(t Test, dT, dF *Diagram, ctx *Context) (*Diagram, error) {
 	tid := tr.st.TestID(t)
-	if tr.before(tid, t, dT) && tr.before(tid, t, dF) {
+	if tr.before(tid, dT) && tr.before(tid, dF) {
 		return tr.st.Branch(t, dT, dF), nil
 	}
-	return tr.unionCtx(tr.restrictT(dT, t, tid, true), tr.restrictT(dF, t, tid, false), ctx)
+	return tr.unionCtx(tr.restrict(dT, t, tid, true), tr.restrict(dF, t, tid, false), ctx)
 }
 
-func (tr *Translator) before(tid int32, t Test, d *Diagram) bool {
-	return d.IsLeaf() || tr.cmpTestNode(tid, t, d) < 0
+func (tr *Translator) before(tid int32, d *Diagram) bool {
+	return d.IsLeaf() || tr.cmpTests(tid, d.testID) < 0
 }
 
 // seqCompose implements ⊙ (sequential composition, Figure 7):
@@ -407,24 +401,18 @@ func (tr *Translator) before(tid int32, t Test, d *Diagram) bool {
 // Results are memoized per (operands, projected context).
 func (tr *Translator) seqCompose(d1, d2 *Diagram, ctx *Context) (*Diagram, error) {
 	d1 = tr.refine(d1, ctx)
-	ctx = ctx.project(d1.support().union(d2.support()))
-	var key pairKey
-	cacheable := d1.id != 0 && d2.id != 0 && ctx.id != 0
-	if cacheable {
-		key = pairKey{a: d1.id, b: d2.id, ctx: ctx.id}
-		if r, ok := tr.st.seqCache[key]; ok {
-			tr.st.applyHits++
-			return r, nil
-		}
-		tr.st.applyMisses++
+	ctx = ctx.project(d1.sup.union(d2.sup))
+	key := pairKey{a: d1.id, b: d2.id, ctx: ctx.id}
+	if r, ok := tr.st.seqCache[key]; ok {
+		tr.st.applyHits++
+		return r, nil
 	}
+	tr.st.applyMisses++
 	r, err := tr.seqComposeSteps(d1, d2, ctx)
 	if err != nil {
 		return nil, err
 	}
-	if cacheable {
-		tr.st.seqCache[key] = r
-	}
+	tr.st.seqCache[key] = r
 	return r, nil
 }
 
@@ -432,10 +420,6 @@ func (tr *Translator) seqComposeSteps(d1, d2 *Diagram, ctx *Context) (*Diagram, 
 	if d1.IsLeaf() {
 		var acc *Diagram
 		for i, as := range d1.Seqs {
-			var sid uint32
-			if d1.seqIDs != nil {
-				sid = d1.seqIDs[i]
-			}
 			var di *Diagram
 			var err error
 			if pre := tr.siblingWrites(d1, i, d2); len(pre) > 0 {
@@ -447,7 +431,7 @@ func (tr *Translator) seqComposeSteps(d1, d2 *Diagram, ctx *Context) (*Diagram, 
 					di = tr.dropPrefix(di, len(pre), map[*Diagram]*Diagram{})
 				}
 			} else {
-				di, err = tr.seqAS(as, sid, d2, ctx)
+				di, err = tr.seqAS(as, d1.seqIDs[i], d2, ctx)
 			}
 			if err != nil {
 				return nil, err
@@ -463,19 +447,15 @@ func (tr *Translator) seqComposeSteps(d1, d2 *Diagram, ctx *Context) (*Diagram, 
 		}
 		return acc, nil
 	}
-	dT, err := tr.seqCompose(d1.True, d2, ctx.withRoot(d1, true))
+	dT, err := tr.seqCompose(d1.True, d2, ctx.withID(d1.testID, true))
 	if err != nil {
 		return nil, err
 	}
-	dF, err := tr.seqCompose(d1.False, d2, ctx.withRoot(d1, false))
+	dF, err := tr.seqCompose(d1.False, d2, ctx.withID(d1.testID, false))
 	if err != nil {
 		return nil, err
 	}
-	tid := d1.testID
-	if tid == 0 {
-		tid = tr.st.TestID(d1.Test)
-	}
-	return tr.unionCtx(tr.restrictT(dT, d1.Test, tid, true), tr.restrictT(dF, d1.Test, tid, false), ctx)
+	return tr.unionCtx(tr.restrict(dT, d1.Test, d1.testID, true), tr.restrict(dF, d1.Test, d1.testID, false), ctx)
 }
 
 // siblingWrites returns the state writes that the other sequences of leaf l
@@ -492,7 +472,7 @@ func (tr *Translator) siblingWrites(l *Diagram, i int, d *Diagram) ActionSeq {
 	if len(l.Seqs) < 2 || own.Drops() {
 		return nil
 	}
-	read := d.support()
+	read := d.sup
 	var pre ActionSeq
 	for j, sib := range l.Seqs {
 		if j == i {
@@ -541,31 +521,21 @@ func (tr *Translator) dropPrefix(d *Diagram, k int, done map[*Diagram]*Diagram) 
 // seqAS composes an action sequence with an xFDD (Algorithm 1 of
 // Appendix E): tests of d are rewritten in terms of the packet *before* as
 // runs, using the context to resolve what the sequence's assignments and
-// state writes imply. sid is the interned id of as (0 when unknown), used
-// for the apply-cache key and the memoized assignment context.
+// state writes imply. sid is the interned id of as, used for the
+// apply-cache key and the store's cached sequence record.
 func (tr *Translator) seqAS(as ActionSeq, sid uint32, d *Diagram, ctx *Context) (*Diagram, error) {
-	asSup := fullSupport
-	if sid != 0 {
-		asSup = tr.st.seqList[sid-1].sup
+	ctx = ctx.project(tr.st.seqList[sid-1].sup.union(d.sup))
+	key := seqASKey{seq: sid, node: d.id, ctx: ctx.id}
+	if r, ok := tr.st.seqASCache[key]; ok {
+		tr.st.applyHits++
+		return r, nil
 	}
-	ctx = ctx.project(asSup.union(d.support()))
-	var key seqASKey
-	cacheable := sid != 0 && d.id != 0 && ctx.id != 0
-	if cacheable {
-		key = seqASKey{seq: sid, node: d.id, ctx: ctx.id}
-		if r, ok := tr.st.seqASCache[key]; ok {
-			tr.st.applyHits++
-			return r, nil
-		}
-		tr.st.applyMisses++
-	}
+	tr.st.applyMisses++
 	r, err := tr.seqASSteps(as, sid, d, ctx)
 	if err != nil {
 		return nil, err
 	}
-	if cacheable {
-		tr.st.seqASCache[key] = r
-	}
+	tr.st.seqASCache[key] = r
 	return r, nil
 }
 
@@ -589,7 +559,7 @@ func (tr *Translator) seqASSteps(as ActionSeq, sid uint32, d *Diagram, ctx *Cont
 	if t, ok := d.Test.(STest); ok {
 		return tr.seqASState(as, sid, t, d, ctx)
 	}
-	ctxNew := tr.ctxWithSeq(ctx, sid, as)
+	ctxNew := tr.ctxWithSeq(ctx, sid)
 
 	switch t := d.Test.(type) {
 	case FVTest:
@@ -622,17 +592,14 @@ func (tr *Translator) seqASSteps(as ActionSeq, sid uint32, d *Diagram, ctx *Cont
 // ctxWithSeq extends ctx with the field assignments of the sequence,
 // memoized per (context, sequence) so shared subproblems reuse the same
 // extended context object (and hence the same downstream cache keys).
-func (tr *Translator) ctxWithSeq(ctx *Context, sid uint32, as ActionSeq) *Context {
-	if ctx.id != 0 && sid != 0 {
-		k := ctxSeqKey{ctx: ctx.id, seq: sid}
-		if n, ok := tr.st.assignCache[k]; ok {
-			return n
-		}
-		n := ctx.WithAssignments(tr.st.seqList[sid-1].fmap)
-		tr.st.assignCache[k] = n
+func (tr *Translator) ctxWithSeq(ctx *Context, sid uint32) *Context {
+	k := ctxSeqKey{ctx: ctx.id, seq: sid}
+	if n, ok := tr.st.assignCache[k]; ok {
 		return n
 	}
-	return ctx.WithAssignments(fieldMap(as))
+	n := ctx.WithAssignments(tr.st.seqList[sid-1].fmap)
+	tr.st.assignCache[k] = n
+	return n
 }
 
 // emitBranch composes as with onT under test t and with onF under its
@@ -677,7 +644,7 @@ func rewriteFF(t FFTest, ctx *Context) (Test, error) {
 // has its old value in that write's index.
 func (tr *Translator) seqASState(as ActionSeq, sid uint32, t STest, d *Diagram, ctx *Context) (*Diagram, error) {
 	writes := filterWrites(as, t.Var)
-	fmap := tr.seqFieldMap(sid, as)
+	fmap := tr.st.seqList[sid-1].fmap
 	testIdx := SubstIdx(t.Idx, fmap)
 	testVal := SubstExpr(t.Val, fmap)
 
@@ -725,15 +692,6 @@ func (tr *Translator) seqASState(as ActionSeq, sid uint32, t STest, d *Diagram, 
 		return tr.seqAS(as, sid, d.False, ctx)
 	}
 	return tr.emitBranch(as, sid, pre, d.True, d.False, ctx)
-}
-
-// seqFieldMap returns the sequence's final field assignments, using the
-// store's cached copy for interned sequences.
-func (tr *Translator) seqFieldMap(sid uint32, as ActionSeq) map[pkt.Field]values.Value {
-	if sid != 0 {
-		return tr.st.seqList[sid-1].fmap
-	}
-	return fieldMap(as)
 }
 
 // resolveAgainstWrite decides a state test whose entry the sequence last

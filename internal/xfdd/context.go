@@ -36,17 +36,16 @@ type Context struct {
 	// st lists the recorded state-test outcomes, newest first.
 	st *stFact
 
-	// store/id tie the context into a translator's hash-consing store:
-	// contexts with a store carry a unique id used in the apply-cache keys,
-	// and With extensions are memoized so identical extension chains from
-	// the shared root yield pointer-identical contexts (canonical context
-	// identity). Contexts built via the public NewContext have no store and
-	// id 0, which the caches treat as "never cacheable".
+	// store/id tie the context into its hash-consing store: every context
+	// descends from the store's root and carries a unique id used in the
+	// apply-cache keys, and With extensions are memoized so identical
+	// extension chains from the root yield pointer-identical contexts
+	// (canonical context identity).
 	store    *Store
 	id       uint64
 	withMemo map[withKey]*Context
 
-	// How a store-bound context was built, which is what project replays:
+	// How the context was built, which is what project replays:
 	// the context it extends and the interned test and outcome it adds.
 	// sup is the union of the chain's fact supports; opaque marks a chain
 	// holding a field-field fact or an assignment (see support).
@@ -97,14 +96,8 @@ type withKey struct {
 	outcome bool
 }
 
-// NewContext returns an empty context.
-func NewContext() *Context {
-	return &Context{
-		vals: new([pkt.NumFields]values.Value),
-		pos:  new([pkt.NumFields]*fvFact),
-		neg:  new([pkt.NumFields]*negFact),
-	}
-}
+// NewContext returns an empty context: the root context of a fresh store.
+func NewContext() *Context { return NewStore().newContext() }
 
 // extension returns a copy of c that shares all its tables, ready to have
 // the touched ones replaced.
@@ -112,9 +105,7 @@ func (c *Context) extension() *Context {
 	n := *c
 	n.withMemo = nil
 	n.up = c
-	if c.store != nil {
-		n.id = c.store.nextCtxID()
-	}
+	n.id = c.store.nextCtxID()
 	return &n
 }
 
@@ -200,27 +191,15 @@ func (c *Context) KnownValue(f pkt.Field) (values.Value, bool) {
 }
 
 // With returns c extended with the outcome of a test. Recording a test the
-// context already decides is harmless. On store-bound contexts the
-// extension is memoized: the same (test, outcome) extension of the same
-// context returns the same object, keeping context identity canonical for
-// the composition caches.
+// context already decides is harmless. The extension is memoized: the same
+// (test, outcome) extension of the same context returns the same object,
+// keeping context identity canonical for the composition caches.
 func (c *Context) With(t Test, outcome bool) *Context {
-	if c.store == nil {
-		return c.extend(t, outcome)
-	}
 	return c.withID(c.store.TestID(t), outcome)
 }
 
-// withRoot is With for the root test of branch d: an interned branch
-// carries its test's id, so the test is not hashed again.
-func (c *Context) withRoot(d *Diagram, outcome bool) *Context {
-	if c.store != nil && d.testID != 0 {
-		return c.withID(d.testID, outcome)
-	}
-	return c.With(d.Test, outcome)
-}
-
-// withID is With for the store's interned test id.
+// withID is With for the store's interned test id: a branch carries its
+// test's id, so the test is not hashed again.
 func (c *Context) withID(id int32, outcome bool) *Context {
 	mk := withKey{test: id, outcome: outcome}
 	if n, ok := c.withMemo[mk]; ok {

@@ -95,35 +95,73 @@ func TestStructuralEqualDetectsDifference(t *testing.T) {
 	}
 }
 
-// TestTranslateMemoFuzz: memoized translation agrees structurally with
-// TranslateWithOrder across random policies, including revisits on a
-// shared translator.
+// TestTranslateMemoFuzz: a translator warmed by another program agrees
+// structurally with a fresh one across random policies. Each program is
+// translated cold, on a fresh translator, and warm, on a translator that
+// has first translated the corpus's previous program under the same order,
+// so the fragment memo and the apply caches hold another program's entries.
+// Every node of every diagram built is interned, and a revisit is a pure
+// memo hit that mints no node.
 func TestTranslateMemoFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(160816))
 	n := 200
 	if testing.Short() {
 		n = 50
 	}
+	interned := func(i int, d *xfdd.Diagram) {
+		seen := map[*xfdd.Diagram]bool{}
+		var walk func(*xfdd.Diagram)
+		walk = func(x *xfdd.Diagram) {
+			if seen[x] {
+				return
+			}
+			seen[x] = true
+			if x.NodeID() == 0 {
+				t.Fatalf("program %d: node with id 0 in\n%s", i, d)
+			}
+			if !x.IsLeaf() {
+				walk(x.True)
+				walk(x.False)
+			}
+		}
+		walk(d)
+	}
+	var prev syntax.Policy = syntax.Id()
+	warmed := 0
 	for i := 0; i < n; i++ {
 		g := polygen.New(rng)
 		p := g.Policy(1 + rng.Intn(3))
 		order := deps.OrderOf(p)
+		tr := xfdd.NewTranslator(order)
+		if d, err := tr.TranslateMemo(prev); err == nil {
+			interned(i, d)
+			warmed++
+		}
+		prev = p
 		cold, err := xfdd.TranslateWithOrder(p, order)
 		if err != nil {
 			continue // statically rejected either way
 		}
-		tr := xfdd.NewTranslator(order)
+		interned(i, cold)
 		warm, err := tr.TranslateMemo(p)
 		if err != nil {
-			t.Fatalf("program %d: memo translate failed where cold succeeded: %v\n%s", i, err, p)
+			t.Fatalf("program %d: warm translate failed where cold succeeded: %v\n%s", i, err, p)
 		}
+		interned(i, warm)
 		if !xfdd.StructuralEqual(warm, cold) {
-			t.Fatalf("program %d: memo diagram differs\n%s", i, p)
+			t.Fatalf("program %d: warm diagram differs from cold\n%s", i, p)
 		}
 		// Second visit on the same translator must be a pure memo hit.
+		w := tr.Store().Watermark()
 		again, err := tr.TranslateMemo(p)
 		if err != nil || again != warm {
 			t.Fatalf("program %d: revisit not a memo hit (err=%v)", i, err)
 		}
+		if got := tr.Store().Watermark(); got != w {
+			t.Fatalf("program %d: revisit minted %d nodes", i, got-w)
+		}
+	}
+	if warmed == 0 {
+		t.Fatal("no translator was warmed; the test compares fresh walks only")
 	}
 }

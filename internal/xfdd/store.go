@@ -14,9 +14,8 @@ import (
 // apply caches keyed by node ids, and turns the diagrams produced by one
 // translator into DAGs whose shared subgraphs downstream passes visit once.
 //
-// All ids are 1-based; 0 always means "not interned", so the zero Diagram
-// value stays valid and uninterned literals (e.g. test fixtures built by
-// hand) are simply invisible to the caches.
+// All ids are 1-based. Every node, test, action sequence and context the
+// translator touches comes from a store, so every id it reads is set.
 type Store struct {
 	// Expression and index interning. Scalar expressions (constants and
 	// field references) are comparable and intern directly; anything else
@@ -341,8 +340,7 @@ func (st *Store) seqByID(id uint32) ActionSeq { return st.seqList[id-1].seq }
 
 // Leaf interns a canonicalized leaf: sequences dedupe by interned id,
 // side-effect-free drop members are absorbed, and the empty set
-// canonicalizes to the drop leaf — the same normalization as NewLeaf, with
-// id-based identity instead of string keys.
+// canonicalizes to the drop leaf.
 func (st *Store) Leaf(seqs []ActionSeq) *Diagram {
 	ids := make([]uint32, 0, len(seqs))
 	for _, s := range seqs {
@@ -403,10 +401,6 @@ func (st *Store) Branch(t Test, tr, fa *Diagram) *Diagram {
 		return tr
 	}
 	tid := st.TestID(t)
-	if tr.id == 0 || fa.id == 0 {
-		// Uninterned operand (hand-built fixture): fall back to a literal.
-		return &Diagram{Test: t, True: tr, False: fa}
-	}
 	k := branchKey{test: tid, tru: tr.id, fls: fa.id}
 	if d, ok := st.branches[k]; ok {
 		return d
@@ -463,9 +457,13 @@ func (st *Store) ApplyStats() ApplyStats {
 // what lets Context.project return pointer-equal projections.
 func (st *Store) newContext() *Context {
 	if st.rootCtx == nil {
-		st.rootCtx = NewContext()
-		st.rootCtx.store = st
-		st.rootCtx.id = st.nextCtxID()
+		st.rootCtx = &Context{
+			vals:  new([pkt.NumFields]values.Value),
+			pos:   new([pkt.NumFields]*fvFact),
+			neg:   new([pkt.NumFields]*negFact),
+			store: st,
+			id:    st.nextCtxID(),
+		}
 	}
 	return st.rootCtx
 }

@@ -39,10 +39,6 @@ type support struct {
 // Every valid field needs a bit.
 const _ = uint(32 - pkt.NumFields)
 
-// fullSupport is the support of anything not interned (hand-built fixtures):
-// no fact is provably irrelevant to it.
-var fullSupport = support{fields: ^uint32(0), vars: ^uint64(0)}
-
 func (s support) union(o support) support {
 	return support{fields: s.fields | o.fields, vars: s.vars | o.vars}
 }
@@ -131,23 +127,13 @@ func (st *Store) seqSupport(s ActionSeq) support {
 	return sup
 }
 
-// support returns the node's read-set: cached on interned nodes, full on
-// hand-built ones.
-func (d *Diagram) support() support {
-	if d.id == 0 {
-		return fullSupport
-	}
-	return d.sup
-}
-
 // project returns the canonical context holding exactly the facts of c that
 // a query with support s can read (see the read-set invariant above): the
 // relevant (test, outcome) facts replayed in order from the store's root
 // through the memoised With, so equal projections are pointer-equal and
-// share one apply-cache key. Contexts without a store and opaque chains
-// come back unchanged.
+// share one apply-cache key. Opaque chains come back unchanged.
 func (c *Context) project(s support) *Context {
-	if c.store == nil || c.opaque || c.sup.within(s) {
+	if c.opaque || c.sup.within(s) {
 		return c
 	}
 	var buf [64]*Context

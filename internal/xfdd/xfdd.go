@@ -141,42 +141,32 @@ func (s ActionSeq) StateVars() []string {
 // a set of action sequences. The canonical drop leaf holds the single
 // sequence [drop]; a leaf with one empty sequence is the identity.
 //
-// Nodes produced by a translator are hash-consed (see Store): structurally
-// equal nodes are pointer-equal, diagrams are DAGs rather than trees, and
-// every node carries a store-scoped integer id. Hand-built nodes have id 0
-// ("not interned") and still behave as plain trees.
+// Every node is made by a Store, which hash-conses it: structurally equal
+// nodes are pointer-equal, diagrams are DAGs rather than trees, and every
+// node carries a store-scoped integer id. There is no hand-built node.
 type Diagram struct {
 	Test        Test
 	True, False *Diagram
 	Seqs        []ActionSeq
 
-	// id is the hash-consing identity (1-based, 0 = not interned).
+	// id is the hash-consing identity (1-based).
 	id uint64
-	// testID is the interned id of Test on interned branches.
+	// testID is the interned id of Test on branches.
 	testID int32
-	// seqIDs holds the interned ids of Seqs on interned leaves, parallel
-	// to Seqs.
+	// seqIDs holds the interned ids of Seqs on leaves, parallel to Seqs.
 	seqIDs []uint32
-	// sup is the read-set of an interned node: every field and state
-	// variable its tests and leaf actions mention (see support).
+	// sup is the node's read-set: every field and state variable its tests
+	// and leaf actions mention (see support).
 	sup support
 }
 
 // NodeID returns the hash-consing identity of the node: nodes from the same
-// translator are structurally equal iff their ids are equal. 0 means the
-// node was built by hand and is not interned.
+// store are structurally equal iff their ids are equal. Stores number their
+// nodes from 1.
 func (d *Diagram) NodeID() uint64 { return d.id }
 
 // IsLeaf reports whether d is a leaf node.
 func (d *Diagram) IsLeaf() bool { return d.Test == nil }
-
-// DropLeaf returns the {drop} leaf.
-func DropLeaf() *Diagram {
-	return &Diagram{Seqs: []ActionSeq{{Action{Kind: ActDrop}}}}
-}
-
-// IDLeaf returns the {id} leaf.
-func IDLeaf() *Diagram { return &Diagram{Seqs: []ActionSeq{{}}} }
 
 // IsDrop reports whether the leaf is the pure drop leaf.
 func (d *Diagram) IsDrop() bool {
@@ -190,46 +180,6 @@ func (d *Diagram) IsID() bool {
 
 func isPureDrop(s ActionSeq) bool {
 	return len(s) == 1 && s[0].Kind == ActDrop
-}
-
-// NewLeaf builds a canonicalized leaf: sequences are sorted and
-// deduplicated, and side-effect-free drop sequences are absorbed by any
-// other sequence (a multicast copy that does nothing and emits nothing is
-// redundant). An empty input set canonicalizes to the drop leaf.
-func NewLeaf(seqs []ActionSeq) *Diagram {
-	return &Diagram{Seqs: canonSeqs(seqs)}
-}
-
-func canonSeqs(seqs []ActionSeq) []ActionSeq {
-	sorted := append([]ActionSeq(nil), seqs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].seqKey() < sorted[j].seqKey() })
-	out := sorted[:0]
-	var prev string
-	for i, s := range sorted {
-		k := s.seqKey()
-		if i == 0 || k != prev {
-			out = append(out, s)
-			prev = k
-		}
-	}
-	if len(out) > 1 {
-		// Drop redundant pure-drop members.
-		kept := out[:0]
-		for _, s := range out {
-			if !isPureDrop(s) {
-				kept = append(kept, s)
-			}
-		}
-		if len(kept) > 0 {
-			out = kept
-		} else {
-			out = out[:1]
-		}
-	}
-	if len(out) == 0 {
-		out = []ActionSeq{{Action{Kind: ActDrop}}}
-	}
-	return out
 }
 
 // Size returns the number of unique nodes (branches + leaves) in the

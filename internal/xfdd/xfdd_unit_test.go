@@ -170,20 +170,21 @@ func TestDNSTunnelXFDDShape(t *testing.T) {
 func TestLeafCanonicalization(t *testing.T) {
 	mod := xfdd.Action{Kind: xfdd.ActModify, Field: pkt.Outport, Val: values.Int(1)}
 	dropAct := xfdd.Action{Kind: xfdd.ActDrop}
+	st := xfdd.NewStore()
 
-	l := xfdd.NewLeaf([]xfdd.ActionSeq{{mod}, {mod}})
+	l := st.Leaf([]xfdd.ActionSeq{{mod}, {mod}})
 	if len(l.Seqs) != 1 {
 		t.Fatalf("duplicate sequences kept: %v", l.Seqs)
 	}
-	l2 := xfdd.NewLeaf([]xfdd.ActionSeq{{dropAct}, {mod}})
+	l2 := st.Leaf([]xfdd.ActionSeq{{dropAct}, {mod}})
 	if len(l2.Seqs) != 1 || l2.Seqs[0][0].Kind != xfdd.ActModify {
 		t.Fatalf("pure drop not absorbed: %v", l2.Seqs)
 	}
-	l3 := xfdd.NewLeaf(nil)
+	l3 := st.Leaf(nil)
 	if !l3.IsDrop() {
 		t.Fatal("empty leaf must canonicalize to drop")
 	}
-	if !xfdd.DropLeaf().IsDrop() || !xfdd.IDLeaf().IsID() {
+	if !st.DropLeaf().IsDrop() || !st.IDLeaf().IsID() {
 		t.Fatal("canonical leaves misclassified")
 	}
 }
