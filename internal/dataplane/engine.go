@@ -1,13 +1,15 @@
 // The concurrent, batched execution engine. Network (dataplane.go) runs
 // one packet at a time to quiescence; Engine runs whole batches or streams
-// of packets through the same walk (walk.go), one goroutine per injection
-// from ingress to its last copy, under one concurrency discipline: each
+// of packets through the same walk (walk.go), each injection from ingress
+// to its last copy on one goroutine, under one concurrency discipline: each
 // variable lives in exactly one table, at its owner switch, and that
 // switch's lock orders the visits that touch it (the owner applying its
 // packets in order, §4.5).
 //
-//   - Options.Workers goroutines drain one queue of admitted injections
-//     and walk each to completion, visiting every switch's VM themselves
+//   - the stream paths admit runs of up to runLen packets, one gate
+//     enter/leave and one handoff per run; the gate bounds the window;
+//   - Options.Workers goroutines drain one queue of admitted runs and walk
+//     each packet to completion, visiting every switch's VM themselves
 //     rather than handing the copy over (a per-hop channel wakeup would
 //     dwarf the VM execution), so the goroutine count is the parallelism
 //     bound and benchmarks have a single knob (1 worker ≈ the sequential
@@ -76,9 +78,10 @@ type Options struct {
 	// SwitchWorkers is read nowhere: it sized the per-switch goroutine pools
 	// that Workers replaced, and stays so that callers which set it compile.
 	SwitchWorkers int
-	// Window bounds how many injected packets are in flight at once; the
-	// worker queue has this capacity, so handing an admitted injection over
-	// never blocks the injector. 0 → 256.
+	// Window bounds how many injected packets are in flight at once. Stream
+	// runs carry min(32, Window/(2·Workers)) packets, so the window holds
+	// at least two runs per worker, and the worker queue holds Window runs,
+	// so handing one over never blocks the injector. 0 → 256.
 	Window int
 	// ManualReplication disables the background mirror-drain goroutine:
 	// state writes queue until FlushReplication (or a reconfiguration)
@@ -132,49 +135,74 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// item is an admitted injection on its way to the worker goroutine that
-// will walk it. The packet goes by pointer, so admission copies none: the
-// one copy is walk's, into its queue.
-type item struct {
-	at  topo.NodeID
-	ing *Ingress
-	inj *injection
+// maxRun caps how many injections one run carries.
+const maxRun = 32
+
+// run is up to maxRun admitted injections that one goroutine walks in order
+// and retires together. The pooled record holds pointers and port switches,
+// never packets: they stay in the caller's trace, or in buf for a
+// channel-fed stream.
+type run struct {
+	ing []Ingress
+	at  [maxRun]topo.NodeID
+	tr  [maxRun]*telemetry.PacketTrace // sampled traces, nil where unsampled
+	wg  *sync.WaitGroup
+	// batch is InjectBatch's collecting injection; nil on the stream paths.
+	batch *injection
+	buf   *[maxRun]Ingress // InjectStream's receive buffer, made on first use
 }
 
-// gate is the engine's admission barrier, the mechanism behind quiescent
-// snapshots and epoch-based reconfiguration. Every injection holds an
-// enter/leave pair for its whole lifetime (admission through last-copy
-// retirement); pause blocks new admissions and waits for the in-flight
-// count to drain to zero, so between pause and resume no goroutine is
-// inside a walk and the state tables are frozen.
+var runPool = sync.Pool{New: func() any { return new(run) }}
+
+// gate is the engine's admission barrier and window, the mechanism behind
+// quiescent snapshots and epoch-based reconfiguration. Every run holds an
+// enter/leave pair for its packets' whole lifetime (admission through
+// last-copy retirement), and at most limit packets are in flight; pause
+// blocks new admissions and waits for the in-flight count to drain to
+// zero, so between pause and resume no goroutine is inside a walk and the
+// state tables are frozen.
 type gate struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	paused   bool
 	inflight int
+	limit    int
+	waiting  int                   // goroutines blocked on cond, whom leave wakes
+	watch    func(n, inflight int) // tests only: sees every admission
 }
 
-func newGate() *gate {
-	g := &gate{}
+func newGate(limit int) *gate {
+	g := &gate{limit: limit}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
 
-// enter admits one injection, blocking while the gate is paused.
-func (g *gate) enter() {
-	g.mu.Lock()
-	for g.paused {
-		g.cond.Wait()
-	}
-	g.inflight++
-	g.mu.Unlock()
+func (g *gate) wait() {
+	g.waiting++
+	g.cond.Wait()
+	g.waiting--
 }
 
-// leave retires one injection; the last one out wakes any pauser.
-func (g *gate) leave() {
+// enter admits n injections, blocking while the gate is paused or while
+// they would not fit in the window.
+func (g *gate) enter(n int) {
 	g.mu.Lock()
-	g.inflight--
-	if g.inflight == 0 {
+	for g.paused || g.inflight+n > g.limit {
+		g.wait()
+	}
+	g.inflight += n
+	inflight := g.inflight
+	g.mu.Unlock()
+	if g.watch != nil {
+		g.watch(n, inflight)
+	}
+}
+
+// leave retires n injections and wakes any injector or pauser waiting.
+func (g *gate) leave(n int) {
+	g.mu.Lock()
+	g.inflight -= n
+	if g.waiting > 0 {
 		g.cond.Broadcast()
 	}
 	g.mu.Unlock()
@@ -185,11 +213,11 @@ func (g *gate) leave() {
 func (g *gate) pause() {
 	g.mu.Lock()
 	for g.paused {
-		g.cond.Wait()
+		g.wait()
 	}
 	g.paused = true
 	for g.inflight > 0 {
-		g.cond.Wait()
+		g.wait()
 	}
 	g.mu.Unlock()
 }
@@ -286,10 +314,10 @@ type Engine struct {
 	opts   Options
 	plane  atomic.Pointer[plane]
 	epoch  atomic.Int64
-	window chan struct{} // admission control
-	// queue carries admitted injections to the Options.Workers goroutines
-	// that walk them; nil with a single worker.
-	queue chan item
+	runLen int // packets per stream run: min(maxRun, Window/(2·Workers)), ≥ 1
+	// queue carries admitted runs to the Options.Workers goroutines that
+	// walk them; nil with a single worker.
+	queue chan *run
 	// inline is the injecting goroutine's walker when it is the only
 	// worker (Options.Workers == 1); its users hold mu.
 	inline walker
@@ -349,8 +377,8 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 	opts = opts.withDefaults()
 	e := &Engine{
 		opts:   opts,
-		window: make(chan struct{}, opts.Window),
-		gate:   newGate(),
+		runLen: min(maxRun, max(1, opts.Window/(2*opts.Workers))),
+		gate:   newGate(opts.Window),
 
 		contHist: map[string]VarContention{},
 	}
@@ -371,16 +399,16 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 	e.plane.Store(pl)
 	e.rep.start()
 	if opts.Workers > 1 {
-		// At most Window injections are in flight, so a send never blocks
-		// the injector.
-		e.queue = make(chan item, opts.Window)
+		// At most Window injections, and so at most Window runs, are in
+		// flight, so a send never blocks the injector.
+		e.queue = make(chan *run, opts.Window)
 		for i := 0; i < opts.Workers; i++ {
 			e.wg.Add(1)
 			go func() {
 				defer e.wg.Done()
 				var w walker
-				for it := range e.queue {
-					e.run(&w, &it)
+				for r := range e.queue {
+					e.walkRun(&w, r)
 				}
 			}()
 		}
@@ -436,91 +464,105 @@ func (e *Engine) Close() {
 	e.replicator().stop()
 }
 
-// run walks one admitted injection to completion and finishes it: the body
-// of the worker goroutines and of the inline single-worker path.
-func (e *Engine) run(w *walker, it *item) {
-	defer it.inj.finish()
+// walkRun walks a run's packets in order and retires the run: the body of
+// the worker goroutines and of the inline single-worker path. guard
+// recovers a walk panic first, so the run still retires.
+func (e *Engine) walkRun(w *walker, r *run) {
+	defer e.retire(r)
 	defer e.guard()
-	e.walk(e.plane.Load(), w, it.inj, it.at, it.ing)
+	pl, inj := e.plane.Load(), r.batch
+	if inj == nil {
+		inj = new(injection) // counts only; stays on the stack
+	}
+	for i := range r.ing {
+		if e.failed.Load() {
+			break
+		}
+		inj.tr = r.tr[i]
+		e.walk(pl, w, inj, r.at[i], &r.ing[i])
+		if r.tr[i] != nil {
+			r.tr[i].Finish()
+		}
+	}
 }
 
-// inject admits one packet (blocking on the gate, then the window) and
-// hands it to the goroutine that will walk it: the caller itself when it is
-// the only worker (a channel handoff would buy no parallelism and cost a
-// wakeup per packet), or the worker queue, which keeps the injector free
-// to admit the next one. inj is the caller's record
-// for it, which it keeps on rejection; ing must outlive the walk. An unknown
-// port rejects only this injection — the engine stays usable; packets admitted
-// before the bad one have already run, which stream callers must expect.
-func (e *Engine) inject(ing *Ingress, inj *injection, wg *sync.WaitGroup) error {
-	e.gate.enter()
+// retire pools the record, leaves the gate and wakes the waiter.
+func (e *Engine) retire(r *run) {
+	n, wg := len(r.ing), r.wg
+	*r = run{buf: r.buf}
+	runPool.Put(r)
+	e.gate.leave(n)
+	wg.Done()
+}
+
+// inject admits a filled run (blocking on the gate while it is paused or
+// the window is full) and hands it to the goroutine that will walk it: the
+// caller itself when it is the only worker (a channel handoff would buy no
+// parallelism and cost a wakeup), or the worker queue, which keeps the
+// injector free to fill the next run. An unknown port ends the run there:
+// the packets before it are walked, the rest are released, and the error
+// returns — the engine stays usable. r.ing must outlive the walk.
+func (e *Engine) inject(r *run, wg *sync.WaitGroup) error {
+	n := len(r.ing)
+	e.gate.enter(n)
 	pl := e.plane.Load()
-	at, ok := pl.portSwitch(ing.Port)
-	if !ok {
-		e.gate.leave()
-		return fmt.Errorf("dataplane: unknown ingress port %d", ing.Port)
+	var err error
+	for i := range r.ing {
+		at, ok := pl.portSwitch(r.ing[i].Port)
+		if !ok {
+			err = fmt.Errorf("dataplane: unknown ingress port %d", r.ing[i].Port)
+			e.gate.leave(n - i)
+			n, r.ing = i, r.ing[:i]
+			break
+		}
+		r.at[i] = at
 	}
-	e.window <- struct{}{}
-	seq := e.stats.injected.Add(1)
-	inj.eng, inj.wg = e, wg
-	if e.sampler.Hit() {
-		inj.tr = e.traces.Start(ing.Port, seq)
+	// Each packet keeps its own sequence number, the first being 1.
+	seq := e.stats.injected.Add(int64(n)) - int64(n)
+	for i := range r.ing {
+		if e.sampler.Hit() {
+			r.tr[i] = e.traces.Start(r.ing[i].Port, seq+int64(i)+1)
+		}
 	}
+	r.wg = wg
 	wg.Add(1)
-	it := item{at: at, ing: ing, inj: inj}
-	if e.opts.Workers == 1 {
-		e.run(&e.inline, &it)
+	if e.queue == nil {
+		e.walkRun(&e.inline, r)
 	} else {
-		e.queue <- it
+		e.queue <- r
 	}
-	return nil
+	return err
 }
 
 // InjectBatch pushes a batch of packets through the plane concurrently and
-// waits for quiescence. out[i] holds the deliveries of batch[i], sorted
-// canonically (port, then packet key); multicast copies that end up
-// indistinguishable collapse, as in Network.Inject. Ingress ports are
-// validated up front, so a bad batch is rejected before any packet runs;
-// a processing error mid-batch aborts it (remaining copies drain
-// unprocessed) and poisons the engine — see NewEngine.
+// waits for quiescence, one injection per run. out[i] holds the deliveries
+// of batch[i], sorted canonically (port, then packet key); multicast copies
+// that end up indistinguishable collapse, as in Network.Inject. Ingress
+// ports are validated up front, so a bad batch is rejected before any
+// packet runs; a processing error mid-batch aborts it (remaining copies
+// drain unprocessed) and poisons the engine — see NewEngine.
 func (e *Engine) InjectBatch(batch []Ingress) ([][]Delivery, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed.Load() {
-		return nil, fmt.Errorf("dataplane: engine is closed")
-	}
-	// Validate every ingress port before admitting anything: a bad port
-	// must not leave the first half of the batch silently executed.
 	pl := e.plane.Load()
 	for i := range batch {
 		if _, ok := pl.portSwitch(batch[i].Port); !ok {
 			return nil, fmt.Errorf("dataplane: unknown ingress port %d (batch index %d)", batch[i].Port, i)
 		}
 	}
-	if e.failed.Load() {
-		return nil, e.err
+	injs := make([]injection, len(batch))
+	i := 0
+	if err := e.stream(func(r *run) {
+		if i < len(batch) {
+			injs[i].collect = true
+			r.ing, r.batch = batch[i:i+1:i+1], &injs[i]
+			i++
+		}
+	}); err != nil {
+		return nil, err
 	}
 	out := make([][]Delivery, len(batch))
-	injs := make([]*injection, 0, len(batch))
-	var batchWg sync.WaitGroup
-	for i := range batch {
-		if e.failed.Load() {
-			break
-		}
-		inj := &injection{collect: true}
-		if err := e.inject(&batch[i], inj, &batchWg); err != nil {
-			batchWg.Wait()
-			return nil, err
-		}
-		injs = append(injs, inj)
-	}
-	batchWg.Wait()
-	if e.failed.Load() {
-		return nil, e.err
-	}
-	for i, inj := range injs {
-		sortDeliveries(inj.out)
-		out[i] = inj.out
+	for i := range injs {
+		sortDeliveries(injs[i].out)
+		out[i] = injs[i].out
 	}
 	return out, nil
 }
@@ -528,24 +570,35 @@ func (e *Engine) InjectBatch(batch []Ingress) ([][]Delivery, error) {
 // InjectStream consumes ingress from ch until it closes, applying the same
 // admission control as InjectBatch, and waits for quiescence. Deliveries
 // are counted in Stats but not collected, so arbitrarily long replays run
-// in constant memory. Returns the first error: a processing error (which
+// in constant memory. A run waits for its first packet only, never to
+// fill. Returns the first error: a processing error (which
 // poisons the engine) or a bad ingress port (which does not — the stream
 // stops there, but the engine remains usable).
 func (e *Engine) InjectStream(ch <-chan Ingress) error {
-	return e.stream(func(inj *injection) *Ingress {
-		var ok bool
-		if *inj.ing, ok = <-ch; !ok {
-			return nil
+	return e.stream(func(r *run) {
+		if r.buf == nil {
+			r.buf = new([maxRun]Ingress)
 		}
-		return inj.ing
+		// The first receive waits; the rest take only what is queued.
+		n, ok := 0, false
+		for r.buf[0], ok = <-ch; ok; {
+			if n++; n == e.runLen {
+				break
+			}
+			select {
+			case r.buf[n], ok = <-ch:
+			default:
+				ok = false
+			}
+		}
+		r.ing = r.buf[:n]
 	})
 }
 
-// stream drains an ingress iterator in stream mode and waits for
-// quiescence, sharing the admission/unwind bookkeeping between the
-// channel and slice frontends. next returns a pointer that outlives the
-// walk (into the record it is handed, if need be), nil at the end.
-func (e *Engine) stream(next func(*injection) *Ingress) error {
+// stream admits runs until fill leaves one empty, and waits for quiescence:
+// the admission and unwind bookkeeping of every frontend. fill sets r.ing
+// to at most runLen packets that outlive the walk.
+func (e *Engine) stream(fill func(r *run)) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed.Load() {
@@ -556,14 +609,13 @@ func (e *Engine) stream(next func(*injection) *Ingress) error {
 	}
 	var wg sync.WaitGroup
 	for !e.failed.Load() {
-		inj := injPool.Get().(*injection)
-		ing := next(inj)
-		if ing == nil {
-			injPool.Put(inj)
+		r := runPool.Get().(*run)
+		if fill(r); len(r.ing) == 0 {
+			r.ing = nil
+			runPool.Put(r)
 			break
 		}
-		if err := e.inject(ing, inj, &wg); err != nil {
-			injPool.Put(inj)
+		if err := e.inject(r, &wg); err != nil {
 			wg.Wait()
 			return err
 		}
@@ -577,16 +629,12 @@ func (e *Engine) stream(next func(*injection) *Ingress) error {
 
 // InjectReplay pushes a pre-built trace through the plane in stream mode
 // (deliveries counted, not collected) and waits for quiescence — the load
-// harness's and benchmarks' fast path, avoiding per-packet channel hops
-// between producer and engine.
+// harness's and benchmarks' fast path: runs point into the trace, so no
+// packet is copied before its walk.
 func (e *Engine) InjectReplay(trace []Ingress) error {
-	i := 0
-	return e.stream(func(*injection) *Ingress {
-		if i >= len(trace) {
-			return nil
-		}
-		i++
-		return &trace[i-1]
+	return e.stream(func(r *run) {
+		n := min(e.runLen, len(trace))
+		r.ing, trace = trace[:n:n], trace[n:]
 	})
 }
 

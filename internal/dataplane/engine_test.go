@@ -678,6 +678,96 @@ func TestEngineUnknownPort(t *testing.T) {
 	}
 }
 
+// TestEngineStreamRejectsMidRun: an unknown port inside a run of a replay
+// ends the stream there. The packets before it run and nothing after it is
+// admitted, the error names the port, and the engine takes the next replay.
+func TestEngineStreamRejectsMidRun(t *testing.T) {
+	comp, _, tm := compileCampus(t, 1)
+	for _, workers := range []int{1, 2} {
+		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: workers})
+		tr := trace(tm, 64, 3)
+		tr[37].Port = 9999 // runs of 32: the second run's sixth packet
+		if err := eng.InjectReplay(tr); err == nil || !strings.Contains(err.Error(), "9999") {
+			t.Fatalf("workers=%d: replay with port 9999 at index 37 returned %v", workers, err)
+		}
+		if st := eng.Stats(); st.Injected != 37 || st.Delivered+st.Dropped != 37 {
+			t.Fatalf("workers=%d: injected %d, retired %d; want the 37 packets before the bad port", workers, st.Injected, st.Delivered+st.Dropped)
+		}
+		if err := eng.InjectReplay(trace(tm, 64, 4)); err != nil {
+			t.Fatalf("workers=%d: replay after a rejected one: %v", workers, err)
+		}
+		eng.Close()
+	}
+}
+
+// TestEngineStreamTrickle: a producer sends one packet and waits for it to
+// retire before it sends the next. A run that waited to fill would hold
+// the first packet back forever, and a stream that read an empty channel as
+// its end would return before the second.
+func TestEngineStreamTrickle(t *testing.T) {
+	comp, _, tm := compileCampus(t, 1)
+	tr := trace(tm, 20, 5)
+	for _, workers := range []int{1, 2} {
+		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: workers})
+		ch := make(chan dataplane.Ingress)
+		done := make(chan error, 1)
+		go func() { done <- eng.InjectStream(ch) }()
+		deadline := time.After(10 * time.Second)
+		finished := 0
+	feed:
+		for i := range tr {
+			select {
+			case ch <- tr[i]:
+			case err := <-done:
+				t.Fatalf("workers=%d: stream returned %v before packet %d was sent", workers, err, i)
+			case <-deadline:
+				break feed
+			}
+			for st := eng.Stats(); st.Delivered+st.Dropped < int64(i+1); st = eng.Stats() {
+				select {
+				case <-deadline:
+					break feed
+				case <-time.After(100 * time.Microsecond):
+				}
+			}
+			finished++
+		}
+		close(ch)
+		if err := <-done; err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		eng.Close()
+		if finished != len(tr) {
+			t.Fatalf("workers=%d: %d of %d trickled packets retired within 10 s", workers, finished, len(tr))
+		}
+	}
+}
+
+// TestEngineWindowHolds: runs are admitted whole, yet the gate never lets
+// more than Window packets into flight. Two workers take runs of
+// Window/4 packets, one at a window of 4 and two at a window of 8.
+func TestEngineWindowHolds(t *testing.T) {
+	comp, _, tm := compileCampus(t, 1)
+	tr := trace(tm, 2000, 11)
+	for _, tc := range []struct{ window, run int }{{4, 1}, {8, 2}} {
+		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2, Window: tc.window})
+		high, longest := 0, 0 // written by the injecting goroutine
+		eng.WatchGate(func(n, inflight int) {
+			high, longest = max(high, inflight), max(longest, n)
+		})
+		if err := eng.InjectReplay(tr); err != nil {
+			t.Fatal(err)
+		}
+		eng.Close()
+		if high > tc.window {
+			t.Fatalf("window %d: %d packets in flight", tc.window, high)
+		}
+		if longest != tc.run {
+			t.Fatalf("window %d: the longest run carried %d packets, want %d", tc.window, longest, tc.run)
+		}
+	}
+}
+
 // TestWideIndexDiagnostic: an index tuple wider than values.MaxVec drops
 // the affected instructions to the interpreter slow path; the link step
 // must say so exactly once per program, and the engine must expose it.

@@ -7,9 +7,14 @@ import (
 	"snap/internal/topo"
 )
 
-// ItemBytes is the size of what admission hands the walking goroutine per
-// injection.
-const ItemBytes = unsafe.Sizeof(item{})
+// RunBytes is the size of the record admission hands the walking goroutine
+// per run of injections.
+const RunBytes = unsafe.Sizeof(run{})
+
+// WatchGate calls watch, on the injecting goroutine, with every admission's
+// packet count and the in-flight count it leaves. Callers hold the engine
+// quiescent.
+func (e *Engine) WatchGate(watch func(n, inflight int)) { e.gate.watch = watch }
 
 // WalkQueueCap reports the capacity of the inline walker's queue. The
 // worker pool's walkers live on their goroutines' stacks and are not

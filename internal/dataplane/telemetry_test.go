@@ -258,15 +258,16 @@ func TestEngineInjectSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestInjectReplayCopiesPacketOnce: an admitted injection reaches the
-// goroutine that walks it as a pointer to its packet (into the caller's
-// trace, or into the pooled record of a channel-fed one), so the 808-byte
+// TestInjectReplayCopiesPacketOnce: admitted injections reach the goroutine
+// that walks them as pointers to their packets (into the caller's trace, or
+// into the run's receive buffer for a channel-fed stream), so the 808-byte
 // Ingress is copied once, by the walk, into the SimPacket the VM runs on.
 // Carried by value it was copied four more times between InjectReplay and
-// the walk, 14 % of a forwarded packet's time.
+// the walk, 14 % of a forwarded packet's time; a run record that embedded
+// its 32 packets would weigh 26 KB.
 func TestInjectReplayCopiesPacketOnce(t *testing.T) {
-	if dataplane.ItemBytes > 32 {
-		t.Fatalf("an admitted injection is handed over in %d bytes: it carries the packet, not a pointer to it", dataplane.ItemBytes)
+	if dataplane.RunBytes > 1024 {
+		t.Fatalf("a run of injections is handed over in a %d-byte record: it carries the packets, not pointers to them", dataplane.RunBytes)
 	}
 	comp, _, tm := compileCampus(t, 1)
 	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})

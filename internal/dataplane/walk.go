@@ -4,7 +4,7 @@
 // one that owes only its egress is carried there by match-action entries and
 // runs no program on the way (forward). Every runtime in this package is a
 // configuration of this loop: a plane to route by and run against, and a
-// goroutine that calls walk and then finishes the injection.
+// goroutine that calls walk and then retires the injection.
 // See docs/ARCHITECTURE.md for the table of what differs between them.
 package dataplane
 
@@ -85,53 +85,26 @@ func (f *fabric) fail(err error) {
 // panics are already contained inside the visit (runContained), so
 // anything recovered here is a bug in the package's own routing, merge or
 // bookkeeping: the process survives and the captured stack becomes the
-// sticky error. Callers defer it after the injection's finish, so the
-// injection still completes and no waiter hangs.
+// sticky error. Callers defer it after the run's retirement, so the run
+// still leaves the gate and no waiter hangs.
 func (f *fabric) guard() {
 	if v := recover(); v != nil {
 		f.fail(fmt.Errorf("dataplane: panic in packet walk: %v\n%s", v, debug.Stack()))
 	}
 }
 
-// injection is one injected packet: what its walk reports to and what
-// finishing it releases. One goroutine runs an injection and all its
-// copies to completion, so nothing here is shared while it is in flight;
-// the waiter reads out only after wg.Done. Stream-mode injections (no
-// delivery collection) are pooled: the steady replay loop re-uses retired
-// records instead of allocating one per packet.
+// injection is what one injected packet's walk reports to. One goroutine
+// runs an injection and all its copies to completion, so nothing here is
+// shared while it is in flight; a collecting waiter reads out only after
+// its run retires. The stream paths walk every packet of a run against one
+// counting injection on the walking goroutine.
 type injection struct {
-	eng *Engine
-	wg  *sync.WaitGroup
-	// tr is the sampled packet trace, nil for the (default) unsampled
-	// case; finish commits it and clears the field before pooling.
+	// tr is the sampled packet trace, nil for the (default) unsampled case.
 	tr *telemetry.PacketTrace
-	// ing buffers a channel-fed packet in the pooled record; others stay put.
-	ing *Ingress
 
 	// collect records deliveries in out; otherwise they are only counted.
 	collect bool
 	out     []Delivery
-}
-
-var injPool = sync.Pool{New: func() any { return &injection{ing: new(Ingress)} }}
-
-// finish completes an engine injection once its walk has returned: release
-// the admission window and gate, notify the waiter, and return stream-mode
-// records to the pool. Batch-mode injections are not pooled — the caller
-// still reads their collected deliveries.
-func (in *injection) finish() {
-	if in.tr != nil {
-		in.tr.Finish()
-		in.tr = nil
-	}
-	e, wg := in.eng, in.wg
-	if !in.collect {
-		in.eng, in.wg = nil, nil
-		injPool.Put(in)
-	}
-	<-e.window
-	e.gate.leave()
-	wg.Done()
 }
 
 // hop is one packet copy on its way to a switch visit, and the packet the
