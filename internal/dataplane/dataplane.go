@@ -98,6 +98,7 @@ func (n *Network) Inject(port int, p pkt.Packet) ([]Delivery, error) {
 		n.fab.stats.injected.Add(1)
 		n.inj = injection{collect: true}
 		n.fab.walk(n.pl, &n.w, &n.inj, pt.Switch, &Ingress{Port: port, Packet: p})
+		n.fab.fold(&n.w.tally)
 	}
 	if n.fab.failed.Load() {
 		return nil, n.fab.err

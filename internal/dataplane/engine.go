@@ -318,9 +318,10 @@ type Engine struct {
 	// queue carries admitted runs to the Options.Workers goroutines that
 	// walk them; nil with a single worker.
 	queue chan *run
-	// inline is the injecting goroutine's walker when it is the only
-	// worker (Options.Workers == 1); its users hold mu.
-	inline walker
+	// walkers holds one walker per worker goroutine, or the injecting
+	// goroutine's when it is the only worker (Options.Workers == 1, whose
+	// users hold mu). Engine.Load sums their per-switch load.
+	walkers []*walker
 
 	// Asynchronous state replication (replication.go); nil when the
 	// configuration carries no replicas. repMu guards the pointer: apply
@@ -398,17 +399,20 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 	pl := e.buildPlane(cfg, e.rep)
 	e.plane.Store(pl)
 	e.rep.start()
+	e.walkers = make([]*walker, opts.Workers)
+	for i := range e.walkers {
+		e.walkers[i] = new(walker)
+	}
 	if opts.Workers > 1 {
 		// At most Window injections, and so at most Window runs, are in
 		// flight, so a send never blocks the injector.
 		e.queue = make(chan *run, opts.Window)
-		for i := 0; i < opts.Workers; i++ {
+		for _, w := range e.walkers {
 			e.wg.Add(1)
 			go func() {
 				defer e.wg.Done()
-				var w walker
 				for r := range e.queue {
-					e.walkRun(&w, r)
+					e.walkRun(w, r)
 				}
 			}()
 		}
@@ -464,11 +468,13 @@ func (e *Engine) Close() {
 	e.replicator().stop()
 }
 
-// walkRun walks a run's packets in order and retires the run: the body of
-// the worker goroutines and of the inline single-worker path. guard
-// recovers a walk panic first, so the run still retires.
+// walkRun walks a run's packets in order, publishes what the run counted
+// and retires it: the body of the worker goroutines and of the inline
+// single-worker path. guard recovers a walk panic first, so the run still
+// folds and retires.
 func (e *Engine) walkRun(w *walker, r *run) {
 	defer e.retire(r)
+	defer e.fold(&w.tally)
 	defer e.guard()
 	pl, inj := e.plane.Load(), r.batch
 	if inj == nil {
@@ -527,7 +533,7 @@ func (e *Engine) inject(r *run, wg *sync.WaitGroup) error {
 	r.wg = wg
 	wg.Add(1)
 	if e.queue == nil {
-		e.walkRun(&e.inline, r)
+		e.walkRun(e.walkers[0], r)
 	} else {
 		e.queue <- r
 	}
@@ -929,81 +935,47 @@ func (e *Engine) Epoch() int64 { return e.epoch.Load() }
 // Config returns the configuration of the current plane epoch.
 func (e *Engine) Config() *rules.Config { return e.plane.Load().cfg }
 
-// obsShard accumulates delivered- and dropped-pair counts at one switch.
-type obsShard struct {
-	mu     sync.Mutex
-	counts map[[2]int]int64
-	drops  map[[2]int]int64
-}
-
-// observe records one delivery (at switch `at`) in the empirical matrix.
-func (f *fabric) observe(at topo.NodeID, in, out int) {
-	s := f.obs[at]
-	s.mu.Lock()
-	s.counts[[2]int{in, out}]++
-	s.mu.Unlock()
-}
-
-// observeDrop records one dropped copy against its ingress port, keyed by
-// the intended egress when the packet already knew it (-1 otherwise).
-// Folding drops into the observed matrix keeps the drift signal on the
-// *offered* load: before this, drops were invisible to drift detection —
-// a flow that the plane started dropping (policy, dead outport, failure
-// injection) simply vanished from the matrix, as if its demand had gone.
-func (f *fabric) observeDrop(at topo.NodeID, in, out int) {
-	s := f.obs[at]
-	s.mu.Lock()
-	s.drops[[2]int{in, out}]++
-	s.mu.Unlock()
-}
-
 // ObservedMatrix returns the engine's empirical traffic matrix per
 // (ingress, egress) OBS port pair since the last ResetObserved: delivered
 // packets plus dropped copies folded in at their ingress (keyed under the
 // intended egress when known, egress -1 otherwise), so drift detection
-// sees the offered load even for traffic the plane drops. It is safe to
-// call mid-stream (each per-switch shard is a live, internally consistent
-// snapshot) and is what ctrl.Monitor compares against the matrix the
-// running configuration was optimized for.
+// sees the offered load even for traffic the plane drops. Each run's
+// counts are added whole when the run ends, so the matrix is exact at
+// quiescence and, read mid-stream, lags by at most the runs in flight. It
+// is what ctrl.Monitor compares against the matrix the running
+// configuration was optimized for.
 func (e *Engine) ObservedMatrix() traffic.Matrix {
 	m := traffic.Matrix{}
-	for _, s := range e.obs {
-		s.mu.Lock()
-		for k, c := range s.counts {
-			m[k] += float64(c)
-		}
-		for k, c := range s.drops {
-			m[k] += float64(c)
-		}
-		s.mu.Unlock()
-	}
+	e.obs.mu.Lock()
+	defer e.obs.mu.Unlock()
+	e.obs.each(func(in, out int, delivered, dropped int64) {
+		m[[2]int{in, out}] = float64(delivered + dropped)
+	})
 	return m
 }
 
 // DropsByIngress returns the per-ingress-port dropped-copy counters since
-// the last ResetObserved.
+// the last ResetObserved, under the same contract as ObservedMatrix.
 func (e *Engine) DropsByIngress() map[int]int64 {
 	out := map[int]int64{}
-	for _, s := range e.obs {
-		s.mu.Lock()
-		for k, c := range s.drops {
-			out[k[0]] += c
+	e.obs.mu.Lock()
+	defer e.obs.mu.Unlock()
+	e.obs.each(func(in, _ int, _, dropped int64) {
+		if dropped != 0 {
+			out[in] += dropped
 		}
-		s.mu.Unlock()
-	}
+	})
 	return out
 }
 
 // ResetObserved clears the empirical traffic matrix (deliveries and
 // drops), starting a fresh observation window (the controller calls it
-// after each reconfiguration).
+// after each reconfiguration). A run in flight adds all its counts after
+// the reset.
 func (e *Engine) ResetObserved() {
-	for _, s := range e.obs {
-		s.mu.Lock()
-		s.counts = map[[2]int]int64{}
-		s.drops = map[[2]int]int64{}
-		s.mu.Unlock()
-	}
+	e.obs.mu.Lock()
+	defer e.obs.mu.Unlock()
+	clear(e.obs.count)
 }
 
 // Stats returns a snapshot of the engine counters.
@@ -1014,11 +986,28 @@ func (e *Engine) Stats() Stats { return e.stats.snapshot() }
 // first), so the numbers are exact and mutually consistent even when
 // called concurrently with InjectStream.
 func (e *Engine) Load() map[topo.NodeID]SwitchLoad {
+	loads := e.loads()
+	out := make(map[topo.NodeID]SwitchLoad, len(loads))
+	for id, l := range loads {
+		out[topo.NodeID(id)] = l
+	}
+	return out
+}
+
+// loads sums the walkers' per-switch load, by NodeID, under the gate: the
+// walkers write theirs in plain memory, and a drained gate is what orders
+// those writes before this read.
+func (e *Engine) loads() []SwitchLoad {
 	e.gate.pause()
 	defer e.gate.resume()
-	out := make(map[topo.NodeID]SwitchLoad, len(e.load))
-	for id := range e.load {
-		out[topo.NodeID(id)] = e.load[id].snapshot()
+	out := make([]SwitchLoad, len(e.down))
+	for _, w := range e.walkers {
+		for id, l := range w.load {
+			out[id].Processed += l.Processed
+			out[id].Ran += l.Ran
+			out[id].Suspends += l.Suspends
+			out[id].Forwarded += l.Forwarded
+		}
 	}
 	return out
 }

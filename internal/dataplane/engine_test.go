@@ -2,6 +2,7 @@ package dataplane_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -19,6 +20,7 @@ import (
 	"snap/internal/state"
 	"snap/internal/syntax"
 	"snap/internal/topo"
+	"snap/internal/traffic"
 	"snap/internal/values"
 )
 
@@ -679,10 +681,25 @@ func TestEngineUnknownPort(t *testing.T) {
 }
 
 // TestEngineStreamRejectsMidRun: an unknown port inside a run of a replay
-// ends the stream there. The packets before it run and nothing after it is
-// admitted, the error names the port, and the engine takes the next replay.
+// ends the stream there. The packets before it run, are counted in full and
+// nothing after it is admitted; the error names the port, and the engine
+// takes the next replay. A ResetObserved between the two replays leaves the
+// observed matrix holding the second one's counts alone.
 func TestEngineStreamRejectsMidRun(t *testing.T) {
 	comp, _, tm := compileCampus(t, 1)
+	second := trace(tm, 64, 4)
+	alone := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 1})
+	if err := alone.InjectReplay(second); err != nil {
+		t.Fatal(err)
+	}
+	wantObs := alone.ObservedMatrix()
+	alone.Close()
+	total := func(m traffic.Matrix) (n float64) {
+		for _, c := range m {
+			n += c
+		}
+		return n
+	}
 	for _, workers := range []int{1, 2} {
 		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: workers})
 		tr := trace(tm, 64, 3)
@@ -693,10 +710,110 @@ func TestEngineStreamRejectsMidRun(t *testing.T) {
 		if st := eng.Stats(); st.Injected != 37 || st.Delivered+st.Dropped != 37 {
 			t.Fatalf("workers=%d: injected %d, retired %d; want the 37 packets before the bad port", workers, st.Injected, st.Delivered+st.Dropped)
 		}
-		if err := eng.InjectReplay(trace(tm, 64, 4)); err != nil {
+		if n := total(eng.ObservedMatrix()); n != 37 {
+			t.Fatalf("workers=%d: observed matrix holds %v packets, want the 37 before the bad port", workers, n)
+		}
+		eng.ResetObserved()
+		if err := eng.InjectReplay(second); err != nil {
 			t.Fatalf("workers=%d: replay after a rejected one: %v", workers, err)
 		}
+		if st := eng.Stats(); st.Injected != 37+64 || st.Injected != st.Delivered+st.Dropped {
+			t.Fatalf("workers=%d: injected %d, retired %d; want 101 of each", workers, st.Injected, st.Delivered+st.Dropped)
+		}
+		if got := eng.ObservedMatrix(); !maps.Equal(got, wantObs) {
+			t.Fatalf("workers=%d: observed matrix after a reset and the second replay %v, the second replay alone %v", workers, got, wantObs)
+		}
 		eng.Close()
+	}
+}
+
+// TestEngineAccountingMatchesNetwork: a walker counts its run in its own
+// memory and publishes it once, when the run ends. So once a replay of
+// multi-packet runs returns, the engine's counters equal what the
+// sequential Network counted packet by packet, at any worker count, and
+// the per-switch load and the observed matrix do not depend on the worker
+// count. The campus trace has policy drops (every seventh packet's source
+// lies outside its ingress subnet, which the assumption drops), suspends
+// (the monitor and the seen flag live on one switch) and dead-link drops
+// (the same link is failed on every plane).
+func TestEngineAccountingMatchesNetwork(t *testing.T) {
+	netw := topo.Campus(1000)
+	seenWriter := syntax.Cond(
+		syntax.FieldEq(pkt.SrcPort, values.Int(53)),
+		syntax.WriteState("seen",
+			syntax.Vec(syntax.F(pkt.DstIP), syntax.F(pkt.DNSRData)),
+			syntax.V(values.Bool(true))),
+		syntax.Id(),
+	)
+	deployed, _ := deploy(t, campusWorkload(syntax.Par(seenWriter, apps.Monitor())), netw, nil)
+	cfg := deployed.Config()
+	rng := rand.New(rand.NewSource(23))
+	tr := make([]dataplane.Ingress, 600)
+	for i := range tr {
+		port, pk := campusPacket(rng)
+		if i%7 == 0 {
+			pk.Set(pkt.SrcIP, values.IPv4(10, 0, byte(1+port%6), 1))
+		}
+		tr[i] = dataplane.Ingress{Port: port, Packet: pk}
+	}
+	// The first link whose failure the trace meets is the dead one.
+	var dead topo.Link
+	var want dataplane.Stats
+	for _, dead = range netw.Links {
+		seq := dataplane.New(cfg)
+		seq.FailLink(dead.From, dead.To)
+		for i := range tr {
+			if _, err := seq.Inject(tr[i].Port, tr[i].Packet); err != nil {
+				t.Fatalf("sequential inject %d: %v", i, err)
+			}
+		}
+		if want = seq.Stats(); want.Drops[dataplane.DropDeadLink] > 0 {
+			break
+		}
+	}
+	if want.Drops[dataplane.DropPolicy] == 0 || want.Drops[dataplane.DropDeadLink] == 0 || want.Suspends == 0 || want.Delivered == 0 {
+		t.Fatalf("trace lacks a case: %+v; want policy drops, dead-link drops, suspends and deliveries", want)
+	}
+
+	type view struct {
+		load  map[topo.NodeID]dataplane.SwitchLoad
+		obs   traffic.Matrix
+		drops map[int]int64
+	}
+	var first *view
+	for _, workers := range []int{1, 2, 4} {
+		eng := dataplane.NewEngine(cfg, dataplane.Options{Workers: workers})
+		if err := eng.FailLink(dead.From, dead.To); err != nil {
+			t.Fatal(err)
+		}
+		longest := 0
+		eng.WatchGate(func(n, _ int) { longest = max(longest, n) })
+		if err := eng.InjectReplay(tr); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got := eng.Stats()
+		if longest < 2 {
+			t.Errorf("workers=%d: longest run %d packets, want runs of more than one", workers, longest)
+		}
+		if got.Injected != want.Injected || got.Delivered != want.Delivered || got.Dropped != want.Dropped ||
+			got.Drops != want.Drops || got.Hops != want.Hops || got.Suspends != want.Suspends {
+			t.Errorf("workers=%d: engine counted %+v, network %+v", workers, got, want)
+		}
+		v := &view{eng.Load(), eng.ObservedMatrix(), eng.DropsByIngress()}
+		eng.Close()
+		if first == nil {
+			first = v
+			continue
+		}
+		if !maps.Equal(v.load, first.load) {
+			t.Errorf("workers=%d: per-switch load %v, workers=1 %v", workers, v.load, first.load)
+		}
+		if !maps.Equal(v.obs, first.obs) {
+			t.Errorf("workers=%d: observed matrix %v, workers=1 %v", workers, v.obs, first.obs)
+		}
+		if !maps.Equal(v.drops, first.drops) {
+			t.Errorf("workers=%d: drops by ingress %v, workers=1 %v", workers, v.drops, first.drops)
+		}
 	}
 }
 

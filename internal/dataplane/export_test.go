@@ -16,10 +16,9 @@ const RunBytes = unsafe.Sizeof(run{})
 // quiescent.
 func (e *Engine) WatchGate(watch func(n, inflight int)) { e.gate.watch = watch }
 
-// WalkQueueCap reports the capacity of the inline walker's queue. The
-// worker pool's walkers live on their goroutines' stacks and are not
-// reachable. Callers hold the engine quiescent.
-func (e *Engine) WalkQueueCap() int { return cap(e.inline.queue) }
+// WalkQueueCap reports the capacity of the first walker's queue: the
+// injecting goroutine's at Workers = 1. Callers hold the engine quiescent.
+func (e *Engine) WalkQueueCap() int { return cap(e.walkers[0].queue) }
 
 // HoldSwitch takes switch id's lock on the current plane, as a visit there
 // would, and returns its release.
@@ -35,3 +34,26 @@ func (e *Engine) HoldSwitch(id topo.NodeID) (release func()) {
 func (e *Engine) HookStateWrites(id topo.NodeID, hook func(netasm.PendingWrite)) {
 	e.plane.Load().switches[id].OnStateWrite = hook
 }
+
+// FailLink kills the undirected link between a and b on the sequential
+// plane, as Engine.FailLink does on the live one.
+func (n *Network) FailLink(a, b topo.NodeID) {
+	n.fab.deadLinks[[2]topo.NodeID{a, b}] = true
+	n.fab.deadLinks[[2]topo.NodeID{b, a}] = true
+	n.pl.markDeadLinks(n.fab.deadLinks)
+}
+
+// FabricHotEnd is where the last fabric field the walk reads on every hop
+// ends, and FabricCounters where the counters that admission and fold
+// write begin and end, all as offsets into the fabric.
+var (
+	FabricHotEnd = max(
+		unsafe.Offsetof(fabric{}.maxHops)+unsafe.Sizeof(fabric{}.maxHops),
+		unsafe.Offsetof(fabric{}.failed)+unsafe.Sizeof(fabric{}.failed),
+		unsafe.Offsetof(fabric{}.down)+unsafe.Sizeof(fabric{}.down),
+		unsafe.Offsetof(fabric{}.quar)+unsafe.Sizeof(fabric{}.quar),
+		unsafe.Offsetof(fabric{}.spans)+unsafe.Sizeof(fabric{}.spans),
+	)
+	FabricCounters = [2]uintptr{unsafe.Offsetof(fabric{}.stats), unsafe.Offsetof(fabric{}.stats) + unsafe.Sizeof(fabric{}.stats)}
+	FabricObserved = unsafe.Offsetof(fabric{}.obs)
+)

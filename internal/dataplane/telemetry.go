@@ -1,11 +1,13 @@
 // The engine's telemetry face: every counter the engine already keeps
 // (stats.go, replication.go) is exported through scrape-time
 // collectors on a per-engine telemetry.Registry, so observability costs
-// the packet loop nothing — the hot path keeps bumping the same atomics
-// it always did, and aggregation happens only when something scrapes
-// /metrics or takes a JSON snapshot. The only live instruments are the
-// per-variable lock-wait histograms, fed from the visit's already-slow
-// contended path.
+// the packet loop nothing — the walk counts in its walker's own memory,
+// fold publishes each run's counts to the same atomics Stats reads, and
+// aggregation happens only when something scrapes /metrics or takes a
+// JSON snapshot. Counters published at fold are exact at quiescence and
+// lag by at most the runs in flight; the per-switch load is read under the
+// gate, as Load reads it. The only live instruments are the per-variable
+// lock-wait histograms, fed from the visit's already-slow contended path.
 package dataplane
 
 import (
@@ -33,9 +35,9 @@ func traceHop(tr *telemetry.PacketTrace, at topo.NodeID, outcome, stateVar strin
 	}
 }
 
-// registerMetrics wires the engine's existing atomics into scrape-time
+// registerMetrics wires the engine's existing counters into scrape-time
 // collectors. Called once at the end of NewEngine; the collectors read the
-// per-switch counters lock-free.
+// published counters lock-free and the per-switch load under the gate.
 func (e *Engine) registerMetrics() {
 	r := e.tel
 	counter := func(name, help string, v *atomic.Int64) {
@@ -123,26 +125,27 @@ func (e *Engine) registerMetrics() {
 
 	// Per-switch load. The label set is fixed at engine construction
 	// (the switch set never changes across epochs), so the label strings
-	// are resolved once here, not per scrape.
-	names := make([]string, len(e.load))
+	// are resolved once here, not per scrape. The walkers keep the load in
+	// their own memory, so a scrape reads it the way Load does: under the
+	// gate, at a quiescent point.
+	names := make([]string, len(e.down))
 	for i := range names {
 		names[i] = strconv.Itoa(i)
 	}
 	r.CounterFunc("snap_switch_load_total",
 		"Per-switch work: packet copies that reached the switch and were served, state suspensions, copies sent onward.",
 		[]string{"switch", "kind"}, func(emit telemetry.Emit) {
-			for i := range e.load {
-				c := &e.load[i]
-				emit([]string{names[i], "processed"}, float64(c.processed.Load()))
-				emit([]string{names[i], "suspends"}, float64(c.suspends.Load()))
-				emit([]string{names[i], "forwarded"}, float64(c.forwarded.Load()))
+			for i, l := range e.loads() {
+				emit([]string{names[i], "processed"}, float64(l.Processed))
+				emit([]string{names[i], "suspends"}, float64(l.Suspends))
+				emit([]string{names[i], "forwarded"}, float64(l.Forwarded))
 			}
 		})
 	r.CounterFunc("snap_switch_vm_runs_total",
 		"Switch-VM executions per switch; a copy forwarded in transit counts as processed and runs none.",
 		[]string{"switch"}, func(emit telemetry.Emit) {
-			for i := range e.load {
-				emit(names[i:i+1], float64(e.load[i].ran.Load()))
+			for i, l := range e.loads() {
+				emit(names[i:i+1], float64(l.Ran))
 			}
 		})
 

@@ -21,31 +21,30 @@ import (
 	"snap/internal/topo"
 )
 
-// fabric is what a walk accounts against and consults besides the plane:
-// the counters, per-switch load, observed-matrix shards, failure flags and
-// the sticky first error. It outlives plane epochs. Engine embeds one;
-// Network holds its own, which is what gives the sequential plane the same
-// containment and error discipline.
+// fabric is what a walk publishes to and consults besides the plane: the
+// counters, observed matrix, failure flags and the sticky first error. It
+// outlives plane epochs. Engine embeds one; Network holds its own, which
+// is what gives the sequential plane the same containment and error
+// discipline. The walk itself counts in its walker (tally) and fold
+// publishes each run's counts once, so the counters and matrix here are
+// exact at quiescence and lag by at most the runs in flight. The fields
+// the walk reads on every hop come first, a cache line away from the
+// counters that injection and fold write.
 type fabric struct {
 	maxHops int // forwarding-loop guard
-	stats   counters
+	failed  atomic.Bool
 
 	// Per switch, by NodeID (the switch count is fixed for the fabric's
-	// lifetime). obs holds the observed per-(ingress, egress)-pair delivery
-	// counts, the empirical traffic matrix (Engine.ObservedMatrix), sharded
-	// so the hot-path write contends only with deliveries at the same switch.
-	load []switchCounters
-	obs  []*obsShard
-
-	// Failure injection (failure.go): down switches drop everything that
-	// reaches them, dead links drop copies sent across them. quar
-	// (containment.go) is the panic-quarantine flag per switch: a
-	// contained VM panic marks its switch here, and copies reaching it
+	// lifetime). Failure injection (failure.go): down switches drop
+	// everything that reaches them, dead links drop copies sent across
+	// them. quar (containment.go) is the panic-quarantine flag per switch:
+	// a contained VM panic marks its switch here, and copies reaching it
 	// drop-and-count until a committed reconfiguration replaces the VM.
+	down []atomic.Bool
+	quar []atomic.Bool
+
 	// deadLinks records failed links across plane epochs; the walk reads
 	// the plane's flags by link index, which linkMu keeps in step with it.
-	down      []atomic.Bool
-	quar      []atomic.Bool
 	linkMu    sync.Mutex
 	deadLinks map[[2]topo.NodeID]bool
 
@@ -53,21 +52,25 @@ type fabric struct {
 	spans *telemetry.SpanLog
 
 	failOnce sync.Once
-	failed   atomic.Bool
 	err      error
+
+	_     [cacheLine]byte
+	stats counters
+	_     [cacheLine]byte
+
+	// obs is the observed matrix, which fold adds each run's cells to.
+	obs observed
 }
+
+// cacheLine separates fields written from different cores.
+const cacheLine = 64
 
 func (f *fabric) init(cfg *rules.Config, spans *telemetry.SpanLog) {
 	f.maxHops = 16 * (cfg.Topo.Switches + 2)
 	f.spans = spans
-	f.load = make([]switchCounters, cfg.Topo.Switches)
-	f.obs = make([]*obsShard, cfg.Topo.Switches)
 	f.down = make([]atomic.Bool, cfg.Topo.Switches)
 	f.quar = make([]atomic.Bool, cfg.Topo.Switches)
 	f.deadLinks = map[[2]topo.NodeID]bool{}
-	for i := range f.obs {
-		f.obs[i] = &obsShard{counts: map[[2]int]int64{}, drops: map[[2]int]int64{}}
-	}
 }
 
 // fail records the first routing error and aborts outstanding work: walks
@@ -118,11 +121,21 @@ type hop struct {
 
 // walker is the walking goroutine's own memory: the copies still to visit,
 // the VM result buffer and the fork copies of the current visit, reused
-// across injections so the steady-state packet loop allocates nothing.
+// across injections so the steady-state packet loop allocates nothing; its
+// share of the per-switch load, by NodeID,
+// which only Engine.Load reads, while the engine is quiescent; and the
+// tally of the current run, which fabric.fold publishes and empties once
+// the run ends.
 type walker struct {
 	queue   []hop
 	results []netasm.Result
 	forks   []netasm.SimPacket
+	load    []SwitchLoad
+	tally
+
+	// The engine's walkers are allocated side by side, one per worker, and
+	// each writes its tally on every hop: no two may share a cache line.
+	_ [cacheLine]byte
 }
 
 // walk runs one injection, entering at switch `at`, and all its copies to
@@ -143,7 +156,7 @@ func (f *fabric) walk(pl *plane, w *walker, inj *injection, at topo.NodeID, ing 
 	// between injection and VM. Only a retired copy held the slot before,
 	// so the header keeps its spill storage.
 	if w.queue == nil {
-		w.queue = make([]hop, 1)
+		w.queue, w.load = make([]hop, 1), make([]SwitchLoad, len(f.down))
 	}
 	q := w.queue[:1]
 	q[0].at, q[0].hops = at, 0
@@ -159,13 +172,13 @@ func (f *fabric) walk(pl *plane, w *walker, inj *injection, at topo.NodeID, ing 
 // arrive applies the guards a copy meets at every switch it reaches, visited
 // or in transit: it is not served once the fabric has failed, at a down or
 // quarantined switch (the drop is observed as offered load), past the hop limit.
-func (f *fabric) arrive(at topo.NodeID, hops int, inj *injection, in, out int) bool {
+func (f *fabric) arrive(w *walker, inj *injection, at topo.NodeID, hops int, in, out int) bool {
 	switch {
 	case f.failed.Load():
 	case f.down[at].Load():
-		f.drop(at, inj, in, out, DropDownSwitch)
+		w.drop(inj, at, in, out, DropDownSwitch)
 	case f.quar[at].Load():
-		f.drop(at, inj, in, out, DropQuarantine)
+		w.drop(inj, at, in, out, DropQuarantine)
 	case hops > f.maxHops:
 		f.fail(fmt.Errorf("dataplane: hop limit exceeded at switch %d (forwarding loop?)", at))
 	default:
@@ -185,7 +198,7 @@ func (f *fabric) arrive(at topo.NodeID, hops int, inj *injection, in, out int) b
 func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []hop {
 	at, hops := c.at, c.hops
 	in, out := c.sp.Hdr.OBSIn, c.sp.Hdr.OBSOut
-	if !f.arrive(at, hops, inj, in, out) {
+	if !f.arrive(w, inj, at, hops, in, out) {
 		return q
 	}
 	mu := pl.locks[at]
@@ -209,11 +222,12 @@ func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []
 	if mu != nil {
 		mu.Unlock()
 	}
-	f.load[at].processed.Add(1)
-	f.load[at].ran.Add(1)
+	load := &w.load[at]
+	load.Processed++
+	load.Ran++
 	if err != nil {
 		if f.containVMError(at, err) {
-			f.drop(at, inj, in, out, DropQuarantine)
+			w.drop(inj, at, in, out, DropQuarantine)
 		} else {
 			f.fail(err)
 		}
@@ -226,25 +240,25 @@ func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []
 		in, out := sp.Hdr.OBSIn, sp.Hdr.OBSOut
 		switch r.Outcome {
 		case netasm.Dropped:
-			f.drop(at, inj, in, -1, DropPolicy)
+			w.drop(inj, at, in, -1, DropPolicy)
 
 		case netasm.ToEgress:
 			// Nothing is pending (the VM returns NeedState while a write is).
 			// An outport that is no OBS port leaves nowhere: count as dropped.
 			if eg, ok := pl.portSwitch(out); !ok {
-				f.drop(at, inj, in, -1, DropNoEgress)
+				w.drop(inj, at, in, -1, DropNoEgress)
 			} else if eg == at {
-				f.deliver(at, inj, sp, out)
+				w.deliver(inj, at, sp, out)
 			} else {
-				f.forward(pl, inj, sp, at, hops, eg)
+				f.forward(pl, w, inj, sp, at, hops, eg)
 			}
 
 		case netasm.NeedState:
 			// The copy owes a state visit: it takes the shortest path toward
 			// the owner (Appendix D's fallback, which always makes progress)
 			// and visits every VM on the way; an intermediate owner commits.
-			f.stats.suspends.Add(1)
-			f.load[at].suspends.Add(1)
+			w.suspends++
+			load.Suspends++
 			owner, ok := pl.stateTarget(r)
 			if !ok {
 				f.fail(fmt.Errorf("dataplane: no owner for state of packet at switch %d", at))
@@ -253,10 +267,10 @@ func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []
 			} else if li := pl.scs[at].SPNext[owner]; li < 0 {
 				f.fail(fmt.Errorf("dataplane: switch %d cannot reach switch %d", at, owner))
 			} else if pl.linkDead[li].Load() {
-				f.drop(at, inj, in, out, DropDeadLink)
+				w.drop(inj, at, in, out, DropDeadLink)
 			} else {
-				f.stats.hops.Add(1)
-				f.load[at].forwarded.Add(1)
+				w.hops++
+				load.Forwarded++
 				if inj.tr != nil {
 					inj.tr.Hop(int(at), "suspend", pl.cfg.VarSpace().Name(int(r.StateVarID)), -1)
 				}
@@ -275,14 +289,13 @@ func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []
 // forward carries a copy that owes only its egress from switch at to egress
 // switch eg, the match-action stage of §4.5: per hop the link (the entry of
 // the copy's (inport, outport) pair where this switch has one, else the
-// shortest path), the dead-link flag, the counters, the arrival guards. The
+// shortest path), the dead-link flag, the tally, the arrival guards. The
 // packet stays where the VM left it: no program runs, no switch lock is
 // taken (transit touches no state), nothing is queued or copied.
-func (f *fabric) forward(pl *plane, inj *injection, sp *netasm.SimPacket, at topo.NodeID, hops int, eg topo.NodeID) {
+func (f *fabric) forward(pl *plane, w *walker, inj *injection, sp *netasm.SimPacket, at topo.NodeID, hops int, eg topo.NodeID) {
 	in, out := sp.Hdr.OBSIn, sp.Hdr.OBSOut
 	entries := pl.cfg.Routes.Pair(in, out)
-	// The shared hop counter is bumped once, on the way out.
-	defer func(from int) { f.stats.hops.Add(int64(hops - from)) }(hops)
+	load := &w.load[at]
 	for at != eg {
 		li := rules.NextLink(entries, at)
 		if li < 0 {
@@ -293,29 +306,35 @@ func (f *fabric) forward(pl *plane, inj *injection, sp *netasm.SimPacket, at top
 			return
 		}
 		if pl.linkDead[li].Load() {
-			f.drop(at, inj, in, out, DropDeadLink)
+			w.drop(inj, at, in, out, DropDeadLink)
 			return
 		}
-		f.load[at].forwarded.Add(1)
+		load.Forwarded++
 		traceHop(inj.tr, at, "forward", "", out)
-		at, hops = pl.cfg.Topo.Links[li].To, hops+1
-		if !f.arrive(at, hops, inj, in, out) {
+		at = pl.cfg.Topo.Links[li].To
+		w.hops++
+		if hops++; !f.arrive(w, inj, at, hops, in, out) {
 			return
 		}
-		f.load[at].processed.Add(1)
+		load = &w.load[at]
+		load.Processed++
 	}
-	f.deliver(at, inj, sp, out)
+	w.deliver(inj, at, sp, out)
 }
 
 // drop accounts one copy discarded at a switch, by reason. out is the
 // intended egress when the packet already knew it, negative otherwise.
-func (f *fabric) drop(at topo.NodeID, inj *injection, in, out int, why DropReason) {
+// The copy counts in the observed matrix against its ingress, keyed by
+// that egress (-1 when unknown): drift detection then sees the offered
+// load, where a flow the plane drops (policy, dead outport, failure) would
+// otherwise vanish from the matrix as if its demand had gone.
+func (w *walker) drop(inj *injection, at topo.NodeID, in, out int, why DropReason) {
 	if out < 0 {
 		out = -1
 	}
-	f.stats.dropped.Add(1)
-	f.stats.drops[why].Add(1)
-	f.observeDrop(at, in, out)
+	w.dropped++
+	w.drops[why]++
+	w.cells = append(w.cells, cell{in: in, out: out, drop: true})
 	traceHop(inj.tr, at, dropOutcomes[why], "", out)
 }
 
@@ -324,9 +343,9 @@ func (f *fabric) drop(at topo.NodeID, inj *injection, in, out int, why DropReaso
 // *set*, so multicast copies that end up indistinguishable collapse; a
 // collected injection holds one or two deliveries, so the duplicate check
 // is a scan.
-func (f *fabric) deliver(at topo.NodeID, inj *injection, sp *netasm.SimPacket, port int) {
-	f.stats.delivered.Add(1)
-	f.observe(at, sp.Hdr.OBSIn, port)
+func (w *walker) deliver(inj *injection, at topo.NodeID, sp *netasm.SimPacket, port int) {
+	w.delivered++
+	w.cells = append(w.cells, cell{in: sp.Hdr.OBSIn, out: port})
 	traceHop(inj.tr, at, "deliver", "", port)
 	if !inj.collect {
 		return

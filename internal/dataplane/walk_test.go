@@ -233,6 +233,23 @@ func TestWalkQueueStaysShort(t *testing.T) {
 	}
 }
 
+// TestFabricCountersOffHotLines pins the fabric's layout. arrive reads
+// maxHops and the failure flags on every hop, while the injector writes
+// stats.injected once a run and every walker writes the other counters at
+// fold, and the observed matrix's mutex is taken once a run: with both on
+// one cache line, each of those writes costs every walking core a miss. A
+// full line must lie between the hop-read fields and the counters, and
+// between the counters and the matrix.
+func TestFabricCountersOffHotLines(t *testing.T) {
+	const line = 64
+	if gap := dataplane.FabricCounters[0] - dataplane.FabricHotEnd; gap < line {
+		t.Errorf("counters start %d bytes after the last hop-read field, want at least %d", gap, line)
+	}
+	if gap := dataplane.FabricObserved - dataplane.FabricCounters[1]; gap < line {
+		t.Errorf("observed matrix starts %d bytes after the counters, want at least %d", gap, line)
+	}
+}
+
 // TestInjectBatchOfOneAllocs bounds what one collected round trip
 // allocates, the other half of the same cost: with the walker's memory
 // held by the engine and deliveries compared instead of keyed, a warmed
@@ -429,7 +446,10 @@ func TestForkCopiesSuspendPastTheSlot(t *testing.T) {
 // there makes panic at its next state write: for a reply entering at port
 // 1, the local count[inport]++ after the established test (the copy has no
 // outport yet); for a packet from port 1 to port 2, committing its carried
-// count write in the delivery phase (outport 2).
+// count write in the delivery phase (outport 2). The probe panics mid-run:
+// two packets that the assumption drops at their ingress walk before it,
+// and two that the quarantine drops after it, and the run still publishes
+// every drop in Stats.Drops and the observed matrix.
 func TestVMPanicDropsUnderPreRunPorts(t *testing.T) {
 	tp := topo.Campus(1000)
 	tm := traffic.Gravity(tp, 100, 1)
@@ -468,18 +488,25 @@ func TestVMPanicDropsUnderPreRunPorts(t *testing.T) {
 		}
 		eng.HookStateWrites(owner, func(netasm.PendingWrite) { panic("state-write observer") })
 		before := eng.Stats()
-		got, err := eng.InjectBatch([]dataplane.Ingress{c.probe})
-		if err != nil {
+		// One run: port 3's subnet is 3, so a source in subnet 4 fails the
+		// assumption at switch 2, before any state is touched.
+		run := []dataplane.Ingress{packet(3, 4, 6), packet(3, 4, 6), c.probe, packet(6, 6, 1), packet(6, 6, 1)}
+		if err := eng.InjectReplay(run); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		st := eng.Stats()
-		if len(got[0]) != 0 || st.ContainedPanics != 1 || st.Dropped-before.Dropped != 1 || st.QuarantineDrops != 1 {
-			t.Errorf("%s: deliveries %v, %d contained panics, %d dropped, %d quarantine drops; want none, 1, 1, 1",
-				c.name, got[0], st.ContainedPanics, st.Dropped-before.Dropped, st.QuarantineDrops)
+		policy := st.Drops[dataplane.DropPolicy] - before.Drops[dataplane.DropPolicy]
+		if st.Delivered != before.Delivered || st.ContainedPanics != 1 || policy != 2 ||
+			st.Dropped-before.Dropped != 5 || st.QuarantineDrops != 3 || st.Drops[dataplane.DropQuarantine] != 3 {
+			t.Errorf("%s: %d delivered, %d contained panics, %d dropped (%d by policy), %d quarantine drops; want 0, 1, 5 (2), 3",
+				c.name, st.Delivered-before.Delivered, st.ContainedPanics, st.Dropped-before.Dropped, policy, st.QuarantineDrops)
 		}
 		key := [2]int{c.probe.Port, c.out}
 		if n := eng.ObservedMatrix()[key]; n != 1 {
 			t.Errorf("%s: %v observed under %v, want the drop counted there once", c.name, n, key)
+		}
+		if n := eng.DropsByIngress()[c.probe.Port]; n != 1 {
+			t.Errorf("%s: %d drops at port %d, want the probe's one", c.name, n, c.probe.Port)
 		}
 		eng.Close()
 	}
