@@ -11,6 +11,9 @@ import (
 // per run of injections.
 const RunBytes = unsafe.Sizeof(run{})
 
+// RunLen reports how many packets a stream run carries at most.
+func (e *Engine) RunLen() int { return e.runLen }
+
 // WatchGate calls watch, on the injecting goroutine, with every admission's
 // packet count and the in-flight count it leaves. Callers hold the engine
 // quiescent.

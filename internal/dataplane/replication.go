@@ -211,7 +211,7 @@ func (r *replicator) drain() {
 			if w.IdxWide != nil {
 				t.SetWide(w.IdxWide, w.Val)
 			} else {
-				t.Set(state.KeyOf(w.Idx), w.Idx, w.Val)
+				t.Set(&w.Idx, w.Val)
 			}
 		}
 		applied += len(ws)

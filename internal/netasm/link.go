@@ -125,10 +125,10 @@ type exOp struct {
 // exOps filling an inline vector, allocation-free.
 type extractor []exOp
 
-// vec evaluates the extractor against a packet. The linker only builds
-// extractors of arity ≤ values.MaxVec, so Push cannot fail.
-func (x extractor) vec(p *pkt.Packet) values.Vec {
-	var v values.Vec
+// fill evaluates the extractor against a packet into the empty vector v,
+// in place. The linker only builds extractors of arity ≤ values.MaxVec,
+// so Push cannot fail.
+func (x extractor) fill(v *values.Vec, p *pkt.Packet) {
 	for i := range x {
 		if x[i].isField {
 			v.Push(p.Field(x[i].field))
@@ -136,7 +136,6 @@ func (x extractor) vec(p *pkt.Packet) values.Vec {
 			v.Push(x[i].val)
 		}
 	}
-	return v
 }
 
 // flattenExpr appends e's flat ops to dst. The expansion mirrors

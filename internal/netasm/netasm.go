@@ -431,8 +431,9 @@ func (sw *Switch) RunAppend(dst []Result, sp SimPacket) ([]Result, error) {
 	return sw.Visit(dst, &sp, &forks)
 }
 
-// commitLocal applies the pending writes owned by this switch, preserving
-// their order, compacting the survivors in place.
+// commitLocal applies the pending writes owned by this switch where they
+// lie in the header, preserving their order, compacting the survivors in
+// place.
 func (sw *Switch) commitLocal(sp *SimPacket) {
 	h := &sp.Hdr
 	n := h.PendingLen()
@@ -441,12 +442,14 @@ func (sw *Switch) commitLocal(sp *SimPacket) {
 	}
 	kept := 0
 	for i := 0; i < n; i++ {
-		w := *h.pendingAt(i)
+		w := h.pendingAt(i)
 		if sw.lp.owns(w.VarID) {
-			sw.write(&sw.tables[sw.lp.slot[w.VarID]], &w)
+			sw.write(&sw.tables[sw.lp.slot[w.VarID]], w)
 			continue
 		}
-		*h.pendingAt(kept) = w
+		if kept != i {
+			*h.pendingAt(kept) = *w
+		}
 		kept++
 	}
 	h.truncatePending(kept)
@@ -461,7 +464,7 @@ func (sw *Switch) write(tbl *state.Table, w *PendingWrite) {
 		if w.IdxWide != nil {
 			tbl.SetWide(w.IdxWide, w.Val)
 		} else {
-			tbl.Set(state.KeyOf(w.Idx), w.Idx, w.Val)
+			tbl.Set(&w.Idx, w.Val)
 		}
 	case xfdd.ActIncr:
 		delta = 1
@@ -474,7 +477,7 @@ func (sw *Switch) write(tbl *state.Table, w *PendingWrite) {
 		if w.IdxWide != nil {
 			w.Val = tbl.AddWide(w.IdxWide, delta)
 		} else {
-			w.Val = tbl.Add(state.KeyOf(w.Idx), w.Idx, delta)
+			w.Val = tbl.Add(&w.Idx, delta)
 		}
 	}
 	if sw.OnStateWrite != nil {
@@ -559,8 +562,9 @@ func (sw *Switch) exec(dst []Result, sp *SimPacket, cp int32, forks *[]SimPacket
 			}
 			var got values.Value
 			if li.slowIdx == nil {
-				raw := li.idx.vec(&sp.Pkt)
-				got = sw.tables[li.tbl].Get(state.KeyOf(raw))
+				var raw values.Vec
+				li.idx.fill(&raw, &sp.Pkt)
+				got = sw.tables[li.tbl].Get(&raw)
 			} else {
 				got = sw.tables[li.tbl].GetWide(evalIdx(li.slowIdx, &sp.Pkt))
 			}
@@ -577,7 +581,7 @@ func (sw *Switch) exec(dst []Result, sp *SimPacket, cp int32, forks *[]SimPacket
 		case OpStateWrite, OpResolve:
 			w := PendingWrite{VarID: li.varID, Act: li.act}
 			if li.slowIdx == nil {
-				w.Idx = li.idx.vec(&sp.Pkt)
+				li.idx.fill(&w.Idx, &sp.Pkt)
 			} else {
 				w.IdxWide = evalIdx(li.slowIdx, &sp.Pkt)
 			}

@@ -1,13 +1,17 @@
 // Dense state tables: the one representation of a state variable's
 // contents, for the compiled data plane and the control plane alike.
 //
-// Table keys entries by a fixed-size comparable Key whose elements are
-// canonicalized values (values.Canon), so a lookup is a single Go map
-// access with zero allocations and the same collision classes as the
-// Tuple.Key() string encoding (two tuples share a Key iff their
-// Tuple.Key()s are equal). The linked NetASM VM runs on Tables directly,
-// and a Store (store.go) is a name → Table map, so switches, snapshots,
-// migrations and shard merges pass whole tables between them.
+// Table keys entries by a 40-byte comparable Key with no pointers in it,
+// so a Go map hashes and compares it as plain memory: the index tuple's
+// canonicalized numbers (values.Canon), and one word packing each
+// element's kind and prefix length with the arity. A string element is
+// keyed by the number its table gave that string when an entry first
+// stored it. Two tuples share a Key in one table iff their Tuple.Key()s
+// are equal, the collision classes of the string encoding. The map holds
+// an index into the table's entry slice, so a write looks its key up once
+// and updates the entry in place. The linked NetASM VM runs on Tables
+// directly, and a Store (store.go) is a name → Table map, so switches,
+// snapshots, migrations and shard merges pass whole tables between them.
 //
 // Index tuples wider than values.MaxVec — the 5-tuple flow key of five
 // catalogue apps (conn-affinity, elephant-flows, flow-size-sampling,
@@ -21,6 +25,7 @@ package state
 
 import (
 	"maps"
+	"slices"
 	"sort"
 
 	"snap/internal/values"
@@ -28,86 +33,122 @@ import (
 
 // Key is the comparable fast-path index of one state entry: the index
 // tuple, canonicalized element-wise so that == coincides with the
-// semantic tuple equality the string keys encode. The elements' fields are
-// stored by field rather than as values.Values: the numeric fields form one
-// padding-free run that a map hashes and compares in one step, and the key
-// stays small enough (112 bytes) for Go maps to hold it inline.
+// semantic tuple equality the string keys encode. num holds each
+// element's number (a string's number in its table); meta holds element
+// i's kind in bits 12i..12i+3 and its prefix length in bits 12i+4..12i+11,
+// and the arity from bit 48.
 type Key struct {
 	num  [values.MaxVec]int64
-	kind [values.MaxVec]values.Kind
-	plen [values.MaxVec]uint8
-	n    uint8
-	str  [values.MaxVec]string
+	meta uint64
 }
 
-// KeyOf canonicalizes an inline vector into a map key.
-func KeyOf(v values.Vec) Key {
-	var k Key
-	k.n = uint8(v.Len())
-	for i := 0; i < v.Len(); i++ {
-		c := values.Canon(v.At(i))
-		k.num[i], k.kind[i], k.plen[i], k.str[i] = c.Num, c.Kind, c.Len, c.Str
-	}
-	return k
-}
-
-// KeyOfTuple is KeyOf for slice tuples; ok is false when the tuple is too
-// wide for the fast path.
-func KeyOfTuple(t values.Tuple) (Key, bool) {
-	v, ok := values.VecOf(t)
-	if !ok {
-		return Key{}, false
-	}
-	return KeyOf(v), true
-}
+// A kind takes four bits of Key.meta.
+const _ uint8 = 15 - uint8(values.KindString)
 
 // Table is the dense table of one state variable. The zero value is an
 // empty table ready to use.
+//
+// A Table value is a handle: copies alias one set of entries, as copies
+// of a bare map would, because the map, the entries it indexes and the
+// string numbers live behind one pointer that the first insert allocates.
 type Table struct {
-	m    map[Key]Entry
+	d    *dense
 	wide map[string]Entry // index arity > values.MaxVec
 }
 
-// Len returns the number of entries.
-func (t *Table) Len() int { return len(t.m) + len(t.wide) }
+// dense is a Table's fast path: m maps a Key to its entry in ents, and
+// strs numbers the strings the table's keys hold.
+type dense struct {
+	m    map[Key]int32
+	ents []Entry
+	strs map[string]int64
+}
 
-// Get reads the entry at k, Default when absent.
-func (t *Table) Get(k Key) values.Value {
-	if e, ok := t.m[k]; ok {
-		return e.Val
+// keyOf canonicalizes v into d's key. A string element the table has
+// never stored is numbered when add is set; otherwise ok is false, as no
+// entry can hold it.
+func (d *dense) keyOf(v *values.Vec, add bool) (k Key, ok bool) {
+	n := v.Len()
+	k.meta = uint64(n) << 48
+	for i := 0; i < n; i++ {
+		c := values.Canon(v.At(i))
+		if c.Kind == values.KindString {
+			id, found := d.strs[c.Str]
+			if !found {
+				if !add {
+					return k, false
+				}
+				if d.strs == nil {
+					d.strs = make(map[string]int64)
+				}
+				id = int64(len(d.strs))
+				d.strs[c.Str] = id
+			}
+			c.Num = id
+		}
+		k.num[i] = c.Num
+		k.meta |= (uint64(c.Kind) | uint64(c.Len)<<4) << (12 * i)
+	}
+	return k, true
+}
+
+// Len returns the number of entries.
+func (t *Table) Len() int {
+	n := len(t.wide)
+	if t.d != nil {
+		n += len(t.d.ents)
+	}
+	return n
+}
+
+// find returns the position of v's entry in t.d.ents, false when absent.
+// It writes nothing, so concurrent readers may share a table.
+func (t *Table) find(v *values.Vec) (int32, bool) {
+	if t.d == nil {
+		return 0, false
+	}
+	k, ok := t.d.keyOf(v, false)
+	if !ok {
+		return 0, false
+	}
+	i, ok := t.d.m[k]
+	return i, ok
+}
+
+// entry returns v's entry, inserting one that holds Default when absent.
+// The entry retains v as its index tuple on insert (overwrites keep the
+// original tuple: one clone per entry lifetime, not per write).
+func (t *Table) entry(v *values.Vec) *Entry {
+	if t.d == nil {
+		t.d = &dense{m: make(map[Key]int32)}
+	}
+	d := t.d
+	k, _ := d.keyOf(v, true)
+	if i, ok := d.m[k]; ok {
+		return &d.ents[i]
+	}
+	d.m[k] = int32(len(d.ents))
+	d.ents = append(d.ents, Entry{Idx: v.Tuple(), Val: Default})
+	return &d.ents[len(d.ents)-1]
+}
+
+// Get reads the entry at v, Default when absent.
+func (t *Table) Get(v *values.Vec) values.Value {
+	if i, ok := t.find(v); ok {
+		return t.d.ents[i].Val
 	}
 	return Default
 }
 
-// Set writes v at k, retaining raw as the entry's index tuple on first
-// insert (overwrites keep the original tuple — same policy as Store.Set,
-// one clone per entry lifetime, not per write).
-func (t *Table) Set(k Key, raw values.Vec, v values.Value) {
-	if e, ok := t.m[k]; ok {
-		e.Val = v
-		t.m[k] = e
-		return
-	}
-	if t.m == nil {
-		t.m = make(map[Key]Entry)
-	}
-	t.m[k] = Entry{Idx: raw.Tuple(), Val: v}
-}
+// Set writes val at v in one lookup.
+func (t *Table) Set(v *values.Vec, val values.Value) { t.entry(v).Val = val }
 
-// Add applies the ++/-- delta at k (coercing the current value like
-// Store.Add) in one lookup-and-store, returning the post-write value.
-func (t *Table) Add(k Key, raw values.Vec, delta int64) values.Value {
-	if e, ok := t.m[k]; ok {
-		e.Val = values.Int(e.Val.AsInt() + delta)
-		t.m[k] = e
-		return e.Val
-	}
-	if t.m == nil {
-		t.m = make(map[Key]Entry)
-	}
-	val := values.Int(Default.AsInt() + delta)
-	t.m[k] = Entry{Idx: raw.Tuple(), Val: val}
-	return val
+// Add applies the ++/-- delta at v (coercing the current value like
+// Store.Add) in one lookup, returning the post-write value.
+func (t *Table) Add(v *values.Vec, delta int64) values.Value {
+	e := t.entry(v)
+	e.Val = values.Int(e.Val.AsInt() + delta)
+	return e.Val
 }
 
 // GetWide / SetWide / AddWide are the overflow path for index tuples wider
@@ -154,9 +195,11 @@ func (t *Table) AddWide(idx values.Tuple, delta int64) values.Value {
 // lookup returns the entry at a slice-tuple index, false when absent
 // (control-plane convenience; the VM uses Get/GetWide directly).
 func (t *Table) lookup(idx values.Tuple) (Entry, bool) {
-	if k, ok := KeyOfTuple(idx); ok {
-		e, ok := t.m[k]
-		return e, ok
+	if v, ok := values.VecOf(idx); ok {
+		if i, ok := t.find(&v); ok {
+			return t.d.ents[i], true
+		}
+		return Entry{}, false
 	}
 	e, ok := t.wide[idx.Key()]
 	return e, ok
@@ -165,16 +208,21 @@ func (t *Table) lookup(idx values.Tuple) (Entry, bool) {
 // SetTuple dispatches a slice-tuple write (control-plane convenience).
 func (t *Table) SetTuple(idx values.Tuple, v values.Value) {
 	if raw, ok := values.VecOf(idx); ok {
-		t.Set(KeyOf(raw), raw, v)
+		t.Set(&raw, v)
 	} else {
 		t.SetWide(idx, v)
 	}
 }
 
-// Clone returns an independent copy of the table. Entries' retained index
-// tuples are shared: nothing mutates one after insert.
+// Clone returns an independent copy of the table. The entries are
+// copied, since writes update them in place; their retained index tuples
+// are shared, as nothing mutates one after insert.
 func (t *Table) Clone() Table {
-	return Table{m: maps.Clone(t.m), wide: maps.Clone(t.wide)}
+	c := Table{wide: maps.Clone(t.wide)}
+	if d := t.d; d != nil {
+		c.d = &dense{m: maps.Clone(d.m), ents: slices.Clone(d.ents), strs: maps.Clone(d.strs)}
+	}
+	return c
 }
 
 // Entries returns the table's bindings sorted by their index tuples'
@@ -185,8 +233,10 @@ func (t *Table) Entries() []Entry {
 		e   Entry
 	}
 	ks := make([]keyed, 0, t.Len())
-	for _, e := range t.m {
-		ks = append(ks, keyed{e.Idx.Key(), e})
+	if t.d != nil {
+		for _, e := range t.d.ents {
+			ks = append(ks, keyed{e.Idx.Key(), e})
+		}
 	}
 	for k, e := range t.wide {
 		ks = append(ks, keyed{k, e})
@@ -206,24 +256,37 @@ func (t *Table) equal(o *Table) bool {
 	if t == o {
 		return true
 	}
-	n, ok := within(t.m, o.m)
-	w, wok := within(t.wide, o.wide)
-	if !ok || !wok {
+	n, ok := within(t, o)
+	if !ok {
 		return false
 	}
-	if n+w == o.Len() {
+	if n == o.Len() {
 		return true
 	}
-	_, ok = within(o.m, t.m)
-	_, wok = within(o.wide, t.wide)
-	return ok && wok
+	_, ok = within(o, t)
+	return ok
 }
 
 // within reports whether every entry of a reads the same in b, and how
-// many of a's keys b holds.
-func within[K comparable](a, b map[K]Entry) (n int, ok bool) {
-	for k, e := range a {
-		be, found := b[k]
+// many of a's indices b holds. Each table numbers its strings itself, so
+// a's entries are looked up in b by their index tuples, not a's keys.
+func within(a, b *Table) (n int, ok bool) {
+	if a.d != nil {
+		for i := range a.d.ents {
+			e := &a.d.ents[i]
+			got := Default
+			v, _ := values.VecOf(e.Idx)
+			if j, found := b.find(&v); found {
+				n++
+				got = b.d.ents[j].Val
+			}
+			if !values.Eq(got, e.Val) {
+				return n, false
+			}
+		}
+	}
+	for k, e := range a.wide {
+		be, found := b.wide[k]
 		if found {
 			n++
 		} else {

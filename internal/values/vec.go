@@ -40,13 +40,13 @@ func (v *Vec) Push(x Value) bool {
 }
 
 // Len returns the number of values held.
-func (v Vec) Len() int { return int(v.n) }
+func (v *Vec) Len() int { return int(v.n) }
 
 // At returns the i-th value.
-func (v Vec) At(i int) Value { return v.a[i] }
+func (v *Vec) At(i int) Value { return v.a[i] }
 
 // Tuple copies the vector out into a freshly allocated Tuple.
-func (v Vec) Tuple() Tuple {
+func (v *Vec) Tuple() Tuple {
 	if v.n == 0 {
 		return nil
 	}
