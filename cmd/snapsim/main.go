@@ -201,11 +201,6 @@ func main() {
 		fail(err)
 	}
 	fmt.Print(dep.Summary())
-	if *verbose {
-		for _, d := range dep.LinkDiagnostics() {
-			fmt.Printf("link: %s\n", d)
-		}
-	}
 
 	if *kill != "" {
 		n := *load

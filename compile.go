@@ -212,14 +212,6 @@ func (d *Deployment) Times() PhaseTimes { return d.comp.Times }
 // view.
 func (d *Deployment) GlobalState() *Store { return d.plane.GlobalState() }
 
-// LinkDiagnostics returns the link-time diagnostics of the deployment's
-// compiled programs: advisories for conditions that silently change cost,
-// chiefly state-index tuples wider than the inline vector forcing the
-// interpreter fallback (snapsim -v surfaces these).
-func (d *Deployment) LinkDiagnostics() []string {
-	return dataplane.LinkDiagnostics(d.comp.Config)
-}
-
 // XFDD renders the program's intermediate representation (Figure 3).
 func (d *Deployment) XFDD() string { return d.comp.Diagram.String() }
 

@@ -15,13 +15,9 @@ package dataplane
 
 import (
 	"fmt"
-	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 
-	"snap/internal/netasm"
 	"snap/internal/pkt"
 	"snap/internal/rules"
 	"snap/internal/state"
@@ -57,33 +53,6 @@ func New(cfg *rules.Config) *Network {
 	n := &Network{pl: newPlane(cfg)}
 	n.fab.init(cfg, nil)
 	return n
-}
-
-// LinkDiagnostics returns a configuration's link-time diagnostics
-// (interpreter-fallback advisories), prefixed with the switches sharing
-// each image: reported once per program even though many switches run it.
-func LinkDiagnostics(cfg *rules.Config) []string {
-	byImage := make(map[*netasm.Linked][]topo.NodeID)
-	for id, sc := range cfg.Switches {
-		byImage[sc.Linked] = append(byImage[sc.Linked], id)
-	}
-	var out []string
-	for lp, ids := range byImage {
-		diags := lp.Diagnostics()
-		if len(diags) == 0 {
-			continue
-		}
-		slices.Sort(ids)
-		parts := make([]string, len(ids))
-		for i, id := range ids {
-			parts[i] = strconv.Itoa(int(id))
-		}
-		for _, d := range diags {
-			out = append(out, fmt.Sprintf("program of switch %s: %s", strings.Join(parts, ","), d))
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Inject sends one packet into the network at an OBS ingress port and runs

@@ -83,11 +83,6 @@ type Options struct {
 	// at least two runs per worker, and the worker queue holds Window runs,
 	// so handing one over never blocks the injector. 0 → 256.
 	Window int
-	// ManualReplication disables the background mirror-drain goroutine:
-	// state writes queue until FlushReplication (or a reconfiguration)
-	// pumps them. It makes replica lag deterministic and exists for tests
-	// of the bounded-loss accounting; leave false in production.
-	ManualReplication bool
 	// StateReplication is read nowhere: it selected the state-compute
 	// replication discipline the lock pool replaced, and stays so that
 	// callers which set it compile. Every plane runs under locks.
@@ -923,10 +918,6 @@ func portDiff(a, b *topo.Topology, removedOK bool, addedOn map[topo.NodeID]bool)
 
 // ExecMode reports the concurrency discipline of the engine: ModeLocks.
 func (e *Engine) ExecMode() ExecMode { return ModeLocks }
-
-// LinkDiagnostics returns the current plane's link-time diagnostics
-// (interpreter-fallback advisories).
-func (e *Engine) LinkDiagnostics() []string { return LinkDiagnostics(e.Config()) }
 
 // Epoch counts the configurations this engine has run: 0 at NewEngine,
 // +1 per successful ApplyConfig.

@@ -885,46 +885,6 @@ func TestEngineWindowHolds(t *testing.T) {
 	}
 }
 
-// TestWideIndexDiagnostic: an index tuple wider than values.MaxVec drops
-// the affected instructions to the interpreter slow path; the link step
-// must say so exactly once per program, and the engine must expose it.
-func TestWideIndexDiagnostic(t *testing.T) {
-	wide := syntax.Vec(
-		syntax.F(pkt.SrcIP), syntax.F(pkt.DstIP), syntax.F(pkt.SrcPort),
-		syntax.F(pkt.DstPort), syntax.F(pkt.Proto),
-	)
-	policy := campusWorkload(syntax.Then(
-		syntax.IncrState("w", wide),
-		apps.Monitor(),
-	))
-	netw := topo.Campus(1000)
-	plane, _ := deploy(t, policy, netw, nil)
-
-	diags := dataplane.LinkDiagnostics(plane.Config())
-	seen := map[string]bool{}
-	for _, d := range diags {
-		if !strings.Contains(d, "interpreter slow path") {
-			continue
-		}
-		// Once per distinct program: the "program of switch ..." prefix
-		// must not repeat.
-		prefix := d[:strings.Index(d, ":")]
-		if seen[prefix] {
-			t.Fatalf("wide-index diagnostic repeated for %q: %v", prefix, diags)
-		}
-		seen[prefix] = true
-	}
-	if len(seen) == 0 {
-		t.Fatalf("no wide-index diagnostic in %v", diags)
-	}
-
-	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Workers: 2})
-	defer eng.Close()
-	if got := eng.LinkDiagnostics(); len(got) == 0 {
-		t.Fatal("engine exposes no link diagnostics")
-	}
-}
-
 // TestLockContentionCounters: the engine attributes blocked switch-lock
 // acquisitions to variables and survives reconfiguration by folding
 // retired planes into the engine history. On a single-core runner
@@ -1108,27 +1068,5 @@ func TestDisjointSwitchesDoNotContend(t *testing.T) {
 	}
 	if got := len(eng.GlobalState().Entries("y")); got == 0 {
 		t.Fatal("the replay wrote no y entry")
-	}
-}
-
-// TestCatalogueWideIndexApps pins which catalogue apps index state by a
-// tuple wider than values.MaxVec on the campus, and so take the
-// interpreter's slow path for those instructions: the five that key by the
-// 5-tuple.
-func TestCatalogueWideIndexApps(t *testing.T) {
-	netw := topo.Campus(1000)
-	var wide []string
-	for _, app := range apps.All() {
-		plane, _ := deploy(t, campusWorkload(app.MustPolicy()), netw, nil)
-		for _, d := range dataplane.LinkDiagnostics(plane.Config()) {
-			if strings.Contains(d, "interpreter slow path") {
-				wide = append(wide, app.Name)
-				break
-			}
-		}
-	}
-	want := []string{"conn-affinity", "elephant-flows", "flow-size-sampling", "snort-flowbits", "tcp-state-machine"}
-	if !slices.Equal(wide, want) {
-		t.Fatalf("apps on the interpreter path: %v, want %v", wide, want)
 	}
 }

@@ -23,6 +23,17 @@ func (e *Engine) WatchGate(watch func(n, inflight int)) { e.gate.watch = watch }
 // injecting goroutine's at Workers = 1. Callers hold the engine quiescent.
 func (e *Engine) WalkQueueCap() int { return cap(e.walkers[0].queue) }
 
+// StopReplicationDrain stops the current replicator's background drain:
+// state writes queue until FlushReplication (or a reconfiguration) pumps
+// them, so replica lag is deterministic. The next configuration's
+// replicator drains as usual. Callers hold the engine quiescent.
+func (e *Engine) StopReplicationDrain() {
+	r := e.replicator()
+	r.stop()
+	r.quit, r.done = make(chan struct{}), make(chan struct{})
+	close(r.done) // the engine's own stop returns at once
+}
+
 // HoldSwitch takes switch id's lock on the current plane, as a visit there
 // would, and returns its release.
 func (e *Engine) HoldSwitch(id topo.NodeID) (release func()) {

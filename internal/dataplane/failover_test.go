@@ -345,8 +345,9 @@ func TestEngineFailoverBoundedLoss(t *testing.T) {
 	t.Run("replica-lag", func(t *testing.T) {
 		comp, tp, tm := compileCampus(t, 2)
 		owner := comp.Config.Placement["count"]
-		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2, ManualReplication: true})
+		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
 		defer eng.Close()
+		eng.StopReplicationDrain()
 		tr := trace(tm, 500, 17)
 		if err := eng.InjectReplay(tr); err != nil {
 			t.Fatal(err)
@@ -440,8 +441,9 @@ func TestEngineFailoverThreeReplicas(t *testing.T) {
 			values.Int(sport), values.Int(80), values.Int(6)}
 	}
 
-	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 1, ManualReplication: true})
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 1})
 	defer eng.Close()
+	eng.StopReplicationDrain()
 	if err := eng.InjectReplay([]dataplane.Ingress{pk(1, 2, 1000), pk(1, 3, 1001), pk(2, 6, 1002), pk(1, 2, 1000)}); err != nil {
 		t.Fatal(err)
 	}

@@ -64,10 +64,6 @@ type replicator struct {
 	app     atomic.Int64
 	drainMu sync.Mutex
 
-	// manual disables the drain goroutine (Options.ManualReplication):
-	// writes queue until an explicit flush.
-	manual bool
-
 	kick chan struct{}
 	quit chan struct{}
 	done chan struct{}
@@ -86,7 +82,6 @@ func newReplicator(e *Engine, cfg *rules.Config) *replicator {
 		backups: make([][]topo.NodeID, vs.Len()),
 		tables:  make([]state.Table, vs.Len()),
 		pending: map[topo.NodeID]*repBuffer{},
-		manual:  e.opts.ManualReplication,
 		kick:    make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -134,10 +129,6 @@ func (r *replicator) hookFor(node topo.NodeID) func(netasm.PendingWrite) {
 // start launches the background drain goroutine.
 func (r *replicator) start() {
 	if r == nil {
-		return
-	}
-	if r.manual {
-		close(r.done)
 		return
 	}
 	go func() {
@@ -207,12 +198,7 @@ func (r *replicator) drain() {
 		buf.ws = nil
 		buf.mu.Unlock()
 		for i := range ws {
-			w, t := &ws[i], &r.tables[ws[i].VarID]
-			if w.IdxWide != nil {
-				t.SetWide(w.IdxWide, w.Val)
-			} else {
-				t.Set(&w.Idx, w.Val)
-			}
+			r.tables[ws[i].VarID].Set(&ws[i].Idx, ws[i].Val)
 		}
 		applied += len(ws)
 	}

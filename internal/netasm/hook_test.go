@@ -21,7 +21,7 @@ import (
 func TestStateWriteHook(t *testing.T) {
 	narrow := []syntax.Expr{syntax.F(pkt.SrcPort), syntax.F(pkt.DstPort)}
 	narrowTuple := values.Tuple{values.Int(1234), values.Int(80)}
-	narrowVec, _ := values.VecOf(narrowTuple)
+	narrowVec := values.VecOf(narrowTuple)
 	wideTuple := values.Tuple{values.IPv4(10, 0, 1, 1), values.IPv4(10, 0, 2, 2),
 		values.Int(1234), values.Int(80), values.Int(6)}
 
@@ -38,7 +38,7 @@ func TestStateWriteHook(t *testing.T) {
 					want := netasm.PendingWrite{VarID: 0, Act: a.act, Val: values.Int(a.post), Idx: narrowVec}
 					if wide {
 						idx, tuple = wideIdx(), wideTuple
-						want = netasm.PendingWrite{VarID: 0, Act: a.act, Val: values.Int(a.post), IdxWide: wideTuple}
+						want = netasm.PendingWrite{VarID: 0, Act: a.act, Val: values.Int(a.post), Idx: values.VecOf(wideTuple)}
 					}
 					op := netasm.OpStateWrite
 					if carried {

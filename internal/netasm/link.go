@@ -13,10 +13,11 @@
 //   - owned variables additionally get a local table slot, an index into
 //     the switch's dense state tables (state.Table), looked up by id: below
 //     the linker a variable is a number;
-//   - index expressions compile to flat extractors — a fixed sequence of
-//     const|field-ref ops evaluated into an inline values.Vec, no
-//     interface-tree walk, no allocation;
-//   - scalar value expressions compile to a const or a single field read;
+//   - index expressions of any arity compile to flat extractors — a fixed
+//     sequence of const|field-ref ops evaluated into a values.Vec, no
+//     interface-tree walk, and no allocation up to values.MaxVec values;
+//   - scalar value expressions compile to a const or a single field read,
+//     and a non-scalar one to the error evaluating it raises;
 //   - branch targets, fork entries and the node-id→pc entry map become
 //     int32 arrays;
 //   - the widest fork is precomputed (the engine sizes its inboxes by it);
@@ -28,11 +29,6 @@
 //     entries into the middle still work. A packet value outside the key
 //     class takes the head's own branch and walks the run as before, and a
 //     lookup is one step against MaxSteps.
-//
-// Index tuples wider than values.MaxVec — the 5-tuple flow key of five
-// catalogue apps — keep their syntax.Expr form and take the interpreter's
-// slow path for exactly that instruction, so linking never changes
-// semantics, only cost.
 package netasm
 
 import (
@@ -126,8 +122,8 @@ type exOp struct {
 type extractor []exOp
 
 // fill evaluates the extractor against a packet into the empty vector v,
-// in place. The linker only builds extractors of arity ≤ values.MaxVec,
-// so Push cannot fail.
+// in place. Only an extractor wider than values.MaxVec allocates, for the
+// vector's spill.
 func (x extractor) fill(v *values.Vec, p *pkt.Packet) {
 	for i := range x {
 		if x[i].isField {
@@ -162,12 +158,11 @@ const (
 	valNone  uint8 = iota
 	valConst       // val: a state op's constant (its Instr.Val is unused)
 	valField       // read valF from the packet
-	valSlow        // semantics.EvalScalar on slowVal (non-scalar: runtime error)
+	valErr         // a non-scalar expression: executing fails with err
 )
 
-// linstr is one linked instruction. Branch targets and state references
-// are resolved; the slow* fields are populated only for instructions that
-// fall back to the interpreter (wide index tuples, non-scalar values).
+// linstr is one linked instruction, its branch targets and state
+// references resolved.
 type linstr struct {
 	op      Op
 	act     xfdd.ActKind
@@ -179,8 +174,7 @@ type linstr struct {
 	val     values.Value
 	valF    pkt.Field
 	idx     extractor
-	slowIdx []syntax.Expr // set instead of idx when the index is too wide
-	slowVal syntax.Expr
+	err     error // valErr: the error the value expression raises
 	tpc     int32
 	fpc     int32
 	next    int32
@@ -204,15 +198,7 @@ type Linked struct {
 	locals []string // local table slot → variable name, sorted
 	slot   []int32  // variable id → local table slot, -1 when none
 	owned  []uint64 // bitset of the variable ids the switch owns
-
-	diags []string // link-time advisories (see Diagnostics)
 }
-
-// Diagnostics returns link-time advisories: conditions that do not change
-// semantics but silently change cost, chiefly index tuples wider than
-// values.MaxVec forcing the interpreter fallback. Each condition is
-// reported once per program.
-func (lp *Linked) Diagnostics() []string { return lp.diags }
 
 // VarSpace returns the space the program was linked against.
 func (lp *Linked) VarSpace() *VarSpace { return lp.vs }
@@ -293,8 +279,6 @@ func Link(p *Program, vs *VarSpace, owns map[string]bool) *Linked {
 	}
 
 	lp.ins = make([]linstr, len(p.Instrs))
-	wideIdx := 0 // instructions on the interpreter slow path
-	firstWide := ""
 	for pc, ins := range p.Instrs {
 		li := linstr{
 			op:     ins.Op,
@@ -312,16 +296,8 @@ func Link(p *Program, vs *VarSpace, owns map[string]bool) *Linked {
 			li.varID = lp.varID(ins.Var)
 			li.tbl = lp.slot[li.varID]
 		}
-		if len(ins.Idx) > 0 {
-			var flat extractor
-			for _, e := range ins.Idx {
-				flat = flattenExpr(e, flat)
-			}
-			if len(flat) <= values.MaxVec {
-				li.idx = flat
-			} else {
-				li.slowIdx = ins.Idx
-			}
+		for _, e := range ins.Idx {
+			li.idx = flattenExpr(e, li.idx)
 		}
 		if ins.ValE != nil {
 			flat := flattenExpr(ins.ValE, nil)
@@ -331,9 +307,10 @@ func Link(p *Program, vs *VarSpace, owns map[string]bool) *Linked {
 			case len(flat) == 1:
 				li.valMode, li.val = valConst, flat[0].val
 			default:
-				// Non-scalar value expression: preserved as a runtime
-				// error, exactly like the interpreter.
-				li.valMode, li.slowVal = valSlow, ins.ValE
+				// Non-scalar value expression: a runtime error, in the
+				// words of semantics.EvalScalar.
+				li.valMode = valErr
+				li.err = fmt.Errorf("expression %s evaluates to a %d-vector where a scalar is required", ins.ValE, len(flat))
 			}
 		}
 		if ins.Op == OpFork {
@@ -342,18 +319,7 @@ func Link(p *Program, vs *VarSpace, owns map[string]bool) *Linked {
 				li.seqs[i] = int32(s)
 			}
 		}
-		if li.slowIdx != nil {
-			wideIdx++
-			if firstWide == "" {
-				firstWide = fmt.Sprintf("pc %d, variable %s", pc, ins.Var)
-			}
-		}
 		lp.ins[pc] = li
-	}
-	if wideIdx > 0 {
-		lp.diags = append(lp.diags, fmt.Sprintf(
-			"%d state instruction(s) index by tuples wider than %d values and take the interpreter slow path (first at %s)",
-			wideIdx, values.MaxVec, firstWide))
 	}
 	lp.linkChains(p.Instrs)
 	return lp

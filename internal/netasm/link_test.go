@@ -2,9 +2,11 @@ package netasm_test
 
 import (
 	"testing"
+	"unsafe"
 
 	"snap/internal/netasm"
 	"snap/internal/pkt"
+	"snap/internal/semantics"
 	"snap/internal/syntax"
 	"snap/internal/values"
 	"snap/internal/xfdd"
@@ -26,9 +28,9 @@ func TestVarSpace(t *testing.T) {
 	}
 }
 
-// wideIdx is a 5-component index expression — wider than values.MaxVec,
-// so the linker must route the instruction through the interpreter
-// fallback and the wide (string-keyed) side of the state tables.
+// wideIdx is a 5-component index expression: wider than values.MaxVec, so
+// its values spill past the vector's inline array and its table key is the
+// number of the tuple's key string.
 func wideIdx() []syntax.Expr {
 	return []syntax.Expr{
 		syntax.F(pkt.SrcIP), syntax.F(pkt.DstIP), syntax.F(pkt.SrcPort),
@@ -50,8 +52,7 @@ func widePacket() netasm.SimPacket {
 }
 
 // TestWideIndexLocalWrite: a 5-tuple-indexed local state write and branch
-// behave exactly like the narrow path (semantics preserved through the
-// fallback).
+// behave exactly like the narrow path.
 func TestWideIndexLocalWrite(t *testing.T) {
 	p := &netasm.Program{
 		EntryOf: map[int]int{0: 0},
@@ -91,8 +92,8 @@ func TestWideIndexLocalWrite(t *testing.T) {
 	}
 }
 
-// TestWideIndexPendingWrite: a wide-indexed remote write travels as an
-// IdxWide pending write and commits at the owner.
+// TestWideIndexPendingWrite: a wide-indexed remote write travels as a
+// pending write carrying the whole tuple and commits at the owner.
 func TestWideIndexPendingWrite(t *testing.T) {
 	progA := &netasm.Program{
 		EntryOf: map[int]int{0: 0},
@@ -113,7 +114,7 @@ func TestWideIndexPendingWrite(t *testing.T) {
 	if r.Outcome != netasm.NeedState || sps[0].Hdr.PendingLen() != 1 {
 		t.Fatalf("suspension: %+v", r)
 	}
-	if w := sps[0].Hdr.PendingAt(0); len(w.IdxWide) != 5 || len(w.Index()) != 5 {
+	if w := sps[0].Hdr.PendingAt(0); w.Idx.Len() != 5 || len(w.Index()) != 5 {
 		t.Fatalf("pending write should carry the wide tuple: %+v", w)
 	}
 	rs, sps, err = b.Run(sps[0])
@@ -225,5 +226,77 @@ func TestMissingValueExpr(t *testing.T) {
 	sw := netasm.NewSwitch(0, p, map[string]bool{"s": true})
 	if _, _, err := sw.Run(widePacket()); err == nil {
 		t.Fatal("expected error for missing value expression")
+	}
+}
+
+// TestNonScalarValueError: a value expression that is not a scalar fails
+// the instruction with the error the semantics raises for it, whether it
+// names a vector of fields, of constants, or nothing.
+func TestNonScalarValueError(t *testing.T) {
+	for _, e := range []syntax.Expr{
+		syntax.Vec(syntax.F(pkt.SrcPort), syntax.F(pkt.DstPort)),
+		syntax.Vec(syntax.V(values.Int(1)), syntax.Vec(syntax.V(values.Int(2)), syntax.F(pkt.Proto))),
+		syntax.Vec(),
+	} {
+		p := &netasm.Program{
+			EntryOf: map[int]int{0: 0},
+			Instrs: []netasm.Instr{
+				{Op: netasm.OpBranchState, Var: "s", Idx: []syntax.Expr{syntax.F(pkt.SrcPort)},
+					ValE: e, True: 1, False: 1},
+				{Op: netasm.OpFinish},
+			},
+		}
+		sw := netasm.NewSwitch(0, p, map[string]bool{"s": true})
+		_, _, err := sw.Run(widePacket())
+		_, want := semantics.EvalScalar(e, widePacket().Pkt)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: the VM fails with %v, the semantics with %v", e, err, want)
+		}
+	}
+}
+
+// TestRecordSizes pins the sizes of the records the packet path copies, so
+// that growth in any of them shows as a failure.
+func TestRecordSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"PendingWrite", unsafe.Sizeof(netasm.PendingWrite{}), 240},
+		{"Header", unsafe.Sizeof(netasm.Header{}), 304},
+		{"SimPacket", unsafe.Sizeof(netasm.SimPacket{}), 1104},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// BenchmarkWideIndexVisit measures a steady-state visit that tests and
+// increments a state entry at a 5-tuple index, the flow key of five
+// catalogue apps.
+func BenchmarkWideIndexVisit(b *testing.B) {
+	p := &netasm.Program{
+		EntryOf: map[int]int{0: 0},
+		Instrs: []netasm.Instr{
+			{Op: netasm.OpBranchState, Var: "flows", Idx: wideIdx(),
+				ValE: syntax.V(values.Int(0)), True: 1, False: 1},
+			{Op: netasm.OpStateWrite, Var: "flows", Idx: wideIdx(), Act: xfdd.ActIncr, Next: 2},
+			{Op: netasm.OpSetField, Field: pkt.Outport, Val: values.Int(1), Next: 3},
+			{Op: netasm.OpFinish},
+		},
+	}
+	sw := netasm.NewSwitch(0, p, map[string]bool{"flows": true})
+	sp := widePacket()
+	rs, err := sw.RunAppend(nil, sp) // insert the entry: the visits below update it
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rs, err = sw.RunAppend(rs[:0], sp); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"snap/internal/pkt"
-	"snap/internal/semantics"
 	"snap/internal/state"
 	"snap/internal/syntax"
 	"snap/internal/values"
@@ -140,25 +139,18 @@ func (i Instr) action() xfdd.Action {
 // PendingWrite is one state write as the VM represents it: resolved at the
 // evaluation switch and carried in the SNAP-header until it reaches the
 // owning switch (§4.5), or applied where it was resolved. The variable
-// travels as its id in the plane's VarSpace; the index travels inline (Idx)
-// except for tuples wider than values.MaxVec, which use the IdxWide slice
-// instead. Switch.OnStateWrite receives the same record with Val set to
-// the post-write value.
+// travels as its id in the plane's VarSpace and the index as a values.Vec,
+// inline up to values.MaxVec values. Switch.OnStateWrite receives the same
+// record with Val set to the post-write value.
 type PendingWrite struct {
-	VarID   int32
-	Act     xfdd.ActKind
-	Val     values.Value // ActSet: the value written
-	Idx     values.Vec
-	IdxWide values.Tuple // set instead of Idx when too wide for the fast path
+	VarID int32
+	Act   xfdd.ActKind
+	Val   values.Value // ActSet: the value written
+	Idx   values.Vec
 }
 
 // Index returns the write's index tuple (allocating; diagnostics/tests).
-func (w PendingWrite) Index() values.Tuple {
-	if w.IdxWide != nil {
-		return w.IdxWide
-	}
-	return w.Idx.Tuple()
-}
+func (w PendingWrite) Index() values.Tuple { return w.Idx.Tuple() }
 
 // Phase is the packet's processing phase in the distributed plane.
 type Phase uint8
@@ -195,10 +187,13 @@ type Header struct {
 }
 
 // Enter resets h to the initial SNAP-header of §4.5 for a packet entering
-// at OBS port in, evaluation at xFDD node root. The overflow slice keeps
-// its storage: the caller guarantees no live copy shares it.
+// at OBS port in, evaluation at xFDD node root. It writes the fields that
+// say what the header holds and leaves the stale pending-write slots,
+// which npend makes unreachable. The overflow slice keeps its storage: the
+// caller guarantees no live copy shares it.
 func (h *Header) Enter(in, root int) {
-	*h = Header{OBSIn: in, OBSOut: -1, Node: root, Seq: -1, Phase: PhaseEval, over: h.over[:0]}
+	h.OBSIn, h.OBSOut, h.Node, h.Seq, h.Phase = in, -1, root, -1, PhaseEval
+	h.npend, h.over = 0, h.over[:0]
 }
 
 // PendingLen returns the number of carried pending writes.
@@ -217,13 +212,13 @@ func (h *Header) pendingAt(i int) *PendingWrite {
 // AppendPending adds a resolved write, preserving order. Appends go to
 // the inline array while it has room; a copy that has already spilled
 // keeps appending to its (exclusively owned) overflow slice.
-func (h *Header) AppendPending(w PendingWrite) {
+func (h *Header) AppendPending(w *PendingWrite) {
 	if len(h.over) == 0 && int(h.npend) < inlinePending {
-		h.pend[h.npend] = w
+		h.pend[h.npend] = *w
 		h.npend++
 		return
 	}
-	h.over = append(h.over, w)
+	h.over = append(h.over, *w)
 }
 
 // truncatePending keeps the first n pending writes after an in-place
@@ -301,13 +296,14 @@ type Switch struct {
 	MaxSteps int
 	// OnStateWrite, when set, observes every mutation of the state tables,
 	// exactly once: a local write (OpStateWrite) and a carried write
-	// committed here alike, narrow and wide indices alike. It receives the
+	// committed here alike, whatever the index's arity. It receives the
 	// write as the VM holds it, with Val set to the post-write value. The
 	// data-plane engine installs it to mirror writes to replica switches.
 	// It runs under the same external serialization as Visit itself (the
 	// caller's lock set covers the written variable), so implementations
-	// see writes to one variable in table order; they must not block. Nothing mutates a write's
-	// IdxWide afterwards, so observers may keep it.
+	// see writes to one variable in table order; they must not block.
+	// Nothing mutates a write's index spill afterwards, so observers may
+	// keep the write.
 	OnStateWrite func(w PendingWrite)
 
 	lp     *Linked
@@ -458,27 +454,15 @@ func (sw *Switch) commitLocal(sp *SimPacket) {
 // write applies w to tbl and reports it to OnStateWrite with Val set to the
 // post-write value.
 func (sw *Switch) write(tbl *state.Table, w *PendingWrite) {
-	var delta int64
 	switch w.Act {
 	case xfdd.ActSet:
-		if w.IdxWide != nil {
-			tbl.SetWide(w.IdxWide, w.Val)
-		} else {
-			tbl.Set(&w.Idx, w.Val)
-		}
+		tbl.Set(&w.Idx, w.Val)
 	case xfdd.ActIncr:
-		delta = 1
+		w.Val = tbl.Add(&w.Idx, 1)
 	case xfdd.ActDecr:
-		delta = -1
+		w.Val = tbl.Add(&w.Idx, -1)
 	default:
 		return
-	}
-	if delta != 0 {
-		if w.IdxWide != nil {
-			w.Val = tbl.AddWide(w.IdxWide, delta)
-		} else {
-			w.Val = tbl.Add(&w.Idx, delta)
-		}
 	}
 	if sw.OnStateWrite != nil {
 		sw.OnStateWrite(*w)
@@ -500,15 +484,15 @@ func deliverOutcome(h *Header, cp int32) Result {
 // scalar evaluates a linked instruction's value expression. It is only
 // called for instructions that require one (state tests, ActSet writes);
 // an instruction that reached execution without a value expression is
-// malformed and errors, exactly like the interpreter's EvalScalar did.
+// malformed and errors.
 func (sw *Switch) scalar(li *linstr, p *pkt.Packet) (values.Value, error) {
 	switch li.valMode {
 	case valConst:
 		return li.val, nil
 	case valField:
 		return p.Field(li.valF), nil
-	case valSlow:
-		return semantics.EvalScalar(li.slowVal, *p)
+	case valErr:
+		return values.None, li.err
 	default:
 		return values.None, fmt.Errorf("netasm: switch %d: instruction requires a value expression but has none", sw.ID)
 	}
@@ -560,15 +544,9 @@ func (sw *Switch) exec(dst []Result, sp *SimPacket, cp int32, forks *[]SimPacket
 			if err != nil {
 				return dst, err
 			}
-			var got values.Value
-			if li.slowIdx == nil {
-				var raw values.Vec
-				li.idx.fill(&raw, &sp.Pkt)
-				got = sw.tables[li.tbl].Get(&raw)
-			} else {
-				got = sw.tables[li.tbl].GetWide(evalIdx(li.slowIdx, &sp.Pkt))
-			}
-			if values.Eq(got, want) {
+			var idx values.Vec
+			li.idx.fill(&idx, &sp.Pkt)
+			if values.Eq(sw.tables[li.tbl].Get(&idx), want) {
 				pc = int(li.tpc)
 			} else {
 				pc = int(li.fpc)
@@ -580,11 +558,7 @@ func (sw *Switch) exec(dst []Result, sp *SimPacket, cp int32, forks *[]SimPacket
 
 		case OpStateWrite, OpResolve:
 			w := PendingWrite{VarID: li.varID, Act: li.act}
-			if li.slowIdx == nil {
-				li.idx.fill(&w.Idx, &sp.Pkt)
-			} else {
-				w.IdxWide = evalIdx(li.slowIdx, &sp.Pkt)
-			}
+			li.idx.fill(&w.Idx, &sp.Pkt)
 			if li.act == xfdd.ActSet {
 				v, err := sw.scalar(li, &sp.Pkt)
 				if err != nil {
@@ -595,7 +569,7 @@ func (sw *Switch) exec(dst []Result, sp *SimPacket, cp int32, forks *[]SimPacket
 			if li.op == OpStateWrite {
 				sw.write(&sw.tables[li.tbl], &w)
 			} else {
-				sp.Hdr.AppendPending(w)
+				sp.Hdr.AppendPending(&w)
 			}
 			pc = int(li.next)
 
@@ -637,14 +611,4 @@ func (sw *Switch) exec(dst []Result, sp *SimPacket, cp int32, forks *[]SimPacket
 		}
 	}
 	return dst, fmt.Errorf("netasm: switch %d: fell off program", sw.ID)
-}
-
-// evalIdx is the interpreter's index evaluation, kept for tuples wider
-// than the inline fast path.
-func evalIdx(idx []syntax.Expr, p *pkt.Packet) values.Tuple {
-	out := make(values.Tuple, 0, len(idx))
-	for _, e := range idx {
-		out = append(out, semantics.EvalExpr(e, *p)...)
-	}
-	return out
 }

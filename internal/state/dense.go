@@ -13,10 +13,9 @@
 // directly, and a Store (store.go) is a name → Table map, so switches,
 // snapshots, migrations and shard merges pass whole tables between them.
 //
-// Index tuples wider than values.MaxVec — the 5-tuple flow key of five
-// catalogue apps (conn-affinity, elephant-flows, flow-size-sampling,
-// snort-flowbits, tcp-state-machine) — take a string-keyed overflow map,
-// keeping the fast path honest without losing generality.
+// An index tuple wider than values.MaxVec (the 5-tuple flow key of five
+// catalogue apps) is keyed the way a string element is: by the number its
+// table gave the tuple's Tuple.Key() string, under a kind tag of its own.
 //
 // Each entry retains the raw (uncanonicalized) index tuple it was first
 // written with, so dumps and Entries order (by Tuple.Key()) read the same
@@ -36,14 +35,20 @@ import (
 // semantic tuple equality the string keys encode. num holds each
 // element's number (a string's number in its table); meta holds element
 // i's kind in bits 12i..12i+3 and its prefix length in bits 12i+4..12i+11,
-// and the arity from bit 48.
+// and the arity from bit 48. A key of arity above values.MaxVec holds, in
+// num[0], the number of its tuple's Tuple.Key() string, and kind wideKind.
 type Key struct {
 	num  [values.MaxVec]int64
 	meta uint64
 }
 
-// A kind takes four bits of Key.meta.
-const _ uint8 = 15 - uint8(values.KindString)
+// wideKind marks a wide key in element 0's kind bits: num[0] is then a
+// key string's number, not a value's. A kind takes four bits of Key.meta
+// and no value kind is wideKind, so with the arity it keeps a wide key
+// apart from a string element that took the same number.
+const wideKind = 15
+
+const _ uint8 = wideKind - 1 - uint8(values.KindString) // every kind below wideKind
 
 // Table is the dense table of one state variable. The zero value is an
 // empty table ready to use.
@@ -52,24 +57,37 @@ const _ uint8 = 15 - uint8(values.KindString)
 // of a bare map would, because the map, the entries it indexes and the
 // string numbers live behind one pointer that the first insert allocates.
 type Table struct {
-	d    *dense
-	wide map[string]Entry // index arity > values.MaxVec
+	d *dense
 }
 
-// dense is a Table's fast path: m maps a Key to its entry in ents, and
-// strs numbers the strings the table's keys hold.
+// dense is a Table's storage: m maps a Key to its entry in ents, and strs
+// numbers the strings the table's keys hold, wide tuples' key strings
+// among them.
 type dense struct {
 	m    map[Key]int32
 	ents []Entry
 	strs map[string]int64
 }
 
-// keyOf canonicalizes v into d's key. A string element the table has
-// never stored is numbered when add is set; otherwise ok is false, as no
-// entry can hold it.
+// keyOf canonicalizes v into d's key. A string the table has never stored
+// is numbered when add is set; otherwise ok is false, as no entry can hold
+// it.
 func (d *dense) keyOf(v *values.Vec, add bool) (k Key, ok bool) {
 	n := v.Len()
 	k.meta = uint64(n) << 48
+	if n > values.MaxVec {
+		var buf [128]byte
+		s := v.AppendKey(buf[:0])
+		id, found := d.strs[string(s)]
+		if !found {
+			if !add {
+				return k, false
+			}
+			id = d.number(string(s))
+		}
+		k.num[0], k.meta = id, k.meta|wideKind
+		return k, true
+	}
 	for i := 0; i < n; i++ {
 		c := values.Canon(v.At(i))
 		if c.Kind == values.KindString {
@@ -78,11 +96,7 @@ func (d *dense) keyOf(v *values.Vec, add bool) (k Key, ok bool) {
 				if !add {
 					return k, false
 				}
-				if d.strs == nil {
-					d.strs = make(map[string]int64)
-				}
-				id = int64(len(d.strs))
-				d.strs[c.Str] = id
+				id = d.number(c.Str)
 			}
 			c.Num = id
 		}
@@ -92,13 +106,22 @@ func (d *dense) keyOf(v *values.Vec, add bool) (k Key, ok bool) {
 	return k, true
 }
 
+// number gives s, which d has not numbered, the next number.
+func (d *dense) number(s string) int64 {
+	if d.strs == nil {
+		d.strs = make(map[string]int64)
+	}
+	id := int64(len(d.strs))
+	d.strs[s] = id
+	return id
+}
+
 // Len returns the number of entries.
 func (t *Table) Len() int {
-	n := len(t.wide)
-	if t.d != nil {
-		n += len(t.d.ents)
+	if t.d == nil {
+		return 0
 	}
-	return n
+	return len(t.d.ents)
 }
 
 // find returns the position of v's entry in t.d.ents, false when absent.
@@ -151,74 +174,27 @@ func (t *Table) Add(v *values.Vec, delta int64) values.Value {
 	return e.Val
 }
 
-// GetWide / SetWide / AddWide are the overflow path for index tuples wider
-// than values.MaxVec, keyed by the canonical string encoding.
-
-// GetWide reads the wide entry at idx, Default when absent.
-func (t *Table) GetWide(idx values.Tuple) values.Value {
-	if e, ok := t.wide[idx.Key()]; ok {
-		return e.Val
-	}
-	return Default
-}
-
-// SetWide writes v at a wide index, cloning idx only on first insert.
-func (t *Table) SetWide(idx values.Tuple, v values.Value) {
-	k := idx.Key()
-	if e, ok := t.wide[k]; ok {
-		e.Val = v
-		t.wide[k] = e
-		return
-	}
-	if t.wide == nil {
-		t.wide = make(map[string]Entry)
-	}
-	t.wide[k] = Entry{Idx: append(values.Tuple(nil), idx...), Val: v}
-}
-
-// AddWide applies a delta at a wide index, returning the post-write value.
-func (t *Table) AddWide(idx values.Tuple, delta int64) values.Value {
-	k := idx.Key()
-	if e, ok := t.wide[k]; ok {
-		e.Val = values.Int(e.Val.AsInt() + delta)
-		t.wide[k] = e
-		return e.Val
-	}
-	if t.wide == nil {
-		t.wide = make(map[string]Entry)
-	}
-	val := values.Int(Default.AsInt() + delta)
-	t.wide[k] = Entry{Idx: append(values.Tuple(nil), idx...), Val: val}
-	return val
-}
-
 // lookup returns the entry at a slice-tuple index, false when absent
-// (control-plane convenience; the VM uses Get/GetWide directly).
+// (control-plane convenience; the VM uses Get directly).
 func (t *Table) lookup(idx values.Tuple) (Entry, bool) {
-	if v, ok := values.VecOf(idx); ok {
-		if i, ok := t.find(&v); ok {
-			return t.d.ents[i], true
-		}
-		return Entry{}, false
+	v := values.VecOf(idx)
+	if i, ok := t.find(&v); ok {
+		return t.d.ents[i], true
 	}
-	e, ok := t.wide[idx.Key()]
-	return e, ok
+	return Entry{}, false
 }
 
-// SetTuple dispatches a slice-tuple write (control-plane convenience).
-func (t *Table) SetTuple(idx values.Tuple, v values.Value) {
-	if raw, ok := values.VecOf(idx); ok {
-		t.Set(&raw, v)
-	} else {
-		t.SetWide(idx, v)
-	}
+// SetTuple writes at a slice-tuple index (control-plane convenience).
+func (t *Table) SetTuple(idx values.Tuple, val values.Value) {
+	v := values.VecOf(idx)
+	t.Set(&v, val)
 }
 
 // Clone returns an independent copy of the table. The entries are
 // copied, since writes update them in place; their retained index tuples
 // are shared, as nothing mutates one after insert.
 func (t *Table) Clone() Table {
-	c := Table{wide: maps.Clone(t.wide)}
+	var c Table
 	if d := t.d; d != nil {
 		c.d = &dense{m: maps.Clone(d.m), ents: slices.Clone(d.ents), strs: maps.Clone(d.strs)}
 	}
@@ -237,9 +213,6 @@ func (t *Table) Entries() []Entry {
 		for _, e := range t.d.ents {
 			ks = append(ks, keyed{e.Idx.Key(), e})
 		}
-	}
-	for k, e := range t.wide {
-		ks = append(ks, keyed{k, e})
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
 	out := make([]Entry, len(ks))
@@ -271,28 +244,18 @@ func (t *Table) equal(o *Table) bool {
 // many of a's indices b holds. Each table numbers its strings itself, so
 // a's entries are looked up in b by their index tuples, not a's keys.
 func within(a, b *Table) (n int, ok bool) {
-	if a.d != nil {
-		for i := range a.d.ents {
-			e := &a.d.ents[i]
-			got := Default
-			v, _ := values.VecOf(e.Idx)
-			if j, found := b.find(&v); found {
-				n++
-				got = b.d.ents[j].Val
-			}
-			if !values.Eq(got, e.Val) {
-				return n, false
-			}
-		}
+	if a.d == nil {
+		return 0, true
 	}
-	for k, e := range a.wide {
-		be, found := b.wide[k]
-		if found {
+	for i := range a.d.ents {
+		e := &a.d.ents[i]
+		got := Default
+		v := values.VecOf(e.Idx)
+		if j, found := b.find(&v); found {
 			n++
-		} else {
-			be.Val = Default
+			got = b.d.ents[j].Val
 		}
-		if !values.Eq(be.Val, e.Val) {
+		if !values.Eq(got, e.Val) {
 			return n, false
 		}
 	}

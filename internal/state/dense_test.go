@@ -6,13 +6,7 @@ import (
 	"snap/internal/values"
 )
 
-func vec(vs ...values.Value) values.Vec {
-	v, ok := values.VecOf(values.Tuple(vs))
-	if !ok {
-		panic("vec too wide")
-	}
-	return v
-}
+func vec(vs ...values.Value) values.Vec { return values.VecOf(values.Tuple(vs)) }
 
 func TestTableGetSetAdd(t *testing.T) {
 	var tbl Table
@@ -54,6 +48,31 @@ func TestKeyCollisionClasses(t *testing.T) {
 		{values.String("b"), values.String("a")}, {values.String("a"), values.String("b")},
 		{},
 	}
+	checkCollisionClasses(t, pairs)
+}
+
+// Wide keys collide exactly when the tuples' string keys do, in the same
+// classes as narrow ones, and never with a narrow key: not with a string
+// element numbered like the wide key because it holds that key's string.
+func TestWideKeyCollisionClasses(t *testing.T) {
+	w := func(vs ...values.Value) values.Tuple {
+		return append(values.Tuple{values.Int(2), values.Int(3), values.Int(4), values.Int(5)}, vs...)
+	}
+	pairs := []values.Tuple{
+		w(values.Bool(true)), w(values.Int(1)),
+		w(values.Bool(false)), w(values.Int(0)),
+		w(values.IP(1)), w(values.IP(10 << 24)),
+		w(values.Prefix(10<<24, 8)), w(values.Prefix(10<<24, 16)),
+		w(values.String("a|b"), values.String("c")), w(values.String("a"), values.String("b|c")),
+		w(values.String(`a"|s:"b`)), w(values.String("a"), values.String("b")),
+		w(values.Int(1), values.Int(0)), w(values.Bool(true), values.Bool(false)),
+		{values.String(w(values.Int(1)).Key())}, {values.Int(2), values.Int(3), values.Int(4), values.Int(5)},
+	}
+	checkCollisionClasses(t, pairs)
+}
+
+func checkCollisionClasses(t *testing.T, pairs []values.Tuple) {
+	t.Helper()
 	for _, order := range [][]values.Tuple{pairs, reversed(pairs)} {
 		var d dense
 		keys := make([]Key, len(order))
@@ -119,6 +138,22 @@ func TestStringKeysPerTable(t *testing.T) {
 	}
 }
 
+// A string value equal to a wide tuple's key string takes the number the
+// wide tuple's key took, but the two entries stay apart.
+func TestStringBesideWideKey(t *testing.T) {
+	wide := vec(values.Int(1), values.Int(2), values.Int(3), values.Int(4), values.Int(5))
+	str := vec(values.String(wide.Tuple().Key()))
+	var tbl Table
+	tbl.Set(&wide, values.Int(1))
+	tbl.Set(&str, values.Int(2))
+	if len(tbl.d.strs) != 1 || tbl.Len() != 2 {
+		t.Fatalf("%d strings and %d entries, want one string and two entries", len(tbl.d.strs), tbl.Len())
+	}
+	if !values.Eq(tbl.Get(&wide), values.Int(1)) || !values.Eq(tbl.Get(&str), values.Int(2)) {
+		t.Fatalf("wide reads %v, string reads %v", tbl.Get(&wide), tbl.Get(&str))
+	}
+}
+
 // A read at a string the table never stored inserts nothing: no entry and
 // no string number.
 func TestUnseenStringGetInsertsNothing(t *testing.T) {
@@ -134,6 +169,21 @@ func TestUnseenStringGetInsertsNothing(t *testing.T) {
 	}
 	if tbl.Len() != n || len(tbl.d.strs) != ns {
 		t.Fatalf("a read inserted: %d entries, %d strings; want %d and %d", tbl.Len(), len(tbl.d.strs), n, ns)
+	}
+
+	// Nor does a read at a wide tuple the table never stored.
+	wide := vec(values.Int(1), values.Int(2), values.Int(3), values.Int(4), values.Int(5))
+	tbl.Set(&wide, values.Int(1))
+	n, ns = tbl.Len(), len(tbl.d.strs)
+	unseenWide := vec(values.Int(1), values.Int(2), values.Int(3), values.Int(4), values.Int(6))
+	if got := tbl.Get(&unseenWide); !values.Eq(got, Default) {
+		t.Fatalf("unseen wide tuple reads %v", got)
+	}
+	if _, ok := tbl.lookup(unseenWide.Tuple()); ok {
+		t.Fatal("lookup found an unseen wide tuple")
+	}
+	if tbl.Len() != n || len(tbl.d.strs) != ns {
+		t.Fatalf("a wide read inserted: %d entries, %d strings; want %d and %d", tbl.Len(), len(tbl.d.strs), n, ns)
 	}
 }
 

@@ -218,21 +218,28 @@ func (v Value) String() string {
 // their integer coercion), and values that are not Eq-equal have distinct
 // keys.
 func (v Value) Key() string {
+	var buf [32]byte
+	return string(v.AppendKey(buf[:0]))
+}
+
+// AppendKey appends v's Key to b.
+func (v Value) AppendKey(b []byte) []byte {
 	switch v.Kind {
 	case KindString:
 		// Quote so multi-component tuple keys cannot collide on strings
 		// containing the separator.
-		return "s:" + strconv.Quote(v.Str)
+		return strconv.AppendQuote(append(b, "s:"...), v.Str)
 	case KindPrefix:
-		return "p:" + strconv.FormatInt(v.Num, 16) + "/" + strconv.Itoa(int(v.Len))
+		b = strconv.AppendInt(append(b, "p:"...), v.Num, 16)
+		return strconv.AppendInt(append(b, '/'), int64(v.Len), 10)
 	case KindBool, KindInt:
 		// Booleans and integers are Eq-coercible, so they share a key
 		// space (False ≡ 0, True ≡ 1).
-		return "i:" + strconv.FormatInt(v.Num, 16)
+		return strconv.AppendInt(append(b, "i:"...), v.Num, 16)
 	case KindIP:
-		return "a:" + strconv.FormatInt(v.Num, 16)
+		return strconv.AppendInt(append(b, "a:"...), v.Num, 16)
 	default:
-		return "n:"
+		return append(b, "n:"...)
 	}
 }
 
@@ -267,16 +274,11 @@ func (v Value) Hash() uint64 {
 type Tuple []Value
 
 // Key returns a canonical encoding of the tuple. Distinct tuples have
-// distinct keys.
+// distinct keys: the components' keys joined by "|".
 func (t Tuple) Key() string {
-	if len(t) == 1 {
-		return t[0].Key()
-	}
-	parts := make([]string, len(t))
-	for i, v := range t {
-		parts[i] = v.Key()
-	}
-	return strings.Join(parts, "|")
+	var buf [128]byte
+	v := VecOf(t)
+	return string(v.AppendKey(buf[:0]))
 }
 
 // String renders the tuple as bracketed index components.

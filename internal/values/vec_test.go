@@ -3,37 +3,59 @@ package values
 import "testing"
 
 func TestVecRoundTrip(t *testing.T) {
-	in := Tuple{Int(1), Bool(true), IPv4(10, 0, 0, 1), String("x")}
-	v, ok := VecOf(in)
-	if !ok || v.Len() != 4 {
-		t.Fatalf("VecOf: ok=%v len=%d", ok, v.Len())
-	}
-	out := v.Tuple()
-	if len(out) != len(in) {
-		t.Fatalf("round trip length: %d", len(out))
-	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("round trip[%d]: %v != %v", i, in[i], out[i])
+	for _, in := range []Tuple{
+		{Int(1), Bool(true), IPv4(10, 0, 0, 1), String("x")},
+		{IPv4(10, 0, 1, 1), IPv4(10, 0, 2, 2), Int(1234), Int(80), Int(6)},
+		{Int(1), Int(2), Int(3), Int(4), String("five"), Prefix(10<<24, 8), Bool(false)},
+	} {
+		v := VecOf(in)
+		if v.Len() != len(in) {
+			t.Fatalf("VecOf(%v): len %d", in, v.Len())
 		}
-	}
-	if _, ok := VecOf(make(Tuple, MaxVec+1)); ok {
-		t.Fatal("VecOf must reject tuples wider than MaxVec")
+		out := v.Tuple()
+		if len(out) != len(in) {
+			t.Fatalf("round trip length: %d, want %d", len(out), len(in))
+		}
+		for i := range in {
+			if in[i] != out[i] || v.At(i) != in[i] {
+				t.Fatalf("round trip[%d]: %v and %v, want %v", i, out[i], v.At(i), in[i])
+			}
+		}
 	}
 }
 
+// Push spills past MaxVec; copies taken after the fill share the spill,
+// and a push on one copy never reaches the values another copy reads.
 func TestVecPush(t *testing.T) {
 	var v Vec
-	for i := 0; i < MaxVec; i++ {
-		if !v.Push(Int(int64(i))) {
-			t.Fatalf("push %d refused", i)
-		}
+	for i := 0; i < MaxVec+3; i++ {
+		v.Push(Int(int64(i)))
 	}
-	if v.Push(Int(99)) {
-		t.Fatal("push past capacity must refuse")
-	}
-	if v.Len() != MaxVec || v.At(1) != Int(1) {
+	if v.Len() != MaxVec+3 || v.At(1) != Int(1) || v.At(MaxVec+2) != Int(MaxVec+2) {
 		t.Fatalf("contents: %+v", v)
+	}
+	c := v
+	if &c.spill[0] != &v.spill[0] {
+		t.Fatal("a copy does not share the spill")
+	}
+	c.Push(Int(99))
+	if v.Len() != MaxVec+3 || c.Len() != MaxVec+4 || c.At(MaxVec+3) != Int(99) {
+		t.Fatalf("push on a copy: original %+v, copy %+v", v, c)
+	}
+	var narrow Vec
+	for i := 0; i < MaxVec; i++ {
+		narrow.Push(Int(int64(i)))
+	}
+	if narrow.spill != nil {
+		t.Fatal("a vector of MaxVec values spilled")
+	}
+	// VecOf shares the tuple's tail, capped, so a push on the vector
+	// leaves the tuple's backing array alone.
+	in := make(Tuple, MaxVec+1, MaxVec+4)
+	w := VecOf(in)
+	w.Push(Int(7))
+	if in[:MaxVec+2][MaxVec+1] != None {
+		t.Fatal("a push on VecOf's vector wrote into the tuple's spare capacity")
 	}
 }
 
