@@ -111,7 +111,7 @@ type injection struct {
 }
 
 // hop is one packet copy on its way to a switch visit, and the packet the
-// VM runs on there: a SimPacket is 1 104 bytes, so it is written once at
+// VM runs on there: a SimPacket is 704 bytes, so it is written once at
 // ingress and copied only when a fork's copy travels on (see walk).
 type hop struct {
 	at   topo.NodeID

@@ -199,7 +199,7 @@ func TestForwardFailuresInTransit(t *testing.T) {
 }
 
 // TestWalkQueueStaysShort guards the packet-copy cost of the walk. A
-// SimPacket is 1 104 bytes, so a walk that keeps every hop of an injection
+// SimPacket is 704 bytes, so a walk that keeps every hop of an injection
 // in its queue pays for it on long paths (+20 % ns_per_packet on the
 // benchmark's 5.5-hop fwd-wan workload when tried). The VM runs each copy
 // in its queue slot, where a copy that travels on stays, and the trace

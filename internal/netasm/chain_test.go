@@ -85,7 +85,8 @@ func chainProgram(field pkt.Field, consts []values.Value, loopTo int) *Program {
 // probeValues is every value kind a packet field may hold, aimed at the
 // constants: each constant itself, the same number as a bool, an int, an
 // address and its neighbour, the prefix literal around it, a string, and
-// the two malformed addresses no constant of an IP table can equal.
+// the malformed address (one carrying a prefix length) no constant of an IP
+// table can equal.
 func probeValues(consts []values.Value) []values.Value {
 	out := []values.Value{values.None, values.String("x"), values.Bool(false), values.Bool(true)}
 	for _, c := range consts {
@@ -93,8 +94,7 @@ func probeValues(consts []values.Value) []values.Value {
 			values.Int(c.Num), values.Int(c.Num+1), values.Bool(c.Num != 0),
 			values.IP(uint32(c.Num)), values.IP(uint32(c.Num)+1), values.IP(uint32(c.Num)+255),
 			values.Prefix(uint32(c.Num), 24), values.Prefix(uint32(c.Num), 16),
-			values.Value{Kind: values.KindIP, Num: c.Num, Len: 24},
-			values.Value{Kind: values.KindIP, Num: c.Num, Str: "x"})
+			values.Value{Kind: values.KindIP, Num: c.Num, Len: 24})
 	}
 	return out
 }

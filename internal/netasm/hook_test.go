@@ -22,8 +22,7 @@ func TestStateWriteHook(t *testing.T) {
 	narrow := []syntax.Expr{syntax.F(pkt.SrcPort), syntax.F(pkt.DstPort)}
 	narrowTuple := values.Tuple{values.Int(1234), values.Int(80)}
 	narrowVec := values.VecOf(narrowTuple)
-	wideTuple := values.Tuple{values.IPv4(10, 0, 1, 1), values.IPv4(10, 0, 2, 2),
-		values.Int(1234), values.Int(80), values.Int(6)}
+	wideIndex := wideTuple(6)
 
 	acts := []struct {
 		act  xfdd.ActKind
@@ -37,8 +36,8 @@ func TestStateWriteHook(t *testing.T) {
 					idx, tuple := narrow, narrowTuple
 					want := netasm.PendingWrite{VarID: 0, Act: a.act, Val: values.Int(a.post), Idx: narrowVec}
 					if wide {
-						idx, tuple = wideIdx(), wideTuple
-						want = netasm.PendingWrite{VarID: 0, Act: a.act, Val: values.Int(a.post), Idx: values.VecOf(wideTuple)}
+						idx, tuple = wideIdx(), wideIndex
+						want = netasm.PendingWrite{VarID: 0, Act: a.act, Val: values.Int(a.post), Idx: values.VecOf(wideIndex)}
 					}
 					op := netasm.OpStateWrite
 					if carried {

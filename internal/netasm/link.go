@@ -122,8 +122,8 @@ type exOp struct {
 type extractor []exOp
 
 // fill evaluates the extractor against a packet into the empty vector v,
-// in place. Only an extractor wider than values.MaxVec allocates, for the
-// vector's spill.
+// in place. Only an extractor wider than values.MaxVec grows the vector's
+// spill, and only past the storage a Reset vector kept.
 func (x extractor) fill(v *values.Vec, p *pkt.Packet) {
 	for i := range x {
 		if x[i].isField {
@@ -367,14 +367,14 @@ func (t *chainTable) slot(k int64) *chainSlot {
 
 // chainKey classifies a branch constant, classNone when it may not join a
 // run. A prefix that values.Prefix would not build (bits below its mask, a
-// length over 32) never matches an address, and an IP carrying a length or
-// a string is not the plain address, so neither has a key.
+// length over 32) never matches an address, and an IP carrying a length is
+// not the plain address, so neither has a key.
 func chainKey(v values.Value) (uint8, int64) {
 	switch v.Kind {
 	case values.KindBool, values.KindInt:
 		return classNum, v.Num
 	case values.KindIP:
-		if v.Len == 0 && v.Str == "" {
+		if v.Len == 0 {
 			return classIP, v.Num
 		}
 	case values.KindPrefix:
@@ -392,7 +392,7 @@ func (t *chainTable) lookup(fv values.Value) (int32, bool) {
 	switch {
 	case t.class == classNum && (fv.Kind == values.KindBool || fv.Kind == values.KindInt):
 		k = fv.Num
-	case t.class == classIP && fv.Kind == values.KindIP && fv.Len == 0 && fv.Str == "":
+	case t.class == classIP && fv.Kind == values.KindIP && fv.Len == 0:
 		k = fv.Num
 	case t.class >= classPrefix && fv.Kind == values.KindIP:
 		k = int64(uint32(fv.Num) & t.mask)

@@ -1,6 +1,7 @@
 package netasm_test
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -134,6 +135,125 @@ func TestWideIndexPendingWrite(t *testing.T) {
 	}
 }
 
+// wideTuple is widePacket's 5-tuple with the protocol proto: the one value
+// past values.MaxVec, so it lies in the index's spill.
+func wideTuple(proto int64) values.Tuple {
+	return values.Tuple{values.IPv4(10, 0, 1, 1), values.IPv4(10, 0, 2, 2),
+		values.Int(1234), values.Int(80), values.Int(proto)}
+}
+
+// TestWideWritesOwnTheirSpill: the VM refills an index spill in place, so
+// every record that outlives the fill must own its spill. Two fork copies
+// carry one wide write; the first commits it at the owner and resolves a
+// new wide write into the slot it freed, and the second copy's write still
+// holds its own index and commits it. A header whose committed write lay
+// before a carried one keeps the carried index through the compaction and
+// the next resolve; entered again, its slots hold stale spills, which the
+// copies of a fork that each resolve a wide write must not share. A write
+// hook that keeps what it receives keeps the index it was given across
+// later visits.
+func TestWideWritesOwnTheirSpill(t *testing.T) {
+	eval := netasm.NewSwitch(0, &netasm.Program{
+		EntryOf: map[int]int{0: 0},
+		Instrs: []netasm.Instr{
+			{Op: netasm.OpResolve, Var: "flows", Idx: wideIdx(), Act: xfdd.ActIncr, Next: 1},
+			{Op: netasm.OpFork, Seqs: []int{2, 4}},
+			{Op: netasm.OpSetField, Field: pkt.Proto, Val: values.Int(17), Next: 3},
+			{Op: netasm.OpSuspend, Var: "flows", Resume: 1},
+			{Op: netasm.OpSetField, Field: pkt.Proto, Val: values.Int(47), Next: 5},
+			{Op: netasm.OpSuspend, Var: "flows", Resume: 1},
+		},
+	}, nil)
+	owner := netasm.NewSwitch(1, &netasm.Program{
+		EntryOf: map[int]int{1: 0},
+		Instrs: []netasm.Instr{
+			{Op: netasm.OpSetField, Field: pkt.Proto, Val: values.Int(99), Next: 1},
+			{Op: netasm.OpResolve, Var: "other", Idx: wideIdx(), Act: xfdd.ActIncr, Next: 2},
+			{Op: netasm.OpSetField, Field: pkt.Outport, Val: values.Int(1), Next: 3},
+			{Op: netasm.OpFinish},
+		},
+	}, map[string]bool{"flows": true})
+	var kept []netasm.PendingWrite
+	owner.OnStateWrite = func(w netasm.PendingWrite) { kept = append(kept, w) }
+
+	sp := widePacket()
+	var forks []netasm.SimPacket
+	rs, err := eval.Visit(nil, &sp, &forks)
+	if err != nil || len(rs) != 2 || len(forks) != 2 {
+		t.Fatalf("fork: %v, %d results, %d copies", err, len(rs), len(forks))
+	}
+	for i := range forks {
+		cp := &forks[i]
+		if w := cp.Hdr.PendingAt(0); !reflect.DeepEqual(w.Index(), wideTuple(6)) {
+			t.Fatalf("copy %d carries %v before the owner's visit, want %v", i, w.Index(), wideTuple(6))
+		}
+		var none []netasm.SimPacket
+		if rs, err = owner.Visit(rs[:0], cp, &none); err != nil || len(rs) != 1 || rs[0].Outcome != netasm.NeedState {
+			t.Fatalf("copy %d at the owner: %v, %+v", i, err, rs)
+		}
+		if w := cp.Hdr.PendingAt(0); cp.Hdr.PendingLen() != 1 || !reflect.DeepEqual(w.Index(), wideTuple(99)) {
+			t.Fatalf("copy %d carries %v after the owner's visit, want the new write at %v", i, w.Index(), wideTuple(99))
+		}
+	}
+
+	compact := netasm.NewSwitch(0, &netasm.Program{
+		EntryOf: map[int]int{0: 0},
+		Instrs: []netasm.Instr{
+			{Op: netasm.OpResolve, Var: "flows", Idx: wideIdx(), Act: xfdd.ActIncr, Next: 1},
+			{Op: netasm.OpSetField, Field: pkt.Proto, Val: values.Int(17), Next: 2},
+			{Op: netasm.OpResolve, Var: "other", Idx: wideIdx(), Act: xfdd.ActIncr, Next: 3},
+			{Op: netasm.OpSuspend, Var: "flows", Resume: 1},
+		},
+	}, nil)
+	sp = widePacket()
+	if rs, err = compact.Visit(rs[:0], &sp, &forks); err != nil || sp.Hdr.PendingLen() != 2 {
+		t.Fatalf("two writes: %v, %d pending", err, sp.Hdr.PendingLen())
+	}
+	if rs, err = owner.Visit(rs[:0], &sp, &forks); err != nil || sp.Hdr.PendingLen() != 2 {
+		t.Fatalf("compaction: %v, %d pending", err, sp.Hdr.PendingLen())
+	}
+	for i, proto := range []int64{17, 99} {
+		if w := sp.Hdr.PendingAt(i); !reflect.DeepEqual(w.Index(), wideTuple(proto)) {
+			t.Errorf("after the compaction, pending write %d holds %v, want %v", i, w.Index(), wideTuple(proto))
+		}
+	}
+
+	split := netasm.NewSwitch(0, &netasm.Program{
+		EntryOf: map[int]int{0: 0},
+		Instrs: []netasm.Instr{
+			{Op: netasm.OpFork, Seqs: []int{1, 4}},
+			{Op: netasm.OpSetField, Field: pkt.Proto, Val: values.Int(17), Next: 2},
+			{Op: netasm.OpResolve, Var: "flows", Idx: wideIdx(), Act: xfdd.ActIncr, Next: 3},
+			{Op: netasm.OpSuspend, Var: "flows", Resume: 1},
+			{Op: netasm.OpSetField, Field: pkt.Proto, Val: values.Int(47), Next: 5},
+			{Op: netasm.OpResolve, Var: "flows", Idx: wideIdx(), Act: xfdd.ActIncr, Next: 6},
+			{Op: netasm.OpSuspend, Var: "flows", Resume: 1},
+		},
+	}, nil)
+	sp.Hdr.Enter(1, 0)
+	forks = forks[:0]
+	if rs, err = split.Visit(rs[:0], &sp, &forks); err != nil || len(forks) != 2 {
+		t.Fatalf("split: %v, %d copies", err, len(forks))
+	}
+	for i, proto := range []int64{17, 47} {
+		if h := &forks[i].Hdr; h.PendingLen() != 1 || !reflect.DeepEqual(h.PendingAt(0).Index(), wideTuple(proto)) {
+			t.Errorf("split copy %d holds %v, want %v", i, h.PendingAt(0).Index(), wideTuple(proto))
+		}
+	}
+
+	if got := owner.Snapshot().Get("flows", wideTuple(6)); !values.Eq(got, values.Int(3)) {
+		t.Fatalf("flows%v = %v, want 3: one increment per copy and one from the compacted header", wideTuple(6), got)
+	}
+	if len(kept) != 3 {
+		t.Fatalf("the hook saw %d writes, want 3", len(kept))
+	}
+	for i, w := range kept {
+		if !reflect.DeepEqual(w.Index(), wideTuple(6)) {
+			t.Errorf("hooked write %d holds %v after later visits, want %v", i, w.Index(), wideTuple(6))
+		}
+	}
+}
+
 // TestPendingOverflowFork: more pending writes than the inline header
 // slots, through a multicast fork — each copy must carry its own
 // (cloned) overflow and both owners see every write exactly once per
@@ -262,9 +382,11 @@ func TestRecordSizes(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"PendingWrite", unsafe.Sizeof(netasm.PendingWrite{}), 240},
-		{"Header", unsafe.Sizeof(netasm.Header{}), 304},
-		{"SimPacket", unsafe.Sizeof(netasm.SimPacket{}), 1104},
+		{"values.Value", unsafe.Sizeof(values.Value{}), 24},
+		{"pkt.Packet", unsafe.Sizeof(pkt.Packet{}), 480},
+		{"PendingWrite", unsafe.Sizeof(netasm.PendingWrite{}), 160},
+		{"Header", unsafe.Sizeof(netasm.Header{}), 224},
+		{"SimPacket", unsafe.Sizeof(netasm.SimPacket{}), 704},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)

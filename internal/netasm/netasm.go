@@ -142,6 +142,10 @@ func (i Instr) action() xfdd.Action {
 // travels as its id in the plane's VarSpace and the index as a values.Vec,
 // inline up to values.MaxVec values. Switch.OnStateWrite receives the same
 // record with Val set to the post-write value.
+//
+// A record in a header slot or in the switch's scratch is filled in place,
+// its index spill included (values.Vec.Reset), so it owns that spill: a
+// fork copy and a write handed to OnStateWrite get their own (Detach).
 type PendingWrite struct {
 	VarID int32
 	Act   xfdd.ActKind
@@ -189,8 +193,8 @@ type Header struct {
 // Enter resets h to the initial SNAP-header of §4.5 for a packet entering
 // at OBS port in, evaluation at xFDD node root. It writes the fields that
 // say what the header holds and leaves the stale pending-write slots,
-// which npend makes unreachable. The overflow slice keeps its storage: the
-// caller guarantees no live copy shares it.
+// which npend makes unreachable. The overflow slice and the slots' index
+// spills keep their storage: the caller guarantees no live copy shares it.
 func (h *Header) Enter(in, root int) {
 	h.OBSIn, h.OBSOut, h.Node, h.Seq, h.Phase = in, -1, root, -1, PhaseEval
 	h.npend, h.over = 0, h.over[:0]
@@ -199,7 +203,8 @@ func (h *Header) Enter(in, root int) {
 // PendingLen returns the number of carried pending writes.
 func (h *Header) PendingLen() int { return int(h.npend) + len(h.over) }
 
-// PendingAt returns the i-th pending write (in resolution order).
+// PendingAt returns the i-th pending write (in resolution order). Its
+// index is valid until the header resolves its next write.
 func (h *Header) PendingAt(i int) PendingWrite { return *h.pendingAt(i) }
 
 func (h *Header) pendingAt(i int) *PendingWrite {
@@ -209,16 +214,22 @@ func (h *Header) pendingAt(i int) *PendingWrite {
 	return &h.over[i-int(h.npend)]
 }
 
-// AppendPending adds a resolved write, preserving order. Appends go to
-// the inline array while it has room; a copy that has already spilled
-// keeps appending to its (exclusively owned) overflow slice.
-func (h *Header) AppendPending(w *PendingWrite) {
+// nextPending appends a pending-write slot for the caller to fill in
+// place, preserving order. Slots come from the inline array while it has
+// room; a copy that has already spilled keeps appending to its (exclusively
+// owned) overflow slice, reusing a stale slot where one lies beyond its
+// length. The slot holds whatever write it last carried.
+func (h *Header) nextPending() *PendingWrite {
 	if len(h.over) == 0 && int(h.npend) < inlinePending {
-		h.pend[h.npend] = *w
 		h.npend++
-		return
+		return &h.pend[h.npend-1]
 	}
-	h.over = append(h.over, *w)
+	if len(h.over) < cap(h.over) {
+		h.over = h.over[:len(h.over)+1]
+	} else {
+		h.over = append(h.over, PendingWrite{})
+	}
+	return &h.over[len(h.over)-1]
 }
 
 // truncatePending keeps the first n pending writes after an in-place
@@ -229,10 +240,22 @@ func (h *Header) truncatePending(n int) {
 }
 
 // fork makes h the header of fork copy seq, with its own overflow slice
-// (nil when empty, so no copy shares spare capacity). Only a spill
-// allocates: multicast of packets carrying more than inlinePending writes.
+// (nil when empty, so no copy shares spare capacity) and its own index
+// spills; a stale inline slot drops the spill it shared. Only a spill
+// allocates: multicast of packets carrying more than inlinePending writes
+// or a write wider than values.MaxVec.
 func (h *Header) fork(seq int) {
 	h.Seq, h.over = seq, append([]PendingWrite(nil), h.over...)
+	for i := range h.pend {
+		if i < int(h.npend) {
+			h.pend[i].Idx.Detach()
+		} else {
+			h.pend[i].Idx = values.Vec{}
+		}
+	}
+	for i := range h.over {
+		h.over[i].Idx.Detach()
+	}
 }
 
 // SimPacket is a packet in flight with its SNAP-header.
@@ -282,10 +305,11 @@ func (r *Result) Slot(sp *SimPacket, forks []SimPacket) *SimPacket {
 // The tables never grow or move, so a pointer TableRef hands out stays
 // valid for the switch's life.
 //
-// Concurrency: Visit keeps no state between calls other than the tables —
-// the linked program is immutable, the packet and fork buffer are the
-// caller's, and live packet copies never share a pending-write list (fork
-// clones). Concurrent visits to one Switch are therefore safe exactly
+// Concurrency: Visit keeps no state between calls other than the tables
+// and the scratch record of the instructions that use them — the linked
+// program is immutable, the packet and fork buffer are the caller's, and
+// live packet copies never share a pending-write list (fork clones).
+// Concurrent visits to one Switch are therefore safe exactly
 // when access to the tables is serialized externally; they are touched
 // only for owned variables, so holding a lock set covering LockVars()
 // for the duration of the call suffices. A switch owning no state
@@ -302,12 +326,16 @@ type Switch struct {
 	// It runs under the same external serialization as Visit itself (the
 	// caller's lock set covers the written variable), so implementations
 	// see writes to one variable in table order; they must not block.
-	// Nothing mutates a write's index spill afterwards, so observers may
-	// keep the write.
+	// The write owns its index spill, so observers may keep it.
 	OnStateWrite func(w PendingWrite)
 
 	lp     *Linked
 	tables []state.Table
+	// scratch is the record a local state instruction fills in place: the
+	// index of a state test, the whole write of OpStateWrite. Only those
+	// instructions touch it, and they touch the tables too, so the
+	// serialization that covers the tables covers it.
+	scratch PendingWrite
 }
 
 // NewSwitch builds a VM with empty tables, linking the program against a
@@ -444,7 +472,9 @@ func (sw *Switch) commitLocal(sp *SimPacket) {
 			continue
 		}
 		if kept != i {
-			*h.pendingAt(kept) = *w
+			// Swap, so each slot keeps a spill of its own.
+			k := h.pendingAt(kept)
+			*k, *w = *w, *k
 		}
 		kept++
 	}
@@ -465,7 +495,9 @@ func (sw *Switch) write(tbl *state.Table, w *PendingWrite) {
 		return
 	}
 	if sw.OnStateWrite != nil {
-		sw.OnStateWrite(*w)
+		obs := *w
+		obs.Idx.Detach()
+		sw.OnStateWrite(obs)
 	}
 }
 
@@ -544,9 +576,10 @@ func (sw *Switch) exec(dst []Result, sp *SimPacket, cp int32, forks *[]SimPacket
 			if err != nil {
 				return dst, err
 			}
-			var idx values.Vec
-			li.idx.fill(&idx, &sp.Pkt)
-			if values.Eq(sw.tables[li.tbl].Get(&idx), want) {
+			idx := &sw.scratch.Idx
+			idx.Reset()
+			li.idx.fill(idx, &sp.Pkt)
+			if values.Eq(sw.tables[li.tbl].Get(idx), want) {
 				pc = int(li.tpc)
 			} else {
 				pc = int(li.fpc)
@@ -557,19 +590,27 @@ func (sw *Switch) exec(dst []Result, sp *SimPacket, cp int32, forks *[]SimPacket
 			pc = int(li.next)
 
 		case OpStateWrite, OpResolve:
-			w := PendingWrite{VarID: li.varID, Act: li.act}
-			li.idx.fill(&w.Idx, &sp.Pkt)
+			// The value first: a write that fails takes no slot.
+			var val values.Value
 			if li.act == xfdd.ActSet {
 				v, err := sw.scalar(li, &sp.Pkt)
 				if err != nil {
 					return dst, err
 				}
-				w.Val = v
+				val = v
 			}
+			// A local write fills the scratch record, a carried one the
+			// header's next slot: either way the record is built where
+			// it is used, and never copied.
+			w := &sw.scratch
+			if li.op == OpResolve {
+				w = sp.Hdr.nextPending()
+			}
+			w.VarID, w.Act, w.Val = li.varID, li.act, val
+			w.Idx.Reset()
+			li.idx.fill(&w.Idx, &sp.Pkt)
 			if li.op == OpStateWrite {
-				sw.write(&sw.tables[li.tbl], &w)
-			} else {
-				sp.Hdr.AppendPending(&w)
+				sw.write(&sw.tables[li.tbl], w)
 			}
 			pc = int(li.next)
 

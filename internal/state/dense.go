@@ -91,12 +91,13 @@ func (d *dense) keyOf(v *values.Vec, add bool) (k Key, ok bool) {
 	for i := 0; i < n; i++ {
 		c := values.Canon(v.At(i))
 		if c.Kind == values.KindString {
-			id, found := d.strs[c.Str]
+			s := c.Str()
+			id, found := d.strs[s]
 			if !found {
 				if !add {
 					return k, false
 				}
-				id = d.number(c.Str)
+				id = d.number(s)
 			}
 			c.Num = id
 		}

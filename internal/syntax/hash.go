@@ -135,7 +135,7 @@ func hashValue(h uint64, v values.Value) uint64 {
 	h = mix(h, uint64(v.Kind))
 	h = mix(h, uint64(v.Num))
 	h = mix(h, uint64(v.Len))
-	return mixString(h, v.Str)
+	return mixString(h, v.Str())
 }
 
 // Equal reports structural equality of two policies: identical AST shape

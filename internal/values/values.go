@@ -6,12 +6,19 @@
 // used directly as a map key in state variables and match-action tables.
 // Vectors (⇀v) are represented by Tuple, which canonicalizes to a Key string
 // for indexing.
+//
+// A string value carries its characters as a unique.Handle, one word: equal
+// strings share one handle, so == on values still compares their strings,
+// and a Value is 24 bytes where a string header beside the number made it
+// 40. Every packet field is a Value, so that is what a packet's size is made
+// of.
 package values
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unique"
 )
 
 // Kind discriminates the value variants.
@@ -40,12 +47,14 @@ func (k Kind) String() string {
 // Value is a single SNAP runtime value. It is comparable: two Values are
 // equal under == iff they denote the same value. Num carries booleans (0/1),
 // integers, IPv4 addresses (host order) and prefix bases; Len carries prefix
-// lengths; Str carries strings (domains, user agents, payload content).
+// lengths; str carries strings (domains, user agents, payload content),
+// which only String builds and Str reads. The empty string is the zero
+// handle.
 type Value struct {
-	Kind Kind
 	Num  int64
+	str  unique.Handle[string]
+	Kind Kind
 	Len  uint8
-	Str  string
 }
 
 // None is the absent value.
@@ -63,7 +72,22 @@ func Bool(b bool) Value {
 func Int(n int64) Value { return Value{Kind: KindInt, Num: n} }
 
 // String returns a string value.
-func String(s string) Value { return Value{Kind: KindString, Str: s} }
+func String(s string) Value {
+	v := Value{Kind: KindString}
+	if s != "" {
+		v.str = unique.Make(s)
+	}
+	return v
+}
+
+// Str returns the string v carries: its characters for a KindString value,
+// "" for every other kind.
+func (v Value) Str() string {
+	if v.str == (unique.Handle[string]{}) {
+		return ""
+	}
+	return v.str.Value()
+}
 
 // IP returns an IPv4 address value from its 32-bit host-order representation.
 func IP(addr uint32) Value { return Value{Kind: KindIP, Num: int64(addr)} }
@@ -207,7 +231,7 @@ func (v Value) String() string {
 	case KindPrefix:
 		return FormatIP(uint32(v.Num)) + "/" + strconv.Itoa(int(v.Len))
 	case KindString:
-		return strconv.Quote(v.Str)
+		return strconv.Quote(v.Str())
 	default:
 		return fmt.Sprintf("value(%d)", v.Kind)
 	}
@@ -228,7 +252,7 @@ func (v Value) AppendKey(b []byte) []byte {
 	case KindString:
 		// Quote so multi-component tuple keys cannot collide on strings
 		// containing the separator.
-		return strconv.AppendQuote(append(b, "s:"...), v.Str)
+		return strconv.AppendQuote(append(b, "s:"...), v.Str())
 	case KindPrefix:
 		b = strconv.AppendInt(append(b, "p:"...), v.Num, 16)
 		return strconv.AppendInt(append(b, '/'), int64(v.Len), 10)
@@ -251,8 +275,8 @@ func (v Value) Hash() uint64 {
 	switch v.Kind {
 	case KindString:
 		h = 14695981039346656037 // FNV-1a
-		for i := 0; i < len(v.Str); i++ {
-			h = (h ^ uint64(v.Str[i])) * 1099511628211
+		for s, i := v.Str(), 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * 1099511628211
 		}
 	case KindPrefix:
 		h = 4<<40 | uint64(v.Len)<<32 | uint64(uint32(v.Num))

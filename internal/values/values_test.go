@@ -2,6 +2,7 @@ package values
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -259,6 +260,39 @@ func TestStringRendering(t *testing.T) {
 	for want, v := range cases {
 		if got := v.String(); got != want {
 			t.Errorf("String(%#v) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// TestStringHandles: a string value is the same value whatever memory its
+// characters came from: == and Eq hold, and Key and Hash agree. Str reads
+// the characters back, and is "" for the empty string and for every value
+// that carries none, without panicking.
+func TestStringHandles(t *testing.T) {
+	for _, s := range []string{"", "x", "example.com", `a|s:"b"`, strings.Repeat("ab", 40)} {
+		a := String(s)
+		b := String(string([]byte(s)))
+		c := String(strings.Repeat(s, 2)[:len(s)])
+		for _, v := range []Value{b, c} {
+			if a != v || !Eq(a, v) || a.Key() != v.Key() || a.Hash() != v.Hash() {
+				t.Errorf("String(%q) built twice: == %v, Eq %v, keys %q/%q, hashes %x/%x",
+					s, a == v, Eq(a, v), a.Key(), v.Key(), a.Hash(), v.Hash())
+			}
+		}
+		if a.Str() != s || a.Kind != KindString {
+			t.Errorf("String(%q) reads back %q, kind %v", s, a.Str(), a.Kind)
+		}
+		m := map[Value]bool{a: true}
+		if !m[b] || !m[c] {
+			t.Errorf("String(%q) built twice keys a map twice", s)
+		}
+	}
+	if String("ab") == String("ba") || String("") == None {
+		t.Error("distinct strings, or the empty string and None, compare equal")
+	}
+	for _, v := range []Value{None, Bool(true), Int(7), IP(1), Prefix(10<<24, 8)} {
+		if got := v.Str(); got != "" {
+			t.Errorf("%v.Str() = %q, want \"\"", v, got)
 		}
 	}
 }

@@ -4,15 +4,16 @@
 // first MaxVec values live inline, in the instruction scratch or inside the
 // SNAP-header. MaxVec covers the index arities of most catalogue policies;
 // the values of a wider index (the 5-tuple flow key of five catalogue apps)
-// spill to a slice, which only such an index allocates.
+// spill to a slice, whose storage a vector refilled in place keeps (Reset).
 package values
 
 // MaxVec is how many values a Vec holds inline.
 const MaxVec = 4
 
 // Vec is a vector of values, the first MaxVec inline and the rest in a
-// spill slice. The zero Vec is empty. Nothing mutates the spill once the
-// vector is filled, so copies of a Vec may share it.
+// spill slice. The zero Vec is empty. Copies of a Vec share its spill, and
+// Reset lets the vector refill the spill's storage in place; a copy that
+// must outlive such a refill calls Detach.
 type Vec struct {
 	n     uint8
 	a     [MaxVec]Value
@@ -39,6 +40,16 @@ func (v *Vec) Push(x Value) {
 	}
 	v.spill = append(v.spill, x)
 }
+
+// Reset empties v and keeps its spill's storage for the next fill, so a
+// wide vector refilled in place allocates nothing. The caller owns that
+// storage: no copy of v that is still read shares it, and v is not a VecOf
+// of a tuple still in use.
+func (v *Vec) Reset() { v.n, v.spill = 0, v.spill[:0] }
+
+// Detach gives v a spill of its own, so that a Reset of the vector it was
+// copied from cannot change it. Only a vector wider than MaxVec allocates.
+func (v *Vec) Detach() { v.spill = append([]Value(nil), v.spill...) }
 
 // Len returns the number of values held.
 func (v *Vec) Len() int { return int(v.n) + len(v.spill) }
