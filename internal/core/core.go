@@ -79,7 +79,7 @@ type Compilation struct {
 func ColdStart(p syntax.Policy, t *topo.Topology, demands traffic.Matrix, opts place.Options) (*Compilation, error) {
 	// The cold start instantiates the lineage's delta caches and compiles
 	// through them with everything empty — same work as the one-shot
-	// entry points, but the fragment memo, mapping caches and program
+	// entry points, but the fragment memo, mapping recall and program
 	// cache come out primed for the first PolicyChange.
 	seed := &Compilation{Opts: opts, delta: newDeltaState()}
 	return seed.derive(change{scenario: "coldstart", policy: p, topo: t, demands: demands, solve: solveST})
@@ -116,8 +116,8 @@ func (c *Compilation) PolicyChange(p syntax.Policy) (*Compilation, error) {
 // ColdPolicy is the non-incremental policy-change path, kept as the
 // fallback for non-delta lineages and as the equivalence oracle the delta
 // path is fuzz-tested against. It reuses only the optimization model; every
-// program-analysis phase runs from scratch, on a fresh translator, builder
-// and generator, never the lineage's.
+// program-analysis phase runs from scratch, on a fresh translator, mapping
+// walk and generator, never the lineage's.
 func (c *Compilation) ColdPolicy(p syntax.Policy) (*Compilation, error) {
 	return c.derive(change{scenario: "policy_cold", policy: p, solve: solveST, cold: true})
 }
@@ -177,8 +177,8 @@ type change struct {
 	// incrementally inside P5.
 	demands traffic.Matrix
 	solve   solver
-	// cold runs P2, P3 and P6 on a fresh translator, builder and generator
-	// instead of the lineage's deltaState.
+	// cold runs P2, P3 and P6 on a fresh translator, mapping walk and
+	// generator instead of the lineage's deltaState.
 	cold bool
 }
 
@@ -239,7 +239,7 @@ func (c *Compilation) derive(ch change) (*Compilation, error) {
 			if cold {
 				n.Mapping = psmap.Build(n.Diagram, n.Topo.PortIDs())
 			} else {
-				n.Mapping = ds.builder.Build(n.Diagram, n.Topo.PortIDs())
+				n.Mapping = ds.mapping(n.Diagram, n.Topo.PortIDs())
 			}
 		})
 	}

@@ -1,8 +1,8 @@
 // Delta compilation (the incremental policy-change path). A Compilation
 // lineage carries a deltaState: per-test-order translators whose fragment
-// memos and hash-consing stores persist across edits, a packet-state
-// mapping builder with cross-build caches, and a rule generator with a
-// pointer-stable program cache. PolicyChange diffs the old and new policy
+// memos and hash-consing stores persist across edits, a recall of the last
+// two packet-state mappings, and a rule generator with a pointer-stable
+// program cache. PolicyChange diffs the old and new policy
 // ASTs, derives the set of state variables the edit can have touched, and
 // runs every phase in delta mode: unchanged fragments reuse their
 // interned subdiagrams, clean variables keep their placement, and only
@@ -27,6 +27,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -76,16 +77,43 @@ type deltaState struct {
 	// test-order signature last compiled, and of the signature before it.
 	translators map[string]*xfdd.Translator
 	sig         string
-	builder     *psmap.Builder
-	gen         *rules.Generator
+	// mappings are the last two P3 results, most recent first (see mapping).
+	mappings [2]recalledMapping
+	gen      *rules.Generator
+}
+
+// recalledMapping is one P3 result with the inputs it is a function of: a
+// diagram root and a sorted OBS port set.
+type recalledMapping struct {
+	root    *xfdd.Diagram
+	ports   []int
+	mapping *psmap.Mapping
 }
 
 func newDeltaState() *deltaState {
 	return &deltaState{
 		translators: map[string]*xfdd.Translator{},
-		builder:     psmap.NewBuilder(),
 		gen:         rules.NewGenerator(),
 	}
+}
+
+// mapping is the lineage's P3: the packet-state mapping of d over ports
+// (sorted, as Topology.PortIDs returns them). A mapping is a pure function
+// of the two, and hash-consed roots make pointer identity structural
+// identity, so an edit's revert and a failover's restore, which come back
+// to a root and port set compiled just before, recall its mapping instead
+// of walking the diagram. The returned Mapping is shared: callers treat it
+// as immutable, as every consumer does.
+func (ds *deltaState) mapping(d *xfdd.Diagram, ports []int) *psmap.Mapping {
+	for i, r := range ds.mappings {
+		if r.root == d && slices.Equal(r.ports, ports) {
+			ds.mappings[0], ds.mappings[i] = r, ds.mappings[0]
+			return r.mapping
+		}
+	}
+	m := psmap.Build(d, ports)
+	ds.mappings = [2]recalledMapping{{root: d, ports: ports, mapping: m}, ds.mappings[0]}
+	return m
 }
 
 // translator returns the lineage's translator for a test order. Reusing a

@@ -8,7 +8,6 @@ import (
 	"snap/internal/apps"
 	"snap/internal/pkt"
 	"snap/internal/place"
-	"snap/internal/psmap"
 	"snap/internal/rules"
 	"snap/internal/syntax"
 	"snap/internal/topo"
@@ -23,8 +22,8 @@ import (
 // the fourth on every translator is one that was displaced and re-created,
 // and its diagram must still match a cold translation. The caches keyed on
 // the translators' diagram pointers follow the same discipline: the rule
-// generator and each port set of the mapping builder hold the diagram last
-// compiled and the one before it.
+// generator and the mapping recall hold the diagram last compiled and the
+// one before it.
 func TestTranslatorsStayBounded(t *testing.T) {
 	net := topo.Campus(1000)
 	tm := traffic.Gravity(net, 100, 1)
@@ -57,8 +56,8 @@ func TestTranslatorsStayBounded(t *testing.T) {
 		if n := c.delta.gen.CachedRoots(); n > 2 {
 			t.Fatalf("edit %d: generator holds programs or numberings of %d diagrams, want at most 2", i, n)
 		}
-		if n := c.delta.builder.CachedBuilds(); n > 2 {
-			t.Fatalf("edit %d: a builder port set holds %d builds, want at most 2", i, n)
+		if r := c.delta.mappings; r[0].mapping != c.Mapping || r[1].root == c.Diagram {
+			t.Fatalf("edit %d: the mapping recall does not hold this edit's mapping once, most recent first", i)
 		}
 		cold, err := xfdd.TranslateWithOrder(p, c.Order)
 		if err != nil {
@@ -74,7 +73,8 @@ func TestTranslatorsStayBounded(t *testing.T) {
 
 	// The same bound in bytes, on the network it was measured on: Stanford at
 	// half its ports, fifty single-fragment edits. Unbounded, the generator
-	// and the builder held 28 MB of a lineage that had grown 21 to 82 MB.
+	// and the mapping builder that preceded the recall held 28 MB of a
+	// lineage that had grown 21 to 82 MB.
 	stanford, err := topo.Named("Stanford", 1000, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +93,9 @@ func TestTranslatorsStayBounded(t *testing.T) {
 		}
 	}
 	held := liveHeap()
-	c.delta.gen, c.delta.builder = rules.NewGenerator(), psmap.NewBuilder()
+	c.delta.gen, c.delta.mappings = rules.NewGenerator(), [2]recalledMapping{}
 	if freed := held - liveHeap(); freed > 3<<20 {
-		t.Fatalf("after 50 edits the generator and builder held %.1f MB, want under 3", float64(freed)/(1<<20))
+		t.Fatalf("after 50 edits the generator and mapping recall held %.1f MB, want under 3", float64(freed)/(1<<20))
 	}
 	runtime.KeepAlive(c)
 }

@@ -129,7 +129,8 @@ func TestSeedPlacementPicksCoverage(t *testing.T) {
 
 	groups := buildGroups(s.in)
 	loc := map[string]topo.NodeID{}
-	s.seedPlacement(groups, loc)
+	s.indexPairs(groups)
+	s.seedPlacement(groups, loc, []int{0})
 	// Without both pairs in the index every switch costs 0 and the seed
 	// falls on switch 0, which the distance check below cannot tell apart.
 	if len(s.gpairs) != 1 || len(s.gpairs[0]) != 2 {

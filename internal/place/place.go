@@ -184,7 +184,7 @@ func (m *Model) SolveST(mapping *psmap.Mapping, order *deps.Order) (*Result, err
 		// The MILP encodes the healthy-network constraints; degraded
 		// topologies always take the heuristic engine, which skips down
 		// switches explicitly.
-		res, err = solveHeuristicModel(m, in, nil)
+		res, err = m.solveHeuristic(in, buildGroups(in), "heuristic-st")
 	default:
 		if exactColumns(in) <= m.opts.ExactLimit {
 			if r, exErr := solveExact(in, nil, m.opts); exErr == nil {
@@ -192,7 +192,7 @@ func (m *Model) SolveST(mapping *psmap.Mapping, order *deps.Order) (*Result, err
 				break
 			}
 		}
-		res, err = solveHeuristicModel(m, in, nil)
+		res, err = m.solveHeuristic(in, buildGroups(in), "heuristic-st")
 	}
 	if err != nil {
 		return nil, err
@@ -226,7 +226,8 @@ func exactColumns(in Inputs) int {
 }
 
 // SolveTE re-optimizes routing only, with placement fixed (the paper's
-// "TE" solve).
+// "TE" solve): the heuristic engine's solve with every group pinned where
+// fixed places its first variable.
 func (m *Model) SolveTE(mapping *psmap.Mapping, order *deps.Order, fixed map[string]topo.NodeID) (*Result, error) {
 	in := m.inputs(mapping, order)
 	var res *Result
@@ -234,7 +235,15 @@ func (m *Model) SolveTE(mapping *psmap.Mapping, order *deps.Order, fixed map[str
 	if m.opts.Method == Exact && !degraded(in.Topo) {
 		res, err = solveExact(in, fixed, m.opts)
 	} else {
-		res, err = solveHeuristicModel(m, in, fixed)
+		groups := buildGroups(in)
+		for _, g := range groups {
+			n, ok := fixed[g.vars[0]]
+			if !ok {
+				return nil, fmt.Errorf("place: TE run missing placement for %s", g.vars[0])
+			}
+			g.node = n
+		}
+		res, err = m.solveHeuristic(in, groups, "heuristic-te")
 	}
 	if err != nil {
 		return nil, err
@@ -255,7 +264,8 @@ func SolveTE(in Inputs, fixed map[string]topo.NodeID, opts Options) (*Result, er
 
 // --- Heuristic engine ---
 
-// group is a set of tied state variables that must share a switch.
+// group is a set of tied state variables that must share a switch: node,
+// or -1 while the group is free to be placed.
 type group struct {
 	vars []string
 	node topo.NodeID
@@ -297,7 +307,7 @@ func buildGroups(in Inputs) []*group {
 	out := make([]*group, 0, len(roots))
 	for _, r := range roots {
 		sort.Strings(byRoot[r])
-		out = append(out, &group{vars: byRoot[r]})
+		out = append(out, &group{vars: byRoot[r], node: -1})
 	}
 	return out
 }
@@ -466,34 +476,34 @@ func (s *solver) groupCost(gi int) float64 {
 	return c
 }
 
-// solveHeuristicModel runs placement local search (unless fixed) and final
-// routing with capacity penalties, reusing the model's precomputation.
-func solveHeuristicModel(m *Model, in Inputs, fixed map[string]topo.NodeID) (*Result, error) {
+// solveHeuristic is the heuristic engine's one solve over a pin set: each
+// group with a node is pinned there, and the free ones are seeded at their
+// 1-median and improved by local search around the pinned ones. Replicas
+// are chosen and every demand pair routed over the final placement. SolveST
+// pins nothing, SolveSTWarm the groups an edit left clean, SolveTE all.
+func (m *Model) solveHeuristic(in Inputs, groups []*group, method string) (*Result, error) {
 	if len(in.Topo.Ports) == 0 {
 		return nil, fmt.Errorf("place: topology %s has no external ports", in.Topo.Name)
 	}
 	s := m.newSolver(in)
-
-	groups := buildGroups(in)
 	loc := map[string]topo.NodeID{}
-	if fixed != nil {
-		for _, g := range groups {
-			n, ok := fixed[g.vars[0]]
-			if !ok {
-				return nil, fmt.Errorf("place: TE run missing placement for %s", g.vars[0])
-			}
-			g.node = n
-			for _, v := range g.vars {
-				loc[v] = n
-			}
+	var free []int
+	for gi, g := range groups {
+		if g.node < 0 {
+			free = append(free, gi)
+			continue
 		}
-	} else {
-		s.seedPlacement(groups, loc)
-		s.improvePlacement(groups, loc)
+		for _, v := range g.vars {
+			loc[v] = g.node
+		}
 	}
-
-	// Replica selection reuses this solve's pair index and distances; on
-	// fixed (TE) runs the index was never built, so build it now.
+	// The pair index prices placements; a solve with nothing to place and
+	// no replicas to choose (a TE run at K < 2) never builds it.
+	if len(free) > 0 {
+		s.indexPairs(groups)
+		s.seedPlacement(groups, loc, free)
+		s.improvePlacement(groups, loc, free)
+	}
 	var replicas map[string][]topo.NodeID
 	if m.opts.Replicas > 1 && len(loc) > 0 {
 		if s.pinfos == nil {
@@ -503,10 +513,6 @@ func solveHeuristicModel(m *Model, in Inputs, fixed map[string]topo.NodeID) (*Re
 	}
 
 	routes, congestion, maxUtil := s.route(loc)
-	method := "heuristic-st"
-	if fixed != nil {
-		method = "heuristic-te"
-	}
 	return &Result{
 		Placement:  loc,
 		Replicas:   replicas,
@@ -517,31 +523,11 @@ func solveHeuristicModel(m *Model, in Inputs, fixed map[string]topo.NodeID) (*Re
 	}, nil
 }
 
-// indicesOf resolves a subset selector: nil means every group index.
-func indicesOf(groups []*group, only []int) []int {
-	if only != nil {
-		return only
-	}
-	all := make([]int, len(groups))
-	for i := range all {
-		all[i] = i
-	}
-	return all
-}
-
-// seedPlacement puts each group at its demand-weighted 1-median: the switch
-// minimizing Σ duv·(d(su,n)+d(n,sv)) over the pairs needing it.
-func (s *solver) seedPlacement(groups []*group, loc map[string]topo.NodeID) {
-	s.seedPlacementOf(groups, loc, nil)
-}
-
-// seedPlacementOf seeds only the groups whose indices appear in `only`
-// (nil means all) — the warm-start path seeds just the dirty groups.
-func (s *solver) seedPlacementOf(groups []*group, loc map[string]topo.NodeID, only []int) {
-	if s.pinfos == nil {
-		s.indexPairs(groups)
-	}
-	for _, gi := range indicesOf(groups, only) {
+// seedPlacement puts each free group (indices into groups) at its
+// demand-weighted 1-median: the switch minimizing Σ duv·(d(su,n)+d(n,sv))
+// over the pairs needing it. The pair index must be built.
+func (s *solver) seedPlacement(groups []*group, loc map[string]topo.NodeID, free []int) {
+	for _, gi := range free {
 		g := groups[gi]
 		bestN, bestC := topo.NodeID(-1), math.Inf(1)
 		for n := 0; n < s.in.Topo.Switches; n++ {
@@ -567,22 +553,13 @@ func (s *solver) seedPlacementOf(groups []*group, loc map[string]topo.NodeID, on
 	}
 }
 
-// improvePlacement hill-climbs group locations against the exact
-// waypoint-ordered path cost.
-func (s *solver) improvePlacement(groups []*group, loc map[string]topo.NodeID) {
-	s.improvePlacementOf(groups, loc, nil)
-}
-
-// improvePlacementOf hill-climbs only the groups whose indices appear in
-// `only` (nil means all). Pinned groups still contribute to the cost
+// improvePlacement hill-climbs the free groups' locations against the exact
+// waypoint-ordered path cost. Pinned groups still contribute to the cost
 // terms through glocs; they just never move.
-func (s *solver) improvePlacementOf(groups []*group, loc map[string]topo.NodeID, only []int) {
-	if s.pinfos == nil {
-		s.indexPairs(groups)
-	}
+func (s *solver) improvePlacement(groups []*group, loc map[string]topo.NodeID, free []int) {
 	for iter := 0; iter < s.opts.LocalIters; iter++ {
 		improved := false
-		for _, gi := range indicesOf(groups, only) {
+		for _, gi := range free {
 			g := groups[gi]
 			bestN, bestC := g.node, s.groupCost(gi)
 			for n := 0; n < s.in.Topo.Switches; n++ {
@@ -611,7 +588,7 @@ func (s *solver) improvePlacementOf(groups []*group, loc map[string]topo.NodeID,
 
 // replicate fills res.Replicas for Options.Replicas=K on results produced
 // by the exact engine, which has no solver to reuse; the heuristic path
-// picks replicas inside solveHeuristicModel on its existing solver. No-op
+// picks replicas inside solveHeuristic on its existing solver. No-op
 // when replicas were already chosen, for K<2, or a stateless policy.
 func (m *Model) replicate(in Inputs, res *Result) {
 	if m.opts.Replicas < 2 || len(res.Placement) == 0 || res.Replicas != nil {

@@ -28,80 +28,40 @@ import (
 // "heuristic-warm"; fallback results keep their usual Method.
 func (m *Model) SolveSTWarm(mapping *psmap.Mapping, order *deps.Order, prev map[string]topo.NodeID, dirty map[string]bool) (*Result, error) {
 	in := m.inputs(mapping, order)
-	if prev == nil || m.opts.Method == Exact {
-		return m.SolveST(mapping, order)
-	}
-	if len(in.Topo.Ports) == 0 {
+	if prev == nil || m.opts.Method == Exact || len(in.Topo.Ports) == 0 {
 		return m.SolveST(mapping, order)
 	}
 
 	groups := buildGroups(in)
-	var movable []int
-	for gi, g := range groups {
-		node := topo.NodeID(-1)
-		pin := true
-		for _, v := range g.vars {
-			if dirty[v] {
-				pin = false
-				break
-			}
-			n, ok := prev[v]
-			if !ok || (node >= 0 && n != node) {
-				pin = false
-				break
-			}
-			node = n
-		}
-		if pin && node >= 0 && in.Topo.Up(node) {
-			g.node = node
+	moved := 0
+	for _, g := range groups {
+		if n, ok := cleanOwner(g, prev, dirty); ok && in.Topo.Up(n) {
+			g.node = n
 		} else {
-			movable = append(movable, gi)
+			moved++
 		}
 	}
-	if len(movable)*2 > len(groups) {
+	if moved*2 > len(groups) {
 		return m.SolveST(mapping, order)
 	}
-
-	s := m.newSolver(in)
-	s.indexPairs(groups)
-	loc := map[string]topo.NodeID{}
-	for gi, g := range groups {
-		if g.node >= 0 && !contains(movable, gi) {
-			for _, v := range g.vars {
-				loc[v] = g.node
-			}
-		}
+	res, err := m.solveHeuristic(in, groups, "heuristic-warm")
+	if err != nil {
+		return nil, err
 	}
-	// An empty movable set must stay empty: nil means "all groups" to the
-	// subset helpers, and a fully pinned placement has nothing to search.
-	if len(movable) > 0 {
-		s.seedPlacementOf(groups, loc, movable)
-		s.improvePlacementOf(groups, loc, movable)
-	}
-
-	var replicas map[string][]topo.NodeID
-	if m.opts.Replicas > 1 && len(loc) > 0 {
-		replicas = s.chooseReplicas(groups, m.opts.Replicas)
-	}
-
-	routes, congestion, maxUtil := s.route(loc)
-	return &Result{
-		Placement:    loc,
-		Replicas:     replicas,
-		Routes:       routes,
-		Congestion:   congestion,
-		MaxUtil:      maxUtil,
-		Method:       "heuristic-warm",
-		PinnedGroups: len(groups) - len(movable),
-		MovedGroups:  len(movable),
-	}, nil
+	res.PinnedGroups, res.MovedGroups = len(groups)-moved, moved
+	return res, nil
 }
 
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
+// cleanOwner returns the switch prev places all of g's variables on, when
+// none of them is dirty and they agree.
+func cleanOwner(g *group, prev map[string]topo.NodeID, dirty map[string]bool) (topo.NodeID, bool) {
+	node := topo.NodeID(-1)
+	for _, v := range g.vars {
+		n, ok := prev[v]
+		if dirty[v] || !ok || (node >= 0 && n != node) {
+			return -1, false
 		}
+		node = n
 	}
-	return false
+	return node, node >= 0
 }

@@ -1,6 +1,7 @@
 package place_test
 
 import (
+	"reflect"
 	"testing"
 
 	"snap/internal/apps"
@@ -77,6 +78,14 @@ func TestSolveSTWarmNoDirtyPinsEverything(t *testing.T) {
 		if warm.Placement[v] != n {
 			t.Fatalf("variable %s moved without being dirty: %v -> %v", v, n, warm.Placement[v])
 		}
+	}
+	// A fully pinned warm solve is a TE solve on the same placement.
+	te, err := m.SolveTE(in.Mapping, in.Order, warm.Placement)
+	if err != nil {
+		t.Fatalf("te: %v", err)
+	}
+	if !reflect.DeepEqual(warm.Routes, te.Routes) || warm.Congestion != te.Congestion {
+		t.Fatalf("pinned warm solve routes differently from TE: congestion %v vs %v", warm.Congestion, te.Congestion)
 	}
 }
 

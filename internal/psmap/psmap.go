@@ -12,6 +12,7 @@
 package psmap
 
 import (
+	"slices"
 	"sort"
 
 	"snap/internal/deps"
@@ -88,19 +89,23 @@ func (m *Mapping) Pairs() [][2]int {
 //
 // Hash-consed diagrams are DAGs with heavily shared leaves; the walk keys a
 // memo map by leaf pointer so per-sequence facts (written variables, egress
-// ports) are derived once per unique leaf rather than once per path. It is
-// a fresh Builder's build: the same walk with no earlier leaves to recall.
+// ports) are derived once per unique leaf rather than once per path.
 func Build(d *xfdd.Diagram, ports []int) *Mapping {
-	return NewBuilder().Build(d, ports)
+	sorted := slices.Compact(slices.Sorted(slices.Values(ports)))
+	b := &builder{
+		m:        &Mapping{Vars: map[[2]int]map[string]bool{}, All: map[string]bool{}},
+		allPorts: sorted,
+		leafInfo: map[*xfdd.Diagram][]leafEntry{},
+	}
+	b.walk(d, sorted, nil)
+	return b.m
 }
 
-// builder carries the walk's memoized per-leaf facts: leafInfo for the
-// leaves this walk has met, warm for those of earlier walks a Builder kept.
+// builder carries one walk's output and its memoized per-leaf facts.
 type builder struct {
 	m        *Mapping
 	allPorts []int
 	leafInfo map[*xfdd.Diagram][]leafEntry
-	warm     []map[*xfdd.Diagram][]leafEntry
 }
 
 // leafEntry caches what one leaf sequence contributes: the state variables
@@ -114,12 +119,6 @@ func (b *builder) entriesOf(leaf *xfdd.Diagram) []leafEntry {
 	if e, ok := b.leafInfo[leaf]; ok {
 		return e
 	}
-	for _, w := range b.warm {
-		if e, ok := w[leaf]; ok {
-			b.leafInfo[leaf] = e
-			return e
-		}
-	}
 	entries := make([]leafEntry, len(leaf.Seqs))
 	for i, seq := range leaf.Seqs {
 		entries[i] = leafEntry{writes: seq.StateVars(), egress: egressOf(seq, b.allPorts)}
@@ -128,54 +127,10 @@ func (b *builder) entriesOf(leaf *xfdd.Diagram) []leafEntry {
 	return entries
 }
 
-// portSet tracks feasible inports as membership over the declared ports.
-type portSet struct {
-	members map[int]bool
-}
-
-func newPortSet(ports []int) portSet {
-	ms := make(map[int]bool, len(ports))
-	for _, p := range ports {
-		ms[p] = true
-	}
-	return portSet{members: ms}
-}
-
-func (s portSet) clone() portSet {
-	ms := make(map[int]bool, len(s.members))
-	for k, v := range s.members {
-		ms[k] = v
-	}
-	return portSet{members: ms}
-}
-
-func (s portSet) restrictTo(p int) portSet {
-	out := portSet{members: map[int]bool{}}
-	if s.members[p] {
-		out.members[p] = true
-	}
-	return out
-}
-
-func (s portSet) exclude(p int) portSet {
-	out := s.clone()
-	delete(out.members, p)
-	return out
-}
-
-func (s portSet) empty() bool { return len(s.members) == 0 }
-
-func (s portSet) list() []int {
-	out := make([]int, 0, len(s.members))
-	for p := range s.members {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func (b *builder) walk(d *xfdd.Diagram, inports portSet, reads []string) {
-	if inports.empty() {
+// walk visits d with inports, the sorted feasible ingress ports, which the
+// walk never modifies: an inport test narrows them to fresh slices.
+func (b *builder) walk(d *xfdd.Diagram, inports []int, reads []string) {
+	if len(inports) == 0 {
 		return
 	}
 	if !d.IsLeaf() {
@@ -189,8 +144,11 @@ func (b *builder) walk(d *xfdd.Diagram, inports portSet, reads []string) {
 		case xfdd.FVTest:
 			if t.Field == pkt.Inport && t.Val.Kind == values.KindInt {
 				p := int(t.Val.Num)
-				trueIn = inports.restrictTo(p)
-				falseIn = inports.exclude(p)
+				trueIn = nil
+				if i, ok := slices.BinarySearch(inports, p); ok {
+					trueIn = []int{p}
+					falseIn = slices.Delete(slices.Clone(inports), i, i+1)
+				}
 			}
 		}
 		b.walk(d.True, trueIn, readsHere)
@@ -202,7 +160,7 @@ func (b *builder) walk(d *xfdd.Diagram, inports portSet, reads []string) {
 		if len(reads) == 0 && len(entry.writes) == 0 {
 			continue
 		}
-		for _, u := range inports.list() {
+		for _, u := range inports {
 			for _, v := range entry.egress {
 				if u == v {
 					continue

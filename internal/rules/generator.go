@@ -41,7 +41,10 @@ type progKey struct {
 	owns string
 }
 
-type numbering struct {
+// cachedRoot is a diagram the program cache is keyed on, with its node
+// numbering.
+type cachedRoot struct {
+	d     *xfdd.Diagram
 	ids   map[*xfdd.Diagram]int
 	count int
 }
@@ -49,11 +52,10 @@ type numbering struct {
 // Generator compiles per-switch configurations, caching work that
 // survives recompilation. Not safe for concurrent use.
 type Generator struct {
-	// roots are the diagrams the caches below are keyed on: the one last
-	// generated, then the one before it (nil until there is one).
-	roots      [2]*xfdd.Diagram
-	numberings map[*xfdd.Diagram]numbering
-	progs      map[progKey]compiledProg
+	// roots are the diagrams progs is keyed on: the one last generated,
+	// then the one before it (zero until there is one).
+	roots [2]cachedRoot
+	progs map[progKey]compiledProg
 
 	// ReusedPrograms and CompiledPrograms report, for the most recent
 	// Generate call, how many distinct per-switch programs came from the
@@ -64,10 +66,7 @@ type Generator struct {
 
 // NewGenerator returns an empty generator.
 func NewGenerator() *Generator {
-	return &Generator{
-		numberings: map[*xfdd.Diagram]numbering{},
-		progs:      map[progKey]compiledProg{},
-	}
+	return &Generator{progs: map[progKey]compiledProg{}}
 }
 
 // Generate compiles per-switch configurations from the xFDD and the
@@ -98,13 +97,7 @@ func (g *Generator) Generate(d *xfdd.Diagram, t *topo.Topology, f *topo.Forest, 
 		}
 	}
 
-	g.retain(d)
-	num, ok := g.numberings[d]
-	if !ok {
-		ids, count := numberNodes(d)
-		num = numbering{ids: ids, count: count}
-		g.numberings[d] = num
-	}
+	num := g.retain(d)
 
 	cfg := &Config{
 		Topo:      t,
@@ -214,31 +207,35 @@ func (g *Generator) Generate(d *xfdd.Diagram, t *topo.Topology, f *topo.Forest, 
 	return cfg, nil
 }
 
-// retain makes d the most recent root and evicts what was cached for any
-// root but d and the one generated before it.
-func (g *Generator) retain(d *xfdd.Diagram) {
-	if d == g.roots[0] {
-		return
-	}
-	evicted := g.roots[1]
-	g.roots = [2]*xfdd.Diagram{d, g.roots[0]}
-	if evicted == nil || evicted == d {
-		return
-	}
-	delete(g.numberings, evicted)
-	for k := range g.progs {
-		if k.root == evicted {
-			delete(g.progs, k)
+// retain makes d the most recent root, numbering it unless it is one of
+// the two cached, and returns it. A new root displaces the older slot, and
+// the programs compiled for that slot's diagram are evicted with it.
+func (g *Generator) retain(d *xfdd.Diagram) cachedRoot {
+	switch d {
+	case g.roots[0].d:
+	case g.roots[1].d:
+		g.roots[0], g.roots[1] = g.roots[1], g.roots[0]
+	default:
+		evicted := g.roots[1].d
+		ids, count := numberNodes(d)
+		g.roots = [2]cachedRoot{{d: d, ids: ids, count: count}, g.roots[0]}
+		for k := range g.progs {
+			if k.root == evicted {
+				delete(g.progs, k)
+			}
 		}
 	}
+	return g.roots[0]
 }
 
-// CachedRoots reports how many diagram roots the program and numbering
-// caches hold entries for; the bound tests read it.
+// CachedRoots reports how many diagram roots the generator holds numberings
+// or programs for; the bound tests read it.
 func (g *Generator) CachedRoots() int {
 	roots := map[*xfdd.Diagram]bool{}
-	for d := range g.numberings {
-		roots[d] = true
+	for _, r := range g.roots {
+		if r.d != nil {
+			roots[r.d] = true
+		}
 	}
 	for k := range g.progs {
 		roots[k.root] = true
