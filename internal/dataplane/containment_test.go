@@ -165,7 +165,7 @@ func panicContainedCheck(t *testing.T, pl interface {
 	if st.ContainedPanics != 1 {
 		t.Fatalf("ContainedPanics = %d, want 1", st.ContainedPanics)
 	}
-	if st.QuarantineDrops == 0 {
+	if st.Drops[dataplane.DropQuarantine] == 0 {
 		t.Fatal("no quarantine drops counted at the quarantined switch")
 	}
 	if lost := st.Injected - st.Delivered - st.Dropped; lost != 0 {
@@ -203,12 +203,12 @@ func panicQuarantineCheck(t *testing.T, eng *dataplane.Engine) {
 	if q := eng.QuarantinedSwitches(); len(q) != 0 {
 		t.Fatalf("quarantine survived the committed swap: %v", q)
 	}
-	preDrops := eng.Stats().QuarantineDrops
+	preDrops := eng.Stats().Drops[dataplane.DropQuarantine]
 	if _, err := eng.InjectBatch(batch); err != nil {
 		t.Fatalf("post-heal batch: %v", err)
 	}
 	st := eng.Stats()
-	if st.QuarantineDrops != preDrops {
+	if st.Drops[dataplane.DropQuarantine] != preDrops {
 		t.Fatal("healed engine still dropping at the formerly quarantined switch")
 	}
 	if lost := st.Injected - st.Delivered - st.Dropped; lost != 0 {

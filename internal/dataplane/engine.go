@@ -246,19 +246,12 @@ type plane struct {
 	// the control plane.
 	owners []topo.NodeID
 	placed []bool
-	// lockHist holds the per-variable lock-wait histogram handles (engine
-	// planes only), indexed like lockSusp/lockWait; resolved at plane build
-	// so the contended path observes without any registry lookup.
-	lockHist []*telemetry.Histogram
-
-	// Per-variable lock-contention attribution (engine planes only): a visit
-	// whose TryLock fails charges the blocked acquisition and its wait to
-	// every variable the switch owns — one lock cannot split blame among
-	// them, but placement keeps the sets small. Indexed by VarSpace id;
-	// lockVars is switch → owned var ids.
-	lockSusp []atomic.Int64
-	lockWait []atomic.Int64
-	lockVars [][]int32
+	// lockHist is switch → the lock-wait histograms of the variables it
+	// owns (engine planes only), resolved at plane build so the contended
+	// path observes without any registry lookup. A visit whose TryLock
+	// fails charges its wait to every variable the switch owns — one lock
+	// cannot split blame among them, but placement keeps the sets small.
+	lockHist [][]*telemetry.Histogram
 }
 
 // newPlane starts a plane for a configuration with the parts Network and
@@ -328,12 +321,6 @@ type Engine struct {
 	rep     *replicator
 	repLost atomic.Int64
 
-	// Lock-contention history carried across plane epochs: apply() folds
-	// the outgoing plane's per-variable counters in here so
-	// LockContention survives reconfiguration.
-	contMu   sync.Mutex
-	contHist map[string]VarContention
-
 	// reseated counts the entries of tables reconfigurations could not
 	// hand over as they were: staged tables a rewrite replaced, and
 	// replica warm-up clones.
@@ -343,8 +330,9 @@ type Engine struct {
 	// almost entirely scrape-time collectors over the atomics above, so
 	// the packet loop is unaffected. sampler gates the 1-in-N packet
 	// traces collected in traces (both nil at the default TraceSampling
-	// of 0); lockWaitVec is the one live histogram, fed from the
-	// contended-lock slow path.
+	// of 0); lockWaitVec is the one live histogram family, fed from the
+	// contended-lock slow path. Its children are keyed by variable name,
+	// so they outlive plane epochs and LockContention reads them.
 	tel         *telemetry.Registry
 	sampler     *telemetry.Sampler
 	traces      *telemetry.TraceLog
@@ -375,8 +363,6 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 		opts:   opts,
 		runLen: min(maxRun, max(1, opts.Window/(2*opts.Workers))),
 		gate:   newGate(opts.Window),
-
-		contHist: map[string]VarContention{},
 	}
 	// The registry and the lock-wait histogram must exist before buildPlane
 	// runs: it resolves the per-variable histogram handles.
@@ -420,23 +406,17 @@ func NewEngine(cfg *rules.Config, opts Options) *Engine {
 // and gives every switch that owns state one lock.
 func (e *Engine) buildPlane(cfg *rules.Config, rep *replicator) *plane {
 	p := newPlane(cfg)
-	vs := cfg.VarSpace()
-	p.lockSusp = make([]atomic.Int64, vs.Len())
-	p.lockWait = make([]atomic.Int64, vs.Len())
-	p.lockHist = make([]*telemetry.Histogram, vs.Len())
-	p.lockVars = make([][]int32, len(p.scs))
+	p.lockHist = make([][]*telemetry.Histogram, len(p.scs))
 	for id, sw := range p.switches {
 		if hook := rep.hookFor(topo.NodeID(id)); hook != nil {
 			sw.OnStateWrite = hook
 		}
 		for _, v := range sw.LockVars() {
-			vid := vs.ID(v)
-			p.lockVars[id] = append(p.lockVars[id], int32(vid))
 			// Same variable name across epochs → same histogram child, so
 			// waits accumulate over the engine's life.
-			p.lockHist[vid] = e.lockWaitVec.With(v)
+			p.lockHist[id] = append(p.lockHist[id], e.lockWaitVec.With(v))
 		}
-		if len(p.lockVars[id]) > 0 {
+		if len(p.lockHist[id]) > 0 {
 			p.locks[id] = new(sync.Mutex)
 		}
 	}
@@ -659,8 +639,9 @@ func (e *Engine) InjectReplay(trace []Ingress) error {
 // The new configuration must target the same physical network (same
 // switch count, same OBS port→switch attachment); routing, placement and
 // programs are free to change. A state variable with entries but no owner
-// under the new placement is an error — fold or drop it in rewrite.
-// ApplyConfig must not race with Close.
+// under the new placement is an error — fold or drop it in rewrite. State
+// owned by a failed switch is recovered from a live replica, as Failover
+// recovers it. ApplyConfig must not race with Close.
 func (e *Engine) ApplyConfig(cfg *rules.Config, rewrite StateRewrite) error {
 	// Post-failover calls carry the degraded topology and pass; the port
 	// sets must still match exactly — a surviving network neither grows nor
@@ -668,7 +649,7 @@ func (e *Engine) ApplyConfig(cfg *rules.Config, rewrite StateRewrite) error {
 	if err := e.admit("ApplyConfig", cfg, false, nil); err != nil {
 		return err
 	}
-	_, err := e.apply(cfg, rewrite, false, nil)
+	_, err := e.apply(cfg, rewrite, nil)
 	return err
 }
 
@@ -689,10 +670,11 @@ type recovery struct {
 // being prepared; a failure there — or a panic, contained there — rolls
 // back: the old plane keeps serving on the unchanged epoch with all state
 // intact, the rollback counter bumps, and the error returns for the
-// controller's retry discipline. In degraded mode, state owned by down
-// switches is recovered from replica tables (promotion) or reported lost;
-// otherwise an entry-holding variable without a new owner is an error.
-func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, rec *recovery) (*FailoverStats, error) {
+// controller's retry discipline. State owned by down switches is recovered
+// from replica tables (promotion) or reported lost, whichever entry point
+// installs the configuration; an entry-holding variable without a new
+// owner is an error.
+func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, rec *recovery) (*FailoverStats, error) {
 	began := time.Now()
 	e.gate.pause()
 	defer e.gate.resume()
@@ -709,23 +691,18 @@ func (e *Engine) apply(cfg *rules.Config, rewrite StateRewrite, degraded bool, r
 	fs := &FailoverStats{Promoted: map[string]topo.NodeID{}}
 	old := e.plane.Load()
 	st := old.state(e.down, false)
-	if degraded {
-		e.recoverOrphans(old, cfg, st, fs)
-	}
+	e.recoverOrphans(old, cfg, st, fs)
 	next, newRep, err := e.prepareSwap(cfg, rewrite, st)
 	if err != nil {
 		return nil, e.rollback(began, err)
 	}
 
 	// Commit point: nothing below can fail, and from here the old plane,
-	// whose tables the next one now holds, never runs again. The outgoing
-	// plane's contention counters bank here (not earlier — a rolled-back
-	// apply must not double-count them on retry), recovering elements come
-	// back up here — after the stale state of the dead switches was left
-	// out of the staging above, and never on an errored apply — and panic
-	// quarantine lifts: the poisoned VMs have just been replaced by fresh
-	// ones holding the handed-over state.
-	e.foldContention(old)
+	// whose tables the next one now holds, never runs again. Recovering
+	// elements come back up here — after the stale state of the dead
+	// switches was left out of the staging above, and never on an errored
+	// apply — and panic quarantine lifts: the poisoned VMs have just been
+	// replaced by fresh ones holding the handed-over state.
 	e.clearQuarantine()
 	// linkMu spans the publication: a FailLink lands on the old plane and in
 	// the record the next one is flagged from, or on the next.

@@ -14,6 +14,7 @@ import (
 	"snap/internal/apps"
 	"snap/internal/ctrl"
 	"snap/internal/dataplane"
+	"snap/internal/faultpoint"
 	"snap/internal/parser"
 	"snap/internal/pkt"
 	"snap/internal/shard"
@@ -886,12 +887,14 @@ func TestEngineWindowHolds(t *testing.T) {
 }
 
 // TestLockContentionCounters: the engine attributes blocked switch-lock
-// acquisitions to variables and survives reconfiguration by folding
-// retired planes into the engine history. On a single-core runner
-// contention may legitimately be zero, so the assertions are structural:
-// consistency between Stats and the per-variable map, and monotonicity
-// across an ApplyConfig.
+// acquisitions to variables, reads them from the snap_lock_wait_seconds
+// histograms, and keeps them across reconfiguration. On a single-core
+// runner contention may legitimately be zero, so the assertions are
+// structural: consistency between Stats, the per-variable map and the
+// telemetry snapshot, no change across a rolled-back ApplyConfig, and
+// monotonicity across a committed one.
 func TestLockContentionCounters(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
 	netw := topo.Campus(1000)
 	plane, _ := deploy(t, campusWorkload(apps.Monitor()), netw, nil)
 	eng := dataplane.NewEngine(plane.Config(), dataplane.Options{Workers: 4, Window: 32})
@@ -923,7 +926,27 @@ func TestLockContentionCounters(t *testing.T) {
 	if total > st.LockSuspends {
 		t.Fatalf("per-variable suspends %d exceed engine total %d", total, st.LockSuspends)
 	}
-	// Reconfigure to the same config: history must fold, not reset.
+	// LockContention is the histograms' count and raw sum, nothing else.
+	for _, m := range eng.Telemetry().Snapshot().Metrics {
+		if m.Name != "snap_lock_wait_seconds" {
+			continue
+		}
+		for _, sm := range m.Samples {
+			c, ok := before[sm.Labels["var"]]
+			if sm.Count != c.Suspends || sm.Sum != float64(c.WaitNs)*1e-9 || ok != (sm.Count > 0) {
+				t.Fatalf("%q: histogram count %d, sum %gs; LockContention %+v (present %v)", sm.Labels["var"], sm.Count, sm.Sum, c, ok)
+			}
+		}
+	}
+	// A rolled-back reconfiguration leaves the contention as it was.
+	faultpoint.Enable(faultpoint.EngineApplyLink, faultpoint.Plan{Times: 1})
+	if err := eng.ApplyConfig(plane.Config(), nil); err == nil {
+		t.Fatal("ApplyConfig succeeded through an armed link fault")
+	}
+	if got := eng.LockContention(); !maps.Equal(got, before) {
+		t.Fatalf("rolled-back ApplyConfig changed lock contention: %v -> %v", before, got)
+	}
+	// Reconfigure to the same config: contention must carry over, not reset.
 	if err := eng.ApplyConfig(plane.Config(), nil); err != nil {
 		t.Fatal(err)
 	}

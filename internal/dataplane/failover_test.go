@@ -230,6 +230,49 @@ func TestFailSwitchMidStream(t *testing.T) {
 	}
 }
 
+// TestApplyConfigPromotesOrphanedReplica: a failed owner's state reaches
+// the next plane through ApplyConfig as it does through Failover — from
+// the live replica. On the campus monitor count's owner is a core switch
+// without ports, so the degraded configuration passes ApplyConfig's
+// same-ports admission, and the swap must promote count's replica rather
+// than hand over the surviving tables only and lose count unreported.
+func TestApplyConfigPromotesOrphanedReplica(t *testing.T) {
+	comp, tp, tm := compileCampus(t, 2)
+	owner := comp.Config.Placement["count"]
+	for _, p := range tp.Ports {
+		if p.Switch == owner {
+			t.Fatalf("count's owner %d has port %d: ApplyConfig would refuse the degraded ports", owner, p.ID)
+		}
+	}
+	eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
+	defer eng.Close()
+	if err := eng.InjectReplay(trace(tm, 2000, 9)); err != nil {
+		t.Fatal(err)
+	}
+	eng.FlushReplication()
+	before := eng.GlobalState()
+	if len(before.Entries("count")) == 0 {
+		t.Fatal("the replay wrote no count entries")
+	}
+	if err := eng.FailSwitch(owner); err != nil {
+		t.Fatal(err)
+	}
+	degraded, err := tp.Degrade([]topo.NodeID{owner}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp2, err := comp.TopoFailover(degraded, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ApplyConfig(comp2.Config, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !eng.GlobalState().Equal(before) {
+		t.Fatalf("global state changed across ApplyConfig\nbefore:\n%s\nafter:\n%s", before, eng.GlobalState())
+	}
+}
+
 // TestEngineFailoverPromotesReplicas is the acceptance property: with K=2
 // and quiescent replicas, killing the state owner mid-stream and failing
 // over loses zero state entries, preserves the pre-kill global state

@@ -117,7 +117,7 @@ func (e *Engine) Failover(cfg *rules.Config, rewrite StateRewrite) (*FailoverSta
 	if err := e.admit("Failover", cfg, true, nil); err != nil {
 		return nil, err
 	}
-	return e.apply(cfg, rewrite, true, nil)
+	return e.apply(cfg, rewrite, nil)
 }
 
 // Recover installs a configuration compiled for a (partially) restored
@@ -155,5 +155,5 @@ func (e *Engine) Recover(cfg *rules.Config, rewrite StateRewrite, switches []top
 	if err := e.admit("Recover", cfg, true, recovering); err != nil {
 		return nil, err
 	}
-	return e.apply(cfg, rewrite, true, &recovery{switches: switches, links: links})
+	return e.apply(cfg, rewrite, &recovery{switches: switches, links: links})
 }

@@ -31,11 +31,10 @@ type Stats struct {
 	// Failure containment (containment.go). Rollbacks counts
 	// reconfigurations that failed mid-swap and rolled back to the prior
 	// plane. ContainedPanics counts panics recovered at the containment
-	// sites (switch VMs and the mirror drainer). QuarantineDrops counts
-	// copies discarded at panic-quarantined switches (Drops[DropQuarantine]).
+	// sites (switch VMs and the mirror drainer); the copies discarded at
+	// panic-quarantined switches are Drops[DropQuarantine].
 	Rollbacks       int64
 	ContainedPanics int64
-	QuarantineDrops int64
 }
 
 // DropReason says why the plane discarded a packet copy.
@@ -85,7 +84,6 @@ func (c *counters) snapshot() Stats {
 		LockWaitNs:      c.lockWaitNs.Load(),
 		Rollbacks:       c.rollbacks.Load(),
 		ContainedPanics: c.containedPanics.Load(),
-		QuarantineDrops: drops[DropQuarantine],
 	}
 }
 
@@ -236,50 +234,19 @@ type VarContention struct {
 	WaitNs   int64
 }
 
-// LockContention reports per-variable lock contention accumulated over the
-// engine's lifetime: the live plane's counters plus the history folded in
-// at each reconfiguration. One lock per switch charges a blocked visit to
-// every variable the switch owns; placement keeps those sets small, so
-// attribution is tight in practice.
+// LockContention reports per-variable lock contention over the engine's
+// lifetime, read from the snap_lock_wait_seconds histograms: each
+// variable's count of blocked acquisitions and their raw wait sum. Their
+// children are keyed by variable name, so they outlive reconfiguration.
+// One lock per switch charges a blocked visit to every variable the
+// switch owns; placement keeps those sets small, so attribution is tight
+// in practice. Variables never charged are left out.
 func (e *Engine) LockContention() map[string]VarContention {
 	out := map[string]VarContention{}
-	e.contMu.Lock()
-	for v, c := range e.contHist {
-		out[v] = c
-	}
-	e.contMu.Unlock()
-	pl := e.plane.Load()
-	vs := pl.cfg.VarSpace()
-	for id := range pl.lockSusp {
-		s, w := pl.lockSusp[id].Load(), pl.lockWait[id].Load()
-		if s == 0 && w == 0 {
-			continue
+	e.lockWaitVec.Each(func(labelValues []string, count, sum int64) {
+		if count > 0 {
+			out[labelValues[0]] = VarContention{Suspends: count, WaitNs: sum}
 		}
-		c := out[vs.Name(id)]
-		c.Suspends += s
-		c.WaitNs += w
-		out[vs.Name(id)] = c
-	}
+	})
 	return out
-}
-
-// foldContention banks a retiring plane's per-variable contention counters
-// into the engine-lifetime history (called under the gate during apply).
-func (e *Engine) foldContention(pl *plane) {
-	if len(pl.lockSusp) == 0 {
-		return
-	}
-	vs := pl.cfg.VarSpace()
-	e.contMu.Lock()
-	defer e.contMu.Unlock()
-	for id := range pl.lockSusp {
-		s, w := pl.lockSusp[id].Load(), pl.lockWait[id].Load()
-		if s == 0 && w == 0 {
-			continue
-		}
-		c := e.contHist[vs.Name(id)]
-		c.Suspends += s
-		c.WaitNs += w
-		e.contHist[vs.Name(id)] = c
-	}
 }

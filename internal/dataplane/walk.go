@@ -205,17 +205,16 @@ func (f *fabric) visit(pl *plane, w *walker, inj *injection, c *hop, q []hop) []
 	if mu != nil && !mu.TryLock() {
 		// Count contended acquisitions per variable: the uncontended path
 		// is a TryLock (one CAS, same as Lock); only a blocked visit pays
-		// for the clock reads and counter updates. The engine count goes up
-		// before the wait, so a blocked visit is observable.
+		// for the clock reads and one Observe per owned variable, made
+		// while the lock is held. The engine count goes up before the
+		// wait, so a blocked visit is observable.
 		f.stats.lockSuspends.Add(1)
 		t0 := time.Now()
 		mu.Lock()
 		wait := int64(time.Since(t0))
 		f.stats.lockWaitNs.Add(wait)
-		for _, vid := range pl.lockVars[at] {
-			pl.lockSusp[vid].Add(1)
-			pl.lockWait[vid].Add(wait)
-			pl.lockHist[vid].Observe(wait)
+		for _, h := range pl.lockHist[at] {
+			h.Observe(wait)
 		}
 	}
 	err := runContained(pl.switches[at], at, w, &c.sp)

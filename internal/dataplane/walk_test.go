@@ -171,8 +171,8 @@ func TestForwardFailuresInTransit(t *testing.T) {
 		for _, n := range st.Drops {
 			sum += n
 		}
-		if sum != st.Dropped || st.QuarantineDrops != st.Drops[dataplane.DropQuarantine] {
-			t.Errorf("%s: reasons %v do not sum to Dropped=%d (QuarantineDrops=%d)", tc.name, st.Drops, st.Dropped, st.QuarantineDrops)
+		if sum != st.Dropped {
+			t.Errorf("%s: reasons %v do not sum to Dropped=%d", tc.name, st.Drops, st.Dropped)
 		}
 		if m := eng.ObservedMatrix(); len(m) != 1 || m[[2]int{1, 2}] != 1 {
 			t.Errorf("%s: observed matrix %v, want the one drop under (1, 2)", tc.name, m)
@@ -497,9 +497,9 @@ func TestVMPanicDropsUnderPreRunPorts(t *testing.T) {
 		st := eng.Stats()
 		policy := st.Drops[dataplane.DropPolicy] - before.Drops[dataplane.DropPolicy]
 		if st.Delivered != before.Delivered || st.ContainedPanics != 1 || policy != 2 ||
-			st.Dropped-before.Dropped != 5 || st.QuarantineDrops != 3 || st.Drops[dataplane.DropQuarantine] != 3 {
+			st.Dropped-before.Dropped != 5 || st.Drops[dataplane.DropQuarantine] != 3 {
 			t.Errorf("%s: %d delivered, %d contained panics, %d dropped (%d by policy), %d quarantine drops; want 0, 1, 5 (2), 3",
-				c.name, st.Delivered-before.Delivered, st.ContainedPanics, st.Dropped-before.Dropped, policy, st.QuarantineDrops)
+				c.name, st.Delivered-before.Delivered, st.ContainedPanics, st.Dropped-before.Dropped, policy, st.Drops[dataplane.DropQuarantine])
 		}
 		key := [2]int{c.probe.Port, c.out}
 		if n := eng.ObservedMatrix()[key]; n != 1 {

@@ -271,10 +271,9 @@ type Outcome uint8
 const (
 	// NeedState: evaluation suspended; forward toward StateVarID's owner.
 	NeedState Outcome = iota
-	// ToEgress: evaluation finished; forward toward the OBS outport.
+	// ToEgress: evaluation finished; forward toward the OBS outport, or
+	// deliver there when this switch holds it (the data plane decides).
 	ToEgress
-	// Delivered: this switch owns the egress port; packet exits here.
-	Delivered
 	// Dropped: the packet copy was discarded.
 	Dropped
 )

@@ -13,34 +13,17 @@ import (
 // count as the last bucket).
 const histBuckets = 64
 
-// histShards spreads concurrent Observe calls across cache lines. The
-// shard is picked by the low bits of the observed value — free entropy
-// for the timing observations these histograms record, so two workers
-// observing different waits land on different shards, while a snapshot
-// just sums across shards. Must be a power of two.
-const histShards = 4
-
-type histShard struct {
-	counts [histBuckets]atomic.Int64
-	sum    atomic.Int64
-	// pad keeps neighbouring shards' hot words off one cache line.
-	_ [6]int64
-}
-
 // Histogram counts observations into power-of-two buckets. Observe is
 // allocation-free and lock-free: one atomic add on the bucket, one on the
-// shard sum. The zero value is NOT ready — histograms come from a
-// Registry (which fixes the output scale).
+// sum, so the counts stay exact whatever the writers. Every histogram in
+// this codebase has one writer at a time (a variable's lock wait is
+// observed under its owner's lock, compile phases by the controller), so
+// there is no shard to spread them over. The zero value is NOT ready —
+// histograms come from a Registry (which fixes the output scale).
 type Histogram struct {
 	scale  float64
-	shards [histShards]histShard
-}
-
-func newHistogram(scale float64) *Histogram {
-	if scale == 0 {
-		scale = 1
-	}
-	return &Histogram{scale: scale}
+	counts [histBuckets]atomic.Int64
+	sum    atomic.Int64
 }
 
 // bucketOf maps an observation to its bucket index: bits.Len64(v-1), so
@@ -60,12 +43,11 @@ func bucketOf(v int64) int {
 // Observe records one value (raw units; the registry's scale converts on
 // output — duration histograms observe nanoseconds and export seconds).
 func (h *Histogram) Observe(v int64) {
-	s := &h.shards[uint64(v)&(histShards-1)]
-	s.counts[bucketOf(v)].Add(1)
-	s.sum.Add(v)
+	h.counts[bucketOf(v)].Add(1)
+	h.sum.Add(v)
 }
 
-// histSnapshot is a point-in-time sum over shards.
+// histSnapshot is a point-in-time read of a histogram.
 type histSnapshot struct {
 	counts [histBuckets]int64
 	sum    int64
@@ -74,15 +56,10 @@ type histSnapshot struct {
 }
 
 func (h *Histogram) snapshot() histSnapshot {
-	out := histSnapshot{scale: h.scale}
-	for i := range h.shards {
-		s := &h.shards[i]
-		for b := 0; b < histBuckets; b++ {
-			c := s.counts[b].Load()
-			out.counts[b] += c
-			out.count += c
-		}
-		out.sum += s.sum.Load()
+	out := histSnapshot{scale: h.scale, sum: h.sum.Load()}
+	for b := range h.counts {
+		out.counts[b] = h.counts[b].Load()
+		out.count += out.counts[b]
 	}
 	return out
 }

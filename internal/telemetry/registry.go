@@ -1,18 +1,17 @@
 // Package telemetry is the repo's dependency-free observability substrate:
-// a metrics registry (counters, gauges, power-of-two-bucket histograms), a
-// bounded span log for control-plane phase timings, a sampled packet-trace
-// ring, and an HTTP face (serve.go) exposing Prometheus text, a JSON
-// snapshot, and net/http/pprof.
+// a metrics registry (counters, power-of-two-bucket histograms and
+// scrape-time collectors), one bounded ring serving the control-plane span
+// log and the sampled packet-trace log, and an HTTP face (serve.go)
+// exposing Prometheus text, a JSON snapshot, and net/http/pprof.
 //
 // The design constraint is the engine's zero-alloc packet loop: every
 // write-side instrument is a plain atomic operation on a pre-resolved
-// handle — Counter.Add and Gauge.Set are one atomic add/store,
-// Histogram.Observe is two atomic adds into a value-hashed shard — and no
-// instrument ever allocates after registration. All aggregation (bucket
-// summing, label joining, text encoding) happens on the scrape side, which
-// is also where func-backed metrics run: the engine registers collectors
-// that read its *existing* atomics at scrape time, so steady-state packet
-// processing pays nothing for being observable.
+// handle — Counter.Add is one atomic add, Histogram.Observe two (bucket
+// and sum) — and no instrument ever allocates after registration. All
+// aggregation (bucket summing, label joining, text encoding) happens on
+// the scrape side, which is also where func-backed metrics run: the engine
+// registers collectors that read its *existing* atomics at scrape time, so
+// steady-state packet processing pays nothing for being observable.
 //
 // The registry is not global: each Engine owns one (parallel tests, and
 // later multiple engines per process, must not collide), and the HTTP
@@ -56,13 +55,6 @@ func (c *Counter) Inc()        { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a point-in-time value that may go up or down.
-type Gauge struct{ v atomic.Int64 }
-
-func (g *Gauge) Set(n int64)  { g.v.Store(n) }
-func (g *Gauge) Add(n int64)  { g.v.Add(n) }
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Emit is the callback a func-backed metric uses to report samples at
 // scrape time: one call per (label values, value) pair.
 type Emit func(labelValues []string, value float64)
@@ -71,7 +63,6 @@ type Emit func(labelValues []string, value float64)
 type child struct {
 	labelValues []string
 	c           *Counter
-	g           *Gauge
 	h           *Histogram
 }
 
@@ -125,10 +116,8 @@ func (f *family) child(values []string) *child {
 	switch f.kind {
 	case KindCounter:
 		ch.c = &Counter{}
-	case KindGauge:
-		ch.g = &Gauge{}
 	case KindHistogram:
-		ch.h = newHistogram(f.scale)
+		ch.h = &Histogram{scale: f.scale}
 	}
 	if f.children == nil {
 		f.children = map[string]*child{}
@@ -187,18 +176,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return r.register(name, help, KindCounter, 1, nil).child(nil).c
 }
 
-// Gauge returns the plain gauge for name.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(name, help, KindGauge, 1, nil).child(nil).g
-}
-
-// Histogram returns the plain histogram for name. scale converts raw
-// observed int64s to the exported unit (1e-9 for nanosecond durations
-// exported as seconds; 0 → 1).
-func (r *Registry) Histogram(name, help string, scale float64) *Histogram {
-	return r.register(name, help, KindHistogram, scale, nil).child(nil).h
-}
-
 // CounterVec is a labeled counter family; resolve children once with With
 // and hold the handle on hot paths.
 type CounterVec struct{ f *family }
@@ -208,21 +185,24 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 }
 func (v *CounterVec) With(labelValues ...string) *Counter { return v.f.child(labelValues).c }
 
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, KindGauge, 1, labels)}
-}
-func (v *GaugeVec) With(labelValues ...string) *Gauge { return v.f.child(labelValues).g }
-
-// HistogramVec is a labeled histogram family.
+// HistogramVec is a histogram family; With() with no values is its
+// label-less child. scale converts raw observed int64s to the exported
+// unit (1e-9 for nanosecond durations exported as seconds; 0 → 1).
 type HistogramVec struct{ f *family }
 
 func (r *Registry) HistogramVec(name, help string, scale float64, labels ...string) *HistogramVec {
 	return &HistogramVec{r.register(name, help, KindHistogram, scale, labels)}
 }
 func (v *HistogramVec) With(labelValues ...string) *Histogram { return v.f.child(labelValues).h }
+
+// Each calls fn with every child's label values, observation count and
+// raw (unscaled) sum, in registration order.
+func (v *HistogramVec) Each(fn func(labelValues []string, count, sum int64)) {
+	for _, ch := range v.f.snapshotChildren() {
+		s := ch.h.snapshot()
+		fn(ch.labelValues, s.count, s.sum)
+	}
+}
 
 // CounterFunc registers a scrape-time collector exported as a counter:
 // collect is called on every scrape and emits (label values, value)
@@ -237,7 +217,7 @@ func (r *Registry) GaugeFunc(name, help string, labels []string, collect func(em
 	r.register(name, help, KindGauge, 1, labels).collect = collect
 }
 
-// sample is one gathered (labels, value) point; hsnap is set for
+// sample is one gathered (labels, value) point; hist is set for
 // histogram children.
 type sample struct {
 	labelValues []string
@@ -255,26 +235,28 @@ func (f *family) gather() []sample {
 		})
 		return out
 	}
-	f.mu.Lock()
-	keys := append([]string(nil), f.order...)
-	children := make([]*child, len(keys))
-	for i, k := range keys {
-		children[i] = f.children[k]
-	}
-	f.mu.Unlock()
+	children := f.snapshotChildren()
 	out := make([]sample, 0, len(children))
 	for _, ch := range children {
 		s := sample{labelValues: ch.labelValues}
-		switch f.kind {
-		case KindCounter:
-			s.value = float64(ch.c.Value()) * f.scale
-		case KindGauge:
-			s.value = float64(ch.g.Value()) * f.scale
-		case KindHistogram:
+		if ch.h != nil {
 			hs := ch.h.snapshot()
 			s.hist = &hs
+		} else {
+			s.value = float64(ch.c.Value()) * f.scale
 		}
 		out = append(out, s)
+	}
+	return out
+}
+
+// snapshotChildren returns the family's children in registration order.
+func (f *family) snapshotChildren() []*child {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make([]*child, len(f.order))
+	for i, k := range f.order {
+		out[i] = f.children[k]
 	}
 	return out
 }

@@ -19,11 +19,12 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("test_depth", "depth")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
+	// A gauge is func-backed: its collector reports the value at scrape.
+	r.GaugeFunc("test_depth", "depth", nil, func(emit Emit) { emit(nil, 5) })
+	for _, m := range r.Snapshot().Metrics {
+		if m.Name == "test_depth" && (m.Kind != "gauge" || len(m.Samples) != 1 || m.Samples[0].Value != 5) {
+			t.Fatalf("gauge scraped as %+v, want one gauge sample of 5", m)
+		}
 	}
 	// Registration is idempotent: same handle back.
 	if r.Counter("test_events_total", "events") != c {
@@ -39,10 +40,10 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	r.Counter("test_x", "x")
 	defer func() {
 		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge did not panic")
+			t.Fatal("re-registering a counter as a histogram did not panic")
 		}
 	}()
-	r.Gauge("test_x", "x")
+	r.HistogramVec("test_x", "x", 1)
 }
 
 // TestHistogramBucketBoundaries pins the power-of-two bucket map at its
@@ -64,7 +65,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	// A value in bucket i must satisfy v <= upperBound(i) and (for i>0)
 	// v > upperBound(i-1): the "le" boundaries are honest.
-	h := newHistogram(1)
+	h := &Histogram{scale: 1}
 	for _, v := range []int64{1, 2, 3, 4, 1023, 1024, 1025} {
 		h.Observe(v)
 		s := h.snapshot()
@@ -80,7 +81,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 
 func TestHistogramSnapshotAndScale(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_wait_seconds", "wait", 1e-9)
+	vec := r.HistogramVec("test_wait_seconds", "wait", 1e-9)
+	h := vec.With()
 	h.Observe(int64(time.Microsecond)) // 1000ns → bucket 10 (le 1024ns)
 	h.Observe(int64(time.Microsecond))
 	h.Observe(int64(time.Millisecond))
@@ -91,6 +93,12 @@ func TestHistogramSnapshotAndScale(t *testing.T) {
 	wantSum := float64(2*time.Microsecond+time.Millisecond) / 1e9
 	if got := float64(s.sum) * s.scale; math.Abs(got-wantSum) > 1e-12 {
 		t.Fatalf("scaled sum = %g, want %g", got, wantSum)
+	}
+	// Each reads the raw count and sum (nanoseconds here, unscaled).
+	var each [][2]int64
+	vec.Each(func(lv []string, count, sum int64) { each = append(each, [2]int64{count, sum}) })
+	if raw := int64(2*time.Microsecond + time.Millisecond); len(each) != 1 || each[0] != [2]int64{3, raw} {
+		t.Fatalf("Each = %v, want one child with count 3 and sum %d", each, raw)
 	}
 
 	var buf bytes.Buffer
@@ -148,7 +156,7 @@ func TestPrometheusFormat(t *testing.T) {
 func TestJSONSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.CounterVec("test_pkts_total", "pkts", "outcome").With("dropped").Add(3)
-	r.Histogram("test_lat_seconds", "lat", 1e-9).Observe(500)
+	r.HistogramVec("test_lat_seconds", "lat", 1e-9).With().Observe(500)
 	r.Spans.Record(Span{Kind: "reconfig", Scenario: "topotm", Duration: time.Millisecond})
 
 	data, err := json.Marshal(r)
@@ -189,7 +197,6 @@ func TestConcurrentWriteWhileScrape(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_c_total", "c")
 	cv := r.CounterVec("test_cv_total", "cv", "k")
-	g := r.Gauge("test_g", "g")
 	h := r.HistogramVec("test_h_seconds", "h", 1e-9, "var")
 
 	const workers = 8
@@ -205,7 +212,6 @@ func TestConcurrentWriteWhileScrape(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				child.Inc()
-				g.Set(int64(i))
 				hist.Observe(int64(i * 17))
 			}
 		}()
@@ -246,15 +252,13 @@ func TestConcurrentWriteWhileScrape(t *testing.T) {
 func TestInstrumentsAllocFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_c_total", "c")
-	g := r.Gauge("test_g", "g")
-	h := r.Histogram("test_h_seconds", "h", 1e-9)
+	h := r.HistogramVec("test_h_seconds", "h", 1e-9).With()
 	lc := r.CounterVec("test_cv_total", "cv", "k").With("a")
 	lh := r.HistogramVec("test_hv_seconds", "hv", 1e-9, "k").With("a")
 
 	var i int64
 	for name, fn := range map[string]func(){
 		"Counter.Add":               func() { c.Add(1) },
-		"Gauge.Set":                 func() { g.Set(i) },
 		"Histogram.Observe":         func() { h.Observe(i * 31) },
 		"labeled Counter.Add":       func() { lc.Add(1) },
 		"labeled Histogram.Observe": func() { lh.Observe(i * 31) },

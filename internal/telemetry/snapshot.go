@@ -76,7 +76,9 @@ func (r *Registry) Snapshot() Snapshot {
 	return out
 }
 
-// MarshalJSON is the indent-free encoding used by /debug/vars.
+// MarshalJSON encodes the registry as its Snapshot, without indentation,
+// so a registry can be handed to json.Marshal as it is (/debug/vars and
+// snapsim -stats-json encode an indented Snapshot themselves).
 func (r *Registry) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.Snapshot())
 }

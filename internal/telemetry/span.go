@@ -26,40 +26,63 @@ type Span struct {
 	Phases   []Phase       `json:"phases,omitempty"`
 }
 
-// SpanLog is a bounded in-memory ring of spans: recording never blocks
-// beyond a short mutex and never grows past the capacity — the oldest
-// spans fall off. Total counts every span ever recorded.
-type SpanLog struct {
+// ring is a bounded in-memory log: add never blocks beyond a short mutex
+// and never grows past the capacity — the oldest item falls off — and
+// snapshot returns the retained items oldest-first. total counts every
+// item ever added.
+type ring[T any] struct {
 	mu    sync.Mutex
 	cap   int
-	buf   []Span
+	buf   []T
 	next  int
 	total int64
 }
 
-// NewSpanLog builds a ring holding the most recent capacity spans
-// (capacity <= 0 → 256).
-func NewSpanLog(capacity int) *SpanLog {
+// newRing holds the most recent capacity items (capacity <= 0 → 256).
+func newRing[T any](capacity int) ring[T] {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &SpanLog{cap: capacity}
+	return ring[T]{cap: capacity}
+}
+
+func (r *ring[T]) add(v T) {
+	r.mu.Lock()
+	if len(r.buf) < r.cap {
+		r.buf = append(r.buf, v)
+	} else {
+		r.buf[r.next] = v
+	}
+	r.next = (r.next + 1) % r.cap
+	r.total++
+	r.mu.Unlock()
+}
+
+func (r *ring[T]) snapshot() []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]T, 0, len(r.buf))
+	if len(r.buf) < r.cap {
+		return append(out, r.buf...)
+	}
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
+}
+
+// SpanLog is the bounded ring of control-plane spans.
+type SpanLog struct{ ring ring[Span] }
+
+// NewSpanLog builds a ring holding the most recent capacity spans
+// (capacity <= 0 → 256).
+func NewSpanLog(capacity int) *SpanLog {
+	return &SpanLog{newRing[Span](capacity)}
 }
 
 // Record appends one span, evicting the oldest past capacity.
 func (l *SpanLog) Record(s Span) {
-	if l == nil {
-		return
+	if l != nil {
+		l.ring.add(s)
 	}
-	l.mu.Lock()
-	if len(l.buf) < l.cap {
-		l.buf = append(l.buf, s)
-	} else {
-		l.buf[l.next] = s
-	}
-	l.next = (l.next + 1) % l.cap
-	l.total++
-	l.mu.Unlock()
 }
 
 // Total counts spans recorded over the log's lifetime (recorded minus
@@ -68,9 +91,9 @@ func (l *SpanLog) Total() int64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
+	l.ring.mu.Lock()
+	defer l.ring.mu.Unlock()
+	return l.ring.total
 }
 
 // Snapshot returns the retained spans oldest-first.
@@ -78,12 +101,5 @@ func (l *SpanLog) Snapshot() []Span {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Span, 0, len(l.buf))
-	if len(l.buf) < l.cap {
-		return append(out, l.buf...)
-	}
-	out = append(out, l.buf[l.next:]...)
-	return append(out, l.buf[:l.next]...)
+	return l.ring.snapshot()
 }

@@ -53,9 +53,10 @@ type TraceRecord struct {
 	Hops    []HopRecord   `json:"hops"`
 }
 
-// PacketTrace is one in-flight sampled packet. Hops may be appended from
-// several goroutines (multicast copies run concurrently), so appends are
-// mutex-guarded; the trace is committed to the ring at Finish.
+// PacketTrace is one in-flight sampled packet, committed to the ring at
+// Finish. The walker of its run appends every hop, multicast copies
+// included (they walk in turn on that one goroutine), and finishes it; the
+// mutex keeps the record safe for any other goroutine holding the trace.
 type PacketTrace struct {
 	log *TraceLog
 	mu  sync.Mutex
@@ -64,20 +65,14 @@ type PacketTrace struct {
 
 // TraceLog is the bounded ring of completed packet traces.
 type TraceLog struct {
-	mu      sync.Mutex
-	cap     int
-	buf     []TraceRecord
-	next    int
+	ring    ring[TraceRecord]
 	sampled atomic.Int64
 }
 
 // NewTraceLog builds a ring retaining the most recent capacity traces
 // (capacity <= 0 → 256).
 func NewTraceLog(capacity int) *TraceLog {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &TraceLog{cap: capacity}
+	return &TraceLog{ring: newRing[TraceRecord](capacity)}
 }
 
 // Start opens a trace for one sampled injection. The returned trace is
@@ -108,15 +103,7 @@ func (t *PacketTrace) Finish() {
 	t.rec.Latency = time.Since(t.rec.Start)
 	rec := t.rec
 	t.mu.Unlock()
-	l := t.log
-	l.mu.Lock()
-	if len(l.buf) < l.cap {
-		l.buf = append(l.buf, rec)
-	} else {
-		l.buf[l.next] = rec
-	}
-	l.next = (l.next + 1) % l.cap
-	l.mu.Unlock()
+	t.log.ring.add(rec)
 }
 
 // Sampled counts traces started over the log's lifetime (>= retained).
@@ -132,12 +119,5 @@ func (l *TraceLog) Snapshot() []TraceRecord {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]TraceRecord, 0, len(l.buf))
-	if len(l.buf) < l.cap {
-		return append(out, l.buf...)
-	}
-	out = append(out, l.buf[l.next:]...)
-	return append(out, l.buf[:l.next]...)
+	return l.ring.snapshot()
 }

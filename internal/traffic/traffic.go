@@ -36,9 +36,10 @@ func Gravity(t *topo.Topology, total float64, seed int64) Matrix {
 		sum += x
 	}
 	// Σ_u Σ_{v≠u} w_u w_v = sum² - Σ w_u²; normalize so demands add to total.
+	// Summed in port order, so the same seed gives the same bits.
 	var sq float64
-	for _, x := range w {
-		sq += x * x
+	for _, p := range ports {
+		sq += w[p] * w[p]
 	}
 	norm := sum*sum - sq
 	if norm <= 0 {

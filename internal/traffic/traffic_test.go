@@ -37,6 +37,22 @@ func TestGravityTotalAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestGravityBitDeterministic: the same seed yields the same matrix to
+// the last bit, call after call — placement and routing break ties on
+// these demands, so a drifting last place could flip a decision.
+func TestGravityBitDeterministic(t *testing.T) {
+	net := topo.IGen(120, 1000)
+	first := Gravity(net, 1000, 1)
+	for call := 1; call < 20; call++ {
+		m := Gravity(net, 1000, 1)
+		for k, v := range first {
+			if math.Float64bits(m[k]) != math.Float64bits(v) {
+				t.Fatalf("call %d: demand %v is %b, first call gave %b", call, k, m[k], v)
+			}
+		}
+	}
+}
+
 // TestGravityRankOne: gravity matrices satisfy d(u,v)·d(v,u) symmetry of
 // weights — d(u,v)/d(u,w) is independent of u (rank-1 structure).
 func TestGravityRankOne(t *testing.T) {

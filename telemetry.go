@@ -5,7 +5,8 @@ import (
 )
 
 // TelemetryRegistry is an engine's metrics registry (internal/telemetry):
-// counters, gauges and histograms over the engine's hot-path atomics, the
+// scrape-time counters and gauges over the engine's hot-path atomics,
+// the per-variable lock-wait and control-plane histograms, the
 // controller's span log, and — when EngineOptions.TraceSampling is set —
 // the sampled packet-trace ring. Every Engine owns one; reach it through
 // Engine.Telemetry().
