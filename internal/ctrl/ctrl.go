@@ -255,9 +255,12 @@ type Options struct {
 // Not safe for concurrent Step calls; drive it from one goroutine (traffic
 // may flow concurrently — the engine's gate handles that).
 type Controller struct {
-	eng     *dataplane.Engine
-	comp    *core.Compilation
-	mon     Monitor
+	eng  *dataplane.Engine
+	comp *core.Compilation
+	mon  Monitor
+	// volume is the reference matrix's total demand, set with the
+	// reference: every Step scales its matrix to it.
+	volume  float64
 	opts    Options
 	history []Reconfig
 }
@@ -271,11 +274,23 @@ func New(comp *core.Compilation, eng *dataplane.Engine, opts Options) *Controlle
 		opts.MinSample = 500
 	}
 	return &Controller{
-		eng:  eng,
-		comp: comp,
-		mon:  Monitor{Ref: comp.Demands, Threshold: opts.Threshold, MinSample: opts.MinSample},
-		opts: opts,
+		eng:    eng,
+		comp:   comp,
+		mon:    Monitor{Ref: comp.Demands, Threshold: opts.Threshold, MinSample: opts.MinSample},
+		volume: volume(comp.Demands),
+		opts:   opts,
 	}
+}
+
+// volume sums m's demands in Pairs() order. A sum over the map in its
+// iteration order differs in the last bit from run to run, and with it
+// every matrix a Step scales to it.
+func volume(m traffic.Matrix) float64 {
+	var v float64
+	for _, pr := range m.Pairs() {
+		v += m[pr]
+	}
+	return v
 }
 
 // Drift reports the current divergence between the engine's observed
@@ -345,10 +360,10 @@ func (c *Controller) containPanic(op string, err *error) {
 	}
 }
 
-// rebase adopts a committed compilation's demands as the drift reference
-// and starts a fresh observation window.
-func (c *Controller) rebase(next *core.Compilation) {
-	c.mon.Ref = next.Demands
+// rebase adopts a committed compilation's demands, whose total is vol, as
+// the drift reference and starts a fresh observation window.
+func (c *Controller) rebase(next *core.Compilation, vol float64) {
+	c.mon.Ref, c.volume = next.Demands, vol
 	c.eng.ResetObserved()
 }
 
@@ -370,20 +385,11 @@ func (c *Controller) Step() (rec *Reconfig, err error) {
 	if !drifted {
 		return nil, nil
 	}
-	// The observed matrix folds drops in, keyed under egress -1 when the
-	// intended egress was never known — right for the drift signal, but
-	// not routable demand. Restrict to real port pairs before handing the
-	// matrix to the optimizer (and adopting it as the new reference).
-	demands := obs.Restrict(c.comp.Topo)
-	if demands.Total() <= 0 {
+	demands, vol := routable(obs, c.comp.Topo, c.volume)
+	if demands == nil {
 		// Everything observed was unattributable drops; there is no
 		// routable demand to re-optimize for.
 		return nil, nil
-	}
-	// Rescale the packet counts to the reference volume so link-capacity
-	// terms in the optimizer stay comparable across reconfigurations.
-	if ref := c.mon.Ref.Total(); ref > 0 {
-		demands = demands.Scale(ref / demands.Total())
 	}
 	next, done, err := c.reconfigure("reconfig", fmt.Sprintf("%s divergence=%.3f", c.opts.Mode, div),
 		func() (*core.Compilation, error) {
@@ -395,10 +401,55 @@ func (c *Controller) Step() (rec *Reconfig, err error) {
 	if err != nil {
 		return nil, err
 	}
-	c.rebase(next)
+	c.rebase(next, vol)
 	r := Reconfig{Applied: done, Divergence: div, Mode: c.opts.Mode}
 	c.history = append(c.history, r)
 	return &r, nil
+}
+
+// routable returns the demand a Step optimizes for, in one copy of obs:
+// the pairs between ports of t, their packet counts scaled to the
+// reference volume so that link-capacity terms stay comparable across
+// reconfigurations, and that volume (the counts' own total when the
+// reference has none). The observed matrix folds drops in, keyed under
+// egress -1 when the intended egress was never known: right for the drift
+// signal, but not routable demand. The counts are integers, so their sum
+// is exact in any order. It returns nil when no count is routable.
+func routable(obs traffic.Matrix, t *topo.Topology, vol float64) (traffic.Matrix, float64) {
+	hi := -1
+	for _, p := range t.Ports {
+		hi = max(hi, p.ID)
+	}
+	port := make([]bool, hi+1)
+	for _, p := range t.Ports {
+		if p.ID >= 0 {
+			port[p.ID] = true
+		}
+	}
+	known := func(pr [2]int) bool {
+		return uint(pr[0]) < uint(len(port)) && port[pr[0]] && uint(pr[1]) < uint(len(port)) && port[pr[1]]
+	}
+	n, total := 0, 0.0
+	for pr, v := range obs {
+		if known(pr) {
+			n++
+			total += v
+		}
+	}
+	if total <= 0 {
+		return nil, 0
+	}
+	if vol <= 0 {
+		vol = total
+	}
+	f := vol / total
+	out := make(traffic.Matrix, n)
+	for pr, v := range obs {
+		if known(pr) {
+			out[pr] = v * f
+		}
+	}
+	return out, vol
 }
 
 // FailoverReport records one completed controller-driven failover. Compile
@@ -477,7 +528,7 @@ func (c *Controller) Failover(s fault.Scenario) (rep *FailoverReport, err error)
 	if err != nil {
 		return nil, err
 	}
-	c.rebase(next)
+	c.rebase(next, volume(demands))
 	return &FailoverReport{
 		Applied:     done,
 		Scenario:    s,
@@ -549,7 +600,7 @@ func (c *Controller) Restore(s fault.Scenario, demands traffic.Matrix) (rep *Res
 	if err != nil {
 		return nil, err
 	}
-	c.rebase(next)
+	c.rebase(next, volume(dem))
 	return &RestoreReport{Applied: done, Scenario: s, RestoredPorts: restoredPorts}, nil
 }
 

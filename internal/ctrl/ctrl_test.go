@@ -2,6 +2,7 @@ package ctrl_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -354,6 +355,54 @@ func TestStepSanitizesDroppedDemand(t *testing.T) {
 		}
 		if _, ok := netw.PortByID(pr[1]); !ok {
 			t.Fatalf("adopted demand pair %v has a phantom egress (drop key leaked)", pr)
+		}
+	}
+}
+
+// TestStepRescaleIsBitDeterministic: two controllers, each on its own
+// engine, fed the same trace through four drift reconfigurations adopt
+// the same demand matrix to the last bit. The rescale divides by the
+// reference volume, so a volume summed in map order would differ between
+// them in its last bit, and so would every matrix the optimizer sees.
+func TestStepRescaleIsBitDeterministic(t *testing.T) {
+	netw, err := topo.NewIGen(40, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ports := len(netw.Ports)
+	policy, err := bench.MonitorWorkload(false, ports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace []dataplane.Ingress
+	for seed := int64(2); seed < 6; seed++ {
+		trace = append(trace, bench.ReplayIngress(traffic.Gravity(netw, 100, seed).Replay(2000, seed))...)
+	}
+	var ctls [2]*ctrl.Controller
+	for i := range ctls {
+		comp, err := core.ColdStart(policy, netw, traffic.Gravity(netw, 100, 1), place.Options{Method: place.Heuristic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := dataplane.NewEngine(comp.Config, dataplane.Options{Workers: 2})
+		defer eng.Close()
+		ctls[i] = ctrl.New(comp, eng, ctrl.Options{MinSample: 500})
+		for off := 0; off < len(trace); off += 2000 {
+			if err := eng.InjectReplay(trace[off : off+2000]); err != nil {
+				t.Fatal(err)
+			}
+			if rec, err := ctls[i].Step(); err != nil || rec == nil {
+				t.Fatalf("controller %d, step at %d: %v, %v; want a reconfiguration", i, off, rec, err)
+			}
+		}
+	}
+	a, b := ctls[0].Compilation().Demands, ctls[1].Compilation().Demands
+	if len(a) != len(b) {
+		t.Fatalf("adopted matrices hold %d and %d pairs", len(a), len(b))
+	}
+	for pr, v := range a {
+		if w, ok := b[pr]; !ok || math.Float64bits(v) != math.Float64bits(w) {
+			t.Fatalf("pair %v: demand %x on one controller, %x on the other", pr, math.Float64bits(v), math.Float64bits(w))
 		}
 	}
 }

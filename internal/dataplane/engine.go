@@ -913,9 +913,9 @@ func (e *Engine) Config() *rules.Config { return e.plane.Load().cfg }
 // is what ctrl.Monitor compares against the matrix the running
 // configuration was optimized for.
 func (e *Engine) ObservedMatrix() traffic.Matrix {
-	m := traffic.Matrix{}
 	e.obs.mu.Lock()
 	defer e.obs.mu.Unlock()
+	m := make(traffic.Matrix, e.obs.pairs())
 	e.obs.each(func(in, out int, delivered, dropped int64) {
 		m[[2]int{in, out}] = float64(delivered + dropped)
 	})

@@ -888,11 +888,12 @@ func TestEngineWindowHolds(t *testing.T) {
 
 // TestLockContentionCounters: the engine attributes blocked switch-lock
 // acquisitions to variables, reads them from the snap_lock_wait_seconds
-// histograms, and keeps them across reconfiguration. On a single-core
-// runner contention may legitimately be zero, so the assertions are
-// structural: consistency between Stats, the per-variable map and the
-// telemetry snapshot, no change across a rolled-back ApplyConfig, and
-// monotonicity across a committed one.
+// histograms, and keeps them across reconfiguration. The test holds
+// count's owner while a first chunk of the replay queues, so every run
+// records contention whatever the core count; then it checks consistency
+// between Stats, the per-variable map and the telemetry snapshot, no
+// change across a rolled-back ApplyConfig, and monotonicity across a
+// committed one.
 func TestLockContentionCounters(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	netw := topo.Campus(1000)
@@ -905,7 +906,22 @@ func TestLockContentionCounters(t *testing.T) {
 		port, pk := campusPacket(rng)
 		batch = append(batch, dataplane.Ingress{Port: port, Packet: pk})
 	}
-	if err := eng.InjectReplay(batch); err != nil {
+	// Every monitor packet updates count at its owner: while the test
+	// holds the owner's lock, the first visit there blocks and counts.
+	release := eng.HoldSwitch(plane.Config().Placement["count"])
+	done := make(chan error, 1)
+	go func() { done <- eng.InjectReplay(batch[:100]) }()
+	for deadline := time.Now().Add(10 * time.Second); eng.Stats().LockSuspends == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			release()
+			t.Fatal("no visit blocked on the held switch lock")
+		}
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.InjectReplay(batch[100:]); err != nil {
 		t.Fatal(err)
 	}
 	st := eng.Stats()
@@ -922,6 +938,9 @@ func TestLockContentionCounters(t *testing.T) {
 			t.Fatalf("empty contention entry for %q", v)
 		}
 		total += c.Suspends
+	}
+	if total <= 0 {
+		t.Fatalf("no per-variable contention recorded (engine total %d)", st.LockSuspends)
 	}
 	if total > st.LockSuspends {
 		t.Fatalf("per-variable suspends %d exceed engine total %d", total, st.LockSuspends)

@@ -216,6 +216,17 @@ func (m *observed) rankOf(id int) int {
 	return r
 }
 
+// pairs counts the pairs each visits. Callers hold mu.
+func (m *observed) pairs() int {
+	n := 0
+	for _, c := range m.count {
+		if c != [2]int64{} {
+			n++
+		}
+	}
+	return n
+}
+
 // each calls fn with every non-zero pair's counts. Callers hold mu.
 func (m *observed) each(fn func(in, out int, delivered, dropped int64)) {
 	for k, c := range m.count {

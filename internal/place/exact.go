@@ -52,6 +52,13 @@ func solveExact(in Inputs, fixed map[string]topo.NodeID, opts Options) (*Result,
 	}
 
 	pairs := in.Demands.Pairs()
+	for _, pr := range pairs {
+		for _, id := range pr {
+			if _, ok := portNode[id]; !ok {
+				return nil, unknownPort(t, pr, id)
+			}
+		}
+	}
 	m := milp.NewModel()
 
 	// Placement variables.

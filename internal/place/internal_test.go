@@ -45,6 +45,16 @@ func orderFor(vars []string, dep [][2]string) *deps.Order {
 	return o
 }
 
+// mustSolver is Model.newSolver for inputs the test knows to be valid.
+func mustSolver(t testing.TB, m *Model, in Inputs) *solver {
+	t.Helper()
+	s, err := m.newSolver(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // TestBuildRouteVisitsWaypointsInOrder: a route through two ordered states
 // placed on opposite sides of the ring visits them in dependency order,
 // even when that forces a longer walk.
@@ -54,7 +64,7 @@ func TestBuildRouteVisitsWaypointsInOrder(t *testing.T) {
 	ord := orderFor([]string{"a", "b"}, [][2]string{{"a", "b"}})
 
 	model := NewModel(net, traffic.Matrix{{1, 2}: 1}, Options{Method: Heuristic})
-	s := model.newSolver(model.inputs(m, ord))
+	s := mustSolver(t, model, model.inputs(m, ord))
 	loc := map[string]topo.NodeID{"a": 5, "b": 1} // a behind, b ahead
 
 	routes, _, _ := s.route(loc)
@@ -125,7 +135,7 @@ func TestSeedPlacementPicksCoverage(t *testing.T) {
 	})
 	ord := orderFor([]string{"s"}, nil)
 	model := NewModel(net, traffic.Matrix{{1, 2}: 1, {2, 1}: 1}, Options{Method: Heuristic})
-	s := model.newSolver(model.inputs(m, ord))
+	s := mustSolver(t, model, model.inputs(m, ord))
 
 	groups := buildGroups(s.in)
 	loc := map[string]topo.NodeID{}

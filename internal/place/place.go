@@ -62,7 +62,11 @@ type Result struct {
 	// waypoint-ordered routing cost that placed the primary, so promoting
 	// one after a failure keeps routes short; tied variables share their
 	// group's backups like they share its primary.
-	Replicas   map[string][]topo.NodeID
+	Replicas map[string][]topo.NodeID
+	// Routes holds one route per demand pair. A pair without waypoints
+	// takes its tree route from the model, so routes of results solved on
+	// one model, or on its refreshes, share their Nodes and Links arrays:
+	// they are read-only.
 	Routes     map[[2]int]Route
 	Congestion float64 // Σ_links load/capacity (the paper's objective)
 	MaxUtil    float64
@@ -120,25 +124,138 @@ func (o Options) withDefaults() Options {
 }
 
 // Model is the reusable part of the optimization: the topology-dependent
-// precomputation, that is the 1/capacity link weights and the shortest-path
-// forest under them. The paper's P4 phase ("MILP creation") builds this
-// once per topology/traffic pair; later policy changes reuse it and only
-// re-run the solve phases (§6.2, Table 4). P5 routes on the forest's trees
-// and P6 reads each switch's fallback next hops from it (Forest), so a
-// compilation computes the trees under these weights once.
+// precomputation, that is the 1/capacity link weights, the shortest-path
+// forest under them and the demand pair index with its tree routes. The
+// paper's P4 phase ("MILP creation") builds this once per topology/traffic
+// pair; later policy changes reuse it and only re-run the solve phases
+// (§6.2, Table 4). P5 routes on the forest's trees and P6 reads each
+// switch's fallback next hops from it (Forest), so a compilation computes
+// the trees under these weights once. A Model is immutable once built, so
+// solves on it and on its refreshes may share it.
 type Model struct {
 	topo    *topo.Topology
 	demands traffic.Matrix
 	opts    Options
 	weights []float64
 	forest  *topo.Forest
+	index   *pairIndex
 }
 
 // NewModel performs the P4 precomputation for a topology and traffic
 // matrix.
 func NewModel(t *topo.Topology, demands traffic.Matrix, opts Options) *Model {
 	w := t.CapacityWeights()
-	return &Model{topo: t, demands: demands, opts: opts.withDefaults(), weights: w, forest: t.Forest(w)}
+	f := t.Forest(w)
+	return &Model{topo: t, demands: demands, opts: opts.withDefaults(), weights: w, forest: f, index: newPairIndex(t, f)}
+}
+
+// pairIndex is the model's demand pair index: the topology's port ids in
+// ascending order, each port's rank among them and its switch, and the
+// tree route under the model's weights between every two switches that
+// hold a port. Demand pair (u, v) is slot rank(u)·n + rank(v) of n ports,
+// so the slots in order are Matrix.Pairs() order.
+type pairIndex struct {
+	lo   int           // the least port id
+	rank []int32       // port id - lo → rank, -1 where the topology has no such port
+	ids  []int         // rank → port id
+	edge []int32       // rank → index of its switch in sw
+	sw   []topo.NodeID // the switches holding a port, in rank order of their first port
+	// The tree routes, flat: route e = a·len(sw) + b, from sw[a] to sw[b],
+	// is nodes[off[e]:off[e+1]], and the links between them are
+	// links[off[e]-e:off[e+1]-e-1], one fewer.
+	off   []int32
+	nodes []topo.NodeID
+	links []int
+}
+
+// newPairIndex builds the pair index of t and its tree routes in forest f.
+func newPairIndex(t *topo.Topology, f *topo.Forest) *pairIndex {
+	ix := &pairIndex{ids: t.PortIDs()}
+	n := len(ix.ids)
+	if n == 0 {
+		return ix
+	}
+	ix.lo = ix.ids[0]
+	ix.rank = make([]int32, ix.ids[n-1]-ix.lo+1)
+	for i := range ix.rank {
+		ix.rank[i] = -1
+	}
+	for r, id := range ix.ids {
+		ix.rank[id-ix.lo] = int32(r)
+	}
+	at := make([]topo.NodeID, n)
+	for _, p := range t.Ports {
+		at[ix.rank[p.ID-ix.lo]] = p.Switch
+	}
+	swIdx := make([]int32, t.Switches)
+	for i := range swIdx {
+		swIdx[i] = -1
+	}
+	ix.edge = make([]int32, n)
+	for r, sw := range at {
+		if swIdx[sw] < 0 {
+			swIdx[sw] = int32(len(ix.sw))
+			ix.sw = append(ix.sw, sw)
+		}
+		ix.edge[r] = swIdx[sw]
+	}
+	e := len(ix.sw)
+	ix.off = make([]int32, e*e+1)
+	for a, su := range ix.sw {
+		for b, sv := range ix.sw {
+			i := a*e + b
+			ix.off[i+1] = ix.off[i] + int32(t.TreeHops(f.Prev[su], sv)) + 1
+		}
+	}
+	ix.nodes = make([]topo.NodeID, ix.off[e*e])
+	ix.links = make([]int, len(ix.nodes)-e*e)
+	for a, su := range ix.sw {
+		for b, sv := range ix.sw {
+			i := a*e + b
+			lo, hi := int(ix.off[i]), int(ix.off[i+1])
+			ix.nodes[lo] = su
+			t.TreePath(f.Prev[su], sv, ix.nodes[lo+1:hi], ix.links[lo-i:hi-i-1])
+		}
+	}
+	return ix
+}
+
+// rankOf returns port id's rank, -1 when the topology has no such port.
+func (ix *pairIndex) rankOf(id int) int32 {
+	if j := id - ix.lo; j >= 0 && j < len(ix.rank) {
+		return ix.rank[j]
+	}
+	return -1
+}
+
+// slot returns demand pair pr's slot, or false and a port of pr the
+// topology lacks.
+func (ix *pairIndex) slot(pr [2]int) (k, missing int, ok bool) {
+	ru, rv := ix.rankOf(pr[0]), ix.rankOf(pr[1])
+	switch {
+	case ru < 0:
+		return 0, pr[0], false
+	case rv < 0:
+		return 0, pr[1], false
+	}
+	return int(ru)*len(ix.ids) + int(rv), 0, true
+}
+
+// route returns tree route e, which the caller must not modify. A route of
+// one switch has no links (nil).
+func (ix *pairIndex) route(e int32) ([]topo.NodeID, []int) {
+	lo, hi := int(ix.off[e]), int(ix.off[e+1])
+	if hi-lo == 1 {
+		return ix.nodes[lo:hi:hi], nil
+	}
+	l0, l1 := lo-int(e), hi-int(e)-1
+	return ix.nodes[lo:hi:hi], ix.links[l0:l1:l1]
+}
+
+// unknownPort is the error for a demand pair naming a port the topology
+// lacks.
+func unknownPort(t *topo.Topology, pr [2]int, id int) error {
+	return fmt.Errorf("place: demand pair (%d,%d) names port %d, which topology %s lacks", pr[0], pr[1], id, t.Name)
 }
 
 // Forest returns the model's shortest-path trees under 1/capacity weights,
@@ -146,11 +263,12 @@ func NewModel(t *topo.Topology, demands traffic.Matrix, opts Options) *Model {
 func (m *Model) Forest() *topo.Forest { return m.forest }
 
 // Refresh returns a model for a new traffic matrix that shares every
-// topology-dependent precomputation (link weights and the shortest-path
-// forest) of the receiver. Only the demand-dependent terms change, so a
-// topology/TM change pays none of the P4 rebuild cost — the "few
-// milliseconds of incremental updates" of §6.2. The receiver is not
-// modified and stays usable.
+// topology-dependent precomputation (link weights, the shortest-path
+// forest, and the demand pair index with its tree routes) of the
+// receiver. Only the demand-dependent terms change, so a topology/TM
+// change pays none of the P4 rebuild cost — the "few milliseconds of
+// incremental updates" of §6.2. The receiver is not modified and stays
+// usable.
 func (m *Model) Refresh(demands traffic.Matrix) *Model {
 	n := *m
 	n.demands = demands
@@ -162,13 +280,16 @@ func (m *Model) inputs(mapping *psmap.Mapping, order *deps.Order) Inputs {
 }
 
 // newSolver returns a solver for in over the model's precomputed shortest
-// paths, with its dense pair index built.
-func (m *Model) newSolver(in Inputs) *solver {
-	s := &solver{in: in, opts: m.opts, cut: newCycleCutter(m.topo.Switches)}
+// paths, with its pair list built. It fails on a demand pair that names a
+// port the topology lacks.
+func (m *Model) newSolver(in Inputs) (*solver, error) {
+	s := &solver{in: in, opts: m.opts, cut: newCycleCutter(m.topo.Switches), trees: m.index}
 	s.weights = slices.Clone(m.weights)
 	s.dist, s.prev = m.forest.Dist, m.forest.Prev
-	s.prepare()
-	return s
+	if err := s.prepare(m.index); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // SolveST decides placement and routing jointly for a policy's mapping and
@@ -197,7 +318,9 @@ func (m *Model) SolveST(mapping *psmap.Mapping, order *deps.Order) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	m.replicate(in, res)
+	if err := m.replicate(in, res); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -248,7 +371,9 @@ func (m *Model) SolveTE(mapping *psmap.Mapping, order *deps.Order, fixed map[str
 	if err != nil {
 		return nil, err
 	}
-	m.replicate(in, res)
+	if err := m.replicate(in, res); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -319,7 +444,10 @@ type solver struct {
 	weights []float64   // per-link routing weight
 	dist    [][]float64 // all-pairs distances under weights
 	prev    [][]int     // predecessor links per source
-	// Dense pair index, built once per solve by prepare: every demand pair
+	// trees holds the model's tree routes while they are the routes under
+	// weights, nil once a penalty round has re-weighted a link.
+	trees *pairIndex
+	// Dense pair list, built once per solve by prepare: every demand pair
 	// in sorted order, and the distinct waypoint variables their sequences
 	// name. Routing and the placement index read it instead of the maps.
 	pairs []demandPair
@@ -337,12 +465,14 @@ type solver struct {
 	glocs  []topo.NodeID
 }
 
-// demandPair is one demand pair of the dense index: its end switches, its
-// demand and its waypoint sequence, as names (the Route's Waypoints) and as
-// indices into solver.vars.
+// demandPair is one demand pair of the dense list: its end switches and
+// the model's tree route between them, its demand and its waypoint
+// sequence, as names (the Route's Waypoints) and as indices into
+// solver.vars.
 type demandPair struct {
 	key    [2]int
 	su, sv topo.NodeID
+	tree   int32
 	demand float64
 	seq    []string
 	vars   []int32
@@ -361,28 +491,54 @@ type pairInfo struct {
 func (s *solver) computeAllDists() {
 	f := s.in.Topo.Forest(s.weights)
 	s.dist, s.prev = f.Dist, f.Prev
+	s.trees = nil
 }
 
-// prepare builds the dense pair index: the demand pairs sorted, each with
-// its end switches, its demand and its dependency-ordered waypoint
-// sequence. Only the mapping's stateful pairs have waypoints.
-func (s *solver) prepare() {
-	keys := s.in.Demands.Pairs()
-	s.pairs = make([]demandPair, len(keys))
-	var pu topo.Port
-	for i, pr := range keys {
-		if i == 0 || pr[0] != keys[i-1][0] {
-			pu, _ = s.in.Topo.PortByID(pr[0])
+// prepare builds the dense pair list from the model's pair index in one
+// pass over the demand matrix: each demand lands in its slot, and the
+// slots read in order give the pairs sorted, each with its end switches,
+// its tree route, its demand and its dependency-ordered waypoint sequence.
+// Only the mapping's stateful pairs have waypoints. It fails on the least
+// demand pair that names a port the topology lacks.
+func (s *solver) prepare(ix *pairIndex) error {
+	n := len(ix.ids)
+	demand := make([]float64, n*n)
+	at := make([]int32, n*n) // slot → 1 + index into s.pairs, 0 where no demand
+	var bad [2]int
+	badPort, found := 0, false
+	for pr, d := range s.in.Demands {
+		k, port, ok := ix.slot(pr)
+		if !ok {
+			if !found || traffic.ComparePairs(pr, bad) < 0 {
+				bad, badPort, found = pr, port, true
+			}
+			continue
 		}
-		pv, _ := s.in.Topo.PortByID(pr[1])
-		s.pairs[i] = demandPair{key: pr, su: pu.Switch, sv: pv.Switch, demand: s.in.Demands[pr]}
+		demand[k], at[k] = d, -1
+	}
+	if found {
+		return unknownPort(s.in.Topo, bad, badPort)
+	}
+	s.pairs = make([]demandPair, 0, len(s.in.Demands))
+	e := int32(len(ix.sw))
+	for ru, u := range ix.ids {
+		su := ix.sw[ix.edge[ru]]
+		for rv, v := range ix.ids {
+			k := ru*n + rv
+			if at[k] == 0 {
+				continue
+			}
+			tree := ix.edge[ru]*e + ix.edge[rv]
+			s.pairs = append(s.pairs, demandPair{key: [2]int{u, v}, su: su, sv: ix.sw[ix.edge[rv]], tree: tree, demand: demand[k]})
+			at[k] = int32(len(s.pairs))
+		}
 	}
 	for pr, set := range s.in.Mapping.Vars {
 		if len(set) == 0 {
 			continue
 		}
-		if i, ok := slices.BinarySearchFunc(keys, pr, traffic.ComparePairs); ok {
-			s.pairs[i].seq = s.in.Mapping.StateSeq(pr[0], pr[1], s.in.Order)
+		if k, _, ok := ix.slot(pr); ok && at[k] > 0 {
+			s.pairs[at[k]-1].seq = s.in.Mapping.StateSeq(pr[0], pr[1], s.in.Order)
 		}
 	}
 	varIdx := map[string]int32{}
@@ -402,6 +558,7 @@ func (s *solver) prepare() {
 			p.vars[j] = vi
 		}
 	}
+	return nil
 }
 
 // indexPairs builds the dense placement index for the current groups: one
@@ -485,7 +642,10 @@ func (m *Model) solveHeuristic(in Inputs, groups []*group, method string) (*Resu
 	if len(in.Topo.Ports) == 0 {
 		return nil, fmt.Errorf("place: topology %s has no external ports", in.Topo.Name)
 	}
-	s := m.newSolver(in)
+	s, err := m.newSolver(in)
+	if err != nil {
+		return nil, err
+	}
 	loc := map[string]topo.NodeID{}
 	var free []int
 	for gi, g := range groups {
@@ -590,17 +750,21 @@ func (s *solver) improvePlacement(groups []*group, loc map[string]topo.NodeID, f
 // by the exact engine, which has no solver to reuse; the heuristic path
 // picks replicas inside solveHeuristic on its existing solver. No-op
 // when replicas were already chosen, for K<2, or a stateless policy.
-func (m *Model) replicate(in Inputs, res *Result) {
+func (m *Model) replicate(in Inputs, res *Result) error {
 	if m.opts.Replicas < 2 || len(res.Placement) == 0 || res.Replicas != nil {
-		return
+		return nil
 	}
-	s := m.newSolver(in)
+	s, err := m.newSolver(in)
+	if err != nil {
+		return err
+	}
 	groups := buildGroups(in)
 	for _, g := range groups {
 		g.node = res.Placement[g.vars[0]]
 	}
 	s.indexPairs(groups)
 	res.Replicas = s.chooseReplicas(groups, m.opts.Replicas)
+	return nil
 }
 
 // chooseReplicas picks, per tied-variable group, the K-1 alive switches
@@ -698,12 +862,18 @@ func (s *solver) route(loc map[string]topo.NodeID) (map[[2]int]Route, float64, f
 // buildRoute threads pair p through its placed waypoints (vnode maps a
 // variable index to its switch). Without waypoints the route is the tree
 // path from the ingress switch: weights are positive, so a shortest-path
-// tree path is simple and has no cycle to cut. A waypoint pair splices one
-// tree path per leg in the scratch buffer, marking where each waypoint is
-// visited, and strips the cycles that contain no waypoint visit.
+// tree path is simple and has no cycle to cut. Until a penalty round
+// re-weights a link that path is the model's tree route, shared. A
+// waypoint pair splices one tree path per leg in the scratch buffer,
+// marking where each waypoint is visited, and strips the cycles that
+// contain no waypoint visit.
 func (s *solver) buildRoute(p *demandPair, vnode []topo.NodeID) Route {
 	t := s.in.Topo
 	if len(p.vars) == 0 {
+		if s.trees != nil {
+			nodes, links := s.trees.route(p.tree)
+			return Route{Nodes: nodes, Links: links, Waypoints: p.seq}
+		}
 		prev := s.prev[p.su]
 		k := t.TreeHops(prev, p.sv)
 		r := Route{Nodes: make([]topo.NodeID, k+1), Waypoints: p.seq}

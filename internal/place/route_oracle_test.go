@@ -152,7 +152,7 @@ func refRemoveCycles(nodes []topo.NodeID, links []int, waypointAt map[int]bool) 
 // utilisation. It returns the reference's round count.
 func checkAgainstReference(t *testing.T, label string, m *Model, mapping *psmap.Mapping, order *deps.Order, res *Result) int {
 	t.Helper()
-	s := m.newSolver(m.inputs(mapping, order))
+	s := mustSolver(t, m, m.inputs(mapping, order))
 	routes, congestion, maxUtil, rounds := refRoute(s, res.Placement)
 	if len(routes) != len(res.Routes) {
 		t.Fatalf("%s: %d routes, reference %d", label, len(res.Routes), len(routes))
@@ -334,9 +334,11 @@ func TestRoutesMatchReference(t *testing.T) {
 	}
 }
 
-// TestRouteAllocs: routing a mostly stateless mapping on IGen-120 costs at
-// most three allocations per pair — the route's two slices, plus the map
-// and the per-call slices amortised over the pairs.
+// TestRouteAllocs: routing a mostly stateless mapping on IGen-120
+// allocates two slices per waypoint pair (2 % of them here) and nothing
+// per waypoint-free pair, whose route is the model's tree route, plus the
+// map and the per-call slices: well under half an allocation per pair,
+// where building every route would cost two.
 func TestRouteAllocs(t *testing.T) {
 	tp, err := topo.NewIGen(120, 1000)
 	if err != nil {
@@ -345,13 +347,13 @@ func TestRouteAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	mapping, order := randomStateful(rng, tp, 4, 0.02)
 	m := NewModel(tp, traffic.Gravity(tp, 100, 1), Options{Method: Heuristic})
-	s := m.newSolver(m.inputs(mapping, order))
+	s := mustSolver(t, m, m.inputs(mapping, order))
 	loc := randomPlacement(rng, tp, order)
 	allocs := testing.AllocsPerRun(5, func() { s.route(loc) })
 	perPair := allocs / float64(len(s.pairs))
 	t.Logf("%d pairs, %.0f allocations per route call, %.2f per pair", len(s.pairs), allocs, perPair)
-	if perPair > 3 {
-		t.Errorf("route allocates %.2f objects per pair, want at most 3", perPair)
+	if perPair > 0.5 {
+		t.Errorf("route allocates %.2f objects per pair, want at most 0.5", perPair)
 	}
 }
 

@@ -142,7 +142,9 @@ func (m Matrix) Replay(n int, seed int64) [][2]int {
 // compares directly against the volume-scaled matrix a deployment was
 // optimized for — the drift signal ctrl.Monitor thresholds. Two empty (or
 // all-zero) matrices are identical (0); one empty versus one loaded is
-// maximal drift (1).
+// maximal drift (1). Its sums run in map order, so two calls on the same
+// matrices may differ in the last bit: it is only ever compared with a
+// threshold, never fed to the optimizer.
 func Divergence(a, b Matrix) float64 {
 	ta, tb := a.Total(), b.Total()
 	if ta <= 0 && tb <= 0 {
